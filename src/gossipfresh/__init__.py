@@ -13,7 +13,6 @@ from .core import (
     NetworkSpec,
     Rates,
     per_stale_rate,
-    stale_rate_fn,
     validate,
 )
 from .analytic import (
@@ -23,7 +22,6 @@ from .analytic import (
     closed_flat,
     clustered_freshness,
     divisors,
-    flat_freshness,
     freshness_dc_norc,
     freshness_dc_rc,
     freshness_fc_allrc,
@@ -84,7 +82,6 @@ __all__ = [
     "emit_plot_data",
     "estimate_freshness_cycles",
     "estimate_freshness_time",
-    "flat_freshness",
     "freshness_dc_norc",
     "freshness_dc_rc",
     "freshness_fc_allrc",
@@ -97,7 +94,6 @@ __all__ = [
     "report_optimal_k",
     "run_experiment",
     "simulate_cycle",
-    "stale_rate_fn",
     "validate",
     "write_csv",
 ]

@@ -28,8 +28,9 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    per_stale_rate,
+    require_rates,
     require_valid,
-    stale_rate_fn,
 )
 
 __all__ = [
@@ -85,9 +86,7 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
     if not math.isfinite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
-    for name, v in named.items():
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+    require_rates(**named)
 
 
 def freshness_dc_norc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:
@@ -103,13 +102,16 @@ def freshness_dc_rc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:
 
         (lambda_s / (n * lambda_e)) * (1 - (lambda_s / (lambda_s + lambda_e))**n)
 
-    The lambda_s = 0 limit is 0 (no deliveries ever happen).
+    The bracket is evaluated as ``-expm1(-n * log1p(lambda_e / lambda_s))``:
+    the power form cancels catastrophically when lambda_s >> lambda_e, and
+    ``log1p(-lambda_e / (lambda_s + lambda_e))`` leaves the domain of
+    ``log1p`` once lambda_s is below an ulp of lambda_e.  The lambda_s = 0
+    limit is 0 (no deliveries ever happen).
     """
     _check_rates(n, lambda_e, lambda_s=lambda_s)
     if lambda_s == 0:
         return 0.0
-    a = lambda_s / (lambda_s + lambda_e)
-    return lambda_s / (n * lambda_e) * (1.0 - a**n)
+    return lambda_s / (n * lambda_e) * -math.expm1(-n * math.log1p(lambda_e / lambda_s))
 
 
 def freshness_fc_allrc(
@@ -178,10 +180,7 @@ def renewal_freshness(
         ValueError: for invalid ``n``/``lambda_e``, or if ``u`` returns a
             negative, NaN, or infinite rate (the offending ``j`` is named).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not math.isfinite(lambda_e) or lambda_e <= 0:
-        raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
+    _check_rates(n, lambda_e)
     q: list[float] = []
     tau: list[float] = []
     p = 0.0
@@ -211,8 +210,8 @@ def oracle_flat(
 ) -> FreshnessValue:
     """Freshness of a flat tier via the generic recursion (works for all
     five policies)."""
-    u = stale_rate_fn(policy, total_source, total_gossip, n)
-    p, _ = renewal_freshness(u, n, lambda_e)
+    table = per_stale_rate(policy, total_source, total_gossip, n)
+    p, _ = renewal_freshness(table.__getitem__, n, lambda_e)
     return p
 
 
@@ -313,15 +312,3 @@ def optimal_cluster_size(
             best_k, best_p = k, p
     assert best_k is not None
     return best_k, n // best_k, best_p, profile
-
-
-def flat_freshness(spec: NetworkSpec) -> tuple[FreshnessValue, RecursionTrace]:
-    """Freshness of a flat spec via the generic recursion."""
-    require_valid(spec)
-    shape = spec.shape
-    if isinstance(shape, Clustered):
-        raise ValueError("flat_freshness requires a Flat shape")
-    total_source = getattr(spec.rates, shape.source_rate)
-    total_gossip = getattr(spec.rates, shape.gossip_rate)
-    u = stale_rate_fn(shape.policy, total_source, total_gossip, shape.n)
-    return renewal_freshness(u, shape.n, spec.rates.lambda_e)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .core import GossipPolicy, NetworkSpec, Rates, validate
 from .analytic import closed_clustered, closed_flat, clustered_freshness, oracle_flat
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    config_with_output,
-    config_with_sim,
+    SimSettings,
     emit_plot_data,
     report_optimal_k,
     run_experiment,
@@ -113,7 +113,7 @@ def _cmd_analytic(args) -> int:
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
     if getattr(args, "output", None):
-        config = config_with_output(config, args.output)
+        config = replace(config, output=args.output)
     return config
 
 
@@ -123,12 +123,12 @@ def _run_sweep(args, force_sim: bool) -> int:
         base = config.sim
         cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)
         seed = args.seed if args.seed is not None else (base.seed if base else 0)
-        config = config_with_sim(config, cycles, seed)
+        config = replace(config, sim=SimSettings(cycles=cycles, seed=seed))
     rows = run_experiment(config)
     if config.output:
         print(f"wrote {len(rows)} rows to {config.output}")
     else:
-        write_csv(rows, "/dev/stdout")
+        write_csv(rows, sys.stdout)
     if args.plot_dir:
         paths = emit_plot_data(rows, out_dir=args.plot_dir)
         print(f"wrote {len(paths)} series files to {args.plot_dir}")

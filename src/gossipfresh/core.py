@@ -6,19 +6,20 @@ obtaining it from the source (directly, or via clusterheads) and, in fully
 connected topologies, from each other through gossip.  A node is *fresh*
 while its copy matches the source's current version.
 
-Every dissemination policy supported here reduces to one function: the
-update intensity delivered to each stale node when exactly ``j`` nodes are
-currently fresh.  That function, :func:`per_stale_rate`, is shared by the
-exact calculations in :mod:`gossipfresh.analytic` and the event-driven
-engines in :mod:`gossipfresh.simulator`.
+Every dissemination policy supported here reduces to one table: the
+update intensity ``u(j)`` delivered to each stale node when exactly ``j``
+nodes are currently fresh, for ``j = 0 .. n-1``.  That table,
+:func:`per_stale_rate`, is shared by the exact calculations in
+:mod:`gossipfresh.analytic` and the event-driven engines in
+:mod:`gossipfresh.simulator`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 
 class GossipPolicy(Enum):
@@ -56,6 +57,19 @@ DC_POLICIES = (GossipPolicy.DC_noRC, GossipPolicy.DC_RC)
 FreshnessValue = float
 
 
+def require_rates(**named: float) -> None:
+    """Raise ``ValueError`` unless every named value is a finite real >= 0.
+
+    This is the one check every rate passes, whether it arrives in a
+    :class:`Rates` or as a raw float at a formula's boundary.
+    """
+    for name, v in named.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Rates:
     """The four Poisson intensities driving a network, in arbitrary units.
@@ -78,12 +92,7 @@ class Rates:
     lambda_g: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{f.name} must be a real number, got {v!r}")
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
+        require_rates(**vars(self))
 
     def scaled(self, factor: float) -> "Rates":
         """All four intensities multiplied by ``factor`` (time rescaling)."""
@@ -95,22 +104,13 @@ class Rates:
         )
 
 
-RATE_FIELDS = tuple(f.name for f in fields(Rates))
-
-
 @dataclass(frozen=True)
 class Flat:
-    """A single tier of ``n`` symmetric nodes fed by one sender.
-
-    ``source_rate`` and ``gossip_rate`` name which :class:`Rates` field
-    plays each role, so the same shape describes a source-fed network
-    (the default) or the inside of one cluster (``source_rate="lambda_c"``).
-    """
+    """A single tier of ``n`` symmetric nodes fed by the source at total
+    rate ``lambda_s``, gossiping at ``lambda_g`` under FC policies."""
 
     n: int
     policy: GossipPolicy
-    source_rate: str = "lambda_s"
-    gossip_rate: str = "lambda_g"
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,8 @@ class NetworkSpec:
     rates: Rates
 
     @staticmethod
-    def flat(
-        n: int,
-        policy: GossipPolicy,
-        rates: Rates,
-        source_rate: str = "lambda_s",
-        gossip_rate: str = "lambda_g",
-    ) -> "NetworkSpec":
-        return NetworkSpec(Flat(n, policy, source_rate, gossip_rate), rates)
+    def flat(n: int, policy: GossipPolicy, rates: Rates) -> "NetworkSpec":
+        return NetworkSpec(Flat(n, policy), rates)
 
     @staticmethod
     def clustered(
@@ -169,94 +163,63 @@ def per_stale_rate(
     total_source: float,
     total_gossip: float,
     n: int,
-    j: int,
-) -> float:
-    """Update intensity seen by each stale node when ``j`` nodes are fresh.
+) -> list[float]:
+    """The table ``u`` with ``u[j]`` the update intensity seen by each
+    stale node when ``j`` of the ``n`` nodes are fresh, ``j = 0 .. n-1``.
 
     ``total_source`` is the sender's total delivery budget and
-    ``total_gossip`` the total gossip budget of each fresh node.  With
-    ``j`` fresh nodes out of ``n``:
+    ``total_gossip`` the total gossip budget of each fresh node:
 
     * ``DC_noRC``:  ``total_source / n``
     * ``DC_RC``:    ``total_source / (n - j)``
     * ``FC_noRC``:  ``total_source / n + j * total_gossip / (n - 1)``
     * ``FC_sRC``:   ``total_source / (n - j) + j * total_gossip / (n - 1)``
-    * ``FC_allRC``: ``(total_source + j * total_gossip) / (n - j)``
+    * ``FC_allRC``: ``total_source / (n - j) + j * total_gossip / (n - j)``
 
-    For ``n == 1`` there are no gossip neighbours and the gossip term is
-    zero (``j`` can only be 0, so every policy returns ``total_source``).
+    ``FC_allRC`` is evaluated term by term as written, not as
+    ``(total_source + j * total_gossip) / (n - j)``: sharing the source
+    term with ``FC_sRC`` keeps ``FC_allRC >= FC_sRC`` and the zero-gossip
+    collapse onto ``DC_RC`` exact in floating point.  For ``n == 1`` there
+    are no gossip neighbours and every policy gives ``[total_source]``.
 
     Raises:
-        ValueError: if ``n < 1``, ``j`` is outside ``[0, n - 1]``, or a
-            rate is negative or not finite.
+        ValueError: if ``n < 1`` or a rate is negative or not finite.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"j must be in [0, {n - 1}] (at least one stale node), got {j}")
-    for name, v in (("total_source", total_source), ("total_gossip", total_gossip)):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-
+    require_rates(total_source=total_source, total_gossip=total_gossip)
     gossip_split = total_gossip / (n - 1) if n > 1 else 0.0
     if policy is GossipPolicy.DC_noRC:
-        return total_source / n
+        return [total_source / n] * n
     if policy is GossipPolicy.DC_RC:
-        return total_source / (n - j)
+        return [total_source / (n - j) for j in range(n)]
     if policy is GossipPolicy.FC_noRC:
-        return total_source / n + j * gossip_split
+        return [total_source / n + j * gossip_split for j in range(n)]
     if policy is GossipPolicy.FC_sRC:
-        return total_source / (n - j) + j * gossip_split
+        return [total_source / (n - j) + j * gossip_split for j in range(n)]
     if policy is GossipPolicy.FC_allRC:
-        return (total_source + j * total_gossip) / (n - j)
+        return [total_source / (n - j) + j * total_gossip / (n - j) for j in range(n)]
     raise ValueError(f"unknown policy {policy!r}")
-
-
-def stale_rate_fn(
-    policy: GossipPolicy,
-    total_source: float,
-    total_gossip: float,
-    n: int,
-) -> Callable[[int], float]:
-    """Bind :func:`per_stale_rate` to a policy and rates, leaving ``u(j)``."""
-
-    def u(j: int) -> float:
-        return per_stale_rate(policy, total_source, total_gossip, n, j)
-
-    return u
-
-
-def flat_rate_values(shape: Flat, rates: Rates) -> tuple[float, float]:
-    """Resolve a flat shape's (total_source, total_gossip) from ``rates``."""
-    return getattr(rates, shape.source_rate), getattr(rates, shape.gossip_rate)
 
 
 def validate(spec: NetworkSpec) -> list[str]:
     """Check every structural invariant of ``spec``.
 
-    Returns a list of human-readable violation messages; the spec is
+    Each rate was already checked when its :class:`Rates` was built; this
+    adds only ``lambda_e > 0``.  Returns a list of human-readable violation messages; the spec is
     usable iff the list is empty.  Nothing is raised: callers that need
     hard failure join the messages into an exception themselves.
     """
     problems: list[str] = []
-    r = spec.rates
-    for name in RATE_FIELDS:
-        v = getattr(r, name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-            problems.append(f"{name} must be finite and >= 0, got {v!r}")
-    if r.lambda_e <= 0:
+    if spec.rates.lambda_e <= 0:
         problems.append(
-            f"lambda_e must be > 0 so refresh cycles terminate, got {r.lambda_e!r}"
+            f"lambda_e must be > 0 so refresh cycles terminate, got {spec.rates.lambda_e!r}"
         )
 
     shape = spec.shape
     if isinstance(shape, Flat):
         if shape.n < 1:
             problems.append(f"flat network needs n >= 1, got n={shape.n}")
-        if shape.source_rate not in RATE_FIELDS:
-            problems.append(f"source_rate must name a rate field, got {shape.source_rate!r}")
-        if shape.gossip_rate not in RATE_FIELDS:
-            problems.append(f"gossip_rate must name a rate field, got {shape.gossip_rate!r}")
     elif isinstance(shape, Clustered):
         if shape.n < 1:
             problems.append(f"clustered network needs n >= 1, got n={shape.n}")

@@ -20,7 +20,8 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -496,16 +497,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(rows, path) -> Path:
+def write_csv(rows, path) -> None:
     """Write rows under the fixed header; floats carry 17 significant
-    digits so parsing the file back reproduces them exactly."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    digits so parsing the file back reproduces them exactly.  ``path`` may
+    also be an open text stream such as ``sys.stdout``; it is left open."""
+    stream = hasattr(path, "write")
+    with nullcontext(path) if stream else open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:
             writer.writerow([_fmt(getattr(row, col)) for col in CSV_HEADER])
-    return path
 
 
 _INT_COLS = {"n", "k", "m", "cycles", "seed"}
@@ -672,13 +673,3 @@ def report_optimal_k(config: ExperimentConfig) -> OptimalKReport:
                     f"({cl_side.p_star:.12g} vs {src_side.p_star:.12g})"
                 )
     return OptimalKReport(entries=tuple(entries), notes=tuple(notes))
-
-
-def config_with_output(config: ExperimentConfig, output) -> ExperimentConfig:
-    """Copy of ``config`` writing to a different path."""
-    return replace(config, output=str(output) if output is not None else None)
-
-
-def config_with_sim(config: ExperimentConfig, cycles: int, seed: int) -> ExperimentConfig:
-    """Copy of ``config`` with Monte Carlo columns enabled."""
-    return replace(config, sim=SimSettings(cycles=cycles, seed=seed))

@@ -40,14 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Clustered,
-    Flat,
-    NetworkSpec,
-    flat_rate_values,
-    per_stale_rate,
-    require_valid,
-)
+from .core import Clustered, Flat, NetworkSpec, per_stale_rate, require_valid
 from .analytic import clustered_freshness
 
 __all__ = [
@@ -150,8 +143,7 @@ class _FlatTables:
         assert isinstance(shape, Flat)
         n = shape.n
         lam_e = spec.rates.lambda_e
-        src, gsp = flat_rate_values(shape, spec.rates)
-        u = [per_stale_rate(shape.policy, src, gsp, n, j) for j in range(n)]
+        u = per_stale_rate(shape.policy, spec.rates.lambda_s, spec.rates.lambda_g, n)
         deliver = [(n - j) * u[j] for j in range(n)] + [0.0]
         self.n = n
         self.lam_e = lam_e
@@ -172,11 +164,8 @@ class _ClusteredTables:
         assert isinstance(shape, Clustered)
         r = spec.rates
         m, k = shape.m, shape.k
-        u_src = [per_stale_rate(shape.source_policy, r.lambda_s, 0.0, m, j) for j in range(m)]
-        u_cl = [
-            per_stale_rate(shape.cluster_policy, r.lambda_c, r.lambda_g, k, j)
-            for j in range(k)
-        ]
+        u_src = per_stale_rate(shape.source_policy, r.lambda_s, 0.0, m)
+        u_cl = per_stale_rate(shape.cluster_policy, r.lambda_c, r.lambda_g, k)
         self.m = m
         self.k = k
         self.n = shape.n

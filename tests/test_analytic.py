@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, stale_rate_fn
+from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate
 from gossipfresh.analytic import (
     closed_clustered,
     closed_flat,
@@ -94,16 +94,16 @@ def test_recursion_specialises_to_even_split():
 
 
 def test_recursion_src_rc_hand_values():
-    u = stale_rate_fn(GP.FC_sRC, 1.0, 1.0, 3)
-    p, trace = renewal_freshness(u, 3, 1.0)
+    u = per_stale_rate(GP.FC_sRC, 1.0, 1.0, 3)
+    p, trace = renewal_freshness(u.__getitem__, 3, 1.0)
     assert p == pytest.approx(19 / 54, abs=1e-15)
     assert trace.q == pytest.approx((1 / 6, 1 / 3, 2 / 3), abs=1e-15)
     assert trace.tau == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
 
 
 def test_recursion_fc_norc_hand_values():
-    u = stale_rate_fn(GP.FC_noRC, 1.0, 1.0, 3)
-    p, trace = renewal_freshness(u, 3, 1.0)
+    u = per_stale_rate(GP.FC_noRC, 1.0, 1.0, 3)
+    p, trace = renewal_freshness(u.__getitem__, 3, 1.0)
     assert p == pytest.approx(111 / 336, abs=1e-15)
     assert trace.q == pytest.approx((1 / 6, 5 / 16, 4 / 7), abs=1e-15)
     assert trace.tau == pytest.approx((1 / 3, 5 / 16), abs=1e-15)
@@ -133,6 +133,15 @@ def test_closed_forms_match_recursion(policy, ls, lg, le, n):
         assert closed == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("decade", range(-1, 13))
+def test_dc_rc_closed_form_holds_at_extreme_rate_ratios(decade):
+    # lambda_s / lambda_e up to 1e12, where 1 - a**n cancels catastrophically
+    ratio = 10.0**decade
+    for n in (1, 2, 3, 50, 999, 10**4):
+        oracle = oracle_flat(GP.DC_RC, ratio, 0.0, 1.0, n)
+        assert freshness_dc_rc(ratio, 1.0, n) == pytest.approx(oracle, abs=1e-12)
+
+
 def test_src_rc_has_no_closed_form():
     assert closed_flat(GP.FC_sRC, 1.0, 1.0, 1.0, 3) is None
 
@@ -145,8 +154,8 @@ def test_src_rc_has_no_closed_form():
     n=st.integers(1, 32),
 )
 def test_trace_step_outcomes_partition(policy, ls, lg, le, n):
-    u = stale_rate_fn(policy, ls, lg, n)
-    p, trace = renewal_freshness(u, n, le)
+    u = per_stale_rate(policy, ls, lg, n)
+    p, trace = renewal_freshness(u.__getitem__, n, le)
     assert all(0.0 <= q <= 1.0 for q in trace.q)
     assert all(0.0 <= t <= 1.0 for t in trace.tau)
     # p is exactly the q/tau accumulation
@@ -161,7 +170,7 @@ def test_trace_step_outcomes_partition(policy, ls, lg, le, n):
     # per-step: tagged capture + other capture + cycle end partition the draw
     for step in range(1, n + 1):
         stale = n - step + 1
-        denom = stale * u(step - 1) + le
+        denom = stale * u[step - 1] + le
         end = le / denom
         tk = trace.tau[step - 1] if step < n else 0.0
         assert trace.q[step - 1] + tk + end == pytest.approx(1.0, abs=1e-12)
@@ -290,17 +299,12 @@ def test_stale_targeting_improves_the_peak_at_n120():
     assert p_rc > p_norc
 
 
-def test_flat_freshness_honours_rate_role_selectors():
-    # a flat spec can model one cluster's tier by letting lambda_c play
-    # the source role
+def test_in_cluster_stage_is_a_flat_tier_at_the_cluster_rates():
+    # one cluster's tier is a flat tier with lambda_c in the source role
     r = Rates(lambda_e=1.0, lambda_s=9.0, lambda_c=2.0, lambda_g=1.0)
-    spec = NetworkSpec.flat(4, GP.FC_allRC, r, source_rate="lambda_c")
-    from gossipfresh.analytic import flat_freshness
-
-    p, _ = flat_freshness(spec)
-    assert p == pytest.approx(oracle_flat(GP.FC_allRC, 2.0, 1.0, 1.0, 4), abs=1e-15)
+    p = oracle_flat(GP.FC_allRC, r.lambda_c, r.lambda_g, r.lambda_e, 4)
     _, bd = clustered_freshness(NetworkSpec.clustered(4, 4, GP.DC_noRC, GP.FC_allRC, r))
-    assert p == pytest.approx(bd.p_node_given_ch, abs=1e-15)
+    assert p == bd.p_node_given_ch
 
 
 def test_single_sided_placements_mirror_when_tier_rates_match():

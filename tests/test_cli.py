@@ -69,6 +69,15 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert all(row.p_sim is None for row in rows)
 
 
+def test_sweep_without_output_writes_csv_to_stdout(tmp_path, capsys):
+    config = write_config(tmp_path, FLAT_CONFIG)
+    assert main(["sweep", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--output", str(target)]) == 0
+    assert out == target.read_text()
+
+
 def test_sweep_output_flag_overrides_config(tmp_path):
     config = write_config(
         tmp_path, dict(FLAT_CONFIG, output=str(tmp_path / "ignored.csv"))

@@ -1,15 +1,17 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import gossipfresh
 from gossipfresh.core import (
     Flat,
     GossipPolicy,
     NetworkSpec,
     Rates,
     per_stale_rate,
-    stale_rate_fn,
     validate,
 )
 
@@ -29,30 +31,32 @@ pos_rate = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
     ],
 )
 def test_per_stale_rate_values(policy, src, gsp, n, j, expected):
-    assert per_stale_rate(policy, src, gsp, n, j) == pytest.approx(expected, abs=1e-15)
+    assert per_stale_rate(policy, src, gsp, n)[j] == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_single_node_rate_is_source_rate(policy):
-    assert per_stale_rate(policy, 1.7, 5.0, 1, 0) == 1.7
+    assert per_stale_rate(policy, 1.7, 5.0, 1) == [1.7]
 
 
 @pytest.mark.parametrize("bad_j", [-1, 4, 5])
 def test_fresh_count_out_of_range(bad_j):
-    with pytest.raises(ValueError):
-        per_stale_rate(GossipPolicy.DC_RC, 1.0, 0.0, 4, bad_j)
+    # the table holds exactly the states with at least one stale node
+    table = per_stale_rate(GossipPolicy.DC_RC, 1.0, 0.0, 4)
+    assert len(table) == 4
+    assert bad_j not in range(len(table))
 
 
 def test_zero_nodes_rejected():
     with pytest.raises(ValueError):
-        per_stale_rate(GossipPolicy.DC_noRC, 1.0, 0.0, 0, 0)
+        per_stale_rate(GossipPolicy.DC_noRC, 1.0, 0.0, 0)
 
 
 def test_negative_rate_rejected():
     with pytest.raises(ValueError):
-        per_stale_rate(GossipPolicy.DC_noRC, -1.0, 0.0, 3, 0)
+        per_stale_rate(GossipPolicy.DC_noRC, -1.0, 0.0, 3)
     with pytest.raises(ValueError):
-        per_stale_rate(GossipPolicy.FC_noRC, 1.0, math.nan, 3, 0)
+        per_stale_rate(GossipPolicy.FC_noRC, 1.0, math.nan, 3)
 
 
 @given(
@@ -64,46 +68,44 @@ def test_negative_rate_rejected():
 )
 def test_rate_nonnegative_and_finite(policy, src, gsp, n, j_raw):
     j = j_raw % n
-    u = per_stale_rate(policy, src, gsp, n, j)
+    u = per_stale_rate(policy, src, gsp, n)[j]
     assert u >= 0.0
     assert math.isfinite(u)
 
 
 @given(src=pos_rate, gsp=pos_rate, n=st.integers(2, 128), j_raw=st.integers(1, 10**6))
+@example(src=116.0, gsp=1.5, n=15, j_raw=1)
+@example(src=1.0, gsp=5.0, n=10, j_raw=7677)
 def test_stale_targeting_dominates_even_split(src, gsp, n, j_raw):
     j = 1 + j_raw % (n - 1)
-    dc_rc = per_stale_rate(GossipPolicy.DC_RC, src, gsp, n, j)
-    dc_norc = per_stale_rate(GossipPolicy.DC_noRC, src, gsp, n, j)
+    dc_rc = per_stale_rate(GossipPolicy.DC_RC, src, gsp, n)[j]
+    dc_norc = per_stale_rate(GossipPolicy.DC_noRC, src, gsp, n)[j]
     assert dc_rc >= dc_norc
-    fc_all = per_stale_rate(GossipPolicy.FC_allRC, src, gsp, n, j)
-    fc_src = per_stale_rate(GossipPolicy.FC_sRC, src, gsp, n, j)
-    fc_no = per_stale_rate(GossipPolicy.FC_noRC, src, gsp, n, j)
+    fc_all = per_stale_rate(GossipPolicy.FC_allRC, src, gsp, n)[j]
+    fc_src = per_stale_rate(GossipPolicy.FC_sRC, src, gsp, n)[j]
+    fc_no = per_stale_rate(GossipPolicy.FC_noRC, src, gsp, n)[j]
     assert fc_all >= fc_src >= fc_no
 
 
 @given(src=pos_rate, gsp=pos_rate, n=st.integers(1, 128))
 def test_all_policies_share_the_initial_source_rate(src, gsp, n):
     # with nobody fresh there is nothing to gossip and nothing to re-aim
-    dc = per_stale_rate(GossipPolicy.DC_noRC, src, gsp, n, 0)
+    dc = per_stale_rate(GossipPolicy.DC_noRC, src, gsp, n)[0]
     for policy in POLICIES:
-        assert per_stale_rate(policy, src, gsp, n, 0) == dc
+        assert per_stale_rate(policy, src, gsp, n)[0] == dc
 
 
-@given(src=rate, n=st.integers(1, 128), j_raw=st.integers(0, 10**6))
-def test_zero_gossip_collapses_to_dc(src, n, j_raw):
-    j = j_raw % n
-    assert per_stale_rate(GossipPolicy.FC_noRC, src, 0.0, n, j) == per_stale_rate(
-        GossipPolicy.DC_noRC, src, 0.0, n, j
-    )
-    dc_rc = per_stale_rate(GossipPolicy.DC_RC, src, 0.0, n, j)
-    assert per_stale_rate(GossipPolicy.FC_sRC, src, 0.0, n, j) == dc_rc
-    assert per_stale_rate(GossipPolicy.FC_allRC, src, 0.0, n, j) == dc_rc
+@given(src=rate, n=st.integers(1, 128))
+def test_zero_gossip_collapses_to_dc(src, n):
+    dc_norc = per_stale_rate(GossipPolicy.DC_noRC, src, 0.0, n)
+    assert per_stale_rate(GossipPolicy.FC_noRC, src, 0.0, n) == dc_norc
+    dc_rc = per_stale_rate(GossipPolicy.DC_RC, src, 0.0, n)
+    assert per_stale_rate(GossipPolicy.FC_sRC, src, 0.0, n) == dc_rc
+    assert per_stale_rate(GossipPolicy.FC_allRC, src, 0.0, n) == dc_rc
 
 
-def test_stale_rate_fn_binds_arguments():
-    u = stale_rate_fn(GossipPolicy.FC_allRC, 1.0, 1.0, 2)
-    assert u(0) == 0.5
-    assert u(1) == 2.0
+def test_per_stale_rate_returns_the_whole_table():
+    assert per_stale_rate(GossipPolicy.FC_allRC, 1.0, 1.0, 2) == [0.5, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -151,13 +153,9 @@ def test_validate_needs_positive_refresh_rate():
     assert any("lambda_e" in p for p in validate(spec))
 
 
-def test_validate_flat_node_count_and_selectors():
+def test_validate_flat_node_count():
     spec = NetworkSpec(Flat(0, GossipPolicy.DC_noRC), Rates(1.0, 1.0))
     assert any("n >= 1" in p for p in validate(spec))
-    spec = NetworkSpec(
-        Flat(2, GossipPolicy.DC_noRC, source_rate="lambda_x"), Rates(1.0, 1.0)
-    )
-    assert any("source_rate" in p for p in validate(spec))
 
 
 def test_validate_collects_every_problem():
@@ -166,3 +164,13 @@ def test_validate_collects_every_problem():
     )
     problems = validate(spec)
     assert len(problems) >= 3  # lambda_e, divisibility, source policy
+
+
+def test_every_exported_name_resolves():
+    modules = [gossipfresh] + [
+        importlib.import_module(f"gossipfresh.{info.name}")
+        for info in pkgutil.iter_modules(gossipfresh.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
