@@ -25,6 +25,7 @@ from .analytic import (
     freshness_fc_norc,
     optimal_cluster_size,
     oracle_flat,
+    oracle_sizes,
 )
 from .simulator import decomposition_check, estimate_freshness_cycles, estimate_freshness_time
 from .experiments import ExperimentConfig, run_experiment
@@ -33,7 +34,17 @@ __all__ = ["CriterionResult", "CRITERIA", "run_criteria", "format_line", "write_
 
 RATE_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 MAX_N = 64
+NS = tuple(range(1, MAX_N + 1))
 TOL = 1e-12
+#: lambda_s / lambda_e decades, 10^-1 .. 10^12, that criterion 1 adds to
+#: the flat tiers' (lambda_e, lambda_s) grid at lambda_e = 1.
+RATIO_DECADES = tuple(10.0**d for d in range(-1, 13))
+FLAT_RATE_POINTS = tuple(
+    dict.fromkeys(
+        [(le, ls) for le in RATE_GRID for ls in RATE_GRID]
+        + [(1.0, ratio) for ratio in RATIO_DECADES]
+    )
+)
 
 _DC_PAIRS = (
     (GossipPolicy.DC_noRC, GossipPolicy.DC_noRC),
@@ -92,49 +103,39 @@ def criterion_1() -> CriterionResult:
         if diff > TOL:
             failures.append(f"{label}: |closed - oracle| = {diff:.3e}")
 
-    for n in range(1, MAX_N + 1):
-        for le in RATE_GRID:
-            for ls in RATE_GRID:
+    flat_cases = [(GossipPolicy.DC_noRC, 0.0), (GossipPolicy.DC_RC, 0.0)] + [
+        (pol, lg) for pol in (GossipPolicy.FC_allRC, GossipPolicy.FC_noRC) for lg in RATE_GRID
+    ]
+    for le, ls in FLAT_RATE_POINTS:
+        for pol, lg in flat_cases:
+            oracles = oracle_sizes(pol, ls, lg, le, NS).tolist()
+            for n, oracle in zip(NS, oracles):
                 check(
-                    f"DC_noRC n={n} le={le} ls={ls}",
-                    freshness_dc_norc(ls, le, n),
-                    oracle_flat(GossipPolicy.DC_noRC, ls, 0.0, le, n),
+                    f"{pol.value} n={n} le={le} ls={ls} lg={lg}",
+                    closed_flat(pol, ls, lg, le, n),
+                    oracle,
                 )
-                check(
-                    f"DC_RC n={n} le={le} ls={ls}",
-                    freshness_dc_rc(ls, le, n),
-                    oracle_flat(GossipPolicy.DC_RC, ls, 0.0, le, n),
-                )
-                for lg in RATE_GRID:
-                    check(
-                        f"FC_allRC n={n} le={le} ls={ls} lg={lg}",
-                        freshness_fc_allrc(ls, lg, le, n),
-                        oracle_flat(GossipPolicy.FC_allRC, ls, lg, le, n),
-                    )
-                    check(
-                        f"FC_noRC n={n} le={le} ls={ls} lg={lg}",
-                        freshness_fc_norc(ls, lg, le, n),
-                        oracle_flat(GossipPolicy.FC_noRC, ls, lg, le, n),
-                    )
 
     # clustered products: cache per-tier factors, then compare every row
     sizes = sorted({s for pair in _size_pairs() for s in pair})
     src_c, src_o, cl_c, cl_o = {}, {}, {}, {}
     for pol in DC_POLICIES:
-        for s in sizes:
-            for le in RATE_GRID:
-                for lam in RATE_GRID:
+        for le in RATE_GRID:
+            for lam in RATE_GRID:
+                oracles = oracle_sizes(pol, lam, 0.0, le, sizes).tolist()
+                for s, oracle in zip(sizes, oracles):
                     src_c[pol, s, lam, le] = closed_flat(pol, lam, 0.0, le, s)
-                    src_o[pol, s, lam, le] = oracle_flat(pol, lam, 0.0, le, s)
+                    src_o[pol, s, lam, le] = oracle
     cl_c.update(src_c)
     cl_o.update(src_o)
     for pol in (GossipPolicy.FC_noRC, GossipPolicy.FC_allRC):
-        for s in sizes:
-            for le in RATE_GRID:
-                for lc in RATE_GRID:
-                    for lg in RATE_GRID:
+        for le in RATE_GRID:
+            for lc in RATE_GRID:
+                for lg in RATE_GRID:
+                    oracles = oracle_sizes(pol, lc, lg, le, sizes).tolist()
+                    for s, oracle in zip(sizes, oracles):
                         cl_c[pol, s, lc, lg, le] = closed_flat(pol, lc, lg, le, s)
-                        cl_o[pol, s, lc, lg, le] = oracle_flat(pol, lc, lg, le, s)
+                        cl_o[pol, s, lc, lg, le] = oracle
 
     for m, k in _size_pairs():
         for le in RATE_GRID:
@@ -207,26 +208,25 @@ def criterion_3() -> CriterionResult:
                 norc = freshness_dc_norc(ls, le, n)
                 if not rc > norc:
                     failures.append(f"DC_RC <= DC_noRC at n={n} le={le} ls={ls}")
-    for n in range(1, MAX_N + 1):
-        for le in RATE_GRID:
-            for ls in RATE_GRID:
-                for lg in RATE_GRID:
-                    p_all = oracle_flat(GossipPolicy.FC_allRC, ls, lg, le, n)
-                    p_src = oracle_flat(GossipPolicy.FC_sRC, ls, lg, le, n)
-                    p_no = oracle_flat(GossipPolicy.FC_noRC, ls, lg, le, n)
-                    if not (p_all >= p_src >= p_no):
-                        failures.append(
-                            f"FC ordering broken at n={n} le={le} ls={ls} lg={lg}"
-                        )
-                # zero-gossip collapse: exact through the recursion, 1e-12
-                # between the independently coded closed forms
-                p_rc = oracle_flat(GossipPolicy.DC_RC, ls, 0.0, le, n)
-                p_norc = oracle_flat(GossipPolicy.DC_noRC, ls, 0.0, le, n)
-                if oracle_flat(GossipPolicy.FC_allRC, ls, 0.0, le, n) != p_rc:
+    fc = (GossipPolicy.FC_allRC, GossipPolicy.FC_sRC, GossipPolicy.FC_noRC)
+    for le in RATE_GRID:
+        for ls in RATE_GRID:
+            for lg in RATE_GRID:
+                p_all, p_src, p_no = (oracle_sizes(pol, ls, lg, le, NS).tolist() for pol in fc)
+                for n, a, s, o in zip(NS, p_all, p_src, p_no):
+                    if not (a >= s >= o):
+                        failures.append(f"FC ordering broken at n={n} le={le} ls={ls} lg={lg}")
+            # zero-gossip collapse: exact through the recursion, 1e-12
+            # between the independently coded closed forms
+            p_rc = oracle_sizes(GossipPolicy.DC_RC, ls, 0.0, le, NS).tolist()
+            p_norc = oracle_sizes(GossipPolicy.DC_noRC, ls, 0.0, le, NS).tolist()
+            p_all, p_src, p_no = (oracle_sizes(pol, ls, 0.0, le, NS).tolist() for pol in fc)
+            for n, rc, norc, a, s, o in zip(NS, p_rc, p_norc, p_all, p_src, p_no):
+                if a != rc:
                     failures.append(f"FC_allRC(lg=0) != DC_RC at n={n} le={le} ls={ls}")
-                if oracle_flat(GossipPolicy.FC_sRC, ls, 0.0, le, n) != p_rc:
+                if s != rc:
                     failures.append(f"FC_sRC(lg=0) != DC_RC at n={n} le={le} ls={ls}")
-                if oracle_flat(GossipPolicy.FC_noRC, ls, 0.0, le, n) != p_norc:
+                if o != norc:
                     failures.append(f"FC_noRC(lg=0) != DC_noRC at n={n} le={le} ls={ls}")
                 if abs(freshness_fc_allrc(ls, 0.0, le, n) - freshness_dc_rc(ls, le, n)) > TOL:
                     failures.append(f"closed FC_allRC(lg=0) far from DC_RC at n={n}")

@@ -12,15 +12,24 @@ Two independent routes are implemented on purpose.  The closed forms
 products in :func:`closed_clustered`) evaluate explicit formulas.  The
 generic route, :func:`renewal_freshness`, walks the within-cycle race
 between deliveries and the next self-refresh for an arbitrary per-stale
-update rate ``u(j)`` and therefore covers every policy, including the two
+update table ``u(j)`` and therefore covers every policy, including the two
 with no standalone formula.  The test suite holds the two routes to
 within 1e-12 of each other everywhere both exist.
+
+Both routes run on float64 arrays.  Their running sums and products use
+``np.add.accumulate`` and ``np.multiply.accumulate``, which add and
+multiply strictly left to right, so every value is bit-identical to the
+plain loop ``p += passed * q; passed *= tau``; ``np.sum``/``np.prod`` sum
+pairwise and would not be.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     Clustered,
@@ -28,9 +37,9 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
-    per_stale_rate,
     require_rates,
     require_valid,
+    stale_rate_rows,
 )
 
 __all__ = [
@@ -41,6 +50,7 @@ __all__ = [
     "freshness_fc_allrc",
     "freshness_fc_norc",
     "renewal_freshness",
+    "oracle_sizes",
     "oracle_flat",
     "closed_flat",
     "closed_clustered",
@@ -60,8 +70,8 @@ class RecursionTrace:
     stale node instead.  ``p = sum_k q_k * prod_{j<k} tau_j``.
     """
 
-    q: tuple[float, ...]
-    tau: tuple[float, ...]
+    q: np.ndarray
+    tau: np.ndarray
     p: float
 
 
@@ -81,12 +91,28 @@ class ClusteredBreakdown:
     p: float
 
 
+#: Bound on ``n * (lambda_e + sum of rates)`` at the exact routes.  Every
+#: intermediate of the recursion and of the closed forms (``n * lambda_e``,
+#: ``stale * u(j) + lambda_e``, ``lambda_s + j * lambda_g + lambda_e``) is
+#: below it, so the headroom keeps them all finite.
+RATE_SUM_LIMIT = sys.float_info.max / 4
+
+
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
+    """The one boundary check of the exact routes: ``n >= 1``, a finite
+    ``lambda_e > 0``, finite rates >= 0, and no overflow inside."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not math.isfinite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
     require_rates(**named)
+    total = n * (lambda_e + sum(named.values()))
+    if not total <= RATE_SUM_LIMIT:
+        names = " + ".join(["lambda_e", *named])
+        raise ValueError(
+            f"rates too large: n * ({names}) = {total!r} at n={n} exceeds "
+            f"{RATE_SUM_LIMIT:.3g}; only rate ratios matter, so scale all rates down"
+        )
 
 
 def freshness_dc_norc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:
@@ -105,13 +131,20 @@ def freshness_dc_rc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:
     The bracket is evaluated as ``-expm1(-n * log1p(lambda_e / lambda_s))``:
     the power form cancels catastrophically when lambda_s >> lambda_e, and
     ``log1p(-lambda_e / (lambda_s + lambda_e))`` leaves the domain of
-    ``log1p`` once lambda_s is below an ulp of lambda_e.  The lambda_s = 0
-    limit is 0 (no deliveries ever happen).
+    ``log1p`` once lambda_s is below an ulp of lambda_e.  Once
+    ``n * lambda_e / lambda_s < 2**-53`` the value is within an ulp of 1
+    and 1.0 is returned, since the prefactor may overflow there.  The
+    lambda_s = 0 limit is 0 (no deliveries ever happen).
     """
     _check_rates(n, lambda_e, lambda_s=lambda_s)
     if lambda_s == 0:
         return 0.0
-    return lambda_s / (n * lambda_e) * -math.expm1(-n * math.log1p(lambda_e / lambda_s))
+    x = lambda_e / lambda_s
+    if n * x < 2.0**-53:
+        # p = 1 - (n + 1) x / 2 + O((n x)^2) is within an ulp of 1, and
+        # lambda_s / (n * lambda_e) may overflow (or x have lost bits).
+        return 1.0
+    return lambda_s / (n * lambda_e) * -math.expm1(-n * math.log1p(x))
 
 
 def freshness_fc_allrc(
@@ -126,13 +159,9 @@ def freshness_fc_allrc(
     With lambda_g = 0 the product telescopes into the DC_RC geometric sum.
     """
     _check_rates(n, lambda_e, lambda_s=lambda_s, lambda_g=lambda_g)
-    total = 0.0
-    prod = 1.0
-    for j in range(1, n + 1):
-        rate = lambda_s + (j - 1) * lambda_g
-        prod *= rate / (rate + lambda_e)
-        total += prod
-    return total / n
+    rate = lambda_s + np.arange(n, dtype=float) * lambda_g
+    prod = np.multiply.accumulate(rate / (rate + lambda_e))
+    return float(np.add.accumulate(prod)[-1]) / n
 
 
 def freshness_fc_norc(
@@ -142,31 +171,58 @@ def freshness_fc_norc(
     ``lambda_s/n`` from the source and ``lambda_g/(n-1)`` from each fresh
     node, independent of how many nodes are already fresh).
 
-    Sum-product over the position at which the tagged node is captured;
-    for n = 1 the gossip term vanishes and this is the two-rate race.
+    Sum-product over the position ``r`` at which the tagged node is
+    captured, with per-target rate ``w_r = lambda_s/n + (r-1) lambda_g/(n-1)``:
+
+        sum_r  w_r / ((n-r+1) w_r + lambda_e)
+               * prod_{i<r} (n-i) w_i / ((n-i+1) w_i + lambda_e)
+
+    ``w_r`` is the ``FC_noRC`` table and the sum-product is the renewal
+    recursion over it, so it is evaluated by the same kernel.  For n = 1
+    the gossip term vanishes and this is the two-rate race.
     """
     _check_rates(n, lambda_e, lambda_s=lambda_s, lambda_g=lambda_g)
-    gossip_split = lambda_g / (n - 1) if n > 1 else 0.0
-    total = 0.0
-    passed = 1.0
-    for r in range(1, n + 1):
-        w = lambda_s / n + (r - 1) * gossip_split
-        denom = (n - r + 1) * w + lambda_e
-        total += passed * (w / denom)
-        passed *= (n - r) * w / denom
-    return total
+    p = _oracle_block(GossipPolicy.FC_noRC, lambda_s, lambda_g, lambda_e, np.array([[n]]), n)
+    return float(p[0])
+
+
+def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
+    """The renewal recursion over the last axis of a ``(..., width)`` block.
+
+    ``u`` holds the per-stale rates and ``stale`` the number of stale nodes
+    at each step.  Returns ``(p, q, tau)``; ``p`` has the block's leading
+    shape.  A cell with ``u = 0`` and ``stale = 1`` has ``q = tau = 0`` and
+    adds exactly ``+0.0`` to ``p``, so rows may be padded with such cells.
+    """
+    denom = stale * u
+    denom += lambda_e
+    q = u / denom
+    tau = stale - 1
+    tau *= u
+    tau /= denom
+    # denom's buffer then holds passed[k] = tau[0] * ... * tau[k-1], the
+    # terms q * passed and their running sum, which saves three
+    # block-sized temporaries at the peak.
+    terms = denom
+    terms[..., 0] = 1.0
+    np.multiply.accumulate(tau[..., :-1], axis=-1, out=terms[..., 1:])
+    terms *= q
+    p = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
+    return p, q, tau
 
 
 def renewal_freshness(
     u, n: int, lambda_e: float
 ) -> tuple[FreshnessValue, RecursionTrace]:
-    """Within-cycle capture probability for an arbitrary rate rule ``u``.
+    """Within-cycle capture probability for an arbitrary rate table ``u``.
 
-    ``u(j)`` must return the update intensity delivered to each stale node
-    while exactly ``j`` of the ``n`` nodes are fresh.  Conditional on the
-    race reaching the step with ``j = k - 1`` fresh nodes, the next event
-    is a capture of the tagged node, a capture of one of the other
-    ``n - k`` stale nodes, or the cycle-ending self-refresh:
+    ``u`` is array-like of length ``n``: ``u[j]`` is the update intensity
+    delivered to each stale node while exactly ``j`` of the ``n`` nodes are
+    fresh (:func:`per_stale_rate` builds it for the five policies).
+    Conditional on the race reaching the step with ``j = k - 1`` fresh
+    nodes, the next event is a capture of the tagged node, a capture of
+    one of the other ``n - k`` stale nodes, or the cycle-ending
+    self-refresh:
 
         q_k   = u(k-1) / ((n-k+1) u(k-1) + lambda_e)
         tau_k = (n-k) u(k-1) / ((n-k+1) u(k-1) + lambda_e)
@@ -174,31 +230,79 @@ def renewal_freshness(
     and ``p = sum_k q_k prod_{j<k} tau_j``.  This is the exact reference
     value for every policy; the closed forms are special cases of it.
 
-    Returns the probability and the full (q, tau) trace.
+    Returns the probability and the (q, tau) trace as arrays.
 
     Raises:
-        ValueError: for invalid ``n``/``lambda_e``, or if ``u`` returns a
-            negative, NaN, or infinite rate (the offending ``j`` is named).
+        ValueError: for invalid ``n``/``lambda_e``, a table of the wrong
+            length, a negative, NaN, or infinite rate (the first offending
+            ``j`` is named), or rates so large the recursion would overflow.
     """
     _check_rates(n, lambda_e)
-    q: list[float] = []
-    tau: list[float] = []
-    p = 0.0
-    passed = 1.0
-    for step in range(1, n + 1):
-        rate = u(step - 1)
-        if not isinstance(rate, (int, float)) or not math.isfinite(rate) or rate < 0:
-            raise ValueError(f"u({step - 1}) must be finite and >= 0, got {rate!r}")
-        stale = n - step + 1
-        denom = stale * rate + lambda_e
-        qk = rate / denom
-        q.append(qk)
-        p += passed * qk
-        tk = (stale - 1) * rate / denom
-        if step < n:
-            tau.append(tk)
-        passed *= tk
-    return p, RecursionTrace(tuple(q), tuple(tau), p)
+    table = np.asarray(u, dtype=float)
+    if table.shape != (n,):
+        raise ValueError(f"u must hold n = {n} rates, got shape {table.shape}")
+    bad = ~np.isfinite(table) | (table < 0)
+    if bad.any():
+        j = int(bad.argmax())
+        raise ValueError(f"u({j}) must be finite and >= 0, got {float(table[j])!r}")
+    _check_rates(n, lambda_e, max_u=float(table.max()))
+    p, q, tau = _recursion(table, n - np.arange(n, dtype=float), lambda_e)
+    p = float(p)
+    return p, RecursionTrace(q, tau[:-1], p)
+
+
+#: Largest block (rows times width) :func:`oracle_sizes` evaluates at once.
+BLOCK_CELLS = 1 << 14
+
+
+def _oracle_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
+    """Freshness at each size of the column ``sizes``, in one block padded
+    to ``width``."""
+    stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes, width)
+    return _recursion(u, stale, lambda_e)[0]
+
+
+def oracle_sizes(
+    policy: GossipPolicy,
+    total_source: float,
+    total_gossip: float,
+    lambda_e: float,
+    sizes,
+) -> np.ndarray:
+    """Freshness of a flat tier at each of several sizes, via the generic
+    recursion.
+
+    ``sizes`` is a sequence of tier sizes (any order, repeats allowed);
+    the result holds one probability per size, in the same order, each
+    bit-identical to :func:`oracle_flat` at that size.  The sizes are
+    sorted and cut into zero-padded blocks of at most :data:`BLOCK_CELLS`
+    cells, so a whole sweep costs a few array passes instead of one per
+    size.
+
+    Raises:
+        ValueError: if ``sizes`` is empty or holds a non-integer or a size
+            below 1, or for invalid rates.
+    """
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu":
+        raise ValueError(f"sizes must be a nonempty sequence of integers, got {sizes!r}")
+    if sizes.min() < 1:
+        raise ValueError(f"n must be >= 1, got {int(sizes.min())}")
+    _check_rates(int(sizes.max()), lambda_e, lambda_s=total_source, lambda_g=total_gossip)
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order].tolist()
+    p = np.empty(len(sizes))
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop + 1 - start) * ordered[stop] <= BLOCK_CELLS:
+            stop += 1
+        block = np.array(ordered[start:stop])[:, None]
+        p[order[start:stop]] = _oracle_block(
+            policy, total_source, total_gossip, lambda_e, block, ordered[stop - 1]
+        )
+        start = stop
+    return p
 
 
 def oracle_flat(
@@ -209,10 +313,8 @@ def oracle_flat(
     n: int,
 ) -> FreshnessValue:
     """Freshness of a flat tier via the generic recursion (works for all
-    five policies)."""
-    table = per_stale_rate(policy, total_source, total_gossip, n)
-    p, _ = renewal_freshness(table.__getitem__, n, lambda_e)
-    return p
+    five policies); the one-size case of :func:`oracle_sizes`."""
+    return float(oracle_sizes(policy, total_source, total_gossip, lambda_e, [n])[0])
 
 
 def closed_flat(
@@ -297,18 +399,18 @@ def optimal_cluster_size(
 ) -> tuple[int, int, FreshnessValue, list[tuple[int, FreshnessValue]]]:
     """Best cluster size for ``n`` nodes under a policy pair.
 
-    Evaluates :func:`clustered_freshness` at every divisor k of n and
-    returns ``(k_star, m_star, p_star, profile)`` where ``profile`` is the
-    full ascending ``(k, p)`` scan.  Exact ties go to the smallest k.
+    Evaluates the clustered freshness at every divisor k of n (each entry
+    equal to :func:`clustered_freshness` of that shape) and returns
+    ``(k_star, m_star, p_star, profile)`` where ``profile`` is the full
+    ascending ``(k, p)`` scan.  Exact ties go to the smallest k.  Each
+    tier is evaluated over all its sizes in one :func:`oracle_sizes` call.
     """
-    best_k = None
-    best_p = -1.0
-    profile: list[tuple[int, FreshnessValue]] = []
-    for k in divisors(n):
-        spec = NetworkSpec.clustered(n, k, source_policy, cluster_policy, rates)
-        p, _ = clustered_freshness(spec)
-        profile.append((k, p))
-        if p > best_p:
-            best_k, best_p = k, p
-    assert best_k is not None
+    require_valid(NetworkSpec.clustered(n, n, source_policy, cluster_policy, rates))
+    ks = divisors(n)
+    r = rates
+    p_ch = oracle_sizes(source_policy, r.lambda_s, 0.0, r.lambda_e, [n // k for k in ks])
+    p_node = oracle_sizes(cluster_policy, r.lambda_c, r.lambda_g, r.lambda_e, ks)
+    # the product in clustered_freshness's order, so every entry equals it
+    profile = list(zip(ks, (p_ch * p_node).tolist()))
+    best_k, best_p = max(profile, key=lambda kp: kp[1])
     return best_k, n // best_k, best_p, profile

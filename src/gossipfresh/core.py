@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
+import numpy as np
+
 
 class GossipPolicy(Enum):
     """Dissemination policy for one tier of receivers.
@@ -163,9 +165,10 @@ def per_stale_rate(
     total_source: float,
     total_gossip: float,
     n: int,
-) -> list[float]:
+) -> np.ndarray:
     """The table ``u`` with ``u[j]`` the update intensity seen by each
-    stale node when ``j`` of the ``n`` nodes are fresh, ``j = 0 .. n-1``.
+    stale node when ``j`` of the ``n`` nodes are fresh, ``j = 0 .. n-1``,
+    as a float64 array.
 
     ``total_source`` is the sender's total delivery budget and
     ``total_gossip`` the total gossip budget of each fresh node:
@@ -188,18 +191,45 @@ def per_stale_rate(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     require_rates(total_source=total_source, total_gossip=total_gossip)
-    gossip_split = total_gossip / (n - 1) if n > 1 else 0.0
+    return stale_rate_rows(policy, total_source, total_gossip, np.array([[n]]), n)[1][0]
+
+
+def stale_rate_rows(
+    policy: GossipPolicy,
+    total_source: float,
+    total_gossip: float,
+    sizes: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`per_stale_rate` tables of several tier sizes at once.
+
+    ``sizes`` is a column (shape ``(rows, 1)``) of tier sizes, each at most
+    ``width``.  Returns ``(stale, u)``, two ``(rows, width)`` blocks:
+    ``stale[i, j] = sizes[i] - j`` stale nodes and ``u[i, j]`` the rate each
+    of them sees.  Cells past a row's size are padding, with ``stale = 1``
+    and ``u = 0``.  This is where each policy's formula is written; it
+    broadcasts over ``j`` and over the column, and every entry is computed
+    with the same IEEE operations, in the same order, as the scalar
+    formula.  The arguments are not checked here.
+    """
+    n = sizes.astype(float)
+    j_all = np.arange(width, dtype=float)
+    # Padding cells (j >= n) are evaluated at j = n - 1, then u is zeroed.
+    j = np.minimum(j_all, n - 1)
+    stale = n - j
     if policy is GossipPolicy.DC_noRC:
-        return [total_source / n] * n
-    if policy is GossipPolicy.DC_RC:
-        return [total_source / (n - j) for j in range(n)]
-    if policy is GossipPolicy.FC_noRC:
-        return [total_source / n + j * gossip_split for j in range(n)]
-    if policy is GossipPolicy.FC_sRC:
-        return [total_source / (n - j) + j * gossip_split for j in range(n)]
-    if policy is GossipPolicy.FC_allRC:
-        return [total_source / (n - j) + j * total_gossip / (n - j) for j in range(n)]
-    raise ValueError(f"unknown policy {policy!r}")
+        u = total_source / n
+    elif policy is GossipPolicy.DC_RC:
+        u = total_source / stale
+    elif policy is GossipPolicy.FC_noRC:
+        u = total_source / n + j * (total_gossip / np.maximum(n - 1, 1))
+    elif policy is GossipPolicy.FC_sRC:
+        u = total_source / stale + j * (total_gossip / np.maximum(n - 1, 1))
+    elif policy is GossipPolicy.FC_allRC:
+        u = total_source / stale + j * total_gossip / stale
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    return stale, np.where(j_all < n, u, 0.0)
 
 
 def validate(spec: NetworkSpec) -> list[str]:

@@ -31,9 +31,9 @@ from .analytic import (
     closed_clustered,
     closed_flat,
     clustered_freshness,
-    divisors,
     optimal_cluster_size,
     oracle_flat,
+    oracle_sizes,
 )
 from .simulator import estimate_freshness_cycles
 
@@ -387,10 +387,9 @@ def _row_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(base_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _flat_row(config, case, policy, n, index) -> ResultRow:
+def _flat_row(config, case, policy, n, index, p_oracle) -> ResultRow:
     r = case.rates
     spec = NetworkSpec.flat(n, policy, r)
-    p_oracle = oracle_flat(policy, r.lambda_s, r.lambda_g, r.lambda_e, n)
     p_analytic = closed_flat(policy, r.lambda_s, r.lambda_g, r.lambda_e, n)
     sim_cols = _sim_columns(config, spec, index)
     return ResultRow(
@@ -410,11 +409,10 @@ def _flat_row(config, case, policy, n, index) -> ResultRow:
     )
 
 
-def _clustered_row(config, case, pair, n, k, index) -> ResultRow:
+def _clustered_row(config, case, pair, n, k, index, p_oracle) -> ResultRow:
     src, cl = pair
     r = case.rates
     spec = NetworkSpec.clustered(n, k, src, cl, r)
-    p_oracle, _ = clustered_freshness(spec)
     p_analytic = closed_clustered(src, cl, n // k, k, r)
     sim_cols = _sim_columns(config, spec, index)
     return ResultRow(
@@ -453,7 +451,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     Writes the rows to ``config.output`` as CSV when set, and returns
     them.  Grid order is: rate case (config order), then policy (config
-    order), then n or k ascending.
+    order), then n or k ascending.  Each (case, policy) sweep gets its
+    exact values from one batched call: :func:`oracle_sizes` over the n
+    range, or the :func:`optimal_cluster_size` profile over the divisors.
     """
     if config.mode not in MODES:
         raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
@@ -463,26 +463,33 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     index = 0
     if config.mode == "flat_sweep_n":
         lo, hi = config.n_range
+        ns = range(lo, hi + 1)
         for case in config.cases:
+            r = case.rates
             for policy in config.policies:
-                for n in range(lo, hi + 1):
-                    rows.append(_flat_row(config, case, policy, n, index))
+                exact = oracle_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
+                for n, p in zip(ns, exact.tolist()):
+                    rows.append(_flat_row(config, case, policy, n, index, p))
                     index += 1
     elif config.mode == "clustered_sweep_k":
         for case in config.cases:
             for pair in config.policies:
-                for k in divisors(config.n):
-                    rows.append(_clustered_row(config, case, pair, config.n, k, index))
+                _, _, _, profile = optimal_cluster_size(config.n, case.rates, *pair)
+                for k, p in profile:
+                    rows.append(_clustered_row(config, case, pair, config.n, k, index, p))
                     index += 1
     else:  # single_point
+        n = config.n
         for case in config.cases:
+            r = case.rates
             for pol in config.policies:
                 if config.k is not None:
-                    rows.append(
-                        _clustered_row(config, case, pol, config.n, config.k, index)
-                    )
+                    spec = NetworkSpec.clustered(n, config.k, *pol, r)
+                    p, _ = clustered_freshness(spec)
+                    rows.append(_clustered_row(config, case, pol, n, config.k, index, p))
                 else:
-                    rows.append(_flat_row(config, case, pol, config.n, index))
+                    p = oracle_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
+                    rows.append(_flat_row(config, case, pol, n, index, p))
                 index += 1
     if config.output:
         write_csv(rows, config.output)

@@ -143,7 +143,7 @@ class _FlatTables:
         assert isinstance(shape, Flat)
         n = shape.n
         lam_e = spec.rates.lambda_e
-        u = per_stale_rate(shape.policy, spec.rates.lambda_s, spec.rates.lambda_g, n)
+        u = per_stale_rate(shape.policy, spec.rates.lambda_s, spec.rates.lambda_g, n).tolist()
         deliver = [(n - j) * u[j] for j in range(n)] + [0.0]
         self.n = n
         self.lam_e = lam_e
@@ -164,8 +164,8 @@ class _ClusteredTables:
         assert isinstance(shape, Clustered)
         r = spec.rates
         m, k = shape.m, shape.k
-        u_src = per_stale_rate(shape.source_policy, r.lambda_s, 0.0, m)
-        u_cl = per_stale_rate(shape.cluster_policy, r.lambda_c, r.lambda_g, k)
+        u_src = per_stale_rate(shape.source_policy, r.lambda_s, 0.0, m).tolist()
+        u_cl = per_stale_rate(shape.cluster_policy, r.lambda_c, r.lambda_g, k).tolist()
         self.m = m
         self.k = k
         self.n = shape.n

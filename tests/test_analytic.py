@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate
 from gossipfresh.analytic import (
+    BLOCK_CELLS,
     closed_clustered,
     closed_flat,
     clustered_freshness,
@@ -16,6 +18,7 @@ from gossipfresh.analytic import (
     freshness_fc_norc,
     optimal_cluster_size,
     oracle_flat,
+    oracle_sizes,
     renewal_freshness,
 )
 
@@ -89,13 +92,13 @@ def test_closed_forms_reject_bad_arguments(fn, args):
 
 
 def test_recursion_specialises_to_even_split():
-    p, _ = renewal_freshness(lambda j: 0.1, 10, 0.1)
+    p, _ = renewal_freshness([0.1] * 10, 10, 0.1)
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_recursion_src_rc_hand_values():
     u = per_stale_rate(GP.FC_sRC, 1.0, 1.0, 3)
-    p, trace = renewal_freshness(u.__getitem__, 3, 1.0)
+    p, trace = renewal_freshness(u, 3, 1.0)
     assert p == pytest.approx(19 / 54, abs=1e-15)
     assert trace.q == pytest.approx((1 / 6, 1 / 3, 2 / 3), abs=1e-15)
     assert trace.tau == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
@@ -103,7 +106,7 @@ def test_recursion_src_rc_hand_values():
 
 def test_recursion_fc_norc_hand_values():
     u = per_stale_rate(GP.FC_noRC, 1.0, 1.0, 3)
-    p, trace = renewal_freshness(u.__getitem__, 3, 1.0)
+    p, trace = renewal_freshness(u, 3, 1.0)
     assert p == pytest.approx(111 / 336, abs=1e-15)
     assert trace.q == pytest.approx((1 / 6, 5 / 16, 4 / 7), abs=1e-15)
     assert trace.tau == pytest.approx((1 / 3, 5 / 16), abs=1e-15)
@@ -111,11 +114,11 @@ def test_recursion_fc_norc_hand_values():
 
 def test_recursion_rejects_bad_rate_function():
     with pytest.raises(ValueError, match=r"u\(2\)"):
-        renewal_freshness(lambda j: -1.0 if j == 2 else 1.0, 5, 1.0)
+        renewal_freshness([1.0, 1.0, -1.0, 1.0, 1.0], 5, 1.0)
     with pytest.raises(ValueError, match=r"u\(0\)"):
-        renewal_freshness(lambda j: math.nan, 3, 1.0)
+        renewal_freshness([math.nan] * 3, 3, 1.0)
     with pytest.raises(ValueError):
-        renewal_freshness(lambda j: 1.0, 3, 0.0)
+        renewal_freshness([1.0] * 3, 3, 0.0)
 
 
 @given(
@@ -142,6 +145,42 @@ def test_dc_rc_closed_form_holds_at_extreme_rate_ratios(decade):
         assert freshness_dc_rc(ratio, 1.0, n) == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 10, 10**4])
+def test_dc_rc_closed_form_holds_for_all_rates_the_api_accepts(n):
+    # lambda_s, lambda_e anywhere in [1e-300, 1e300]: the prefactor
+    # lambda_s / (n * lambda_e) overflows past lambda_s / lambda_e ~ 1e308
+    decades = [10.0**d for d in range(-300, 301, 10)]
+    for ls in decades:
+        for le in decades:
+            closed = freshness_dc_rc(ls, le, n)
+            oracle = oracle_flat(GP.DC_RC, ls, 0.0, le, n)
+            assert abs(closed - oracle) <= 1e-12, (ls, le, closed, oracle)
+
+
+def test_recursion_rejects_a_table_of_the_wrong_length():
+    with pytest.raises(ValueError, match="n = 3"):
+        renewal_freshness([1.0, 1.0], 3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_flat(GP.FC_noRC, 1e308, 1e308, 1.0, 10),
+        lambda: oracle_flat(GP.FC_allRC, 1e308, 1e308, 1.0, 10),
+        lambda: closed_flat(GP.FC_noRC, 1e308, 1e308, 1.0, 10),
+        lambda: closed_flat(GP.FC_allRC, 1e308, 1e308, 1.0, 10),
+        lambda: closed_flat(GP.DC_RC, 1e308, 0.0, 1e307, 100),
+        lambda: closed_flat(GP.DC_noRC, 1.0, 0.0, 1e307, 100),
+        lambda: oracle_sizes(GP.DC_RC, 1.0, 0.0, 1e305, [1, 10**4]),
+        lambda: renewal_freshness([1e308] * 10, 10, 1.0),
+    ],
+)
+def test_rates_that_would_overflow_are_rejected(call):
+    # every value passes Rates, but n * (lambda_e + rates) overflows inside
+    with pytest.raises(ValueError, match="rates too large"):
+        call()
+
+
 def test_src_rc_has_no_closed_form():
     assert closed_flat(GP.FC_sRC, 1.0, 1.0, 1.0, 3) is None
 
@@ -155,7 +194,7 @@ def test_src_rc_has_no_closed_form():
 )
 def test_trace_step_outcomes_partition(policy, ls, lg, le, n):
     u = per_stale_rate(policy, ls, lg, n)
-    p, trace = renewal_freshness(u.__getitem__, n, le)
+    p, trace = renewal_freshness(u, n, le)
     assert all(0.0 <= q <= 1.0 for q in trace.q)
     assert all(0.0 <= t <= 1.0 for t in trace.tau)
     # p is exactly the q/tau accumulation
@@ -174,6 +213,85 @@ def test_trace_step_outcomes_partition(policy, ls, lg, le, n):
         end = le / denom
         tk = trace.tau[step - 1] if step < n else 0.0
         assert trace.q[step - 1] + tk + end == pytest.approx(1.0, abs=1e-12)
+
+
+# The pure-Python table, recursion and closed-form loops the array code
+# replaced.  The arrays accumulate left to right, so they must agree bit
+# for bit.
+
+
+def _loop_table(policy, src, gsp, n):
+    split = gsp / (n - 1) if n > 1 else 0.0
+    if policy is GP.DC_noRC:
+        return [src / n] * n
+    if policy is GP.DC_RC:
+        return [src / (n - j) for j in range(n)]
+    if policy is GP.FC_noRC:
+        return [src / n + j * split for j in range(n)]
+    if policy is GP.FC_sRC:
+        return [src / (n - j) + j * split for j in range(n)]
+    return [src / (n - j) + j * gsp / (n - j) for j in range(n)]
+
+
+def _loop_recursion(table, n, le):
+    p = 0.0
+    passed = 1.0
+    for step in range(1, n + 1):
+        rate = table[step - 1]
+        stale = n - step + 1
+        denom = stale * rate + le
+        p += passed * (rate / denom)
+        passed *= (stale - 1) * rate / denom
+    return p
+
+
+def _loop_fc_allrc(ls, lg, le, n):
+    total = 0.0
+    prod = 1.0
+    for j in range(1, n + 1):
+        r = ls + (j - 1) * lg
+        prod *= r / (r + le)
+        total += prod
+    return total / n
+
+
+wide_rate = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
+
+
+@given(
+    policy=st.sampled_from(list(GP)),
+    ls=wide_rate,
+    lg=st.one_of(st.just(0.0), wide_rate),
+    le=wide_rate,
+    n=st.integers(1, 3000),
+)
+def test_array_routes_equal_the_python_loops(policy, ls, lg, le, n):
+    table = _loop_table(policy, ls, lg, n)
+    assert per_stale_rate(policy, ls, lg, n).tolist() == table
+    oracle = _loop_recursion(table, n, le)
+    assert oracle_flat(policy, ls, lg, le, n) == oracle
+    assert renewal_freshness(table, n, le)[0] == oracle
+    if policy is GP.FC_noRC:
+        assert closed_flat(policy, ls, lg, le, n) == oracle
+    if policy is GP.FC_allRC:
+        assert closed_flat(policy, ls, lg, le, n) == _loop_fc_allrc(ls, lg, le, n)
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_oracle_sizes_equals_one_size_at_a_time(policy):
+    half = BLOCK_CELLS // 2
+    sweep = list(range(1, math.isqrt(BLOCK_CELLS) + 40))  # crosses one block edge
+    scattered = [half + 1, 7, BLOCK_CELLS + 1, half, 1, BLOCK_CELLS, 7, 2]
+    for sizes in (sweep, scattered):
+        got = oracle_sizes(policy, 1.7, 0.6, 0.9, sizes)
+        assert isinstance(got, np.ndarray) and got.shape == (len(sizes),)
+        assert got.tolist() == [oracle_flat(policy, 1.7, 0.6, 0.9, n) for n in sizes]
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])
+def test_oracle_sizes_rejects_bad_sizes(sizes):
+    with pytest.raises(ValueError):
+        oracle_sizes(GP.DC_RC, 1.0, 0.0, 1.0, sizes)
 
 
 @given(
@@ -305,6 +423,20 @@ def test_in_cluster_stage_is_a_flat_tier_at_the_cluster_rates():
     p = oracle_flat(GP.FC_allRC, r.lambda_c, r.lambda_g, r.lambda_e, 4)
     _, bd = clustered_freshness(NetworkSpec.clustered(4, 4, GP.DC_noRC, GP.FC_allRC, r))
     assert p == bd.p_node_given_ch
+
+
+@pytest.mark.parametrize("n", [1, 120, 5040])
+@pytest.mark.parametrize("src", [GP.DC_noRC, GP.DC_RC])
+@pytest.mark.parametrize("cl", list(GP))
+def test_optimal_cluster_size_profile_is_clustered_freshness(n, src, cl):
+    r = Rates(lambda_e=0.8, lambda_s=3.0, lambda_c=5.0, lambda_g=1.5)
+    k_star, m_star, p_star, profile = optimal_cluster_size(n, r, src, cl)
+    assert [k for k, _ in profile] == divisors(n)
+    for k, p in profile:
+        assert type(p) is float
+        assert p == clustered_freshness(NetworkSpec.clustered(n, k, src, cl, r))[0]
+    assert (k_star, p_star) == max(profile, key=lambda kp: kp[1])
+    assert m_star == n // k_star
 
 
 def test_single_sided_placements_mirror_when_tier_rates_match():

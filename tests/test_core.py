@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -12,6 +13,7 @@ from gossipfresh.core import (
     NetworkSpec,
     Rates,
     per_stale_rate,
+    stale_rate_rows,
     validate,
 )
 
@@ -36,7 +38,7 @@ def test_per_stale_rate_values(policy, src, gsp, n, j, expected):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_single_node_rate_is_source_rate(policy):
-    assert per_stale_rate(policy, 1.7, 5.0, 1) == [1.7]
+    assert per_stale_rate(policy, 1.7, 5.0, 1).tolist() == [1.7]
 
 
 @pytest.mark.parametrize("bad_j", [-1, 4, 5])
@@ -97,15 +99,28 @@ def test_all_policies_share_the_initial_source_rate(src, gsp, n):
 
 @given(src=rate, n=st.integers(1, 128))
 def test_zero_gossip_collapses_to_dc(src, n):
-    dc_norc = per_stale_rate(GossipPolicy.DC_noRC, src, 0.0, n)
-    assert per_stale_rate(GossipPolicy.FC_noRC, src, 0.0, n) == dc_norc
-    dc_rc = per_stale_rate(GossipPolicy.DC_RC, src, 0.0, n)
-    assert per_stale_rate(GossipPolicy.FC_sRC, src, 0.0, n) == dc_rc
-    assert per_stale_rate(GossipPolicy.FC_allRC, src, 0.0, n) == dc_rc
+    dc_norc = per_stale_rate(GossipPolicy.DC_noRC, src, 0.0, n).tolist()
+    assert per_stale_rate(GossipPolicy.FC_noRC, src, 0.0, n).tolist() == dc_norc
+    dc_rc = per_stale_rate(GossipPolicy.DC_RC, src, 0.0, n).tolist()
+    assert per_stale_rate(GossipPolicy.FC_sRC, src, 0.0, n).tolist() == dc_rc
+    assert per_stale_rate(GossipPolicy.FC_allRC, src, 0.0, n).tolist() == dc_rc
 
 
 def test_per_stale_rate_returns_the_whole_table():
-    assert per_stale_rate(GossipPolicy.FC_allRC, 1.0, 1.0, 2) == [0.5, 2.0]
+    table = per_stale_rate(GossipPolicy.FC_allRC, 1.0, 1.0, 2)
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    assert table.tolist() == [0.5, 2.0]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_stale_rate_rows_pad_each_size_with_zeros(policy):
+    sizes = [1, 2, 5, 7]
+    stale, rows = stale_rate_rows(policy, 1.3, 0.7, np.array(sizes)[:, None], 7)
+    assert rows.shape == stale.shape == (4, 7)
+    for n, row, counts in zip(sizes, rows.tolist(), stale.tolist()):
+        assert row[:n] == per_stale_rate(policy, 1.3, 0.7, n).tolist()
+        assert row[n:] == [0.0] * (7 - n)
+        assert counts == [n - j for j in range(n)] + [1.0] * (7 - n)
 
 
 @pytest.mark.parametrize(
