@@ -272,7 +272,7 @@ def criterion_4() -> CriterionResult:
         t0,
         failures,
         f"{idx} runs of {MC_CYCLES} cycles, max |z| = {worst_z:.2f}",
-        budget=60.0,
+        budget=20.0,
     )
 
 
@@ -303,6 +303,7 @@ def criterion_5() -> CriterionResult:
         t0,
         failures,
         f"{idx} runs of {MC_CYCLES} cycles, max |z| = {worst_z:.2f}",
+        budget=20.0,
     )
 
 

@@ -26,7 +26,6 @@ pairwise and would not be.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    rate_sum_problem,
     require_rates,
     require_valid,
     stale_rate_rows,
@@ -91,28 +91,18 @@ class ClusteredBreakdown:
     p: float
 
 
-#: Bound on ``n * (lambda_e + sum of rates)`` at the exact routes.  Every
-#: intermediate of the recursion and of the closed forms (``n * lambda_e``,
-#: ``stale * u(j) + lambda_e``, ``lambda_s + j * lambda_g + lambda_e``) is
-#: below it, so the headroom keeps them all finite.
-RATE_SUM_LIMIT = sys.float_info.max / 4
-
-
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
     """The one boundary check of the exact routes: ``n >= 1``, a finite
-    ``lambda_e > 0``, finite rates >= 0, and no overflow inside."""
+    ``lambda_e > 0``, finite rates >= 0, and no overflow inside
+    (:func:`~gossipfresh.core.rate_sum_problem`)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not math.isfinite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
     require_rates(**named)
-    total = n * (lambda_e + sum(named.values()))
-    if not total <= RATE_SUM_LIMIT:
-        names = " + ".join(["lambda_e", *named])
-        raise ValueError(
-            f"rates too large: n * ({names}) = {total!r} at n={n} exceeds "
-            f"{RATE_SUM_LIMIT:.3g}; only rate ratios matter, so scale all rates down"
-        )
+    problem = rate_sum_problem(n, lambda_e, named)
+    if problem:
+        raise ValueError(problem)
 
 
 def freshness_dc_norc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:

@@ -17,6 +17,7 @@ nodes are currently fresh, for ``j = 0 .. n-1``.  That table,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -70,6 +71,27 @@ def require_rates(**named: float) -> None:
             raise ValueError(f"{name} must be a real number, got {v!r}")
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+
+
+#: Bound on ``size * (lambda_e + rates)`` for each tier of a network.  Every
+#: intermediate of the exact routes and of the simulator (``n * lambda_e``,
+#: ``stale * u(j) + lambda_e``, the sum of all event intensities) is below
+#: it, so the headroom keeps them all finite.
+RATE_SUM_LIMIT = sys.float_info.max / 4
+
+
+def rate_sum_problem(size: int, lambda_e: float, rates: dict[str, float]) -> str | None:
+    """The one overflow check: a message if ``size * (lambda_e + rates)``
+    exceeds :data:`RATE_SUM_LIMIT`, else None.  ``rates`` maps names to
+    values that passed :func:`require_rates`."""
+    total = size * (lambda_e + sum(rates.values()))
+    if total <= RATE_SUM_LIMIT:
+        return None
+    names = " + ".join(["lambda_e", *rates])
+    return (
+        f"rates too large: {size} * ({names}) = {total!r} exceeds "
+        f"{RATE_SUM_LIMIT:.3g}; only rate ratios matter, so scale all rates down"
+    )
 
 
 @dataclass(frozen=True)
@@ -236,20 +258,26 @@ def validate(spec: NetworkSpec) -> list[str]:
     """Check every structural invariant of ``spec``.
 
     Each rate was already checked when its :class:`Rates` was built; this
-    adds only ``lambda_e > 0``.  Returns a list of human-readable violation messages; the spec is
-    usable iff the list is empty.  Nothing is raised: callers that need
-    hard failure join the messages into an exception themselves.
+    adds ``lambda_e > 0`` and the :func:`rate_sum_problem` bound per tier:
+    ``n * (lambda_e + lambda_s + lambda_g)`` for a flat network, and
+    ``m * (lambda_e + lambda_s)`` and ``n * (lambda_e + lambda_c +
+    lambda_g)`` for a clustered one, whose m clusters together deliver up
+    to ``m * lambda_c + n * lambda_g``.  Returns a list of human-readable
+    violation messages; the spec is usable iff the list is empty.  Nothing
+    is raised: callers that need hard failure join the messages into an
+    exception themselves.
     """
-    problems: list[str] = []
-    if spec.rates.lambda_e <= 0:
-        problems.append(
-            f"lambda_e must be > 0 so refresh cycles terminate, got {spec.rates.lambda_e!r}"
-        )
+    problems: list[str | None] = []
+    r = spec.rates
+    if r.lambda_e <= 0:
+        problems.append(f"lambda_e must be > 0 so refresh cycles terminate, got {r.lambda_e!r}")
 
     shape = spec.shape
     if isinstance(shape, Flat):
         if shape.n < 1:
             problems.append(f"flat network needs n >= 1, got n={shape.n}")
+        rates = {"lambda_s": r.lambda_s, "lambda_g": r.lambda_g}
+        problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
     elif isinstance(shape, Clustered):
         if shape.n < 1:
             problems.append(f"clustered network needs n >= 1, got n={shape.n}")
@@ -266,9 +294,12 @@ def validate(spec: NetworkSpec) -> list[str]:
                 "clusterheads form a disconnected tier: source_policy must be "
                 f"DC_noRC or DC_RC, got {shape.source_policy.value}"
             )
+        problems.append(rate_sum_problem(shape.m, r.lambda_e, {"lambda_s": r.lambda_s}))
+        rates = {"lambda_c": r.lambda_c, "lambda_g": r.lambda_g}
+        problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
     else:  # pragma: no cover - defensive
         problems.append(f"unknown shape {type(shape).__name__}")
-    return problems
+    return [p for p in problems if p]
 
 
 def require_valid(spec: NetworkSpec) -> None:

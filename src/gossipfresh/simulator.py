@@ -1,34 +1,41 @@
-"""Event-driven Monte Carlo simulation of flat and clustered networks.
+"""Monte Carlo simulation of flat and clustered networks.
 
 Two independent estimators target the same quantity (the long-term
 average binary freshness of a node):
 
-* the cycle estimator runs many independent refresh cycles and averages
-  the did-the-node-get-updated indicator (:func:`estimate_freshness_cycles`);
-* the time-average estimator runs one long trajectory with explicit
-  version counters and divides accumulated fresh time by the horizon
-  (:func:`estimate_freshness_time`).
+* the cycle estimator (:func:`estimate_freshness_cycles`) counts the
+  captures (nodes that receive the current version) in each of many
+  independent refresh cycles.  A cycle is an Exp(lambda_e) renewal and a
+  node's fresh time after its capture is memoryless, so freshness is
+  E[captures per cycle] / n.  Batched NumPy kernels return one capture
+  count per cycle for a block of cycles, without node identities;
+* the time-average estimator (:func:`estimate_freshness_time`) runs one
+  long trajectory with explicit version counters and divides accumulated
+  fresh time by the horizon.
 
-The engine resamples after every event: whenever the state changes it
-recomputes all active intensities and draws one exponential.  That is
-exact for competing exponential clocks and sidesteps event-list
-invalidation when rates move, which they do at every event under the
-stale-targeting policies.  Simultaneous events have probability zero in
-continuous time, so exactly one event is applied per draw.
+:class:`TrajectorySim`, the trajectory engine, is the event-by-event
+reference in pure Python, and :func:`simulate_cycle` steps it through one
+cycle.  It resamples after every event: whenever the state changes it
+recomputes all active intensities and draws one exponential, which is
+exact for competing exponential clocks even though the rates move at
+every event under the stale-targeting policies.
 
 Clusterhead semantics: a clusterhead keeps relaying its *own* current
 version, targeting the nodes of its cluster that lack that version.
 While the clusterhead is stale those deliveries carry an old version and
 never make a node fresh; the moment the clusterhead is refreshed, none of
 its nodes hold the new version, so the target set resets and the
-in-cluster race starts over.  :func:`decomposition_check` validates this
-against the two-stage analytic product.
+in-cluster race starts over.  Stale-version deliveries can thus never
+change a capture count, yet both engines simulate them, so that
+:func:`decomposition_check` tests the two-stage analytic product against
+a full two-level network instead of assuming it.
 
-Reproducibility: estimators derive independent child streams from the
-user seed (one per fixed-size batch of cycles for the cycle estimator,
-one per trajectory for the time estimator), so identical
-``(spec, count, seed)`` inputs give identical outputs and batches may be
-farmed out concurrently and merged by index.
+Reproducibility: the cycle estimator gives each batch of
+:data:`CYCLE_BATCH` cycles its own ``numpy.random.Generator(PCG64(s))``,
+drawing only ``Generator.random``, and the time estimator gives its
+trajectory a ``random.Random``; the seeds ``s`` are child seeds of the
+user seed.  Identical ``(spec, count, seed)`` inputs give identical
+outputs, and batches may be run concurrently and merged by index.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Clustered, Flat, NetworkSpec, per_stale_rate, require_valid
-from .analytic import clustered_freshness
+from .analytic import BLOCK_CELLS, clustered_freshness
 
 __all__ = [
     "SimState",
@@ -93,7 +100,8 @@ class FreshnessEstimate:
 
     ``samples`` is the cycle count (cycle estimator) or the horizon
     (time-average estimator).  ``per_node`` carries one estimate per end
-    node, node 0 first, for symmetry checks.
+    node, node 0 first, for symmetry checks; it is empty for the cycle
+    estimator, whose kernels count captures without node identities.
     """
 
     p_hat: float
@@ -116,10 +124,16 @@ class DecompositionReport:
     z: float
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of
+    at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _child_seeds(seed: int, count: int) -> list[int]:
     """Deterministic 128-bit child seeds for independent streams."""
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    _require_int("seed", seed, 0)
     words = np.random.SeedSequence(seed).generate_state(4 * count, np.uint32)
     return [
         int.from_bytes(words[4 * i : 4 * i + 4].tobytes(), "little")
@@ -154,9 +168,10 @@ class _FlatTables:
 class _ClusteredTables:
     """Per-state rates of a clustered network.
 
-    ``dsrc[j]`` is the total source-to-clusterhead intensity with j fresh
-    clusterheads; ``dcl[j]`` the total in-cluster delivery intensity of one
-    cluster in which j nodes hold the clusterhead's current version.
+    ``u_src[j]`` is the source's intensity to each stale clusterhead and
+    ``dsrc[j]`` the total over them, with j fresh clusterheads; ``dcl[j]``
+    is the total in-cluster delivery intensity of one cluster in which j
+    nodes hold the clusterhead's current version.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -170,6 +185,7 @@ class _ClusteredTables:
         self.k = k
         self.n = shape.n
         self.lam_e = r.lambda_e
+        self.u_src = u_src + [0.0]
         self.dsrc = [(m - j) * u_src[j] for j in range(m)] + [0.0]
         self.dcl = [(k - j) * u_cl[j] for j in range(k)] + [0.0]
 
@@ -188,136 +204,111 @@ def _pick(rng_random, count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single-cycle engines
+# capture-count kernels
 
 
-def _flat_cycle(tab: _FlatTables, rng: random.Random, timed: bool):
-    """One refresh cycle of a flat network.
+def _flat_counts(tab: _FlatTables, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Capture counts of ``count`` flat cycles.
 
-    Returns ``(order, times, length)``: node ids in capture order, their
-    capture times (None when not timed), and the cycle length (None when
-    not timed).  The capture identities form the whole freshness story;
-    times are only drawn when the caller needs durations.
+    Row i of a uniform block holds cycle i's draws, one per fresh count j;
+    the cycle ends at the first j whose uniform falls below ``end_prob[j]``
+    (``end_prob[n] = 1``).  Blocks hold at most :data:`BLOCK_CELLS` cells.
     """
-    n = tab.n
-    end_prob = tab.end_prob
-    deliver = tab.deliver
-    lam_e = tab.lam_e
-    rr = rng.random
-    stale = list(range(n))
-    order: list[int] = []
-    times: list[float] | None = [] if timed else None
-    t = 0.0
-    j = 0
-    while True:
-        if timed:
-            t += rng.expovariate(lam_e + deliver[j])
-        if rr() < end_prob[j]:
-            return order, times, (t if timed else None)
-        i = _pick(rr, n - j)
-        node = stale[i]
-        stale[i] = stale[-1]
-        stale.pop()
-        order.append(node)
-        if timed:
-            times.append(t)
-        j += 1
+    end_prob = np.asarray(tab.end_prob)
+    rows = max(1, BLOCK_CELLS // len(end_prob))
+    shapes = [(min(rows, count - start), len(end_prob)) for start in range(0, count, rows)]
+    return np.concatenate([(rng.random(shape) < end_prob).argmax(axis=1) for shape in shapes])
 
 
-def _clustered_cycle(tab: _ClusteredTables, rng: random.Random, timed: bool):
-    """One refresh cycle of a clustered network.
+def _clustered_counts(tab: _ClusteredTables, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Capture counts of ``count`` clustered cycles, simulated in lockstep.
 
-    Returns ``(order, times, length)`` where ``order`` holds global node
-    ids (cluster c, local node l -> c*k + l) in the order they became
-    fresh.  Deliveries from stale clusterheads and stale-version gossip
-    are simulated (they shrink the target set) but confer no freshness.
+    Clusters are exchangeable, so a cycle's state ``N[f * K + h]`` (K =
+    k + 1) counts the clusters whose clusterhead is fresh (f = 1) or stale
+    (f = 0) and in which h nodes hold the clusterhead's version.  Each step
+    draws one event per live cycle, with intensities recomputed from the
+    counts, over ``1 + 3K`` columns: the cycle-ending refresh (column 0);
+    the source refreshing a stale clusterhead of class (0, h), which moves
+    that cluster to (1, 0) (column ``1 + h``); a delivery in a cluster of
+    class (f, h), which moves it to (f, h + 1) (column ``1 + K + f * K +
+    h``).  Row ``delta[column]`` applies the move.  A fresh cluster's
+    holders are its captured nodes, so a cycle counts ``sum_h h * N[K + h]``,
+    and ``sum_h N[K + h]`` clusterheads are fresh.
     """
-    m, k = tab.m, tab.k
-    lam_e = tab.lam_e
-    dsrc = tab.dsrc
-    dcl = tab.dcl
-    rr = rng.random
-    stale_ch = list(range(m))
-    ch_fresh = [False] * m
-    holders = [0] * m
-    nonhold = [list(range(k)) for _ in range(m)]
-    crates = [dcl[0]] * m
-    csum = dcl[0] * m
-    jch = 0
-    order: list[int] = []
-    times: list[float] | None = [] if timed else None
-    t = 0.0
-    while True:
-        src_rate = dsrc[jch]
-        total = lam_e + src_rate + csum
-        if timed:
-            t += rng.expovariate(total)
-        x = rr() * total
-        if x < lam_e:
-            return order, times, (t if timed else None)
-        x -= lam_e
-        if x < src_rate:
-            i = _pick(rr, m - jch)
-            c = stale_ch[i]
-            stale_ch[i] = stale_ch[-1]
-            stale_ch.pop()
-            jch += 1
-            ch_fresh[c] = True
-            # the refreshed clusterhead has a brand-new version: nobody
-            # in its cluster holds it, so targeting starts over
-            holders[c] = 0
-            nonhold[c] = list(range(k))
-            csum += dcl[0] - crates[c]
-            crates[c] = dcl[0]
-            continue
-        x -= src_rate
-        c = m - 1
-        for cc in range(m):
-            if x < crates[cc]:
-                c = cc
-                break
-            x -= crates[cc]
-        if crates[c] == 0.0:
-            # drift in the incrementally maintained csum can park x a few
-            # ulps past the active clusters; land on the last real one, or
-            # end the cycle if none can receive
-            active = [cc for cc in range(m) if crates[cc] > 0.0]
-            if not active:
-                return order, times, (t if timed else None)
-            c = active[-1]
-        lst = nonhold[c]
-        i = _pick(rr, len(lst))
-        node = lst[i]
-        lst[i] = lst[-1]
-        lst.pop()
-        holders[c] += 1
-        csum += dcl[holders[c]] - crates[c]
-        crates[c] = dcl[holders[c]]
-        if ch_fresh[c]:
-            order.append(c * k + node)
-            if timed:
-                times.append(t)
+    m, K = tab.m, tab.k + 1
+    width = 1 + 3 * K
+    u_src = np.asarray(tab.u_src)
+    dcl = np.tile(tab.dcl, 2)
+    delta = np.zeros((width, 2 * K))
+    delta[1 : 1 + K, :K] = -np.eye(K)
+    delta[1 : 1 + K, K] += 1.0
+    # deliveries; the rows of h = k (dcl[k] = 0) are never drawn
+    delta[1 + K :] = np.eye(2 * K, k=1) - np.eye(2 * K)
+    holders = np.arange(K, dtype=float)
+    start = np.zeros(2 * K)
+    start[0] = m
+
+    # a pool of rows; a finished row restarts as the next cycle while any is left
+    out = np.empty(count, dtype=np.int64)
+    rows = min(count, max(1, BLOCK_CELLS // (2 * width)))  # N, w, delta[col]: ~2 cells/column
+    ids = np.arange(rows)
+    N = np.tile(start, (rows, 1))
+    w = np.full((rows, width), tab.lam_e)
+    started = rows
+    while len(ids):
+        jch = N[:, K:].sum(axis=1).astype(np.intp)
+        np.multiply(N[:, :K], u_src[jch, None], out=w[:, 1 : 1 + K])
+        np.multiply(N, dcl, out=w[:, 1 + K :])
+        cum = np.add.accumulate(w, axis=1, out=w)  # column 0 stays lambda_e
+        x = rng.random(len(ids)) * cum[:, -1]
+        # a product rounded up onto the total finds no column and reads as
+        # column 0, a refresh; never a zero-weight column
+        col = (cum > x[:, None]).argmax(axis=1)
+        N += delta[col]
+        live = col != 0
+        if not live.all():
+            done = np.flatnonzero(~live)
+            out[ids[done]] = (N[done, K:] * holders).sum(axis=1)
+            new = done[: count - started]
+            ids[new] = np.arange(started, started + len(new))
+            N[new] = start
+            started += len(new)
+            live[new] = True
+            if not live.all():
+                N, ids, w = N[live], ids[live], w[live]
+    return out
+
+
+def _stream_counts(tab, seed: int, num_cycles: int):
+    """Capture counts of ``num_cycles`` cycles, yielded one child stream
+    (:data:`CYCLE_BATCH` cycles) at a time, in stream order."""
+    kernel = _flat_counts if isinstance(tab, _FlatTables) else _clustered_counts
+    seeds = _child_seeds(seed, (num_cycles + CYCLE_BATCH - 1) // CYCLE_BATCH)
+    for b, child in enumerate(seeds):
+        size = min(CYCLE_BATCH, num_cycles - b * CYCLE_BATCH)
+        yield kernel(tab, np.random.Generator(np.random.PCG64(child)), size)
 
 
 def simulate_cycle(spec: NetworkSpec, rng: random.Random) -> CycleOutcome:
     """Simulate one refresh cycle and report per-node rewards.
 
-    A node's reward is the time it spent fresh, i.e. from its capture to
+    Steps a :class:`TrajectorySim` to its first ``source_refresh``.  A
+    node's reward is the time it spent fresh, i.e. from its capture to
     the cycle-ending self-refresh; nodes that were never captured score
     zero.  ``rng`` is any ``random.Random``-compatible stream.
     """
-    tab = _make_tables(spec)
-    if isinstance(tab, _FlatTables):
-        order, times, length = _flat_cycle(tab, rng, timed=True)
-    else:
-        order, times, length = _clustered_cycle(tab, rng, timed=True)
-    n = tab.n
-    updated = [False] * n
-    duration = [0.0] * n
-    for node, t in zip(order, times):
-        updated[node] = True
-        duration[node] = length - t
-    return CycleOutcome(tuple(updated), tuple(duration), length)
+    sim = TrajectorySim(spec, rng)
+    captured: dict[int, float] = {}
+    while sim.step() != "source_refresh":
+        if len(sim._fresh) > len(captured):
+            captured[sim._fresh[-1]] = sim.state.clock
+    length = sim.state.clock
+    n = sim.tab.n
+    return CycleOutcome(
+        tuple(i in captured for i in range(n)),
+        tuple(length - captured[i] if i in captured else 0.0 for i in range(n)),
+        length,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +321,17 @@ def estimate_freshness_cycles(
     """Cycle estimator: fraction of (cycle, node) pairs that got updated.
 
     Runs ``num_cycles`` independent refresh cycles on child RNG streams
-    (one per batch of :data:`CYCLE_BATCH` cycles) and averages the updated
-    indicator over nodes and cycles.  The standard error uses the
+    (one per batch of :data:`CYCLE_BATCH` cycles) and divides the total
+    capture count by ``num_cycles * n``.  The standard error uses the
     binomial approximation with ``num_cycles`` effective samples, which is
     conservative: indicators within a cycle are positively correlated, so
-    averaging across nodes cannot be treated as extra samples.
+    averaging across nodes cannot be treated as extra samples.  The
+    kernels count captures without naming nodes, so ``per_node`` is empty.
     """
-    if num_cycles < 1:
-        raise ValueError(f"num_cycles must be >= 1, got {num_cycles}")
+    _require_int("num_cycles", num_cycles, 1)
     tab = _make_tables(spec)
-    n = tab.n
-    flat = isinstance(tab, _FlatTables)
-    counts = [0] * n
-    n_batches = (num_cycles + CYCLE_BATCH - 1) // CYCLE_BATCH
-    remaining = num_cycles
-    for bseed in _child_seeds(seed, n_batches):
-        rng = random.Random(bseed)
-        for _ in range(min(CYCLE_BATCH, remaining)):
-            if flat:
-                order, _, _ = _flat_cycle(tab, rng, timed=False)
-            else:
-                order, _, _ = _clustered_cycle(tab, rng, timed=False)
-            for node in order:
-                counts[node] += 1
-        remaining -= CYCLE_BATCH
-    p_hat = sum(counts) / (num_cycles * n)
+    captures = sum(int(counts.sum()) for counts in _stream_counts(tab, seed, num_cycles))
+    p_hat = captures / (num_cycles * tab.n)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / num_cycles)
     return FreshnessEstimate(
         p_hat=p_hat,
@@ -363,7 +340,7 @@ def estimate_freshness_cycles(
         samples=num_cycles,
         seed=seed,
         estimator="cycle",
-        per_node=tuple(c / num_cycles for c in counts),
+        per_node=(),
     )
 
 
@@ -477,7 +454,8 @@ class TrajectorySim:
                 break
             x -= crates[cc]
         if crates[c] == 0.0:
-            # same float-dust guard as the cycle engine
+            # csum drift can park x a few ulps past the active clusters:
+            # land on the last real one, or end the cycle if none is left
             active = [cc for cc in range(m) if crates[cc] > 0.0]
             if not active:
                 return self._do_refresh()
@@ -513,8 +491,7 @@ def estimate_freshness_time(
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    if batches < 2:
-        raise ValueError(f"batches must be >= 2, got {batches}")
+    _require_int("batches", batches, 2)
     require_valid(spec)
     lam_e = spec.rates.lambda_e
     if horizon < 100.0 / lam_e:

@@ -1,12 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from gossipfresh.core import GossipPolicy, NetworkSpec, Rates
+from gossipfresh.core import Flat, GossipPolicy, NetworkSpec, Rates
 from gossipfresh.analytic import clustered_freshness, oracle_flat
 from gossipfresh.simulator import (
+    CYCLE_BATCH,
     TrajectorySim,
+    _child_seeds,
+    _clustered_counts,
+    _flat_counts,
+    _make_tables,
+    _stream_counts,
     decomposition_check,
     estimate_freshness_cycles,
     estimate_freshness_time,
@@ -102,8 +109,11 @@ def test_cycle_estimator_deterministic():
 
 
 def test_per_node_symmetry():
+    # the cycle kernels count captures without node identities, so the
+    # per-node check runs on the trajectory engine
     spec = NetworkSpec.flat(5, GP.FC_allRC, ONE)
-    est = estimate_freshness_cycles(spec, 100_000, seed=3)
+    est = estimate_freshness_time(spec, 100_000.0, seed=3)
+    assert len(est.per_node) == 5
     sigma = math.sqrt(est.p_hat * (1 - est.p_hat) / est.samples)
     for a in est.per_node:
         for b in est.per_node:
@@ -112,11 +122,110 @@ def test_per_node_symmetry():
 
 def test_per_node_symmetry_clustered():
     spec = NetworkSpec.clustered(6, 3, GP.DC_RC, GP.FC_noRC, ONE)
-    est = estimate_freshness_cycles(spec, 100_000, seed=4)
+    est = estimate_freshness_time(spec, 100_000.0, seed=4)
+    assert len(est.per_node) == 6
     sigma = math.sqrt(est.p_hat * (1 - est.p_hat) / est.samples)
     for a in est.per_node:
         for b in est.per_node:
             assert abs(a - b) <= 5.0 * sigma
+
+
+def _stream(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _cycle_counts(tab, seed, num_cycles):
+    return np.concatenate(list(_stream_counts(tab, seed, num_cycles)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec.flat(3, GP.FC_sRC, ONE),
+        NetworkSpec.clustered(6, 2, GP.DC_RC, GP.FC_allRC, ONE),
+    ],
+)
+def test_cycle_counts_merge_child_streams_across_the_batch_boundary(spec):
+    tab = _make_tables(spec)
+    kernel = _flat_counts if isinstance(spec.shape, Flat) else _clustered_counts
+    first, second = _child_seeds(7, 2)
+    below = _cycle_counts(tab, 7, CYCLE_BATCH - 1)
+    above = _cycle_counts(tab, 7, CYCLE_BATCH + 1)
+    assert below.tolist() == kernel(tab, _stream(first), CYCLE_BATCH - 1).tolist()
+    assert above.tolist() == (
+        kernel(tab, _stream(first), CYCLE_BATCH).tolist()
+        + kernel(tab, _stream(second), 1).tolist()
+    )
+    for num, counts in ((CYCLE_BATCH - 1, below), (CYCLE_BATCH + 1, above)):
+        est = estimate_freshness_cycles(spec, num, seed=7)
+        assert est == estimate_freshness_cycles(spec, num, seed=7)
+        assert est.p_hat == int(counts.sum()) / (num * spec.shape.n)
+        assert est.per_node == ()
+
+
+# --- exact capture-count law -------------------------------------------------
+
+
+def _first_success_pmf(end_prob):
+    """P(J = j) = prod_{i<j} (1 - e_i) * e_j, the law of the first success
+    of independent Bernoulli(e_j) trials (``e_n = 1``)."""
+    survive = np.concatenate([[1.0], np.cumprod(1.0 - np.asarray(end_prob[:-1]))])
+    return survive * np.asarray(end_prob)
+
+
+def _assert_chi_square_fits(counts, pmf):
+    """Pearson chi-square of the count histogram against ``pmf``, with
+    adjacent bins pooled until each expects at least 5, rejected at the
+    Wilson-Hilferty 1 - 1e-6 quantile."""
+    observed = np.bincount(counts, minlength=len(pmf))
+    assert len(observed) == len(pmf), "a count the law gives probability 0"
+    expected = pmf * len(counts)
+    obs_bins, exp_bins = [], []
+    o = e = 0.0
+    for ob, ex in zip(observed, expected):
+        o, e = o + ob, e + ex
+        if e >= 5.0:
+            obs_bins.append(o)
+            exp_bins.append(e)
+            o = e = 0.0
+    if exp_bins:
+        obs_bins[-1] += o
+        exp_bins[-1] += e
+    obs_bins, exp_bins = np.array(obs_bins), np.array(exp_bins)
+    df = len(exp_bins) - 1
+    if df == 0:
+        return
+    chi2 = float(((obs_bins - exp_bins) ** 2 / exp_bins).sum())
+    z = 4.753424  # standard normal 1 - 1e-6 quantile
+    h = 2.0 / (9.0 * df)
+    critical = df * (1.0 - h + z * math.sqrt(h)) ** 3
+    assert chi2 <= critical, (chi2, critical, df)
+
+
+LAW_CYCLES = 200_000
+
+
+@pytest.mark.parametrize("policy", list(GP))
+@pytest.mark.parametrize("n", [1, 3, 8, 50])
+def test_flat_kernel_capture_count_law(policy, n):
+    spec = NetworkSpec.flat(n, policy, Rates(0.5, 1.0, 0.0, 2.0))
+    tab = _make_tables(spec)
+    counts = _cycle_counts(tab, 300 + n, LAW_CYCLES)
+    _assert_chi_square_fits(counts, _first_success_pmf(tab.end_prob))
+
+
+@pytest.mark.parametrize("policy", list(GP))
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_clustered_kernel_capture_count_law_with_one_cluster(policy, k):
+    # one clusterhead: refreshed within the cycle with probability p_ch,
+    # after which its cluster runs the flat race from zero holders
+    spec = NetworkSpec.clustered(k, k, GP.DC_RC, policy, Rates(0.5, 1.0, 2.0, 1.5))
+    tab = _make_tables(spec)
+    p_ch = tab.dsrc[0] / (tab.dsrc[0] + tab.lam_e)
+    pmf = p_ch * _first_success_pmf([tab.lam_e / (tab.lam_e + d) for d in tab.dcl])
+    pmf[0] += 1.0 - p_ch
+    counts = _cycle_counts(tab, 400 + k, LAW_CYCLES)
+    _assert_chi_square_fits(counts, pmf)
 
 
 def test_zero_source_rate_means_never_fresh():
@@ -142,6 +251,58 @@ def test_fast_refresh_drives_freshness_down():
         )
         assert est.p_hat < previous
         previous = est.p_hat
+
+
+#: Rates every tier passes one by one, but whose sums overflow: n * (lambda_e
+#: + rates) above sys.float_info.max / 4, and for the last spec the m = 100
+#: clusters' in-cluster rates, 100 * lambda_c.
+OVERFLOWING_SPECS = [
+    NetworkSpec.flat(4, GP.DC_RC, Rates(1e308, 1e308)),
+    NetworkSpec.flat(4, GP.FC_allRC, Rates(1.0, 1e308, 0.0, 1e308)),
+    NetworkSpec.clustered(6, 3, GP.DC_RC, GP.DC_RC, Rates(1e308, 1e308, 1e308)),
+    NetworkSpec.clustered(100, 1, GP.DC_RC, GP.DC_RC, Rates(1.0, 1.0, 1e307)),
+]
+
+
+def _exact(spec):
+    if isinstance(spec.shape, Flat):
+        r = spec.rates
+        return oracle_flat(spec.shape.policy, r.lambda_s, r.lambda_g, r.lambda_e, spec.shape.n)
+    return clustered_freshness(spec)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda spec: estimate_freshness_cycles(spec, 100, seed=1),
+        lambda spec: TrajectorySim(spec, random.Random(1)),
+        _exact,
+    ],
+    ids=["cycle_kernel", "trajectory", "exact"],
+)
+@pytest.mark.parametrize("spec", OVERFLOWING_SPECS)
+def test_rates_that_would_overflow_are_rejected_by_every_engine(engine, spec):
+    with pytest.raises(ValueError, match="rates too large"):
+        engine(spec)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda s: estimate_freshness_cycles(s, 1000.0), "num_cycles"),
+        (lambda s: estimate_freshness_cycles(s, math.nan), "num_cycles"),
+        (lambda s: estimate_freshness_cycles(s, True), "num_cycles"),
+        (lambda s: estimate_freshness_cycles(s, 100, seed=True), "seed"),
+        (lambda s: estimate_freshness_cycles(s, 100, seed=3.0), "seed"),
+        (lambda s: estimate_freshness_time(s, 1000.0, batches=2.5), "batches"),
+        (lambda s: estimate_freshness_time(s, 1000.0, batches=True), "batches"),
+        (lambda s: estimate_freshness_time(s, 1000.0, seed=True), "seed"),
+        (lambda s: _child_seeds(True, 1), "seed"),
+    ],
+)
+def test_integer_arguments_reject_bools_and_non_integers(call, name):
+    with pytest.raises(ValueError, match=name):
+        call(NetworkSpec.flat(2, GP.DC_noRC, ONE))
 
 
 def test_cycle_estimator_rejects_bad_arguments():
