@@ -303,7 +303,7 @@ def criterion_5() -> CriterionResult:
         t0,
         failures,
         f"{idx} runs of {MC_CYCLES} cycles, max |z| = {worst_z:.2f}",
-        budget=20.0,
+        budget=5.0,
     )
 
 

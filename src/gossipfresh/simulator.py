@@ -26,16 +26,19 @@ While the clusterhead is stale those deliveries carry an old version and
 never make a node fresh; the moment the clusterhead is refreshed, none of
 its nodes hold the new version, so the target set resets and the
 in-cluster race starts over.  Stale-version deliveries can thus never
-change a capture count, yet both engines simulate them, so that
-:func:`decomposition_check` tests the two-stage analytic product against
-a full two-level network instead of assuming it.
+change a capture count.  :class:`TrajectorySim` simulates them; the
+clustered cycle kernel draws each cycle from holding times alone (the
+cycle clock, the clusterhead captures, and each captured cluster's
+holder arrivals), so :func:`decomposition_check` compares the two-stage
+analytic product with a simulation that never multiplies stage values.
 
 Reproducibility: the cycle estimator gives each batch of
-:data:`CYCLE_BATCH` cycles its own ``numpy.random.Generator(PCG64(s))``,
-drawing only ``Generator.random``, and the time estimator gives its
-trajectory a ``random.Random``; the seeds ``s`` are child seeds of the
-user seed.  Identical ``(spec, count, seed)`` inputs give identical
-outputs, and batches may be run concurrently and merged by index.
+:data:`CYCLE_BATCH` cycles its own ``numpy.random.Generator(PCG64(s))``
+(uniforms for flat cycles, standard exponentials for clustered ones),
+and the time estimator gives its trajectory a ``random.Random``; the
+seeds ``s`` are child seeds of the user seed.  Identical ``(spec, count,
+seed)`` inputs give identical outputs, and batches may be run
+concurrently and merged by index.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustered, Flat, NetworkSpec, per_stale_rate, require_valid
+from .core import Clustered, Flat, NetworkSpec, per_stale_rate, require_rates, require_valid
 from .analytic import BLOCK_CELLS, clustered_freshness
 
 __all__ = [
@@ -168,10 +171,10 @@ class _FlatTables:
 class _ClusteredTables:
     """Per-state rates of a clustered network.
 
-    ``u_src[j]`` is the source's intensity to each stale clusterhead and
-    ``dsrc[j]`` the total over them, with j fresh clusterheads; ``dcl[j]``
-    is the total in-cluster delivery intensity of one cluster in which j
-    nodes hold the clusterhead's current version.
+    ``dsrc[j]`` is the source's total intensity to the stale clusterheads
+    with j of them fresh; ``dcl[j]`` is the total in-cluster delivery
+    intensity of one cluster in which j nodes hold the clusterhead's
+    current version.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -185,7 +188,6 @@ class _ClusteredTables:
         self.k = k
         self.n = shape.n
         self.lam_e = r.lambda_e
-        self.u_src = u_src + [0.0]
         self.dsrc = [(m - j) * u_src[j] for j in range(m)] + [0.0]
         self.dcl = [(k - j) * u_cl[j] for j in range(k)] + [0.0]
 
@@ -221,62 +223,37 @@ def _flat_counts(tab: _FlatTables, rng: np.random.Generator, count: int) -> np.n
 
 
 def _clustered_counts(tab: _ClusteredTables, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Capture counts of ``count`` clustered cycles, simulated in lockstep.
+    """Capture counts of ``count`` clustered cycles, each drawn in one pass.
 
-    Clusters are exchangeable, so a cycle's state ``N[f * K + h]`` (K =
-    k + 1) counts the clusters whose clusterhead is fresh (f = 1) or stale
-    (f = 0) and in which h nodes hold the clusterhead's version.  Each step
-    draws one event per live cycle, with intensities recomputed from the
-    counts, over ``1 + 3K`` columns: the cycle-ending refresh (column 0);
-    the source refreshing a stale clusterhead of class (0, h), which moves
-    that cluster to (1, 0) (column ``1 + h``); a delivery in a cluster of
-    class (f, h), which moves it to (f, h + 1) (column ``1 + K + f * K +
-    h``).  Row ``delta[column]`` applies the move.  A fresh cluster's
-    holders are its captured nodes, so a cycle counts ``sum_h h * N[K + h]``,
-    and ``sum_h N[K + h]`` clusterheads are fresh.
+    A cycle is an Exp(lambda_e) clock that runs independently of the
+    network, so it is drawn from holding times alone: the cycle lasts
+    ``T = E / lambda_e``; with j clusterheads fresh the next is captured
+    after ``E / dsrc[j]``, so the clusterheads are captured at the partial
+    sums ``S``; a cluster captured at ``S`` restarts from zero holders and
+    its h-th holder arrives at ``S`` plus the partial sum of ``E / dcl``
+    up to h.  Clusters are exchangeable and a cluster's rate ``dcl[h]``
+    depends only on its own h holders, so a cycle counts the holder
+    arrivals before ``T``; a cluster captured after ``T`` has none.  A zero rate gives an
+    infinite holding time.  Row i of a block holds cycle i's ``m * (k +
+    1)`` holding times, laid out as one ``(source, k in-cluster)`` row per
+    cluster; blocks hold at most :data:`BLOCK_CELLS` cells.
     """
-    m, K = tab.m, tab.k + 1
-    width = 1 + 3 * K
-    u_src = np.asarray(tab.u_src)
-    dcl = np.tile(tab.dcl, 2)
-    delta = np.zeros((width, 2 * K))
-    delta[1 : 1 + K, :K] = -np.eye(K)
-    delta[1 : 1 + K, K] += 1.0
-    # deliveries; the rows of h = k (dcl[k] = 0) are never drawn
-    delta[1 + K :] = np.eye(2 * K, k=1) - np.eye(2 * K)
-    holders = np.arange(K, dtype=float)
-    start = np.zeros(2 * K)
-    start[0] = m
-
-    # a pool of rows; a finished row restarts as the next cycle while any is left
-    out = np.empty(count, dtype=np.int64)
-    rows = min(count, max(1, BLOCK_CELLS // (2 * width)))  # N, w, delta[col]: ~2 cells/column
-    ids = np.arange(rows)
-    N = np.tile(start, (rows, 1))
-    w = np.full((rows, width), tab.lam_e)
-    started = rows
-    while len(ids):
-        jch = N[:, K:].sum(axis=1).astype(np.intp)
-        np.multiply(N[:, :K], u_src[jch, None], out=w[:, 1 : 1 + K])
-        np.multiply(N, dcl, out=w[:, 1 + K :])
-        cum = np.add.accumulate(w, axis=1, out=w)  # column 0 stays lambda_e
-        x = rng.random(len(ids)) * cum[:, -1]
-        # a product rounded up onto the total finds no column and reads as
-        # column 0, a refresh; never a zero-weight column
-        col = (cum > x[:, None]).argmax(axis=1)
-        N += delta[col]
-        live = col != 0
-        if not live.all():
-            done = np.flatnonzero(~live)
-            out[ids[done]] = (N[done, K:] * holders).sum(axis=1)
-            new = done[: count - started]
-            ids[new] = np.arange(started, started + len(new))
-            N[new] = start
-            started += len(new)
-            live[new] = True
-            if not live.all():
-                N, ids, w = N[live], ids[live], w[live]
-    return out
+    m, k = tab.m, tab.k
+    rates = np.empty((m, k + 1))
+    rates[:, 0] = tab.dsrc[:m]
+    rates[:, 1:] = tab.dcl[:k]
+    rows = max(1, BLOCK_CELLS // (rates.size + 1))
+    out = []
+    with np.errstate(over="ignore"):  # a time past the float range is inf
+        for start in range(0, count, rows):
+            size = min(rows, count - start)
+            length = rng.standard_exponential(size) / tab.lam_e
+            draws = rng.standard_exponential((size, m, k + 1))
+            hold = np.divide(draws, rates, out=np.full_like(draws, np.inf), where=rates > 0)
+            hold[:, :, 0] = hold[:, :, 0].cumsum(axis=1)  # capture times S
+            np.add.accumulate(hold, axis=2, out=hold)  # holder arrival times
+            out.append((hold[:, :, 1:] < length[:, None, None]).sum(axis=(1, 2)))
+    return np.concatenate(out)
 
 
 def _stream_counts(tab, seed: int, num_cycles: int):
@@ -489,8 +466,9 @@ def estimate_freshness_time(
     equal windows.  Warns when the horizon covers fewer than ~100 expected
     refresh cycles.
     """
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    require_rates(horizon=horizon)  # a finite real >= 0, not a bool
+    if horizon == 0:
+        raise ValueError(f"horizon must be > 0, got {horizon!r}")
     _require_int("batches", batches, 2)
     require_valid(spec)
     lam_e = spec.rates.lambda_e
@@ -532,8 +510,9 @@ def decomposition_check(
     """Compare full two-level simulation with the analytic stage product.
 
     The z-score is (simulated - analytic) / stderr; values within a few
-    units confirm that the two-stage factorisation, including the
-    stale-clusterhead delivery semantics, matches the simulated network.
+    units confirm that the two-stage factorisation, including the reset of
+    a cluster's race when its clusterhead is refreshed, matches the
+    simulated network.
     """
     require_valid(spec)
     if not isinstance(spec.shape, Clustered):

@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from gossipfresh.core import Flat, GossipPolicy, NetworkSpec, Rates
+from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates
 from gossipfresh.analytic import clustered_freshness, oracle_flat
 from gossipfresh.simulator import (
     CYCLE_BATCH,
@@ -228,6 +229,86 @@ def test_clustered_kernel_capture_count_law_with_one_cluster(policy, k):
     _assert_chi_square_fits(counts, pmf)
 
 
+def _clustered_count_pmf(tab):
+    """Exact capture-count law of a clustered cycle, by a DP over the
+    embedded jump chain of the class counts ``N[f][h]``: the number of
+    clusters whose clusterhead is fresh (f = 1) or stale (f = 0) and in
+    which h nodes hold the clusterhead's version.  Every event is kept,
+    stale-version deliveries included; a clusterhead refresh moves its
+    cluster from (0, h) to (1, 0), and the cycle-ending refresh counts the
+    holders of fresh clusters."""
+    m, K, lam_e = tab.m, tab.k + 1, tab.lam_e
+
+    @functools.lru_cache(maxsize=None)
+    def law(state):  # state[f * K + h] = N[f][h]
+        j = sum(state[K:])
+        per_stale_ch = tab.dsrc[j] / (m - j) if j < m else 0.0
+        # (rate, from, to): clusterhead refreshes, then deliveries (dcl[k] = 0)
+        moves = [(state[h] * per_stale_ch, h, K) for h in range(K)]
+        moves += [(state[i] * tab.dcl[i % K], i, i + 1) for i in range(2 * K)]
+        total = lam_e + sum(w for w, _, _ in moves)
+        pmf = np.zeros(tab.n + 1)
+        pmf[sum(h * c for h, c in enumerate(state[K:]))] = lam_e / total
+        for w, src, dst in moves:
+            if w > 0.0:
+                nxt = list(state)
+                nxt[src] -= 1
+                nxt[dst] += 1
+                pmf += w / total * law(tuple(nxt))
+        return pmf
+
+    return law((m,) + (0,) * (2 * K - 1))
+
+
+@pytest.mark.parametrize("src", DC_POLICIES)
+@pytest.mark.parametrize("cl", list(GP))
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (2, 3)])
+def test_clustered_kernel_capture_count_law_with_several_clusters(src, cl, m, k):
+    spec = NetworkSpec.clustered(m * k, k, src, cl, Rates(0.5, 1.0, 2.0, 1.5))
+    tab = _make_tables(spec)
+    pmf = _clustered_count_pmf(tab)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    counts = _cycle_counts(tab, 500 + 10 * m + k, LAW_CYCLES)
+    _assert_chi_square_fits(counts, pmf)
+
+
+def test_clustered_count_pmf_with_one_cluster_is_the_flat_race():
+    # the DP reference against the closed m = 1 law of the test above
+    spec = NetworkSpec.clustered(3, 3, GP.DC_RC, GP.FC_sRC, Rates(0.5, 1.0, 2.0, 1.5))
+    tab = _make_tables(spec)
+    p_ch = tab.dsrc[0] / (tab.dsrc[0] + tab.lam_e)
+    pmf = p_ch * _first_success_pmf([tab.lam_e / (tab.lam_e + d) for d in tab.dcl])
+    pmf[0] += 1.0 - p_ch
+    assert _clustered_count_pmf(tab) == pytest.approx(pmf, abs=1e-15)
+
+
+#: Specs whose freshness is exactly 0 or 1 in floating point: lambda_c = 0,
+#: so no cluster gets a first holder whatever lambda_g (lambda_s = 0 is
+#: test_zero_source_rate_means_never_fresh), or rates 1e300 apart from
+#: lambda_e.
+EDGE_SPECS = [
+    (NetworkSpec.clustered(6, 3, GP.DC_RC, GP.FC_allRC, Rates(1.0, 4.0, 0.0, 0.0)), 0.0),
+    (NetworkSpec.clustered(6, 3, GP.DC_noRC, GP.FC_sRC, Rates(1.0, 4.0, 0.0, 5.0)), 0.0),
+] + [
+    (spec(Rates(le, r, r, r)), 0.0 if r < le else 1.0)
+    for le, r in ((1.0, 1e-300), (1e300, 1.0), (1.0, 1e300), (1e-300, 1.0))
+    for spec in (
+        lambda rates: NetworkSpec.flat(5, GP.FC_sRC, rates),
+        lambda rates: NetworkSpec.clustered(6, 2, GP.DC_noRC, GP.FC_noRC, rates),
+        lambda rates: NetworkSpec.clustered(40, 4, GP.DC_RC, GP.FC_allRC, rates),
+    )
+]
+
+
+@pytest.mark.parametrize("spec,limit", EDGE_SPECS)
+def test_cycle_kernels_return_the_exact_limit_at_edge_rates(spec, limit):
+    # the suite turns RuntimeWarnings into errors, so a 0/0, an inf - inf
+    # or an overflow in a kernel fails here
+    est = estimate_freshness_cycles(spec, 5_000, seed=1)
+    assert est.p_hat == limit
+    assert est.stderr == 0.0
+
+
 def test_zero_source_rate_means_never_fresh():
     est = estimate_freshness_cycles(
         NetworkSpec.flat(3, GP.FC_allRC, Rates(1.0, 0.0, 0.0, 5.0)), 5_000, seed=1
@@ -369,6 +450,10 @@ def test_time_estimator_rejects_bad_arguments():
         estimate_freshness_time(spec, math.inf, seed=1)
     with pytest.raises(ValueError):
         estimate_freshness_time(spec, 1000.0, seed=1, batches=1)
+    with pytest.raises(ValueError, match="horizon"):
+        estimate_freshness_time(spec, True, seed=1)
+    with pytest.raises(ValueError, match="horizon"):
+        estimate_freshness_time(spec, "5", seed=1)
 
 
 # --- trajectory invariants ---------------------------------------------------
