@@ -20,12 +20,9 @@ from .analytic import (
     RecursionTrace,
     closed_clustered,
     closed_flat,
+    closed_sizes,
     clustered_freshness,
     divisors,
-    freshness_dc_norc,
-    freshness_dc_rc,
-    freshness_fc_allrc,
-    freshness_fc_norc,
     optimal_cluster_size,
     oracle_flat,
     oracle_sizes,
@@ -77,16 +74,13 @@ __all__ = [
     "TrajectorySim",
     "closed_clustered",
     "closed_flat",
+    "closed_sizes",
     "clustered_freshness",
     "decomposition_check",
     "divisors",
     "emit_plot_data",
     "estimate_freshness_cycles",
     "estimate_freshness_time",
-    "freshness_dc_norc",
-    "freshness_dc_rc",
-    "freshness_fc_allrc",
-    "freshness_fc_norc",
     "optimal_cluster_size",
     "oracle_flat",
     "oracle_sizes",

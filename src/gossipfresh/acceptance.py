@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates
 from .analytic import (
     closed_clustered,
     closed_flat,
+    closed_sizes,
     divisors,
-    freshness_dc_norc,
-    freshness_dc_rc,
-    freshness_fc_allrc,
-    freshness_fc_norc,
     optimal_cluster_size,
     oracle_flat,
     oracle_sizes,
@@ -89,67 +88,55 @@ def _size_pairs():
     return pairs
 
 
+def _tier_tables(policy, lambda_e, points):
+    """Closed and exact values of one tier: one row per (total rate,
+    gossip rate) point of ``points``, one column per size in ``NS``."""
+    closed = np.array([closed_sizes(policy, lam, lg, lambda_e, NS) for lam, lg in points])
+    oracle = np.array([oracle_sizes(policy, lam, lg, lambda_e, NS) for lam, lg in points])
+    return closed, oracle
+
+
 def criterion_1() -> CriterionResult:
     """Closed forms and clustered products match the recursion to 1e-12."""
     t0 = time.perf_counter()
     failures: list[str] = []
     worst = 0.0
 
-    def check(label, closed, oracle):
+    def check(closed, oracle, where):
+        """Compare two arrays cell by cell; ``where(*index)`` names a
+        failing cell."""
         nonlocal worst
-        diff = abs(closed - oracle)
-        if diff > worst:
-            worst = diff
-        if diff > TOL:
-            failures.append(f"{label}: |closed - oracle| = {diff:.3e}")
+        diff = np.abs(closed - oracle)
+        worst = max(worst, float(diff.max()))
+        for index in zip(*np.nonzero(diff > TOL)):
+            failures.append(f"{where(*index)}: |closed - oracle| = {diff[index]:.3e}")
 
     flat_cases = [(GossipPolicy.DC_noRC, 0.0), (GossipPolicy.DC_RC, 0.0)] + [
         (pol, lg) for pol in (GossipPolicy.FC_allRC, GossipPolicy.FC_noRC) for lg in RATE_GRID
     ]
     for le, ls in FLAT_RATE_POINTS:
         for pol, lg in flat_cases:
-            oracles = oracle_sizes(pol, ls, lg, le, NS).tolist()
-            for n, oracle in zip(NS, oracles):
-                check(
-                    f"{pol.value} n={n} le={le} ls={ls} lg={lg}",
-                    closed_flat(pol, ls, lg, le, n),
-                    oracle,
-                )
+            check(
+                closed_sizes(pol, ls, lg, le, NS),
+                oracle_sizes(pol, ls, lg, le, NS),
+                lambda i: f"{pol.value} n={NS[i]} le={le} ls={ls} lg={lg}",
+            )
 
-    # clustered products: cache per-tier factors, then compare every row
-    sizes = sorted({s for pair in _size_pairs() for s in pair})
-    src_c, src_o, cl_c, cl_o = {}, {}, {}, {}
-    for pol in DC_POLICIES:
-        for le in RATE_GRID:
-            for lam in RATE_GRID:
-                oracles = oracle_sizes(pol, lam, 0.0, le, sizes).tolist()
-                for s, oracle in zip(sizes, oracles):
-                    src_c[pol, s, lam, le] = closed_flat(pol, lam, 0.0, le, s)
-                    src_o[pol, s, lam, le] = oracle
-    cl_c.update(src_c)
-    cl_o.update(src_o)
-    for pol in (GossipPolicy.FC_noRC, GossipPolicy.FC_allRC):
-        for le in RATE_GRID:
-            for lc in RATE_GRID:
-                for lg in RATE_GRID:
-                    oracles = oracle_sizes(pol, lc, lg, le, sizes).tolist()
-                    for s, oracle in zip(sizes, oracles):
-                        cl_c[pol, s, lc, lg, le] = closed_flat(pol, lc, lg, le, s)
-                        cl_o[pol, s, lc, lg, le] = oracle
-
-    for m, k in _size_pairs():
-        for le in RATE_GRID:
-            for ls in RATE_GRID:
-                for lc in RATE_GRID:
-                    for src, cl in _DC_PAIRS:
-                        closed = src_c[src, m, ls, le] * cl_c[cl, k, lc, le]
-                        oracle = src_o[src, m, ls, le] * cl_o[cl, k, lc, le]
-                        check(f"({src.value},{cl.value}) m={m} k={k}", closed, oracle)
-                    for lg in RATE_GRID:
-                        for src, cl in _FC_PAIRS:
-                            closed = src_c[src, m, ls, le] * cl_c[cl, k, lc, lg, le]
-                            oracle = src_o[src, m, ls, le] * cl_o[cl, k, lc, lg, le]
-                            check(f"({src.value},{cl.value}) m={m} k={k}", closed, oracle)
+    # clustered products over every (m, k) pair, broadcast over the tier
+    # rates: source (ls) x cluster (lc, or lc x lg for FC clusters); column
+    # s - 1 of a tier table holds size s
+    ms, ks = (np.array(sizes) for sizes in zip(*_size_pairs()))
+    dc_points = [(lam, 0.0) for lam in RATE_GRID]
+    fc_points = [(lc, lg) for lc in RATE_GRID for lg in RATE_GRID]
+    for le in RATE_GRID:
+        tiers = {pol: _tier_tables(pol, le, dc_points) for pol in DC_POLICIES}
+        for pol in (GossipPolicy.FC_noRC, GossipPolicy.FC_allRC):
+            tiers[pol] = _tier_tables(pol, le, fc_points)
+        for src, cl in _DC_PAIRS + _FC_PAIRS:
+            check(
+                *(s[:, None, ms - 1] * c[None, :, ks - 1] for s, c in zip(tiers[src], tiers[cl])),
+                lambda i, j, p: f"({src.value},{cl.value}) m={ms[p]} k={ks[p]}",
+            )
 
     return _result(
         "1",
@@ -157,7 +144,7 @@ def criterion_1() -> CriterionResult:
         t0,
         failures,
         f"max |closed - oracle| = {worst:.3e}",
-        budget=10.0,
+        budget=2.0,
     )
 
 
@@ -166,9 +153,9 @@ def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     one = Rates(1.0, 1.0, 1.0, 1.0)
     cases = [
-        ("DC_RC n=3", freshness_dc_rc(1.0, 1.0, 3), Fraction(7, 24)),
-        ("FC_allRC n=2", freshness_fc_allrc(1.0, 1.0, 1.0, 2), Fraction(5, 12)),
-        ("FC_allRC n=3", freshness_fc_allrc(1.0, 1.0, 1.0, 3), Fraction(13, 36)),
+        ("DC_RC n=3", closed_flat(GossipPolicy.DC_RC, 1.0, 0.0, 1.0, 3), Fraction(7, 24)),
+        ("FC_allRC n=2", closed_flat(GossipPolicy.FC_allRC, 1.0, 1.0, 1.0, 2), Fraction(5, 12)),
+        ("FC_allRC n=3", closed_flat(GossipPolicy.FC_allRC, 1.0, 1.0, 1.0, 3), Fraction(13, 36)),
         (
             "FC_sRC n=3 (recursion)",
             oracle_flat(GossipPolicy.FC_sRC, 1.0, 1.0, 1.0, 3),
@@ -201,37 +188,34 @@ def criterion_3() -> CriterionResult:
     """Stale-targeting dominance, FC policy ordering, zero-gossip collapse."""
     t0 = time.perf_counter()
     failures = []
-    for n in range(2, MAX_N + 1):
-        for le in RATE_GRID:
-            for ls in RATE_GRID:
-                rc = freshness_dc_rc(ls, le, n)
-                norc = freshness_dc_norc(ls, le, n)
-                if not rc > norc:
-                    failures.append(f"DC_RC <= DC_noRC at n={n} le={le} ls={ls}")
-    fc = (GossipPolicy.FC_allRC, GossipPolicy.FC_sRC, GossipPolicy.FC_noRC)
+    P = GossipPolicy
+    fc = (P.FC_allRC, P.FC_sRC, P.FC_noRC)
     for le in RATE_GRID:
         for ls in RATE_GRID:
+            at = f"le={le} ls={ls}"
             for lg in RATE_GRID:
-                p_all, p_src, p_no = (oracle_sizes(pol, ls, lg, le, NS).tolist() for pol in fc)
-                for n, a, s, o in zip(NS, p_all, p_src, p_no):
-                    if not (a >= s >= o):
-                        failures.append(f"FC ordering broken at n={n} le={le} ls={ls} lg={lg}")
-            # zero-gossip collapse: exact through the recursion, 1e-12
-            # between the independently coded closed forms
-            p_rc = oracle_sizes(GossipPolicy.DC_RC, ls, 0.0, le, NS).tolist()
-            p_norc = oracle_sizes(GossipPolicy.DC_noRC, ls, 0.0, le, NS).tolist()
-            p_all, p_src, p_no = (oracle_sizes(pol, ls, 0.0, le, NS).tolist() for pol in fc)
-            for n, rc, norc, a, s, o in zip(NS, p_rc, p_norc, p_all, p_src, p_no):
-                if a != rc:
-                    failures.append(f"FC_allRC(lg=0) != DC_RC at n={n} le={le} ls={ls}")
-                if s != rc:
-                    failures.append(f"FC_sRC(lg=0) != DC_RC at n={n} le={le} ls={ls}")
-                if o != norc:
-                    failures.append(f"FC_noRC(lg=0) != DC_noRC at n={n} le={le} ls={ls}")
-                if abs(freshness_fc_allrc(ls, 0.0, le, n) - freshness_dc_rc(ls, le, n)) > TOL:
-                    failures.append(f"closed FC_allRC(lg=0) far from DC_RC at n={n}")
-                if abs(freshness_fc_norc(ls, 0.0, le, n) - freshness_dc_norc(ls, le, n)) > TOL:
-                    failures.append(f"closed FC_noRC(lg=0) far from DC_noRC at n={n}")
+                p_all, p_src, p_no = (oracle_sizes(pol, ls, lg, le, NS) for pol in fc)
+                for i in np.flatnonzero(~((p_all >= p_src) & (p_src >= p_no))):
+                    failures.append(f"FC ordering broken at n={NS[i]} {at} lg={lg}")
+            # dominance between the closed forms (n = 1 is a tie); zero-gossip
+            # collapse: exact through the recursion, 1e-12 between the
+            # closed forms
+            c_rc, c_norc, c_all, c_no = (
+                closed_sizes(pol, ls, 0.0, le, NS)
+                for pol in (P.DC_RC, P.DC_noRC, P.FC_allRC, P.FC_noRC)
+            )
+            p_rc, p_norc, p_all, p_src, p_no = (
+                oracle_sizes(pol, ls, 0.0, le, NS) for pol in (P.DC_RC, P.DC_noRC, *fc)
+            )
+            for bad, what in (
+                (~(c_rc > c_norc) & (np.array(NS) > 1), "DC_RC <= DC_noRC"),
+                (p_all != p_rc, "FC_allRC(lg=0) != DC_RC"),
+                (p_src != p_rc, "FC_sRC(lg=0) != DC_RC"),
+                (p_no != p_norc, "FC_noRC(lg=0) != DC_noRC"),
+                (np.abs(c_all - c_rc) > TOL, "closed FC_allRC(lg=0) far from DC_RC"),
+                (np.abs(c_no - c_norc) > TOL, "closed FC_noRC(lg=0) far from DC_noRC"),
+            ):
+                failures.extend(f"{what} at n={NS[i]} {at}" for i in np.flatnonzero(bad))
     return _result(
         "3",
         "policy orderings and zero-gossip collapse",

@@ -6,21 +6,28 @@ state resets at each boundary, and a node's long-term average freshness
 equals the probability ``p`` that it receives the current version within
 one cycle.  Everything here computes that probability exactly.
 
-Two independent routes are implemented on purpose.  The closed forms
-(:func:`freshness_dc_norc`, :func:`freshness_dc_rc`,
-:func:`freshness_fc_allrc`, :func:`freshness_fc_norc`, and the clustered
-products in :func:`closed_clustered`) evaluate explicit formulas.  The
-generic route, :func:`renewal_freshness`, walks the within-cycle race
-between deliveries and the next self-refresh for an arbitrary per-stale
-update table ``u(j)`` and therefore covers every policy, including the two
-with no standalone formula.  The test suite holds the two routes to
-within 1e-12 of each other everywhere both exist.
+Two independent routes are implemented on purpose, as twins with the
+same arguments and the same boundary check.  :func:`closed_sizes` (one
+size: :func:`closed_flat`; clustered products: :func:`closed_clustered`)
+evaluates the explicit formulas, one branch per policy.  The generic
+route, :func:`oracle_sizes` (one size: :func:`oracle_flat`; any table:
+:func:`renewal_freshness`), walks the within-cycle race between
+deliveries and the next self-refresh for an arbitrary per-stale update
+table ``u(j)`` and therefore covers every policy, including ``FC_sRC``,
+which has no standalone formula.  The test suite and selftest criterion 1
+hold the two routes to within 1e-12 of each other everywhere both exist.
+``FC_noRC``'s formula is itself a sum-product over its own ``u(j)`` table,
+so its closed form runs the recursion's kernel and that comparison is an
+identity; an independent exact route for it (the stationary fresh-count
+chain, ROADMAP item 1) is still open.
 
 Both routes run on float64 arrays.  Their running sums and products use
 ``np.add.accumulate`` and ``np.multiply.accumulate``, which add and
 multiply strictly left to right, so every value is bit-identical to the
 plain loop ``p += passed * q; passed *= tau``; ``np.sum``/``np.prod`` sum
-pairwise and would not be.
+pairwise and would not be.  ``DC_RC``'s formula calls ``math.log1p`` and
+``math.expm1`` once per size, since NumPy's vectorised versions may round
+differently.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .core import (
     NetworkSpec,
     Rates,
     rate_sum_problem,
+    require_int,
     require_rates,
     require_valid,
     stale_rate_rows,
@@ -45,13 +53,10 @@ from .core import (
 __all__ = [
     "RecursionTrace",
     "ClusteredBreakdown",
-    "freshness_dc_norc",
-    "freshness_dc_rc",
-    "freshness_fc_allrc",
-    "freshness_fc_norc",
     "renewal_freshness",
     "oracle_sizes",
     "oracle_flat",
+    "closed_sizes",
     "closed_flat",
     "closed_clustered",
     "clustered_freshness",
@@ -92,11 +97,10 @@ class ClusteredBreakdown:
 
 
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
-    """The one boundary check of the exact routes: ``n >= 1``, a finite
-    ``lambda_e > 0``, finite rates >= 0, and no overflow inside
+    """The one boundary check of the exact routes: ``n`` an integer >= 1,
+    a finite ``lambda_e > 0``, finite rates >= 0, and no overflow inside
     (:func:`~gossipfresh.core.rate_sum_problem`)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_int("n", n, 1)
     if not math.isfinite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
     require_rates(**named)
@@ -105,75 +109,16 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
         raise ValueError(problem)
 
 
-def freshness_dc_norc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:
-    """Disconnected tier, even split: each node independently races an
-    Exp(lambda_s / n) delivery against the Exp(lambda_e) refresh, giving
-    ``lambda_s / (lambda_s + n * lambda_e)``."""
-    _check_rates(n, lambda_e, lambda_s=lambda_s)
-    return lambda_s / (lambda_s + n * lambda_e)
-
-
-def freshness_dc_rc(lambda_s: float, lambda_e: float, n: int) -> FreshnessValue:
-    """Disconnected tier with the sender concentrating on stale nodes:
-
-        (lambda_s / (n * lambda_e)) * (1 - (lambda_s / (lambda_s + lambda_e))**n)
-
-    The bracket is evaluated as ``-expm1(-n * log1p(lambda_e / lambda_s))``:
-    the power form cancels catastrophically when lambda_s >> lambda_e, and
-    ``log1p(-lambda_e / (lambda_s + lambda_e))`` leaves the domain of
-    ``log1p`` once lambda_s is below an ulp of lambda_e.  Once
-    ``n * lambda_e / lambda_s < 2**-53`` the value is within an ulp of 1
-    and 1.0 is returned, since the prefactor may overflow there.  The
-    lambda_s = 0 limit is 0 (no deliveries ever happen).
-    """
-    _check_rates(n, lambda_e, lambda_s=lambda_s)
-    if lambda_s == 0:
-        return 0.0
-    x = lambda_e / lambda_s
-    if n * x < 2.0**-53:
-        # p = 1 - (n + 1) x / 2 + O((n x)^2) is within an ulp of 1, and
-        # lambda_s / (n * lambda_e) may overflow (or x have lost bits).
-        return 1.0
-    return lambda_s / (n * lambda_e) * -math.expm1(-n * math.log1p(x))
-
-
-def freshness_fc_allrc(
-    lambda_s: float, lambda_g: float, lambda_e: float, n: int
-) -> FreshnessValue:
-    """Fully connected tier, stale-targeting at the source and at every
-    gossiper:
-
-        (1/n) * sum_{k=1}^{n} prod_{j=1}^{k} (lambda_s + (j-1) lambda_g)
-                                / (lambda_s + (j-1) lambda_g + lambda_e)
-
-    With lambda_g = 0 the product telescopes into the DC_RC geometric sum.
-    """
-    _check_rates(n, lambda_e, lambda_s=lambda_s, lambda_g=lambda_g)
-    rate = lambda_s + np.arange(n, dtype=float) * lambda_g
-    prod = np.multiply.accumulate(rate / (rate + lambda_e))
-    return float(np.add.accumulate(prod)[-1]) / n
-
-
-def freshness_fc_norc(
-    lambda_s: float, lambda_g: float, lambda_e: float, n: int
-) -> FreshnessValue:
-    """Fully connected tier with fixed even splits (per-target rates
-    ``lambda_s/n`` from the source and ``lambda_g/(n-1)`` from each fresh
-    node, independent of how many nodes are already fresh).
-
-    Sum-product over the position ``r`` at which the tagged node is
-    captured, with per-target rate ``w_r = lambda_s/n + (r-1) lambda_g/(n-1)``:
-
-        sum_r  w_r / ((n-r+1) w_r + lambda_e)
-               * prod_{i<r} (n-i) w_i / ((n-i+1) w_i + lambda_e)
-
-    ``w_r`` is the ``FC_noRC`` table and the sum-product is the renewal
-    recursion over it, so it is evaluated by the same kernel.  For n = 1
-    the gossip term vanishes and this is the two-rate race.
-    """
-    _check_rates(n, lambda_e, lambda_s=lambda_s, lambda_g=lambda_g)
-    p = _oracle_block(GossipPolicy.FC_noRC, lambda_s, lambda_g, lambda_e, np.array([[n]]), n)
-    return float(p[0])
+def _check_sizes(sizes, lambda_e: float, total_source: float, total_gossip: float) -> list[int]:
+    """:func:`_check_rates` for a sequence of tier sizes, shared by both
+    routes; returns the sizes as a list of Python ints."""
+    array = np.asarray(sizes)
+    if array.ndim != 1 or array.size == 0 or array.dtype.kind not in "iu":
+        raise ValueError(f"sizes must be a nonempty sequence of integers, got {sizes!r}")
+    listed = array.tolist()
+    require_int("n", min(listed), 1)
+    _check_rates(max(listed), lambda_e, lambda_s=total_source, lambda_g=total_gossip)
+    return listed
 
 
 def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
@@ -273,14 +218,14 @@ def oracle_sizes(
         ValueError: if ``sizes`` is empty or holds a non-integer or a size
             below 1, or for invalid rates.
     """
-    sizes = np.asarray(sizes)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu":
-        raise ValueError(f"sizes must be a nonempty sequence of integers, got {sizes!r}")
-    if sizes.min() < 1:
-        raise ValueError(f"n must be >= 1, got {int(sizes.min())}")
-    _check_rates(int(sizes.max()), lambda_e, lambda_s=total_source, lambda_g=total_gossip)
+    sizes = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    return _oracle_checked(policy, total_source, total_gossip, lambda_e, sizes)
+
+
+def _oracle_checked(policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
+    """:func:`oracle_sizes` on sizes that passed :func:`_check_sizes`."""
     order = np.argsort(sizes, kind="stable")
-    ordered = sizes[order].tolist()
+    ordered = np.array(sizes)[order].tolist()
     p = np.empty(len(sizes))
     start = 0
     while start < len(order):
@@ -307,6 +252,61 @@ def oracle_flat(
     return float(oracle_sizes(policy, total_source, total_gossip, lambda_e, [n])[0])
 
 
+def closed_sizes(
+    policy: GossipPolicy,
+    total_source: float,
+    total_gossip: float,
+    lambda_e: float,
+    sizes,
+) -> np.ndarray | None:
+    """Closed-form freshness of a flat tier at each of several sizes: the
+    twin of :func:`oracle_sizes`, with the same arguments, check and
+    result layout.  Writing ``ls, lg, le`` for ``total_source,
+    total_gossip, lambda_e``:
+
+    * ``DC_noRC``: each node independently races an Exp(ls / n) delivery
+      against the Exp(le) refresh, ``ls / (ls + n le)``.
+    * ``DC_RC``: ``(ls / (n le)) (1 - (ls / (ls + le))**n)``.  The bracket
+      is evaluated as ``-expm1(-n log1p(le / ls))``: the power form
+      cancels catastrophically when ls >> le, and ``log1p(-le / (ls +
+      le))`` leaves the domain of ``log1p`` once ls is below an ulp of le.
+      Once ``n le / ls < 2**-53`` the value is within an ulp of 1 and 1.0
+      is returned, since the prefactor may overflow there.  The ls = 0
+      limit is 0 (no deliveries ever happen).
+    * ``FC_noRC``: with per-target rate ``w_r = ls/n + (r-1) lg/(n-1)``
+      at the r-th capture, ``sum_r w_r / ((n-r+1) w_r + le) prod_{i<r}
+      (n-i) w_i / ((n-i+1) w_i + le)``.  ``w_r`` is the ``FC_noRC`` table
+      and this is the renewal recursion over it, so it runs the same kernel.
+    * ``FC_allRC``: ``(1/n) sum_{k=1}^{n} prod_{j=1}^{k} (ls + (j-1) lg) /
+      (ls + (j-1) lg + le)``; one running sum at the largest size serves
+      every size.  With lg = 0 the product telescopes into the ``DC_RC``
+      geometric sum.
+    * ``FC_sRC`` mixes stale-targeting and even splits and has no
+      standalone formula: None, once the arguments pass the check.
+    """
+    sizes = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    if policy is GossipPolicy.DC_noRC:
+        return total_source / (total_source + np.array(sizes, dtype=float) * lambda_e)
+    if policy is GossipPolicy.DC_RC:
+        if total_source == 0:
+            return np.zeros(len(sizes))
+        x = lambda_e / total_source
+        log_a = math.log1p(x)
+        return np.array([
+            # p = 1 - (n + 1) x / 2 + O((n x)^2) is within an ulp of 1 here
+            1.0 if n * x < 2.0**-53 else total_source / (n * lambda_e) * -math.expm1(-n * log_a)
+            for n in sizes
+        ])
+    if policy is GossipPolicy.FC_noRC:
+        return _oracle_checked(policy, total_source, total_gossip, lambda_e, sizes)
+    if policy is GossipPolicy.FC_allRC:
+        rate = total_source + np.arange(max(sizes), dtype=float) * total_gossip
+        running = np.add.accumulate(np.multiply.accumulate(rate / (rate + lambda_e)))
+        n = np.array(sizes)
+        return running[n - 1] / n
+    return None
+
+
 def closed_flat(
     policy: GossipPolicy,
     total_source: float,
@@ -315,17 +315,9 @@ def closed_flat(
     n: int,
 ) -> FreshnessValue | None:
     """Closed-form freshness of a flat tier, or None where no formula
-    exists (``FC_sRC`` mixes stale-targeting and even splits and has no
-    standalone expression)."""
-    if policy is GossipPolicy.DC_noRC:
-        return freshness_dc_norc(total_source, lambda_e, n)
-    if policy is GossipPolicy.DC_RC:
-        return freshness_dc_rc(total_source, lambda_e, n)
-    if policy is GossipPolicy.FC_noRC:
-        return freshness_fc_norc(total_source, total_gossip, lambda_e, n)
-    if policy is GossipPolicy.FC_allRC:
-        return freshness_fc_allrc(total_source, total_gossip, lambda_e, n)
-    return None
+    exists; the one-size case of :func:`closed_sizes`."""
+    p = closed_sizes(policy, total_source, total_gossip, lambda_e, [n])
+    return None if p is None else float(p[0])
 
 
 def closed_clustered(
@@ -335,10 +327,13 @@ def closed_clustered(
     k: int,
     rates: Rates,
 ) -> FreshnessValue | None:
-    """Closed-form end-node freshness of a clustered network: the product
-    of the clusterhead-tier formula (m receivers at total rate lambda_s)
-    and the in-cluster formula (k receivers at total rate lambda_c, gossip
-    lambda_g).  None when either tier lacks a closed form."""
+    """Closed-form end-node freshness of a clustered network of m clusters
+    of k nodes: the product of the clusterhead-tier formula (m receivers
+    at total rate lambda_s) and the in-cluster formula (k receivers at
+    total rate lambda_c, gossip lambda_g).  None when either tier lacks a
+    closed form.  The shape is checked as :func:`clustered_freshness`
+    checks it."""
+    require_valid(NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates, m=m))
     f_src = closed_flat(source_policy, rates.lambda_s, 0.0, rates.lambda_e, m)
     f_cl = closed_flat(cluster_policy, rates.lambda_c, rates.lambda_g, rates.lambda_e, k)
     if f_src is None or f_cl is None:
@@ -368,8 +363,7 @@ def clustered_freshness(spec: NetworkSpec) -> tuple[FreshnessValue, ClusteredBre
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of ``n``, ascending."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_int("n", n, 1)
     small, large = [], []
     d = 1
     while d * d <= n:

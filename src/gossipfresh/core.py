@@ -73,6 +73,21 @@ def require_rates(**named: float) -> None:
             raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
+def int_problem(name: str, value, minimum: int) -> str | None:
+    """The one integer rule: a message unless ``value`` is an integer (not
+    a bool) of at least ``minimum``, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        return f"{name} must be an integer and {name} >= {minimum}, got {value!r}"
+    return None
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` where :func:`int_problem` finds one."""
+    problem = int_problem(name, value, minimum)
+    if problem:
+        raise ValueError(problem)
+
+
 #: Bound on ``size * (lambda_e + rates)`` for each tier of a network.  Every
 #: intermediate of the exact routes and of the simulator (``n * lambda_e``,
 #: ``stale * u(j) + lambda_e``, the sum of all event intensities) is below
@@ -178,7 +193,7 @@ class NetworkSpec:
         m: int | None = None,
     ) -> "NetworkSpec":
         if m is None:
-            m = n // k if k >= 1 else 0
+            m = 0 if int_problem("k", k, 1) else n // k
         return NetworkSpec(Clustered(n, k, m, source_policy, cluster_policy), rates)
 
 
@@ -208,10 +223,10 @@ def per_stale_rate(
     are no gossip neighbours and every policy gives ``[total_source]``.
 
     Raises:
-        ValueError: if ``n < 1`` or a rate is negative or not finite.
+        ValueError: if ``n`` is not an integer >= 1 or a rate is negative
+            or not finite.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_int("n", n, 1)
     require_rates(total_source=total_source, total_gossip=total_gossip)
     return stale_rate_rows(policy, total_source, total_gossip, np.array([[n]]), n)[1][0]
 
@@ -258,7 +273,8 @@ def validate(spec: NetworkSpec) -> list[str]:
     """Check every structural invariant of ``spec``.
 
     Each rate was already checked when its :class:`Rates` was built; this
-    adds ``lambda_e > 0`` and the :func:`rate_sum_problem` bound per tier:
+    adds ``lambda_e > 0``, :func:`int_problem` for every size, and the
+    :func:`rate_sum_problem` bound per tier:
     ``n * (lambda_e + lambda_s + lambda_g)`` for a flat network, and
     ``m * (lambda_e + lambda_s)`` and ``n * (lambda_e + lambda_c +
     lambda_g)`` for a clustered one, whose m clusters together deliver up
@@ -274,18 +290,20 @@ def validate(spec: NetworkSpec) -> list[str]:
 
     shape = spec.shape
     if isinstance(shape, Flat):
-        if shape.n < 1:
-            problems.append(f"flat network needs n >= 1, got n={shape.n}")
-        rates = {"lambda_s": r.lambda_s, "lambda_g": r.lambda_g}
-        problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
+        size_problem = int_problem("n", shape.n, 1)
+        problems.append(size_problem)
+        if not size_problem:
+            rates = {"lambda_s": r.lambda_s, "lambda_g": r.lambda_g}
+            problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
     elif isinstance(shape, Clustered):
-        if shape.n < 1:
-            problems.append(f"clustered network needs n >= 1, got n={shape.n}")
-        if shape.k < 1:
-            problems.append(f"cluster size k must be >= 1, got k={shape.k}")
-        if shape.m < 1:
-            problems.append(f"cluster count m must be >= 1, got m={shape.m}")
-        if shape.m >= 1 and shape.k >= 1 and shape.m * shape.k != shape.n:
+        size_problems = [
+            int_problem("n", shape.n, 1),
+            int_problem("k", shape.k, 1),
+            int_problem("m", shape.m, 1),
+        ]
+        problems.extend(size_problems)
+        sized = not any(size_problems)
+        if sized and shape.m * shape.k != shape.n:
             problems.append(
                 f"m*k != n: {shape.m}*{shape.k} = {shape.m * shape.k} != {shape.n}"
             )
@@ -294,9 +312,10 @@ def validate(spec: NetworkSpec) -> list[str]:
                 "clusterheads form a disconnected tier: source_policy must be "
                 f"DC_noRC or DC_RC, got {shape.source_policy.value}"
             )
-        problems.append(rate_sum_problem(shape.m, r.lambda_e, {"lambda_s": r.lambda_s}))
-        rates = {"lambda_c": r.lambda_c, "lambda_g": r.lambda_g}
-        problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
+        if sized:
+            problems.append(rate_sum_problem(shape.m, r.lambda_e, {"lambda_s": r.lambda_s}))
+            rates = {"lambda_c": r.lambda_c, "lambda_g": r.lambda_g}
+            problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
     else:  # pragma: no cover - defensive
         problems.append(f"unknown shape {type(shape).__name__}")
     return [p for p in problems if p]

@@ -30,6 +30,7 @@ from .core import GossipPolicy, NetworkSpec, Rates
 from .analytic import (
     closed_clustered,
     closed_flat,
+    closed_sizes,
     clustered_freshness,
     optimal_cluster_size,
     oracle_flat,
@@ -387,10 +388,9 @@ def _row_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(base_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _flat_row(config, case, policy, n, index, p_oracle) -> ResultRow:
+def _flat_row(config, case, policy, n, index, p_oracle, p_analytic) -> ResultRow:
     r = case.rates
     spec = NetworkSpec.flat(n, policy, r)
-    p_analytic = closed_flat(policy, r.lambda_s, r.lambda_g, r.lambda_e, n)
     sim_cols = _sim_columns(config, spec, index)
     return ResultRow(
         experiment=config.name,
@@ -409,11 +409,10 @@ def _flat_row(config, case, policy, n, index, p_oracle) -> ResultRow:
     )
 
 
-def _clustered_row(config, case, pair, n, k, index, p_oracle) -> ResultRow:
+def _clustered_row(config, case, pair, n, k, index, p_oracle, p_analytic) -> ResultRow:
     src, cl = pair
     r = case.rates
     spec = NetworkSpec.clustered(n, k, src, cl, r)
-    p_analytic = closed_clustered(src, cl, n // k, k, r)
     sim_cols = _sim_columns(config, spec, index)
     return ResultRow(
         experiment=config.name,
@@ -452,8 +451,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Writes the rows to ``config.output`` as CSV when set, and returns
     them.  Grid order is: rate case (config order), then policy (config
     order), then n or k ascending.  Each (case, policy) sweep gets its
-    exact values from one batched call: :func:`oracle_sizes` over the n
-    range, or the :func:`optimal_cluster_size` profile over the divisors.
+    values from batched calls: :func:`oracle_sizes` and :func:`closed_sizes`
+    over the n range, or the :func:`optimal_cluster_size` profile and one
+    :func:`closed_sizes` call per tier, multiplied as in
+    :func:`closed_clustered`.
     """
     if config.mode not in MODES:
         raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
@@ -468,15 +469,25 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             r = case.rates
             for policy in config.policies:
                 exact = oracle_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
-                for n, p in zip(ns, exact.tolist()):
-                    rows.append(_flat_row(config, case, policy, n, index, p))
+                closed = closed_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
+                closed = [None] * len(ns) if closed is None else closed.tolist()
+                for n, p, c in zip(ns, exact.tolist(), closed):
+                    rows.append(_flat_row(config, case, policy, n, index, p, c))
                     index += 1
     elif config.mode == "clustered_sweep_k":
+        n = config.n
         for case in config.cases:
+            r = case.rates
             for pair in config.policies:
-                _, _, _, profile = optimal_cluster_size(config.n, case.rates, *pair)
-                for k, p in profile:
-                    rows.append(_clustered_row(config, case, pair, config.n, k, index, p))
+                src, cl = pair
+                _, _, _, profile = optimal_cluster_size(n, r, src, cl)
+                ks = [k for k, _ in profile]
+                f_src = closed_sizes(src, r.lambda_s, 0.0, r.lambda_e, [n // k for k in ks])
+                f_cl = closed_sizes(cl, r.lambda_c, r.lambda_g, r.lambda_e, ks)
+                # a source tier is DC_noRC or DC_RC, so only f_cl may be None
+                closed = [None] * len(ks) if f_cl is None else (f_src * f_cl).tolist()
+                for (k, p), c in zip(profile, closed):
+                    rows.append(_clustered_row(config, case, pair, n, k, index, p, c))
                     index += 1
     else:  # single_point
         n = config.n
@@ -486,10 +497,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 if config.k is not None:
                     spec = NetworkSpec.clustered(n, config.k, *pol, r)
                     p, _ = clustered_freshness(spec)
-                    rows.append(_clustered_row(config, case, pol, n, config.k, index, p))
+                    c = closed_clustered(*pol, n // config.k, config.k, r)
+                    rows.append(_clustered_row(config, case, pol, n, config.k, index, p, c))
                 else:
                     p = oracle_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
-                    rows.append(_flat_row(config, case, pol, n, index, p))
+                    c = closed_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
+                    rows.append(_flat_row(config, case, pol, n, index, p, c))
                 index += 1
     if config.output:
         write_csv(rows, config.output)

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustered, Flat, NetworkSpec, per_stale_rate, require_rates, require_valid
+from .core import Clustered, Flat, NetworkSpec, per_stale_rate
+from .core import require_int, require_rates, require_valid
 from .analytic import BLOCK_CELLS, clustered_freshness
 
 __all__ = [
@@ -127,16 +128,9 @@ class DecompositionReport:
     z: float
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of
-    at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def _child_seeds(seed: int, count: int) -> list[int]:
     """Deterministic 128-bit child seeds for independent streams."""
-    _require_int("seed", seed, 0)
+    require_int("seed", seed, 0)
     words = np.random.SeedSequence(seed).generate_state(4 * count, np.uint32)
     return [
         int.from_bytes(words[4 * i : 4 * i + 4].tobytes(), "little")
@@ -305,7 +299,7 @@ def estimate_freshness_cycles(
     averaging across nodes cannot be treated as extra samples.  The
     kernels count captures without naming nodes, so ``per_node`` is empty.
     """
-    _require_int("num_cycles", num_cycles, 1)
+    require_int("num_cycles", num_cycles, 1)
     tab = _make_tables(spec)
     captures = sum(int(counts.sum()) for counts in _stream_counts(tab, seed, num_cycles))
     p_hat = captures / (num_cycles * tab.n)
@@ -469,7 +463,7 @@ def estimate_freshness_time(
     require_rates(horizon=horizon)  # a finite real >= 0, not a bool
     if horizon == 0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
-    _require_int("batches", batches, 2)
+    require_int("batches", batches, 2)
     require_valid(spec)
     lam_e = spec.rates.lambda_e
     if horizon < 100.0 / lam_e:

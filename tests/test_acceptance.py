@@ -18,7 +18,7 @@ def _run(name):
 
 def test_criterion_1_closed_forms_match_recursion():
     result = _run("1")
-    assert result.runtime < 10.0
+    assert result.runtime < 2.0
 
 
 def test_criterion_2_spot_values():

@@ -1,21 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate
 from gossipfresh.analytic import (
     BLOCK_CELLS,
     closed_clustered,
     closed_flat,
+    closed_sizes,
     clustered_freshness,
     divisors,
-    freshness_dc_norc,
-    freshness_dc_rc,
-    freshness_fc_allrc,
-    freshness_fc_norc,
     optimal_cluster_size,
     oracle_flat,
     oracle_sizes,
@@ -38,7 +36,7 @@ rate = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
     ],
 )
 def test_dc_norc_values(ls, le, n, expected):
-    assert freshness_dc_norc(ls, le, n) == pytest.approx(float(expected), abs=1e-15)
+    assert closed_flat(GP.DC_noRC, ls, 0.0, le, n) == pytest.approx(float(expected), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -51,11 +49,12 @@ def test_dc_norc_values(ls, le, n, expected):
     ],
 )
 def test_dc_rc_values(ls, le, n, expected):
-    assert freshness_dc_rc(ls, le, n) == pytest.approx(float(expected), abs=1e-15)
+    assert closed_flat(GP.DC_RC, ls, 0.0, le, n) == pytest.approx(float(expected), abs=1e-15)
 
 
 def test_dc_rc_beats_dc_norc_at_two_nodes():
-    assert freshness_dc_rc(1.0, 1.0, 2) > freshness_dc_norc(1.0, 1.0, 2) == 1 / 3
+    rc = closed_flat(GP.DC_RC, 1.0, 0.0, 1.0, 2)
+    assert rc > closed_flat(GP.DC_noRC, 1.0, 0.0, 1.0, 2) == 1 / 3
 
 
 @pytest.mark.parametrize(
@@ -67,25 +66,30 @@ def test_dc_rc_beats_dc_norc_at_two_nodes():
     ],
 )
 def test_fc_allrc_values(ls, lg, le, n, expected):
-    assert freshness_fc_allrc(ls, lg, le, n) == pytest.approx(float(expected), abs=1e-15)
+    assert closed_flat(GP.FC_allRC, ls, lg, le, n) == pytest.approx(float(expected), abs=1e-15)
 
 
 def test_fc_norc_value():
-    assert freshness_fc_norc(1.0, 1.0, 1.0, 3) == pytest.approx(111 / 336, abs=1e-15)
+    assert closed_flat(GP.FC_noRC, 1.0, 1.0, 1.0, 3) == pytest.approx(111 / 336, abs=1e-15)
 
 
 @pytest.mark.parametrize(
-    "fn,args",
+    "args",
     [
-        (freshness_dc_norc, (1.0, 0.0, 3)),
-        (freshness_dc_rc, (1.0, -1.0, 3)),
-        (freshness_fc_allrc, (1.0, 1.0, 1.0, 0)),
-        (freshness_fc_norc, (-1.0, 1.0, 1.0, 3)),
+        (GP.DC_noRC, 1.0, 0.0, 0.0, 3),
+        (GP.DC_RC, 1.0, 0.0, -1.0, 3),
+        (GP.FC_allRC, 1.0, 1.0, 1.0, 0),
+        (GP.FC_noRC, -1.0, 1.0, 1.0, 3),
+        (GP.DC_RC, 1.0, -5.0, 1.0, 3),
+        (GP.DC_RC, 1.0, 0.0, 1.0, 2.5),
+        (GP.DC_RC, 1.0, 0.0, 1.0, True),
     ],
 )
-def test_closed_forms_reject_bad_arguments(fn, args):
-    with pytest.raises(ValueError):
-        fn(*args)
+def test_closed_forms_reject_bad_arguments(args):
+    # both routes share one check, so they reject the same input
+    for route in (closed_flat, oracle_flat):
+        with pytest.raises(ValueError):
+            route(*args)
 
 
 # --- generic recursion -------------------------------------------------------
@@ -142,7 +146,7 @@ def test_dc_rc_closed_form_holds_at_extreme_rate_ratios(decade):
     ratio = 10.0**decade
     for n in (1, 2, 3, 50, 999, 10**4):
         oracle = oracle_flat(GP.DC_RC, ratio, 0.0, 1.0, n)
-        assert freshness_dc_rc(ratio, 1.0, n) == pytest.approx(oracle, abs=1e-12)
+        assert closed_flat(GP.DC_RC, ratio, 0.0, 1.0, n) == pytest.approx(oracle, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 10, 10**4])
@@ -152,7 +156,7 @@ def test_dc_rc_closed_form_holds_for_all_rates_the_api_accepts(n):
     decades = [10.0**d for d in range(-300, 301, 10)]
     for ls in decades:
         for le in decades:
-            closed = freshness_dc_rc(ls, le, n)
+            closed = closed_flat(GP.DC_RC, ls, 0.0, le, n)
             oracle = oracle_flat(GP.DC_RC, ls, 0.0, le, n)
             assert abs(closed - oracle) <= 1e-12, (ls, le, closed, oracle)
 
@@ -215,9 +219,9 @@ def test_trace_step_outcomes_partition(policy, ls, lg, le, n):
         assert trace.q[step - 1] + tk + end == pytest.approx(1.0, abs=1e-12)
 
 
-# The pure-Python table, recursion and closed-form loops the array code
-# replaced.  The arrays accumulate left to right, so they must agree bit
-# for bit.
+# The pure-Python table, recursion and closed forms the array code
+# replaced, one size at a time.  The arrays accumulate left to right and
+# DC_RC calls math's log1p and expm1, so they must agree bit for bit.
 
 
 def _loop_table(policy, src, gsp, n):
@@ -255,6 +259,23 @@ def _loop_fc_allrc(ls, lg, le, n):
     return total / n
 
 
+def _scalar_closed(policy, ls, lg, le, n):
+    if policy is GP.DC_noRC:
+        return ls / (ls + n * le)
+    if policy is GP.DC_RC:
+        if ls == 0:
+            return 0.0
+        x = le / ls
+        if n * x < 2.0**-53:
+            return 1.0
+        return ls / (n * le) * -math.expm1(-n * math.log1p(x))
+    if policy is GP.FC_noRC:
+        return _loop_recursion(_loop_table(policy, ls, lg, n), n, le)
+    if policy is GP.FC_allRC:
+        return _loop_fc_allrc(ls, lg, le, n)
+    return None
+
+
 wide_rate = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
 
 
@@ -264,17 +285,30 @@ wide_rate = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
     lg=st.one_of(st.just(0.0), wide_rate),
     le=wide_rate,
     n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_array_routes_equal_the_python_loops(policy, ls, lg, le, n):
+# exp(-n log1p(1e-3)) spans (0.05, 1) here, where a vectorised expm1 may
+# round differently from math's
+@example(policy=GP.DC_RC, ls=1e3, lg=0.0, le=1.0, n=3000, seed=0)
+def test_array_routes_equal_the_python_loops(policy, ls, lg, le, n, seed):
     table = _loop_table(policy, ls, lg, n)
     assert per_stale_rate(policy, ls, lg, n).tolist() == table
     oracle = _loop_recursion(table, n, le)
     assert oracle_flat(policy, ls, lg, le, n) == oracle
     assert renewal_freshness(table, n, le)[0] == oracle
-    if policy is GP.FC_noRC:
-        assert closed_flat(policy, ls, lg, le, n) == oracle
-    if policy is GP.FC_allRC:
-        assert closed_flat(policy, ls, lg, le, n) == _loop_fc_allrc(ls, lg, le, n)
+    assert closed_flat(policy, ls, lg, le, n) == _scalar_closed(policy, ls, lg, le, n)
+    # A shuffled size vector with repeats.  The DC references cost O(1) a
+    # size, so their vectors are long enough to show a log1p or expm1 that
+    # rounds differently from math's in one input of a hundred.
+    rng = random.Random(seed)
+    count = 256 if policy in (GP.DC_noRC, GP.DC_RC) else 4
+    sizes = rng.choices(range(1, n + 1), k=count) + [n, n]
+    rng.shuffle(sizes)
+    closed = closed_sizes(policy, ls, lg, le, sizes)
+    if policy is GP.FC_sRC:
+        assert closed is None
+    else:
+        assert closed.tolist() == [_scalar_closed(policy, ls, lg, le, s) for s in sizes]
 
 
 @pytest.mark.parametrize("policy", list(GP))
@@ -282,16 +316,24 @@ def test_oracle_sizes_equals_one_size_at_a_time(policy):
     half = BLOCK_CELLS // 2
     sweep = list(range(1, math.isqrt(BLOCK_CELLS) + 40))  # crosses one block edge
     scattered = [half + 1, 7, BLOCK_CELLS + 1, half, 1, BLOCK_CELLS, 7, 2]
-    for sizes in (sweep, scattered):
-        got = oracle_sizes(policy, 1.7, 0.6, 0.9, sizes)
-        assert isinstance(got, np.ndarray) and got.shape == (len(sizes),)
-        assert got.tolist() == [oracle_flat(policy, 1.7, 0.6, 0.9, n) for n in sizes]
+    for sizes_route, one_route in ((oracle_sizes, oracle_flat), (closed_sizes, closed_flat)):
+        for sizes in (sweep, scattered):
+            got = sizes_route(policy, 1.7, 0.6, 0.9, sizes)
+            one = [one_route(policy, 1.7, 0.6, 0.9, n) for n in sizes]
+            if got is None:
+                assert sizes_route is closed_sizes and policy is GP.FC_sRC
+                assert one == [None] * len(sizes)
+                continue
+            assert isinstance(got, np.ndarray) and got.shape == (len(sizes),)
+            assert got.tolist() == one
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])
 def test_oracle_sizes_rejects_bad_sizes(sizes):
-    with pytest.raises(ValueError):
-        oracle_sizes(GP.DC_RC, 1.0, 0.0, 1.0, sizes)
+    for route in (oracle_sizes, closed_sizes):
+        for policy in GP:
+            with pytest.raises(ValueError):
+                route(policy, 1.0, 0.0, 1.0, sizes)
 
 
 @given(
@@ -365,6 +407,21 @@ def test_clustered_freshness_rejects_invalid_spec():
     spec = NetworkSpec.clustered(5, 2, GP.DC_noRC, GP.DC_noRC, Rates(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="m\\*k"):
         clustered_freshness(spec)
+    # closed_clustered checks the same shape: a gossiping source tier, an
+    # empty or non-integer tier
+    r = Rates(1.0, 1.0, 1.0, 1.0)
+    for args, match in (
+        ((GP.FC_allRC, GP.DC_RC, 2, 2), "source_policy"),
+        ((GP.DC_RC, GP.DC_RC, 0, 2), "m must be"),
+        ((GP.DC_RC, GP.DC_RC, 2, 0), "k must be"),
+        ((GP.DC_RC, GP.DC_RC, 2, 2.5), "k must be"),
+        ((GP.DC_RC, GP.DC_RC, True, 2), "m must be"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            closed_clustered(*args, r)
+        shape = NetworkSpec.clustered(args[2] * args[3], args[3], *args[:2], r, m=args[2])
+        with pytest.raises(ValueError, match=match):
+            clustered_freshness(shape)
 
 
 def test_single_node_clusters_have_no_gossip_term():
@@ -382,6 +439,9 @@ def test_divisors():
     assert divisors(120) == [1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120]
     assert divisors(1) == [1]
     assert divisors(7) == [1, 7]
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            divisors(bad)
 
 
 def test_optimal_cluster_size_square_grid():
@@ -398,6 +458,9 @@ def test_optimal_cluster_size_trivial_network():
     k, m, _, profile = optimal_cluster_size(1, Rates(1.0, 1.0, 1.0), GP.DC_RC, GP.DC_RC)
     assert (k, m) == (1, 1)
     assert len(profile) == 1
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            optimal_cluster_size(bad, Rates(1.0, 1.0, 1.0), GP.DC_RC, GP.DC_RC)
 
 
 def test_optimal_cluster_size_tie_goes_to_smallest_k():

@@ -171,6 +171,17 @@ def test_validate_needs_positive_refresh_rate():
 def test_validate_flat_node_count():
     spec = NetworkSpec(Flat(0, GossipPolicy.DC_noRC), Rates(1.0, 1.0))
     assert any("n >= 1" in p for p in validate(spec))
+    # one integer rule for every size: no floats, no bools
+    for n in (2.5, True, "3"):
+        spec = NetworkSpec.flat(n, GossipPolicy.DC_noRC, Rates(1.0, 1.0))
+        assert validate(spec) == [f"n must be an integer and n >= 1, got {n!r}"]
+    cl = (GossipPolicy.DC_noRC, GossipPolicy.DC_RC, Rates(1.0, 1.0))
+    for k in (2.5, "2"):
+        assert any("k must be an integer" in p for p in validate(NetworkSpec.clustered(4, k, *cl)))
+    assert any("m must be an integer" in p for p in validate(NetworkSpec.clustered(2, 2, *cl, m=True)))
+    assert any("n must be an integer" in p for p in validate(NetworkSpec.clustered(4.0, 2, *cl, m=2)))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        per_stale_rate(GossipPolicy.DC_RC, 1.0, 0.0, True)
 
 
 def test_validate_collects_every_problem():

@@ -395,6 +395,11 @@ def test_cycle_estimator_rejects_bad_arguments():
     bad = NetworkSpec.flat(2, GP.DC_noRC, Rates(0.0, 1.0))
     with pytest.raises(ValueError, match="lambda_e"):
         estimate_freshness_cycles(bad, 100, seed=1)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimate_freshness_cycles(NetworkSpec.flat(n, GP.DC_noRC, ONE), 100, seed=1)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        estimate_freshness_cycles(NetworkSpec.clustered(4, True, GP.DC_noRC, GP.DC_RC, ONE), 100)
 
 
 # --- time-average estimator --------------------------------------------------
@@ -454,6 +459,9 @@ def test_time_estimator_rejects_bad_arguments():
         estimate_freshness_time(spec, True, seed=1)
     with pytest.raises(ValueError, match="horizon"):
         estimate_freshness_time(spec, "5", seed=1)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimate_freshness_time(NetworkSpec.flat(n, GP.DC_noRC, ONE), 1000.0, seed=1)
 
 
 # --- trajectory invariants ---------------------------------------------------
