@@ -380,21 +380,28 @@ def criterion_7(tmp_dir=None) -> CriterionResult:
         if reports[0] != reports[1]:
             failures.append("selftest report CSVs differ between runs")
 
-    spec = NetworkSpec.flat(3, GossipPolicy.FC_sRC, Rates(1.0, 1.0, 0.0, 1.0))
-    if estimate_freshness_cycles(spec, 5000, seed=3) != estimate_freshness_cycles(
-        spec, 5000, seed=3
-    ):
-        failures.append("cycle estimator not reproducible")
-    if estimate_freshness_time(spec, 500.0, seed=3) != estimate_freshness_time(
-        spec, 500.0, seed=3
-    ):
-        failures.append("time estimator not reproducible")
+    specs = {
+        "flat": NetworkSpec.flat(3, GossipPolicy.FC_sRC, Rates(1.0, 1.0, 0.0, 1.0)),
+        "clustered": NetworkSpec.clustered(
+            12, 4, GossipPolicy.DC_RC, GossipPolicy.FC_allRC, Rates(1.0, 1.0, 1.0, 1.0)
+        ),
+    }
+    for shape, spec in specs.items():
+        if estimate_freshness_cycles(spec, 5000, seed=3) != estimate_freshness_cycles(
+            spec, 5000, seed=3
+        ):
+            failures.append(f"{shape} cycle estimator not reproducible")
+        if estimate_freshness_time(spec, 500.0, seed=3) != estimate_freshness_time(
+            spec, 500.0, seed=3
+        ):
+            failures.append(f"{shape} time estimator not reproducible")
     return _result(
         "7",
         "seeded runs are byte-identical",
         t0,
         failures,
-        "sweep CSV, selftest report, and both estimators reproduce exactly",
+        "sweep CSV, selftest report, and both estimators on a flat and a "
+        "clustered spec reproduce exactly",
     )
 
 

@@ -18,7 +18,11 @@ reference in pure Python, and :func:`simulate_cycle` steps it through one
 cycle.  It resamples after every event: whenever the state changes it
 recomputes all active intensities and draws one exponential, which is
 exact for competing exponential clocks even though the rates move at
-every event under the stale-targeting policies.
+every event under the stale-targeting policies.  One event loop over
+local variables sits behind both :meth:`TrajectorySim.step` and
+:meth:`TrajectorySim.run_until`.  It settles per-node fresh time lazily,
+at each source refresh and at each cap, so between uncapped ``step()``
+calls ``fresh_time_accum`` lags for the nodes that are fresh.
 
 Clusterhead semantics: a clusterhead keeps relaying its *own* current
 version, targeting the nodes of its cluster that lack that version.
@@ -80,6 +84,9 @@ class SimState:
     self-refresh, a node's is set to its sender's current version on
     delivery, and can therefore never exceed the source's.  Node ``i`` is
     fresh while ``node_versions[i] == source_version``.
+    ``fresh_time_accum[i]`` is node ``i``'s fresh time up to the last
+    source refresh or cap; between uncapped :meth:`TrajectorySim.step`
+    calls it lags for the nodes that are fresh.
     """
 
     source_version: int
@@ -147,7 +154,13 @@ def _ci95(p_hat: float, stderr: float) -> tuple[float, float]:
 
 
 class _FlatTables:
-    """Per-state rates of a flat network, indexed by the fresh count j."""
+    """Per-state rates of a flat network, indexed by the fresh count j.
+
+    ``dsrc[j]`` is the total delivery intensity to the stale nodes (the
+    source's, plus the fresh nodes' gossip under the FC policies);
+    ``end_prob[j]`` is the chance that the cycle ends before the next
+    capture.
+    """
 
     def __init__(self, spec: NetworkSpec):
         shape = spec.shape
@@ -155,11 +168,11 @@ class _FlatTables:
         n = shape.n
         lam_e = spec.rates.lambda_e
         u = per_stale_rate(shape.policy, spec.rates.lambda_s, spec.rates.lambda_g, n).tolist()
-        deliver = [(n - j) * u[j] for j in range(n)] + [0.0]
+        dsrc = [(n - j) * u[j] for j in range(n)] + [0.0]
         self.n = n
         self.lam_e = lam_e
-        self.deliver = deliver
-        self.end_prob = [lam_e / (lam_e + d) for d in deliver]
+        self.dsrc = dsrc
+        self.end_prob = [lam_e / (lam_e + d) for d in dsrc]
 
 
 class _ClusteredTables:
@@ -191,12 +204,6 @@ def _make_tables(spec: NetworkSpec):
     if isinstance(spec.shape, Flat):
         return _FlatTables(spec)
     return _ClusteredTables(spec)
-
-
-def _pick(rng_random, count: int) -> int:
-    """Uniform index in [0, count), robust to float spill at the edge."""
-    i = int(rng_random() * count)
-    return count - 1 if i >= count else i
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +270,20 @@ def _stream_counts(tab, seed: int, num_cycles: int):
 def simulate_cycle(spec: NetworkSpec, rng: random.Random) -> CycleOutcome:
     """Simulate one refresh cycle and report per-node rewards.
 
-    Steps a :class:`TrajectorySim` to its first ``source_refresh``.  A
-    node's reward is the time it spent fresh, i.e. from its capture to
-    the cycle-ending self-refresh; nodes that were never captured score
+    Steps a :class:`TrajectorySim` to its first ``source_refresh``.  The
+    captured nodes are those that hold version 1.  A node's reward is the
+    time it spent fresh, i.e. from its capture to the cycle-ending
+    self-refresh, which settles it; nodes that were never captured score
     zero.  ``rng`` is any ``random.Random``-compatible stream.
     """
     sim = TrajectorySim(spec, rng)
-    captured: dict[int, float] = {}
     while sim.step() != "source_refresh":
-        if len(sim._fresh) > len(captured):
-            captured[sim._fresh[-1]] = sim.state.clock
-    length = sim.state.clock
-    n = sim.tab.n
+        pass
+    state = sim.state
     return CycleOutcome(
-        tuple(i in captured for i in range(n)),
-        tuple(length - captured[i] if i in captured else 0.0 for i in range(n)),
-        length,
+        tuple(v == 1 for v in state.node_versions),
+        tuple(state.fresh_time_accum),
+        state.clock,
     )
 
 
@@ -319,9 +324,14 @@ class TrajectorySim:
     """One long trajectory with explicit version counters.
 
     Drives a :class:`SimState` event by event; versions only ever flow
-    downward from the source, and per-node fresh time accumulates in
-    ``state.fresh_time_accum``.  Used by :func:`estimate_freshness_time`
-    and directly by invariant tests.
+    downward from the source.  :meth:`step` and :meth:`run_until` both
+    drive one event loop, :meth:`_advance`.  Per-node fresh time is
+    settled lazily: a node's capture clock is kept while it is fresh, and
+    ``state.fresh_time_accum`` gains the time since then at each source
+    refresh and at each cap, so between uncapped :meth:`step` calls it
+    lags for the nodes that are fresh.  Used by
+    :func:`estimate_freshness_time` and :func:`simulate_cycle`, and
+    directly by invariant tests.
     """
 
     def __init__(self, spec: NetworkSpec, rng: random.Random):
@@ -332,37 +342,131 @@ class TrajectorySim:
         n = tab.n
         if isinstance(tab, _FlatTables):
             self.state = SimState(1, [0] * n, None, 0.0, [0.0] * n)
-            self._stale = list(range(n))
-            self._fresh: list[int] = []
+            clusters, k, dcl0 = 0, 0, 0.0
         else:
-            m, k = tab.m, tab.k
-            self.state = SimState(1, [-1] * n, [0] * m, 0.0, [0.0] * n)
-            self._stale_ch = list(range(m))
-            self._fresh = []
-            self._holders = [0] * m
-            self._nonhold = [list(range(k)) for _ in range(m)]
-            self._crates = [tab.dcl[0]] * m
-            self._csum = tab.dcl[0] * m
+            clusters, k, dcl0 = tab.m, tab.k, tab.dcl[0]
+            self.state = SimState(1, [-1] * n, [0] * clusters, 0.0, [0.0] * n)
+        # the source's receivers are the end nodes of a flat network and
+        # the clusterheads of a clustered one; resets copy these lists
+        self._receivers = list(range(len(tab.dsrc) - 1))
+        self._cluster_nodes = list(range(k))
+        self._stale = self._receivers[:]
+        self._fresh: list[int] = []
+        self._since = [0.0] * n  # capture clock of each fresh node
+        self._holders = [0] * clusters
+        self._nonhold = [self._cluster_nodes[:] for _ in range(clusters)]
+        self._crates = [dcl0] * clusters
+        self._csum = dcl0 * clusters
 
     def fresh_nodes(self) -> list[int]:
         return list(self._fresh)
 
-    def _accumulate(self, dt: float) -> None:
-        accum = self.state.fresh_time_accum
-        for i in self._fresh:
-            accum[i] += dt
+    def _advance(self, cap: float, limit: int | None) -> str:
+        """Run events until ``limit`` of them have happened (``None``: no
+        limit) or the next one would pass ``cap``; return the last label.
 
-    def _do_refresh(self) -> str:
-        state = self.state
-        state.source_version += 1
-        self._fresh = []
-        if isinstance(self.tab, _FlatTables):
-            self._stale = list(range(self.tab.n))
-        else:
-            # clusterheads are stale again; in-cluster holder sets persist,
-            # they track the clusterheads' unchanged versions
-            self._stale_ch = list(range(self.tab.m))
-        return "source_refresh"
+        One pass is one event.  It draws, in this order, the holding time
+        ``-log(1 - U) / total`` (what ``random.Random.expovariate(total)``
+        computes), a uniform times ``total`` that picks the stage (the
+        refresh, a delivery from the source, or one cluster's delivery),
+        and, unless the source refreshes, a uniform index that picks the
+        receiver.  On reaching ``cap`` the fresh nodes' time is settled
+        there.
+        """
+        tab, state = self.tab, self.state
+        random, log = self.rng.random, math.log
+        lam_e, dsrc = tab.lam_e, tab.dsrc
+        sv, clock = state.source_version, state.clock
+        nodes, chs, accum = state.node_versions, state.ch_versions, state.fresh_time_accum
+        dcl, k = (tab.dcl, tab.k) if chs is not None else ((), 0)
+        stale, fresh, since = self._stale, self._fresh, self._since
+        holders, nonhold, crates, csum = self._holders, self._nonhold, self._crates, self._csum
+        every_receiver, every_node = self._receivers, self._cluster_nodes
+        receivers, clusters = len(every_receiver), len(crates)
+        refresh, source = -2, -1  # stage codes; an in-cluster delivery is its cluster
+        events = 0
+        while True:
+            d = dsrc[receivers - len(stale)]
+            total = lam_e + d + csum
+            t = clock - log(1.0 - random()) / total
+            if t > cap:
+                clock = cap
+                label = "capped"
+                break
+            clock = t
+            x = random() * total - lam_e
+            if x < d:
+                c = refresh if x < 0.0 else source
+            else:
+                x -= d
+                c = clusters - 1  # the last cluster when x passes them all
+                for c in range(clusters):
+                    if x < crates[c]:
+                        break
+                    x -= crates[c]
+                if c < 0 or crates[c] == 0.0:
+                    # csum drift can park x a few ulps past the active
+                    # clusters: land on the last active one.  With none
+                    # active csum is all drift; reset it and give the event
+                    # to the source's delivery, or to the refresh when that
+                    # is the only stage left with a positive rate.
+                    c = max((cc for cc in range(clusters) if crates[cc] > 0.0), default=-1)
+                    if c < 0:
+                        csum = sum(crates)
+                        c = source if d > 0.0 else refresh
+            if c == refresh:
+                sv += 1
+                for i in fresh:
+                    accum[i] += t - since[i]
+                fresh = []
+                # every receiver is stale again; in-cluster holder sets
+                # persist, they track the clusterheads' unchanged versions
+                stale = every_receiver[:]
+                label = "source_refresh"
+            else:
+                # a uniform index into the stale receivers or into the
+                # cluster's non-holders, robust to float spill at the edge
+                lst = stale if c == source else nonhold[c]
+                s = len(lst)
+                i = int(random() * s)
+                if i == s:
+                    i -= 1
+                r = lst[i]
+                lst[i] = lst[-1]
+                lst.pop()
+                if c != source:
+                    gid = c * k + r
+                    nodes[gid] = chs[c]
+                    h = holders[c] + 1
+                    holders[c] = h
+                    csum += dcl[h] - crates[c]
+                    crates[c] = dcl[h]
+                    if chs[c] == sv:
+                        fresh.append(gid)
+                        since[gid] = t
+                    label = "node_delivery"
+                elif chs is None:
+                    nodes[r] = sv
+                    fresh.append(r)
+                    since[r] = t
+                    label = "node_delivery"
+                else:
+                    chs[r] = sv
+                    holders[r] = 0
+                    nonhold[r] = every_node[:]
+                    csum += dcl[0] - crates[r]
+                    crates[r] = dcl[0]
+                    label = "ch_update"
+            events += 1
+            if events == limit or t == cap:
+                break
+        if clock == cap:
+            for i in fresh:
+                accum[i] += cap - since[i]
+                since[i] = cap
+        state.source_version, state.clock = sv, clock
+        self._stale, self._fresh, self._csum = stale, fresh, csum
+        return label
 
     def step(self, cap: float | None = None) -> str:
         """Advance to the next event (or to ``cap`` if it comes first).
@@ -370,84 +474,12 @@ class TrajectorySim:
         Returns the label of what happened: ``source_refresh``,
         ``ch_update``, ``node_delivery``, or ``capped``.
         """
-        tab = self.tab
-        state = self.state
-        rng = self.rng
-        if isinstance(tab, _FlatTables):
-            j = len(self._fresh)
-            deliver = tab.deliver[j]
-            total = tab.lam_e + deliver
-        else:
-            jch = tab.m - len(self._stale_ch)
-            deliver = tab.dsrc[jch]
-            total = tab.lam_e + deliver + self._csum
-        t_next = state.clock + rng.expovariate(total)
-        if cap is not None and t_next > cap:
-            self._accumulate(cap - state.clock)
-            state.clock = cap
-            return "capped"
-        self._accumulate(t_next - state.clock)
-        state.clock = t_next
-
-        x = rng.random() * total
-        if x < tab.lam_e:
-            return self._do_refresh()
-        x -= tab.lam_e
-
-        if isinstance(tab, _FlatTables):
-            i = _pick(rng.random, len(self._stale))
-            node = self._stale[i]
-            self._stale[i] = self._stale[-1]
-            self._stale.pop()
-            state.node_versions[node] = state.source_version
-            self._fresh.append(node)
-            return "node_delivery"
-
-        if x < deliver:
-            i = _pick(rng.random, len(self._stale_ch))
-            c = self._stale_ch[i]
-            self._stale_ch[i] = self._stale_ch[-1]
-            self._stale_ch.pop()
-            state.ch_versions[c] = state.source_version
-            self._holders[c] = 0
-            self._nonhold[c] = list(range(tab.k))
-            self._csum += tab.dcl[0] - self._crates[c]
-            self._crates[c] = tab.dcl[0]
-            return "ch_update"
-        x -= deliver
-
-        m = tab.m
-        crates = self._crates
-        c = m - 1
-        for cc in range(m):
-            if x < crates[cc]:
-                c = cc
-                break
-            x -= crates[cc]
-        if crates[c] == 0.0:
-            # csum drift can park x a few ulps past the active clusters:
-            # land on the last real one, or end the cycle if none is left
-            active = [cc for cc in range(m) if crates[cc] > 0.0]
-            if not active:
-                return self._do_refresh()
-            c = active[-1]
-        lst = self._nonhold[c]
-        i = _pick(rng.random, len(lst))
-        node = lst[i]
-        lst[i] = lst[-1]
-        lst.pop()
-        gid = c * tab.k + node
-        state.node_versions[gid] = state.ch_versions[c]
-        self._holders[c] += 1
-        self._csum += tab.dcl[self._holders[c]] - crates[c]
-        crates[c] = tab.dcl[self._holders[c]]
-        if state.ch_versions[c] == state.source_version:
-            self._fresh.append(gid)
-        return "node_delivery"
+        return self._advance(math.inf if cap is None else cap, 1)
 
     def run_until(self, t_end: float) -> None:
-        while self.state.clock < t_end:
-            self.step(cap=t_end)
+        """Advance to ``t_end`` and settle the fresh nodes' time there."""
+        if self.state.clock < t_end:
+            self._advance(t_end, None)
 
 
 def estimate_freshness_time(

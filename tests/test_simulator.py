@@ -7,8 +7,10 @@ import pytest
 
 from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates
 from gossipfresh.analytic import clustered_freshness, oracle_flat
+from gossipfresh import simulator
 from gossipfresh.simulator import (
     CYCLE_BATCH,
+    SimState,
     TrajectorySim,
     _child_seeds,
     _clustered_counts,
@@ -542,6 +544,179 @@ def test_trajectory_capping_accumulates_partial_interval():
     assert sim.state.clock == 25.0
     # the single node is fresh almost always at this delivery rate
     assert sim.state.fresh_time_accum[0] == pytest.approx(25.0, rel=0.05)
+
+
+class _PerEventSim:
+    """A per-event trajectory engine: one method call, two shape
+    dispatches and an accumulate pass over the fresh nodes per event.
+    The reference for the event loop's draws, labels and fresh time."""
+
+    def __init__(self, spec, rng):
+        tab = _make_tables(spec)
+        self.tab = tab
+        self.rng = rng
+        n = tab.n
+        if isinstance(spec.shape, Flat):
+            self.state = SimState(1, [0] * n, None, 0.0, [0.0] * n)
+            self._stale = list(range(n))
+            self._fresh = []
+        else:
+            m, k = tab.m, tab.k
+            self.state = SimState(1, [-1] * n, [0] * m, 0.0, [0.0] * n)
+            self._stale_ch = list(range(m))
+            self._fresh = []
+            self._holders = [0] * m
+            self._nonhold = [list(range(k)) for _ in range(m)]
+            self._crates = [tab.dcl[0]] * m
+            self._csum = tab.dcl[0] * m
+
+    def _accumulate(self, dt):
+        accum = self.state.fresh_time_accum
+        for i in self._fresh:
+            accum[i] += dt
+
+    def _do_refresh(self):
+        self.state.source_version += 1
+        self._fresh = []
+        if self.state.ch_versions is None:
+            self._stale = list(range(self.tab.n))
+        else:
+            self._stale_ch = list(range(self.tab.m))
+        return "source_refresh"
+
+    @staticmethod
+    def _pick(rng_random, count):
+        i = int(rng_random() * count)
+        return count - 1 if i >= count else i
+
+    def step(self, cap=None):
+        tab, state, rng = self.tab, self.state, self.rng
+        flat = state.ch_versions is None
+        if flat:
+            deliver = tab.dsrc[len(self._fresh)]
+            total = tab.lam_e + deliver
+        else:
+            deliver = tab.dsrc[tab.m - len(self._stale_ch)]
+            total = tab.lam_e + deliver + self._csum
+        t_next = state.clock + rng.expovariate(total)
+        if cap is not None and t_next > cap:
+            self._accumulate(cap - state.clock)
+            state.clock = cap
+            return "capped"
+        self._accumulate(t_next - state.clock)
+        state.clock = t_next
+        x = rng.random() * total
+        if x < tab.lam_e:
+            return self._do_refresh()
+        x -= tab.lam_e
+        if flat:
+            i = self._pick(rng.random, len(self._stale))
+            node = self._stale[i]
+            self._stale[i] = self._stale[-1]
+            self._stale.pop()
+            state.node_versions[node] = state.source_version
+            self._fresh.append(node)
+            return "node_delivery"
+        if x < deliver:
+            i = self._pick(rng.random, len(self._stale_ch))
+            c = self._stale_ch[i]
+            self._stale_ch[i] = self._stale_ch[-1]
+            self._stale_ch.pop()
+            state.ch_versions[c] = state.source_version
+            self._holders[c] = 0
+            self._nonhold[c] = list(range(tab.k))
+            self._csum += tab.dcl[0] - self._crates[c]
+            self._crates[c] = tab.dcl[0]
+            return "ch_update"
+        x -= deliver
+        crates = self._crates
+        c = tab.m - 1
+        for cc in range(tab.m):
+            if x < crates[cc]:
+                c = cc
+                break
+            x -= crates[cc]
+        if crates[c] == 0.0:
+            active = [cc for cc in range(tab.m) if crates[cc] > 0.0]
+            if not active:
+                return self._do_refresh()
+            c = active[-1]
+        lst = self._nonhold[c]
+        i = self._pick(rng.random, len(lst))
+        node = lst[i]
+        lst[i] = lst[-1]
+        lst.pop()
+        gid = c * tab.k + node
+        state.node_versions[gid] = state.ch_versions[c]
+        self._holders[c] += 1
+        self._csum += tab.dcl[self._holders[c]] - crates[c]
+        crates[c] = tab.dcl[self._holders[c]]
+        if state.ch_versions[c] == state.source_version:
+            self._fresh.append(gid)
+        return "node_delivery"
+
+    def run_until(self, t_end):
+        while self.state.clock < t_end:
+            self.step(cap=t_end)
+
+
+LOOP_SPECS = [
+    NetworkSpec.flat(n, policy, Rates(1.0, 1.0, 0.0, lg))
+    for policy in GP
+    for n in (1, 3, 8, 50)
+    for lg in (0.0, 1.0)
+] + [
+    NetworkSpec.clustered(m * k, k, src, cl, Rates(0.7, 1.3, 2.1, 0.9))
+    for src in DC_POLICIES
+    for cl in GP
+    for m, k in ((2, 2), (3, 4), (4, 3), (40, 3), (3, 40))
+]
+
+
+@pytest.mark.parametrize("spec", LOOP_SPECS)
+def test_trajectory_loop_equals_the_per_event_reference(spec, monkeypatch):
+    sim = TrajectorySim(spec, random.Random(17))
+    ref = _PerEventSim(spec, random.Random(17))
+    for _ in range(3000):
+        label = sim.step()
+        assert label == ref.step()
+        a, b = sim.state, ref.state
+        assert (a.clock, a.node_versions, a.ch_versions) == (b.clock, b.node_versions, b.ch_versions)
+    got = estimate_freshness_time(spec, 200.0, seed=5)
+    monkeypatch.setattr(simulator, "TrajectorySim", _PerEventSim)
+    want = estimate_freshness_time(spec, 200.0, seed=5)
+    assert got.p_hat == pytest.approx(want.p_hat, abs=1e-12)
+    assert got.stderr == pytest.approx(want.stderr, abs=1e-12)
+    assert got.per_node == pytest.approx(want.per_node, abs=1e-12)
+
+
+class _StubRandom:
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+def test_csum_drift_with_no_active_cluster_fires_no_refresh():
+    # Every cluster complete (no in-cluster rate left), one clusterhead
+    # stale, and csum a drift of 1e-17.  Small rates keep that drift above
+    # half an ulp of the total, so the largest uniform lands past the
+    # clusterhead stage, where only the drift is left.
+    spec = NetworkSpec.clustered(4, 2, GP.DC_RC, GP.DC_RC, Rates(1e-3, 1e-3, 1.0))
+    sim = TrajectorySim(spec, _StubRandom([0.5, 1.0 - 2.0**-53, 0.0]))
+    state = sim.state
+    state.ch_versions = [1, 0]
+    state.node_versions = [1, 1, 0, 0]
+    sim._stale = [1]
+    sim._holders = [2, 2]
+    sim._nonhold = [[], []]
+    sim._crates = [0.0, 0.0]
+    sim._csum = 1e-17
+    assert sim.step() == "ch_update"
+    assert state.source_version == 1
+    assert state.ch_versions == [1, 1]
+    assert sim._csum == sum(sim._crates)
 
 
 # --- decomposition -----------------------------------------------------------
