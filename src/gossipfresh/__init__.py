@@ -22,6 +22,7 @@ from .analytic import (
     closed_flat,
     closed_sizes,
     clustered_freshness,
+    clustered_profiles,
     divisors,
     optimal_cluster_size,
     oracle_flat,
@@ -76,6 +77,7 @@ __all__ = [
     "closed_flat",
     "closed_sizes",
     "clustered_freshness",
+    "clustered_profiles",
     "decomposition_check",
     "divisors",
     "emit_plot_data",

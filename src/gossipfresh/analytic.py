@@ -21,6 +21,13 @@ so its closed form runs the recursion's kernel and that comparison is an
 identity; an independent exact route for it (the stationary fresh-count
 chain, ROADMAP item 1) is still open.
 
+Both routes take many sizes per call, and each rate either as a number or
+as a column of one rate per size, so one call can evaluate a tier over
+every (rate case, size) cell of a sweep; :func:`clustered_profiles` builds
+every divisor scan of a clustered sweep from one call per tier policy, and
+:func:`optimal_cluster_size` is its one-case, one-pair view.  A cell's
+value does not depend on the other cells of its call.
+
 Both routes run on float64 arrays.  Their running sums and products use
 ``np.add.accumulate`` and ``np.multiply.accumulate``, which add and
 multiply strictly left to right, so every value is bit-identical to the
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,6 +50,7 @@ from .core import (
     FreshnessValue,
     GossipPolicy,
     NetworkSpec,
+    RATE_SUM_LIMIT,
     Rates,
     rate_sum_problem,
     require_int,
@@ -60,6 +69,7 @@ __all__ = [
     "closed_flat",
     "closed_clustered",
     "clustered_freshness",
+    "clustered_profiles",
     "optimal_cluster_size",
     "divisors",
 ]
@@ -97,10 +107,10 @@ class ClusteredBreakdown:
 
 
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
-    """The one boundary check of the exact routes: ``n`` an integer >= 1,
-    a finite ``lambda_e > 0``, finite rates >= 0, and no overflow inside
+    """The one rate check of the exact routes, for a size ``n`` that is
+    already known to be an integer >= 1: a finite ``lambda_e > 0``, finite
+    rates >= 0, and no overflow inside
     (:func:`~gossipfresh.core.rate_sum_problem`)."""
-    require_int("n", n, 1)
     if not math.isfinite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
     require_rates(**named)
@@ -109,16 +119,55 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
         raise ValueError(problem)
 
 
-def _check_sizes(sizes, lambda_e: float, total_source: float, total_gossip: float) -> list[int]:
-    """:func:`_check_rates` for a sequence of tier sizes, shared by both
-    routes; returns the sizes as a list of Python ints."""
-    array = np.asarray(sizes)
-    if array.ndim != 1 or array.size == 0 or array.dtype.kind not in "iu":
-        raise ValueError(f"sizes must be a nonempty sequence of integers, got {sizes!r}")
-    listed = array.tolist()
-    require_int("n", min(listed), 1)
+def _check_sizes(sizes, lambda_e, total_source, total_gossip):
+    """The boundary check of both routes: ``sizes`` a nonempty sequence of
+    integers >= 1, then :func:`_check_rates` at the largest size.  Each
+    rate is a number, or a column (list, tuple or array) of one rate per
+    size.  Returns the sizes as a list of Python ints and the rates as
+    ``(total_source, total_gossip, lambda_e)``, with columns as float
+    arrays and numbers as they came."""
+    if type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int and 0 < sizes[0] < 2**63:
+        listed = sizes  # one plain int, as oracle_flat and closed_flat pass it
+    else:
+        array = np.asarray(sizes)
+        if array.ndim != 1 or array.size == 0 or array.dtype.kind not in "iu":
+            raise ValueError(f"sizes must be a nonempty sequence of integers, got {sizes!r}")
+        listed = array.tolist()
+        require_int("n", min(listed), 1)
+    rates = (total_source, total_gossip, lambda_e)
+    if (
+        isinstance(total_source, _COLUMN)
+        or isinstance(total_gossip, _COLUMN)
+        or isinstance(lambda_e, _COLUMN)
+    ):
+        return listed, _check_columns(listed, *rates)
     _check_rates(max(listed), lambda_e, lambda_s=total_source, lambda_g=total_gossip)
-    return listed
+    return listed, rates
+
+
+#: Argument types :func:`_check_sizes` reads as rate columns.
+_COLUMN = (list, tuple, np.ndarray)
+
+
+def _check_columns(sizes: list[int], *rates) -> tuple:
+    """The rate check of :func:`_check_sizes` where some rate is a column:
+    one vectorised pass.  Where it finds a problem, each distinct rate
+    triple is checked in order of first appearance at its largest size,
+    so the message is the one a call per triple raises."""
+    rates = tuple(np.asarray(r, dtype=float) if isinstance(r, _COLUMN) else r for r in rates)
+    if any(isinstance(r, np.ndarray) and r.shape != (len(sizes),) for r in rates):
+        raise ValueError(f"rate columns must hold one rate per size, {len(sizes)} here")
+    ts, tg, le = rates
+    with np.errstate(over="ignore"):
+        total = np.array(sizes) * (le + (ts + tg))
+    if not ((le > 0) & (ts >= 0) & (tg >= 0) & (total <= RATE_SUM_LIMIT)).all():
+        largest: dict[tuple, int] = {}
+        lists = (np.broadcast_to(r, len(sizes)).tolist() for r in rates)
+        for n, *triple in zip(sizes, *lists):
+            largest[tuple(triple)] = max(n, largest.get(tuple(triple), n))
+        for (s, g, e), n in largest.items():
+            _check_rates(n, e, lambda_s=s, lambda_g=g)
+    return rates
 
 
 def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
@@ -172,6 +221,7 @@ def renewal_freshness(
             length, a negative, NaN, or infinite rate (the first offending
             ``j`` is named), or rates so large the recursion would overflow.
     """
+    require_int("n", n, 1)
     _check_rates(n, lambda_e)
     table = np.asarray(u, dtype=float)
     if table.shape != (n,):
@@ -191,17 +241,62 @@ BLOCK_CELLS = 1 << 14
 
 
 def _oracle_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
-    """Freshness at each size of the column ``sizes``, in one block padded
-    to ``width``."""
-    stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes, width)
-    return _recursion(u, stale, lambda_e)[0]
+    """Freshness at each of the ``sizes``, in one block padded to
+    ``width``; each rate is a number or a column of one rate per size."""
+    stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes[:, None], width)
+    # a copy, so that the block's buffers are freed on return
+    return _recursion(u, stale, lambda_e)[0].copy()
+
+
+def _allrc_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
+    """``FC_allRC``'s closed form at each of the ``sizes``, as
+    :func:`_oracle_block` takes them: one running sum up to ``width``
+    serves every size of a rate triple."""
+    rate = total_source + np.arange(width, dtype=float) * total_gossip
+    running = np.add.accumulate(np.multiply.accumulate(rate / (rate + lambda_e), -1), -1)
+    if running.ndim == 1:
+        return running[sizes - 1] / sizes
+    return running[np.arange(len(sizes)), sizes - 1] / sizes
+
+
+def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
+    """``kernel`` over checked ``sizes``, with each rate column gathered
+    into its block's rows.  Sizes that fit one block of at most
+    :data:`BLOCK_CELLS` cells (or a single size) are one block as they
+    stand; otherwise they are sorted and cut into zero-padded blocks."""
+    rates = (total_source, total_gossip, lambda_e)
+    columns = (
+        isinstance(total_source, np.ndarray)
+        or isinstance(total_gossip, np.ndarray)
+        or isinstance(lambda_e, np.ndarray)
+    )
+    if columns:
+        rates = [r[:, None] if isinstance(r, np.ndarray) else r for r in rates]
+    array = np.array(sizes)
+    width = max(sizes)
+    if len(sizes) * width <= BLOCK_CELLS or len(sizes) == 1:
+        return kernel(policy, *rates, array, width)
+    order = array.argsort(kind="stable")
+    ordered = array[order]
+    bounds = ordered.tolist()
+    p = np.empty(len(sizes))
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop + 1 - start) * bounds[stop] <= BLOCK_CELLS:
+            stop += 1
+        index = order[start:stop]
+        rows = [r[index] if isinstance(r, np.ndarray) else r for r in rates] if columns else rates
+        p[index] = kernel(policy, *rows, ordered[start:stop], bounds[stop - 1])
+        start = stop
+    return p
 
 
 def oracle_sizes(
     policy: GossipPolicy,
-    total_source: float,
-    total_gossip: float,
-    lambda_e: float,
+    total_source,
+    total_gossip,
+    lambda_e,
     sizes,
 ) -> np.ndarray:
     """Freshness of a flat tier at each of several sizes, via the generic
@@ -209,35 +304,22 @@ def oracle_sizes(
 
     ``sizes`` is a sequence of tier sizes (any order, repeats allowed);
     the result holds one probability per size, in the same order, each
-    bit-identical to :func:`oracle_flat` at that size.  The sizes are
-    sorted and cut into zero-padded blocks of at most :data:`BLOCK_CELLS`
-    cells, so a whole sweep costs a few array passes instead of one per
-    size.
+    bit-identical to :func:`oracle_flat` at that size.  Each rate is a
+    number or a column (list, tuple or array) of one rate per size, so one
+    call can evaluate a tier over several rate cases; cell ``i`` then
+    equals :func:`oracle_flat` at ``sizes[i]`` and the rates in row ``i``.
+    The sizes are evaluated in zero-padded blocks of at most
+    :data:`BLOCK_CELLS` cells (sorted first when they do not fit one), so
+    a whole sweep costs a few array passes instead of one per size.
 
     Raises:
         ValueError: if ``sizes`` is empty or holds a non-integer or a size
-            below 1, or for invalid rates.
+            below 1, if a rate column does not hold one rate per size, or
+            for invalid rates (the first offending rate triple, in order
+            of appearance, is named).
     """
-    sizes = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    return _oracle_checked(policy, total_source, total_gossip, lambda_e, sizes)
-
-
-def _oracle_checked(policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
-    """:func:`oracle_sizes` on sizes that passed :func:`_check_sizes`."""
-    order = np.argsort(sizes, kind="stable")
-    ordered = np.array(sizes)[order].tolist()
-    p = np.empty(len(sizes))
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and (stop + 1 - start) * ordered[stop] <= BLOCK_CELLS:
-            stop += 1
-        block = np.array(ordered[start:stop])[:, None]
-        p[order[start:stop]] = _oracle_block(
-            policy, total_source, total_gossip, lambda_e, block, ordered[stop - 1]
-        )
-        start = stop
-    return p
+    sizes, rates = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    return _blocked(_oracle_block, policy, *rates, sizes)
 
 
 def oracle_flat(
@@ -254,15 +336,15 @@ def oracle_flat(
 
 def closed_sizes(
     policy: GossipPolicy,
-    total_source: float,
-    total_gossip: float,
-    lambda_e: float,
+    total_source,
+    total_gossip,
+    lambda_e,
     sizes,
 ) -> np.ndarray | None:
     """Closed-form freshness of a flat tier at each of several sizes: the
-    twin of :func:`oracle_sizes`, with the same arguments, check and
-    result layout.  Writing ``ls, lg, le`` for ``total_source,
-    total_gossip, lambda_e``:
+    twin of :func:`oracle_sizes`, with the same arguments (rate columns
+    included), check and result layout.  Writing ``ls, lg, le`` for
+    ``total_source, total_gossip, lambda_e``:
 
     * ``DC_noRC``: each node independently races an Exp(ls / n) delivery
       against the Exp(le) refresh, ``ls / (ls + n le)``.
@@ -278,33 +360,36 @@ def closed_sizes(
       (n-i) w_i / ((n-i+1) w_i + le)``.  ``w_r`` is the ``FC_noRC`` table
       and this is the renewal recursion over it, so it runs the same kernel.
     * ``FC_allRC``: ``(1/n) sum_{k=1}^{n} prod_{j=1}^{k} (ls + (j-1) lg) /
-      (ls + (j-1) lg + le)``; one running sum at the largest size serves
-      every size.  With lg = 0 the product telescopes into the ``DC_RC``
-      geometric sum.
+      (ls + (j-1) lg + le)``; one running sum at the largest size of a
+      block serves every size of a rate triple.  With lg = 0 the product
+      telescopes into the ``DC_RC`` geometric sum.
     * ``FC_sRC`` mixes stale-targeting and even splits and has no
       standalone formula: None, once the arguments pass the check.
     """
-    sizes = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    sizes, (ls, lg, le) = _check_sizes(sizes, lambda_e, total_source, total_gossip)
     if policy is GossipPolicy.DC_noRC:
-        return total_source / (total_source + np.array(sizes, dtype=float) * lambda_e)
+        return ls / (ls + np.array(sizes, dtype=float) * le)
     if policy is GossipPolicy.DC_RC:
-        if total_source == 0:
-            return np.zeros(len(sizes))
-        x = lambda_e / total_source
-        log_a = math.log1p(x)
-        return np.array([
-            # p = 1 - (n + 1) x / 2 + O((n x)^2) is within an ulp of 1 here
-            1.0 if n * x < 2.0**-53 else total_source / (n * lambda_e) * -math.expm1(-n * log_a)
-            for n in sizes
-        ])
+        return np.array(list(map(_dc_rc, sizes, _each(ls), _each(le))))
     if policy is GossipPolicy.FC_noRC:
-        return _oracle_checked(policy, total_source, total_gossip, lambda_e, sizes)
+        return _blocked(_oracle_block, policy, ls, lg, le, sizes)
     if policy is GossipPolicy.FC_allRC:
-        rate = total_source + np.arange(max(sizes), dtype=float) * total_gossip
-        running = np.add.accumulate(np.multiply.accumulate(rate / (rate + lambda_e)))
-        n = np.array(sizes)
-        return running[n - 1] / n
+        return _blocked(_allrc_block, policy, ls, lg, le, sizes)
     return None
+
+
+def _each(rate):
+    """A rate as an iterable of one rate per size."""
+    return rate.tolist() if isinstance(rate, np.ndarray) else repeat(rate)
+
+
+def _dc_rc(n: int, ls: float, le: float) -> float:
+    """``DC_RC``'s closed form at one size (see :func:`closed_sizes`)."""
+    if ls == 0:
+        return 0.0
+    x = le / ls
+    # p = 1 - (n + 1) x / 2 + O((n x)^2) is within an ulp of 1 here
+    return 1.0 if n * x < 2.0**-53 else ls / (n * le) * -math.expm1(-n * math.log1p(x))
 
 
 def closed_flat(
@@ -375,6 +460,49 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def clustered_profiles(route, n: int, cases, pairs) -> tuple[list[int], list[list]]:
+    """Clustered freshness at every divisor k of ``n``, for every rate
+    case and policy pair at once.
+
+    ``route`` is :func:`oracle_sizes` or :func:`closed_sizes`; ``cases``
+    is a sequence of :class:`~gossipfresh.core.Rates` and ``pairs`` of
+    ``(source_policy, cluster_policy)``.  Each tier policy takes one
+    ``route`` call over every (case, size) cell, with the case rates as
+    columns (plain numbers for a single case).  Returns ``(ks, profiles)``:
+    ``ks`` the ascending divisors and ``profiles[c][q]`` an array over them
+    for case ``c`` and pair ``q``, each entry the product in
+    :func:`clustered_freshness`'s (or :func:`closed_clustered`'s) order and
+    equal to it, or None where the closed route has no formula for the
+    cluster tier.  The (case, pair) combinations are checked one by one in
+    order, each as a scan of it alone checks it, so an invalid one raises
+    the message that a scan per combination would raise first.
+    """
+    for rates in cases:
+        for i, pair in enumerate(pairs):
+            require_valid(NetworkSpec.clustered(n, n, *pair, rates))
+            # the source tier at its largest size, m = n, comes before the
+            # next combination; a lone one leaves it to the route call
+            if i == 0 and len(cases) * len(pairs) > 1:
+                _check_rates(n, rates.lambda_e, lambda_s=rates.lambda_s, lambda_g=0.0)
+    ks = divisors(n)
+    rows = [(r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g) for r in cases]
+    if len(rows) == 1:
+        le, ls, lc, lg = rows[0]
+    else:
+        le, ls, lc, lg = np.repeat(np.array(rows, dtype=float).T, len(ks), axis=1)
+    heads, cells = [n // k for k in ks] * len(cases), ks * len(cases)
+    source = {p: route(p, ls, 0.0, le, heads) for p in dict.fromkeys(src for src, _ in pairs)}
+    cluster = {p: route(p, lc, lg, le, cells) for p in dict.fromkeys(cl for _, cl in pairs)}
+    profiles = []
+    for c in range(len(cases)):
+        cut = slice(c * len(ks), (c + 1) * len(ks))
+        profiles.append([
+            None if cluster[cl] is None else source[src][cut] * cluster[cl][cut]
+            for src, cl in pairs
+        ])
+    return ks, profiles
+
+
 def optimal_cluster_size(
     n: int,
     rates: Rates,
@@ -386,15 +514,11 @@ def optimal_cluster_size(
     Evaluates the clustered freshness at every divisor k of n (each entry
     equal to :func:`clustered_freshness` of that shape) and returns
     ``(k_star, m_star, p_star, profile)`` where ``profile`` is the full
-    ascending ``(k, p)`` scan.  Exact ties go to the smallest k.  Each
-    tier is evaluated over all its sizes in one :func:`oracle_sizes` call.
+    ascending ``(k, p)`` scan.  Exact ties go to the smallest k.  This is
+    the one-case, one-pair view of :func:`clustered_profiles`.
     """
-    require_valid(NetworkSpec.clustered(n, n, source_policy, cluster_policy, rates))
-    ks = divisors(n)
-    r = rates
-    p_ch = oracle_sizes(source_policy, r.lambda_s, 0.0, r.lambda_e, [n // k for k in ks])
-    p_node = oracle_sizes(cluster_policy, r.lambda_c, r.lambda_g, r.lambda_e, ks)
-    # the product in clustered_freshness's order, so every entry equals it
-    profile = list(zip(ks, (p_ch * p_node).tolist()))
+    pair = (source_policy, cluster_policy)
+    ks, ((p,),) = clustered_profiles(oracle_sizes, n, [rates], [pair])
+    profile = list(zip(ks, p.tolist()))
     best_k, best_p = max(profile, key=lambda kp: kp[1])
     return best_k, n // best_k, best_p, profile

@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .core import GossipPolicy, NetworkSpec, Rates, validate
+from .core import GossipPolicy, NetworkSpec, Rates, int_problem, validate
 from .analytic import closed_clustered, closed_flat, clustered_freshness, oracle_flat
 from .experiments import (
     ConfigError,
@@ -118,6 +118,14 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _run_sweep(args, force_sim: bool) -> int:
+    # the overrides obey the integer rule of the config's sim.cycles and sim.seed
+    problems = [
+        int_problem(flag, value, minimum)
+        for flag, value, minimum in (("--cycles", args.cycles, 1), ("--seed", args.seed, 0))
+        if value is not None
+    ]
+    if any(problems):
+        raise ConfigError([p for p in problems if p])
     config = _load_config(args)
     if force_sim or args.cycles is not None or args.seed is not None:
         base = config.sim

@@ -17,11 +17,16 @@ the emitted CSV is byte-identical across runs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import stat
 import warnings
-from contextlib import nullcontext
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,8 @@ from .analytic import (
     closed_flat,
     closed_sizes,
     clustered_freshness,
-    optimal_cluster_size,
+    clustered_profiles,
+    optimal_cluster_size,  # noqa: F401 - perfbench/layers.py traces it under this name
     oracle_flat,
     oracle_sizes,
 )
@@ -388,61 +394,49 @@ def _row_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(base_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _flat_row(config, case, policy, n, index, p_oracle, p_analytic) -> ResultRow:
-    r = case.rates
-    spec = NetworkSpec.flat(n, policy, r)
-    sim_cols = _sim_columns(config, spec, index)
-    return ResultRow(
-        experiment=config.name,
-        policy_source=policy.value,
-        policy_cluster=None,
-        n=n,
-        k=None,
-        m=None,
-        lambda_e=r.lambda_e,
-        lambda_s=r.lambda_s,
-        lambda_c=None,
-        lambda_g=r.lambda_g if policy.gossips else None,
-        p_analytic=p_analytic,
-        p_oracle=p_oracle,
-        **sim_cols,
-    )
+#: The Monte Carlo columns of a row without ``sim``.
+_NO_SIM = (None,) * 5
 
 
-def _clustered_row(config, case, pair, n, k, index, p_oracle, p_analytic) -> ResultRow:
-    src, cl = pair
-    r = case.rates
-    spec = NetworkSpec.clustered(n, k, src, cl, r)
-    sim_cols = _sim_columns(config, spec, index)
-    return ResultRow(
-        experiment=config.name,
-        policy_source=src.value,
-        policy_cluster=cl.value,
-        n=n,
-        k=k,
-        m=n // k,
-        lambda_e=r.lambda_e,
-        lambda_s=r.lambda_s,
-        lambda_c=r.lambda_c,
-        lambda_g=r.lambda_g if cl.gossips else None,
-        p_analytic=p_analytic,
-        p_oracle=p_oracle,
-        **sim_cols,
-    )
-
-
-def _sim_columns(config, spec, index) -> dict:
-    if config.sim is None:
-        return dict(p_sim=None, sim_ci_lo=None, sim_ci_hi=None, cycles=None, seed=None)
+def _sim_columns(config, spec, index) -> tuple:
+    """``p_sim, sim_ci_lo, sim_ci_hi, cycles, seed`` of one row."""
     seed = _row_seed(config.sim.seed, index)
     est = estimate_freshness_cycles(spec, config.sim.cycles, seed)
-    return dict(
-        p_sim=est.p_hat,
-        sim_ci_lo=est.ci95[0],
-        sim_ci_hi=est.ci95[1],
-        cycles=config.sim.cycles,
-        seed=seed,
-    )
+    return est.p_hat, est.ci95[0], est.ci95[1], config.sim.cycles, seed
+
+
+def _flat_rows(config, case, policy, ns, exact, closed, index) -> list[ResultRow]:
+    """The rows of one (case, policy) group of a flat grid, numbered from
+    ``index``; ``exact`` and ``closed`` hold one value per n."""
+    r = case.rates
+    head = (config.name, policy.value, None)
+    lambdas = (r.lambda_e, r.lambda_s, None, r.lambda_g if policy.gossips else None)
+    rows = []
+    for i, (n, p, c) in enumerate(zip(ns, exact, closed), index):
+        spec = None if config.sim is None else NetworkSpec.flat(n, policy, r)
+        sim = _NO_SIM if spec is None else _sim_columns(config, spec, i)
+        rows.append(ResultRow(*head, n, None, None, *lambdas, c, p, *sim))
+    return rows
+
+
+def _clustered_rows(config, case, pair, n, ks, exact, closed, index) -> list[ResultRow]:
+    """The rows of one (case, pair) group of a clustered grid, numbered
+    from ``index``; ``exact`` and ``closed`` hold one value per k."""
+    src, cl = pair
+    r = case.rates
+    head = (config.name, src.value, cl.value)
+    lambdas = (r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g if cl.gossips else None)
+    rows = []
+    for i, (k, p, c) in enumerate(zip(ks, exact, closed), index):
+        spec = None if config.sim is None else NetworkSpec.clustered(n, k, src, cl, r)
+        sim = _NO_SIM if spec is None else _sim_columns(config, spec, i)
+        rows.append(ResultRow(*head, n, k, n // k, *lambdas, c, p, *sim))
+    return rows
+
+
+def _values(array, count: int) -> list:
+    """A route's result as a list, or ``count`` Nones where it has none."""
+    return [None] * count if array is None else array.tolist()
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -450,83 +444,101 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     Writes the rows to ``config.output`` as CSV when set, and returns
     them.  Grid order is: rate case (config order), then policy (config
-    order), then n or k ascending.  Each (case, policy) sweep gets its
-    values from batched calls: :func:`oracle_sizes` and :func:`closed_sizes`
-    over the n range, or the :func:`optimal_cluster_size` profile and one
-    :func:`closed_sizes` call per tier, multiplied as in
-    :func:`closed_clustered`.
+    order), then n or k ascending.  The exact values of a whole grid come
+    from one route call per policy (per tier policy when clustered) over
+    every (case, size) cell, with the case rates as columns: a flat grid
+    calls :func:`oracle_sizes` and :func:`closed_sizes` over cases x n, a
+    clustered one :func:`clustered_profiles` with each route over cases x
+    divisors.  Every value is bit-identical to a call per point.  A
+    :class:`NetworkSpec` is built per row only for the Monte Carlo columns.
     """
     if config.mode not in MODES:
         raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
     if not config.policies or not config.cases:
         raise ConfigError(["config has no policies or no rate cases"])
     rows: list[ResultRow] = []
-    index = 0
     if config.mode == "flat_sweep_n":
         lo, hi = config.n_range
-        ns = range(lo, hi + 1)
-        for case in config.cases:
-            r = case.rates
+        ns = list(range(lo, hi + 1))
+        sizes = ns * len(config.cases)
+        rates = [case.rates for case in config.cases for _ in ns]
+        le, ls, lg = zip(*[(r.lambda_e, r.lambda_s, r.lambda_g) for r in rates])
+        exact, closed = {}, {}
+        for policy in dict.fromkeys(config.policies):
+            exact[policy] = oracle_sizes(policy, ls, lg, le, sizes).tolist()
+            closed[policy] = _values(closed_sizes(policy, ls, lg, le, sizes), len(sizes))
+        for c, case in enumerate(config.cases):
+            cut = slice(c * len(ns), (c + 1) * len(ns))
             for policy in config.policies:
-                exact = oracle_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
-                closed = closed_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
-                closed = [None] * len(ns) if closed is None else closed.tolist()
-                for n, p, c in zip(ns, exact.tolist(), closed):
-                    rows.append(_flat_row(config, case, policy, n, index, p, c))
-                    index += 1
+                p, pc = exact[policy][cut], closed[policy][cut]
+                rows += _flat_rows(config, case, policy, ns, p, pc, len(rows))
     elif config.mode == "clustered_sweep_k":
         n = config.n
-        for case in config.cases:
-            r = case.rates
-            for pair in config.policies:
-                src, cl = pair
-                _, _, _, profile = optimal_cluster_size(n, r, src, cl)
-                ks = [k for k, _ in profile]
-                f_src = closed_sizes(src, r.lambda_s, 0.0, r.lambda_e, [n // k for k in ks])
-                f_cl = closed_sizes(cl, r.lambda_c, r.lambda_g, r.lambda_e, ks)
-                # a source tier is DC_noRC or DC_RC, so only f_cl may be None
-                closed = [None] * len(ks) if f_cl is None else (f_src * f_cl).tolist()
-                for (k, p), c in zip(profile, closed):
-                    rows.append(_clustered_row(config, case, pair, n, k, index, p, c))
-                    index += 1
+        rates = [case.rates for case in config.cases]
+        ks, exact = clustered_profiles(oracle_sizes, n, rates, config.policies)
+        _, closed = clustered_profiles(closed_sizes, n, rates, config.policies)
+        for c, case in enumerate(config.cases):
+            for q, pair in enumerate(config.policies):
+                p, pc = exact[c][q].tolist(), _values(closed[c][q], len(ks))
+                rows += _clustered_rows(config, case, pair, n, ks, p, pc, len(rows))
     else:  # single_point
         n = config.n
         for case in config.cases:
             r = case.rates
             for pol in config.policies:
                 if config.k is not None:
-                    spec = NetworkSpec.clustered(n, config.k, *pol, r)
-                    p, _ = clustered_freshness(spec)
+                    p, _ = clustered_freshness(NetworkSpec.clustered(n, config.k, *pol, r))
                     c = closed_clustered(*pol, n // config.k, config.k, r)
-                    rows.append(_clustered_row(config, case, pol, n, config.k, index, p, c))
+                    rows += _clustered_rows(config, case, pol, n, [config.k], [p], [c], len(rows))
                 else:
                     p = oracle_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
                     c = closed_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
-                    rows.append(_flat_row(config, case, pol, n, index, p, c))
-                index += 1
+                    rows += _flat_rows(config, case, pol, [n], [p], [c], len(rows))
     if config.output:
         write_csv(rows, config.output)
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+#: The CSV fields of a row, in :data:`CSV_HEADER` order.
+_row_values = attrgetter(*CSV_HEADER)
 
 
 def write_csv(rows, path) -> None:
     """Write rows under the fixed header; floats carry 17 significant
-    digits so parsing the file back reproduces them exactly.  ``path`` may
-    also be an open text stream such as ``sys.stdout``; it is left open."""
-    stream = hasattr(path, "write")
-    with nullcontext(path) if stream else open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in CSV_HEADER])
+    digits so parsing the file back reproduces them exactly, None is an
+    empty field and everything else is written as ``str`` gives it.
+    ``path`` may also be an open text stream such as ``sys.stdout``; it is
+    left open.  A file is written in one piece by :func:`_write_text`."""
+    stream = path if hasattr(path, "write") else io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(
+        ["%.17g" % v if isinstance(v, float) else v for v in _row_values(row)] for row in rows
+    )
+    if stream is not path:
+        _write_text(path, stream.getvalue())
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` as UTF-8.  A regular file that
+    already exists is written over in place and then cut to length, as a
+    sweep run again into the same place finds its files: truncating on
+    open would make the filesystem free their blocks only to allocate them
+    again, which on ext4 takes several times as long as the rest of the
+    write of a plot file."""
+    data = text.encode("utf-8")
+    try:
+        # only a regular file: a pipe's reader would see the end of input
+        existing = open(path, "r+b") if stat.S_ISREG(os.stat(path).st_mode) else None
+    except OSError:  # not there yet, or not readable: written as usual below
+        existing = None
+    if existing is None:
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    with existing as f:
+        f.write(data)
+        f.truncate()
 
 
 _INT_COLS = {"n", "k", "m", "cycles", "seed"}
@@ -556,30 +568,42 @@ def read_csv(path) -> list[ResultRow]:
     return rows
 
 
-def _case_labels(rows) -> dict:
-    """Deterministic case label per row index.
+#: The fields that put a row into its plot series.
+_series_key = attrgetter(
+    "policy_source", "policy_cluster", "lambda_e", "lambda_s", "lambda_c", "lambda_g"
+)
 
-    Flat rows are labelled by alpha = lambda_e / lambda_s.  Clustered rows
-    are labelled case1, case2, ... in the order distinct rate tuples
-    appear within their policy pair; since sweeps emit rate cases in
-    config order for every pair, the numbering is consistent across
-    pairs.
+
+def _series(rows) -> dict[tuple[str, str], list]:
+    """Rows grouped into plot series, keyed by ``(policy, case)`` labels in
+    order of first appearance.
+
+    A series is one policy (``source+cluster`` for clustered rows) at one
+    full rate tuple.  Clustered series are labelled case1, case2, ... in
+    the order their rate tuples appear within the policy pair; since
+    sweeps emit rate cases in config order for every pair, the numbering
+    is consistent across pairs.  Flat series (rows with no cluster policy)
+    are labelled by alpha = lambda_e / lambda_s (``alphainf`` when
+    lambda_s = 0); where several rate tuples of one policy share an alpha,
+    each of them gets the suffix ``_case<i>``, its place in that order.
     """
+    groups: dict[tuple, list] = {}
+    for key, run in groupby(rows, _series_key):
+        groups.setdefault(key, []).extend(run)
+    cases: dict[tuple, list] = {}
+    for source, cluster, *rates in groups:
+        cases.setdefault((source, cluster), []).append(tuple(rates))
     labels = {}
-    seen: dict[tuple, dict[tuple, str]] = {}
-    for i, row in enumerate(rows):
-        if row.k is None:
-            if row.lambda_s > 0:
-                labels[i] = f"alpha{row.lambda_e / row.lambda_s:g}"
-            else:
-                labels[i] = "alphainf"
-        else:
-            group = seen.setdefault((row.policy_source, row.policy_cluster), {})
-            key = (row.lambda_e, row.lambda_s, row.lambda_c, row.lambda_g)
-            if key not in group:
-                group[key] = f"case{len(group) + 1}"
-            labels[i] = group[key]
-    return labels
+    for (source, cluster), tuples in cases.items():
+        names = [f"case{i}" for i in range(1, len(tuples) + 1)]
+        if cluster is None:
+            alphas = [f"alpha{le / ls:g}" if ls > 0 else "alphainf" for le, ls, _, _ in tuples]
+            shared = Counter(alphas)
+            names = [a if shared[a] == 1 else f"{a}_{name}" for a, name in zip(alphas, names)]
+        policy = source if cluster is None else f"{source}+{cluster}"
+        for rates, name in zip(tuples, names):
+            labels[(source, cluster, *rates)] = (policy, name)
+    return {labels[key]: members for key, members in groups.items()}
 
 
 def emit_plot_data(rows, group_by=None, out_dir=".") -> list[Path]:
@@ -587,23 +611,16 @@ def emit_plot_data(rows, group_by=None, out_dir=".") -> list[Path]:
 
     Files are named ``<experiment>__<policy>__<case>.dat`` and hold
     ``x p_oracle`` pairs (x is k for clustered rows, n for flat ones)
-    behind a ``#`` comment header.  ``group_by`` may list (policy, case)
-    label pairs to restrict the output; a listed group with no rows gets a
-    warning and no file.  Returns the written paths.
+    behind a ``#`` comment header; :func:`_series` groups and names them.
+    ``group_by`` may list (policy, case) label pairs to restrict the
+    output; a listed group with no rows gets a warning and no file.
+    Returns the written paths.
     """
     if not rows:
         raise ValueError("emit_plot_data needs at least one row")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = _case_labels(rows)
-    groups: dict[tuple[str, str], list] = {}
-    for i, row in enumerate(rows):
-        policy = (
-            row.policy_source
-            if row.policy_cluster is None
-            else f"{row.policy_source}+{row.policy_cluster}"
-        )
-        groups.setdefault((policy, labels[i]), []).append(row)
+    groups = _series(rows)
     if group_by is None:
         wanted = list(groups)
     else:
@@ -615,13 +632,14 @@ def emit_plot_data(rows, group_by=None, out_dir=".") -> list[Path]:
             warnings.warn(f"no rows for series {key}; skipping", stacklevel=2)
             continue
         policy, case = key
-        path = out_dir / f"{members[0].experiment}__{policy}__{case}.dat"
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(f"# series: experiment={members[0].experiment} policy={policy} case={case}\n")
-            f.write("# columns: x freshness\n")
-            for row in members:
-                x = row.n if row.k is None else row.k
-                f.write(f"{x} {format(row.p_oracle, '.17g')}\n")
+        experiment = members[0].experiment
+        lines = [
+            f"# series: experiment={experiment} policy={policy} case={case}\n",
+            "# columns: x freshness\n",
+            *(f"{row.n if row.k is None else row.k} {row.p_oracle:.17g}\n" for row in members),
+        ]
+        path = out_dir / f"{experiment}__{policy}__{case}.dat"
+        _write_text(path, "".join(lines))
         written.append(path)
     return written
 
@@ -645,21 +663,28 @@ class OptimalKReport:
 def report_optimal_k(config: ExperimentConfig) -> OptimalKReport:
     """Best cluster size per (case, policy pair), with comparison notes.
 
-    Beyond the raw optima, the notes flag which pair wins each case and,
-    when both single-sided stale-targeting placements are present, whether
-    the placement matching the larger tier rate wins (their peaks tie when
-    lambda_s == lambda_c).
+    All divisor scans come from one :func:`clustered_profiles` call, so
+    each tier policy is evaluated once over every (case, divisor) cell;
+    each optimum equals :func:`optimal_cluster_size`'s, ties going to the
+    smallest k.  Beyond the raw optima, the notes flag which pair wins
+    each case and, when both single-sided stale-targeting placements are
+    present, whether the placement matching the larger tier rate wins
+    (their peaks tie when lambda_s == lambda_c).
     """
     if config.mode != "clustered_sweep_k":
         raise ConfigError(["report_optimal_k needs a clustered_sweep_k config"])
+    rates = [case.rates for case in config.cases]
+    ks, profiles = clustered_profiles(oracle_sizes, config.n, rates, config.policies)
     entries = []
     notes = []
-    for case in config.cases:
+    for case, case_profiles in zip(config.cases, profiles):
         case_entries = []
-        for src, cl in config.policies:
-            k_star, m_star, p_star, _ = optimal_cluster_size(config.n, case.rates, src, cl)
+        for (src, cl), profile in zip(config.policies, case_profiles):
+            profile = profile.tolist()
+            p_star = max(profile)
+            k_star = ks[profile.index(p_star)]
             case_entries.append(
-                OptimalKEntry(case.label, src.value, cl.value, k_star, m_star, p_star)
+                OptimalKEntry(case.label, src.value, cl.value, k_star, config.n // k_star, p_star)
             )
         entries.extend(case_entries)
         best = max(case_entries, key=lambda e: e.p_star)

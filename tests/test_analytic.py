@@ -336,6 +336,48 @@ def test_oracle_sizes_rejects_bad_sizes(sizes):
                 route(policy, 1.0, 0.0, 1.0, sizes)
 
 
+
+@given(
+    policy=st.sampled_from(list(GP)),
+    cases=st.lists(st.tuples(wide_rate, wide_rate, wide_rate), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_rate_columns_equal_a_call_per_case(policy, cases, seed):
+    # every size of every case in one call, shuffled, with block edges crossed
+    rng = random.Random(seed)
+    per_case = [rng.sample(range(1, 300), 40) + [BLOCK_CELLS + 1] for _ in cases]
+    cells = [(i, n) for i, sizes in enumerate(per_case) for n in sizes]
+    rng.shuffle(cells)
+    sizes = [n for _, n in cells]
+    ls, lg, le = ([cases[i][j] for i, _ in cells] for j in range(3))
+    for route in (oracle_sizes, closed_sizes):
+        got = route(policy, ls, np.array(lg), tuple(le), sizes)
+        alone = [route(policy, *cases[i], [n]) for i, n in cells]
+        if got is None:
+            assert route is closed_sizes and policy is GP.FC_sRC and alone == [None] * len(cells)
+        else:
+            assert got.tolist() == [float(p[0]) for p in alone]
+        # a rate that is the same for every case may stay a number
+        mixed = route(policy, ls, lg[0], le, sizes) if len(set(lg)) == 1 else got
+        assert mixed is None or mixed.tolist() == got.tolist()
+
+
+def test_rate_columns_are_checked_case_by_case_in_order():
+    sizes = [3, 10, 3, 10, 3, 10]
+    ls = [1.0, 1.0, 1e307, 1e307, 2e307, 2e307]
+    for route in (oracle_sizes, closed_sizes):
+        with pytest.raises(ValueError) as got:
+            route(GP.DC_RC, ls, 0.0, 1.0, sizes)
+        with pytest.raises(ValueError) as alone:
+            route(GP.DC_RC, 1e307, 0.0, 1.0, [3, 10])
+        assert str(got.value) == str(alone.value)
+        for bad in ([1.0] * 5, [[1.0] * 6], [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                route(GP.DC_RC, bad, 0.0, 1.0, sizes)
+        with pytest.raises(ValueError, match="lambda_e must be finite and > 0, got 0.0"):
+            route(GP.DC_RC, 1.0, 0.0, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], sizes)
+
+
 @given(
     policy=st.sampled_from(list(GP)),
     ls=rate,

@@ -159,3 +159,32 @@ def test_selftest_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setitem(acceptance.CRITERIA, "2", broken)
     assert main(["selftest", "--only", "2"]) == 3
     assert "FAIL criterion 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["sweep", "simulate"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--seed", "-1"], "--seed must be an integer and --seed >= 0, got -1"),
+        (["--cycles", "0"], "--cycles must be an integer and --cycles >= 1, got 0"),
+    ],
+)
+def test_seed_and_cycles_overrides_follow_the_config_integer_rule(
+    tmp_path, capsys, verb, flags, message
+):
+    # sim.seed and sim.cycles in a config get the same rule (core.int_problem)
+    target = tmp_path / "rows.csv"
+    config = write_config(tmp_path, dict(FLAT_CONFIG, output=str(target)))
+    assert main([verb, "--config", str(config), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not target.exists()  # rejected before any work
+
+
+def test_bad_overrides_are_all_reported_even_with_a_bad_config(tmp_path, capsys):
+    config = tmp_path / "absent.json"
+    assert main(["simulate", "--config", str(config), "--cycles", "-5", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: --cycles must be an integer and --cycles >= 1, got -5",
+        "error: --seed must be an integer and --seed >= 0, got -1",
+    ]

@@ -1,13 +1,23 @@
+import csv
+import io
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gossipfresh.analytic import closed_clustered, closed_sizes, optimal_cluster_size, oracle_sizes
+from gossipfresh import experiments
+from gossipfresh.core import DC_POLICIES, GossipPolicy, Rates
 from gossipfresh.experiments import (
     CSV_HEADER,
     ConfigError,
     DEFAULT_RATE_CASES,
     ExperimentConfig,
+    RateCase,
+    ResultRow,
     emit_plot_data,
     read_csv,
     report_optimal_k,
@@ -347,3 +357,231 @@ def test_fc_sweep_emits_three_series_per_rate_case(tmp_path):
         case = p.stem.split("__")[-1]
         per_case[case] = per_case.get(case, 0) + 1
     assert per_case == {"case1": 3, "case2": 3, "case3": 3, "case4": 3}
+
+
+# --- batched sweeps equal a call per point ----------------------------------
+
+# Each rate ratio spans 24 decades, and a zero delivery or gossip rate may
+# occur: the batched route must match the per-case one at the extremes too.
+positive_rate = st.floats(min_value=1e-12, max_value=1e12)
+any_rate = st.one_of(st.just(0.0), positive_rate)
+rate_cases = st.lists(
+    st.builds(
+        Rates, lambda_e=positive_rate, lambda_s=any_rate, lambda_c=any_rate, lambda_g=any_rate
+    ),
+    min_size=1,
+    max_size=4,
+)
+ALL_PAIRS = tuple((src, cl) for src in DC_POLICIES for cl in GossipPolicy)
+
+
+def _config(mode, policies, rates, **grid):
+    cases = tuple(RateCase(f"case{i}", r) for i, r in enumerate(rates, 1))
+    return ExperimentConfig(name="batched", mode=mode, policies=policies, cases=cases, **grid)
+
+
+@settings(max_examples=20)
+@given(rates=rate_cases, n=st.sampled_from([12, 60, 120, 360]))
+def test_clustered_sweep_and_report_equal_a_call_per_case_and_pair(rates, n):
+    config = _config("clustered_sweep_k", ALL_PAIRS, rates, n=n)
+    rows = iter(run_experiment(config))
+    entries = iter(report_optimal_k(config).entries)
+    for r in rates:
+        for src, cl in ALL_PAIRS:
+            k_star, m_star, p_star, profile = optimal_cluster_size(n, r, src, cl)
+            for k, p in profile:
+                row = next(rows)
+                assert (row.k, row.m) == (k, n // k)
+                assert row.p_oracle == p
+                assert row.p_analytic == closed_clustered(src, cl, n // k, k, r)
+            entry = next(entries)
+            assert (entry.k_star, entry.m_star, entry.p_star) == (k_star, m_star, p_star)
+    assert next(rows, None) is None and next(entries, None) is None
+
+
+@settings(max_examples=20)
+@given(rates=rate_cases, lo=st.integers(1, 150), span=st.integers(0, 150))
+def test_flat_sweep_equals_a_call_per_case(rates, lo, span):
+    policies = tuple(GossipPolicy)
+    ns = list(range(lo, lo + span + 1))
+    rows = iter(run_experiment(_config("flat_sweep_n", policies, rates, n_range=(lo, ns[-1]))))
+    for r in rates:
+        for policy in policies:
+            exact = oracle_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns).tolist()
+            closed = closed_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
+            closed = [None] * len(ns) if closed is None else closed.tolist()
+            for n, p, c in zip(ns, exact, closed):
+                row = next(rows)
+                assert (row.n, row.p_oracle, row.p_analytic) == (n, p, c)
+    assert next(rows, None) is None
+
+
+CASE = {"lambda_e": 1, "lambda_s": 1, "lambda_c": 1}
+OVERFLOWING_SECOND_CASE = [
+    # (policies, cases, the first message, as a call per case and pair gives it)
+    (
+        [["DC_RC", "FC_allRC"]],
+        [CASE, dict(CASE, lambda_s=1e307)],
+        "rates too large: 12 * (lambda_e + lambda_s + lambda_g) = 1.2e+308 exceeds 4.49e+307; "
+        "only rate ratios matter, so scale all rates down",
+    ),
+    (
+        [["DC_RC", "FC_allRC"], ["DC_noRC", "DC_RC"]],
+        [CASE, dict(CASE, lambda_c=1e307)],
+        "invalid network spec: rates too large: 12 * (lambda_e + lambda_c + lambda_g) = 1.2e+308 "
+        "exceeds 4.49e+307; only rate ratios matter, so scale all rates down",
+    ),
+    (
+        # the bad pair of the first case comes before the second case's overflow
+        [["DC_RC", "FC_allRC"], ["FC_noRC", "DC_RC"]],
+        [CASE, dict(CASE, lambda_s=4e307)],
+        "invalid network spec: clusterheads form a disconnected tier: source_policy must be "
+        "DC_noRC or DC_RC, got FC_noRC",
+    ),
+    (
+        # a case's source tier at m = n comes before its next pair
+        [["DC_RC", "FC_allRC"], ["FC_noRC", "DC_RC"]],
+        [dict(CASE, lambda_s=1e307)],
+        "rates too large: 12 * (lambda_e + lambda_s + lambda_g) = 1.2e+308 exceeds 4.49e+307; "
+        "only rate ratios matter, so scale all rates down",
+    ),
+]
+
+
+@pytest.mark.parametrize("policies,cases,message", OVERFLOWING_SECOND_CASE)
+def test_invalid_rate_case_fails_with_the_first_message_of_a_scan_per_case(
+    policies, cases, message
+):
+    raw = {"name": "x", "mode": "clustered_sweep_k", "policies": policies, "n": 12, "cases": cases}
+    config = ExperimentConfig.from_dict(raw)
+    for run in (run_experiment, report_optimal_k):
+        with pytest.raises(ValueError) as err:
+            run(config)
+        assert str(err.value) == message
+
+
+def test_flat_sweep_with_an_overflowing_second_case_names_it():
+    raw = {
+        "name": "x",
+        "mode": "flat_sweep_n",
+        "policies": ["DC_RC", "FC_allRC"],
+        "n_range": [1, 5],
+        "cases": [
+            {"lambda_e": 1, "lambda_s": 1},
+            {"lambda_e": 1, "lambda_s": 1e307, "lambda_g": 1e307},
+        ],
+    }
+    with pytest.raises(ValueError) as err:
+        run_experiment(ExperimentConfig.from_dict(raw))
+    assert str(err.value) == (
+        "rates too large: 5 * (lambda_e + lambda_s + lambda_g) = 1e+308 exceeds 4.49e+307; "
+        "only rate ratios matter, so scale all rates down"
+    )
+
+
+# --- CSV and plot files ------------------------------------------------------
+
+
+def _fmt(value) -> str:
+    # a plain per-cell formatter: the reference write_csv's bytes must equal
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_csv(rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([_fmt(getattr(row, col)) for col in CSV_HEADER])
+    return out.getvalue()
+
+
+def test_csv_bytes_equal_the_per_cell_writer(tmp_path):
+    base = dict(zip(CSV_HEADER, [None] * len(CSV_HEADER)))
+    rows = [
+        dict(experiment="plain", policy_source="DC_RC", n=3, lambda_e=1.0, lambda_s=-0.0),
+        dict(experiment='a,b "c"', n=10**17, lambda_e=1e17, lambda_s=10**17, p_oracle=1 / 3),
+        dict(
+            experiment="line\nbreak", policy_cluster="DC_RC", n=12, k=3, m=4, lambda_e=2,
+            lambda_s=5e-324, lambda_c=1.7976931348623157e308, lambda_g=0.0, p_analytic=-0.0,
+            p_sim=True, sim_ci_lo=float("inf"), sim_ci_hi=float("nan"), cycles=0, seed=2**64 - 1,
+        ),
+    ]
+    rows = [ResultRow(**dict(base, policy_source="FC_sRC", p_oracle=0.5) | row) for row in rows]
+    target = tmp_path / "rows.csv"
+    write_csv(rows, target)
+    assert target.read_bytes() == _reference_csv(rows).encode("utf-8")
+    stream = io.StringIO()
+    write_csv(rows, stream)
+    assert stream.getvalue() == _reference_csv(rows)
+
+
+def test_files_written_again_are_cut_to_their_new_length(tmp_path):
+    long_rows = run_experiment(ExperimentConfig.from_dict(FLAT_SMALL))
+    short_rows = run_experiment(ExperimentConfig.from_dict(dict(FLAT_SMALL, n_range=[1, 2])))
+    target = tmp_path / "rows.csv"
+    write_csv(long_rows, target)
+    write_csv(short_rows, target)
+    assert target.read_text() == _reference_csv(short_rows)
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    emit_plot_data(long_rows, out_dir=again)
+    paths = emit_plot_data(short_rows, out_dir=again)
+    emit_plot_data(short_rows, out_dir=fresh)
+    for path in paths:
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_only_regular_files_are_written_over_in_place(tmp_path, monkeypatch):
+    # opening a pipe to write it over in place would show its reader an end
+    # of input before the data, so a pipe is opened once, for writing only
+    opened = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        opened.append((Path(path).name, mode))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "open", recording_open, raising=False)
+    rows = run_experiment(ExperimentConfig.from_dict(dict(FLAT_SMALL, n_range=[1, 2])))
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    writer = threading.Thread(target=write_csv, args=(rows, pipe), daemon=True)
+    reader.start()
+    writer.start()
+    writer.join(10)
+    reader.join(10)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert got == [_reference_csv(rows).encode("utf-8")]
+    write_csv(rows, tmp_path / "rows.csv")
+    write_csv(rows, tmp_path / "rows.csv")
+    assert opened == [("pipe", "wb"), ("rows.csv", "wb"), ("rows.csv", "r+b")]
+
+
+def test_flat_rate_cases_sharing_an_alpha_get_their_own_series(tmp_path):
+    raw = {
+        "name": "g",
+        "mode": "flat_sweep_n",
+        "policies": ["FC_allRC"],
+        "n_range": [1, 3],
+        "cases": [
+            {"lambda_e": 1, "lambda_s": 1, "lambda_g": 0},
+            {"lambda_e": 1, "lambda_s": 1, "lambda_g": 5},
+        ],
+    }
+    rows = run_experiment(ExperimentConfig.from_dict(raw))
+    paths = emit_plot_data(rows, out_dir=tmp_path)
+    names = ["g__FC_allRC__alpha1_case1.dat", "g__FC_allRC__alpha1_case2.dat"]
+    assert [p.name for p in paths] == names
+    for path, case in zip(paths, (rows[:3], rows[3:])):
+        lines = path.read_text().splitlines()[2:]
+        assert lines == [f"{row.n} {row.p_oracle:.17g}" for row in case]
+    # a label that is unique for its policy stays as it was
+    rows += run_experiment(ExperimentConfig.from_dict(FLAT_SMALL))
+    paths = emit_plot_data(rows, out_dir=tmp_path)
+    assert "flat_small__FC_allRC__alpha0.1.dat" in {p.name for p in paths}
