@@ -108,9 +108,12 @@ class ClusteredBreakdown:
 
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
     """The one rate check of the exact routes, for a size ``n`` that is
-    already known to be an integer >= 1: a finite ``lambda_e > 0``, finite
-    rates >= 0, and no overflow inside
+    already known to be an integer >= 1: real numbers (int or float, not
+    bool), a finite ``lambda_e > 0``, finite rates >= 0, and no overflow
+    inside
     (:func:`~gossipfresh.core.rate_sum_problem`)."""
+    if not isinstance(lambda_e, (int, float)) or isinstance(lambda_e, bool):
+        raise ValueError(f"lambda_e must be a real number, got {lambda_e!r}")
     if not math.isfinite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
     require_rates(**named)
@@ -151,23 +154,42 @@ _COLUMN = (list, tuple, np.ndarray)
 
 def _check_columns(sizes: list[int], *rates) -> tuple:
     """The rate check of :func:`_check_sizes` where some rate is a column:
-    one vectorised pass.  Where it finds a problem, each distinct rate
+    one vectorised pass over columns of ints and floats.  Where it finds a
+    problem, or some entry is not an int or a float, each distinct rate
     triple is checked in order of first appearance at its largest size,
     so the message is the one a call per triple raises."""
-    rates = tuple(np.asarray(r, dtype=float) if isinstance(r, _COLUMN) else r for r in rates)
-    if any(isinstance(r, np.ndarray) and r.shape != (len(sizes),) for r in rates):
+    if any(isinstance(r, _COLUMN) and np.shape(r) != (len(sizes),) for r in rates):
         raise ValueError(f"rate columns must hold one rate per size, {len(sizes)} here")
-    ts, tg, le = rates
-    with np.errstate(over="ignore"):
-        total = np.array(sizes) * (le + (ts + tg))
-    if not ((le > 0) & (ts >= 0) & (tg >= 0) & (total <= RATE_SUM_LIMIT)).all():
-        largest: dict[tuple, int] = {}
-        lists = (np.broadcast_to(r, len(sizes)).tolist() for r in rates)
-        for n, *triple in zip(sizes, *lists):
-            largest[tuple(triple)] = max(n, largest.get(tuple(triple), n))
-        for (s, g, e), n in largest.items():
-            _check_rates(n, e, lambda_s=s, lambda_g=g)
-    return rates
+    if all(map(_plain, rates)):
+        ts, tg, le = (np.asarray(r, dtype=float) if isinstance(r, _COLUMN) else r for r in rates)
+        with np.errstate(over="ignore"):
+            total = np.array(sizes) * (le + (ts + tg))
+        if ((le > 0) & (ts >= 0) & (tg >= 0) & (total <= RATE_SUM_LIMIT)).all():
+            return ts, tg, le
+    largest: dict[tuple, int] = {}
+    for n, *triple in zip(sizes, *map(_each, rates)):
+        key = (*triple, *map(type, triple))  # keeps True apart from 1
+        largest[key] = max(n, largest.get(key, n))
+    for (s, g, e, *_), n in largest.items():
+        _check_rates(n, e, lambda_s=s, lambda_g=g)
+    return tuple(np.asarray(r, dtype=float) if isinstance(r, _COLUMN) else r for r in rates)
+
+
+def _plain(rate) -> bool:
+    """Whether ``rate``, a number or a column, holds only ints and floats
+    (floats of any width for an array), so the vectorised check covers it."""
+    if isinstance(rate, np.ndarray):
+        return rate.dtype.kind in "iuf"
+    if isinstance(rate, (list, tuple)):
+        return set(map(type, rate)) <= {int, float}
+    return type(rate) in (int, float)
+
+
+def _each(rate):
+    """A rate, a number or a column, as an iterable of one rate per size."""
+    if isinstance(rate, np.ndarray):
+        return rate.tolist()
+    return rate if isinstance(rate, (list, tuple)) else repeat(rate)
 
 
 def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
@@ -248,20 +270,9 @@ def _oracle_block(policy, total_source, total_gossip, lambda_e, sizes, width) ->
     return _recursion(u, stale, lambda_e)[0].copy()
 
 
-def _allrc_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
-    """``FC_allRC``'s closed form at each of the ``sizes``, as
-    :func:`_oracle_block` takes them: one running sum up to ``width``
-    serves every size of a rate triple."""
-    rate = total_source + np.arange(width, dtype=float) * total_gossip
-    running = np.add.accumulate(np.multiply.accumulate(rate / (rate + lambda_e), -1), -1)
-    if running.ndim == 1:
-        return running[sizes - 1] / sizes
-    return running[np.arange(len(sizes)), sizes - 1] / sizes
-
-
-def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
-    """``kernel`` over checked ``sizes``, with each rate column gathered
-    into its block's rows.  Sizes that fit one block of at most
+def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
+    """:func:`_oracle_block` over checked ``sizes``, with each rate column
+    gathered into its block's rows.  Sizes that fit one block of at most
     :data:`BLOCK_CELLS` cells (or a single size) are one block as they
     stand; otherwise they are sorted and cut into zero-padded blocks."""
     rates = (total_source, total_gossip, lambda_e)
@@ -275,7 +286,7 @@ def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[i
     array = np.array(sizes)
     width = max(sizes)
     if len(sizes) * width <= BLOCK_CELLS or len(sizes) == 1:
-        return kernel(policy, *rates, array, width)
+        return _oracle_block(policy, *rates, array, width)
     order = array.argsort(kind="stable")
     ordered = array[order]
     bounds = ordered.tolist()
@@ -287,9 +298,41 @@ def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[i
             stop += 1
         index = order[start:stop]
         rows = [r[index] if isinstance(r, np.ndarray) else r for r in rates] if columns else rates
-        p[index] = kernel(policy, *rows, ordered[start:stop], bounds[stop - 1])
+        p[index] = _oracle_block(policy, *rows, ordered[start:stop], bounds[stop - 1])
         start = stop
     return p
+
+
+def _allrc(ls, lg, le, sizes: list[int]) -> np.ndarray:
+    """``FC_allRC``'s closed form (see :func:`closed_sizes`) over checked
+    ``sizes``: one running sum per distinct rate triple, up to that
+    triple's largest size, serves every size of the triple."""
+    n = np.array(sizes)
+    if not (isinstance(ls, np.ndarray) or isinstance(lg, np.ndarray) or isinstance(le, np.ndarray)):
+        return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n
+    triples = np.empty((len(sizes), 3))
+    triples[:] = np.column_stack(np.broadcast_arrays(ls, lg, le))
+    # grouped by bit pattern, so that -0.0 and 0.0 stay apart
+    _, first, group = np.unique(
+        triples.view(np.int64), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(group.reshape(-1), kind="stable")
+    bounds = np.cumsum(np.bincount(group.reshape(-1))).tolist()
+    p = np.empty(len(sizes))
+    start = 0
+    for i, stop in zip(first.tolist(), bounds):
+        index = order[start:stop]
+        m = n[index]
+        p[index] = _allrc_running(*triples[i].tolist(), int(m.max()))[m - 1] / m
+        start = stop
+    return p
+
+
+def _allrc_running(ls, lg, le, width: int) -> np.ndarray:
+    """``FC_allRC``'s running sum ``sum_{k<=n} prod_{j<=k} ...`` at every
+    size n up to ``width``, for one rate triple."""
+    rate = ls + np.arange(width, dtype=float) * lg
+    return np.add.accumulate(np.multiply.accumulate(rate / (rate + le)))
 
 
 def oracle_sizes(
@@ -319,7 +362,7 @@ def oracle_sizes(
             of appearance, is named).
     """
     sizes, rates = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    return _blocked(_oracle_block, policy, *rates, sizes)
+    return _blocked(policy, *rates, sizes)
 
 
 def oracle_flat(
@@ -361,7 +404,7 @@ def closed_sizes(
       and this is the renewal recursion over it, so it runs the same kernel.
     * ``FC_allRC``: ``(1/n) sum_{k=1}^{n} prod_{j=1}^{k} (ls + (j-1) lg) /
       (ls + (j-1) lg + le)``; one running sum at the largest size of a
-      block serves every size of a rate triple.  With lg = 0 the product
+      rate triple serves every size of that triple.  With lg = 0 the product
       telescopes into the ``DC_RC`` geometric sum.
     * ``FC_sRC`` mixes stale-targeting and even splits and has no
       standalone formula: None, once the arguments pass the check.
@@ -372,15 +415,10 @@ def closed_sizes(
     if policy is GossipPolicy.DC_RC:
         return np.array(list(map(_dc_rc, sizes, _each(ls), _each(le))))
     if policy is GossipPolicy.FC_noRC:
-        return _blocked(_oracle_block, policy, ls, lg, le, sizes)
+        return _blocked(policy, ls, lg, le, sizes)
     if policy is GossipPolicy.FC_allRC:
-        return _blocked(_allrc_block, policy, ls, lg, le, sizes)
+        return _allrc(ls, lg, le, sizes)
     return None
-
-
-def _each(rate):
-    """A rate as an iterable of one rate per size."""
-    return rate.tolist() if isinstance(rate, np.ndarray) else repeat(rate)
 
 
 def _dc_rc(n: int, ls: float, le: float) -> float:

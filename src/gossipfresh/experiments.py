@@ -20,8 +20,6 @@ import csv
 import io
 import json
 import math
-import os
-import stat
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -520,25 +518,9 @@ def write_csv(rows, path) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    """Write ``text`` to the file ``path`` as UTF-8.  A regular file that
-    already exists is written over in place and then cut to length, as a
-    sweep run again into the same place finds its files: truncating on
-    open would make the filesystem free their blocks only to allocate them
-    again, which on ext4 takes several times as long as the rest of the
-    write of a plot file."""
-    data = text.encode("utf-8")
-    try:
-        # only a regular file: a pipe's reader would see the end of input
-        existing = open(path, "r+b") if stat.S_ISREG(os.stat(path).st_mode) else None
-    except OSError:  # not there yet, or not readable: written as usual below
-        existing = None
-    if existing is None:
-        with open(path, "wb") as f:
-            f.write(data)
-        return
-    with existing as f:
-        f.write(data)
-        f.truncate()
+    """Write ``text`` to the file ``path`` as UTF-8, in one call."""
+    with open(path, "wb") as f:
+        f.write(text.encode("utf-8"))
 
 
 _INT_COLS = {"n", "k", "m", "cycles", "seed"}
@@ -579,17 +561,24 @@ def _series(rows) -> dict[tuple[str, str], list]:
     order of first appearance.
 
     A series is one policy (``source+cluster`` for clustered rows) at one
-    full rate tuple.  Clustered series are labelled case1, case2, ... in
-    the order their rate tuples appear within the policy pair; since
-    sweeps emit rate cases in config order for every pair, the numbering
-    is consistent across pairs.  Flat series (rows with no cluster policy)
-    are labelled by alpha = lambda_e / lambda_s (``alphainf`` when
-    lambda_s = 0); where several rate tuples of one policy share an alpha,
-    each of them gets the suffix ``_case<i>``, its place in that order.
+    full rate tuple as its rows carry it.  A row of a policy that does not
+    gossip has no ``lambda_g``, so rate cases that differ only in
+    ``lambda_g`` are one series for that policy; a point ``(n, k)`` that
+    comes again in a series has the same value and is kept once.
+    Clustered series are labelled case1, case2, ... in the order their
+    rate tuples appear within the policy pair; since sweeps emit rate
+    cases in config order for every pair, the numbering is the same
+    across pairs wherever every pair tells the cases apart.  Flat series
+    (rows with no cluster policy) are labelled by alpha = lambda_e /
+    lambda_s (``alphainf`` when lambda_s = 0); where several rate tuples
+    of one policy share an alpha, each of them gets the suffix
+    ``_case<i>``, its place in that order.
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, dict] = {}
     for key, run in groupby(rows, _series_key):
-        groups.setdefault(key, []).extend(run)
+        points = groups.setdefault(key, {})
+        for row in run:
+            points.setdefault((row.n, row.k), row)
     cases: dict[tuple, list] = {}
     for source, cluster, *rates in groups:
         cases.setdefault((source, cluster), []).append(tuple(rates))
@@ -603,7 +592,7 @@ def _series(rows) -> dict[tuple[str, str], list]:
         policy = source if cluster is None else f"{source}+{cluster}"
         for rates, name in zip(tuples, names):
             labels[(source, cluster, *rates)] = (policy, name)
-    return {labels[key]: members for key, members in groups.items()}
+    return {labels[key]: list(points.values()) for key, points in groups.items()}
 
 
 def emit_plot_data(rows, group_by=None, out_dir=".") -> list[Path]:

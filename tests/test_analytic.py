@@ -362,6 +362,21 @@ def test_rate_columns_equal_a_call_per_case(policy, cases, seed):
         assert mixed is None or mixed.tolist() == got.tolist()
 
 
+def test_fc_allrc_columns_take_one_running_sum_per_rate_triple():
+    # each triple's values equal a call with that triple alone, over sizes
+    # far beyond one block; -0.0 and 0.0 are told apart, as a call per case
+    # tells them apart (the n = 1 value keeps the sign of ls)
+    sizes = list(range(1, 2001)) * 2 + [1, 1]
+    ls = [1.0] * 2000 + [3.0] * 2000 + [0.0, -0.0]
+    lg = [0.5] * 2000 + [0.0] * 2000 + [0.0, -0.0]
+    got = closed_sizes(GP.FC_allRC, ls, lg, 1.0, sizes)
+    first = closed_sizes(GP.FC_allRC, 1.0, 0.5, 1.0, range(1, 2001))
+    second = closed_sizes(GP.FC_allRC, 3.0, 0.0, 1.0, range(1, 2001))
+    assert got[:4000].tolist() == first.tolist() + second.tolist()
+    assert np.signbit(got[4000:]).tolist() == [False, True]
+    assert np.signbit(closed_sizes(GP.FC_allRC, -0.0, -0.0, 1.0, [1])).tolist() == [True]
+
+
 def test_rate_columns_are_checked_case_by_case_in_order():
     sizes = [3, 10, 3, 10, 3, 10]
     ls = [1.0, 1.0, 1e307, 1e307, 2e307, 2e307]
@@ -376,6 +391,22 @@ def test_rate_columns_are_checked_case_by_case_in_order():
                 route(GP.DC_RC, bad, 0.0, 1.0, sizes)
         with pytest.raises(ValueError, match="lambda_e must be finite and > 0, got 0.0"):
             route(GP.DC_RC, 1.0, 0.0, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], sizes)
+        # an entry that is not an int or a float fails as it does as a number
+        for name, bad in (("lambda_s", True), ("lambda_g", "1"), ("lambda_e", True)):
+            columns = [1] * 5 + [bad], [1.0] * 5 + [bad], np.array([1] * 5 + [bad], dtype=object)
+            for column in (*columns, np.array([bad] * 6)):
+                rates = {"lambda_s": 1.0, "lambda_g": 0.0, "lambda_e": 1.0, name: column}
+                args = (rates["lambda_s"], rates["lambda_g"], rates["lambda_e"], sizes)
+                with pytest.raises(ValueError, match=f"{name} must be a real number, got {bad!r}"):
+                    route(GP.FC_allRC, *args)
+            rates = {"lambda_s": 1.0, "lambda_g": 0.0, "lambda_e": 1.0, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be a real number, got {bad!r}"):
+                route(GP.FC_allRC, rates["lambda_s"], rates["lambda_g"], rates["lambda_e"], [3])
+        # ints, floats of any width and NumPy scalars in a column are rates
+        for column in ([1, 2.0, 1, 2.0, 1, 2.0], np.array([1, 2] * 3, dtype=np.float32)):
+            got = route(GP.FC_allRC, column, 1, np.float64(1.0), sizes)
+            alone = [route(GP.FC_allRC, float(v), 1.0, 1.0, [n])[0] for v, n in zip(column, sizes)]
+            assert got.tolist() == alone
 
 
 @given(

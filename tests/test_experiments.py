@@ -1,7 +1,5 @@
 import csv
 import io
-import os
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gossipfresh.analytic import closed_clustered, closed_sizes, optimal_cluster_size, oracle_sizes
-from gossipfresh import experiments
 from gossipfresh.core import DC_POLICIES, GossipPolicy, Rates
 from gossipfresh.experiments import (
     CSV_HEADER,
@@ -535,34 +532,6 @@ def test_files_written_again_are_cut_to_their_new_length(tmp_path):
         assert path.read_bytes() == (fresh / path.name).read_bytes()
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_only_regular_files_are_written_over_in_place(tmp_path, monkeypatch):
-    # opening a pipe to write it over in place would show its reader an end
-    # of input before the data, so a pipe is opened once, for writing only
-    opened = []
-
-    def recording_open(path, mode="r", *args, **kwargs):
-        opened.append((Path(path).name, mode))
-        return open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(experiments, "open", recording_open, raising=False)
-    rows = run_experiment(ExperimentConfig.from_dict(dict(FLAT_SMALL, n_range=[1, 2])))
-    pipe = tmp_path / "pipe"
-    os.mkfifo(pipe)
-    got = []
-    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
-    writer = threading.Thread(target=write_csv, args=(rows, pipe), daemon=True)
-    reader.start()
-    writer.start()
-    writer.join(10)
-    reader.join(10)
-    assert not writer.is_alive() and not reader.is_alive()
-    assert got == [_reference_csv(rows).encode("utf-8")]
-    write_csv(rows, tmp_path / "rows.csv")
-    write_csv(rows, tmp_path / "rows.csv")
-    assert opened == [("pipe", "wb"), ("rows.csv", "wb"), ("rows.csv", "r+b")]
-
-
 def test_flat_rate_cases_sharing_an_alpha_get_their_own_series(tmp_path):
     raw = {
         "name": "g",
@@ -585,3 +554,10 @@ def test_flat_rate_cases_sharing_an_alpha_get_their_own_series(tmp_path):
     rows += run_experiment(ExperimentConfig.from_dict(FLAT_SMALL))
     paths = emit_plot_data(rows, out_dir=tmp_path)
     assert "flat_small__FC_allRC__alpha0.1.dat" in {p.name for p in paths}
+    # DC_RC does not gossip, so to it both cases are one series, each n once
+    rows = run_experiment(ExperimentConfig.from_dict(dict(raw, policies=["DC_RC", "FC_allRC"])))
+    paths = emit_plot_data(rows, out_dir=tmp_path / "dc")
+    assert [p.name for p in paths] == ["g__DC_RC__alpha1.dat", *names]
+    lines = paths[0].read_text().splitlines()[2:]
+    assert lines == [f"{row.n} {row.p_oracle:.17g}" for row in rows[:3]]
+    assert [row.p_oracle for row in rows[6:9]] == [row.p_oracle for row in rows[:3]]
