@@ -88,12 +88,12 @@ def _size_pairs():
     return pairs
 
 
-def _tier_tables(policy, lambda_e, points):
-    """Closed and exact values of one tier: one row per (total rate,
-    gossip rate) point of ``points``, one column per size in ``NS``."""
-    closed = np.array([closed_sizes(policy, lam, lg, lambda_e, NS) for lam, lg in points])
-    oracle = np.array([oracle_sizes(policy, lam, lg, lambda_e, NS) for lam, lg in points])
-    return closed, oracle
+def _tier_tables(policy, points):
+    """Closed and exact values of one tier, from one grid call each: one
+    row per ``(lambda_e, total rate, gossip rate)`` point of ``points``,
+    one column per size in ``NS``."""
+    le, lam, lg = map(list, zip(*points))
+    return closed_sizes(policy, lam, lg, le, NS), oracle_sizes(policy, lam, lg, le, NS)
 
 
 def criterion_1() -> CriterionResult:
@@ -114,24 +114,23 @@ def criterion_1() -> CriterionResult:
     flat_cases = [(GossipPolicy.DC_noRC, 0.0), (GossipPolicy.DC_RC, 0.0)] + [
         (pol, lg) for pol in (GossipPolicy.FC_allRC, GossipPolicy.FC_noRC) for lg in RATE_GRID
     ]
-    for le, ls in FLAT_RATE_POINTS:
-        for pol, lg in flat_cases:
-            check(
-                closed_sizes(pol, ls, lg, le, NS),
-                oracle_sizes(pol, ls, lg, le, NS),
-                lambda i: f"{pol.value} n={NS[i]} le={le} ls={ls} lg={lg}",
-            )
+    for pol, lg in flat_cases:
+        points = [(le, ls, lg) for le, ls in FLAT_RATE_POINTS]
+        check(
+            *_tier_tables(pol, points),
+            lambda c, i: "{} n={} le={} ls={} lg={}".format(pol.value, NS[i], *points[c]),
+        )
 
     # clustered products over every (m, k) pair, broadcast over the tier
     # rates: source (ls) x cluster (lc, or lc x lg for FC clusters); column
     # s - 1 of a tier table holds size s
     ms, ks = (np.array(sizes) for sizes in zip(*_size_pairs()))
-    dc_points = [(lam, 0.0) for lam in RATE_GRID]
-    fc_points = [(lc, lg) for lc in RATE_GRID for lg in RATE_GRID]
     for le in RATE_GRID:
-        tiers = {pol: _tier_tables(pol, le, dc_points) for pol in DC_POLICIES}
+        dc_points = [(le, lam, 0.0) for lam in RATE_GRID]
+        fc_points = [(le, lc, lg) for lc in RATE_GRID for lg in RATE_GRID]
+        tiers = {pol: _tier_tables(pol, dc_points) for pol in DC_POLICIES}
         for pol in (GossipPolicy.FC_noRC, GossipPolicy.FC_allRC):
-            tiers[pol] = _tier_tables(pol, le, fc_points)
+            tiers[pol] = _tier_tables(pol, fc_points)
         for src, cl in _DC_PAIRS + _FC_PAIRS:
             check(
                 *(s[:, None, ms - 1] * c[None, :, ks - 1] for s, c in zip(tiers[src], tiers[cl])),

@@ -22,11 +22,12 @@ identity; an independent exact route for it (the stationary fresh-count
 chain, ROADMAP item 1) is still open.
 
 Both routes take many sizes per call, and each rate either as a number or
-as a column of one rate per size, so one call can evaluate a tier over
-every (rate case, size) cell of a sweep; :func:`clustered_profiles` builds
-every divisor scan of a clustered sweep from one call per tier policy, and
-:func:`optimal_cluster_size` is its one-case, one-pair view.  A cell's
-value does not depend on the other cells of its call.
+as a sequence of one rate per rate case, so one call evaluates a tier at
+every size under every case and returns a (cases, sizes) array;
+:func:`clustered_profiles` builds every divisor scan of a clustered sweep
+from one call per tier policy, and :func:`optimal_cluster_size` is its
+one-case, one-pair view.  A cell's value does not depend on the other
+cells of its call.
 
 Both routes run on float64 arrays.  Their running sums and products use
 ``np.add.accumulate`` and ``np.multiply.accumulate``, which add and
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -50,8 +50,8 @@ from .core import (
     FreshnessValue,
     GossipPolicy,
     NetworkSpec,
-    RATE_SUM_LIMIT,
     Rates,
+    is_finite,
     rate_sum_problem,
     require_int,
     require_rates,
@@ -114,7 +114,7 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
     (:func:`~gossipfresh.core.rate_sum_problem`)."""
     if not isinstance(lambda_e, (int, float)) or isinstance(lambda_e, bool):
         raise ValueError(f"lambda_e must be a real number, got {lambda_e!r}")
-    if not math.isfinite(lambda_e) or lambda_e <= 0:
+    if not is_finite(lambda_e) or lambda_e <= 0:
         raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
     require_rates(**named)
     problem = rate_sum_problem(n, lambda_e, named)
@@ -125,10 +125,13 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
 def _check_sizes(sizes, lambda_e, total_source, total_gossip):
     """The boundary check of both routes: ``sizes`` a nonempty sequence of
     integers >= 1, then :func:`_check_rates` at the largest size.  Each
-    rate is a number, or a column (list, tuple or array) of one rate per
-    size.  Returns the sizes as a list of Python ints and the rates as
-    ``(total_source, total_gossip, lambda_e)``, with columns as float
-    arrays and numbers as they came."""
+    rate is a number or a sequence (list, tuple or array) of one rate per
+    rate case; every sequence holds the same number of cases, and a number
+    serves every case.  Each case is checked in order, as a call with its
+    rates alone checks it.  Returns the sizes as a list of Python ints and
+    the rates as ``(total_source, total_gossip, lambda_e)``: numbers as
+    they came, or, where some rate is a sequence, three lists of one
+    Python value per case."""
     if type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int and 0 < sizes[0] < 2**63:
         listed = sizes  # one plain int, as oracle_flat and closed_flat pass it
     else:
@@ -138,58 +141,19 @@ def _check_sizes(sizes, lambda_e, total_source, total_gossip):
         listed = array.tolist()
         require_int("n", min(listed), 1)
     rates = (total_source, total_gossip, lambda_e)
-    if (
-        isinstance(total_source, _COLUMN)
-        or isinstance(total_gossip, _COLUMN)
-        or isinstance(lambda_e, _COLUMN)
-    ):
-        return listed, _check_columns(listed, *rates)
-    _check_rates(max(listed), lambda_e, lambda_s=total_source, lambda_g=total_gossip)
-    return listed, rates
-
-
-#: Argument types :func:`_check_sizes` reads as rate columns.
-_COLUMN = (list, tuple, np.ndarray)
-
-
-def _check_columns(sizes: list[int], *rates) -> tuple:
-    """The rate check of :func:`_check_sizes` where some rate is a column:
-    one vectorised pass over columns of ints and floats.  Where it finds a
-    problem, or some entry is not an int or a float, each distinct rate
-    triple is checked in order of first appearance at its largest size,
-    so the message is the one a call per triple raises."""
-    if any(isinstance(r, _COLUMN) and np.shape(r) != (len(sizes),) for r in rates):
-        raise ValueError(f"rate columns must hold one rate per size, {len(sizes)} here")
-    if all(map(_plain, rates)):
-        ts, tg, le = (np.asarray(r, dtype=float) if isinstance(r, _COLUMN) else r for r in rates)
-        with np.errstate(over="ignore"):
-            total = np.array(sizes) * (le + (ts + tg))
-        if ((le > 0) & (ts >= 0) & (tg >= 0) & (total <= RATE_SUM_LIMIT)).all():
-            return ts, tg, le
-    largest: dict[tuple, int] = {}
-    for n, *triple in zip(sizes, *map(_each, rates)):
-        key = (*triple, *map(type, triple))  # keeps True apart from 1
-        largest[key] = max(n, largest.get(key, n))
-    for (s, g, e, *_), n in largest.items():
-        _check_rates(n, e, lambda_s=s, lambda_g=g)
-    return tuple(np.asarray(r, dtype=float) if isinstance(r, _COLUMN) else r for r in rates)
-
-
-def _plain(rate) -> bool:
-    """Whether ``rate``, a number or a column, holds only ints and floats
-    (floats of any width for an array), so the vectorised check covers it."""
-    if isinstance(rate, np.ndarray):
-        return rate.dtype.kind in "iuf"
-    if isinstance(rate, (list, tuple)):
-        return set(map(type, rate)) <= {int, float}
-    return type(rate) in (int, float)
-
-
-def _each(rate):
-    """A rate, a number or a column, as an iterable of one rate per size."""
-    if isinstance(rate, np.ndarray):
-        return rate.tolist()
-    return rate if isinstance(rate, (list, tuple)) else repeat(rate)
+    largest = max(listed)
+    cases = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
+    counts = {len(r) for r in cases if isinstance(r, (list, tuple))}
+    if not counts:
+        _check_rates(largest, lambda_e, lambda_s=total_source, lambda_g=total_gossip)
+        return listed, rates
+    if len(counts) > 1 or 0 in counts:
+        raise ValueError(f"rate sequences must share one length >= 1, got {sorted(counts)}")
+    (count,) = counts
+    cases = [list(r) if isinstance(r, (list, tuple)) else [r] * count for r in cases]
+    for s, g, e in zip(*cases):
+        _check_rates(largest, e, lambda_s=s, lambda_g=g)
+    return listed, tuple(cases)
 
 
 def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
@@ -264,73 +228,47 @@ BLOCK_CELLS = 1 << 14
 
 def _oracle_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
     """Freshness at each of the ``sizes``, in one block padded to
-    ``width``; each rate is a number or a column of one rate per size."""
+    ``width``; each rate is a number or a column of one rate per row."""
     stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes[:, None], width)
     # a copy, so that the block's buffers are freed on return
     return _recursion(u, stale, lambda_e)[0].copy()
 
 
 def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
-    """:func:`_oracle_block` over checked ``sizes``, with each rate column
-    gathered into its block's rows.  Sizes that fit one block of at most
+    """:func:`_oracle_block` over checked ``sizes``, or over every (case,
+    size) cell where the rates are lists of one rate per case, which gives
+    a ``(cases, sizes)`` array.  Cells that fit one block of at most
     :data:`BLOCK_CELLS` cells (or a single size) are one block as they
     stand; otherwise they are sorted and cut into zero-padded blocks."""
     rates = (total_source, total_gossip, lambda_e)
-    columns = (
-        isinstance(total_source, np.ndarray)
-        or isinstance(total_gossip, np.ndarray)
-        or isinstance(lambda_e, np.ndarray)
-    )
-    if columns:
-        rates = [r[:, None] if isinstance(r, np.ndarray) else r for r in rates]
+    cases = isinstance(lambda_e, list)
+    if cases:
+        rates = [np.repeat(np.array(r, dtype=float), len(sizes))[:, None] for r in rates]
+        sizes = sizes * len(lambda_e)
     array = np.array(sizes)
     width = max(sizes)
     if len(sizes) * width <= BLOCK_CELLS or len(sizes) == 1:
-        return _oracle_block(policy, *rates, array, width)
-    order = array.argsort(kind="stable")
-    ordered = array[order]
-    bounds = ordered.tolist()
-    p = np.empty(len(sizes))
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and (stop + 1 - start) * bounds[stop] <= BLOCK_CELLS:
-            stop += 1
-        index = order[start:stop]
-        rows = [r[index] if isinstance(r, np.ndarray) else r for r in rates] if columns else rates
-        p[index] = _oracle_block(policy, *rows, ordered[start:stop], bounds[stop - 1])
-        start = stop
-    return p
-
-
-def _allrc(ls, lg, le, sizes: list[int]) -> np.ndarray:
-    """``FC_allRC``'s closed form (see :func:`closed_sizes`) over checked
-    ``sizes``: one running sum per distinct rate triple, up to that
-    triple's largest size, serves every size of the triple."""
-    n = np.array(sizes)
-    if not (isinstance(ls, np.ndarray) or isinstance(lg, np.ndarray) or isinstance(le, np.ndarray)):
-        return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n
-    triples = np.empty((len(sizes), 3))
-    triples[:] = np.column_stack(np.broadcast_arrays(ls, lg, le))
-    # grouped by bit pattern, so that -0.0 and 0.0 stay apart
-    _, first, group = np.unique(
-        triples.view(np.int64), axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(group.reshape(-1), kind="stable")
-    bounds = np.cumsum(np.bincount(group.reshape(-1))).tolist()
-    p = np.empty(len(sizes))
-    start = 0
-    for i, stop in zip(first.tolist(), bounds):
-        index = order[start:stop]
-        m = n[index]
-        p[index] = _allrc_running(*triples[i].tolist(), int(m.max()))[m - 1] / m
-        start = stop
-    return p
+        p = _oracle_block(policy, *rates, array, width)
+    else:
+        order = array.argsort(kind="stable")
+        ordered = array[order]
+        bounds = ordered.tolist()
+        p = np.empty(len(sizes))
+        start = 0
+        while start < len(order):
+            stop = start + 1
+            while stop < len(order) and (stop + 1 - start) * bounds[stop] <= BLOCK_CELLS:
+                stop += 1
+            index = order[start:stop]
+            rows = [r[index] for r in rates] if cases else rates
+            p[index] = _oracle_block(policy, *rows, ordered[start:stop], bounds[stop - 1])
+            start = stop
+    return p.reshape(len(lambda_e), -1) if cases else p
 
 
 def _allrc_running(ls, lg, le, width: int) -> np.ndarray:
     """``FC_allRC``'s running sum ``sum_{k<=n} prod_{j<=k} ...`` at every
-    size n up to ``width``, for one rate triple."""
+    size n up to ``width``, for one rate case."""
     rate = ls + np.arange(width, dtype=float) * lg
     return np.add.accumulate(np.multiply.accumulate(rate / (rate + le)))
 
@@ -348,18 +286,20 @@ def oracle_sizes(
     ``sizes`` is a sequence of tier sizes (any order, repeats allowed);
     the result holds one probability per size, in the same order, each
     bit-identical to :func:`oracle_flat` at that size.  Each rate is a
-    number or a column (list, tuple or array) of one rate per size, so one
-    call can evaluate a tier over several rate cases; cell ``i`` then
-    equals :func:`oracle_flat` at ``sizes[i]`` and the rates in row ``i``.
-    The sizes are evaluated in zero-padded blocks of at most
-    :data:`BLOCK_CELLS` cells (sorted first when they do not fit one), so
-    a whole sweep costs a few array passes instead of one per size.
+    number or a sequence (list, tuple or array) of one rate per rate case,
+    so one call can evaluate a tier over several cases: every sequence
+    holds the same number of cases, a number serves every case, and the
+    result is a ``(cases, sizes)`` array whose row ``c`` equals a call
+    with case ``c``'s rates alone.  The (case, size) cells are evaluated
+    in zero-padded blocks of at most :data:`BLOCK_CELLS` cells (sorted
+    first when they do not fit one), so a whole sweep costs a few array
+    passes instead of one per size.
 
     Raises:
         ValueError: if ``sizes`` is empty or holds a non-integer or a size
-            below 1, if a rate column does not hold one rate per size, or
-            for invalid rates (the first offending rate triple, in order
-            of appearance, is named).
+            below 1, if the rate sequences do not hold the same number of
+            cases, or for invalid rates (the first offending case, in
+            order, is named as a call with it alone names it).
     """
     sizes, rates = _check_sizes(sizes, lambda_e, total_source, total_gossip)
     return _blocked(policy, *rates, sizes)
@@ -385,7 +325,7 @@ def closed_sizes(
     sizes,
 ) -> np.ndarray | None:
     """Closed-form freshness of a flat tier at each of several sizes: the
-    twin of :func:`oracle_sizes`, with the same arguments (rate columns
+    twin of :func:`oracle_sizes`, with the same arguments (rate cases
     included), check and result layout.  Writing ``ls, lg, le`` for
     ``total_source, total_gossip, lambda_e``:
 
@@ -403,22 +343,31 @@ def closed_sizes(
       (n-i) w_i / ((n-i+1) w_i + le)``.  ``w_r`` is the ``FC_noRC`` table
       and this is the renewal recursion over it, so it runs the same kernel.
     * ``FC_allRC``: ``(1/n) sum_{k=1}^{n} prod_{j=1}^{k} (ls + (j-1) lg) /
-      (ls + (j-1) lg + le)``; one running sum at the largest size of a
-      rate triple serves every size of that triple.  With lg = 0 the product
+      (ls + (j-1) lg + le)``; one running sum per rate case, at the
+      largest size, serves every size.  With lg = 0 the product
       telescopes into the ``DC_RC`` geometric sum.
     * ``FC_sRC`` mixes stale-targeting and even splits and has no
       standalone formula: None, once the arguments pass the check.
     """
-    sizes, (ls, lg, le) = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    sizes, rates = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    if policy is GossipPolicy.FC_noRC:
+        return _blocked(policy, *rates, sizes)
+    if policy not in (GossipPolicy.DC_noRC, GossipPolicy.DC_RC, GossipPolicy.FC_allRC):
+        return None
+    if isinstance(rates[2], list):  # one row per rate case
+        return np.array([_closed_case(policy, *case, sizes) for case in zip(*rates)])
+    return _closed_case(policy, *rates, sizes)
+
+
+def _closed_case(policy, ls, lg, le, sizes: list[int]) -> np.ndarray:
+    """The ``DC_noRC``, ``DC_RC`` or ``FC_allRC`` closed form (see
+    :func:`closed_sizes`) at checked ``sizes``, for one rate case."""
     if policy is GossipPolicy.DC_noRC:
         return ls / (ls + np.array(sizes, dtype=float) * le)
     if policy is GossipPolicy.DC_RC:
-        return np.array(list(map(_dc_rc, sizes, _each(ls), _each(le))))
-    if policy is GossipPolicy.FC_noRC:
-        return _blocked(policy, ls, lg, le, sizes)
-    if policy is GossipPolicy.FC_allRC:
-        return _allrc(ls, lg, le, sizes)
-    return None
+        return np.array([_dc_rc(n, ls, le) for n in sizes])
+    n = np.array(sizes)
+    return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n
 
 
 def _dc_rc(n: int, ls: float, le: float) -> float:
@@ -505,15 +454,16 @@ def clustered_profiles(route, n: int, cases, pairs) -> tuple[list[int], list[lis
     ``route`` is :func:`oracle_sizes` or :func:`closed_sizes`; ``cases``
     is a sequence of :class:`~gossipfresh.core.Rates` and ``pairs`` of
     ``(source_policy, cluster_policy)``.  Each tier policy takes one
-    ``route`` call over every (case, size) cell, with the case rates as
-    columns (plain numbers for a single case).  Returns ``(ks, profiles)``:
-    ``ks`` the ascending divisors and ``profiles[c][q]`` an array over them
-    for case ``c`` and pair ``q``, each entry the product in
-    :func:`clustered_freshness`'s (or :func:`closed_clustered`'s) order and
-    equal to it, or None where the closed route has no formula for the
-    cluster tier.  The (case, pair) combinations are checked one by one in
-    order, each as a scan of it alone checks it, so an invalid one raises
-    the message that a scan per combination would raise first.
+    ``route`` call over the divisors (or the matching cluster counts)
+    under every case, with the case rates as sequences (plain numbers for
+    a single case).  Returns ``(ks, profiles)``: ``ks`` the ascending
+    divisors and ``profiles[c][q]`` an array over them for case ``c`` and
+    pair ``q``, each entry the product in :func:`clustered_freshness`'s
+    (or :func:`closed_clustered`'s) order and equal to it, or None where
+    the closed route has no formula for the cluster tier.  The (case,
+    pair) combinations are checked one by one in order, each as a scan of
+    it alone checks it, so an invalid one raises the message that a scan
+    per combination would raise first.
     """
     for rates in cases:
         for i, pair in enumerate(pairs):
@@ -524,21 +474,16 @@ def clustered_profiles(route, n: int, cases, pairs) -> tuple[list[int], list[lis
                 _check_rates(n, rates.lambda_e, lambda_s=rates.lambda_s, lambda_g=0.0)
     ks = divisors(n)
     rows = [(r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g) for r in cases]
-    if len(rows) == 1:
-        le, ls, lc, lg = rows[0]
-    else:
-        le, ls, lc, lg = np.repeat(np.array(rows, dtype=float).T, len(ks), axis=1)
-    heads, cells = [n // k for k in ks] * len(cases), ks * len(cases)
+    # one case stays plain numbers, which take the routes' scalar path
+    le, ls, lc, lg = rows[0] if len(rows) == 1 else map(list, zip(*rows))
+    heads = [n // k for k in ks]
     source = {p: route(p, ls, 0.0, le, heads) for p in dict.fromkeys(src for src, _ in pairs)}
-    cluster = {p: route(p, lc, lg, le, cells) for p in dict.fromkeys(cl for _, cl in pairs)}
-    profiles = []
-    for c in range(len(cases)):
-        cut = slice(c * len(ks), (c + 1) * len(ks))
-        profiles.append([
-            None if cluster[cl] is None else source[src][cut] * cluster[cl][cut]
-            for src, cl in pairs
-        ])
-    return ks, profiles
+    cluster = {p: route(p, lc, lg, le, ks) for p in dict.fromkeys(cl for _, cl in pairs)}
+    products = [
+        None if cluster[cl] is None else (source[src] * cluster[cl]).reshape(len(rows), -1)
+        for src, cl in pairs
+    ]
+    return ks, [[None if p is None else p[c] for p in products] for c in range(len(rows))]
 
 
 def optimal_cluster_size(

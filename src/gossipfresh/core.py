@@ -60,6 +60,15 @@ DC_POLICIES = (GossipPolicy.DC_noRC, GossipPolicy.DC_RC)
 FreshnessValue = float
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, with an integer too large for a float counted as
+    not finite rather than raising ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_rates(**named: float) -> None:
     """Raise ``ValueError`` unless every named value is a finite real >= 0.
 
@@ -69,7 +78,7 @@ def require_rates(**named: float) -> None:
     for name, v in named.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"{name} must be a real number, got {v!r}")
-        if not math.isfinite(v) or v < 0:
+        if not is_finite(v) or v < 0:
             raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 

@@ -19,17 +19,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import GossipPolicy, NetworkSpec, Rates
+from .core import GossipPolicy, NetworkSpec, Rates, is_finite
 from .analytic import (
     closed_clustered,
     closed_flat,
@@ -155,7 +153,7 @@ _SIM_KEYS = {"cycles", "seed"}
 
 
 def _as_number(value, where, problems, minimum=None, strict_min=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not is_finite(value):
         problems.append(f"{where} must be a finite number, got {value!r}")
         return None
     if minimum is not None and (value <= minimum if strict_min else value < minimum):
@@ -432,9 +430,10 @@ def _clustered_rows(config, case, pair, n, ks, exact, closed, index) -> list[Res
     return rows
 
 
-def _values(array, count: int) -> list:
-    """A route's result as a list, or ``count`` Nones where it has none."""
-    return [None] * count if array is None else array.tolist()
+def _values(array, shape) -> list:
+    """A route's result as a (nested) list, or Nones of ``shape`` where it
+    has none."""
+    return np.full(shape, None).tolist() if array is None else array.tolist()
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -443,12 +442,13 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Writes the rows to ``config.output`` as CSV when set, and returns
     them.  Grid order is: rate case (config order), then policy (config
     order), then n or k ascending.  The exact values of a whole grid come
-    from one route call per policy (per tier policy when clustered) over
-    every (case, size) cell, with the case rates as columns: a flat grid
-    calls :func:`oracle_sizes` and :func:`closed_sizes` over cases x n, a
-    clustered one :func:`clustered_profiles` with each route over cases x
-    divisors.  Every value is bit-identical to a call per point.  A
-    :class:`NetworkSpec` is built per row only for the Monte Carlo columns.
+    from one route call per policy (per tier policy when clustered) under
+    every rate case, with the case rates as sequences, and are read back
+    by case: a flat grid calls :func:`oracle_sizes` and
+    :func:`closed_sizes` over n, a clustered one :func:`clustered_profiles`
+    with each route over the divisors.  Every value is bit-identical to a
+    call per point.  A :class:`NetworkSpec` is built per row only for the
+    Monte Carlo columns.
     """
     if config.mode not in MODES:
         raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
@@ -458,17 +458,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     if config.mode == "flat_sweep_n":
         lo, hi = config.n_range
         ns = list(range(lo, hi + 1))
-        sizes = ns * len(config.cases)
-        rates = [case.rates for case in config.cases for _ in ns]
-        le, ls, lg = zip(*[(r.lambda_e, r.lambda_s, r.lambda_g) for r in rates])
+        rates = [(c.rates.lambda_e, c.rates.lambda_s, c.rates.lambda_g) for c in config.cases]
+        le, ls, lg = map(list, zip(*rates))
         exact, closed = {}, {}
         for policy in dict.fromkeys(config.policies):
-            exact[policy] = oracle_sizes(policy, ls, lg, le, sizes).tolist()
-            closed[policy] = _values(closed_sizes(policy, ls, lg, le, sizes), len(sizes))
+            exact[policy] = oracle_sizes(policy, ls, lg, le, ns).tolist()
+            closed[policy] = _values(closed_sizes(policy, ls, lg, le, ns), (len(rates), len(ns)))
         for c, case in enumerate(config.cases):
-            cut = slice(c * len(ns), (c + 1) * len(ns))
             for policy in config.policies:
-                p, pc = exact[policy][cut], closed[policy][cut]
+                p, pc = exact[policy][c], closed[policy][c]
                 rows += _flat_rows(config, case, policy, ns, p, pc, len(rows))
     elif config.mode == "clustered_sweep_k":
         n = config.n
@@ -563,36 +561,45 @@ def _series(rows) -> dict[tuple[str, str], list]:
     A series is one policy (``source+cluster`` for clustered rows) at one
     full rate tuple as its rows carry it.  A row of a policy that does not
     gossip has no ``lambda_g``, so rate cases that differ only in
-    ``lambda_g`` are one series for that policy; a point ``(n, k)`` that
-    comes again in a series has the same value and is kept once.
-    Clustered series are labelled case1, case2, ... in the order their
-    rate tuples appear within the policy pair; since sweeps emit rate
-    cases in config order for every pair, the numbering is the same
-    across pairs wherever every pair tells the cases apart.  Flat series
-    (rows with no cluster policy) are labelled by alpha = lambda_e /
-    lambda_s (``alphainf`` when lambda_s = 0); where several rate tuples
-    of one policy share an alpha, each of them gets the suffix
-    ``_case<i>``, its place in that order.
+    ``lambda_g`` are one series for that policy, which keeps each point
+    ``(n, k)`` once.  A run is a stretch of rows with one rate tuple and a
+    rising x (k, or n for flat rows), as one (case, policy) group of a
+    sweep is.  A series takes its first run's place ``i`` among its
+    policy's runs, so for sweep rows ``case<i>`` is the config's i-th case.
+    Clustered series are labelled ``case<i>``; flat ones ``alpha<lambda_e
+    / lambda_s>`` (``alphainf`` when lambda_s = 0), with ``_case<i>``
+    added where several series of one policy share it.
     """
     groups: dict[tuple, dict] = {}
-    for key, run in groupby(rows, _series_key):
-        points = groups.setdefault(key, {})
-        for row in run:
-            points.setdefault((row.n, row.k), row)
-    cases: dict[tuple, list] = {}
-    for source, cluster, *rates in groups:
-        cases.setdefault((source, cluster), []).append(tuple(rates))
-    labels = {}
-    for (source, cluster), tuples in cases.items():
-        names = [f"case{i}" for i in range(1, len(tuples) + 1)]
+    numbers: dict[tuple, int] = {}
+    runs: Counter = Counter()
+    last_key, last_x = None, None
+    for row in rows:
+        key = _series_key(row)
+        x = row.n if row.k is None else row.k
+        if key != last_key or x <= last_x:  # a new run
+            runs[key[:2]] += 1
+            numbers.setdefault(key, runs[key[:2]])
+            points = groups.setdefault(key, {})
+        last_key, last_x = key, x
+        points.setdefault((row.n, row.k), row)
+    shared = Counter((key[0], _alpha(*key[2:4])) for key in groups if key[1] is None)
+    series = {}
+    for key, points in groups.items():
+        source, cluster, le, ls = key[:4]
+        name = f"case{numbers[key]}"
         if cluster is None:
-            alphas = [f"alpha{le / ls:g}" if ls > 0 else "alphainf" for le, ls, _, _ in tuples]
-            shared = Counter(alphas)
-            names = [a if shared[a] == 1 else f"{a}_{name}" for a, name in zip(alphas, names)]
-        policy = source if cluster is None else f"{source}+{cluster}"
-        for rates, name in zip(tuples, names):
-            labels[(source, cluster, *rates)] = (policy, name)
-    return {labels[key]: list(points.values()) for key, points in groups.items()}
+            alpha = _alpha(le, ls)
+            label = (source, alpha if shared[source, alpha] == 1 else f"{alpha}_{name}")
+        else:
+            label = (f"{source}+{cluster}", name)
+        series[label] = list(points.values())
+    return series
+
+
+def _alpha(lambda_e, lambda_s) -> str:
+    """The label of a flat series: ``alpha<lambda_e / lambda_s>``."""
+    return f"alpha{lambda_e / lambda_s:g}" if lambda_s > 0 else "alphainf"
 
 
 def emit_plot_data(rows, group_by=None, out_dir=".") -> list[Path]:

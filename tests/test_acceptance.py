@@ -7,6 +7,7 @@ failure) and asserts it.  Budgeted criteria include their runtime check.
 import pytest
 
 from gossipfresh import acceptance
+from gossipfresh.core import GossipPolicy
 
 
 def _run(name):
@@ -54,3 +55,25 @@ def test_selftest_aggregator_covers_all_criteria():
     assert sorted(acceptance.CRITERIA) == ["1", "2", "3", "4", "5", "6", "7"]
     with pytest.raises(ValueError, match="unknown criterion"):
         acceptance.run_criteria(["8"])
+
+
+def test_criterion_1_names_a_failing_cell(monkeypatch):
+    # one closed value off by 1e-9: the flat FC_noRC cell at n = 7, le = 0.5,
+    # ls = 2.0, lg = 0.5, which is also a cluster tier of the clustered pairs
+    real = acceptance.closed_sizes
+
+    def skewed(policy, ls, lg, le, sizes):
+        p = real(policy, ls, lg, le, sizes)
+        if policy is GossipPolicy.FC_noRC:
+            for c, case in enumerate(zip(le, ls, lg)):
+                if case == (0.5, 2.0, 0.5):
+                    p[c, 6] += 1e-9
+        return p
+
+    monkeypatch.setattr(acceptance, "closed_sizes", skewed)
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.detail.startswith(
+        "FC_noRC n=7 le=0.5 ls=2.0 lg=0.5: |closed - oracle| = 1.000e-09; "
+        "(DC_noRC,FC_noRC) m=1 k=7: |closed - oracle| = "
+    )

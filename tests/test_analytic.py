@@ -337,76 +337,105 @@ def test_oracle_sizes_rejects_bad_sizes(sizes):
 
 
 
+# --- rate cases: one rate per case, every size under every case ------------
+
+case_rate = st.one_of(st.just(0.0), wide_rate)
+sequence = st.sampled_from([list, tuple, np.array])
+
+
 @given(
     policy=st.sampled_from(list(GP)),
-    cases=st.lists(st.tuples(wide_rate, wide_rate, wide_rate), min_size=1, max_size=4),
+    cases=st.lists(st.tuples(case_rate, case_rate, wide_rate), min_size=1, max_size=5),
+    kinds=st.tuples(sequence, sequence, sequence),
+    shared=st.sampled_from([None, 0, 1, 2]),
     seed=st.integers(0, 2**32),
 )
-def test_rate_columns_equal_a_call_per_case(policy, cases, seed):
-    # every size of every case in one call, shuffled, with block edges crossed
+def test_rate_cases_equal_a_call_per_case(policy, cases, kinds, shared, seed):
     rng = random.Random(seed)
-    per_case = [rng.sample(range(1, 300), 40) + [BLOCK_CELLS + 1] for _ in cases]
-    cells = [(i, n) for i, sizes in enumerate(per_case) for n in sizes]
-    rng.shuffle(cells)
-    sizes = [n for _, n in cells]
-    ls, lg, le = ([cases[i][j] for i, _ in cells] for j in range(3))
-    for route in (oracle_sizes, closed_sizes):
-        got = route(policy, ls, np.array(lg), tuple(le), sizes)
-        alone = [route(policy, *cases[i], [n]) for i, n in cells]
-        if got is None:
-            assert route is closed_sizes and policy is GP.FC_sRC and alone == [None] * len(cells)
-        else:
-            assert got.tolist() == [float(p[0]) for p in alone]
+    sizes = rng.choices(range(1, 300), k=30) + [BLOCK_CELLS + 1]  # repeats, block edges
+    rng.shuffle(sizes)
+    rates = [kind(column) for kind, column in zip(kinds, zip(*cases))]
+    if shared is not None:
         # a rate that is the same for every case may stay a number
-        mixed = route(policy, ls, lg[0], le, sizes) if len(set(lg)) == 1 else got
-        assert mixed is None or mixed.tolist() == got.tolist()
-
-
-def test_fc_allrc_columns_take_one_running_sum_per_rate_triple():
-    # each triple's values equal a call with that triple alone, over sizes
-    # far beyond one block; -0.0 and 0.0 are told apart, as a call per case
-    # tells them apart (the n = 1 value keeps the sign of ls)
-    sizes = list(range(1, 2001)) * 2 + [1, 1]
-    ls = [1.0] * 2000 + [3.0] * 2000 + [0.0, -0.0]
-    lg = [0.5] * 2000 + [0.0] * 2000 + [0.0, -0.0]
-    got = closed_sizes(GP.FC_allRC, ls, lg, 1.0, sizes)
-    first = closed_sizes(GP.FC_allRC, 1.0, 0.5, 1.0, range(1, 2001))
-    second = closed_sizes(GP.FC_allRC, 3.0, 0.0, 1.0, range(1, 2001))
-    assert got[:4000].tolist() == first.tolist() + second.tolist()
-    assert np.signbit(got[4000:]).tolist() == [False, True]
-    assert np.signbit(closed_sizes(GP.FC_allRC, -0.0, -0.0, 1.0, [1])).tolist() == [True]
-
-
-def test_rate_columns_are_checked_case_by_case_in_order():
-    sizes = [3, 10, 3, 10, 3, 10]
-    ls = [1.0, 1.0, 1e307, 1e307, 2e307, 2e307]
+        value = cases[0][shared]
+        cases = [case[:shared] + (value,) + case[shared + 1 :] for case in cases]
+        rates[shared] = value
     for route in (oracle_sizes, closed_sizes):
-        with pytest.raises(ValueError) as got:
-            route(GP.DC_RC, ls, 0.0, 1.0, sizes)
-        with pytest.raises(ValueError) as alone:
-            route(GP.DC_RC, 1e307, 0.0, 1.0, [3, 10])
-        assert str(got.value) == str(alone.value)
-        for bad in ([1.0] * 5, [[1.0] * 6], [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]):
-            with pytest.raises(ValueError):
-                route(GP.DC_RC, bad, 0.0, 1.0, sizes)
+        got = route(policy, *rates, sizes)
+        alone = [route(policy, *case, sizes) for case in cases]
+        if route is closed_sizes and policy is GP.FC_sRC:
+            assert got is None and alone == [None] * len(cases)
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == (len(cases), len(sizes))
+            assert got.tolist() == [p.tolist() for p in alone]
+
+
+def test_an_invalid_later_case_raises_the_message_of_a_call_with_it_alone():
+    sizes = [3, 10]
+    for route in (oracle_sizes, closed_sizes):
+        for ls in ([1.0, 1e307, 2e307], [1.0, 2e307, 1e307]):
+            with pytest.raises(ValueError) as alone:
+                route(GP.DC_RC, ls[1], 0.0, 1.0, sizes)
+            for kind in (list, tuple, np.array):
+                with pytest.raises(ValueError, match="rates too large") as got:
+                    route(GP.DC_RC, kind(ls), 0.0, 1.0, sizes)
+                assert str(got.value) == str(alone.value)
+
+
+def test_rate_cases_are_rejected_as_a_call_per_case_rejects_them():
+    sizes = [3, 10]
+    for route in (oracle_sizes, closed_sizes):
+        unequal = ([1.0, 2.0], 0.0, [1.0] * 3), ([1.0], [0.0] * 2, 1.0), ([], 0.0, 1.0)
+        for ls, lg, le in unequal:
+            with pytest.raises(ValueError, match="rate sequences must share one length >= 1"):
+                route(GP.DC_RC, ls, lg, le, sizes)
+        nested = r"lambda_s must be a real number, got \[1.0, 1.0\]"
+        for ls in ([[1.0, 1.0]], np.ones((2, 2))):  # a case's rate is a number
+            with pytest.raises(ValueError, match=nested):
+                route(GP.DC_RC, ls, 0.0, 1.0, sizes)
+        with pytest.raises(ValueError, match="lambda_s must be finite and >= 0, got -1.0"):
+            route(GP.DC_RC, [1.0, -1.0], 0.0, 1.0, sizes)
         with pytest.raises(ValueError, match="lambda_e must be finite and > 0, got 0.0"):
-            route(GP.DC_RC, 1.0, 0.0, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], sizes)
-        # an entry that is not an int or a float fails as it does as a number
+            route(GP.DC_RC, 1.0, 0.0, [1.0, 0.0], sizes)
+        # an entry that is not an int or a float fails with the message of a
+        # call with that entry as a number
         for name, bad in (("lambda_s", True), ("lambda_g", "1"), ("lambda_e", True)):
-            columns = [1] * 5 + [bad], [1.0] * 5 + [bad], np.array([1] * 5 + [bad], dtype=object)
-            for column in (*columns, np.array([bad] * 6)):
-                rates = {"lambda_s": 1.0, "lambda_g": 0.0, "lambda_e": 1.0, name: column}
-                args = (rates["lambda_s"], rates["lambda_g"], rates["lambda_e"], sizes)
-                with pytest.raises(ValueError, match=f"{name} must be a real number, got {bad!r}"):
-                    route(GP.FC_allRC, *args)
-            rates = {"lambda_s": 1.0, "lambda_g": 0.0, "lambda_e": 1.0, name: bad}
-            with pytest.raises(ValueError, match=f"{name} must be a real number, got {bad!r}"):
-                route(GP.FC_allRC, rates["lambda_s"], rates["lambda_g"], rates["lambda_e"], [3])
-        # ints, floats of any width and NumPy scalars in a column are rates
-        for column in ([1, 2.0, 1, 2.0, 1, 2.0], np.array([1, 2] * 3, dtype=np.float32)):
-            got = route(GP.FC_allRC, column, 1, np.float64(1.0), sizes)
-            alone = [route(GP.FC_allRC, float(v), 1.0, 1.0, [n])[0] for v, n in zip(column, sizes)]
+            one = {"lambda_s": 1.0, "lambda_g": 0.0, "lambda_e": 1.0, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be a real number") as alone:
+                route(GP.FC_allRC, one["lambda_s"], one["lambda_g"], one["lambda_e"], sizes)
+            objects = np.array([1, bad], dtype=object)
+            for rates in ([1, bad], (1.0, bad), objects, np.array([bad] * 2)):
+                args = dict(one, **{name: rates})
+                with pytest.raises(ValueError) as got:
+                    route(GP.FC_allRC, args["lambda_s"], args["lambda_g"], args["lambda_e"], sizes)
+                assert str(got.value) == str(alone.value)
+        # ints, floats of any width and NumPy float64 scalars are rates
+        for rates in ([1, 2.0, 3], np.array([1, 2, 3], dtype=np.float32), np.array([1, 2, 3])):
+            got = route(GP.FC_allRC, rates, 1, np.float64(1.0), sizes)
+            alone = [route(GP.FC_allRC, float(v), 1.0, 1.0, sizes).tolist() for v in rates]
             assert got.tolist() == alone
+
+
+def test_fc_allrc_keeps_the_sign_of_a_zero_rate_per_case():
+    # a call per case tells -0.0 from 0.0 (the n = 1 value keeps the sign of
+    # ls), and so does each case's own running sum
+    sizes = [1, 2000, 3]
+    got = closed_sizes(GP.FC_allRC, [0.0, -0.0, 1.0], [0.0, -0.0, 0.5], 1.0, sizes)
+    assert np.signbit(got[:, 0]).tolist() == [False, True, False]
+    for row, (ls, lg) in zip(got, [(0.0, 0.0), (-0.0, -0.0), (1.0, 0.5)]):
+        alone = closed_sizes(GP.FC_allRC, ls, lg, 1.0, sizes)
+        assert row.tolist() == alone.tolist()
+        assert np.signbit(row).tolist() == np.signbit(alone).tolist()
+
+
+@pytest.mark.parametrize("route", [oracle_sizes, closed_sizes])
+def test_an_integer_too_large_for_a_float_is_not_a_finite_rate(route):
+    with pytest.raises(ValueError, match="lambda_s must be finite and >= 0"):
+        route(GP.DC_RC, 10**400, 0.0, 1.0, [3])
+    with pytest.raises(ValueError, match="lambda_e must be finite and > 0"):
+        route(GP.DC_RC, 1.0, 0.0, 10**400, [3])
+    with pytest.raises(ValueError, match="lambda_g must be finite and >= 0"):
+        route(GP.FC_allRC, [1.0, 1.0], [0.0, -(10**400)], 1.0, [3])
 
 
 @given(

@@ -105,6 +105,14 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(FLAT_CONFIG).replace('"lambda_s": 1.0', '"lambda_s": 1' + "0" * 400))
+    assert main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "rates.lambda_s must be a finite number" in err and "Traceback" not in err
+
+
 def test_unparseable_config_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -137,6 +137,13 @@ def test_rates_rejects_bad_values(bad, field):
         Rates(**bad)
 
 
+def test_an_integer_too_large_for_a_float_is_not_a_finite_rate():
+    with pytest.raises(ValueError, match="lambda_s must be finite and >= 0"):
+        Rates(1.0, 10**400)
+    with pytest.raises(ValueError, match="lambda_e must be finite and >= 0"):
+        Rates(-(10**400), 1.0)
+
+
 def test_rates_scaled():
     r = Rates(1.0, 2.0, 3.0, 4.0).scaled(0.5)
     assert r == Rates(0.5, 1.0, 1.5, 2.0)

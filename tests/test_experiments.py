@@ -561,3 +561,32 @@ def test_flat_rate_cases_sharing_an_alpha_get_their_own_series(tmp_path):
     lines = paths[0].read_text().splitlines()[2:]
     assert lines == [f"{row.n} {row.p_oracle:.17g}" for row in rows[:3]]
     assert [row.p_oracle for row in rows[6:9]] == [row.p_oracle for row in rows[:3]]
+
+
+def test_clustered_series_are_numbered_by_config_case_for_every_pair(tmp_path):
+    # (DC_RC, DC_RC) does not gossip, so to it the first two cases are one
+    # series; its numbers still follow the config's cases, as the other
+    # pair's do, also with that pair alone in the config
+    one = {"lambda_e": 1, "lambda_s": 1, "lambda_c": 1, "lambda_g": 0}
+    raw = {
+        "name": "r",
+        "mode": "clustered_sweep_k",
+        "n": 6,
+        "policies": [["DC_RC", "DC_RC"], ["DC_RC", "FC_allRC"]],
+        "cases": [one, dict(one, lambda_g=5), dict(one, lambda_s=2)],
+    }
+    rows = run_experiment(ExperimentConfig.from_dict(raw))
+    paths = emit_plot_data(rows, out_dir=tmp_path / "both")
+    assert [p.name for p in paths] == [
+        "r__DC_RC+DC_RC__case1.dat",
+        "r__DC_RC+FC_allRC__case1.dat",
+        "r__DC_RC+FC_allRC__case2.dat",
+        "r__DC_RC+DC_RC__case3.dat",
+        "r__DC_RC+FC_allRC__case3.dat",
+    ]
+    third = [f"{row.k} {row.p_oracle:.17g}" for row in rows[16:20]]
+    assert paths[3].read_text().splitlines()[2:] == third
+    alone = run_experiment(ExperimentConfig.from_dict(dict(raw, policies=[["DC_RC", "DC_RC"]])))
+    paths = emit_plot_data(alone, out_dir=tmp_path / "alone")
+    assert [p.name for p in paths] == ["r__DC_RC+DC_RC__case1.dat", "r__DC_RC+DC_RC__case3.dat"]
+    assert paths[1].read_text().splitlines()[2:] == third

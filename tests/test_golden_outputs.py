@@ -1,10 +1,12 @@
-"""Byte-identity of the shipped configs' outputs.
+"""Byte-identity of the shipped configs' outputs and the exact selftest report.
 
 The CLI runs every shipped config as ``sweep --plot-dir`` and both
 clustered ones as ``optimal-k``, and the SHA-256 of every file written and
-of each command's stdout must equal the digests below.  They pin every
-value, label and byte of those outputs, however the values are computed:
-a change that means to alter an output updates its digest and says why.
+of each command's stdout must equal the digests below; so must the
+deterministic report of the exact selftest criteria (1, 2, 3 and 6),
+which holds no wall-clock data.  They pin every value, label and byte of
+those outputs, however the values are computed: a change that means to
+alter an output updates its digest and says why.
 """
 
 import contextlib
@@ -101,3 +103,14 @@ def output_digests(workdir: Path) -> dict[str, str]:
 
 def test_shipped_config_outputs_are_byte_identical(tmp_path):
     assert output_digests(tmp_path) == DIGESTS
+
+
+#: SHA-256 of ``selftest --only 1,2,3,6 --report <path>``'s report file.
+EXACT_REPORT_DIGEST = "e37db3626bdbf748203925c556f8698570d2cb38250712a135d0a3ce7dedc907"
+
+
+def test_exact_selftest_report_is_byte_identical(tmp_path):
+    report = tmp_path / "report.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["selftest", "--only", "1,2,3,6", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EXACT_REPORT_DIGEST
