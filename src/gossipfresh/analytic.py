@@ -23,11 +23,12 @@ chain, ROADMAP item 1) is still open.
 
 Both routes take many sizes per call, and each rate either as a number or
 as a sequence of one rate per rate case, so one call evaluates a tier at
-every size under every case and returns a (cases, sizes) array;
-:func:`clustered_profiles` builds every divisor scan of a clustered sweep
-from one call per tier policy, and :func:`optimal_cluster_size` is its
-one-case, one-pair view.  A cell's value does not depend on the other
-cells of its call.
+every size under every case and returns a (cases, sizes) array.
+:func:`clustered_profiles` builds the clustered values at the cluster
+sizes its caller names, from one call per tier policy: every divisor for
+a scan (:func:`optimal_cluster_size` is its one-case, one-pair view) and
+one k for a single point, a one-cell grid.  A cell's value does not
+depend on the other cells of its call.
 
 Both routes run on float64 arrays.  Their running sums and products use
 ``np.add.accumulate`` and ``np.multiply.accumulate``, which add and
@@ -51,6 +52,7 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    int_problem,
     is_finite,
     rate_sum_problem,
     require_int,
@@ -447,32 +449,34 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def clustered_profiles(route, n: int, cases, pairs) -> tuple[list[int], list[list]]:
-    """Clustered freshness at every divisor k of ``n``, for every rate
+def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
+    """Clustered freshness at each cluster size in ``ks``, for every rate
     case and policy pair at once.
 
-    ``route`` is :func:`oracle_sizes` or :func:`closed_sizes`; ``cases``
-    is a sequence of :class:`~gossipfresh.core.Rates` and ``pairs`` of
+    ``route`` is :func:`oracle_sizes` or :func:`closed_sizes`; ``ks`` holds
+    divisors of ``n`` (all of them for a scan, one for a single point),
+    ``cases`` :class:`~gossipfresh.core.Rates` and ``pairs``
     ``(source_policy, cluster_policy)``.  Each tier policy takes one
-    ``route`` call over the divisors (or the matching cluster counts)
-    under every case, with the case rates as sequences (plain numbers for
-    a single case).  Returns ``(ks, profiles)``: ``ks`` the ascending
-    divisors and ``profiles[c][q]`` an array over them for case ``c`` and
-    pair ``q``, each entry the product in :func:`clustered_freshness`'s
+    ``route`` call over ``ks`` (or the matching cluster counts) under every
+    case, with the case rates as sequences (plain numbers for a single
+    case).  Returns ``profiles[c][q]``, an array over ``ks`` for case ``c``
+    and pair ``q``, each entry the product in :func:`clustered_freshness`'s
     (or :func:`closed_clustered`'s) order and equal to it, or None where
-    the closed route has no formula for the cluster tier.  The (case,
-    pair) combinations are checked one by one in order, each as a scan of
-    it alone checks it, so an invalid one raises the message that a scan
-    per combination would raise first.
+    the closed route has no formula for the cluster tier.  Empty ``ks``, or
+    a k that is not an integer >= 1 dividing ``n``, raises ``ValueError``;
+    then each (case, pair) is checked in order at the pair's largest tiers
+    (``k = max(ks)``, ``m = n // min(ks)``), so an invalid one raises the
+    message that a call per combination would raise first.
     """
+    if len(ks) == 0 or any(int_problem("k", k, 1) or n % k for k in ks):
+        raise ValueError(f"ks must be integers >= 1 that divide n = {n}, got {ks!r}")
     for rates in cases:
         for i, pair in enumerate(pairs):
-            require_valid(NetworkSpec.clustered(n, n, *pair, rates))
-            # the source tier at its largest size, m = n, comes before the
-            # next combination; a lone one leaves it to the route call
+            require_valid(NetworkSpec.clustered(n, max(ks), *pair, rates))
+            # the source tier at its largest size comes before the next
+            # combination; a lone one leaves it to the route call
             if i == 0 and len(cases) * len(pairs) > 1:
-                _check_rates(n, rates.lambda_e, lambda_s=rates.lambda_s, lambda_g=0.0)
-    ks = divisors(n)
+                _check_rates(n // min(ks), rates.lambda_e, lambda_s=rates.lambda_s, lambda_g=0.0)
     rows = [(r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g) for r in cases]
     # one case stays plain numbers, which take the routes' scalar path
     le, ls, lc, lg = rows[0] if len(rows) == 1 else map(list, zip(*rows))
@@ -483,7 +487,7 @@ def clustered_profiles(route, n: int, cases, pairs) -> tuple[list[int], list[lis
         None if cluster[cl] is None else (source[src] * cluster[cl]).reshape(len(rows), -1)
         for src, cl in pairs
     ]
-    return ks, [[None if p is None else p[c] for p in products] for c in range(len(rows))]
+    return [[None if p is None else p[c] for p in products] for c in range(len(rows))]
 
 
 def optimal_cluster_size(
@@ -498,10 +502,11 @@ def optimal_cluster_size(
     equal to :func:`clustered_freshness` of that shape) and returns
     ``(k_star, m_star, p_star, profile)`` where ``profile`` is the full
     ascending ``(k, p)`` scan.  Exact ties go to the smallest k.  This is
-    the one-case, one-pair view of :func:`clustered_profiles`.
+    the one-case, one-pair view of :func:`clustered_profiles` over
+    ``divisors(n)``.
     """
-    pair = (source_policy, cluster_policy)
-    ks, ((p,),) = clustered_profiles(oracle_sizes, n, [rates], [pair])
+    ks = divisors(n)
+    ((p,),) = clustered_profiles(oracle_sizes, n, ks, [rates], [(source_policy, cluster_policy)])
     profile = list(zip(ks, p.tolist()))
     best_k, best_p = max(profile, key=lambda kp: kp[1])
     return best_k, n // best_k, best_p, profile

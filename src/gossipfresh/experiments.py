@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -29,14 +29,12 @@ import numpy as np
 
 from .core import GossipPolicy, NetworkSpec, Rates, is_finite
 from .analytic import (
-    closed_clustered,
-    closed_flat,
     closed_sizes,
-    clustered_freshness,
     clustered_profiles,
-    optimal_cluster_size,  # noqa: F401 - perfbench/layers.py traces it under this name
-    oracle_flat,
+    divisors,
     oracle_sizes,
+    optimal_cluster_size,  # noqa: F401 - perfbench/layers.py traces it under this name
+    closed_clustered, closed_flat, clustered_freshness, oracle_flat,  # noqa: F401 - likewise traced
 )
 from .simulator import estimate_freshness_cycles
 
@@ -58,6 +56,12 @@ __all__ = [
 ]
 
 MODES = ("flat_sweep_n", "clustered_sweep_k", "single_point")
+
+
+def _is_clustered(mode: str, k: int | None) -> bool:
+    """Clustered sweeps, and single points that name a cluster size k."""
+    return mode == "clustered_sweep_k" or (mode == "single_point" and k is not None)
+
 
 CSV_HEADER = (
     "experiment",
@@ -116,9 +120,7 @@ class ExperimentConfig:
 
     @property
     def clustered(self) -> bool:
-        return self.mode == "clustered_sweep_k" or (
-            self.mode == "single_point" and self.k is not None
-        )
+        return _is_clustered(self.mode, self.k)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -129,7 +131,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad syntax, UTF-8 or digits; deep nesting
             raise ConfigError([f"{path}: not valid JSON ({e})"]) from e
         if not isinstance(raw, dict):
             raise ConfigError([f"{path}: top level must be an object"])
@@ -211,9 +213,11 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
             av = _as_number(a, f"{where}.alpha", problems, 0, strict_min=True)
             if av is None:
                 return []
-            cases.append(
-                RateCase(f"alpha{av:g}", Rates(av * lam_s, lam_s, lam_c, lam_g))
-            )
+            lam_e = av * lam_s
+            if not 0 < lam_e < math.inf:
+                problems.append(f"{where}.alpha: alpha * lambda_s = {lam_e} must be finite and > 0")
+                return []
+            cases.append(RateCase(f"alpha{av:g}", Rates(lam_e, lam_s, lam_c, lam_g)))
         return cases
     if "lambda_e" not in raw:
         problems.append(f"{where} needs lambda_e (or alpha, for flat sweeps)")
@@ -245,28 +249,29 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             problems.append("k is only valid for single_point configs")
         else:
             k = _as_int(raw["k"], "k", problems, 1)
-    clustered = mode == "clustered_sweep_k" or (mode == "single_point" and k is not None)
+    clustered = _is_clustered(mode, k)
 
-    # policies: names for flat modes, [source, cluster] pairs for clustered
-    policies: list = []
+    # policies: names for flat modes, [source, cluster] pairs for clustered;
+    # each maps to its first position, and a repeat is an error
+    policies: dict = {}
     raw_policies = raw.get("policies")
     if not isinstance(raw_policies, list) or not raw_policies:
         problems.append(f"policies must be a nonempty list, got {raw_policies!r}")
     else:
         for i, entry in enumerate(raw_policies):
             where = f"policies[{i}]"
-            if clustered:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    problems.append(f"{where} must be a [source, cluster] pair, got {entry!r}")
-                    continue
-                src = _parse_policy(entry[0], where, problems)
-                cl = _parse_policy(entry[1], where, problems)
-                if src is not None and cl is not None:
-                    policies.append((src, cl))
+            if not clustered:
+                policy = _parse_policy(entry, where, problems)
+            elif isinstance(entry, list) and len(entry) == 2:
+                pair = tuple(_parse_policy(e, where, problems) for e in entry)
+                policy = None if None in pair else pair
             else:
-                pol = _parse_policy(entry, where, problems)
-                if pol is not None:
-                    policies.append(pol)
+                problems.append(f"{where} must be a [source, cluster] pair, got {entry!r}")
+                continue
+            if policy in policies:
+                problems.append(f"{where} repeats policies[{policies[policy]}]")
+            elif policy is not None:
+                policies[policy] = i
 
     # rates / cases
     allow_alpha = not clustered
@@ -441,22 +446,33 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     Writes the rows to ``config.output`` as CSV when set, and returns
     them.  Grid order is: rate case (config order), then policy (config
-    order), then n or k ascending.  The exact values of a whole grid come
-    from one route call per policy (per tier policy when clustered) under
-    every rate case, with the case rates as sequences, and are read back
-    by case: a flat grid calls :func:`oracle_sizes` and
+    order), then n or k ascending.  A single point is a one-cell grid:
+    its n, or its k when ``config.clustered``.  The exact values of a
+    whole grid come from one route call per policy (per tier policy when
+    clustered) under every rate case, with the case rates as sequences,
+    and are read back by case: a flat grid calls :func:`oracle_sizes` and
     :func:`closed_sizes` over n, a clustered one :func:`clustered_profiles`
-    with each route over the divisors.  Every value is bit-identical to a
-    call per point.  A :class:`NetworkSpec` is built per row only for the
-    Monte Carlo columns.
+    with each route over the divisors (or the one k).  Every value is
+    bit-identical to a call per point.  A :class:`NetworkSpec` is built
+    per row only for the Monte Carlo columns.
     """
     if config.mode not in MODES:
         raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
     if not config.policies or not config.cases:
         raise ConfigError(["config has no policies or no rate cases"])
     rows: list[ResultRow] = []
-    if config.mode == "flat_sweep_n":
-        lo, hi = config.n_range
+    if config.clustered:
+        n = config.n
+        ks = divisors(n) if config.k is None else [config.k]
+        rates = [case.rates for case in config.cases]
+        exact = clustered_profiles(oracle_sizes, n, ks, rates, config.policies)
+        closed = clustered_profiles(closed_sizes, n, ks, rates, config.policies)
+        for c, case in enumerate(config.cases):
+            for q, pair in enumerate(config.policies):
+                p, pc = exact[c][q].tolist(), _values(closed[c][q], len(ks))
+                rows += _clustered_rows(config, case, pair, n, ks, p, pc, len(rows))
+    else:
+        lo, hi = config.n_range or (config.n, config.n)
         ns = list(range(lo, hi + 1))
         rates = [(c.rates.lambda_e, c.rates.lambda_s, c.rates.lambda_g) for c in config.cases]
         le, ls, lg = map(list, zip(*rates))
@@ -468,28 +484,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             for policy in config.policies:
                 p, pc = exact[policy][c], closed[policy][c]
                 rows += _flat_rows(config, case, policy, ns, p, pc, len(rows))
-    elif config.mode == "clustered_sweep_k":
-        n = config.n
-        rates = [case.rates for case in config.cases]
-        ks, exact = clustered_profiles(oracle_sizes, n, rates, config.policies)
-        _, closed = clustered_profiles(closed_sizes, n, rates, config.policies)
-        for c, case in enumerate(config.cases):
-            for q, pair in enumerate(config.policies):
-                p, pc = exact[c][q].tolist(), _values(closed[c][q], len(ks))
-                rows += _clustered_rows(config, case, pair, n, ks, p, pc, len(rows))
-    else:  # single_point
-        n = config.n
-        for case in config.cases:
-            r = case.rates
-            for pol in config.policies:
-                if config.k is not None:
-                    p, _ = clustered_freshness(NetworkSpec.clustered(n, config.k, *pol, r))
-                    c = closed_clustered(*pol, n // config.k, config.k, r)
-                    rows += _clustered_rows(config, case, pol, n, [config.k], [p], [c], len(rows))
-                else:
-                    p = oracle_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
-                    c = closed_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
-                    rows += _flat_rows(config, case, pol, [n], [p], [c], len(rows))
     if config.output:
         write_csv(rows, config.output)
     return rows
@@ -602,32 +596,20 @@ def _alpha(lambda_e, lambda_s) -> str:
     return f"alpha{lambda_e / lambda_s:g}" if lambda_s > 0 else "alphainf"
 
 
-def emit_plot_data(rows, group_by=None, out_dir=".") -> list[Path]:
+def emit_plot_data(rows, out_dir=".") -> list[Path]:
     """Write one two-column series file per (policy, case) group.
 
     Files are named ``<experiment>__<policy>__<case>.dat`` and hold
     ``x p_oracle`` pairs (x is k for clustered rows, n for flat ones)
     behind a ``#`` comment header; :func:`_series` groups and names them.
-    ``group_by`` may list (policy, case) label pairs to restrict the
-    output; a listed group with no rows gets a warning and no file.
     Returns the written paths.
     """
     if not rows:
         raise ValueError("emit_plot_data needs at least one row")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    groups = _series(rows)
-    if group_by is None:
-        wanted = list(groups)
-    else:
-        wanted = [tuple(g) for g in group_by]
     written = []
-    for key in wanted:
-        members = groups.get(key, [])
-        if not members:
-            warnings.warn(f"no rows for series {key}; skipping", stacklevel=2)
-            continue
-        policy, case = key
+    for (policy, case), members in _series(rows).items():
         experiment = members[0].experiment
         lines = [
             f"# series: experiment={experiment} policy={policy} case={case}\n",
@@ -670,7 +652,8 @@ def report_optimal_k(config: ExperimentConfig) -> OptimalKReport:
     if config.mode != "clustered_sweep_k":
         raise ConfigError(["report_optimal_k needs a clustered_sweep_k config"])
     rates = [case.rates for case in config.cases]
-    ks, profiles = clustered_profiles(oracle_sizes, config.n, rates, config.policies)
+    ks = divisors(config.n)
+    profiles = clustered_profiles(oracle_sizes, config.n, ks, rates, config.policies)
     entries = []
     notes = []
     for case, case_profiles in zip(config.cases, profiles):

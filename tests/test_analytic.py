@@ -13,6 +13,7 @@ from gossipfresh.analytic import (
     closed_flat,
     closed_sizes,
     clustered_freshness,
+    clustered_profiles,
     divisors,
     optimal_cluster_size,
     oracle_flat,
@@ -563,6 +564,19 @@ def test_optimal_cluster_size_trivial_network():
     for bad in (True, 2.5):
         with pytest.raises(ValueError, match="n must be an integer"):
             optimal_cluster_size(bad, Rates(1.0, 1.0, 1.0), GP.DC_RC, GP.DC_RC)
+
+
+def test_clustered_profiles_take_only_cluster_sizes_that_divide_n():
+    r, pair = Rates(1.0, 1.0, 1.0), (GP.DC_RC, GP.FC_allRC)
+    ((p,),) = clustered_profiles(oracle_sizes, 12, [3], [r], [pair])
+    ((c,),) = clustered_profiles(closed_sizes, 12, [3], [r], [pair])
+    assert p.tolist() == [clustered_freshness(NetworkSpec.clustered(12, 3, *pair, r))[0]]
+    assert c.tolist() == [closed_clustered(*pair, 4, 3, r)]
+    for ks in ([1, 5], [0], [3.0], [True], []):
+        for route in (oracle_sizes, closed_sizes):
+            with pytest.raises(ValueError) as err:
+                clustered_profiles(route, 12, ks, [r], [pair])
+            assert str(err.value) == f"ks must be integers >= 1 that divide n = 12, got {ks!r}"
 
 
 def test_optimal_cluster_size_tie_goes_to_smallest_k():

@@ -113,6 +113,36 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
     assert "rates.lambda_s must be a finite number" in err and "Traceback" not in err
 
 
+def test_an_integer_beyond_the_json_digit_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    huge = '"lambda_s": 1' + "0" * 5000
+    path.write_text(json.dumps(FLAT_CONFIG).replace('"lambda_s": 1.0', huge))
+    assert main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON") and "Traceback" not in err
+
+
+def test_a_too_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (maximum recursion")
+
+
+def test_a_repeated_policy_exits_1(tmp_path, capsys):
+    raw = {
+        "name": "twice",
+        "mode": "clustered_sweep_k",
+        "policies": [["DC_RC", "DC_RC"], ["DC_RC", "DC_RC"]],
+        "cases": [{"lambda_e": 1, "lambda_s": 1}, {"lambda_e": 1, "lambda_s": 2}],
+        "n": 6,
+    }
+    path = write_config(tmp_path, raw)
+    assert main(["sweep", "--config", str(path), "--plot-dir", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == "error: policies[1] repeats policies[0]\n"
+    assert not (tmp_path / "plots").exists()
+
+
 def test_unparseable_config_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -6,8 +6,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gossipfresh.analytic import closed_clustered, closed_sizes, optimal_cluster_size, oracle_sizes
-from gossipfresh.core import DC_POLICIES, GossipPolicy, Rates
+from gossipfresh.analytic import (
+    closed_clustered,
+    closed_flat,
+    closed_sizes,
+    clustered_freshness,
+    divisors,
+    optimal_cluster_size,
+    oracle_flat,
+    oracle_sizes,
+)
+from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates
 from gossipfresh.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -96,6 +105,29 @@ def test_clustered_single_point_needs_divisible_k():
     }
     with pytest.raises(ConfigError, match="divide"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "policies,problem",
+    [
+        (["DC_RC", "FC_sRC", "DC_RC"], "policies[2] repeats policies[0]"),
+        ([["DC_RC", "DC_RC"], ["DC_RC", "DC_RC"]], "policies[1] repeats policies[0]"),
+    ],
+)
+def test_a_repeated_policy_is_a_config_error(policies, problem):
+    raw = dict(CLUSTERED_SMALL if isinstance(policies[0], list) else FLAT_SMALL, policies=policies)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize("alpha,lambda_e", [(1e300, "inf"), (1e-300, "0.0")])
+def test_an_alpha_whose_lambda_e_overflows_or_underflows_is_a_config_error(alpha, lambda_e):
+    rates = {"lambda_s": alpha, "alpha": [1.0, alpha]}
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(dict(FLAT_SMALL, rates=rates))
+    problem = f"rates.alpha: alpha * lambda_s = {lambda_e} must be finite and > 0"
+    assert err.value.problems == [problem]
 
 
 def test_clustered_defaults_ship_four_rate_cases():
@@ -242,15 +274,6 @@ def test_plot_series_clustered_pairs(tmp_path):
     lines = paths[0].read_text().splitlines()
     xs = [int(line.split()[0]) for line in lines[2:]]
     assert xs == [1, 2, 3, 4, 6, 12]
-
-
-def test_plot_series_empty_group_warns(tmp_path):
-    rows = run_experiment(ExperimentConfig.from_dict(CLUSTERED_SMALL))
-    with pytest.warns(UserWarning, match="no rows"):
-        paths = emit_plot_data(
-            rows, group_by=[("DC_RC+FC_allRC", "case1"), ("nope", "case9")], out_dir=tmp_path
-        )
-    assert len(paths) == 1
 
 
 def test_plot_series_needs_rows():
@@ -410,6 +433,38 @@ def test_flat_sweep_equals_a_call_per_case(rates, lo, span):
             for n, p, c in zip(ns, exact, closed):
                 row = next(rows)
                 assert (row.n, row.p_oracle, row.p_analytic) == (n, p, c)
+    assert next(rows, None) is None
+
+
+@settings(max_examples=40)
+@given(rates=rate_cases, n=st.integers(1, 240), data=st.data())
+def test_single_points_equal_a_call_per_point(rates, n, data):
+    k = data.draw(st.sampled_from([None, *divisors(n)]))
+    policies = tuple(GossipPolicy) if k is None else ALL_PAIRS
+    rows = iter(run_experiment(_config("single_point", policies, rates, n=n, k=k)))
+    for r in rates:
+        for pol in policies:
+            if k is None:
+                exact = oracle_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
+                closed = closed_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
+            else:
+                exact = clustered_freshness(NetworkSpec.clustered(n, k, *pol, r))[0]
+                closed = closed_clustered(*pol, n // k, k, r)
+            row = next(rows)
+            assert (row.n, row.k, row.p_oracle, row.p_analytic) == (n, k, exact, closed)
+    assert next(rows, None) is None
+
+
+def test_a_clustered_point_checks_its_source_tier_at_its_own_m():
+    # 1e306 overflows the source tier at m = n = 120 but not at m = 15
+    r = Rates(lambda_e=1.0, lambda_s=1e306, lambda_c=1.0)
+    pairs = ((GossipPolicy.DC_RC, GossipPolicy.DC_RC), (GossipPolicy.DC_noRC, GossipPolicy.DC_RC))
+    cases = [r, r.scaled(0.5)]
+    rows = iter(run_experiment(_config("single_point", pairs, cases, n=120, k=8)))
+    for rates in cases:
+        for pair in pairs:
+            spec = NetworkSpec.clustered(120, 8, *pair, rates)
+            assert next(rows).p_oracle == clustered_freshness(spec)[0]
     assert next(rows, None) is None
 
 

@@ -4,16 +4,21 @@ The CLI runs every shipped config as ``sweep --plot-dir`` and both
 clustered ones as ``optimal-k``, and the SHA-256 of every file written and
 of each command's stdout must equal the digests below; so must the
 deterministic report of the exact selftest criteria (1, 2, 3 and 6),
-which holds no wall-clock data.  They pin every value, label and byte of
-those outputs, however the values are computed: a change that means to
-alter an output updates its digest and says why.
+which holds no wall-clock data.  Two single-point configs, flat and
+clustered, are pinned the same way, and three invalid ones by their exit
+code and stderr.  They pin every value, label and byte of those outputs,
+however the values are computed: a change that means to alter an output
+updates its digest and says why.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 from pathlib import Path
+
+import pytest
 
 from gossipfresh.cli import main
 
@@ -114,3 +119,141 @@ def test_exact_selftest_report_is_byte_identical(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["selftest", "--only", "1,2,3,6", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == EXACT_REPORT_DIGEST
+
+
+#: Single-point configs, one flat and one clustered, each with Monte Carlo
+#: columns; each runs as ``sweep --plot-dir`` and writes its CSV to
+#: ``point.csv``.
+POINTS = {
+    "flat_point": {
+        "name": "flat_point",
+        "mode": "single_point",
+        "policies": ["DC_noRC", "DC_RC", "FC_noRC", "FC_sRC", "FC_allRC"],
+        "cases": [
+            {"lambda_e": 1.0, "lambda_s": 2.0, "lambda_g": 0.5},
+            {"label": "fast", "lambda_e": 0.25, "lambda_s": 3.0, "lambda_g": 4.0},
+        ],
+        "n": 17,
+        "sim": {"cycles": 2000, "seed": 7},
+        "output": "point.csv",
+    },
+    "clustered_point": {
+        "name": "clustered_point",
+        "mode": "single_point",
+        "policies": [["DC_noRC", "DC_noRC"], ["DC_RC", "FC_allRC"], ["DC_noRC", "FC_sRC"]],
+        "n": 120,
+        "k": 8,
+        "sim": {"cycles": 2000, "seed": 11},
+        "output": "point.csv",
+    },
+}
+
+POINT_DIGESTS = {
+    'flat_point stdout': '8bd93d1aa0af88cbdf81761c5514e8f96468795bd15fcda5b150644078e7ef21',
+    'flat_point plots/flat_point__DC_RC__alpha0.0833333.dat': '84394a7df52a5e00fcdf02fec50432e07d4f1da3d5f8ac3436cdda7445d875ee',
+    'flat_point plots/flat_point__DC_RC__alpha0.5.dat': '692bfa6a4418ab70c4cb5288a70930b291217b4ab1d90a5d454a2bf4c8430811',
+    'flat_point plots/flat_point__DC_noRC__alpha0.0833333.dat': '338952674bc101491c4aba42e8a8fce904cce77dc94d23a983dcbb81338bb246',
+    'flat_point plots/flat_point__DC_noRC__alpha0.5.dat': '52e4ce491563252e8755076437ae3f449ae070b4d6d672e707148a17fa4b8e36',
+    'flat_point plots/flat_point__FC_allRC__alpha0.0833333.dat': '012030d892a72b10c99ca2aa9e572c44a755f3e0c5cc5923e3c77f7076183ddb',
+    'flat_point plots/flat_point__FC_allRC__alpha0.5.dat': 'f6aeb057c42cf62fc51f89e933fdb43e364f0439164f4dc702d86eb234b6fb5c',
+    'flat_point plots/flat_point__FC_noRC__alpha0.0833333.dat': '014abd2a30ef222ea28ca74a1fe80b2000339e806eae3d2014f427fddba649a2',
+    'flat_point plots/flat_point__FC_noRC__alpha0.5.dat': '15f3056d5697f43e6951983e585e3ea8672de4327d2b90b4966c5af0e34901ba',
+    'flat_point plots/flat_point__FC_sRC__alpha0.0833333.dat': '7eac58c010844e5c9a587b73c8880edcbd0ae0b01efdcf238f78e63eefe417b3',
+    'flat_point plots/flat_point__FC_sRC__alpha0.5.dat': 'dead93500cc9dd95b257bd4af49a59a8380b5d532cf9c0906523ea11f083ceed',
+    'flat_point point.csv': '97f63fe78d7bedeb50143a061590cf9852519ea6a5e6f9418435bc7d2257994c',
+    'clustered_point stdout': '38ae6ec27acbf232153db2532d5b03d05ab1cfa06b9f0de8834aceaa20544ae2',
+    'clustered_point plots/clustered_point__DC_RC+FC_allRC__case1.dat': '0baa3b21124ef2ee12a3c67458f8a8974a71181e4111b459d63f48a9597187d6',
+    'clustered_point plots/clustered_point__DC_RC+FC_allRC__case2.dat': 'd4a8b9c48727ab3b75c9066576331a3ed78282536d4c6d63eb38467a3639a3ea',
+    'clustered_point plots/clustered_point__DC_RC+FC_allRC__case3.dat': '4659a278feeb115f9a1536a207423b04a8c55903973d74f19a77ae21c6e2cc11',
+    'clustered_point plots/clustered_point__DC_RC+FC_allRC__case4.dat': '1650dc28d759d5cf6aa085fd0aef765f611b714f5874156a787ea8147db8f730',
+    'clustered_point plots/clustered_point__DC_noRC+DC_noRC__case1.dat': '0348361f1a29e2ecdaf57674e5c40b3d9f19cb6accc63b52d9b716283c9b41b5',
+    'clustered_point plots/clustered_point__DC_noRC+DC_noRC__case2.dat': 'ae02feb1fc4269236342cf85557abb800dffd7b2d1957653546061114edff31a',
+    'clustered_point plots/clustered_point__DC_noRC+DC_noRC__case3.dat': '421d8dd539a06872307b7d73d02d80531354a52a47ca23aabf85e74f4fb868b6',
+    'clustered_point plots/clustered_point__DC_noRC+DC_noRC__case4.dat': 'a4c1060c1d7342b978bb179f2fae5faaf560bda8abc18e9c94061499aa0e2cba',
+    'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case1.dat': '1a6dc0594b7cf9929d34750f55fb13552cce7caecb0f5cc141f6bc06334089b5',
+    'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case2.dat': '03e1353da2e90c673f5c4934984ac7f6afbc630078c6b8594807f3b1d2e015f4',
+    'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case3.dat': 'b54abe95e77a25730a0cbe4d8e7e6e7f60f4bc1a1e67c12fedec4f77e2b9b960',
+    'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case4.dat': '5b696cc76d64502b3c3f1b2a4f3ecb0a40797680ced565d8cd0a92681b40c7a0',
+    'clustered_point point.csv': '106eb5d9edc275990ba5de30d99ed231ed0414413821f06c6ceb0d8cc3baa562',
+}
+
+CASE = {"lambda_e": 1, "lambda_s": 1, "lambda_c": 1}
+
+#: Invalid single points and the exit code and stderr of ``sweep`` on them.
+INVALID_POINTS = {
+    "flat second case overflows": (
+        {
+            "mode": "single_point",
+            "policies": ["DC_RC", "FC_allRC"],
+            "cases": [{"lambda_e": 1, "lambda_s": 1}, {"lambda_e": 1, "lambda_s": 1e307}],
+            "n": 17,
+        },
+        1,
+        "error: rates too large: 17 * (lambda_e + lambda_s + lambda_g) = 1.7e+308 exceeds "
+        "4.49e+307; only rate ratios matter, so scale all rates down\n",
+    ),
+    "FC_allRC source tier": (
+        {
+            "mode": "single_point",
+            "policies": [["DC_RC", "DC_RC"], ["FC_allRC", "DC_RC"]],
+            "rates": CASE,
+            "n": 120,
+            "k": 8,
+        },
+        1,
+        "error: invalid network spec: clusterheads form a disconnected tier: source_policy "
+        "must be DC_noRC or DC_RC, got FC_allRC\n",
+    ),
+    "clustered second case overflows": (
+        {
+            "mode": "single_point",
+            "policies": [["DC_RC", "FC_allRC"], ["DC_noRC", "DC_RC"]],
+            "cases": [CASE, dict(CASE, lambda_c=1e306)],
+            "n": 120,
+            "k": 8,
+        },
+        1,
+        "error: invalid network spec: rates too large: 120 * (lambda_e + lambda_c + lambda_g) "
+        "= 1.2e+308 exceeds 4.49e+307; only rate ratios matter, so scale all rates down\n",
+    ),
+}
+
+
+def _sweep(workdir: Path, raw: dict, plot_dir=None) -> tuple[int, str, str]:
+    """``sweep`` on the config ``raw`` in ``workdir``: exit code, stdout
+    and stderr."""
+    path = workdir / "config.json"
+    path.write_text(json.dumps({"name": "point", **raw}))
+    argv = ["sweep", "--config", str(path)]
+    if plot_dir:
+        argv += ["--plot-dir", plot_dir]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_single_point_outputs_are_byte_identical(tmp_path):
+    digests = {}
+    for name, raw in POINTS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        code, out, err = _sweep(workdir, raw, plot_dir="plots")
+        assert (code, err) == (0, "")
+        digests[f"{name} stdout"] = hashlib.sha256(out.encode()).hexdigest()
+        for path in sorted(p for p in workdir.rglob("*") if p.name != "config.json"):
+            if path.is_file():
+                key = f"{name} {path.relative_to(workdir).as_posix()}"
+                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == POINT_DIGESTS
+
+
+@pytest.mark.parametrize("name", INVALID_POINTS)
+def test_invalid_single_points_fail_with_the_same_message(name, tmp_path):
+    raw, code, stderr = INVALID_POINTS[name]
+    assert _sweep(tmp_path, raw) == (code, "", stderr)
