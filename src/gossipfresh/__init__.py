@@ -30,7 +30,6 @@ from .analytic import (
     renewal_freshness,
 )
 from .simulator import (
-    CycleOutcome,
     DecompositionReport,
     FreshnessEstimate,
     SimState,
@@ -38,7 +37,6 @@ from .simulator import (
     decomposition_check,
     estimate_freshness_cycles,
     estimate_freshness_time,
-    simulate_cycle,
 )
 from .experiments import (
     ConfigError,
@@ -59,7 +57,6 @@ __all__ = [
     "Clustered",
     "ClusteredBreakdown",
     "ConfigError",
-    "CycleOutcome",
     "DecompositionReport",
     "ExperimentConfig",
     "Flat",
@@ -91,7 +88,6 @@ __all__ = [
     "renewal_freshness",
     "report_optimal_k",
     "run_experiment",
-    "simulate_cycle",
     "validate",
     "write_csv",
 ]

@@ -18,8 +18,8 @@ which has no standalone formula.  The test suite and selftest criterion 1
 hold the two routes to within 1e-12 of each other everywhere both exist.
 ``FC_noRC``'s formula is itself a sum-product over its own ``u(j)`` table,
 so its closed form runs the recursion's kernel and that comparison is an
-identity; an independent exact route for it (the stationary fresh-count
-chain, ROADMAP item 1) is still open.
+identity; an independent exact route for it (the capture-count law,
+ROADMAP item 2) is still open.
 
 Both routes take many sizes per call, and each rate either as a number or
 as a sequence of one rate per rate case, so one call evaluates a tier at
@@ -462,14 +462,17 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
     case).  Returns ``profiles[c][q]``, an array over ``ks`` for case ``c``
     and pair ``q``, each entry the product in :func:`clustered_freshness`'s
     (or :func:`closed_clustered`'s) order and equal to it, or None where
-    the closed route has no formula for the cluster tier.  Empty ``ks``, or
-    a k that is not an integer >= 1 dividing ``n``, raises ``ValueError``;
-    then each (case, pair) is checked in order at the pair's largest tiers
-    (``k = max(ks)``, ``m = n // min(ks)``), so an invalid one raises the
-    message that a call per combination would raise first.
+    the closed route has no formula for the cluster tier.  Empty ``ks`` or
+    ``cases``, or a k that is not an integer >= 1 dividing ``n``, raises
+    ``ValueError``; then each (case, pair) is checked in order at the
+    pair's largest tiers (``k = max(ks)``, ``m = n // min(ks)``), so an
+    invalid one raises the message that a call per combination would raise
+    first.
     """
     if len(ks) == 0 or any(int_problem("k", k, 1) or n % k for k in ks):
         raise ValueError(f"ks must be integers >= 1 that divide n = {n}, got {ks!r}")
+    if len(cases) == 0:
+        raise ValueError(f"cases must hold at least one Rates, got {cases!r}")
     for rates in cases:
         for i, pair in enumerate(pairs):
             require_valid(NetworkSpec.clustered(n, max(ks), *pair, rates))

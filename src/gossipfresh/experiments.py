@@ -21,7 +21,8 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -369,7 +370,9 @@ def _parse_config(raw: dict) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One evaluated grid point; mirrors the CSV column order exactly."""
+    """One evaluated grid point: the CSV columns in order, then ``case``,
+    the index of its rate case in the config.  ``case`` is no CSV column,
+    so rows from :func:`read_csv` hold None there; equality ignores it."""
 
     experiment: str
     policy_source: str
@@ -388,6 +391,7 @@ class ResultRow:
     sim_ci_hi: float | None
     cycles: int | None
     seed: int | None
+    case: int | None = field(default=None, compare=False)
 
 
 def _row_seed(base_seed: int, index: int) -> int:
@@ -407,31 +411,31 @@ def _sim_columns(config, spec, index) -> tuple:
 
 
 def _flat_rows(config, case, policy, ns, exact, closed, index) -> list[ResultRow]:
-    """The rows of one (case, policy) group of a flat grid, numbered from
-    ``index``; ``exact`` and ``closed`` hold one value per n."""
-    r = case.rates
+    """The rows of config case ``case`` and ``policy`` on a flat grid,
+    numbered from ``index``; ``exact`` and ``closed`` hold one value per n."""
+    r = config.cases[case].rates
     head = (config.name, policy.value, None)
     lambdas = (r.lambda_e, r.lambda_s, None, r.lambda_g if policy.gossips else None)
     rows = []
     for i, (n, p, c) in enumerate(zip(ns, exact, closed), index):
         spec = None if config.sim is None else NetworkSpec.flat(n, policy, r)
         sim = _NO_SIM if spec is None else _sim_columns(config, spec, i)
-        rows.append(ResultRow(*head, n, None, None, *lambdas, c, p, *sim))
+        rows.append(ResultRow(*head, n, None, None, *lambdas, c, p, *sim, case))
     return rows
 
 
 def _clustered_rows(config, case, pair, n, ks, exact, closed, index) -> list[ResultRow]:
-    """The rows of one (case, pair) group of a clustered grid, numbered
-    from ``index``; ``exact`` and ``closed`` hold one value per k."""
+    """The rows of config case ``case`` and ``pair`` on a clustered grid,
+    numbered from ``index``; ``exact`` and ``closed`` hold one value per k."""
     src, cl = pair
-    r = case.rates
+    r = config.cases[case].rates
     head = (config.name, src.value, cl.value)
     lambdas = (r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g if cl.gossips else None)
     rows = []
     for i, (k, p, c) in enumerate(zip(ks, exact, closed), index):
         spec = None if config.sim is None else NetworkSpec.clustered(n, k, src, cl, r)
         sim = _NO_SIM if spec is None else _sim_columns(config, spec, i)
-        rows.append(ResultRow(*head, n, k, n // k, *lambdas, c, p, *sim))
+        rows.append(ResultRow(*head, n, k, n // k, *lambdas, c, p, *sim, case))
     return rows
 
 
@@ -467,10 +471,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         rates = [case.rates for case in config.cases]
         exact = clustered_profiles(oracle_sizes, n, ks, rates, config.policies)
         closed = clustered_profiles(closed_sizes, n, ks, rates, config.policies)
-        for c, case in enumerate(config.cases):
+        for c in range(len(config.cases)):
             for q, pair in enumerate(config.policies):
                 p, pc = exact[c][q].tolist(), _values(closed[c][q], len(ks))
-                rows += _clustered_rows(config, case, pair, n, ks, p, pc, len(rows))
+                rows += _clustered_rows(config, c, pair, n, ks, p, pc, len(rows))
     else:
         lo, hi = config.n_range or (config.n, config.n)
         ns = list(range(lo, hi + 1))
@@ -480,10 +484,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         for policy in dict.fromkeys(config.policies):
             exact[policy] = oracle_sizes(policy, ls, lg, le, ns).tolist()
             closed[policy] = _values(closed_sizes(policy, ls, lg, le, ns), (len(rates), len(ns)))
-        for c, case in enumerate(config.cases):
+        for c in range(len(config.cases)):
             for policy in config.policies:
                 p, pc = exact[policy][c], closed[policy][c]
-                rows += _flat_rows(config, case, policy, ns, p, pc, len(rows))
+                rows += _flat_rows(config, c, policy, ns, p, pc, len(rows))
     if config.output:
         write_csv(rows, config.output)
     return rows
@@ -542,52 +546,50 @@ def read_csv(path) -> list[ResultRow]:
     return rows
 
 
-#: The fields that put a row into its plot series.
-_series_key = attrgetter(
-    "policy_source", "policy_cluster", "lambda_e", "lambda_s", "lambda_c", "lambda_g"
+#: A row's case, then the fields that put it into its plot series.
+_stretch_key = attrgetter(
+    "case", "experiment", "policy_source", "policy_cluster",
+    "lambda_e", "lambda_s", "lambda_c", "lambda_g",
 )
 
 
-def _series(rows) -> dict[tuple[str, str], list]:
-    """Rows grouped into plot series, keyed by ``(policy, case)`` labels in
-    order of first appearance.
+def _series(rows) -> dict[str, tuple]:
+    """Plot series in order of first appearance, keyed by file name, each
+    an ``(experiment, policy, case)`` label and its rows.
 
-    A series is one policy (``source+cluster`` for clustered rows) at one
-    full rate tuple as its rows carry it.  A row of a policy that does not
-    gossip has no ``lambda_g``, so rate cases that differ only in
-    ``lambda_g`` are one series for that policy, which keeps each point
-    ``(n, k)`` once.  A run is a stretch of rows with one rate tuple and a
-    rising x (k, or n for flat rows), as one (case, policy) group of a
-    sweep is.  A series takes its first run's place ``i`` among its
-    policy's runs, so for sweep rows ``case<i>`` is the config's i-th case.
-    Clustered series are labelled ``case<i>``; flat ones ``alpha<lambda_e
-    / lambda_s>`` (``alphainf`` when lambda_s = 0), with ``_case<i>``
-    added where several series of one policy share it.
+    A series is one experiment's policy (``source+cluster`` for clustered
+    rows) at one full rate tuple as its rows carry it.  A row of a policy
+    that does not gossip has no ``lambda_g``, so rate cases that differ
+    only in ``lambda_g`` are one series for that policy, which keeps each
+    point ``(n, k)`` once.  A series is numbered ``i`` by its first row's
+    config case, ``row.case + 1``.  Clustered series are labelled
+    ``case<i>``; flat ones ``alpha<lambda_e / lambda_s>`` (``alphainf``
+    when lambda_s = 0), with ``_case<i>`` added where several series of
+    one experiment's policy share it.  A row without a case (read back by
+    :func:`read_csv`), or two series under one name, raise ``ValueError``.
     """
-    groups: dict[tuple, dict] = {}
-    numbers: dict[tuple, int] = {}
-    runs: Counter = Counter()
-    last_key, last_x = None, None
-    for row in rows:
-        key = _series_key(row)
-        x = row.n if row.k is None else row.k
-        if key != last_key or x <= last_x:  # a new run
-            runs[key[:2]] += 1
-            numbers.setdefault(key, runs[key[:2]])
-            points = groups.setdefault(key, {})
-        last_key, last_x = key, x
-        points.setdefault((row.n, row.k), row)
-    shared = Counter((key[0], _alpha(*key[2:4])) for key in groups if key[1] is None)
+    groups: dict[tuple, tuple[int, dict]] = {}  # series key: (number, points)
+    for key, stretch in groupby(rows, _stretch_key):  # one group lookup per stretch
+        if key[0] is None:
+            raise ValueError("plot series need rows from run_experiment; CSV rows carry no case")
+        points = groups.setdefault(key[1:], (key[0] + 1, {}))[1]
+        for row in stretch:
+            points.setdefault((row.n, row.k), row)
+    shared = Counter((*key[:2], _alpha(*key[3:5])) for key in groups if key[2] is None)
     series = {}
-    for key, points in groups.items():
-        source, cluster, le, ls = key[:4]
-        name = f"case{numbers[key]}"
+    for key, (number, points) in groups.items():
+        experiment, source, cluster, le, ls = key[:5]
+        case = f"case{number}"
         if cluster is None:
             alpha = _alpha(le, ls)
-            label = (source, alpha if shared[source, alpha] == 1 else f"{alpha}_{name}")
+            unique = shared[experiment, source, alpha] == 1
+            label = (experiment, source, alpha if unique else f"{alpha}_{case}")
         else:
-            label = (f"{source}+{cluster}", name)
-        series[label] = list(points.values())
+            label = (experiment, f"{source}+{cluster}", case)
+        name = "__".join(label) + ".dat"
+        if name in series:
+            raise ValueError(f"two plot series would write {name}")
+        series[name] = label, list(points.values())
     return series
 
 
@@ -597,26 +599,28 @@ def _alpha(lambda_e, lambda_s) -> str:
 
 
 def emit_plot_data(rows, out_dir=".") -> list[Path]:
-    """Write one two-column series file per (policy, case) group.
+    """Write one two-column series file per (experiment, policy, case) group.
 
     Files are named ``<experiment>__<policy>__<case>.dat`` and hold
     ``x p_oracle`` pairs (x is k for clustered rows, n for flat ones)
-    behind a ``#`` comment header; :func:`_series` groups and names them.
-    Returns the written paths.
+    behind a ``#`` comment header; :func:`_series` groups and names them,
+    and raises ``ValueError`` before any file is written for rows without
+    a case (read back by :func:`read_csv`) and for two series with one
+    name.  Returns the written paths.
     """
     if not rows:
         raise ValueError("emit_plot_data needs at least one row")
+    series = _series(rows)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for (policy, case), members in _series(rows).items():
-        experiment = members[0].experiment
+    for name, ((experiment, policy, case), members) in series.items():
         lines = [
             f"# series: experiment={experiment} policy={policy} case={case}\n",
             "# columns: x freshness\n",
             *(f"{row.n if row.k is None else row.k} {row.p_oracle:.17g}\n" for row in members),
         ]
-        path = out_dir / f"{experiment}__{policy}__{case}.dat"
+        path = out_dir / name
         _write_text(path, "".join(lines))
         written.append(path)
     return written

@@ -14,15 +14,10 @@ average binary freshness of a node):
   fresh time by the horizon.
 
 :class:`TrajectorySim`, the trajectory engine, is the event-by-event
-reference in pure Python, and :func:`simulate_cycle` steps it through one
-cycle.  It resamples after every event: whenever the state changes it
-recomputes all active intensities and draws one exponential, which is
-exact for competing exponential clocks even though the rates move at
-every event under the stale-targeting policies.  One event loop over
-local variables sits behind both :meth:`TrajectorySim.step` and
-:meth:`TrajectorySim.run_until`.  It settles per-node fresh time lazily,
-at each source refresh and at each cap, so between uncapped ``step()``
-calls ``fresh_time_accum`` lags for the nodes that are fresh.
+reference in pure Python.  It resamples after every event: whenever the
+state changes it recomputes all active intensities and draws one
+exponential, which is exact for competing exponential clocks even though
+the rates move at every event under the stale-targeting policies.
 
 Clusterhead semantics: a clusterhead keeps relaying its *own* current
 version, targeting the nodes of its cluster that lack that version.
@@ -60,11 +55,9 @@ from .analytic import BLOCK_CELLS, clustered_freshness
 
 __all__ = [
     "SimState",
-    "CycleOutcome",
     "FreshnessEstimate",
     "DecompositionReport",
     "TrajectorySim",
-    "simulate_cycle",
     "estimate_freshness_cycles",
     "estimate_freshness_time",
     "decomposition_check",
@@ -94,15 +87,6 @@ class SimState:
     ch_versions: list[int] | None
     clock: float
     fresh_time_accum: list[float]
-
-
-@dataclass(frozen=True)
-class CycleOutcome:
-    """What one refresh cycle did to each node."""
-
-    updated: tuple[bool, ...]
-    fresh_duration: tuple[float, ...]
-    cycle_length: float
 
 
 @dataclass(frozen=True)
@@ -267,26 +251,6 @@ def _stream_counts(tab, seed: int, num_cycles: int):
         yield kernel(tab, np.random.Generator(np.random.PCG64(child)), size)
 
 
-def simulate_cycle(spec: NetworkSpec, rng: random.Random) -> CycleOutcome:
-    """Simulate one refresh cycle and report per-node rewards.
-
-    Steps a :class:`TrajectorySim` to its first ``source_refresh``.  The
-    captured nodes are those that hold version 1.  A node's reward is the
-    time it spent fresh, i.e. from its capture to the cycle-ending
-    self-refresh, which settles it; nodes that were never captured score
-    zero.  ``rng`` is any ``random.Random``-compatible stream.
-    """
-    sim = TrajectorySim(spec, rng)
-    while sim.step() != "source_refresh":
-        pass
-    state = sim.state
-    return CycleOutcome(
-        tuple(v == 1 for v in state.node_versions),
-        tuple(state.fresh_time_accum),
-        state.clock,
-    )
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -330,8 +294,7 @@ class TrajectorySim:
     ``state.fresh_time_accum`` gains the time since then at each source
     refresh and at each cap, so between uncapped :meth:`step` calls it
     lags for the nodes that are fresh.  Used by
-    :func:`estimate_freshness_time` and :func:`simulate_cycle`, and
-    directly by invariant tests.
+    :func:`estimate_freshness_time`, and directly by invariant tests.
     """
 
     def __init__(self, spec: NetworkSpec, rng: random.Random):

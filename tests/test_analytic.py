@@ -577,6 +577,9 @@ def test_clustered_profiles_take_only_cluster_sizes_that_divide_n():
             with pytest.raises(ValueError) as err:
                 clustered_profiles(route, 12, ks, [r], [pair])
             assert str(err.value) == f"ks must be integers >= 1 that divide n = 12, got {ks!r}"
+    for route in (oracle_sizes, closed_sizes):
+        with pytest.raises(ValueError, match="cases must hold at least one Rates, got"):
+            clustered_profiles(route, 12, [3], [], [pair])
 
 
 def test_optimal_cluster_size_tie_goes_to_smallest_k():

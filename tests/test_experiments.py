@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -226,6 +227,11 @@ def test_csv_round_trip_exact(tmp_path):
     assert parsed == rows
     header = (tmp_path / "rows.csv").read_text().splitlines()[0]
     assert header == ",".join(CSV_HEADER)
+    # the rate case is no CSV column, so rows read back cannot be plotted
+    assert {row.case for row in parsed} == {None}
+    with pytest.raises(ValueError, match="carry no case"):
+        emit_plot_data(parsed, out_dir=tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
 
 
 def test_csv_bytes_deterministic(tmp_path):
@@ -406,12 +412,12 @@ def test_clustered_sweep_and_report_equal_a_call_per_case_and_pair(rates, n):
     config = _config("clustered_sweep_k", ALL_PAIRS, rates, n=n)
     rows = iter(run_experiment(config))
     entries = iter(report_optimal_k(config).entries)
-    for r in rates:
+    for c, r in enumerate(rates):
         for src, cl in ALL_PAIRS:
             k_star, m_star, p_star, profile = optimal_cluster_size(n, r, src, cl)
             for k, p in profile:
                 row = next(rows)
-                assert (row.k, row.m) == (k, n // k)
+                assert (row.k, row.m, row.case) == (k, n // k, c)
                 assert row.p_oracle == p
                 assert row.p_analytic == closed_clustered(src, cl, n // k, k, r)
             entry = next(entries)
@@ -425,7 +431,7 @@ def test_flat_sweep_equals_a_call_per_case(rates, lo, span):
     policies = tuple(GossipPolicy)
     ns = list(range(lo, lo + span + 1))
     rows = iter(run_experiment(_config("flat_sweep_n", policies, rates, n_range=(lo, ns[-1]))))
-    for r in rates:
+    for case, r in enumerate(rates):
         for policy in policies:
             exact = oracle_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns).tolist()
             closed = closed_sizes(policy, r.lambda_s, r.lambda_g, r.lambda_e, ns)
@@ -433,6 +439,7 @@ def test_flat_sweep_equals_a_call_per_case(rates, lo, span):
             for n, p, c in zip(ns, exact, closed):
                 row = next(rows)
                 assert (row.n, row.p_oracle, row.p_analytic) == (n, p, c)
+                assert row.case == case
     assert next(rows, None) is None
 
 
@@ -442,7 +449,7 @@ def test_single_points_equal_a_call_per_point(rates, n, data):
     k = data.draw(st.sampled_from([None, *divisors(n)]))
     policies = tuple(GossipPolicy) if k is None else ALL_PAIRS
     rows = iter(run_experiment(_config("single_point", policies, rates, n=n, k=k)))
-    for r in rates:
+    for case, r in enumerate(rates):
         for pol in policies:
             if k is None:
                 exact = oracle_flat(pol, r.lambda_s, r.lambda_g, r.lambda_e, n)
@@ -452,6 +459,7 @@ def test_single_points_equal_a_call_per_point(rates, n, data):
                 closed = closed_clustered(*pol, n // k, k, r)
             row = next(rows)
             assert (row.n, row.k, row.p_oracle, row.p_analytic) == (n, k, exact, closed)
+            assert row.case == case
     assert next(rows, None) is None
 
 
@@ -587,18 +595,20 @@ def test_files_written_again_are_cut_to_their_new_length(tmp_path):
         assert path.read_bytes() == (fresh / path.name).read_bytes()
 
 
+SHARED_ALPHA = {
+    "name": "g",
+    "mode": "flat_sweep_n",
+    "policies": ["FC_allRC"],
+    "n_range": [1, 3],
+    "cases": [
+        {"lambda_e": 1, "lambda_s": 1, "lambda_g": 0},
+        {"lambda_e": 1, "lambda_s": 1, "lambda_g": 5},
+    ],
+}
+
+
 def test_flat_rate_cases_sharing_an_alpha_get_their_own_series(tmp_path):
-    raw = {
-        "name": "g",
-        "mode": "flat_sweep_n",
-        "policies": ["FC_allRC"],
-        "n_range": [1, 3],
-        "cases": [
-            {"lambda_e": 1, "lambda_s": 1, "lambda_g": 0},
-            {"lambda_e": 1, "lambda_s": 1, "lambda_g": 5},
-        ],
-    }
-    rows = run_experiment(ExperimentConfig.from_dict(raw))
+    rows = run_experiment(ExperimentConfig.from_dict(SHARED_ALPHA))
     paths = emit_plot_data(rows, out_dir=tmp_path)
     names = ["g__FC_allRC__alpha1_case1.dat", "g__FC_allRC__alpha1_case2.dat"]
     assert [p.name for p in paths] == names
@@ -610,7 +620,7 @@ def test_flat_rate_cases_sharing_an_alpha_get_their_own_series(tmp_path):
     paths = emit_plot_data(rows, out_dir=tmp_path)
     assert "flat_small__FC_allRC__alpha0.1.dat" in {p.name for p in paths}
     # DC_RC does not gossip, so to it both cases are one series, each n once
-    rows = run_experiment(ExperimentConfig.from_dict(dict(raw, policies=["DC_RC", "FC_allRC"])))
+    rows = run_experiment(ExperimentConfig.from_dict(dict(SHARED_ALPHA, policies=["DC_RC", "FC_allRC"])))
     paths = emit_plot_data(rows, out_dir=tmp_path / "dc")
     assert [p.name for p in paths] == ["g__DC_RC__alpha1.dat", *names]
     lines = paths[0].read_text().splitlines()[2:]
@@ -645,3 +655,49 @@ def test_clustered_series_are_numbered_by_config_case_for_every_pair(tmp_path):
     paths = emit_plot_data(alone, out_dir=tmp_path / "alone")
     assert [p.name for p in paths] == ["r__DC_RC+DC_RC__case1.dat", "r__DC_RC+DC_RC__case3.dat"]
     assert paths[1].read_text().splitlines()[2:] == third
+
+
+PAIR_N4 = {
+    "name": "a",
+    "mode": "clustered_sweep_k",
+    "n": 4,
+    "policies": [["DC_RC", "DC_RC"]],
+    "rates": {"lambda_e": 1, "lambda_s": 1, "lambda_c": 1},
+}
+PAIR_N4_FASTER = dict(PAIR_N4, rates=dict(PAIR_N4["rates"], lambda_s=2))
+
+
+@pytest.mark.parametrize(
+    "first,second,names",
+    [
+        (
+            PAIR_N4,
+            dict(PAIR_N4_FASTER, name="b"),
+            ["a__DC_RC+DC_RC__case1.dat", "b__DC_RC+DC_RC__case1.dat"],
+        ),
+        (
+            SHARED_ALPHA,
+            FLAT_SMALL,
+            [
+                "g__FC_allRC__alpha1_case1.dat",
+                "g__FC_allRC__alpha1_case2.dat",
+                "flat_small__FC_allRC__alpha1.dat",
+            ],
+        ),
+    ],
+)
+def test_runs_emitted_together_keep_their_own_case_numbers(first, second, names, tmp_path):
+    runs = [run_experiment(ExperimentConfig.from_dict(raw)) for raw in (first, second)]
+    together = {p.name: p for p in emit_plot_data(runs[0] + runs[1], out_dir=tmp_path)}
+    assert set(names) <= set(together)
+    # each run's files are the ones it writes alone
+    for i, rows in enumerate(runs):
+        for path in emit_plot_data(rows, out_dir=tmp_path / f"alone{i}"):
+            assert path.read_bytes() == together[path.name].read_bytes()
+
+
+def test_series_of_two_runs_that_meet_in_one_file_are_an_error(tmp_path):
+    rows = [run_experiment(ExperimentConfig.from_dict(raw)) for raw in (PAIR_N4, PAIR_N4_FASTER)]
+    with pytest.raises(ValueError, match=re.escape("would write a__DC_RC+DC_RC__case1.dat")):
+        emit_plot_data(rows[0] + rows[1], out_dir=tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()

@@ -20,7 +20,6 @@ from gossipfresh.simulator import (
     decomposition_check,
     estimate_freshness_cycles,
     estimate_freshness_time,
-    simulate_cycle,
 )
 
 GP = GossipPolicy
@@ -34,16 +33,27 @@ def z_score(est, target):
 # --- single cycles -----------------------------------------------------------
 
 
+def first_cycle(spec, rng):
+    """Step a trajectory to its first source refresh, which settles every
+    node's fresh time: the captured nodes hold version 1.  Returns each
+    node's (captured, fresh time) and the cycle's length."""
+    sim = TrajectorySim(spec, rng)
+    while sim.step() != "source_refresh":
+        pass
+    state = sim.state
+    return list(zip((v == 1 for v in state.node_versions), state.fresh_time_accum)), state.clock
+
+
 def test_cycle_outcome_invariants_flat():
     spec = NetworkSpec.flat(5, GP.FC_sRC, ONE)
     rng = random.Random(123)
     for _ in range(200):
-        out = simulate_cycle(spec, rng)
-        assert out.cycle_length > 0
-        for updated, dur in zip(out.updated, out.fresh_duration):
-            assert updated == (dur > 0.0)
-            assert dur <= out.cycle_length
-    assert len(out.updated) == 5
+        nodes, length = first_cycle(spec, rng)
+        assert length > 0
+        for captured, fresh in nodes:
+            assert captured == (fresh > 0.0)
+            assert fresh <= length
+    assert len(nodes) == 5
 
 
 def test_cycle_outcome_invariants_clustered():
@@ -51,18 +61,18 @@ def test_cycle_outcome_invariants_clustered():
     rng = random.Random(5)
     saw_update = False
     for _ in range(300):
-        out = simulate_cycle(spec, rng)
-        saw_update = saw_update or any(out.updated)
-        for updated, dur in zip(out.updated, out.fresh_duration):
-            assert updated == (dur > 0.0)
-            assert dur <= out.cycle_length
+        nodes, length = first_cycle(spec, rng)
+        saw_update = saw_update or any(captured for captured, _ in nodes)
+        for captured, fresh in nodes:
+            assert captured == (fresh > 0.0)
+            assert fresh <= length
     assert saw_update
 
 
-def test_simulate_cycle_deterministic_per_stream():
+def test_first_cycle_deterministic_per_stream():
     spec = NetworkSpec.flat(4, GP.FC_allRC, ONE)
-    a = [simulate_cycle(spec, random.Random(7)) for _ in range(20)]
-    b = [simulate_cycle(spec, random.Random(7)) for _ in range(20)]
+    a = [first_cycle(spec, random.Random(7)) for _ in range(20)]
+    b = [first_cycle(spec, random.Random(7)) for _ in range(20)]
     assert a == b
 
 
