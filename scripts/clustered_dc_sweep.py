@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Cluster-size study for disconnected clusters, n = 120.
 
-Sweeps every divisor of 120 as the cluster size for the four
-(source, cluster) policy pairs without gossip, across the default rate
-cases, then prints the optimal-k report.
+Runs configs/clustered_dc.json: every divisor of 120 as the cluster size
+for the four (source, cluster) policy pairs without gossip, across the
+default rate cases, then prints the optimal-k report.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from gossipfresh.experiments import (
@@ -16,17 +17,7 @@ from gossipfresh.experiments import (
     run_experiment,
 )
 
-CONFIG = {
-    "name": "clustered_dc",
-    "mode": "clustered_sweep_k",
-    "policies": [
-        ["DC_noRC", "DC_noRC"],
-        ["DC_noRC", "DC_RC"],
-        ["DC_RC", "DC_noRC"],
-        ["DC_RC", "DC_RC"],
-    ],
-    "n": 120,
-}
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "clustered_dc.json"
 
 
 def main():
@@ -35,8 +26,8 @@ def main():
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    config = ExperimentConfig.from_dict(
-        dict(CONFIG, output=str(args.out_dir / "clustered_dc.csv"))
+    config = replace(
+        ExperimentConfig.from_json(CONFIG), output=str(args.out_dir / "clustered_dc.csv")
     )
     rows = run_experiment(config)
     series = emit_plot_data(rows, out_dir=args.out_dir)

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Cluster-size study for gossiping clusters, n = 120.
 
-Sweeps the cluster size for the three (source, cluster) pairs whose
-clusters are fully connected, across the default rate cases, then prints
-the optimal-k report.
+Runs configs/clustered_fc.json: the cluster size for the three (source,
+cluster) pairs whose clusters are fully connected, across the default
+rate cases, then prints the optimal-k report.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from gossipfresh.experiments import (
@@ -16,16 +17,7 @@ from gossipfresh.experiments import (
     run_experiment,
 )
 
-CONFIG = {
-    "name": "clustered_fc",
-    "mode": "clustered_sweep_k",
-    "policies": [
-        ["DC_noRC", "FC_noRC"],
-        ["DC_RC", "FC_noRC"],
-        ["DC_RC", "FC_allRC"],
-    ],
-    "n": 120,
-}
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "clustered_fc.json"
 
 
 def main():
@@ -34,8 +26,8 @@ def main():
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    config = ExperimentConfig.from_dict(
-        dict(CONFIG, output=str(args.out_dir / "clustered_fc.csv"))
+    config = replace(
+        ExperimentConfig.from_json(CONFIG), output=str(args.out_dir / "clustered_fc.csv")
     )
     rows = run_experiment(config)
     series = emit_plot_data(rows, out_dir=args.out_dir)

@@ -1,23 +1,19 @@
 #!/usr/bin/env python3
 """Freshness of the five flat policies as the network grows.
 
-Sweeps n = 1..50 for two values of alpha = lambda_e / lambda_s and writes
-a CSV plus one plot series per (policy, alpha).  Optionally adds Monte
-Carlo columns with --cycles.
+Runs configs/flat_policies.json: n = 1..50 for two values of alpha =
+lambda_e / lambda_s, written as a CSV plus one plot series per (policy,
+alpha).  Optionally adds Monte Carlo columns with --cycles.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
-from gossipfresh.experiments import ExperimentConfig, emit_plot_data, run_experiment
+from gossipfresh.core import int_problem
+from gossipfresh.experiments import ExperimentConfig, SimSettings, emit_plot_data, run_experiment
 
-CONFIG = {
-    "name": "flat_policies",
-    "mode": "flat_sweep_n",
-    "policies": ["DC_noRC", "DC_RC", "FC_noRC", "FC_sRC", "FC_allRC"],
-    "rates": {"lambda_s": 1.0, "lambda_g": 1.0, "alpha": [0.1, 1.0]},
-    "n_range": [1, 50],
-}
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "flat_policies.json"
 
 
 def main():
@@ -28,12 +24,17 @@ def main():
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    raw = dict(CONFIG, output=str(args.out_dir / "flat_policies.csv"))
+    config = replace(
+        ExperimentConfig.from_json(CONFIG), output=str(args.out_dir / "flat_policies.csv")
+    )
     if args.cycles:
-        raw["sim"] = {"cycles": args.cycles, "seed": args.seed}
-    rows = run_experiment(ExperimentConfig.from_dict(raw))
+        problem = int_problem("--cycles", args.cycles, 1) or int_problem("--seed", args.seed, 0)
+        if problem:
+            ap.error(problem)
+        config = replace(config, sim=SimSettings(cycles=args.cycles, seed=args.seed))
+    rows = run_experiment(config)
     series = emit_plot_data(rows, out_dir=args.out_dir)
-    print(f"{len(rows)} rows -> {raw['output']}")
+    print(f"{len(rows)} rows -> {config.output}")
     print(f"{len(series)} series files in {args.out_dir}")
 
 

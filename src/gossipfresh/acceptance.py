@@ -353,13 +353,13 @@ _DETERMINISM_CONFIG = {
 }
 
 
-def criterion_7(tmp_dir=None) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Same seeds give byte-identical CSVs and identical estimates."""
     import tempfile
 
     t0 = time.perf_counter()
     failures = []
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as td:
+    with tempfile.TemporaryDirectory() as td:
         td = Path(td)
         blobs = []
         for name in ("a", "b"):

@@ -402,14 +402,14 @@ def closed_clustered(
     rates: Rates,
 ) -> FreshnessValue | None:
     """Closed-form end-node freshness of a clustered network of m clusters
-    of k nodes: the product of the clusterhead-tier formula (m receivers
-    at total rate lambda_s) and the in-cluster formula (k receivers at
-    total rate lambda_c, gossip lambda_g).  None when either tier lacks a
-    closed form.  The shape is checked as :func:`clustered_freshness`
-    checks it."""
-    require_valid(NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates, m=m))
-    f_src = closed_flat(source_policy, rates.lambda_s, 0.0, rates.lambda_e, m)
-    f_cl = closed_flat(cluster_policy, rates.lambda_c, rates.lambda_g, rates.lambda_e, k)
+    of k nodes: the product of :func:`closed_flat` over the two tiers of
+    :attr:`~gossipfresh.core.NetworkSpec.tiers` (m clusterheads at total
+    rate lambda_s, then k nodes at total rate lambda_c, gossip lambda_g).
+    None when either tier lacks a closed form.  The shape is checked as
+    :func:`clustered_freshness` checks it."""
+    spec = NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates, m=m)
+    require_valid(spec)
+    f_src, f_cl = [closed_flat(p, s, g, rates.lambda_e, size) for p, s, g, size in spec.tiers]
     if f_src is None or f_cl is None:
         return None
     return f_src * f_cl
@@ -418,19 +418,16 @@ def closed_clustered(
 def clustered_freshness(spec: NetworkSpec) -> tuple[FreshnessValue, ClusteredBreakdown]:
     """End-node freshness of a clustered spec via the generic recursion.
 
-    The clusterhead stage and the in-cluster stage are independent races
+    The clusterhead stage and the in-cluster stage, the two tiers of
+    :attr:`~gossipfresh.core.NetworkSpec.tiers`, are independent races
     against the same memoryless cycle clock, so the end-node probability
-    factorises into their product.
+    factorises into their :func:`oracle_flat` values' product.
     """
     require_valid(spec)
-    shape = spec.shape
-    if not isinstance(shape, Clustered):
+    if not isinstance(spec.shape, Clustered):
         raise ValueError("clustered_freshness requires a Clustered shape")
-    r = spec.rates
-    p_ch = oracle_flat(shape.source_policy, r.lambda_s, 0.0, r.lambda_e, shape.m)
-    p_node = oracle_flat(
-        shape.cluster_policy, r.lambda_c, r.lambda_g, r.lambda_e, shape.k
-    )
+    le = spec.rates.lambda_e
+    p_ch, p_node = [oracle_flat(p, s, g, le, size) for p, s, g, size in spec.tiers]
     p = p_ch * p_node
     return p, ClusteredBreakdown(p_ch=p_ch, p_node_given_ch=p_node, p=p)
 

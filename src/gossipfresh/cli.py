@@ -12,11 +12,12 @@ Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
 from .core import GossipPolicy, NetworkSpec, Rates, int_problem, validate
-from .analytic import closed_clustered, closed_flat, clustered_freshness, oracle_flat
+from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -31,19 +32,16 @@ from . import acceptance
 _POLICY_NAMES = [p.value for p in GossipPolicy]
 
 
-def _add_rate_flags(parser, with_alpha=True):
+def _add_rate_flags(parser):
     parser.add_argument("--lambda-e", type=float, help="source self-refresh rate")
     parser.add_argument("--lambda-s", type=float, default=0.0, help="total source delivery rate")
     parser.add_argument("--lambda-c", type=float, default=0.0, help="total per-clusterhead rate")
     parser.add_argument("--lambda-g", type=float, default=0.0, help="total per-fresh-node gossip rate")
-    if with_alpha:
-        parser.add_argument(
-            "--alpha", type=float, help="lambda_e / lambda_s (instead of --lambda-e)"
-        )
+    parser.add_argument("--alpha", type=float, help="lambda_e / lambda_s (instead of --lambda-e)")
 
 
 def _rates_from_args(args) -> Rates:
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         if args.lambda_e is not None:
             raise ValueError("--alpha and --lambda-e are mutually exclusive")
         if args.lambda_s <= 0:
@@ -58,55 +56,29 @@ def _rates_from_args(args) -> Rates:
 
 def _cmd_analytic(args) -> int:
     rates = _rates_from_args(args)
-    clustered = args.k is not None or args.source_policy or args.cluster_policy
-    if clustered:
-        missing = [
-            flag
-            for flag, value in (
-                ("--k", args.k),
-                ("--source-policy", args.source_policy),
-                ("--cluster-policy", args.cluster_policy),
-            )
-            if value is None
-        ]
+    if args.k is not None or args.source_policy or args.cluster_policy:
+        dests = ("k", "source_policy", "cluster_policy")
+        missing = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is None]
         if missing:
             raise ValueError(f"clustered point needs {' '.join(missing)}")
-        spec = NetworkSpec.clustered(
-            args.n,
-            args.k,
-            GossipPolicy(args.source_policy),
-            GossipPolicy(args.cluster_policy),
-            rates,
-        )
-        problems = validate(spec)
-        if problems:
-            raise ValueError("; ".join(problems))
-        p, breakdown = clustered_freshness(spec)
-        closed = closed_clustered(
-            GossipPolicy(args.source_policy),
-            GossipPolicy(args.cluster_policy),
-            spec.shape.m,
-            args.k,
-            rates,
-        )
-        print(f"p_oracle = {p:.17g}")
-        if closed is not None:
-            print(f"p_analytic = {closed:.17g}")
-        print(f"p_ch = {breakdown.p_ch:.17g}")
-        print(f"p_node_given_ch = {breakdown.p_node_given_ch:.17g}")
+        policies = GossipPolicy(args.source_policy), GossipPolicy(args.cluster_policy)
+        spec = NetworkSpec.clustered(args.n, args.k, *policies, rates)
+    elif args.policy is None:
+        raise ValueError("flat point needs --policy (or pass clustered flags)")
     else:
-        if args.policy is None:
-            raise ValueError("flat point needs --policy (or pass clustered flags)")
-        policy = GossipPolicy(args.policy)
-        spec = NetworkSpec.flat(args.n, policy, rates)
-        problems = validate(spec)
-        if problems:
-            raise ValueError("; ".join(problems))
-        p = oracle_flat(policy, rates.lambda_s, rates.lambda_g, rates.lambda_e, args.n)
-        closed = closed_flat(policy, rates.lambda_s, rates.lambda_g, rates.lambda_e, args.n)
-        print(f"p_oracle = {p:.17g}")
-        if closed is not None:
-            print(f"p_analytic = {closed:.17g}")
+        spec = NetworkSpec.flat(args.n, GossipPolicy(args.policy), rates)
+    problems = validate(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
+    le = rates.lambda_e
+    oracle = [oracle_flat(p, s, g, le, size) for p, s, g, size in spec.tiers]
+    closed = [closed_flat(p, s, g, le, size) for p, s, g, size in spec.tiers]
+    print(f"p_oracle = {math.prod(oracle):.17g}")
+    if None not in closed:
+        print(f"p_analytic = {math.prod(closed):.17g}")
+    if len(oracle) == 2:
+        print(f"p_ch = {oracle[0]:.17g}")
+        print(f"p_node_given_ch = {oracle[1]:.17g}")
     return 0
 
 
@@ -169,8 +141,10 @@ def _cmd_optimal_k(args) -> int:
 
 def _cmd_selftest(args) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
+        if not names:
+            raise ValueError(f"--only names no criterion, got {args.only!r}")
     results = acceptance.run_criteria(names)
     for res in results:
         print(acceptance.format_line(res))

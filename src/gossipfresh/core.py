@@ -11,7 +11,8 @@ update intensity ``u(j)`` delivered to each stale node when exactly ``j``
 nodes are currently fresh, for ``j = 0 .. n-1``.  That table,
 :func:`per_stale_rate`, is shared by the exact calculations in
 :mod:`gossipfresh.analytic` and the event-driven engines in
-:mod:`gossipfresh.simulator`.
+:mod:`gossipfresh.simulator`; both build one per tier of
+:attr:`NetworkSpec.tiers`.
 """
 
 from __future__ import annotations
@@ -204,6 +205,22 @@ class NetworkSpec:
         if m is None:
             m = 0 if int_problem("k", k, 1) else n // k
         return NetworkSpec(Clustered(n, k, m, source_policy, cluster_policy), rates)
+
+    @property
+    def tiers(self) -> tuple[tuple[GossipPolicy, float, float, int], ...]:
+        """The network's flat tiers, each ``(policy, total_source,
+        total_gossip, size)`` as :func:`per_stale_rate` takes them: ``(policy,
+        lambda_s, lambda_g, n)`` for a flat network; for a clustered one the
+        source's race to the m clusterheads, which never gossip,
+        ``(source_policy, lambda_s, 0.0, m)``, then a clusterhead's race to
+        its k nodes, ``(cluster_policy, lambda_c, lambda_g, k)``."""
+        shape, r = self.shape, self.rates
+        if isinstance(shape, Flat):
+            return ((shape.policy, r.lambda_s, r.lambda_g, shape.n),)
+        return (
+            (shape.source_policy, r.lambda_s, 0.0, shape.m),
+            (shape.cluster_policy, r.lambda_c, r.lambda_g, shape.k),
+        )
 
 
 def per_stale_rate(

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustered, Flat, NetworkSpec, per_stale_rate
+from .core import Clustered, NetworkSpec, per_stale_rate
 from .core import require_int, require_rates, require_valid
 from .analytic import BLOCK_CELLS, clustered_freshness
 
@@ -137,77 +137,54 @@ def _ci95(p_hat: float, stderr: float) -> tuple[float, float]:
 # rate tables
 
 
-class _FlatTables:
-    """Per-state rates of a flat network, indexed by the fresh count j.
+def _totals(policy, total_source: float, total_gossip: float, size: int) -> list[float]:
+    """One tier's total delivery intensity to its stale receivers with j of
+    the ``size`` fresh, ``j = 0 .. size`` (zero once all are fresh)."""
+    u = per_stale_rate(policy, total_source, total_gossip, size).tolist()
+    return [(size - j) * u[j] for j in range(size)] + [0.0]
 
-    ``dsrc[j]`` is the total delivery intensity to the stale nodes (the
-    source's, plus the fresh nodes' gossip under the FC policies);
-    ``end_prob[j]`` is the chance that the cycle ends before the next
-    capture.
+
+class _Tables:
+    """Per-state total rates of a network, one list per tier of
+    :attr:`~gossipfresh.core.NetworkSpec.tiers`.
+
+    ``dsrc[j]`` is the source's total intensity to its m stale receivers
+    (the end nodes of a flat network, the clusterheads of a clustered one)
+    with j of them fresh, the fresh nodes' gossip included; ``dcl[h]`` is
+    the total in-cluster delivery intensity of one cluster in which h of
+    its k nodes hold the clusterhead's current version.  A flat network
+    has ``k = 0`` and an empty ``dcl``.
     """
 
     def __init__(self, spec: NetworkSpec):
-        shape = spec.shape
-        assert isinstance(shape, Flat)
-        n = shape.n
-        lam_e = spec.rates.lambda_e
-        u = per_stale_rate(shape.policy, spec.rates.lambda_s, spec.rates.lambda_g, n).tolist()
-        dsrc = [(n - j) * u[j] for j in range(n)] + [0.0]
-        self.n = n
-        self.lam_e = lam_e
-        self.dsrc = dsrc
-        self.end_prob = [lam_e / (lam_e + d) for d in dsrc]
-
-
-class _ClusteredTables:
-    """Per-state rates of a clustered network.
-
-    ``dsrc[j]`` is the source's total intensity to the stale clusterheads
-    with j of them fresh; ``dcl[j]`` is the total in-cluster delivery
-    intensity of one cluster in which j nodes hold the clusterhead's
-    current version.
-    """
-
-    def __init__(self, spec: NetworkSpec):
-        shape = spec.shape
-        assert isinstance(shape, Clustered)
-        r = spec.rates
-        m, k = shape.m, shape.k
-        u_src = per_stale_rate(shape.source_policy, r.lambda_s, 0.0, m).tolist()
-        u_cl = per_stale_rate(shape.cluster_policy, r.lambda_c, r.lambda_g, k).tolist()
-        self.m = m
-        self.k = k
-        self.n = shape.n
-        self.lam_e = r.lambda_e
-        self.dsrc = [(m - j) * u_src[j] for j in range(m)] + [0.0]
-        self.dcl = [(k - j) * u_cl[j] for j in range(k)] + [0.0]
-
-
-def _make_tables(spec: NetworkSpec):
-    require_valid(spec)
-    if isinstance(spec.shape, Flat):
-        return _FlatTables(spec)
-    return _ClusteredTables(spec)
+        require_valid(spec)
+        source, *cluster = spec.tiers
+        self.m, self.dsrc = source[3], _totals(*source)
+        self.k, self.dcl = (cluster[0][3], _totals(*cluster[0])) if cluster else (0, [])
+        self.n = spec.shape.n
+        self.lam_e = spec.rates.lambda_e
 
 
 # ---------------------------------------------------------------------------
 # capture-count kernels
 
 
-def _flat_counts(tab: _FlatTables, rng: np.random.Generator, count: int) -> np.ndarray:
+def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarray:
     """Capture counts of ``count`` flat cycles.
 
     Row i of a uniform block holds cycle i's draws, one per fresh count j;
-    the cycle ends at the first j whose uniform falls below ``end_prob[j]``
-    (``end_prob[n] = 1``).  Blocks hold at most :data:`BLOCK_CELLS` cells.
+    the cycle ends at the first j whose uniform falls below ``ends[j] =
+    lam_e / (lam_e + dsrc[j])``, the chance that the refresh comes before
+    the next capture (``ends[n] = 1``).  Blocks hold at most
+    :data:`BLOCK_CELLS` cells.
     """
-    end_prob = np.asarray(tab.end_prob)
-    rows = max(1, BLOCK_CELLS // len(end_prob))
-    shapes = [(min(rows, count - start), len(end_prob)) for start in range(0, count, rows)]
-    return np.concatenate([(rng.random(shape) < end_prob).argmax(axis=1) for shape in shapes])
+    ends = tab.lam_e / (tab.lam_e + np.array(tab.dsrc))
+    rows = max(1, BLOCK_CELLS // len(ends))
+    shapes = [(min(rows, count - start), len(ends)) for start in range(0, count, rows)]
+    return np.concatenate([(rng.random(shape) < ends).argmax(axis=1) for shape in shapes])
 
 
-def _clustered_counts(tab: _ClusteredTables, rng: np.random.Generator, count: int) -> np.ndarray:
+def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarray:
     """Capture counts of ``count`` clustered cycles, each drawn in one pass.
 
     A cycle is an Exp(lambda_e) clock that runs independently of the
@@ -244,7 +221,7 @@ def _clustered_counts(tab: _ClusteredTables, rng: np.random.Generator, count: in
 def _stream_counts(tab, seed: int, num_cycles: int):
     """Capture counts of ``num_cycles`` cycles, yielded one child stream
     (:data:`CYCLE_BATCH` cycles) at a time, in stream order."""
-    kernel = _flat_counts if isinstance(tab, _FlatTables) else _clustered_counts
+    kernel = _clustered_counts if tab.k else _flat_counts
     seeds = _child_seeds(seed, (num_cycles + CYCLE_BATCH - 1) // CYCLE_BATCH)
     for b, child in enumerate(seeds):
         size = min(CYCLE_BATCH, num_cycles - b * CYCLE_BATCH)
@@ -269,7 +246,7 @@ def estimate_freshness_cycles(
     kernels count captures without naming nodes, so ``per_node`` is empty.
     """
     require_int("num_cycles", num_cycles, 1)
-    tab = _make_tables(spec)
+    tab = _Tables(spec)
     captures = sum(int(counts.sum()) for counts in _stream_counts(tab, seed, num_cycles))
     p_hat = captures / (num_cycles * tab.n)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / num_cycles)
@@ -298,21 +275,20 @@ class TrajectorySim:
     """
 
     def __init__(self, spec: NetworkSpec, rng: random.Random):
-        tab = _make_tables(spec)
-        self.spec = spec
+        tab = _Tables(spec)
         self.tab = tab
         self.rng = rng
         n = tab.n
-        if isinstance(tab, _FlatTables):
-            self.state = SimState(1, [0] * n, None, 0.0, [0.0] * n)
-            clusters, k, dcl0 = 0, 0, 0.0
-        else:
-            clusters, k, dcl0 = tab.m, tab.k, tab.dcl[0]
+        if tab.k:
+            clusters, dcl0 = tab.m, tab.dcl[0]
             self.state = SimState(1, [-1] * n, [0] * clusters, 0.0, [0.0] * n)
+        else:
+            clusters, dcl0 = 0, 0.0
+            self.state = SimState(1, [0] * n, None, 0.0, [0.0] * n)
         # the source's receivers are the end nodes of a flat network and
         # the clusterheads of a clustered one; resets copy these lists
-        self._receivers = list(range(len(tab.dsrc) - 1))
-        self._cluster_nodes = list(range(k))
+        self._receivers = list(range(tab.m))
+        self._cluster_nodes = list(range(tab.k))
         self._stale = self._receivers[:]
         self._fresh: list[int] = []
         self._since = [0.0] * n  # capture clock of each fresh node
@@ -338,10 +314,9 @@ class TrajectorySim:
         """
         tab, state = self.tab, self.state
         random, log = self.rng.random, math.log
-        lam_e, dsrc = tab.lam_e, tab.dsrc
+        lam_e, dsrc, dcl, k = tab.lam_e, tab.dsrc, tab.dcl, tab.k
         sv, clock = state.source_version, state.clock
         nodes, chs, accum = state.node_versions, state.ch_versions, state.fresh_time_accum
-        dcl, k = (tab.dcl, tab.k) if chs is not None else ((), 0)
         stale, fresh, since = self._stale, self._fresh, self._since
         holders, nonhold, crates, csum = self._holders, self._nonhold, self._crates, self._csum
         every_receiver, every_node = self._receivers, self._cluster_nodes
@@ -408,7 +383,7 @@ class TrajectorySim:
                         fresh.append(gid)
                         since[gid] = t
                     label = "node_delivery"
-                elif chs is None:
+                elif not k:
                     nodes[r] = sv
                     fresh.append(r)
                     since[r] = t

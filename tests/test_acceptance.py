@@ -45,8 +45,8 @@ def test_criterion_6_optimal_cluster_claims():
     assert result.runtime < 5.0
 
 
-def test_criterion_7_reproducibility(tmp_path):
-    result = acceptance.criterion_7(tmp_dir=tmp_path)
+def test_criterion_7_reproducibility():
+    result = acceptance.criterion_7()
     print(acceptance.format_line(result))
     assert result.passed, acceptance.format_line(result)
 

@@ -45,6 +45,39 @@ def test_analytic_clustered_point(capsys):
     assert "p_ch = 0.375" in out
 
 
+#: Whole stdout of ``analytic`` at four points, recorded before the CLI
+#: took its values from ``NetworkSpec.tiers``: a flat policy with and one
+#: without a closed form, and a clustered pair with and one without.
+ANALYTIC_POINTS = [
+    (
+        "--n 7 --policy DC_RC --lambda-e 0.5 --lambda-s 2",
+        "p_oracle = 0.45159131428571431\np_analytic = 0.45159131428571425\n",
+    ),
+    (
+        "--n 7 --policy FC_sRC --lambda-e 0.5 --lambda-s 2 --lambda-g 1.5",
+        "p_oracle = 0.58600059031877205\n",
+    ),
+    (
+        "--n 12 --k 4 --source-policy DC_RC --cluster-policy FC_allRC "
+        "--lambda-e 0.5 --lambda-s 2 --lambda-c 3 --lambda-g 1.5",
+        "p_oracle = 0.4893406593406594\np_analytic = 0.4893406593406594\n"
+        "p_ch = 0.65066666666666673\np_node_given_ch = 0.75206043956043955\n",
+    ),
+    (
+        "--n 12 --k 3 --source-policy DC_noRC --cluster-policy FC_sRC "
+        "--lambda-e 0.5 --lambda-s 2 --lambda-c 3 --lambda-g 1.5",
+        "p_oracle = 0.38714285714285707\n"
+        "p_ch = 0.49999999999999994\np_node_given_ch = 0.77428571428571424\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", ANALYTIC_POINTS)
+def test_analytic_prints_the_recorded_stdout(argv, stdout, capsys):
+    assert main(["analytic", *argv.split()]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_analytic_alpha_flag(capsys):
     code = main(
         ["analytic", "--n", "3", "--policy", "DC_RC", "--alpha", "1", "--lambda-s", "1"]
@@ -188,6 +221,18 @@ def test_selftest_subset_passes(tmp_path, capsys):
 
 def test_selftest_unknown_criterion_exits_1(capsys):
     assert main(["selftest", "--only", "9"]) == 1
+
+
+@pytest.mark.parametrize("only", ["", ",", " "])
+def test_selftest_only_that_names_no_criterion_exits_1(only, monkeypatch, capsys):
+    def unexpected(names=None):
+        raise AssertionError(f"a criterion ran for --only {only!r}")
+
+    monkeypatch.setattr(acceptance, "run_criteria", unexpected)
+    assert main(["selftest", "--only", only]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --only")
 
 
 def test_selftest_failure_exits_3(monkeypatch, capsys):

@@ -149,6 +149,18 @@ def test_rates_scaled():
     assert r == Rates(0.5, 1.0, 1.5, 2.0)
 
 
+def test_tiers_split_a_network_into_flat_tiers():
+    r = Rates(0.5, 2.0, 3.0, 1.5)
+    flat = NetworkSpec.flat(7, GossipPolicy.FC_sRC, r)
+    assert flat.tiers == ((GossipPolicy.FC_sRC, 2.0, 1.5, 7),)
+    clustered = NetworkSpec.clustered(12, 4, GossipPolicy.DC_RC, GossipPolicy.FC_allRC, r)
+    # the clusterheads never gossip, whatever lambda_g
+    assert clustered.tiers == (
+        (GossipPolicy.DC_RC, 2.0, 0.0, 3),
+        (GossipPolicy.FC_allRC, 3.0, 1.5, 4),
+    )
+
+
 def test_validate_ok_single_node():
     spec = NetworkSpec.flat(1, GossipPolicy.DC_noRC, Rates(1.0, 1.0, 1.0, 1.0))
     assert validate(spec) == []

@@ -2,9 +2,10 @@
 
 The CLI runs every shipped config as ``sweep --plot-dir`` and both
 clustered ones as ``optimal-k``, and the SHA-256 of every file written and
-of each command's stdout must equal the digests below; so must the
-deterministic report of the exact selftest criteria (1, 2, 3 and 6),
-which holds no wall-clock data.  Two single-point configs, flat and
+of each command's stdout must equal the digests below; so must the files
+the three ``scripts/*_sweep.py`` write, and the deterministic report of
+the exact selftest criteria (1, 2, 3 and 6), which holds no wall-clock
+data.  Two single-point configs, flat and
 clustered, are pinned the same way, and three invalid ones by their exit
 code and stderr.  They pin every value, label and byte of those outputs,
 however the values are computed: a change that means to alter an output
@@ -13,9 +14,11 @@ updates its digest and says why.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ import pytest
 from gossipfresh.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCRIPTS = CONFIGS.parent / "scripts"
 
 COMMANDS = (
     ("sweep", "flat_policies"),
@@ -108,6 +112,51 @@ def output_digests(workdir: Path) -> dict[str, str]:
 
 def test_shipped_config_outputs_are_byte_identical(tmp_path):
     assert output_digests(tmp_path) == DIGESTS
+
+
+def load_script(script):
+    spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "script,name",
+    [
+        ("flat_policy_sweep", "flat_policies"),
+        ("clustered_dc_sweep", "clustered_dc"),
+        ("clustered_fc_sweep", "clustered_fc"),
+    ],
+)
+def test_sweep_scripts_write_the_shipped_outputs(script, name, tmp_path, monkeypatch, capsys):
+    # each script runs configs/<name>.json; its CSV and plot files land in
+    # --out-dir and must equal the CLI's out/<name>.csv and plots/<name>__*
+    monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(tmp_path)])
+    load_script(script).main()
+    written = {
+        ("out/" if path.suffix == ".csv" else "plots/") + path.name: hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    expected = {
+        key: digest
+        for key, digest in DIGESTS.items()
+        if key == f"out/{name}.csv" or key.startswith(f"plots/{name}__")
+    }
+    assert written == expected
+
+
+@pytest.mark.parametrize("flags", [["--cycles", "-5"], ["--cycles", "10", "--seed", "-1"]])
+def test_flat_script_rejects_bad_monte_carlo_flags(flags, tmp_path, monkeypatch, capsys):
+    # the integer rule of sim.cycles and sim.seed, before any work
+    monkeypatch.setattr(sys, "argv", ["flat_policy_sweep", "--out-dir", str(tmp_path), *flags])
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("flat_policy_sweep").main()
+    assert exit_info.value.code == 2
+    assert f"error: {flags[-2]} must be an integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 #: SHA-256 of ``selftest --only 1,2,3,6 --report <path>``'s report file.

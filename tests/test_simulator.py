@@ -15,8 +15,8 @@ from gossipfresh.simulator import (
     _child_seeds,
     _clustered_counts,
     _flat_counts,
-    _make_tables,
     _stream_counts,
+    _Tables,
     decomposition_check,
     estimate_freshness_cycles,
     estimate_freshness_time,
@@ -159,7 +159,7 @@ def _cycle_counts(tab, seed, num_cycles):
     ],
 )
 def test_cycle_counts_merge_child_streams_across_the_batch_boundary(spec):
-    tab = _make_tables(spec)
+    tab = _Tables(spec)
     kernel = _flat_counts if isinstance(spec.shape, Flat) else _clustered_counts
     first, second = _child_seeds(7, 2)
     below = _cycle_counts(tab, 7, CYCLE_BATCH - 1)
@@ -222,9 +222,10 @@ LAW_CYCLES = 200_000
 @pytest.mark.parametrize("n", [1, 3, 8, 50])
 def test_flat_kernel_capture_count_law(policy, n):
     spec = NetworkSpec.flat(n, policy, Rates(0.5, 1.0, 0.0, 2.0))
-    tab = _make_tables(spec)
+    tab = _Tables(spec)
+    ends = [tab.lam_e / (tab.lam_e + d) for d in tab.dsrc]
     counts = _cycle_counts(tab, 300 + n, LAW_CYCLES)
-    _assert_chi_square_fits(counts, _first_success_pmf(tab.end_prob))
+    _assert_chi_square_fits(counts, _first_success_pmf(ends))
 
 
 @pytest.mark.parametrize("policy", list(GP))
@@ -233,7 +234,7 @@ def test_clustered_kernel_capture_count_law_with_one_cluster(policy, k):
     # one clusterhead: refreshed within the cycle with probability p_ch,
     # after which its cluster runs the flat race from zero holders
     spec = NetworkSpec.clustered(k, k, GP.DC_RC, policy, Rates(0.5, 1.0, 2.0, 1.5))
-    tab = _make_tables(spec)
+    tab = _Tables(spec)
     p_ch = tab.dsrc[0] / (tab.dsrc[0] + tab.lam_e)
     pmf = p_ch * _first_success_pmf([tab.lam_e / (tab.lam_e + d) for d in tab.dcl])
     pmf[0] += 1.0 - p_ch
@@ -277,7 +278,7 @@ def _clustered_count_pmf(tab):
 @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (2, 3)])
 def test_clustered_kernel_capture_count_law_with_several_clusters(src, cl, m, k):
     spec = NetworkSpec.clustered(m * k, k, src, cl, Rates(0.5, 1.0, 2.0, 1.5))
-    tab = _make_tables(spec)
+    tab = _Tables(spec)
     pmf = _clustered_count_pmf(tab)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     counts = _cycle_counts(tab, 500 + 10 * m + k, LAW_CYCLES)
@@ -287,7 +288,7 @@ def test_clustered_kernel_capture_count_law_with_several_clusters(src, cl, m, k)
 def test_clustered_count_pmf_with_one_cluster_is_the_flat_race():
     # the DP reference against the closed m = 1 law of the test above
     spec = NetworkSpec.clustered(3, 3, GP.DC_RC, GP.FC_sRC, Rates(0.5, 1.0, 2.0, 1.5))
-    tab = _make_tables(spec)
+    tab = _Tables(spec)
     p_ch = tab.dsrc[0] / (tab.dsrc[0] + tab.lam_e)
     pmf = p_ch * _first_success_pmf([tab.lam_e / (tab.lam_e + d) for d in tab.dcl])
     pmf[0] += 1.0 - p_ch
@@ -562,7 +563,7 @@ class _PerEventSim:
     The reference for the event loop's draws, labels and fresh time."""
 
     def __init__(self, spec, rng):
-        tab = _make_tables(spec)
+        tab = _Tables(spec)
         self.tab = tab
         self.rng = rng
         n = tab.n
