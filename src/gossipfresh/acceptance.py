@@ -416,15 +416,13 @@ CRITERIA = {
 
 
 def run_criteria(names=None) -> list[CriterionResult]:
-    """Run the selected criteria (all of them by default), in order."""
-    if names is None:
-        names = list(CRITERIA)
-    results = []
+    """Run the selected criteria (all of them by default), in order, each
+    once; every name is checked before the first criterion runs."""
+    names = list(CRITERIA) if names is None else list(dict.fromkeys(names))
     for name in names:
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}; valid: {sorted(CRITERIA)}")
-        results.append(CRITERIA[name]())
-    return results
+    return [CRITERIA[name]() for name in names]
 
 
 def format_line(res: CriterionResult) -> str:

@@ -185,6 +185,17 @@ def _parse_policy(value, where, problems):
         return None
 
 
+def alpha_problem(alpha, lambda_s) -> str | None:
+    """The first part of the rule of ``lambda_e = alpha * lambda_s`` that fails
+    (``"lambda_s"`` unless > 0, ``"alpha"`` unless a finite number > 0,
+    ``"product"`` unless finite and non-zero), else None; callers word it."""
+    if not lambda_s > 0:
+        return "lambda_s"
+    if _as_number(alpha, "alpha", [], 0, strict_min=True) is None:
+        return "alpha"
+    return None if 0 < alpha * lambda_s < math.inf else "product"
+
+
 def _parse_rates_dict(raw, where, problems, allow_alpha):
     unknown = set(raw) - _RATE_KEYS
     if unknown:
@@ -206,19 +217,19 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
         if not alphas:
             problems.append(f"{where}.alpha must not be empty")
             return []
-        if lam_s <= 0:
-            problems.append(f"{where}: alpha needs lambda_s > 0, got {lam_s!r}")
-            return []
         cases = []
         for a in alphas:
-            av = _as_number(a, f"{where}.alpha", problems, 0, strict_min=True)
-            if av is None:
-                return []
-            lam_e = av * lam_s
-            if not 0 < lam_e < math.inf:
+            broken = alpha_problem(a, lam_s)
+            if broken == "lambda_s":
+                problems.append(f"{where}: alpha needs lambda_s > 0, got {lam_s!r}")
+            elif broken == "alpha":
+                _as_number(a, f"{where}.alpha", problems, 0, strict_min=True)
+            elif broken:
+                lam_e = a * lam_s
                 problems.append(f"{where}.alpha: alpha * lambda_s = {lam_e} must be finite and > 0")
+            if broken:
                 return []
-            cases.append(RateCase(f"alpha{av:g}", Rates(lam_e, lam_s, lam_c, lam_g)))
+            cases.append(RateCase(f"alpha{float(a):g}", Rates(a * lam_s, lam_s, lam_c, lam_g)))
         return cases
     if "lambda_e" not in raw:
         problems.append(f"{where} needs lambda_e (or alpha, for flat sweeps)")
@@ -394,55 +405,55 @@ class ResultRow:
     case: int | None = field(default=None, compare=False)
 
 
-def _row_seed(base_seed: int, index: int) -> int:
-    """Stable per-row child seed; independent of evaluation order."""
-    return int(np.random.SeedSequence(entropy=(base_seed, index)).generate_state(1, np.uint64)[0])
+def _grid(config, route) -> tuple[list, list]:
+    """The grid ``xs`` of ``config`` and ``profiles[c][q]``, ``route``'s
+    values for case ``c`` and policy ``q`` over it as a list, or None where
+    the route has no formula.  A clustered grid is the divisors of n (or
+    the one k) through :func:`clustered_profiles`; a flat one is n from lo
+    to hi (or the one n), with one ``route`` call per distinct policy under
+    every case.  A config built in code with an unknown mode, no policies
+    or no rate cases raises ``ConfigError``."""
+    if config.mode not in MODES:
+        raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
+    if not config.policies or not config.cases:
+        raise ConfigError(["config has no policies or no rate cases"])
+    if config.clustered:
+        xs = divisors(config.n) if config.k is None else [config.k]
+        rates = [case.rates for case in config.cases]
+        profiles = clustered_profiles(route, config.n, xs, rates, config.policies)
+    else:
+        lo, hi = config.n_range or (config.n, config.n)
+        xs = list(range(lo, hi + 1))
+        rates = [(c.rates.lambda_e, c.rates.lambda_s, c.rates.lambda_g) for c in config.cases]
+        le, ls, lg = map(list, zip(*rates))
+        by_policy = {q: route(q, ls, lg, le, xs) for q in dict.fromkeys(config.policies)}
+        values = [by_policy[q] for q in config.policies]
+        profiles = [[None if v is None else v[c] for v in values] for c in range(len(rates))]
+    return xs, [[None if v is None else v.tolist() for v in case] for case in profiles]
 
 
-#: The Monte Carlo columns of a row without ``sim``.
-_NO_SIM = (None,) * 5
-
-
-def _sim_columns(config, spec, index) -> tuple:
-    """``p_sim, sim_ci_lo, sim_ci_hi, cycles, seed`` of one row."""
-    seed = _row_seed(config.sim.seed, index)
-    est = estimate_freshness_cycles(spec, config.sim.cycles, seed)
-    return est.p_hat, est.ci95[0], est.ci95[1], config.sim.cycles, seed
-
-
-def _flat_rows(config, case, policy, ns, exact, closed, index) -> list[ResultRow]:
-    """The rows of config case ``case`` and ``policy`` on a flat grid,
-    numbered from ``index``; ``exact`` and ``closed`` hold one value per n."""
-    r = config.cases[case].rates
-    head = (config.name, policy.value, None)
-    lambdas = (r.lambda_e, r.lambda_s, None, r.lambda_g if policy.gossips else None)
+def _rows(config, case, policy, xs, exact, closed, index) -> list[ResultRow]:
+    """The rows of config case ``case`` and ``policy`` over ``xs``, numbered
+    from ``index``; ``closed`` may be None.  A flat row is its policy as the
+    source policy, with ``policy_cluster``, ``k``, ``m`` and ``lambda_c`` None."""
+    r, n, sim = config.cases[case].rates, config.n, config.sim
+    src, cl = policy if config.clustered else (policy, None)
+    flat = cl is None
+    head = (config.name, src.value, None if flat else cl.value)
+    lambda_g = r.lambda_g if (src if flat else cl).gossips else None
+    lambdas = (r.lambda_e, r.lambda_s, None if flat else r.lambda_c, lambda_g)
     rows = []
-    for i, (n, p, c) in enumerate(zip(ns, exact, closed), index):
-        spec = None if config.sim is None else NetworkSpec.flat(n, policy, r)
-        sim = _NO_SIM if spec is None else _sim_columns(config, spec, i)
-        rows.append(ResultRow(*head, n, None, None, *lambdas, c, p, *sim, case))
+    for i, (x, p, c) in enumerate(zip(xs, exact, closed or [None] * len(xs)), index):
+        mc = (None,) * 5  # p_sim, sim_ci_lo, sim_ci_hi, cycles, seed
+        if sim is not None:
+            spec = NetworkSpec.flat(x, src, r) if flat else NetworkSpec.clustered(n, x, src, cl, r)
+            # a child seed per row index, independent of evaluation order
+            seed = int(np.random.SeedSequence((sim.seed, i)).generate_state(1, np.uint64)[0])
+            est = estimate_freshness_cycles(spec, sim.cycles, seed)
+            mc = (est.p_hat, est.ci95[0], est.ci95[1], sim.cycles, seed)
+        size = (x, None, None) if flat else (n, x, n // x)
+        rows.append(ResultRow(*head, *size, *lambdas, c, p, *mc, case))
     return rows
-
-
-def _clustered_rows(config, case, pair, n, ks, exact, closed, index) -> list[ResultRow]:
-    """The rows of config case ``case`` and ``pair`` on a clustered grid,
-    numbered from ``index``; ``exact`` and ``closed`` hold one value per k."""
-    src, cl = pair
-    r = config.cases[case].rates
-    head = (config.name, src.value, cl.value)
-    lambdas = (r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g if cl.gossips else None)
-    rows = []
-    for i, (k, p, c) in enumerate(zip(ks, exact, closed), index):
-        spec = None if config.sim is None else NetworkSpec.clustered(n, k, src, cl, r)
-        sim = _NO_SIM if spec is None else _sim_columns(config, spec, i)
-        rows.append(ResultRow(*head, n, k, n // k, *lambdas, c, p, *sim, case))
-    return rows
-
-
-def _values(array, shape) -> list:
-    """A route's result as a (nested) list, or Nones of ``shape`` where it
-    has none."""
-    return np.full(shape, None).tolist() if array is None else array.tolist()
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -451,43 +462,20 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Writes the rows to ``config.output`` as CSV when set, and returns
     them.  Grid order is: rate case (config order), then policy (config
     order), then n or k ascending.  A single point is a one-cell grid:
-    its n, or its k when ``config.clustered``.  The exact values of a
-    whole grid come from one route call per policy (per tier policy when
-    clustered) under every rate case, with the case rates as sequences,
-    and are read back by case: a flat grid calls :func:`oracle_sizes` and
-    :func:`closed_sizes` over n, a clustered one :func:`clustered_profiles`
-    with each route over the divisors (or the one k).  Every value is
-    bit-identical to a call per point.  A :class:`NetworkSpec` is built
-    per row only for the Monte Carlo columns.
+    its n, or its k when ``config.clustered``.  :func:`_grid` gives the
+    grid and each route's values over it, from one route call per policy
+    (per tier policy when clustered) under every rate case: first
+    :func:`oracle_sizes`, then :func:`closed_sizes`.  Every value is
+    bit-identical to a call per point.  :func:`_rows` builds the rows of
+    each (case, policy), numbered across the whole run; a
+    :class:`NetworkSpec` is built per row only for the Monte Carlo columns.
     """
-    if config.mode not in MODES:
-        raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
-    if not config.policies or not config.cases:
-        raise ConfigError(["config has no policies or no rate cases"])
+    xs, exact = _grid(config, oracle_sizes)
+    closed = _grid(config, closed_sizes)[1]
     rows: list[ResultRow] = []
-    if config.clustered:
-        n = config.n
-        ks = divisors(n) if config.k is None else [config.k]
-        rates = [case.rates for case in config.cases]
-        exact = clustered_profiles(oracle_sizes, n, ks, rates, config.policies)
-        closed = clustered_profiles(closed_sizes, n, ks, rates, config.policies)
-        for c in range(len(config.cases)):
-            for q, pair in enumerate(config.policies):
-                p, pc = exact[c][q].tolist(), _values(closed[c][q], len(ks))
-                rows += _clustered_rows(config, c, pair, n, ks, p, pc, len(rows))
-    else:
-        lo, hi = config.n_range or (config.n, config.n)
-        ns = list(range(lo, hi + 1))
-        rates = [(c.rates.lambda_e, c.rates.lambda_s, c.rates.lambda_g) for c in config.cases]
-        le, ls, lg = map(list, zip(*rates))
-        exact, closed = {}, {}
-        for policy in dict.fromkeys(config.policies):
-            exact[policy] = oracle_sizes(policy, ls, lg, le, ns).tolist()
-            closed[policy] = _values(closed_sizes(policy, ls, lg, le, ns), (len(rates), len(ns)))
-        for c in range(len(config.cases)):
-            for policy in config.policies:
-                p, pc = exact[policy][c], closed[policy][c]
-                rows += _flat_rows(config, c, policy, ns, p, pc, len(rows))
+    for c in range(len(config.cases)):
+        for q, policy in enumerate(config.policies):
+            rows += _rows(config, c, policy, xs, exact[c][q], closed[c][q], len(rows))
     if config.output:
         write_csv(rows, config.output)
     return rows
@@ -645,9 +633,10 @@ class OptimalKReport:
 def report_optimal_k(config: ExperimentConfig) -> OptimalKReport:
     """Best cluster size per (case, policy pair), with comparison notes.
 
-    All divisor scans come from one :func:`clustered_profiles` call, so
-    each tier policy is evaluated once over every (case, divisor) cell;
-    each optimum equals :func:`optimal_cluster_size`'s, ties going to the
+    All divisor scans come from one :func:`_grid` pass over
+    :func:`oracle_sizes`, the one :func:`run_experiment` reads, so each
+    tier policy is evaluated once over every (case, divisor) cell; each
+    optimum equals :func:`optimal_cluster_size`'s, ties going to the
     smallest k.  Beyond the raw optima, the notes flag which pair wins
     each case and, when both single-sided stale-targeting placements are
     present, whether the placement matching the larger tier rate wins
@@ -655,15 +644,12 @@ def report_optimal_k(config: ExperimentConfig) -> OptimalKReport:
     """
     if config.mode != "clustered_sweep_k":
         raise ConfigError(["report_optimal_k needs a clustered_sweep_k config"])
-    rates = [case.rates for case in config.cases]
-    ks = divisors(config.n)
-    profiles = clustered_profiles(oracle_sizes, config.n, ks, rates, config.policies)
+    ks, profiles = _grid(config, oracle_sizes)
     entries = []
     notes = []
     for case, case_profiles in zip(config.cases, profiles):
         case_entries = []
         for (src, cl), profile in zip(config.policies, case_profiles):
-            profile = profile.tolist()
             p_star = max(profile)
             k_star = ks[profile.index(p_star)]
             case_entries.append(
@@ -686,18 +672,14 @@ def report_optimal_k(config: ExperimentConfig) -> OptimalKReport:
                     f"differ by {abs(src_side.p_star - cl_side.p_star):.3g} "
                     f"(k*={src_side.k_star} vs k*={cl_side.k_star})"
                 )
-            elif r.lambda_s > r.lambda_c:
-                holds = src_side.p_star >= cl_side.p_star
-                notes.append(
-                    f"{case.label}: lambda_s > lambda_c, source-side placement "
-                    f"{'wins' if holds else 'UNEXPECTEDLY loses'} "
-                    f"({src_side.p_star:.12g} vs {cl_side.p_star:.12g})"
-                )
             else:
-                holds = cl_side.p_star >= src_side.p_star
+                # the placement on the faster tier should win
+                above = r.lambda_s > r.lambda_c
+                fast, slow = (src_side, cl_side) if above else (cl_side, src_side)
                 notes.append(
-                    f"{case.label}: lambda_s < lambda_c, cluster-side placement "
-                    f"{'wins' if holds else 'UNEXPECTEDLY loses'} "
-                    f"({cl_side.p_star:.12g} vs {src_side.p_star:.12g})"
+                    f"{case.label}: lambda_s {'>' if above else '<'} lambda_c, "
+                    f"{'source' if above else 'cluster'}-side placement "
+                    f"{'wins' if fast.p_star >= slow.p_star else 'UNEXPECTEDLY loses'} "
+                    f"({fast.p_star:.12g} vs {slow.p_star:.12g})"
                 )
     return OptimalKReport(entries=tuple(entries), notes=tuple(notes))

@@ -86,6 +86,22 @@ def test_analytic_alpha_flag(capsys):
     assert "0.2916666666666" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        ("--alpha -1 --lambda-s 1", "--alpha must be a finite number > 0, got -1.0"),
+        ("--alpha nan --lambda-s 1", "--alpha must be a finite number > 0, got nan"),
+        ("--alpha 1e300 --lambda-s 1e300", "--alpha * --lambda-s = inf must be finite and > 0"),
+        ("--alpha 1 --lambda-s nan", "--alpha needs --lambda-s > 0"),
+        ("--alpha 0 --lambda-s 1", "--alpha must be a finite number > 0, got 0.0"),
+        ("--alpha 1e-320 --lambda-s 1e-10", "--alpha * --lambda-s = 0.0 must be finite and > 0"),
+    ],
+)
+def test_analytic_alpha_errors_name_the_flags(flags, message, capsys):
+    assert main(["analytic", "--n", "3", "--policy", "DC_RC", *flags.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_analytic_missing_rate_is_validation_error(capsys):
     code = main(["analytic", "--n", "3", "--policy", "DC_RC", "--lambda-s", "1"])
     assert code == 1
@@ -233,6 +249,34 @@ def test_selftest_only_that_names_no_criterion_exits_1(only, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --only")
+
+
+def stub_criterion_2(monkeypatch) -> list:
+    """Replace criterion 2 by a passing stub; returns the list of its calls."""
+    calls = []
+
+    def stub():
+        calls.append("2")
+        return acceptance.CriterionResult("2", "stub", True, 0.0, "stub")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "2", stub)
+    return calls
+
+
+def test_selftest_only_checks_every_name_before_any_criterion_runs(monkeypatch, capsys):
+    calls = stub_criterion_2(monkeypatch)
+    assert main(["selftest", "--only", "2,9"]) == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown criterion '9'")
+
+
+def test_selftest_only_runs_a_repeated_criterion_once(monkeypatch, capsys):
+    calls = stub_criterion_2(monkeypatch)
+    assert main(["selftest", "--only", "2,2"]) == 0
+    assert calls == ["2"]
+    assert capsys.readouterr().out.count("criterion 2") == 1
 
 
 def test_selftest_failure_exits_3(monkeypatch, capsys):

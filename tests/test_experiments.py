@@ -332,6 +332,31 @@ def test_report_optimal_k_requires_clustered_mode():
         report_optimal_k(ExperimentConfig.from_dict(FLAT_SMALL))
 
 
+@pytest.mark.parametrize(
+    "run,raw",
+    [
+        (run_experiment, FLAT_SMALL),
+        (run_experiment, CLUSTERED_SMALL),
+        (report_optimal_k, CLUSTERED_SMALL),
+    ],
+)
+@pytest.mark.parametrize(
+    "change,problem",
+    [
+        ({"mode": "clustered"}, "clustered_sweep_k"),
+        ({"policies": ()}, "config has no policies or no rate cases"),
+        ({"cases": ()}, "config has no policies or no rate cases"),
+    ],
+)
+def test_a_config_built_in_code_without_mode_policies_or_cases_is_a_config_error(
+    run, raw, change, problem
+):
+    config = replace(ExperimentConfig.from_dict(raw), **change)
+    with pytest.raises(ConfigError) as err:
+        run(config)
+    assert problem in err.value.problems[0]
+
+
 def test_full_stale_targeting_peak_wins_in_sweep_rows():
     raw = {
         "name": "dc120",

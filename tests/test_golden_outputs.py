@@ -6,8 +6,8 @@ of each command's stdout must equal the digests below; so must the files
 the three ``scripts/*_sweep.py`` write, and the deterministic report of
 the exact selftest criteria (1, 2, 3 and 6), which holds no wall-clock
 data.  Two single-point configs, flat and
-clustered, are pinned the same way, and three invalid ones by their exit
-code and stderr.  They pin every value, label and byte of those outputs,
+clustered, and two multi-cell Monte Carlo grids, flat and clustered, are
+pinned the same way, and three invalid ones by their exit code and stderr.  They pin every value, label and byte of those outputs,
 however the values are computed: a change that means to alter an output
 updates its digest and says why.
 """
@@ -306,3 +306,65 @@ def test_single_point_outputs_are_byte_identical(tmp_path):
 def test_invalid_single_points_fail_with_the_same_message(name, tmp_path):
     raw, code, stderr = INVALID_POINTS[name]
     assert _sweep(tmp_path, raw) == (code, "", stderr)
+
+
+#: Multi-cell grids with Monte Carlo columns, flat and clustered, each with
+#: two rate cases and two policies; they pin the per-row seed numbering
+#: across cases and policies.  Each runs as ``sweep --plot-dir`` and writes
+#: its CSV to ``grid.csv``.
+GRIDS = {
+    "flat_grid": {
+        "name": "flat_grid",
+        "mode": "flat_sweep_n",
+        "policies": ["DC_RC", "FC_allRC"],
+        "cases": [
+            {"lambda_e": 1.0, "lambda_s": 2.0, "lambda_g": 0.5},
+            {"label": "fast", "lambda_e": 0.25, "lambda_s": 3.0, "lambda_g": 4.0},
+        ],
+        "n_range": [1, 4],
+        "sim": {"cycles": 500, "seed": 5},
+        "output": "grid.csv",
+    },
+    "clustered_grid": {
+        "name": "clustered_grid",
+        "mode": "clustered_sweep_k",
+        "policies": [["DC_noRC", "FC_sRC"], ["DC_RC", "DC_RC"]],
+        "cases": [
+            {"lambda_e": 1.0, "lambda_s": 4.0, "lambda_c": 2.0, "lambda_g": 1.0},
+            {"label": "fast", "lambda_e": 0.5, "lambda_s": 1.0, "lambda_c": 6.0, "lambda_g": 3.0},
+        ],
+        "n": 12,
+        "sim": {"cycles": 500, "seed": 13},
+        "output": "grid.csv",
+    },
+}
+
+GRID_DIGESTS = {
+    'flat_grid stdout': '24089f8c765c1ec6a8d9758b3e1f481ee1ba17243cda952dea3f9d06ddcc3f6f',
+    'flat_grid grid.csv': 'd20464b4c28cd412ab8b5e2c1d5e4eac82ba63e09ff0a5be7fa256341349caec',
+    'flat_grid plots/flat_grid__DC_RC__alpha0.0833333.dat': '74929dbf8643289a10f4fad9e5dd0318343c6462527708f32a9ab4916dc9eb4c',
+    'flat_grid plots/flat_grid__DC_RC__alpha0.5.dat': '17cadc2c6229688389c77894750c3abe089ff39bb20f3b03a33c94d318e83fb2',
+    'flat_grid plots/flat_grid__FC_allRC__alpha0.0833333.dat': 'a7d46439c0cf739f86562e241092969e4112687d8d3a53edfb6fc96c814a15cb',
+    'flat_grid plots/flat_grid__FC_allRC__alpha0.5.dat': '256428534c64a6634e5c90b55e52adfbfcb4e24e733d0731fb74861c07dfe276',
+    'clustered_grid stdout': 'c75894a136663163b56f2d28146df3ebe0b8f4d35497bb5c73b2047f38dbb3d5',
+    'clustered_grid grid.csv': '22dd429e349eec26e040c21e66c64e0b2d26ff01fcfc8aaef4a2ecb50c870029',
+    'clustered_grid plots/clustered_grid__DC_RC+DC_RC__case1.dat': '98cdcfea5ff0959f1beecffb75a597e4ea9c914d13c45da95891c574679b4e2d',
+    'clustered_grid plots/clustered_grid__DC_RC+DC_RC__case2.dat': '08f6393afb0bfe6f5aa04f8dd3c2cca4ad28d71503af5024cb44c8fd3bf003d1',
+    'clustered_grid plots/clustered_grid__DC_noRC+FC_sRC__case1.dat': 'a9be3679817b1e0031812762d996daae8ed8f9fb212007ccc39c47283925a337',
+    'clustered_grid plots/clustered_grid__DC_noRC+FC_sRC__case2.dat': 'f5f60ac7486255942daf57f7b2a704d84aa092f8b6c52c368e4869f427b8b3bd',
+}
+
+
+def test_multi_cell_monte_carlo_grids_are_byte_identical(tmp_path):
+    digests = {}
+    for name, raw in GRIDS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        code, out, err = _sweep(workdir, raw, plot_dir="plots")
+        assert (code, err) == (0, "")
+        digests[f"{name} stdout"] = hashlib.sha256(out.encode()).hexdigest()
+        for path in sorted(p for p in workdir.rglob("*") if p.name != "config.json"):
+            if path.is_file():
+                key = f"{name} {path.relative_to(workdir).as_posix()}"
+                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GRID_DIGESTS
