@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .core import GossipPolicy, NetworkSpec, Rates, int_problem, validate
+from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem, validate
 from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
@@ -31,13 +31,16 @@ from .experiments import (
 from . import acceptance
 
 _POLICY_NAMES = [p.value for p in GossipPolicy]
+_DC_NAMES = [p.value for p in DC_POLICIES]
 
 
 def _add_rate_flags(parser):
     parser.add_argument("--lambda-e", type=float, help="source self-refresh rate")
     parser.add_argument("--lambda-s", type=float, default=0.0, help="total source delivery rate")
     parser.add_argument("--lambda-c", type=float, default=0.0, help="total per-clusterhead rate")
-    parser.add_argument("--lambda-g", type=float, default=0.0, help="total per-fresh-node gossip rate")
+    parser.add_argument(
+        "--lambda-g", type=float, default=0.0, help="total per-fresh-node gossip rate"
+    )
     parser.add_argument("--alpha", type=float, help="lambda_e / lambda_s (instead of --lambda-e)")
 
 
@@ -95,7 +98,8 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _run_sweep(args, force_sim: bool) -> int:
+def _cmd_sweep(args) -> int:
+    """``sweep`` and ``simulate``; ``simulate`` always adds the Monte Carlo columns."""
     # the overrides obey the integer rule of the config's sim.cycles and sim.seed
     problems = [
         int_problem(flag, value, minimum)
@@ -105,7 +109,7 @@ def _run_sweep(args, force_sim: bool) -> int:
     if any(problems):
         raise ConfigError([p for p in problems if p])
     config = _load_config(args)
-    if force_sim or args.cycles is not None or args.seed is not None:
+    if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
         cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)
         seed = args.seed if args.seed is not None else (base.seed if base else 0)
@@ -119,14 +123,6 @@ def _run_sweep(args, force_sim: bool) -> int:
         paths = emit_plot_data(rows, out_dir=args.plot_dir)
         print(f"wrote {len(paths)} series files to {args.plot_dir}")
     return 0
-
-
-def _cmd_sweep(args) -> int:
-    return _run_sweep(args, force_sim=False)
-
-
-def _cmd_simulate(args) -> int:
-    return _run_sweep(args, force_sim=True)
 
 
 def _cmd_optimal_k(args) -> int:
@@ -171,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="node count (end nodes)")
     p.add_argument("--policy", choices=_POLICY_NAMES, help="flat network policy")
     p.add_argument("--k", type=int, help="cluster size (clustered point)")
-    p.add_argument("--source-policy", choices=_POLICY_NAMES[:2], help="source tier policy")
+    p.add_argument("--source-policy", choices=_DC_NAMES, help="source tier policy")
     p.add_argument("--cluster-policy", choices=_POLICY_NAMES, help="cluster tier policy")
     _add_rate_flags(p)
     p.set_defaults(func=_cmd_analytic)
 
-    for verb, func, blurb in (
-        ("sweep", _cmd_sweep, "run a config-driven sweep (exact values)"),
-        ("simulate", _cmd_simulate, "run a sweep with Monte Carlo columns"),
+    for verb, blurb in (
+        ("sweep", "run a config-driven sweep (exact values)"),
+        ("simulate", "run a sweep with Monte Carlo columns"),
     ):
         p = sub.add_parser(verb, help=blurb)
         p.add_argument("--config", required=True, help="JSON experiment config")
@@ -186,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cycles", type=int, help="Monte Carlo cycles per grid point")
         p.add_argument("--seed", type=int, help="Monte Carlo base seed")
         p.add_argument("--plot-dir", help="also write plot series files here")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimal-k", help="optimal cluster size per policy pair")
     p.add_argument("--config", required=True, help="JSON clustered_sweep_k config")
@@ -213,6 +209,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,14 +21,14 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import GossipPolicy, NetworkSpec, Rates, is_finite
+from .core import GossipPolicy, NetworkSpec, Rates, int_problem, is_finite
 from .analytic import (
     closed_sizes,
     clustered_profiles,
@@ -62,27 +62,6 @@ MODES = ("flat_sweep_n", "clustered_sweep_k", "single_point")
 def _is_clustered(mode: str, k: int | None) -> bool:
     """Clustered sweeps, and single points that name a cluster size k."""
     return mode == "clustered_sweep_k" or (mode == "single_point" and k is not None)
-
-
-CSV_HEADER = (
-    "experiment",
-    "policy_source",
-    "policy_cluster",
-    "n",
-    "k",
-    "m",
-    "lambda_e",
-    "lambda_s",
-    "lambda_c",
-    "lambda_g",
-    "p_analytic",
-    "p_oracle",
-    "p_sim",
-    "sim_ci_lo",
-    "sim_ci_hi",
-    "cycles",
-    "seed",
-)
 
 
 class ConfigError(ValueError):
@@ -167,13 +146,9 @@ def _as_number(value, where, problems, minimum=None, strict_min=False):
 
 
 def _as_int(value, where, problems, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{where} must be an integer, got {value!r}")
-        return None
-    if value < minimum:
-        problems.append(f"{where} must be >= {minimum}, got {value}")
-        return None
-    return value
+    if problem := int_problem(where, value, minimum):
+        problems.append(problem)
+    return None if problem else value
 
 
 def _parse_policy(value, where, problems):
@@ -405,18 +380,25 @@ class ResultRow:
     case: int | None = field(default=None, compare=False)
 
 
+#: The CSV columns: :class:`ResultRow`'s fields in order, without ``case``.
+CSV_HEADER = tuple(f.name for f in fields(ResultRow) if f.name != "case")
+
+
 def _grid(config, route) -> tuple[list, list]:
     """The grid ``xs`` of ``config`` and ``profiles[c][q]``, ``route``'s
     values for case ``c`` and policy ``q`` over it as a list, or None where
     the route has no formula.  A clustered grid is the divisors of n (or
     the one k) through :func:`clustered_profiles`; a flat one is n from lo
     to hi (or the one n), with one ``route`` call per distinct policy under
-    every case.  A config built in code with an unknown mode, no policies
-    or no rate cases raises ``ConfigError``."""
+    every case.  A config built in code with an unknown mode, no policies,
+    no rate cases, or no grid (no n when clustered, neither n_range nor n
+    when flat) raises ``ConfigError``."""
     if config.mode not in MODES:
         raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
     if not config.policies or not config.cases:
         raise ConfigError(["config has no policies or no rate cases"])
+    if config.n is None and (config.clustered or config.n_range is None):
+        raise ConfigError([f"config has no {'n' if config.clustered else 'n_range or n'}"])
     if config.clustered:
         xs = divisors(config.n) if config.k is None else [config.k]
         rates = [case.rates for case in config.cases]

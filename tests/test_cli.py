@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gossipfresh import acceptance
+from gossipfresh import acceptance, cli
 from gossipfresh.cli import main
 from gossipfresh.experiments import read_csv
 
@@ -305,6 +305,32 @@ def test_seed_and_cycles_overrides_follow_the_config_integer_rule(
     assert main([verb, "--config", str(config), *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not target.exists()  # rejected before any work
+
+
+def test_sim_cycles_in_a_config_and_the_cycles_flag_share_one_message(tmp_path, capsys):
+    config = write_config(tmp_path, dict(FLAT_CONFIG, sim={"cycles": 0}))
+    assert main(["sweep", "--config", str(config)]) == 1
+    from_config = capsys.readouterr().err
+    assert from_config == "error: sim.cycles must be an integer and sim.cycles >= 1, got 0\n"
+    assert main(["sweep", "--config", str(config), "--cycles", "0"]) == 1
+    assert capsys.readouterr().err == from_config.replace("sim.cycles", "--cycles")
+
+
+@pytest.mark.parametrize(
+    "error,stderr",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
+    ],
+)
+def test_running_out_of_memory_is_an_error_line_and_exit_1(monkeypatch, capsys, error, stderr):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "oracle_flat", exhausted)
+    argv = ["analytic", "--n", "4", "--policy", "DC_RC", "--lambda-e", "1", "--lambda-s", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", stderr)
 
 
 def test_bad_overrides_are_all_reported_even_with_a_bad_config(tmp_path, capsys):

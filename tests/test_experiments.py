@@ -17,7 +17,8 @@ from gossipfresh.analytic import (
     oracle_flat,
     oracle_sizes,
 )
-from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates
+from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem
+from gossipfresh import experiments
 from gossipfresh.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -47,6 +48,8 @@ CLUSTERED_SMALL = {
     "rates": {"lambda_e": 1.0, "lambda_s": 1.0, "lambda_c": 1.0, "lambda_g": 1.0},
     "n": 12,
 }
+
+CLUSTERED_POINT = dict(CLUSTERED_SMALL, name="clustered_point", mode="single_point", k=3)
 
 
 # --- config parsing ----------------------------------------------------------
@@ -129,6 +132,29 @@ def test_an_alpha_whose_lambda_e_overflows_or_underflows_is_a_config_error(alpha
         ExperimentConfig.from_dict(dict(FLAT_SMALL, rates=rates))
     problem = f"rates.alpha: alpha * lambda_s = {lambda_e} must be finite and > 0"
     assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize(
+    "raw,key,minimum",
+    [
+        (CLUSTERED_SMALL, "n", 1),
+        (CLUSTERED_POINT, "k", 1),
+        (dict(FLAT_SMALL, sim={"cycles": 10, "seed": 0}), "sim.cycles", 1),
+        (dict(FLAT_SMALL, sim={"cycles": 10, "seed": 0}), "sim.seed", 0),
+    ],
+)
+@pytest.mark.parametrize("bad", ["below", "negative", 1.5, True, "1", None])
+def test_config_integers_follow_the_one_integer_rule(raw, key, minimum, bad):
+    value = {"below": minimum - 1, "negative": -7}.get(bad, bad)
+    raw = dict(raw)
+    if key.startswith("sim."):
+        raw["sim"] = dict(raw["sim"], **{key[4:]: value})
+    else:
+        raw[key] = value
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    # a bad k leaves the point flat, so its pairs are reported as well
+    assert err.value.problems[0] == int_problem(key, value, minimum)
 
 
 def test_clustered_defaults_ship_four_rate_cases():
@@ -355,6 +381,29 @@ def test_a_config_built_in_code_without_mode_policies_or_cases_is_a_config_error
     with pytest.raises(ConfigError) as err:
         run(config)
     assert problem in err.value.problems[0]
+
+
+@pytest.mark.parametrize(
+    "run,raw,change,problem",
+    [
+        (run_experiment, FLAT_SMALL, {"n_range": None}, "config has no n_range or n"),
+        (run_experiment, CLUSTERED_SMALL, {"n": None}, "config has no n"),
+        (report_optimal_k, CLUSTERED_SMALL, {"n": None}, "config has no n"),
+        (run_experiment, CLUSTERED_POINT, {"n": None}, "config has no n"),
+    ],
+)
+def test_a_config_built_in_code_without_its_grid_is_a_config_error(
+    monkeypatch, run, raw, change, problem
+):
+    def no_route(*args):
+        raise AssertionError("a route ran on a config without a grid")
+
+    monkeypatch.setattr(experiments, "oracle_sizes", no_route)
+    monkeypatch.setattr(experiments, "clustered_profiles", no_route)
+    config = replace(ExperimentConfig.from_dict(raw), **change)
+    with pytest.raises(ConfigError) as err:
+        run(config)
+    assert err.value.problems == [problem]
 
 
 def test_full_stale_targeting_peak_wins_in_sweep_rows():
