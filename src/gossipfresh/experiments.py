@@ -59,9 +59,9 @@ __all__ = [
 MODES = ("flat_sweep_n", "clustered_sweep_k", "single_point")
 
 
-def _is_clustered(mode: str, k: int | None) -> bool:
+def _is_clustered(mode: str, names_k: bool) -> bool:
     """Clustered sweeps, and single points that name a cluster size k."""
-    return mode == "clustered_sweep_k" or (mode == "single_point" and k is not None)
+    return mode == "clustered_sweep_k" or (mode == "single_point" and names_k)
 
 
 class ConfigError(ValueError):
@@ -100,7 +100,7 @@ class ExperimentConfig:
 
     @property
     def clustered(self) -> bool:
-        return _is_clustered(self.mode, self.k)
+        return _is_clustered(self.mode, self.k is not None)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -236,7 +236,9 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             problems.append("k is only valid for single_point configs")
         else:
             k = _as_int(raw["k"], "k", problems, 1)
-    clustered = _is_clustered(mode, k)
+    # a point that names k is clustered even when k is invalid, so that its
+    # [source, cluster] pairs are not also reported as unknown flat policies
+    clustered = _is_clustered(mode, "k" in raw)
 
     # policies: names for flat modes, [source, cluster] pairs for clustered;
     # each maps to its first position, and a repeat is an error

@@ -26,18 +26,20 @@ never make a node fresh; the moment the clusterhead is refreshed, none of
 its nodes hold the new version, so the target set resets and the
 in-cluster race starts over.  Stale-version deliveries can thus never
 change a capture count.  :class:`TrajectorySim` simulates them; the
-clustered cycle kernel draws each cycle from holding times alone (the
-cycle clock, the clusterhead captures, and each captured cluster's
-holder arrivals), so :func:`decomposition_check` compares the two-stage
-analytic product with a simulation that never multiplies stage values.
+clustered cycle kernel draws each cycle from holding times alone, in two
+passes (the cycle clock and the clusterhead captures, then the holder
+arrivals of the clusters captured before the cycle ends), so
+:func:`decomposition_check` compares the two-stage analytic product with
+a simulation that never multiplies stage values.
 
 Reproducibility: the cycle estimator gives each batch of
 :data:`CYCLE_BATCH` cycles its own ``numpy.random.Generator(PCG64(s))``
-(uniforms for flat cycles, standard exponentials for clustered ones),
-and the time estimator gives its trajectory a ``random.Random``; the
-seeds ``s`` are child seeds of the user seed.  Identical ``(spec, count,
-seed)`` inputs give identical outputs, and batches may be run
-concurrently and merged by index.
+(uniforms for flat cycles, standard exponentials for clustered ones, in
+the order :func:`_clustered_counts` documents), and the time estimator
+gives its trajectory a ``random.Random``; the seeds ``s`` are child
+seeds of the user seed.  Identical ``(spec, count, seed)`` inputs give
+identical outputs, and batches may be run concurrently and merged by
+index.
 """
 
 from __future__ import annotations
@@ -184,37 +186,61 @@ def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarr
     return np.concatenate([(rng.random(shape) < ends).argmax(axis=1) for shape in shapes])
 
 
+def _arrival_times(draws: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Partial sums down the columns of the holding times ``E / rate``,
+    where ``draws`` holds the standard exponentials ``E`` and row j of it
+    takes ``rates[j]``; a zero rate gives an infinite time.  ``draws`` may
+    be a transposed view, the result is a new C-ordered array."""
+    rates = rates[:, None]
+    times = np.divide(draws, rates, out=np.full(draws.shape, np.inf), where=rates > 0)
+    for j in range(1, len(times)):  # add.accumulate down axis 0 goes cell by cell
+        times[j] += times[j - 1]
+    return times
+
+
 def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Capture counts of ``count`` clustered cycles, each drawn in one pass.
+    """Capture counts of ``count`` clustered cycles, drawn in two passes.
 
     A cycle is an Exp(lambda_e) clock that runs independently of the
     network, so it is drawn from holding times alone: the cycle lasts
     ``T = E / lambda_e``; with j clusterheads fresh the next is captured
     after ``E / dsrc[j]``, so the clusterheads are captured at the partial
     sums ``S``; a cluster captured at ``S`` restarts from zero holders and
-    its h-th holder arrives at ``S`` plus the partial sum of ``E / dcl``
-    up to h.  Clusters are exchangeable and a cluster's rate ``dcl[h]``
-    depends only on its own h holders, so a cycle counts the holder
-    arrivals before ``T``; a cluster captured after ``T`` has none.  A zero rate gives an
-    infinite holding time.  Row i of a block holds cycle i's ``m * (k +
-    1)`` holding times, laid out as one ``(source, k in-cluster)`` row per
-    cluster; blocks hold at most :data:`BLOCK_CELLS` cells.
+    its h-th holder arrives ``S`` plus the partial sum of ``E / dcl`` up
+    to h into the cycle.  Clusters are exchangeable and a cluster's rate
+    ``dcl[h]`` depends only on its own h holders, so a cycle counts, over
+    its clusters with ``S < T``, the partial sums below ``T - S``; a
+    cluster captured after ``T`` has no holder and draws no in-cluster
+    time.  A zero rate gives an infinite holding time.
+
+    Draw order: pass 1 takes a block of cycles and draws one row of
+    ``1 + m`` per cycle, its length and then its m clusterhead holding
+    times; pass 2 then draws k in-cluster holding times for each captured
+    cluster of the block, in (cycle, cluster) row-major order.  Neither
+    pass makes a draw request or a temporary of more than
+    :data:`BLOCK_CELLS` cells; pass 2 is split into pieces of whole
+    clusters, which does not change the numbers drawn.
     """
-    m, k = tab.m, tab.k
-    rates = np.empty((m, k + 1))
-    rates[:, 0] = tab.dsrc[:m]
-    rates[:, 1:] = tab.dcl[:k]
-    rows = max(1, BLOCK_CELLS // (rates.size + 1))
+    m, k, lam_e = tab.m, tab.k, tab.lam_e
+    dsrc, dcl = np.array(tab.dsrc[:m]), np.array(tab.dcl[:k])
+    rows = max(1, BLOCK_CELLS // (m + 1))
+    piece = max(1, BLOCK_CELLS // k)
     out = []
+    # arrival times are transposed, one row per clusterhead or holder, so
+    # that their partial sums add whole rows
     with np.errstate(over="ignore"):  # a time past the float range is inf
         for start in range(0, count, rows):
-            size = min(rows, count - start)
-            length = rng.standard_exponential(size) / tab.lam_e
-            draws = rng.standard_exponential((size, m, k + 1))
-            hold = np.divide(draws, rates, out=np.full_like(draws, np.inf), where=rates > 0)
-            hold[:, :, 0] = hold[:, :, 0].cumsum(axis=1)  # capture times S
-            np.add.accumulate(hold, axis=2, out=hold)  # holder arrival times
-            out.append((hold[:, :, 1:] < length[:, None, None]).sum(axis=(1, 2)))
+            first = rng.standard_exponential((min(rows, count - start), 1 + m))
+            length = first[:, 0] / lam_e
+            capture = _arrival_times(first[:, 1:].T, dsrc)
+            cycle, cluster = (capture < length).T.nonzero()  # (cycle, cluster) order
+            gap = length[cycle] - capture[cluster, cycle]  # T - S > 0, never inf - inf
+            holders = np.empty(len(gap), dtype=np.int64)
+            for lo in range(0, len(gap), piece):
+                within = gap[lo : lo + piece]
+                arrive = _arrival_times(rng.standard_exponential((len(within), k)).T, dcl)
+                holders[lo : lo + piece] = (arrive < within).sum(axis=0)
+            out.append(np.bincount(cycle, holders, minlength=len(first)).astype(np.int64))
     return np.concatenate(out)
 
 

@@ -153,8 +153,9 @@ def test_config_integers_follow_the_one_integer_rule(raw, key, minimum, bad):
         raw[key] = value
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(raw)
-    # a bad k leaves the point flat, so its pairs are reported as well
-    assert err.value.problems[0] == int_problem(key, value, minimum)
+    # the only problem: a point with a bad k stays clustered, so its pairs
+    # are not also reported as unknown flat policies
+    assert err.value.problems == [int_problem(key, value, minimum)]
 
 
 def test_clustered_defaults_ship_four_rate_cases():

@@ -223,7 +223,7 @@ POINT_DIGESTS = {
     'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case2.dat': '03e1353da2e90c673f5c4934984ac7f6afbc630078c6b8594807f3b1d2e015f4',
     'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case3.dat': 'b54abe95e77a25730a0cbe4d8e7e6e7f60f4bc1a1e67c12fedec4f77e2b9b960',
     'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case4.dat': '5b696cc76d64502b3c3f1b2a4f3ecb0a40797680ced565d8cd0a92681b40c7a0',
-    'clustered_point point.csv': '106eb5d9edc275990ba5de30d99ed231ed0414413821f06c6ceb0d8cc3baa562',
+    'clustered_point point.csv': 'f8a2b1aed71e0882f0d79536a17ae591720f9354f3affc9d0fc666721ec3e529',
 }
 
 CASE = {"lambda_e": 1, "lambda_s": 1, "lambda_c": 1}
@@ -347,7 +347,7 @@ GRID_DIGESTS = {
     'flat_grid plots/flat_grid__FC_allRC__alpha0.0833333.dat': 'a7d46439c0cf739f86562e241092969e4112687d8d3a53edfb6fc96c814a15cb',
     'flat_grid plots/flat_grid__FC_allRC__alpha0.5.dat': '256428534c64a6634e5c90b55e52adfbfcb4e24e733d0731fb74861c07dfe276',
     'clustered_grid stdout': 'c75894a136663163b56f2d28146df3ebe0b8f4d35497bb5c73b2047f38dbb3d5',
-    'clustered_grid grid.csv': '22dd429e349eec26e040c21e66c64e0b2d26ff01fcfc8aaef4a2ecb50c870029',
+    'clustered_grid grid.csv': 'fd4a5cd8ec434da3eff7f2244fb55e149b35ed2cd0791febb000967779db7895',
     'clustered_grid plots/clustered_grid__DC_RC+DC_RC__case1.dat': '98cdcfea5ff0959f1beecffb75a597e4ea9c914d13c45da95891c574679b4e2d',
     'clustered_grid plots/clustered_grid__DC_RC+DC_RC__case2.dat': '08f6393afb0bfe6f5aa04f8dd3c2cca4ad28d71503af5024cb44c8fd3bf003d1',
     'clustered_grid plots/clustered_grid__DC_noRC+FC_sRC__case1.dat': 'a9be3679817b1e0031812762d996daae8ed8f9fb212007ccc39c47283925a337',

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates
-from gossipfresh.analytic import clustered_freshness, oracle_flat
+from gossipfresh.analytic import BLOCK_CELLS, clustered_freshness, oracle_flat
 from gossipfresh import simulator
 from gossipfresh.simulator import (
     CYCLE_BATCH,
@@ -176,6 +176,38 @@ def test_cycle_counts_merge_child_streams_across_the_batch_boundary(spec):
         assert est.per_node == ()
 
 
+class _CountingGenerator:
+    """A ``numpy.random.Generator`` stand-in that passes standard
+    exponential requests on and records the cells of each; any other draw
+    fails."""
+
+    def __init__(self, seed):
+        self._rng = _stream(seed)
+        self.requests = []
+
+    def standard_exponential(self, size):
+        self.requests.append(math.prod(size))
+        return self._rng.standard_exponential(size)
+
+
+@pytest.mark.parametrize("m,k", [(2, 3), (40, 3), (3, 40)])
+@pytest.mark.parametrize(
+    "rates,per_cluster",
+    [(Rates(1.0, 0.0, 2.0, 1.5), 0), (Rates(1e-6, 1e6, 2.0, 1.5), 1)],
+    ids=["no_capture", "all_captured"],
+)
+def test_clustered_kernel_draws_in_cluster_times_only_for_captured_clusters(
+    m, k, rates, per_cluster
+):
+    # lambda_s = 0 captures no clusterhead; lambda_s >> lambda_e captures
+    # every one before the cycle ends (at these seeds)
+    tab = _Tables(NetworkSpec.clustered(m * k, k, GP.DC_RC, GP.FC_allRC, rates))
+    rng = _CountingGenerator(m + k)
+    _clustered_counts(tab, rng, CYCLE_BATCH)
+    assert sum(rng.requests) == CYCLE_BATCH * (1 + m + per_cluster * m * k)
+    assert max(rng.requests) <= BLOCK_CELLS
+
+
 # --- exact capture-count law -------------------------------------------------
 
 
@@ -275,9 +307,23 @@ def _clustered_count_pmf(tab):
 
 @pytest.mark.parametrize("src", DC_POLICIES)
 @pytest.mark.parametrize("cl", list(GP))
-@pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (2, 3)])
-def test_clustered_kernel_capture_count_law_with_several_clusters(src, cl, m, k):
-    spec = NetworkSpec.clustered(m * k, k, src, cl, Rates(0.5, 1.0, 2.0, 1.5))
+@pytest.mark.parametrize(
+    "m,k,rates",
+    [
+        pytest.param(m, k, rates, id=f"{m}-{k}")
+        for (m, k), rates in [
+            ((2, 2), Rates(0.5, 1.0, 2.0, 1.5)),
+            ((3, 2), Rates(0.5, 1.0, 2.0, 1.5)),
+            ((2, 3), Rates(0.5, 1.0, 2.0, 1.5)),
+            # few captures: P(count = 0) is about 0.77, so the kernel skips
+            # the in-cluster draws of most clusters
+            ((8, 2), Rates(1.0, 0.5, 2.0, 1.5)),
+            ((6, 3), Rates(1.0, 0.5, 2.0, 1.5)),
+        ]
+    ],
+)
+def test_clustered_kernel_capture_count_law_with_several_clusters(src, cl, m, k, rates):
+    spec = NetworkSpec.clustered(m * k, k, src, cl, rates)
     tab = _Tables(spec)
     pmf = _clustered_count_pmf(tab)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
