@@ -53,7 +53,8 @@ import numpy as np
 
 from .core import Clustered, NetworkSpec, per_stale_rate
 from .core import require_int, require_rates, require_valid
-from .analytic import BLOCK_CELLS, clustered_freshness
+from .analytic import BLOCK_CELLS, _recursion
+from .analytic import clustered_freshness  # noqa: F401 - perfbench/layers.py traces it
 
 __all__ = [
     "SimState",
@@ -139,30 +140,32 @@ def _ci95(p_hat: float, stderr: float) -> tuple[float, float]:
 # rate tables
 
 
-def _totals(policy, total_source: float, total_gossip: float, size: int) -> list[float]:
-    """One tier's total delivery intensity to its stale receivers with j of
-    the ``size`` fresh, ``j = 0 .. size`` (zero once all are fresh)."""
-    u = per_stale_rate(policy, total_source, total_gossip, size).tolist()
-    return [(size - j) * u[j] for j in range(size)] + [0.0]
-
-
 class _Tables:
-    """Per-state total rates of a network, one list per tier of
+    """Per-state rates of a network, one ``(stale, u)`` row per tier of
     :attr:`~gossipfresh.core.NetworkSpec.tiers`.
 
-    ``dsrc[j]`` is the source's total intensity to its m stale receivers
-    (the end nodes of a flat network, the clusterheads of a clustered one)
-    with j of them fresh, the fresh nodes' gossip included; ``dcl[h]`` is
-    the total in-cluster delivery intensity of one cluster in which h of
-    its k nodes hold the clusterhead's current version.  A flat network
-    has ``k = 0`` and an empty ``dcl``.
+    Built once per Monte Carlo call: it validates the spec, the call's one
+    check of it, and takes each row from one :func:`per_stale_rate` call,
+    ``u[j]`` the rate each of the ``stale[j] = size - j`` stale receivers
+    sees with j fresh.  The rows feed both the kernels' totals and
+    :func:`decomposition_check`'s exact product.  ``dsrc[j] = stale[j] *
+    u[j]`` is the source's total rate to its m stale receivers (the end
+    nodes of a flat network, the clusterheads of a clustered one), the
+    fresh nodes' gossip included; ``dcl[h]`` is one cluster's total
+    in-cluster rate with h of its k nodes holding the clusterhead's
+    version.  Both end in 0.0 (all fresh); a flat network has ``k = 0``
+    and an empty ``dcl``.
     """
 
     def __init__(self, spec: NetworkSpec):
         require_valid(spec)
-        source, *cluster = spec.tiers
-        self.m, self.dsrc = source[3], _totals(*source)
-        self.k, self.dcl = (cluster[0][3], _totals(*cluster[0])) if cluster else (0, [])
+        self.rows = [
+            (size - np.arange(size, dtype=float), per_stale_rate(policy, source, gossip, size))
+            for policy, source, gossip, size in spec.tiers
+        ]
+        self.dsrc, *cluster = [(stale * u).tolist() + [0.0] for stale, u in self.rows]
+        self.dcl = cluster[0] if cluster else []
+        self.m, self.k = len(self.dsrc) - 1, len(self.dcl) - 1 if cluster else 0
         self.n = spec.shape.n
         self.lam_e = spec.rates.lambda_e
 
@@ -265,26 +268,23 @@ def estimate_freshness_cycles(
 
     Runs ``num_cycles`` independent refresh cycles on child RNG streams
     (one per batch of :data:`CYCLE_BATCH` cycles) and divides the total
-    capture count by ``num_cycles * n``.  The standard error uses the
-    binomial approximation with ``num_cycles`` effective samples, which is
-    conservative: indicators within a cycle are positively correlated, so
-    averaging across nodes cannot be treated as extra samples.  The
-    kernels count captures without naming nodes, so ``per_node`` is empty.
+    capture count by ``num_cycles * n``.  The standard error is binomial
+    with ``num_cycles`` samples.  That bar is too wide, not conservative:
+    ROADMAP item 3 measured it at 1.2-5.7 times the true per-cycle spread,
+    so the 4-sigma gates of selftest criteria 4 and 5 act as 4.6-8.7-sigma
+    gates.  The kernels count captures without naming nodes, so
+    ``per_node`` is empty.
     """
     require_int("num_cycles", num_cycles, 1)
-    tab = _Tables(spec)
+    return _cycle_estimate(_Tables(spec), num_cycles, seed)
+
+
+def _cycle_estimate(tab: _Tables, num_cycles: int, seed: int) -> FreshnessEstimate:
+    """:func:`estimate_freshness_cycles` on built tables, ``num_cycles`` checked."""
     captures = sum(int(counts.sum()) for counts in _stream_counts(tab, seed, num_cycles))
     p_hat = captures / (num_cycles * tab.n)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / num_cycles)
-    return FreshnessEstimate(
-        p_hat=p_hat,
-        stderr=stderr,
-        ci95=_ci95(p_hat, stderr),
-        samples=num_cycles,
-        seed=seed,
-        estimator="cycle",
-        per_node=(),
-    )
+    return FreshnessEstimate(p_hat, stderr, _ci95(p_hat, stderr), num_cycles, seed, "cycle", ())
 
 
 class TrajectorySim:
@@ -301,8 +301,7 @@ class TrajectorySim:
     """
 
     def __init__(self, spec: NetworkSpec, rng: random.Random):
-        tab = _Tables(spec)
-        self.tab = tab
+        self.tab = tab = _Tables(spec)
         self.rng = rng
         n = tab.n
         if tab.k:
@@ -460,16 +459,15 @@ def estimate_freshness_time(
     if horizon == 0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     require_int("batches", batches, 2)
-    require_valid(spec)
-    lam_e = spec.rates.lambda_e
+    sim = TrajectorySim(spec, random.Random(0))  # the one check of the spec
+    sim.rng.seed(*_child_seeds(seed, 1))  # a bad spec is reported before a bad seed
+    lam_e = sim.tab.lam_e
     if horizon < 100.0 / lam_e:
         warnings.warn(
             f"horizon {horizon:g} covers fewer than 100 expected refresh "
             f"cycles (1/lambda_e = {1.0 / lam_e:g}); the estimate will be noisy",
             stacklevel=2,
         )
-    (child,) = _child_seeds(seed, 1)
-    sim = TrajectorySim(spec, random.Random(child))
     n = sim.tab.n
     accum = sim.state.fresh_time_accum
     window_means = []
@@ -503,20 +501,21 @@ def decomposition_check(
     units confirm that the two-stage factorisation, including the reset of
     a cluster's race when its clusterhead is refreshed, matches the
     simulated network.
+
+    One :class:`_Tables` validates the spec and builds each tier's u(j)
+    row once; the kernel runs on its totals, and the recursion over its
+    rows gives :func:`clustered_freshness`'s stage values, bit for bit.
+    That still tests the product: the kernel never multiplies stages.
     """
-    require_valid(spec)
+    tab = _Tables(spec)
     if not isinstance(spec.shape, Clustered):
         raise ValueError("decomposition_check requires a Clustered shape")
-    est = estimate_freshness_cycles(spec, num_cycles, seed)
-    p, breakdown = clustered_freshness(spec)
+    require_int("num_cycles", num_cycles, 1)
+    est = _cycle_estimate(tab, num_cycles, seed)
+    p_ch, p_node = [float(_recursion(u, stale, tab.lam_e)[0]) for stale, u in tab.rows]
+    p = p_ch * p_node
     if est.stderr > 0:
         z = (est.p_hat - p) / est.stderr
     else:
         z = 0.0 if est.p_hat == p else math.inf
-    return DecompositionReport(
-        estimate=est,
-        p_analytic=p,
-        p_ch=breakdown.p_ch,
-        p_node_given_ch=breakdown.p_node_given_ch,
-        z=z,
-    )
+    return DecompositionReport(estimate=est, p_analytic=p, p_ch=p_ch, p_node_given_ch=p_node, z=z)

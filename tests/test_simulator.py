@@ -1,13 +1,16 @@
+import collections
 import functools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates
+from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates, per_stale_rate
+from gossipfresh.acceptance import DECOMP_RATES, DECOMP_SHAPES
 from gossipfresh.analytic import BLOCK_CELLS, clustered_freshness, oracle_flat
-from gossipfresh import simulator
+from gossipfresh import analytic, simulator
 from gossipfresh.simulator import (
     CYCLE_BATCH,
     SimState,
@@ -523,6 +526,25 @@ def test_time_estimator_rejects_bad_arguments():
             estimate_freshness_time(NetworkSpec.flat(n, GP.DC_noRC, ONE), 1000.0, seed=1)
 
 
+def test_estimators_report_errors_in_argument_order_before_the_warning():
+    bad_spec = NetworkSpec.flat(2, GP.DC_noRC, Rates(0.0, 1.0))
+    good_flat = NetworkSpec.flat(2, GP.DC_noRC, ONE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a short horizon must not warn first
+        with pytest.raises(ValueError, match="invalid network spec"):
+            estimate_freshness_time(bad_spec, 50.0, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_freshness_time(good_flat, 50.0, seed=-1)
+    with pytest.raises(ValueError, match="num_cycles"):
+        estimate_freshness_cycles(bad_spec, 0)
+    with pytest.raises(ValueError, match="invalid network spec"):
+        decomposition_check(bad_spec, 0)
+    with pytest.raises(ValueError, match="Clustered shape"):
+        decomposition_check(good_flat, 0)
+    with pytest.raises(ValueError, match="num_cycles"):
+        decomposition_check(NetworkSpec.clustered(4, 2, GP.DC_RC, GP.DC_RC, ONE), 0, seed=-1)
+
+
 # --- trajectory invariants ---------------------------------------------------
 
 
@@ -795,6 +817,72 @@ def test_decomposition_check_matches_two_stage_product():
     p, bd = clustered_freshness(NetworkSpec.clustered(4, 2, GP.DC_RC, GP.FC_allRC, ONE))
     assert rep.p_ch == bd.p_ch
     assert rep.p_node_given_ch == bd.p_node_given_ch
+
+
+#: Criterion 5's grid plus its rates at the n = 120 shapes (40, 3) and
+#: (3, 40), and flat tiers under every policy at the same rates.
+PINNED_CLUSTERED = [
+    NetworkSpec.clustered(m * k, k, src, cl, DECOMP_RATES)
+    for src in DC_POLICIES
+    for cl in GP
+    for m, k in DECOMP_SHAPES + ((40, 3), (3, 40))
+]
+PINNED_FLAT = [NetworkSpec.flat(n, policy, DECOMP_RATES) for n in (1, 3, 8, 50) for policy in GP]
+
+
+def _totals_by_hand(policy, total_source, total_gossip, size):
+    u = per_stale_rate(policy, total_source, total_gossip, size).tolist()
+    return [(size - j) * u[j] for j in range(size)] + [0.0]
+
+
+@pytest.mark.parametrize("spec", PINNED_FLAT + PINNED_CLUSTERED)
+def test_kernel_totals_are_the_stale_counts_times_the_per_stale_rates(spec):
+    tab = _Tables(spec)
+    source, *cluster = spec.tiers
+    assert tab.dsrc == _totals_by_hand(*source)
+    assert tab.dcl == (_totals_by_hand(*cluster[0]) if cluster else [])
+
+
+@pytest.mark.parametrize("spec", PINNED_CLUSTERED)
+def test_decomposition_check_reports_clustered_freshness_exactly(spec):
+    rep = decomposition_check(spec, 1, seed=0)
+    p, bd = clustered_freshness(spec)
+    assert (rep.p_analytic, rep.p_ch, rep.p_node_given_ch) == (p, bd.p_ch, bd.p_node_given_ch)
+
+
+FLAT_FC = NetworkSpec.flat(3, GP.FC_sRC, ONE)
+CLUSTERED_FC = NetworkSpec.clustered(6, 2, GP.DC_RC, GP.FC_allRC, ONE)
+
+
+@pytest.mark.parametrize(
+    "call,spec",
+    [
+        (estimate_freshness_cycles, FLAT_FC),
+        (estimate_freshness_cycles, CLUSTERED_FC),
+        (estimate_freshness_time, FLAT_FC),
+        (estimate_freshness_time, CLUSTERED_FC),
+        (decomposition_check, CLUSTERED_FC),
+    ],
+    ids=["cycles-flat", "cycles-clustered", "time-flat", "time-clustered", "decomposition"],
+)
+def test_a_monte_carlo_call_validates_once_and_builds_one_row_per_tier(monkeypatch, call, spec):
+    # the exact product comes from the kernel's rows: no second u(j) build
+    # through the oracle's stale_rate_rows, no second validation
+    calls = collections.Counter()
+    for owner, name in (
+        (simulator, "require_valid"),
+        (analytic, "require_valid"),
+        (simulator, "per_stale_rate"),
+        (analytic, "stale_rate_rows"),
+    ):
+
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    call(spec, 200, seed=1)
+    assert dict(calls) == {"require_valid": 1, "per_stale_rate": len(spec.tiers)}
 
 
 def test_decomposition_check_requires_clustered_spec():
