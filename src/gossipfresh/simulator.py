@@ -34,12 +34,12 @@ a simulation that never multiplies stage values.
 
 Reproducibility: the cycle estimator gives each batch of
 :data:`CYCLE_BATCH` cycles its own ``numpy.random.Generator(PCG64(s))``
-(uniforms for flat cycles, standard exponentials for clustered ones, in
-the order :func:`_clustered_counts` documents), and the time estimator
-gives its trajectory a ``random.Random``; the seeds ``s`` are child
-seeds of the user seed.  Identical ``(spec, count, seed)`` inputs give
-identical outputs, and batches may be run concurrently and merged by
-index.
+(one ``random(count)`` request of one uniform per flat cycle, standard
+exponentials for clustered ones in the order :func:`_clustered_counts`
+documents), and the time estimator gives its trajectory a
+``random.Random``; the seeds ``s`` are child seeds of the user seed.
+Identical ``(spec, count, seed)`` inputs give identical outputs, and
+batches may be run concurrently and merged by index.
 """
 
 from __future__ import annotations
@@ -175,18 +175,18 @@ class _Tables:
 
 
 def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Capture counts of ``count`` flat cycles.
+    """Capture counts of ``count`` flat cycles, one uniform per cycle.
 
-    Row i of a uniform block holds cycle i's draws, one per fresh count j;
-    the cycle ends at the first j whose uniform falls below ``ends[j] =
-    lam_e / (lam_e + dsrc[j])``, the chance that the refresh comes before
-    the next capture (``ends[n] = 1``).  Blocks hold at most
-    :data:`BLOCK_CELLS` cells.
+    With j nodes fresh the next capture beats the refresh with chance
+    ``dsrc[j] / (lam_e + dsrc[j])``, so ``survive[c - 1] = P(count >= c)``
+    is the running product of those chances, c = 1 .. n, and never
+    increases.  Inverting it, a cycle whose uniform is ``U`` captures as
+    many nodes as there are entries of ``survive`` above ``U``.  Draw
+    order: one ``rng.random(count)`` request, cycle i taking the i-th.
     """
-    ends = tab.lam_e / (tab.lam_e + np.array(tab.dsrc))
-    rows = max(1, BLOCK_CELLS // len(ends))
-    shapes = [(min(rows, count - start), len(ends)) for start in range(0, count, rows)]
-    return np.concatenate([(rng.random(shape) < ends).argmax(axis=1) for shape in shapes])
+    d = np.array(tab.dsrc[:-1])
+    survive = np.multiply.accumulate(d / (tab.lam_e + d))  # no 1 - x, so nothing cancels
+    return len(d) - np.searchsorted(survive[::-1], rng.random(count), side="right")
 
 
 def _arrival_times(draws: np.ndarray, rates: np.ndarray) -> np.ndarray:

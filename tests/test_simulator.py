@@ -180,17 +180,31 @@ def test_cycle_counts_merge_child_streams_across_the_batch_boundary(spec):
 
 
 class _CountingGenerator:
-    """A ``numpy.random.Generator`` stand-in that passes standard
-    exponential requests on and records the cells of each; any other draw
-    fails."""
+    """A ``numpy.random.Generator`` stand-in that passes uniform and
+    standard exponential requests on and records the cells of each; any
+    other draw fails."""
 
     def __init__(self, seed):
         self._rng = _stream(seed)
         self.requests = []
 
+    def random(self, size):
+        self.requests.append(math.prod(np.atleast_1d(size)))
+        return self._rng.random(size)
+
     def standard_exponential(self, size):
         self.requests.append(math.prod(size))
         return self._rng.standard_exponential(size)
+
+
+@pytest.mark.parametrize("n", [1, 50, 10**4])
+@pytest.mark.parametrize("count", [1, CYCLE_BATCH])
+def test_flat_kernel_draws_one_uniform_per_cycle(n, count):
+    tab = _Tables(NetworkSpec.flat(n, GP.FC_sRC, Rates(1.0, 1000.0, 0.0, 2.0)))
+    rng = _CountingGenerator(n)
+    counts = _flat_counts(tab, rng, count)
+    assert rng.requests == [count]
+    assert len(counts) == count and 0 <= counts.min() and counts.max() <= n
 
 
 @pytest.mark.parametrize("m,k", [(2, 3), (40, 3), (3, 40)])
@@ -254,13 +268,45 @@ LAW_CYCLES = 200_000
 
 
 @pytest.mark.parametrize("policy", list(GP))
-@pytest.mark.parametrize("n", [1, 3, 8, 50])
+@pytest.mark.parametrize("n", [1, 3, 8, 50, 500])
 def test_flat_kernel_capture_count_law(policy, n):
     spec = NetworkSpec.flat(n, policy, Rates(0.5, 1.0, 0.0, 2.0))
     tab = _Tables(spec)
     ends = [tab.lam_e / (tab.lam_e + d) for d in tab.dsrc]
     counts = _cycle_counts(tab, 300 + n, LAW_CYCLES)
     _assert_chi_square_fits(counts, _first_success_pmf(ends))
+
+
+def _flat_count_sd(spec):
+    """Exact sd of one flat cycle's count / n, from the survival row
+    P(count >= c) = prod_{j<c} d_j / (d_j + lambda_e), d_j = (n - j) u(j),
+    with E[count] = sum_c P(count >= c) and E[count^2] = sum_c (2c - 1)
+    P(count >= c)."""
+    (policy, source, gossip, n), = spec.tiers
+    d = (n - np.arange(n)) * per_stale_rate(policy, source, gossip, n)
+    survive = np.multiply.accumulate(d / (spec.rates.lambda_e + d))
+    c = np.arange(1, n + 1)
+    mean, square = math.fsum(survive), math.fsum((2 * c - 1) * survive)
+    return math.sqrt(square - mean * mean) / n
+
+
+LARGE_N_CYCLES = 20_000
+
+
+@pytest.mark.parametrize("policy", list(GP))
+@pytest.mark.parametrize("n", [10**3, 10**4])
+@pytest.mark.parametrize(
+    "rates", [Rates(1.0, 1000.0, 0.0, 2.0), Rates(0.01, 50.0, 0.0, 0.2)], ids=["fast", "slow"]
+)
+def test_cycle_estimator_agrees_with_the_oracle_at_large_n(policy, n, rates):
+    # the binomial bar is several times the true per-cycle spread at this n,
+    # so the gate uses the exact sd of count / n
+    spec = NetworkSpec.flat(n, policy, rates)
+    target = oracle_flat(policy, rates.lambda_s, rates.lambda_g, rates.lambda_e, n)
+    sd = _flat_count_sd(spec)
+    assert 0.0 < sd < math.sqrt(target * (1.0 - target))  # below the binomial sd
+    est = estimate_freshness_cycles(spec, LARGE_N_CYCLES, seed=n + list(GP).index(policy))
+    assert abs(est.p_hat - target) <= 4.0 * sd / math.sqrt(LARGE_N_CYCLES)
 
 
 @pytest.mark.parametrize("policy", list(GP))
