@@ -14,16 +14,20 @@ route, :func:`oracle_sizes` (one size: :func:`oracle_flat`; any table:
 :func:`renewal_freshness`), walks the within-cycle race between
 deliveries and the next self-refresh for an arbitrary per-stale update
 table ``u(j)`` and therefore covers every policy, including ``FC_sRC``,
-which has no standalone formula.  The test suite and selftest criterion 1
-hold the two routes to within 1e-12 of each other everywhere both exist.
-``FC_noRC``'s formula is itself a sum-product over its own ``u(j)`` table,
-so its closed form runs the recursion's kernel and that comparison is an
-identity; an independent exact route for it (the capture-count law,
-ROADMAP item 2) is still open.
+which has no standalone formula (the closed route returns None for it
+alone, and both routes reject a policy that is no GossipPolicy).  The test
+suite and selftest criterion 1 hold the two routes to within 1e-12 of
+each other everywhere both exist.  ``FC_noRC``'s formula is itself a
+sum-product over its own ``u(j)`` table, so its closed form runs the
+recursion's kernel and that comparison is an identity; the tests hold
+every policy to the capture-count law, whose route (ROADMAP item 2) is
+still open.
 
 Both routes take many sizes per call, and each rate either as a number or
-as a sequence of one rate per rate case, so one call evaluates a tier at
-every size under every case and returns a (cases, sizes) array.
+as a sequence of one rate per rate case, and have one path: one call
+evaluates a tier at every size under every case as a ``(cases, sizes)``
+array, and a call with numbers only is the one-case call, which returns
+that array's row.
 :func:`clustered_profiles` builds the clustered values at the cluster
 sizes its caller names, from one call per tier policy: every divisor for
 a scan (:func:`optimal_cluster_size` is its one-case, one-pair view) and
@@ -129,11 +133,11 @@ def _check_sizes(sizes, lambda_e, total_source, total_gossip):
     integers >= 1, then :func:`_check_rates` at the largest size.  Each
     rate is a number or a sequence (list, tuple or array) of one rate per
     rate case; every sequence holds the same number of cases, and a number
-    serves every case.  Each case is checked in order, as a call with its
-    rates alone checks it.  Returns the sizes as a list of Python ints and
-    the rates as ``(total_source, total_gossip, lambda_e)``: numbers as
-    they came, or, where some rate is a sequence, three lists of one
-    Python value per case."""
+    serves every case (or is the one case).  Each case is checked in
+    order, as a call with its rates alone checks it.  Returns the sizes as
+    a list of Python ints, the rates as three lists ``[total_source,
+    total_gossip, lambda_e]`` of one Python value per case, and whether
+    any rate came as a sequence (the result keeps its case axis)."""
     if type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int and 0 < sizes[0] < 2**63:
         listed = sizes  # one plain int, as oracle_flat and closed_flat pass it
     else:
@@ -143,19 +147,16 @@ def _check_sizes(sizes, lambda_e, total_source, total_gossip):
         listed = array.tolist()
         require_int("n", min(listed), 1)
     rates = (total_source, total_gossip, lambda_e)
-    largest = max(listed)
-    cases = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
-    counts = {len(r) for r in cases if isinstance(r, (list, tuple))}
-    if not counts:
-        _check_rates(largest, lambda_e, lambda_s=total_source, lambda_g=total_gossip)
-        return listed, rates
+    rates = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
+    counts = {len(r) for r in rates if isinstance(r, (list, tuple))}
     if len(counts) > 1 or 0 in counts:
         raise ValueError(f"rate sequences must share one length >= 1, got {sorted(counts)}")
-    (count,) = counts
-    cases = [list(r) if isinstance(r, (list, tuple)) else [r] * count for r in cases]
-    for s, g, e in zip(*cases):
+    (count,) = counts or {1}
+    rates = [list(r) if isinstance(r, (list, tuple)) else [r] * count for r in rates]
+    largest = max(listed)
+    for s, g, e in zip(*rates):
         _check_rates(largest, e, lambda_s=s, lambda_g=g)
-    return listed, tuple(cases)
+    return listed, rates, bool(counts)
 
 
 def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
@@ -230,23 +231,21 @@ BLOCK_CELLS = 1 << 14
 
 def _oracle_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
     """Freshness at each of the ``sizes``, in one block padded to
-    ``width``; each rate is a number or a column of one rate per row."""
+    ``width``; each rate is a column of one rate per row."""
     stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes[:, None], width)
     # a copy, so that the block's buffers are freed on return
     return _recursion(u, stale, lambda_e)[0].copy()
 
 
 def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> np.ndarray:
-    """:func:`_oracle_block` over checked ``sizes``, or over every (case,
-    size) cell where the rates are lists of one rate per case, which gives
-    a ``(cases, sizes)`` array.  Cells that fit one block of at most
-    :data:`BLOCK_CELLS` cells (or a single size) are one block as they
-    stand; otherwise they are sorted and cut into zero-padded blocks."""
-    rates = (total_source, total_gossip, lambda_e)
-    cases = isinstance(lambda_e, list)
-    if cases:
-        rates = [np.repeat(np.array(r, dtype=float), len(sizes))[:, None] for r in rates]
-        sizes = sizes * len(lambda_e)
+    """:func:`_oracle_block` over every (case, size) cell of checked
+    ``sizes`` and rate lists of one rate per case, as a ``(cases, sizes)``
+    array.  Cells that fit one block of at most :data:`BLOCK_CELLS` cells
+    (or a single cell) are one block as they stand; otherwise they are
+    sorted and cut into zero-padded blocks."""
+    rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
+    rates = rates.repeat(len(sizes), axis=1)[..., None]
+    sizes = sizes * len(lambda_e)
     array = np.array(sizes)
     width = max(sizes)
     if len(sizes) * width <= BLOCK_CELLS or len(sizes) == 1:
@@ -262,10 +261,10 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]) -> 
             while stop < len(order) and (stop + 1 - start) * bounds[stop] <= BLOCK_CELLS:
                 stop += 1
             index = order[start:stop]
-            rows = [r[index] for r in rates] if cases else rates
+            rows = rates[:, index]
             p[index] = _oracle_block(policy, *rows, ordered[start:stop], bounds[stop - 1])
             start = stop
-    return p.reshape(len(lambda_e), -1) if cases else p
+    return p.reshape(len(lambda_e), -1)
 
 
 def _allrc_running(ls, lg, le, width: int) -> np.ndarray:
@@ -285,26 +284,27 @@ def oracle_sizes(
     """Freshness of a flat tier at each of several sizes, via the generic
     recursion.
 
-    ``sizes`` is a sequence of tier sizes (any order, repeats allowed);
-    the result holds one probability per size, in the same order, each
-    bit-identical to :func:`oracle_flat` at that size.  Each rate is a
-    number or a sequence (list, tuple or array) of one rate per rate case,
-    so one call can evaluate a tier over several cases: every sequence
-    holds the same number of cases, a number serves every case, and the
-    result is a ``(cases, sizes)`` array whose row ``c`` equals a call
-    with case ``c``'s rates alone.  The (case, size) cells are evaluated
-    in zero-padded blocks of at most :data:`BLOCK_CELLS` cells (sorted
-    first when they do not fit one), so a whole sweep costs a few array
-    passes instead of one per size.
+    ``sizes`` is a sequence of tier sizes (any order, repeats allowed),
+    and each rate is a number or a sequence (list, tuple or array) of one
+    rate per rate case: every sequence holds the same number of cases, and
+    a number serves every case.  The result is a ``(cases, sizes)`` array
+    whose row ``c`` equals a call with case ``c``'s rates alone; a call
+    with numbers only is the one-case call and returns its row, each entry
+    bit-identical to :func:`oracle_flat` at that size.  The cells are
+    evaluated in zero-padded blocks of at most :data:`BLOCK_CELLS` cells
+    (sorted first when they do not fit one), so a whole sweep costs a few
+    array passes instead of one per size.
 
     Raises:
         ValueError: if ``sizes`` is empty or holds a non-integer or a size
             below 1, if the rate sequences do not hold the same number of
-            cases, or for invalid rates (the first offending case, in
-            order, is named as a call with it alone names it).
+            cases, for invalid rates (the first offending case, in order,
+            is named as a call with it alone names it), or for a policy
+            that is no GossipPolicy.
     """
-    sizes, rates = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    return _blocked(policy, *rates, sizes)
+    sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    p = _blocked(policy, *rates, sizes)
+    return p if cased else p[0]
 
 
 def oracle_flat(
@@ -349,16 +349,17 @@ def closed_sizes(
       largest size, serves every size.  With lg = 0 the product
       telescopes into the ``DC_RC`` geometric sum.
     * ``FC_sRC`` mixes stale-targeting and even splits and has no
-      standalone formula: None, once the arguments pass the check.
+      standalone formula: None, once the arguments pass the check.  A
+      policy that is no GossipPolicy raises :func:`oracle_sizes`'s error.
     """
-    sizes, rates = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    if policy is GossipPolicy.FC_noRC:
-        return _blocked(policy, *rates, sizes)
-    if policy not in (GossipPolicy.DC_noRC, GossipPolicy.DC_RC, GossipPolicy.FC_allRC):
+    sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
+    if policy is GossipPolicy.FC_sRC:
         return None
-    if isinstance(rates[2], list):  # one row per rate case
-        return np.array([_closed_case(policy, *case, sizes) for case in zip(*rates)])
-    return _closed_case(policy, *rates, sizes)
+    if policy is GossipPolicy.FC_noRC:
+        p = _blocked(policy, *rates, sizes)
+    else:
+        p = np.array([_closed_case(policy, *case, sizes) for case in zip(*rates)])
+    return p if cased else p[0]
 
 
 def _closed_case(policy, ls, lg, le, sizes: list[int]) -> np.ndarray:
@@ -368,8 +369,10 @@ def _closed_case(policy, ls, lg, le, sizes: list[int]) -> np.ndarray:
         return ls / (ls + np.array(sizes, dtype=float) * le)
     if policy is GossipPolicy.DC_RC:
         return np.array([_dc_rc(n, ls, le) for n in sizes])
-    n = np.array(sizes)
-    return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n
+    if policy is GossipPolicy.FC_allRC:
+        n = np.array(sizes)
+        return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n
+    raise ValueError(f"unknown policy {policy!r}")  # the message of core.stale_rate_rows
 
 
 def _dc_rc(n: int, ls: float, le: float) -> float:
@@ -455,11 +458,11 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
     ``cases`` :class:`~gossipfresh.core.Rates` and ``pairs``
     ``(source_policy, cluster_policy)``.  Each tier policy takes one
     ``route`` call over ``ks`` (or the matching cluster counts) under every
-    case, with the case rates as sequences (plain numbers for a single
-    case).  Returns ``profiles[c][q]``, an array over ``ks`` for case ``c``
-    and pair ``q``, each entry the product in :func:`clustered_freshness`'s
-    (or :func:`closed_clustered`'s) order and equal to it, or None where
-    the closed route has no formula for the cluster tier.  Empty ``ks`` or
+    case, with the case rates as lists.  Returns ``profiles[c][q]``, an
+    array over ``ks`` for case ``c`` and pair ``q``, each entry the
+    product in :func:`clustered_freshness`'s (or :func:`closed_clustered`'s)
+    order and equal to it, or None where the closed route has no formula
+    for the cluster tier (``FC_sRC``).  Empty ``ks`` or
     ``cases``, or a k that is not an integer >= 1 dividing ``n``, raises
     ``ValueError``; then each (case, pair) is checked in order at the
     pair's largest tiers (``k = max(ks)``, ``m = n // min(ks)``), so an
@@ -478,15 +481,11 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
             if i == 0 and len(cases) * len(pairs) > 1:
                 _check_rates(n // min(ks), rates.lambda_e, lambda_s=rates.lambda_s, lambda_g=0.0)
     rows = [(r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g) for r in cases]
-    # one case stays plain numbers, which take the routes' scalar path
-    le, ls, lc, lg = rows[0] if len(rows) == 1 else map(list, zip(*rows))
+    le, ls, lc, lg = map(list, zip(*rows))
     heads = [n // k for k in ks]
     source = {p: route(p, ls, 0.0, le, heads) for p in dict.fromkeys(src for src, _ in pairs)}
     cluster = {p: route(p, lc, lg, le, ks) for p in dict.fromkeys(cl for _, cl in pairs)}
-    products = [
-        None if cluster[cl] is None else (source[src] * cluster[cl]).reshape(len(rows), -1)
-        for src, cl in pairs
-    ]
+    products = [None if cluster[cl] is None else source[src] * cluster[cl] for src, cl in pairs]
     return [[None if p is None else p[c] for p in products] for c in range(len(rows))]
 
 

@@ -143,15 +143,6 @@ class Rates:
     def __post_init__(self):
         require_rates(**vars(self))
 
-    def scaled(self, factor: float) -> "Rates":
-        """All four intensities multiplied by ``factor`` (time rescaling)."""
-        return Rates(
-            lambda_e=self.lambda_e * factor,
-            lambda_s=self.lambda_s * factor,
-            lambda_c=self.lambda_c * factor,
-            lambda_g=self.lambda_g * factor,
-        )
-
 
 @dataclass(frozen=True)
 class Flat:

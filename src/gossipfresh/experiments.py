@@ -496,24 +496,28 @@ _STR_COLS = {"experiment", "policy_source", "policy_cluster"}
 
 
 def read_csv(path) -> list[ResultRow]:
-    """Parse a CSV produced by :func:`write_csv` back into rows."""
+    """Parse a CSV produced by :func:`write_csv` back into rows.  An empty
+    file, a foreign header, a row whose length is not the header's, or a
+    number that does not parse raises ``ValueError`` naming path and line."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}, line 1: empty file, expected the CSV header")
+        if tuple(header) != CSV_HEADER:
+            raise ValueError(f"{path}, line 1: unexpected header {tuple(header)!r}")
+        kinds = [str if c in _STR_COLS else int if c in _INT_COLS else float for c in CSV_HEADER]
         rows = []
         for record in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(record) != len(CSV_HEADER):
+                raise ValueError(f"{where}: {len(record)} fields, expected {len(CSV_HEADER)}")
             kwargs = {}
-            for col, text in zip(CSV_HEADER, record):
-                if text == "":
-                    kwargs[col] = None
-                elif col in _STR_COLS:
-                    kwargs[col] = text
-                elif col in _INT_COLS:
-                    kwargs[col] = int(text)
-                else:
-                    kwargs[col] = float(text)
+            for col, kind, text in zip(CSV_HEADER, kinds, record):
+                try:
+                    kwargs[col] = kind(text) if text else None
+                except ValueError:
+                    raise ValueError(f"{where}: {col} is no {kind.__name__}: {text!r}") from None
             rows.append(ResultRow(**kwargs))
     return rows
 

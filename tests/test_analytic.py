@@ -190,6 +190,38 @@ def test_src_rc_has_no_closed_form():
     assert closed_flat(GP.FC_sRC, 1.0, 1.0, 1.0, 3) is None
 
 
+@pytest.mark.parametrize("policy", ["DC_RC", "bogus", None])
+def test_both_routes_reject_an_unknown_policy_with_one_message(policy):
+    # no formula is FC_sRC's answer alone; anything that is no GossipPolicy
+    # is rejected by the closed route as the recursion rejects it
+    message = f"unknown policy {policy!r}"
+    one = Rates(1.0, 1.0, 1.0, 1.0)
+    for sizes_route, one_route in ((oracle_sizes, oracle_flat), (closed_sizes, closed_flat)):
+        for call in (
+            lambda: sizes_route(policy, 1.0, 0.0, 1.0, [3]),
+            lambda: sizes_route(policy, [1.0, 2.0], 0.5, 1.0, [3, 5]),
+            lambda: one_route(policy, 1.0, 0.0, 1.0, 3),
+            lambda: clustered_profiles(sizes_route, 4, [2], [one], [(GP.DC_RC, policy)]),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+    spec = NetworkSpec.clustered(4, 2, GP.DC_RC, policy, one)
+    for call in (
+        lambda: closed_clustered(GP.DC_RC, policy, 2, 2, one),
+        lambda: clustered_freshness(spec),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    # the arguments are checked first, as the recursion checks them
+    for route in (oracle_sizes, closed_sizes):
+        with pytest.raises(ValueError, match="lambda_e must be finite and > 0"):
+            route(policy, 1.0, 0.0, 0.0, [3])
+        with pytest.raises(ValueError, match="sizes must be a nonempty sequence"):
+            route(policy, 1.0, 0.0, 1.0, [])
+
+
 @given(
     policy=st.sampled_from(list(GP)),
     ls=rate,
@@ -338,6 +370,40 @@ def test_oracle_sizes_rejects_bad_sizes(sizes):
 
 
 
+# --- the capture-count law: an exact check independent of the recursion ----
+#
+# In a flat tier the fresh count j rises at the total rate
+# d_j = (n - j) u(j) and the cycle ends at rate lambda_e, so
+# P(count >= k) = prod_{j<k} d_j / (d_j + lambda_e) and p = E[count] / n.
+# The law has no tagged node and no q/tau split, so it checks FC_sRC,
+# which has no closed form, and FC_noRC, whose closed form is the
+# recursion over its own table.
+
+
+def _capture_count_law(policy, ls, lg, le, n):
+    d = (n - np.arange(n)) * per_stale_rate(policy, ls, lg, n)
+    survival = np.multiply.accumulate(d / (d + le))  # P(count >= k), k = 1 .. n
+    return math.fsum(survival.tolist()) / n
+
+
+def test_the_capture_count_law_gives_the_hand_values():
+    assert _capture_count_law(GP.DC_RC, 1.0, 0.0, 1.0, 3) == pytest.approx(7 / 24, abs=1e-15)
+    assert _capture_count_law(GP.FC_allRC, 1.0, 1.0, 1.0, 3) == pytest.approx(13 / 36, abs=1e-15)
+    assert _capture_count_law(GP.FC_noRC, 1.0, 1.0, 1.0, 3) == pytest.approx(111 / 336, abs=1e-15)
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_the_recursion_agrees_with_the_capture_count_law(policy):
+    rng = random.Random(f"capture-count law {policy.value}")
+    for draw in range(60):
+        ls, lg, le = (10.0 ** rng.uniform(-3, 3) for _ in range(3))
+        lg = 0.0 if draw % 2 else lg
+        sizes = [rng.randint(1, 300) for _ in range(4)] + [1, 300]
+        got = oracle_sizes(policy, ls, lg, le, sizes)
+        law = [_capture_count_law(policy, ls, lg, le, n) for n in sizes]
+        assert np.abs(got - law).max() <= 1e-12, (ls, lg, le, sizes)
+
+
 # --- rate cases: one rate per case, every size under every case ------------
 
 case_rate = st.one_of(st.just(0.0), wide_rate)
@@ -457,9 +523,8 @@ def test_clustered_rescaling_invariance():
     r = Rates(0.7, 1.3, 2.1, 0.4)
     spec = NetworkSpec.clustered(12, 4, GP.DC_RC, GP.FC_sRC, r)
     p0, _ = clustered_freshness(spec)
-    p1, _ = clustered_freshness(
-        NetworkSpec.clustered(12, 4, GP.DC_RC, GP.FC_sRC, r.scaled(37.0))
-    )
+    scaled = Rates(*(37.0 * v for v in (0.7, 1.3, 2.1, 0.4)))
+    p1, _ = clustered_freshness(NetworkSpec.clustered(12, 4, GP.DC_RC, GP.FC_sRC, scaled))
     assert p1 == pytest.approx(p0, abs=1e-12)
 
 

@@ -144,11 +144,6 @@ def test_an_integer_too_large_for_a_float_is_not_a_finite_rate():
         Rates(-(10**400), 1.0)
 
 
-def test_rates_scaled():
-    r = Rates(1.0, 2.0, 3.0, 4.0).scaled(0.5)
-    assert r == Rates(0.5, 1.0, 1.5, 2.0)
-
-
 def test_tiers_split_a_network_into_flat_tiers():
     r = Rates(0.5, 2.0, 3.0, 1.5)
     flat = NetworkSpec.flat(7, GossipPolicy.FC_sRC, r)

@@ -279,6 +279,24 @@ def test_read_csv_rejects_foreign_header(tmp_path):
         read_csv(path)
 
 
+def test_read_csv_names_the_file_and_line_of_a_malformed_row(tmp_path):
+    good = tmp_path / "rows.csv"
+    run_experiment(ExperimentConfig.from_dict(dict(FLAT_SMALL, n_range=[1, 2], output=str(good))))
+    header, first, *rest = good.read_text().splitlines()
+    width = len(CSV_HEADER)
+    for name, lines, line, problem in (
+        ("empty.csv", [], 1, "empty file, expected the CSV header"),
+        ("short.csv", [header, first, first.rsplit(",", 5)[0]], 3, f"{width - 5} fields"),
+        ("long.csv", [header, first + ",extra", first], 2, f"{width + 1} fields"),
+        ("text.csv", [header, first.replace(",1,", ",one,", 1)], 2, "n is no int: 'one'"),
+    ):
+        path = tmp_path / name
+        path.write_text("".join(f"{text}\n" for text in lines))
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value).startswith(f"{path}, line {line}: {problem}")
+
+
 # --- plot series -------------------------------------------------------------
 
 
@@ -542,7 +560,7 @@ def test_a_clustered_point_checks_its_source_tier_at_its_own_m():
     # 1e306 overflows the source tier at m = n = 120 but not at m = 15
     r = Rates(lambda_e=1.0, lambda_s=1e306, lambda_c=1.0)
     pairs = ((GossipPolicy.DC_RC, GossipPolicy.DC_RC), (GossipPolicy.DC_noRC, GossipPolicy.DC_RC))
-    cases = [r, r.scaled(0.5)]
+    cases = [r, Rates(lambda_e=0.5, lambda_s=5e305, lambda_c=0.5)]
     rows = iter(run_experiment(_config("single_point", pairs, cases, n=120, k=8)))
     for rates in cases:
         for pair in pairs:
