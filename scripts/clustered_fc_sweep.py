@@ -4,18 +4,18 @@
 Runs configs/clustered_fc.json: the cluster size for the three (source,
 cluster) pairs whose clusters are fully connected, across the default
 rate cases, then prints the optimal-k report.
+
+The work is ``gossipfresh sweep --config configs/clustered_fc.json
+--output <out-dir>/clustered_fc.csv --plot-dir <out-dir>``, then
+``gossipfresh optimal-k --config configs/clustered_fc.json``; stdout
+and a nonzero exit code are the CLI's.
 """
 
 import argparse
-from dataclasses import replace
+import sys
 from pathlib import Path
 
-from gossipfresh.experiments import (
-    ExperimentConfig,
-    emit_plot_data,
-    report_optimal_k,
-    run_experiment,
-)
+from gossipfresh import cli
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "clustered_fc.json"
 
@@ -26,15 +26,12 @@ def main():
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    config = replace(
-        ExperimentConfig.from_json(CONFIG), output=str(args.out_dir / "clustered_fc.csv")
-    )
-    rows = run_experiment(config)
-    series = emit_plot_data(rows, out_dir=args.out_dir)
-    print(f"{len(rows)} rows -> {config.output}")
-    print(f"{len(series)} series files in {args.out_dir}")
-    for note in report_optimal_k(config).notes:
-        print(note)
+    sweep = ["sweep", "--config", str(CONFIG), "--output", str(args.out_dir / "clustered_fc.csv")]
+    sweep += ["--plot-dir", str(args.out_dir)]
+    for argv in (sweep, ["optimal-k", "--config", str(CONFIG)]):
+        status = cli.main(argv)
+        if status:
+            sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -4,14 +4,18 @@
 Runs configs/flat_policies.json: n = 1..50 for two values of alpha =
 lambda_e / lambda_s, written as a CSV plus one plot series per (policy,
 alpha).  Optionally adds Monte Carlo columns with --cycles.
+
+The work is ``gossipfresh sweep --config configs/flat_policies.json
+--output <out-dir>/flat_policies.csv --plot-dir <out-dir>``, passing
+--cycles and --seed on when they are given; stdout and a nonzero exit
+code are the CLI's.
 """
 
 import argparse
-from dataclasses import replace
+import sys
 from pathlib import Path
 
-from gossipfresh.core import int_problem
-from gossipfresh.experiments import ExperimentConfig, SimSettings, emit_plot_data, run_experiment
+from gossipfresh import cli
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "flat_policies.json"
 
@@ -20,22 +24,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", type=Path, default=Path("out"))
     ap.add_argument("--cycles", type=int, help="add Monte Carlo columns with this many cycles")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, help="Monte Carlo base seed (also adds the columns)")
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    config = replace(
-        ExperimentConfig.from_json(CONFIG), output=str(args.out_dir / "flat_policies.csv")
-    )
-    if args.cycles:
-        problem = int_problem("--cycles", args.cycles, 1) or int_problem("--seed", args.seed, 0)
-        if problem:
-            ap.error(problem)
-        config = replace(config, sim=SimSettings(cycles=args.cycles, seed=args.seed))
-    rows = run_experiment(config)
-    series = emit_plot_data(rows, out_dir=args.out_dir)
-    print(f"{len(rows)} rows -> {config.output}")
-    print(f"{len(series)} series files in {args.out_dir}")
+    argv = ["sweep", "--config", str(CONFIG), "--output", str(args.out_dir / "flat_policies.csv")]
+    argv += ["--plot-dir", str(args.out_dir)]
+    for flag, value in (("--cycles", args.cycles), ("--seed", args.seed)):
+        if value is not None:
+            argv += [flag, str(value)]
+    status = cli.main(argv)
+    if status:
+        sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .core import (
 )
 from .analytic import (
     ClusteredBreakdown,
-    RecursionTrace,
     closed_clustered,
     closed_flat,
     closed_sizes,
@@ -66,7 +65,6 @@ __all__ = [
     "NetworkSpec",
     "OptimalKReport",
     "Rates",
-    "RecursionTrace",
     "ResultRow",
     "SimState",
     "TrajectorySim",

@@ -66,7 +66,6 @@ from .core import (
 )
 
 __all__ = [
-    "RecursionTrace",
     "ClusteredBreakdown",
     "renewal_freshness",
     "oracle_sizes",
@@ -79,21 +78,6 @@ __all__ = [
     "optimal_cluster_size",
     "divisors",
 ]
-
-
-@dataclass(frozen=True)
-class RecursionTrace:
-    """Per-step probabilities behind one :func:`renewal_freshness` value.
-
-    ``q[k-1]`` is the probability that the tagged node is the k-th node
-    captured within the cycle (given the race reached that step), and
-    ``tau[j-1]`` the probability that the j-th capture goes to some other
-    stale node instead.  ``p = sum_k q_k * prod_{j<k} tau_j``.
-    """
-
-    q: np.ndarray
-    tau: np.ndarray
-    p: float
 
 
 @dataclass(frozen=True)
@@ -163,9 +147,12 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     """The renewal recursion over the last axis of a ``(..., width)`` block.
 
     ``u`` holds the per-stale rates and ``stale`` the number of stale nodes
-    at each step.  Returns ``(p, q, tau)``; ``p`` has the block's leading
-    shape.  A cell with ``u = 0`` and ``stale = 1`` has ``q = tau = 0`` and
-    adds exactly ``+0.0`` to ``p``, so rows may be padded with such cells.
+    at each step.  Returns ``(p, q, tau)``: ``q[k-1]`` is the probability
+    that the tagged node is the k-th node captured, and ``tau[k-1]`` that
+    the k-th capture goes to some other stale node, given the race reached
+    step k; ``p`` has the block's leading shape.  A cell with ``u = 0``
+    and ``stale = 1`` has ``q = tau = 0`` and adds exactly ``+0.0`` to
+    ``p``, so rows may be padded with such cells.
     """
     denom = stale * u
     denom += lambda_e
@@ -184,9 +171,7 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     return p, q, tau
 
 
-def renewal_freshness(
-    u, n: int, lambda_e: float
-) -> tuple[FreshnessValue, RecursionTrace]:
+def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
     """Within-cycle capture probability for an arbitrary rate table ``u``.
 
     ``u`` is array-like of length ``n``: ``u[j]`` is the update intensity
@@ -202,8 +187,7 @@ def renewal_freshness(
 
     and ``p = sum_k q_k prod_{j<k} tau_j``.  This is the exact reference
     value for every policy; the closed forms are special cases of it.
-
-    Returns the probability and the (q, tau) trace as arrays.
+    Returns ``p`` as a float.
 
     Raises:
         ValueError: for invalid ``n``/``lambda_e``, a table of the wrong
@@ -220,9 +204,7 @@ def renewal_freshness(
         j = int(bad.argmax())
         raise ValueError(f"u({j}) must be finite and >= 0, got {float(table[j])!r}")
     _check_rates(n, lambda_e, max_u=float(table.max()))
-    p, q, tau = _recursion(table, n - np.arange(n, dtype=float), lambda_e)
-    p = float(p)
-    return p, RecursionTrace(q, tau[:-1], p)
+    return float(_recursion(table, n - np.arange(n, dtype=float), lambda_e)[0])
 
 
 #: Largest block (rows times width) :func:`oracle_sizes` evaluates at once.

@@ -324,10 +324,12 @@ def validate(spec: NetworkSpec) -> list[str]:
             problems.append(
                 f"m*k != n: {shape.m}*{shape.k} = {shape.m * shape.k} != {shape.n}"
             )
-        if shape.source_policy not in DC_POLICIES:
+        source = shape.source_policy
+        if source not in DC_POLICIES:
+            shown = source.value if isinstance(source, GossipPolicy) else repr(source)
             problems.append(
                 "clusterheads form a disconnected tier: source_policy must be "
-                f"DC_noRC or DC_RC, got {shape.source_policy.value}"
+                f"DC_noRC or DC_RC, got {shown}"
             )
         if sized:
             problems.append(rate_sum_problem(shape.m, r.lambda_e, {"lambda_s": r.lambda_s}))

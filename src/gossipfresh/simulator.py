@@ -69,6 +69,9 @@ __all__ = [
 #: Cycles per RNG child stream in the cycle estimator.
 CYCLE_BATCH = 8192
 
+#: Equal windows whose batch means give the time-average estimator's stderr.
+TIME_WINDOWS = 50
+
 _Z95 = 1.959963984540054
 
 
@@ -445,20 +448,17 @@ class TrajectorySim:
             self._advance(t_end, None)
 
 
-def estimate_freshness_time(
-    spec: NetworkSpec, horizon: float, seed: int = 0, batches: int = 50
-) -> FreshnessEstimate:
+def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) -> FreshnessEstimate:
     """Time-average estimator over one long trajectory.
 
     Accumulated per-node fresh time divided by ``horizon``, averaged over
-    nodes; the standard error comes from batch means over ``batches``
-    equal windows.  Warns when the horizon covers fewer than ~100 expected
-    refresh cycles.
+    nodes; the standard error comes from batch means over
+    :data:`TIME_WINDOWS` equal windows.  Warns when the horizon covers
+    fewer than ~100 expected refresh cycles.
     """
     require_rates(horizon=horizon)  # a finite real >= 0, not a bool
     if horizon == 0:
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
-    require_int("batches", batches, 2)
     sim = TrajectorySim(spec, random.Random(0))  # the one check of the spec
     sim.rng.seed(*_child_seeds(seed, 1))  # a bad spec is reported before a bad seed
     lam_e = sim.tab.lam_e
@@ -472,15 +472,15 @@ def estimate_freshness_time(
     accum = sim.state.fresh_time_accum
     window_means = []
     prev_sum = 0.0
-    for b in range(1, batches + 1):
-        edge = horizon * b / batches
+    for b in range(1, TIME_WINDOWS + 1):
+        edge = horizon * b / TIME_WINDOWS
         sim.run_until(edge)
         cur = sum(accum)
-        window_means.append((cur - prev_sum) / n / (edge - horizon * (b - 1) / batches))
+        window_means.append((cur - prev_sum) / n / (edge - horizon * (b - 1) / TIME_WINDOWS))
         prev_sum = cur
     w = np.asarray(window_means)
     p_hat = float(sum(accum) / (n * horizon))
-    stderr = float(np.std(w, ddof=1) / math.sqrt(batches))
+    stderr = float(np.std(w, ddof=1) / math.sqrt(TIME_WINDOWS))
     return FreshnessEstimate(
         p_hat=p_hat,
         stderr=stderr,

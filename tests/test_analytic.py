@@ -19,6 +19,7 @@ from gossipfresh.analytic import (
     oracle_flat,
     oracle_sizes,
     renewal_freshness,
+    _recursion,
 )
 
 GP = GossipPolicy
@@ -96,25 +97,34 @@ def test_closed_forms_reject_bad_arguments(args):
 # --- generic recursion -------------------------------------------------------
 
 
+def _steps(u, n, le):
+    """The recursion's ``(p, q, tau)`` over one table, with ``p`` checked
+    against :func:`renewal_freshness` and the last, unused tau dropped."""
+    p, q, tau = _recursion(np.asarray(u, dtype=float), n - np.arange(n, dtype=float), le)
+    assert float(p) == renewal_freshness(u, n, le)
+    return float(p), q, tau[:-1]
+
+
 def test_recursion_specialises_to_even_split():
-    p, _ = renewal_freshness([0.1] * 10, 10, 0.1)
+    p = renewal_freshness([0.1] * 10, 10, 0.1)
+    assert type(p) is float
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_recursion_src_rc_hand_values():
     u = per_stale_rate(GP.FC_sRC, 1.0, 1.0, 3)
-    p, trace = renewal_freshness(u, 3, 1.0)
+    p, q, tau = _steps(u, 3, 1.0)
     assert p == pytest.approx(19 / 54, abs=1e-15)
-    assert trace.q == pytest.approx((1 / 6, 1 / 3, 2 / 3), abs=1e-15)
-    assert trace.tau == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
+    assert q == pytest.approx((1 / 6, 1 / 3, 2 / 3), abs=1e-15)
+    assert tau == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
 
 
 def test_recursion_fc_norc_hand_values():
     u = per_stale_rate(GP.FC_noRC, 1.0, 1.0, 3)
-    p, trace = renewal_freshness(u, 3, 1.0)
+    p, q, tau = _steps(u, 3, 1.0)
     assert p == pytest.approx(111 / 336, abs=1e-15)
-    assert trace.q == pytest.approx((1 / 6, 5 / 16, 4 / 7), abs=1e-15)
-    assert trace.tau == pytest.approx((1 / 3, 5 / 16), abs=1e-15)
+    assert q == pytest.approx((1 / 6, 5 / 16, 4 / 7), abs=1e-15)
+    assert tau == pytest.approx((1 / 3, 5 / 16), abs=1e-15)
 
 
 def test_recursion_rejects_bad_rate_function():
@@ -229,27 +239,26 @@ def test_both_routes_reject_an_unknown_policy_with_one_message(policy):
     le=rate,
     n=st.integers(1, 32),
 )
-def test_trace_step_outcomes_partition(policy, ls, lg, le, n):
+def test_recursion_step_outcomes_partition(policy, ls, lg, le, n):
     u = per_stale_rate(policy, ls, lg, n)
-    p, trace = renewal_freshness(u, n, le)
-    assert all(0.0 <= q <= 1.0 for q in trace.q)
-    assert all(0.0 <= t <= 1.0 for t in trace.tau)
+    p, qs, taus = _steps(u, n, le)
+    assert all(0.0 <= q <= 1.0 for q in qs)
+    assert all(0.0 <= t <= 1.0 for t in taus)
     # p is exactly the q/tau accumulation
     total = 0.0
     passed = 1.0
     for step in range(1, n + 1):
-        total += passed * trace.q[step - 1]
+        total += passed * qs[step - 1]
         if step < n:
-            passed *= trace.tau[step - 1]
+            passed *= taus[step - 1]
     assert p == pytest.approx(total, abs=1e-12)
-    assert trace.p == p
     # per-step: tagged capture + other capture + cycle end partition the draw
     for step in range(1, n + 1):
         stale = n - step + 1
         denom = stale * u[step - 1] + le
         end = le / denom
-        tk = trace.tau[step - 1] if step < n else 0.0
-        assert trace.q[step - 1] + tk + end == pytest.approx(1.0, abs=1e-12)
+        tk = taus[step - 1] if step < n else 0.0
+        assert qs[step - 1] + tk + end == pytest.approx(1.0, abs=1e-12)
 
 
 # The pure-Python table, recursion and closed forms the array code
@@ -328,7 +337,8 @@ def test_array_routes_equal_the_python_loops(policy, ls, lg, le, n, seed):
     assert per_stale_rate(policy, ls, lg, n).tolist() == table
     oracle = _loop_recursion(table, n, le)
     assert oracle_flat(policy, ls, lg, le, n) == oracle
-    assert renewal_freshness(table, n, le)[0] == oracle
+    renewal = renewal_freshness(table, n, le)
+    assert type(renewal) is float and renewal == oracle
     assert closed_flat(policy, ls, lg, le, n) == _scalar_closed(policy, ls, lg, le, n)
     # A shuffled size vector with repeats.  The DC references cost O(1) a
     # size, so their vectors are long enough to show a log1p or expm1 that

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import gossipfresh
+from gossipfresh.analytic import closed_clustered, clustered_freshness
 from gossipfresh.core import (
     Flat,
     GossipPolicy,
     NetworkSpec,
     Rates,
     per_stale_rate,
+    require_valid,
     stale_rate_rows,
     validate,
 )
+from gossipfresh.simulator import estimate_freshness_cycles
 
 POLICIES = list(GossipPolicy)
 rate = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -175,6 +178,29 @@ def test_validate_source_tier_must_be_disconnected():
     )
     problems = validate(spec)
     assert any("source_policy" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "source,shown", [(GossipPolicy.FC_allRC, "FC_allRC"), ("DC_RC", "'DC_RC'"), (None, "None")]
+)
+def test_a_source_policy_outside_the_dc_pair_is_one_listed_violation(source, shown):
+    # a source policy that is no GossipPolicy is shown by its repr
+    rates = Rates(1.0, 1.0, 1.0, 1.0)
+    spec = NetworkSpec.clustered(4, 2, source, GossipPolicy.DC_RC, rates)
+    problem = (
+        "clusterheads form a disconnected tier: source_policy must be "
+        f"DC_noRC or DC_RC, got {shown}"
+    )
+    assert validate(spec) == [problem]
+    for call in (
+        lambda: require_valid(spec),
+        lambda: closed_clustered(source, GossipPolicy.DC_RC, 2, 2, rates),
+        lambda: clustered_freshness(spec),
+        lambda: estimate_freshness_cycles(spec, 10),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "invalid network spec: " + problem
 
 
 def test_validate_needs_positive_refresh_rate():

@@ -148,15 +148,33 @@ def test_sweep_scripts_write_the_shipped_outputs(script, name, tmp_path, monkeyp
     assert written == expected
 
 
-@pytest.mark.parametrize("flags", [["--cycles", "-5"], ["--cycles", "10", "--seed", "-1"]])
+@pytest.mark.parametrize(
+    "flags", [["--cycles", "-5"], ["--cycles", "0"], ["--cycles", "10", "--seed", "-1"]]
+)
 def test_flat_script_rejects_bad_monte_carlo_flags(flags, tmp_path, monkeypatch, capsys):
-    # the integer rule of sim.cycles and sim.seed, before any work
+    # the CLI's integer rule of sim.cycles and sim.seed, before any work,
+    # with its exit code for a validation error
     monkeypatch.setattr(sys, "argv", ["flat_policy_sweep", "--out-dir", str(tmp_path), *flags])
     with pytest.raises(SystemExit) as exit_info:
         load_script("flat_policy_sweep").main()
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert f"error: {flags[-2]} must be an integer" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flat_script_passes_its_monte_carlo_flags_to_the_cli(tmp_path, monkeypatch, capsys):
+    # --cycles and --seed reach `sweep` as they are, so the Monte Carlo
+    # columns equal the CLI's for the same flags
+    flags = ["--cycles", "50", "--seed", "3"]
+    script_dir = tmp_path / "script"
+    monkeypatch.setattr(sys, "argv", ["flat_policy_sweep", "--out-dir", str(script_dir), *flags])
+    load_script("flat_policy_sweep").main()
+    cli_csv = tmp_path / "cli.csv"
+    config = str(CONFIGS / "flat_policies.json")
+    assert main(["sweep", "--config", config, "--output", str(cli_csv), *flags]) == 0
+    script_csv = (script_dir / "flat_policies.csv").read_bytes()
+    assert b"p_sim" in script_csv.partition(b"\n")[0]
+    assert script_csv == cli_csv.read_bytes()
 
 
 #: SHA-256 of ``selftest --only 1,2,3,6 --report <path>``'s report file.

@@ -483,8 +483,6 @@ def test_rates_that_would_overflow_are_rejected_by_every_engine(engine, spec):
         (lambda s: estimate_freshness_cycles(s, True), "num_cycles"),
         (lambda s: estimate_freshness_cycles(s, 100, seed=True), "seed"),
         (lambda s: estimate_freshness_cycles(s, 100, seed=3.0), "seed"),
-        (lambda s: estimate_freshness_time(s, 1000.0, batches=2.5), "batches"),
-        (lambda s: estimate_freshness_time(s, 1000.0, batches=True), "batches"),
         (lambda s: estimate_freshness_time(s, 1000.0, seed=True), "seed"),
         (lambda s: _child_seeds(True, 1), "seed"),
     ],
@@ -561,8 +559,6 @@ def test_time_estimator_rejects_bad_arguments():
         estimate_freshness_time(spec, 0.0, seed=1)
     with pytest.raises(ValueError):
         estimate_freshness_time(spec, math.inf, seed=1)
-    with pytest.raises(ValueError):
-        estimate_freshness_time(spec, 1000.0, seed=1, batches=1)
     with pytest.raises(ValueError, match="horizon"):
         estimate_freshness_time(spec, True, seed=1)
     with pytest.raises(ValueError, match="horizon"):
