@@ -8,7 +8,8 @@ rate cases, then prints the optimal-k report.
 The work is ``gossipfresh sweep --config configs/clustered_fc.json
 --output <out-dir>/clustered_fc.csv --plot-dir <out-dir>``, then
 ``gossipfresh optimal-k --config configs/clustered_fc.json``; stdout
-and a nonzero exit code are the CLI's.
+and a nonzero exit code are the CLI's.  An --out-dir that cannot be
+made exits 2 with the CLI's ``i/o error:`` line, before any work.
 """
 
 import argparse
@@ -25,7 +26,11 @@ def main():
     ap.add_argument("--out-dir", type=Path, default=Path("out"))
     args = ap.parse_args()
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # reported as the CLI reports an I/O error
+        print(f"i/o error: {e}", file=sys.stderr)
+        sys.exit(2)
     sweep = ["sweep", "--config", str(CONFIG), "--output", str(args.out_dir / "clustered_fc.csv")]
     sweep += ["--plot-dir", str(args.out_dir)]
     for argv in (sweep, ["optimal-k", "--config", str(CONFIG)]):

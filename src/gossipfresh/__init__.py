@@ -22,6 +22,7 @@ from .analytic import (
     closed_sizes,
     clustered_freshness,
     clustered_profiles,
+    count_law_sizes,
     divisors,
     optimal_cluster_size,
     oracle_flat,
@@ -73,6 +74,7 @@ __all__ = [
     "closed_sizes",
     "clustered_freshness",
     "clustered_profiles",
+    "count_law_sizes",
     "decomposition_check",
     "divisors",
     "emit_plot_data",

@@ -21,6 +21,7 @@ from .analytic import (
     closed_clustered,
     closed_flat,
     closed_sizes,
+    count_law_sizes,
     divisors,
     optimal_cluster_size,
     oracle_flat,
@@ -97,29 +98,34 @@ def _tier_tables(policy, points):
 
 
 def criterion_1() -> CriterionResult:
-    """Closed forms and clustered products match the recursion to 1e-12."""
+    """Closed forms, clustered products and the capture-count law match the
+    recursion to 1e-12."""
     t0 = time.perf_counter()
     failures: list[str] = []
-    worst = 0.0
+    worst = {"closed": 0.0, "count law": 0.0}
 
-    def check(closed, oracle, where):
-        """Compare two arrays cell by cell; ``where(*index)`` names a
-        failing cell."""
-        nonlocal worst
-        diff = np.abs(closed - oracle)
-        worst = max(worst, float(diff.max()))
+    def check(route, values, oracle, where):
+        """Compare ``route``'s values with the recursion's cell by cell;
+        ``where(*index)`` names a failing cell."""
+        diff = np.abs(values - oracle)
+        worst[route] = max(worst[route], float(diff.max()))
         for index in zip(*np.nonzero(diff > TOL)):
-            failures.append(f"{where(*index)}: |closed - oracle| = {diff[index]:.3e}")
+            failures.append(f"{where(*index)}: |{route} - oracle| = {diff[index]:.3e}")
 
+    # every flat policy against the count law; FC_sRC has no closed form
     flat_cases = [(GossipPolicy.DC_noRC, 0.0), (GossipPolicy.DC_RC, 0.0)] + [
-        (pol, lg) for pol in (GossipPolicy.FC_allRC, GossipPolicy.FC_noRC) for lg in RATE_GRID
+        (pol, lg)
+        for pol in (GossipPolicy.FC_allRC, GossipPolicy.FC_noRC, GossipPolicy.FC_sRC)
+        for lg in RATE_GRID
     ]
+    les, lss = map(list, zip(*FLAT_RATE_POINTS))
     for pol, lg in flat_cases:
         points = [(le, ls, lg) for le, ls in FLAT_RATE_POINTS]
-        check(
-            *_tier_tables(pol, points),
-            lambda c, i: "{} n={} le={} ls={} lg={}".format(pol.value, NS[i], *points[c]),
-        )
+        closed, oracle = _tier_tables(pol, points)
+        where = lambda c, i: "{} n={} le={} ls={} lg={}".format(pol.value, NS[i], *points[c])
+        if closed is not None:
+            check("closed", closed, oracle, where)
+        check("count law", count_law_sizes(pol, lss, lg, les, NS), oracle, where)
 
     # clustered products over every (m, k) pair, broadcast over the tier
     # rates: source (ls) x cluster (lc, or lc x lg for FC clusters); column
@@ -133,16 +139,19 @@ def criterion_1() -> CriterionResult:
             tiers[pol] = _tier_tables(pol, fc_points)
         for src, cl in _DC_PAIRS + _FC_PAIRS:
             check(
+                "closed",
                 *(s[:, None, ms - 1] * c[None, :, ks - 1] for s, c in zip(tiers[src], tiers[cl])),
                 lambda i, j, p: f"({src.value},{cl.value}) m={ms[p]} k={ks[p]}",
             )
 
     return _result(
         "1",
-        "closed forms match the generic recursion on the full grid",
+        "closed forms and the count law match the generic recursion on the full grid",
         t0,
         failures,
-        f"max |closed - oracle| = {worst:.3e}",
+        "max |closed - oracle| = {:.3e}, max |count law - oracle| = {:.3e}".format(
+            *worst.values()
+        ),
         budget=2.0,
     )
 

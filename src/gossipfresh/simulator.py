@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import Clustered, NetworkSpec, per_stale_rate
 from .core import require_int, require_rates, require_valid
-from .analytic import BLOCK_CELLS, _recursion
+from .analytic import BLOCK_CELLS, _recursion, _survival
 from .analytic import clustered_freshness  # noqa: F401 - perfbench/layers.py traces it
 
 __all__ = [
@@ -180,16 +180,16 @@ class _Tables:
 def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarray:
     """Capture counts of ``count`` flat cycles, one uniform per cycle.
 
-    With j nodes fresh the next capture beats the refresh with chance
-    ``dsrc[j] / (lam_e + dsrc[j])``, so ``survive[c - 1] = P(count >= c)``
-    is the running product of those chances, c = 1 .. n, and never
-    increases.  Inverting it, a cycle whose uniform is ``U`` captures as
-    many nodes as there are entries of ``survive`` above ``U``.  Draw
-    order: one ``rng.random(count)`` request, cycle i taking the i-th.
+    ``survive[c - 1] = P(count >= c)``, c = 1 .. n, is the survival row
+    (:func:`~gossipfresh.analytic._survival`) of the tier's ``(stale, u)``
+    row, and never increases.  Inverting it, a cycle whose uniform is
+    ``U`` captures as many nodes as there are entries of ``survive`` above
+    ``U``.  Draw order: one ``rng.random(count)`` request, cycle i taking
+    the i-th.
     """
-    d = np.array(tab.dsrc[:-1])
-    survive = np.multiply.accumulate(d / (tab.lam_e + d))  # no 1 - x, so nothing cancels
-    return len(d) - np.searchsorted(survive[::-1], rng.random(count), side="right")
+    stale, u = tab.rows[0]
+    survive = _survival(u, stale, tab.lam_e)
+    return len(survive) - np.searchsorted(survive[::-1], rng.random(count), side="right")
 
 
 def _arrival_times(draws: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -273,10 +273,10 @@ def estimate_freshness_cycles(
     (one per batch of :data:`CYCLE_BATCH` cycles) and divides the total
     capture count by ``num_cycles * n``.  The standard error is binomial
     with ``num_cycles`` samples.  That bar is too wide, not conservative:
-    ROADMAP item 3 measured it at 1.2-5.7 times the true per-cycle spread,
-    so the 4-sigma gates of selftest criteria 4 and 5 act as 4.6-8.7-sigma
-    gates.  The kernels count captures without naming nodes, so
-    ``per_node`` is empty.
+    it was measured at 1.2-5.7 times the true per-cycle spread of count /
+    n, so the 4-sigma gates of selftest criteria 4 and 5 act as
+    4.6-8.7-sigma gates.  The kernels count captures without naming nodes,
+    so ``per_node`` is empty.
     """
     require_int("num_cycles", num_cycles, 1)
     return _cycle_estimate(_Tables(spec), num_cycles, seed)

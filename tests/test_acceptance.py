@@ -77,3 +77,22 @@ def test_criterion_1_names_a_failing_cell(monkeypatch):
         "FC_noRC n=7 le=0.5 ls=2.0 lg=0.5: |closed - oracle| = 1.000e-09; "
         "(DC_noRC,FC_noRC) m=1 k=7: |closed - oracle| = "
     )
+
+
+def test_criterion_1_names_a_failing_count_law_cell(monkeypatch):
+    # one count-law value off by 1e-9: the flat FC_sRC cell at n = 7,
+    # le = 0.5, ls = 2.0, lg = 0.5, a policy with no closed form
+    real = acceptance.count_law_sizes
+
+    def skewed(policy, ls, lg, le, sizes):
+        p = real(policy, ls, lg, le, sizes)
+        if policy is GossipPolicy.FC_sRC and lg == 0.5:
+            for c, case in enumerate(zip(le, ls)):
+                if case == (0.5, 2.0):
+                    p[c, 6] += 1e-9
+        return p
+
+    monkeypatch.setattr(acceptance, "count_law_sizes", skewed)
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.detail == "FC_sRC n=7 le=0.5 ls=2.0 lg=0.5: |count law - oracle| = 1.000e-09"

@@ -14,6 +14,7 @@ from gossipfresh.analytic import (
     closed_sizes,
     clustered_freshness,
     clustered_profiles,
+    count_law_sizes,
     divisors,
     optimal_cluster_size,
     oracle_flat,
@@ -225,7 +226,7 @@ def test_both_routes_reject_an_unknown_policy_with_one_message(policy):
             call()
         assert str(err.value) == message
     # the arguments are checked first, as the recursion checks them
-    for route in (oracle_sizes, closed_sizes):
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
         with pytest.raises(ValueError, match="lambda_e must be finite and > 0"):
             route(policy, 1.0, 0.0, 0.0, [3])
         with pytest.raises(ValueError, match="sizes must be a nonempty sequence"):
@@ -373,7 +374,7 @@ def test_oracle_sizes_equals_one_size_at_a_time(policy):
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])
 def test_oracle_sizes_rejects_bad_sizes(sizes):
-    for route in (oracle_sizes, closed_sizes):
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
         for policy in GP:
             with pytest.raises(ValueError):
                 route(policy, 1.0, 0.0, 1.0, sizes)
@@ -382,24 +383,30 @@ def test_oracle_sizes_rejects_bad_sizes(sizes):
 
 # --- the capture-count law: an exact check independent of the recursion ----
 #
-# In a flat tier the fresh count j rises at the total rate
-# d_j = (n - j) u(j) and the cycle ends at rate lambda_e, so
-# P(count >= k) = prod_{j<k} d_j / (d_j + lambda_e) and p = E[count] / n.
 # The law has no tagged node and no q/tau split, so it checks FC_sRC,
 # which has no closed form, and FC_noRC, whose closed form is the
 # recursion over its own table.
 
 
-def _capture_count_law(policy, ls, lg, le, n):
-    d = (n - np.arange(n)) * per_stale_rate(policy, ls, lg, n)
-    survival = np.multiply.accumulate(d / (d + le))  # P(count >= k), k = 1 .. n
-    return math.fsum(survival.tolist()) / n
-
-
 def test_the_capture_count_law_gives_the_hand_values():
-    assert _capture_count_law(GP.DC_RC, 1.0, 0.0, 1.0, 3) == pytest.approx(7 / 24, abs=1e-15)
-    assert _capture_count_law(GP.FC_allRC, 1.0, 1.0, 1.0, 3) == pytest.approx(13 / 36, abs=1e-15)
-    assert _capture_count_law(GP.FC_noRC, 1.0, 1.0, 1.0, 3) == pytest.approx(111 / 336, abs=1e-15)
+    def law(policy, lg):
+        return count_law_sizes(policy, 1.0, lg, 1.0, [3])[0]
+
+    assert law(GP.DC_noRC, 0.0) == pytest.approx(1 / 4, abs=1e-15)
+    assert law(GP.DC_RC, 0.0) == pytest.approx(7 / 24, abs=1e-15)
+    assert law(GP.FC_allRC, 1.0) == pytest.approx(13 / 36, abs=1e-15)
+    assert law(GP.FC_noRC, 1.0) == pytest.approx(111 / 336, abs=1e-15)
+    assert law(GP.FC_sRC, 1.0) == pytest.approx(19 / 54, abs=1e-15)
+
+
+def test_the_capture_count_law_takes_a_zero_or_subnormal_total_rate_quietly():
+    # d = 0, or a subnormal d whose lambda_e / d overflows, raises no
+    # RuntimeWarning (the suite makes one an error); P(count >= 1) is 0
+    # there, within 1e-320 of the recursion
+    args = (GP.DC_RC, [0.0, 1e-320], 0.0, 1.0, [1, 2])
+    law = count_law_sizes(*args)
+    assert law.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.abs(law - oracle_sizes(*args)).max() <= 1e-320
 
 
 @pytest.mark.parametrize("policy", list(GP))
@@ -410,7 +417,7 @@ def test_the_recursion_agrees_with_the_capture_count_law(policy):
         lg = 0.0 if draw % 2 else lg
         sizes = [rng.randint(1, 300) for _ in range(4)] + [1, 300]
         got = oracle_sizes(policy, ls, lg, le, sizes)
-        law = [_capture_count_law(policy, ls, lg, le, n) for n in sizes]
+        law = count_law_sizes(policy, ls, lg, le, sizes)
         assert np.abs(got - law).max() <= 1e-12, (ls, lg, le, sizes)
 
 
@@ -437,7 +444,7 @@ def test_rate_cases_equal_a_call_per_case(policy, cases, kinds, shared, seed):
         value = cases[0][shared]
         cases = [case[:shared] + (value,) + case[shared + 1 :] for case in cases]
         rates[shared] = value
-    for route in (oracle_sizes, closed_sizes):
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
         got = route(policy, *rates, sizes)
         alone = [route(policy, *case, sizes) for case in cases]
         if route is closed_sizes and policy is GP.FC_sRC:
@@ -449,7 +456,7 @@ def test_rate_cases_equal_a_call_per_case(policy, cases, kinds, shared, seed):
 
 def test_an_invalid_later_case_raises_the_message_of_a_call_with_it_alone():
     sizes = [3, 10]
-    for route in (oracle_sizes, closed_sizes):
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
         for ls in ([1.0, 1e307, 2e307], [1.0, 2e307, 1e307]):
             with pytest.raises(ValueError) as alone:
                 route(GP.DC_RC, ls[1], 0.0, 1.0, sizes)
@@ -461,7 +468,7 @@ def test_an_invalid_later_case_raises_the_message_of_a_call_with_it_alone():
 
 def test_rate_cases_are_rejected_as_a_call_per_case_rejects_them():
     sizes = [3, 10]
-    for route in (oracle_sizes, closed_sizes):
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
         unequal = ([1.0, 2.0], 0.0, [1.0] * 3), ([1.0], [0.0] * 2, 1.0), ([], 0.0, 1.0)
         for ls, lg, le in unequal:
             with pytest.raises(ValueError, match="rate sequences must share one length >= 1"):
@@ -505,7 +512,7 @@ def test_fc_allrc_keeps_the_sign_of_a_zero_rate_per_case():
         assert np.signbit(row).tolist() == np.signbit(alone).tolist()
 
 
-@pytest.mark.parametrize("route", [oracle_sizes, closed_sizes])
+@pytest.mark.parametrize("route", [oracle_sizes, closed_sizes, count_law_sizes])
 def test_an_integer_too_large_for_a_float_is_not_a_finite_rate(route):
     with pytest.raises(ValueError, match="lambda_s must be finite and >= 0"):
         route(GP.DC_RC, 10**400, 0.0, 1.0, [3])

@@ -162,6 +162,25 @@ def test_flat_script_rejects_bad_monte_carlo_flags(flags, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "script", ["flat_policy_sweep", "clustered_dc_sweep", "clustered_fc_sweep"]
+)
+def test_scripts_report_an_out_dir_that_is_a_file_as_an_io_error(
+    script, tmp_path, monkeypatch, capsys
+):
+    # the CLI's exit code and message for an I/O error, before any sweep work
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    module = load_script(script)
+    monkeypatch.setattr(module.cli, "main", lambda argv: pytest.fail(f"ran {argv}"))
+    monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(taken)])
+    with pytest.raises(SystemExit) as exit_info:
+        module.main()
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(taken) in err
+
+
 def test_flat_script_passes_its_monte_carlo_flags_to_the_cli(tmp_path, monkeypatch, capsys):
     # --cycles and --seed reach `sweep` as they are, so the Monte Carlo
     # columns equal the CLI's for the same flags
@@ -178,7 +197,7 @@ def test_flat_script_passes_its_monte_carlo_flags_to_the_cli(tmp_path, monkeypat
 
 
 #: SHA-256 of ``selftest --only 1,2,3,6 --report <path>``'s report file.
-EXACT_REPORT_DIGEST = "e37db3626bdbf748203925c556f8698570d2cb38250712a135d0a3ce7dedc907"
+EXACT_REPORT_DIGEST = "0d20d605812638d5bd315ebe88d183eaadf815b2070a8e3a63dc9208af54c207"
 
 
 def test_exact_selftest_report_is_byte_identical(tmp_path):

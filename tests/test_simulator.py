@@ -9,7 +9,7 @@ import pytest
 
 from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates, per_stale_rate
 from gossipfresh.acceptance import DECOMP_RATES, DECOMP_SHAPES
-from gossipfresh.analytic import BLOCK_CELLS, clustered_freshness, oracle_flat
+from gossipfresh.analytic import BLOCK_CELLS, _survival, clustered_freshness, oracle_flat
 from gossipfresh import analytic, simulator
 from gossipfresh.simulator import (
     CYCLE_BATCH,
@@ -228,11 +228,22 @@ def test_clustered_kernel_draws_in_cluster_times_only_for_captured_clusters(
 # --- exact capture-count law -------------------------------------------------
 
 
-def _first_success_pmf(end_prob):
-    """P(J = j) = prod_{i<j} (1 - e_i) * e_j, the law of the first success
-    of independent Bernoulli(e_j) trials (``e_n = 1``)."""
-    survive = np.concatenate([[1.0], np.cumprod(1.0 - np.asarray(end_prob[:-1]))])
-    return survive * np.asarray(end_prob)
+def _race_pmf(tab, tier):
+    """P(count = c), c = 0 .. size, of one tier's race from zero captures
+    within a cycle: the differences of the survival row P(count >= c) of
+    the tier's ``(stale, u)`` row."""
+    stale, u = tab.rows[tier]
+    return -np.diff([1.0, *_survival(u, stale, tab.lam_e), 0.0])
+
+
+def _one_cluster_pmf(tab):
+    """P(count = c) of a clustered cycle with one cluster: the clusterhead
+    is captured (the source tier's count is 1), after which its cluster
+    runs the flat race from zero holders."""
+    miss, hit = _race_pmf(tab, 0)
+    pmf = hit * _race_pmf(tab, 1)
+    pmf[0] += miss
+    return pmf
 
 
 def _assert_chi_square_fits(counts, pmf):
@@ -272,22 +283,20 @@ LAW_CYCLES = 200_000
 def test_flat_kernel_capture_count_law(policy, n):
     spec = NetworkSpec.flat(n, policy, Rates(0.5, 1.0, 0.0, 2.0))
     tab = _Tables(spec)
-    ends = [tab.lam_e / (tab.lam_e + d) for d in tab.dsrc]
     counts = _cycle_counts(tab, 300 + n, LAW_CYCLES)
-    _assert_chi_square_fits(counts, _first_success_pmf(ends))
+    _assert_chi_square_fits(counts, _race_pmf(tab, 0))
 
 
 def _flat_count_sd(spec):
     """Exact sd of one flat cycle's count / n, from the survival row
-    P(count >= c) = prod_{j<c} d_j / (d_j + lambda_e), d_j = (n - j) u(j),
-    with E[count] = sum_c P(count >= c) and E[count^2] = sum_c (2c - 1)
-    P(count >= c)."""
-    (policy, source, gossip, n), = spec.tiers
-    d = (n - np.arange(n)) * per_stale_rate(policy, source, gossip, n)
-    survive = np.multiply.accumulate(d / (spec.rates.lambda_e + d))
-    c = np.arange(1, n + 1)
+    P(count >= c), with E[count] = sum_c P(count >= c) and E[count^2] =
+    sum_c (2c - 1) P(count >= c)."""
+    tab = _Tables(spec)
+    stale, u = tab.rows[0]
+    survive = _survival(u, stale, tab.lam_e)
+    c = np.arange(1, tab.n + 1)
     mean, square = math.fsum(survive), math.fsum((2 * c - 1) * survive)
-    return math.sqrt(square - mean * mean) / n
+    return math.sqrt(square - mean * mean) / tab.n
 
 
 LARGE_N_CYCLES = 20_000
@@ -316,11 +325,8 @@ def test_clustered_kernel_capture_count_law_with_one_cluster(policy, k):
     # after which its cluster runs the flat race from zero holders
     spec = NetworkSpec.clustered(k, k, GP.DC_RC, policy, Rates(0.5, 1.0, 2.0, 1.5))
     tab = _Tables(spec)
-    p_ch = tab.dsrc[0] / (tab.dsrc[0] + tab.lam_e)
-    pmf = p_ch * _first_success_pmf([tab.lam_e / (tab.lam_e + d) for d in tab.dcl])
-    pmf[0] += 1.0 - p_ch
     counts = _cycle_counts(tab, 400 + k, LAW_CYCLES)
-    _assert_chi_square_fits(counts, pmf)
+    _assert_chi_square_fits(counts, _one_cluster_pmf(tab))
 
 
 def _clustered_count_pmf(tab):
@@ -384,10 +390,7 @@ def test_clustered_count_pmf_with_one_cluster_is_the_flat_race():
     # the DP reference against the closed m = 1 law of the test above
     spec = NetworkSpec.clustered(3, 3, GP.DC_RC, GP.FC_sRC, Rates(0.5, 1.0, 2.0, 1.5))
     tab = _Tables(spec)
-    p_ch = tab.dsrc[0] / (tab.dsrc[0] + tab.lam_e)
-    pmf = p_ch * _first_success_pmf([tab.lam_e / (tab.lam_e + d) for d in tab.dcl])
-    pmf[0] += 1.0 - p_ch
-    assert _clustered_count_pmf(tab) == pytest.approx(pmf, abs=1e-15)
+    assert _clustered_count_pmf(tab) == pytest.approx(_one_cluster_pmf(tab), abs=1e-15)
 
 
 #: Specs whose freshness is exactly 0 or 1 in floating point: lambda_c = 0,
