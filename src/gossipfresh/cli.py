@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -98,6 +101,27 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+def _check_destinations(output: str | None, plot_dir: str | None) -> None:
+    """Raise now the ``OSError`` that writing the CSV to ``output`` or
+    making ``plot_dir`` would raise after all the work: a path through a
+    file, a missing parent directory of ``output``, an ``output`` that is a
+    directory, a ``plot_dir`` that is a file.  Other failures, such as a
+    missing permission, still surface at write time."""
+    for path, want_dir in ((output, False), (plot_dir, True)):
+        if not path:
+            continue
+        try:
+            is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+        except FileNotFoundError:
+            # the plot dir is made with its parents; the CSV needs its parent
+            if not (want_dir or os.path.isdir(os.path.dirname(path) or ".")):
+                raise
+            continue
+        if is_dir != want_dir:
+            code = errno.EEXIST if want_dir else errno.EISDIR
+            raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_sweep(args) -> int:
     """``sweep`` and ``simulate``; ``simulate`` always adds the Monte Carlo columns."""
     # the overrides obey the integer rule of the config's sim.cycles and sim.seed
@@ -109,6 +133,7 @@ def _cmd_sweep(args) -> int:
     if any(problems):
         raise ConfigError([p for p in problems if p])
     config = _load_config(args)
+    _check_destinations(config.output, args.plot_dir)
     if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
         cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)

@@ -14,10 +14,11 @@ average binary freshness of a node):
   fresh time by the horizon.
 
 :class:`TrajectorySim`, the trajectory engine, is the event-by-event
-reference in pure Python.  It resamples after every event: whenever the
-state changes it recomputes all active intensities and draws one
-exponential, which is exact for competing exponential clocks even though
-the rates move at every event under the stale-targeting policies.
+reference in pure Python.  It resamples after every event: each event
+updates the intensities it changed, and the next holding time is one
+exponential at their total, which is exact for competing exponential
+clocks even though the rates move at every event under the
+stale-targeting policies.
 
 Clusterhead semantics: a clusterhead keeps relaying its *own* current
 version, targeting the nodes of its cluster that lack that version.
@@ -328,16 +329,21 @@ class TrajectorySim:
     def fresh_nodes(self) -> list[int]:
         return list(self._fresh)
 
-    def _advance(self, cap: float, limit: int | None) -> str:
-        """Run events until ``limit`` of them have happened (``None``: no
-        limit) or the next one would pass ``cap``; return the last label.
+    def _advance(self, cap: float, limit: int) -> str:
+        """Run events until ``limit`` of them have happened (0: no limit)
+        or the next one would pass ``cap``; return the last label.
 
         One pass is one event.  It draws, in this order, the holding time
         ``-log(1 - U) / total`` (what ``random.Random.expovariate(total)``
         computes), a uniform times ``total`` that picks the stage (the
         refresh, a delivery from the source, or one cluster's delivery),
         and, unless the source refreshes, a uniform index that picks the
-        receiver.  On reaching ``cap`` the fresh nodes' time is settled
+        receiver; then it branches once on the stage and does that stage's
+        work.  Every event recomputes ``total = (lam_e + d) + csum``, the
+        holding time and the stage.  The source's delivery rate ``d =
+        dsrc[fresh receivers]`` and ``lam_e + d`` change only at the
+        source's own events, its refreshes and deliveries, and are updated
+        only there.  On reaching ``cap`` the fresh nodes' time is settled
         there.
         """
         tab, state = self.tab, self.state
@@ -349,11 +355,11 @@ class TrajectorySim:
         holders, nonhold, crates, csum = self._holders, self._nonhold, self._crates, self._csum
         every_receiver, every_node = self._receivers, self._cluster_nodes
         receivers, clusters = len(every_receiver), len(crates)
-        refresh, source = -2, -1  # stage codes; an in-cluster delivery is its cluster
-        events = 0
+        cluster_ids = range(clusters)  # the scan's range, built once per call
+        d = dsrc[receivers - len(stale)]
+        source_total = lam_e + d
         while True:
-            d = dsrc[receivers - len(stale)]
-            total = lam_e + d + csum
+            total = source_total + csum
             t = clock - log(1.0 - random()) / total
             if t > cap:
                 clock = cap
@@ -361,26 +367,25 @@ class TrajectorySim:
                 break
             clock = t
             x = random() * total - lam_e
-            if x < d:
-                c = refresh if x < 0.0 else source
-            else:
-                x -= d
-                c = clusters - 1  # the last cluster when x passes them all
-                for c in range(clusters):
-                    if x < crates[c]:
+            if x >= d:
+                # the cluster whose share of csum holds x - d
+                y = x - d
+                c = clusters - 1  # the last cluster when y passes them all
+                for c in cluster_ids:
+                    if y < crates[c]:
                         break
-                    x -= crates[c]
+                    y -= crates[c]
                 if c < 0 or crates[c] == 0.0:
-                    # csum drift can park x a few ulps past the active
+                    # csum drift can park y a few ulps past the active
                     # clusters: land on the last active one.  With none
                     # active csum is all drift; reset it and give the event
                     # to the source's delivery, or to the refresh when that
                     # is the only stage left with a positive rate.
-                    c = max((cc for cc in range(clusters) if crates[cc] > 0.0), default=-1)
+                    c = max((cc for cc in cluster_ids if crates[cc] > 0.0), default=-1)
                     if c < 0:
                         csum = sum(crates)
-                        c = source if d > 0.0 else refresh
-            if c == refresh:
+                        x = 0.0 if d > 0.0 else -1.0
+            if x < 0.0:
                 sv += 1
                 for i in fresh:
                     accum[i] += t - since[i]
@@ -388,43 +393,53 @@ class TrajectorySim:
                 # every receiver is stale again; in-cluster holder sets
                 # persist, they track the clusterheads' unchanged versions
                 stale = every_receiver[:]
+                d = dsrc[0]
+                source_total = lam_e + d
                 label = "source_refresh"
-            else:
-                # a uniform index into the stale receivers or into the
-                # cluster's non-holders, robust to float spill at the edge
-                lst = stale if c == source else nonhold[c]
-                s = len(lst)
+            elif x < d:
+                # a uniform index into the stale receivers, robust to
+                # float spill at the edge; the last one takes its place
+                s = len(stale)
                 i = int(random() * s)
                 if i == s:
                     i -= 1
-                r = lst[i]
-                lst[i] = lst[-1]
-                lst.pop()
-                if c != source:
-                    gid = c * k + r
-                    nodes[gid] = chs[c]
-                    h = holders[c] + 1
-                    holders[c] = h
-                    csum += dcl[h] - crates[c]
-                    crates[c] = dcl[h]
-                    if chs[c] == sv:
-                        fresh.append(gid)
-                        since[gid] = t
-                    label = "node_delivery"
-                elif not k:
-                    nodes[r] = sv
-                    fresh.append(r)
-                    since[r] = t
-                    label = "node_delivery"
-                else:
+                r = stale[i]
+                stale[i] = stale[-1]
+                stale.pop()
+                if k:
                     chs[r] = sv
                     holders[r] = 0
                     nonhold[r] = every_node[:]
                     csum += dcl[0] - crates[r]
                     crates[r] = dcl[0]
                     label = "ch_update"
-            events += 1
-            if events == limit or t == cap:
+                else:
+                    nodes[r] = sv
+                    fresh.append(r)
+                    since[r] = t
+                    label = "node_delivery"
+                d = dsrc[receivers - s + 1]
+                source_total = lam_e + d
+            else:
+                # the same pick among cluster c's non-holders
+                lst = nonhold[c]
+                s = len(lst)
+                i = int(random() * s)
+                if i == s:
+                    i -= 1
+                gid = c * k + lst[i]
+                lst[i] = lst[-1]
+                lst.pop()
+                v = nodes[gid] = chs[c]
+                h = holders[c] = holders[c] + 1
+                csum += dcl[h] - crates[c]
+                crates[c] = dcl[h]
+                if v == sv:
+                    fresh.append(gid)
+                    since[gid] = t
+                label = "node_delivery"
+            limit -= 1  # from 0 it never reaches 0 again
+            if not limit or t == cap:
                 break
         if clock == cap:
             for i in fresh:
@@ -438,14 +453,28 @@ class TrajectorySim:
         """Advance to the next event (or to ``cap`` if it comes first).
 
         Returns the label of what happened: ``source_refresh``,
-        ``ch_update``, ``node_delivery``, or ``capped``.
+        ``ch_update``, ``node_delivery``, or ``capped``.  Raises
+        ``ValueError`` when ``cap`` is NaN or below the clock.
         """
-        return self._advance(math.inf if cap is None else cap, 1)
+        if cap is None:
+            cap = math.inf
+        elif not cap >= self.state.clock:  # NaN fails too
+            raise self._end_error("cap", cap)
+        return self._advance(cap, 1)
 
     def run_until(self, t_end: float) -> None:
-        """Advance to ``t_end`` and settle the fresh nodes' time there."""
+        """Advance to ``t_end`` and settle the fresh nodes' time there.
+
+        A ``t_end`` at or below the clock does nothing; a NaN one raises
+        ``ValueError``.
+        """
         if self.state.clock < t_end:
-            self._advance(t_end, None)
+            self._advance(t_end, 0)
+        elif t_end != t_end:
+            raise self._end_error("t_end", t_end)
+
+    def _end_error(self, name: str, end: float) -> ValueError:
+        return ValueError(f"{name} must be >= the clock {self.state.clock!r}, got {end!r}")
 
 
 def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) -> FreshnessEstimate:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +342,42 @@ def test_bad_overrides_are_all_reported_even_with_a_bad_config(tmp_path, capsys)
         "error: --cycles must be an integer and --cycles >= 1, got -5",
         "error: --seed must be an integer and --seed >= 0, got -1",
     ]
+
+
+def _write_error(output, plot_dir):
+    """The OSError that making ``plot_dir``, or else writing ``output``, raises."""
+    with pytest.raises(OSError) as err:
+        if plot_dir:
+            Path(plot_dir).mkdir(parents=True, exist_ok=True)
+        else:
+            open(output, "wb").close()
+    return err.value
+
+
+@pytest.mark.parametrize("verb", ["sweep", "simulate"])
+@pytest.mark.parametrize(
+    "output,plot_dir",
+    [
+        ("a_file/rows.csv", None),
+        ("no_dir/rows.csv", None),
+        ("a_dir", None),
+        ("rows.csv", "a_file"),
+        ("rows.csv", "a_file/plots"),
+    ],
+)
+def test_sweep_checks_its_destinations_before_any_work(
+    verb, output, plot_dir, tmp_path, monkeypatch, capsys
+):
+    def no_work(config):
+        raise AssertionError("run_experiment ran before the destination check")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept")
+    (tmp_path / "a_dir").mkdir()
+    argv = [verb, "--config", str(write_config(tmp_path, FLAT_CONFIG)), "--output", output]
+    argv += ["--plot-dir", plot_dir] if plot_dir else []
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"i/o error: {_write_error(output, plot_dir)}\n")
+    assert not (tmp_path / "rows.csv").exists()
+    assert (tmp_path / "a_file").read_text() == "kept"

@@ -1,7 +1,9 @@
 import collections
 import functools
+import hashlib
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -670,6 +672,28 @@ def test_trajectory_capping_accumulates_partial_interval():
     assert sim.state.fresh_time_accum[0] == pytest.approx(25.0, rel=0.05)
 
 
+def test_an_end_time_behind_the_clock_or_nan_is_rejected():
+    sim = TrajectorySim(NetworkSpec.flat(3, GP.DC_RC, Rates(1.0, 5.0)), random.Random(1))
+    for _ in range(3):
+        sim.step()
+    state = sim.state
+    before = (state.clock, list(state.fresh_time_accum), sim.rng.getstate())
+    clock = state.clock
+    for cap in (clock - 0.5, math.nan):
+        message = f"cap must be >= the clock {clock!r}, got {cap!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sim.step(cap=cap)
+    message = f"t_end must be >= the clock {clock!r}, got nan"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sim.run_until(math.nan)
+    assert (state.clock, state.fresh_time_accum, sim.rng.getstate()) == before
+    # a t_end behind the clock is still a no-op, and a cap at the clock caps
+    sim.run_until(clock - 0.5)
+    assert (state.clock, state.fresh_time_accum, sim.rng.getstate()) == before
+    assert sim.step(cap=clock) == "capped"
+    assert state.clock == clock
+
+
 class _PerEventSim:
     """A per-event trajectory engine: one method call, two shape
     dispatches and an accumulate pass over the fresh nodes per event.
@@ -812,6 +836,24 @@ def test_trajectory_loop_equals_the_per_event_reference(spec, monkeypatch):
     assert got.p_hat == pytest.approx(want.p_hat, abs=1e-12)
     assert got.stderr == pytest.approx(want.stderr, abs=1e-12)
     assert got.per_node == pytest.approx(want.per_node, abs=1e-12)
+
+
+#: SHA-256 of ``repr((p_hat, stderr, per_node))`` of the time-average
+#: estimator over every spec of LOOP_SPECS, at each seed of
+#: TRAJECTORY_DIGEST_SEEDS, horizon 400.  It pins every bit of the
+#: trajectory engine's draws, stage choices and fresh time; a change that
+#: means to alter them updates it and says why.
+TRAJECTORY_DIGEST = "2b4c4eb0f54f3107a4e3d494344d18cd6ecc92ff149fa126cafe33f7d011c52b"
+TRAJECTORY_DIGEST_SEEDS = (0, 5)
+
+
+def test_time_estimator_outputs_are_bit_identical():
+    digest = hashlib.sha256()
+    for seed in TRAJECTORY_DIGEST_SEEDS:
+        for spec in LOOP_SPECS:
+            est = estimate_freshness_time(spec, 400.0, seed)
+            digest.update(repr((est.p_hat, est.stderr, est.per_node)).encode())
+    assert digest.hexdigest() == TRAJECTORY_DIGEST
 
 
 class _StubRandom:
