@@ -8,8 +8,9 @@ default rate cases, then prints the optimal-k report.
 The work is ``gossipfresh sweep --config configs/clustered_dc.json
 --output <out-dir>/clustered_dc.csv --plot-dir <out-dir>``, then
 ``gossipfresh optimal-k --config configs/clustered_dc.json``; stdout
-and a nonzero exit code are the CLI's.  An --out-dir that cannot be
-made exits 2 with the CLI's ``i/o error:`` line, before any work.
+and a nonzero exit code are the CLI's.  The CLI makes --out-dir, and
+one that cannot be made exits 2 with its ``i/o error:`` line, before
+any work.
 """
 
 import argparse
@@ -26,11 +27,6 @@ def main():
     ap.add_argument("--out-dir", type=Path, default=Path("out"))
     args = ap.parse_args()
 
-    try:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # reported as the CLI reports an I/O error
-        print(f"i/o error: {e}", file=sys.stderr)
-        sys.exit(2)
     sweep = ["sweep", "--config", str(CONFIG), "--output", str(args.out_dir / "clustered_dc.csv")]
     sweep += ["--plot-dir", str(args.out_dir)]
     for argv in (sweep, ["optimal-k", "--config", str(CONFIG)]):

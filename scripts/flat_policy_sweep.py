@@ -8,8 +8,8 @@ alpha).  Optionally adds Monte Carlo columns with --cycles.
 The work is ``gossipfresh sweep --config configs/flat_policies.json
 --output <out-dir>/flat_policies.csv --plot-dir <out-dir>``, passing
 --cycles and --seed on when they are given; stdout and a nonzero exit
-code are the CLI's.  An --out-dir that cannot be made exits 2 with the
-CLI's ``i/o error:`` line, before any work.
+code are the CLI's.  The CLI makes --out-dir, and one that cannot be
+made exits 2 with its ``i/o error:`` line, before any work.
 """
 
 import argparse
@@ -28,11 +28,6 @@ def main():
     ap.add_argument("--seed", type=int, help="Monte Carlo base seed (also adds the columns)")
     args = ap.parse_args()
 
-    try:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # reported as the CLI reports an I/O error
-        print(f"i/o error: {e}", file=sys.stderr)
-        sys.exit(2)
     argv = ["sweep", "--config", str(CONFIG), "--output", str(args.out_dir / "flat_policies.csv")]
     argv += ["--plot-dir", str(args.out_dir)]
     for flag, value in (("--cycles", args.cycles), ("--seed", args.seed)):

@@ -15,7 +15,6 @@ import argparse
 import errno
 import math
 import os
-import stat
 import sys
 from dataclasses import replace
 
@@ -70,7 +69,12 @@ def _cmd_analytic(args) -> int:
     rates = _rates_from_args(args)
     if args.k is not None or args.source_policy or args.cluster_policy:
         dests = ("k", "source_policy", "cluster_policy")
-        missing = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is None]
+        flags = ["--" + d.replace("_", "-") for d in dests]
+        if args.policy is not None:
+            raise ValueError(
+                f"--policy and the clustered flags ({', '.join(flags)}) are mutually exclusive"
+            )
+        missing = [flag for flag, d in zip(flags, dests) if getattr(args, d) is None]
         if missing:
             raise ValueError(f"clustered point needs {' '.join(missing)}")
         policies = GossipPolicy(args.source_policy), GossipPolicy(args.cluster_policy)
@@ -101,25 +105,17 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _check_destinations(output: str | None, plot_dir: str | None) -> None:
-    """Raise now the ``OSError`` that writing the CSV to ``output`` or
-    making ``plot_dir`` would raise after all the work: a path through a
-    file, a missing parent directory of ``output``, an ``output`` that is a
-    directory, a ``plot_dir`` that is a file.  Other failures, such as a
-    missing permission, still surface at write time."""
-    for path, want_dir in ((output, False), (plot_dir, True)):
-        if not path:
-            continue
-        try:
-            is_dir = stat.S_ISDIR(os.stat(path).st_mode)
-        except FileNotFoundError:
-            # the plot dir is made with its parents; the CSV needs its parent
-            if not (want_dir or os.path.isdir(os.path.dirname(path) or ".")):
-                raise
-            continue
-        if is_dir != want_dir:
-            code = errno.EEXIST if want_dir else errno.EISDIR
-            raise OSError(code, os.strerror(code), path)
+def _make_destinations(output: str | None, plot_dir: str | None) -> None:
+    """Make the directory of the file ``output`` and the directory
+    ``plot_dir`` before any work, so that a destination that cannot be
+    made (a path through a file, a missing permission) or an ``output``
+    that is a directory raises its ``OSError`` now."""
+    if output:
+        if os.path.isdir(output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+        os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
+    if plot_dir:
+        os.makedirs(plot_dir, exist_ok=True)
 
 
 def _cmd_sweep(args) -> int:
@@ -133,7 +129,7 @@ def _cmd_sweep(args) -> int:
     if any(problems):
         raise ConfigError([p for p in problems if p])
     config = _load_config(args)
-    _check_destinations(config.output, args.plot_dir)
+    _make_destinations(config.output, args.plot_dir)
     if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
         cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)
@@ -172,6 +168,7 @@ def _cmd_selftest(args) -> int:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
         if not names:
             raise ValueError(f"--only names no criterion, got {args.only!r}")
+    _make_destinations(args.report, None)
     results = acceptance.run_criteria(names)
     for res in results:
         print(acceptance.format_line(res))

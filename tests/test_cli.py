@@ -109,6 +109,41 @@ def test_analytic_missing_rate_is_validation_error(capsys):
     assert "lambda-e" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "--n 3 --policy DC_RC --alpha 1 --lambda-e 1 --lambda-s 1",
+            "--alpha and --lambda-e are mutually exclusive",
+        ),
+        (
+            "--n 4 --k 2 --lambda-e 1 --lambda-s 1",
+            "clustered point needs --source-policy --cluster-policy",
+        ),
+        ("--n 4 --lambda-e 1 --lambda-s 1", "flat point needs --policy (or pass clustered flags)"),
+        (
+            "--n 5 --k 2 --source-policy DC_RC --cluster-policy DC_RC "
+            "--lambda-e 1 --lambda-s 1 --lambda-c 1",
+            "m*k != n: 2*2 = 4 != 5",
+        ),
+    ],
+)
+def test_analytic_point_errors_exit_1_with_their_message(argv, message, capsys):
+    assert main(["analytic", *argv.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_analytic_rejects_a_flat_policy_beside_the_clustered_flags(capsys):
+    argv = "--n 4 --policy FC_allRC --k 2 --source-policy DC_RC --cluster-policy DC_RC"
+    argv += " --lambda-e 1 --lambda-s 1 --lambda-c 1"
+    assert main(["analytic", *argv.split()]) == 1
+    message = (
+        "--policy and the clustered flags (--k, --source-policy, --cluster-policy)"
+        " are mutually exclusive"
+    )
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     config = write_config(
         tmp_path, dict(FLAT_CONFIG, output=str(tmp_path / "rows.csv"))
@@ -205,8 +240,9 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
+    (tmp_path / "a_file").write_text("")
     config = write_config(
-        tmp_path, dict(FLAT_CONFIG, output=str(tmp_path / "no_dir" / "rows.csv"))
+        tmp_path, dict(FLAT_CONFIG, output=str(tmp_path / "a_file" / "rows.csv"))
     )
     assert main(["sweep", "--config", str(config)]) == 2
     assert "i/o error" in capsys.readouterr().err
@@ -234,6 +270,27 @@ def test_selftest_subset_passes(tmp_path, capsys):
     assert code == 0
     assert "PASS criterion 2" in out
     assert report.read_text().startswith("criterion,title,passed,detail")
+
+
+def test_selftest_makes_the_report_directory(tmp_path, capsys):
+    report = tmp_path / "no_dir" / "report.csv"
+    assert main(["selftest", "--only", "2", "--report", str(report)]) == 0
+    assert report.read_text().startswith("criterion,title,passed,detail")
+
+
+@pytest.mark.parametrize("report", ["a_file/report.csv", "a_dir"])
+def test_selftest_checks_its_report_path_before_any_criterion(
+    report, tmp_path, monkeypatch, capsys
+):
+    def no_work(names=None):
+        raise AssertionError("a criterion ran before the report path was checked")
+
+    monkeypatch.setattr(acceptance, "run_criteria", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept")
+    (tmp_path / "a_dir").mkdir()
+    assert main(["selftest", "--only", "2", "--report", report]) == 2
+    assert capsys.readouterr() == ("", f"i/o error: {_write_error(report, None)}\n")
 
 
 def test_selftest_unknown_criterion_exits_1(capsys):
@@ -345,11 +402,13 @@ def test_bad_overrides_are_all_reported_even_with_a_bad_config(tmp_path, capsys)
 
 
 def _write_error(output, plot_dir):
-    """The OSError that making ``plot_dir``, or else writing ``output``, raises."""
+    """The OSError that making ``plot_dir``, or else making the directory of
+    ``output`` and writing it, raises."""
     with pytest.raises(OSError) as err:
         if plot_dir:
             Path(plot_dir).mkdir(parents=True, exist_ok=True)
         else:
+            Path(output).parent.mkdir(parents=True, exist_ok=True)
             open(output, "wb").close()
     return err.value
 
@@ -359,7 +418,6 @@ def _write_error(output, plot_dir):
     "output,plot_dir",
     [
         ("a_file/rows.csv", None),
-        ("no_dir/rows.csv", None),
         ("a_dir", None),
         ("rows.csv", "a_file"),
         ("rows.csv", "a_file/plots"),
@@ -381,3 +439,15 @@ def test_sweep_checks_its_destinations_before_any_work(
     assert capsys.readouterr() == ("", f"i/o error: {_write_error(output, plot_dir)}\n")
     assert not (tmp_path / "rows.csv").exists()
     assert (tmp_path / "a_file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("verb", ["sweep", "simulate"])
+def test_sweep_makes_the_directories_it_writes_to(verb, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [verb, "--config", str(write_config(tmp_path, FLAT_CONFIG)), "--cycles", "10"]
+    assert main(argv + ["--output", "no_dir/rows.csv", "--plot-dir", "plots/flat"]) == 0
+    assert len(read_csv(tmp_path / "no_dir" / "rows.csv")) == 10
+    assert sorted(p.name for p in (tmp_path / "plots" / "flat").iterdir()) == [
+        "cli_flat__DC_RC__alpha1.dat",
+        "cli_flat__DC_noRC__alpha1.dat",
+    ]

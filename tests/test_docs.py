@@ -1,5 +1,9 @@
 import re
+import shlex
+import shutil
 from pathlib import Path
+
+from gossipfresh import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -24,3 +28,25 @@ def test_source_lines_fit_in_100_characters():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_readme_cli_block_runs_from_a_fresh_directory(tmp_path, monkeypatch):
+    # a checkout has configs/ but not the out/ its configs write to
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert block, "README has no sh block under CLI"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    commands = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+    assert commands and all(argv[0] == "gossipfresh" for argv in commands)
+    for argv in commands:
+        if argv[1] == "simulate":
+            # argparse keeps the last --cycles, so this runs 200 cycles per
+            # grid point instead of the README's count, to keep the test fast
+            argv += ["--cycles", "200"]
+        assert cli.main(argv[1:]) == 0, argv
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == [
+        "clustered_fc.csv",
+        "flat_policies.csv",
+    ]

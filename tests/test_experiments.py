@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -156,6 +157,68 @@ def test_config_integers_follow_the_one_integer_rule(raw, key, minimum, bad):
     # the only problem: a point with a bad k stays clustered, so its pairs
     # are not also reported as unknown flat policies
     assert err.value.problems == [int_problem(key, value, minimum)]
+
+
+FLAT_NO_RATES = {key: v for key, v in FLAT_SMALL.items() if key != "rates"}
+CLUSTERED_NO_RATES = {key: v for key, v in CLUSTERED_SMALL.items() if key != "rates"}
+
+#: One config error per row and its whole message; ``<path>`` stands for
+#: the file.  The last row is the accepted scalar ``alpha``.
+CONFIG_ERRORS = [
+    (dict(FLAT_SMALL, name=""), "name must be a nonempty string, got ''"),
+    (
+        dict(FLAT_SMALL, mode="grid"),
+        "mode must be one of ('flat_sweep_n', 'clustered_sweep_k', 'single_point'), got 'grid'",
+    ),
+    (dict(FLAT_SMALL, k=2), "k is only valid for single_point configs"),
+    (dict(FLAT_SMALL, policies=[]), "policies must be a nonempty list, got []"),
+    (
+        dict(CLUSTERED_SMALL, policies=["DC_RC"]),
+        "policies[0] must be a [source, cluster] pair, got 'DC_RC'",
+    ),
+    (dict(FLAT_SMALL, cases=[{"lambda_e": 1}]), "rates and cases are mutually exclusive"),
+    (dict(FLAT_SMALL, rates=[1]), "rates must be an object, got [1]"),
+    (dict(CLUSTERED_NO_RATES, cases=[]), "cases must be a nonempty list, got []"),
+    (dict(CLUSTERED_NO_RATES, cases=[1]), "cases[0] must be an object, got 1"),
+    (
+        dict(CLUSTERED_NO_RATES, cases=[{"lambda_e": 1, "mu": 2}]),
+        "cases[0]: unknown keys ['mu']",
+    ),
+    (FLAT_NO_RATES, "flat configs need a rates (or cases) section"),
+    (dict(FLAT_SMALL, n_range=[1]), "n_range must be [lo, hi] integers, got [1]"),
+    (dict(FLAT_SMALL, n=5), "n is not valid for flat_sweep_n (use n_range)"),
+    (
+        dict(CLUSTERED_SMALL, n_range=[1, 2]),
+        "n_range is only valid for flat_sweep_n, not clustered_sweep_k",
+    ),
+    (dict(FLAT_SMALL, sim=5), "sim must be an object, got 5"),
+    (dict(FLAT_SMALL, output=3), "output must be a string path, got 3"),
+    (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": []}), "rates.alpha must not be empty"),
+    (
+        dict(FLAT_SMALL, rates={"lambda_s": 0, "alpha": [1]}),
+        "rates: alpha needs lambda_s > 0, got 0.0",
+    ),
+    (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": [0]}), "rates.alpha must be > 0, got 0"),
+    (
+        dict(CLUSTERED_SMALL, rates={"lambda_e": "x", "lambda_s": 1}),
+        "rates.lambda_e must be a finite number, got 'x'",
+    ),
+    ([FLAT_SMALL], "<path>: top level must be an object"),
+    (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": 0.5}), None),
+]
+
+
+@pytest.mark.parametrize("raw,problem", CONFIG_ERRORS)
+def test_each_config_error_has_its_exact_message(raw, problem, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    if problem is None:  # a scalar alpha is a one-element list
+        config = ExperimentConfig.from_json(path)
+        assert config.cases == (RateCase("alpha0.5", Rates(0.5, 1.0, 0.0, 0.0)),)
+        return
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_json(path)
+    assert err.value.problems == [problem.replace("<path>", str(path))]
 
 
 def test_clustered_defaults_ship_four_rate_cases():

@@ -172,7 +172,7 @@ def test_scripts_report_an_out_dir_that_is_a_file_as_an_io_error(
     taken = tmp_path / "taken"
     taken.write_text("")
     module = load_script(script)
-    monkeypatch.setattr(module.cli, "main", lambda argv: pytest.fail(f"ran {argv}"))
+    monkeypatch.setattr(module.cli, "run_experiment", lambda config: pytest.fail("sweep ran"))
     monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(taken)])
     with pytest.raises(SystemExit) as exit_info:
         module.main()
