@@ -30,7 +30,14 @@ from .analytic import (
 from .simulator import decomposition_check, estimate_freshness_cycles, estimate_freshness_time
 from .experiments import ExperimentConfig, run_experiment
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criteria", "format_line", "write_report"]
+__all__ = [
+    "CriterionResult",
+    "CRITERIA",
+    "criterion_names",
+    "run_criteria",
+    "format_line",
+    "write_report",
+]
 
 RATE_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 MAX_N = 64
@@ -424,14 +431,20 @@ CRITERIA = {
 }
 
 
-def run_criteria(names=None) -> list[CriterionResult]:
-    """Run the selected criteria (all of them by default), in order, each
-    once; every name is checked before the first criterion runs."""
+def criterion_names(names=None) -> list[str]:
+    """The criteria ``names`` selects (all of them by default), in order,
+    each once; ``ValueError`` names the first unknown one."""
     names = list(CRITERIA) if names is None else list(dict.fromkeys(names))
     for name in names:
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}; valid: {sorted(CRITERIA)}")
-    return [CRITERIA[name]() for name in names]
+    return names
+
+
+def run_criteria(names=None) -> list[CriterionResult]:
+    """Run the criteria :func:`criterion_names` selects; every name is
+    checked before the first criterion runs."""
+    return [CRITERIA[name]() for name in criterion_names(names)]
 
 
 def format_line(res: CriterionResult) -> str:

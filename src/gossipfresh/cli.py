@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import math
 import os
@@ -105,17 +106,33 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _make_destinations(output: str | None, plot_dir: str | None) -> None:
+@contextlib.contextmanager
+def _destinations(output: str | None, plot_dir: str | None):
     """Make the directory of the file ``output`` and the directory
     ``plot_dir`` before any work, so that a destination that cannot be
     made (a path through a file, a missing permission) or an ``output``
-    that is a directory raises its ``OSError`` now."""
-    if output:
-        if os.path.isdir(output):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-        os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
-    if plot_dir:
-        os.makedirs(plot_dir, exist_ok=True)
+    that is a directory raises its ``OSError`` now.  When the block, or a
+    later make, raises, the directories made here that are still empty are
+    removed again, deepest first; none that existed before is touched."""
+    if output and os.path.isdir(output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+    dirs = [os.path.dirname(output) or "."] if output else []
+    dirs += [plot_dir] if plot_dir else []
+    made = []
+    try:
+        for path in dirs:
+            missing, head = [], os.path.abspath(path)
+            while not os.path.lexists(head):
+                missing.append(head)
+                head = os.path.dirname(head)
+            made += reversed(missing)
+            os.makedirs(path, exist_ok=True)
+        yield
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):  # not empty: the run wrote there
+                os.rmdir(path)
+        raise
 
 
 def _cmd_sweep(args) -> int:
@@ -129,20 +146,20 @@ def _cmd_sweep(args) -> int:
     if any(problems):
         raise ConfigError([p for p in problems if p])
     config = _load_config(args)
-    _make_destinations(config.output, args.plot_dir)
     if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
         cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)
         seed = args.seed if args.seed is not None else (base.seed if base else 0)
         config = replace(config, sim=SimSettings(cycles=cycles, seed=seed))
-    rows = run_experiment(config)
-    if config.output:
-        print(f"wrote {len(rows)} rows to {config.output}")
-    else:
-        write_csv(rows, sys.stdout)
-    if args.plot_dir:
-        paths = emit_plot_data(rows, out_dir=args.plot_dir)
-        print(f"wrote {len(paths)} series files to {args.plot_dir}")
+    with _destinations(config.output, args.plot_dir):
+        rows = run_experiment(config)
+        if config.output:
+            print(f"wrote {len(rows)} rows to {config.output}")
+        else:
+            write_csv(rows, sys.stdout)
+        if args.plot_dir:
+            paths = emit_plot_data(rows, out_dir=args.plot_dir)
+            print(f"wrote {len(paths)} series files to {args.plot_dir}")
     return 0
 
 
@@ -168,13 +185,14 @@ def _cmd_selftest(args) -> int:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
         if not names:
             raise ValueError(f"--only names no criterion, got {args.only!r}")
-    _make_destinations(args.report, None)
-    results = acceptance.run_criteria(names)
-    for res in results:
-        print(acceptance.format_line(res))
-    if args.report:
-        acceptance.write_report(results, args.report)
-        print(f"report written to {args.report}")
+        names = acceptance.criterion_names(names)
+    with _destinations(args.report, None):
+        results = acceptance.run_criteria(names)
+        for res in results:
+            print(acceptance.format_line(res))
+        if args.report:
+            acceptance.write_report(results, args.report)
+            print(f"report written to {args.report}")
     return 0 if all(r.passed for r in results) else 3
 
 

@@ -451,3 +451,61 @@ def test_sweep_makes_the_directories_it_writes_to(verb, tmp_path, monkeypatch, c
         "cli_flat__DC_RC__alpha1.dat",
         "cli_flat__DC_noRC__alpha1.dat",
     ]
+
+
+def test_selftest_with_an_unknown_criterion_makes_no_report_directory(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest", "--only", "9", "--report", "no_dir/report.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown criterion '9'")
+    assert list(tmp_path.iterdir()) == []
+
+
+#: A flat point whose rates pass one by one but whose sum overflows, so
+#: ``run_experiment`` rejects it after the destinations are made.
+OVERFLOWING_POINT = {
+    "name": "overflow",
+    "mode": "single_point",
+    "policies": ["DC_RC"],
+    "rates": {"lambda_e": 1, "lambda_s": 1e308},
+    "n": 4,
+}
+
+
+@pytest.mark.parametrize("verb", ["sweep", "simulate"])
+def test_a_failed_sweep_removes_the_directories_it_made(verb, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, dict(OVERFLOWING_POINT, output="out_dir/sub/rows.csv"))
+    (tmp_path / "kept" / "empty").mkdir(parents=True)
+    for plot_dir in ("plots", "kept/plots", "kept/empty"):
+        argv = [verb, "--config", str(config), "--plot-dir", plot_dir, "--cycles", "10"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: rates too large")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "config.json",
+            "kept",
+            "kept/empty",
+        ]
+
+
+def test_a_failed_make_removes_the_directories_made_before_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept")
+    argv = ["sweep", "--config", str(write_config(tmp_path, FLAT_CONFIG))]
+    assert main(argv + ["--output", "out_dir/rows.csv", "--plot-dir", "a_file/plots"]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json"]
+
+
+def test_a_sweep_that_fails_after_writing_keeps_what_it_wrote(tmp_path, monkeypatch, capsys):
+    def disk_full(rows, out_dir):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "emit_plot_data", disk_full)
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--config", str(write_config(tmp_path, FLAT_CONFIG))]
+    assert main(argv + ["--output", "out_dir/rows.csv", "--plot-dir", "plots"]) == 2
+    assert capsys.readouterr().err == "i/o error: disk full\n"
+    assert len(read_csv(tmp_path / "out_dir" / "rows.csv")) == 10
+    assert not (tmp_path / "plots").exists()

@@ -246,7 +246,7 @@ POINT_DIGESTS = {
     'flat_point plots/flat_point__FC_noRC__alpha0.5.dat': '15f3056d5697f43e6951983e585e3ea8672de4327d2b90b4966c5af0e34901ba',
     'flat_point plots/flat_point__FC_sRC__alpha0.0833333.dat': '7eac58c010844e5c9a587b73c8880edcbd0ae0b01efdcf238f78e63eefe417b3',
     'flat_point plots/flat_point__FC_sRC__alpha0.5.dat': 'dead93500cc9dd95b257bd4af49a59a8380b5d532cf9c0906523ea11f083ceed',
-    'flat_point point.csv': '79e630b6b20173fb128ecd3af64643bac80b3630842d65e43f1ba516c5a4e42d',
+    'flat_point point.csv': 'def8a1f60928c261b2e6118d66101d5cfd7b89d50d5da7924000f38136be606e',
     'clustered_point stdout': '38ae6ec27acbf232153db2532d5b03d05ab1cfa06b9f0de8834aceaa20544ae2',
     'clustered_point plots/clustered_point__DC_RC+FC_allRC__case1.dat': '0baa3b21124ef2ee12a3c67458f8a8974a71181e4111b459d63f48a9597187d6',
     'clustered_point plots/clustered_point__DC_RC+FC_allRC__case2.dat': 'd4a8b9c48727ab3b75c9066576331a3ed78282536d4c6d63eb38467a3639a3ea',
@@ -378,7 +378,7 @@ GRIDS = {
 
 GRID_DIGESTS = {
     'flat_grid stdout': '24089f8c765c1ec6a8d9758b3e1f481ee1ba17243cda952dea3f9d06ddcc3f6f',
-    'flat_grid grid.csv': '60d0a3ab54df6fbae32ff64c4890733ed5c5b0c75c5339604011dfa87d5a7358',
+    'flat_grid grid.csv': '20915d7015ad4bcca98ca49410c05e2bf6382c5814f73d92626a59e29771fe15',
     'flat_grid plots/flat_grid__DC_RC__alpha0.0833333.dat': '74929dbf8643289a10f4fad9e5dd0318343c6462527708f32a9ab4916dc9eb4c',
     'flat_grid plots/flat_grid__DC_RC__alpha0.5.dat': '17cadc2c6229688389c77894750c3abe089ff39bb20f3b03a33c94d318e83fb2',
     'flat_grid plots/flat_grid__FC_allRC__alpha0.0833333.dat': 'a7d46439c0cf739f86562e241092969e4112687d8d3a53edfb6fc96c814a15cb',

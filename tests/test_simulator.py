@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import statistics
 import warnings
 
 import numpy as np
@@ -152,8 +153,8 @@ def _stream(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _cycle_counts(tab, seed, num_cycles):
-    return np.concatenate(list(_stream_counts(tab, seed, num_cycles)))
+def _count_hist(tab, seed, num_cycles):
+    return sum(_stream_counts(tab, seed, num_cycles))
 
 
 @pytest.mark.parametrize(
@@ -167,28 +168,31 @@ def test_cycle_counts_merge_child_streams_across_the_batch_boundary(spec):
     tab = _Tables(spec)
     kernel = _flat_counts if isinstance(spec.shape, Flat) else _clustered_counts
     first, second = _child_seeds(7, 2)
-    below = _cycle_counts(tab, 7, CYCLE_BATCH - 1)
-    above = _cycle_counts(tab, 7, CYCLE_BATCH + 1)
+    below = _count_hist(tab, 7, CYCLE_BATCH - 1)
+    above = _count_hist(tab, 7, CYCLE_BATCH + 1)
     assert below.tolist() == kernel(tab, _stream(first), CYCLE_BATCH - 1).tolist()
     assert above.tolist() == (
-        kernel(tab, _stream(first), CYCLE_BATCH).tolist()
-        + kernel(tab, _stream(second), 1).tolist()
-    )
-    for num, counts in ((CYCLE_BATCH - 1, below), (CYCLE_BATCH + 1, above)):
+        kernel(tab, _stream(first), CYCLE_BATCH) + kernel(tab, _stream(second), 1)
+    ).tolist()
+    for num, hist in ((CYCLE_BATCH - 1, below), (CYCLE_BATCH + 1, above)):
+        assert len(hist) == spec.shape.n + 1 and hist.sum() == num
         est = estimate_freshness_cycles(spec, num, seed=7)
         assert est == estimate_freshness_cycles(spec, num, seed=7)
-        assert est.p_hat == int(counts.sum()) / (num * spec.shape.n)
+        assert est.p_hat == int(hist @ np.arange(len(hist))) / (num * spec.shape.n)
         assert est.per_node == ()
 
 
 class _CountingGenerator:
-    """A ``numpy.random.Generator`` stand-in that passes uniform and
-    standard exponential requests on and records the cells of each; any
-    other draw fails."""
+    """A ``numpy.random.Generator`` stand-in that passes uniform, standard
+    exponential and multinomial requests on; it records the cells of each
+    uniform or exponential request in ``requests`` and the ``(trials,
+    outcomes)`` of each multinomial one in ``multinomials``.  Any other
+    draw fails."""
 
     def __init__(self, seed):
         self._rng = _stream(seed)
         self.requests = []
+        self.multinomials = []
 
     def random(self, size):
         self.requests.append(math.prod(np.atleast_1d(size)))
@@ -198,15 +202,19 @@ class _CountingGenerator:
         self.requests.append(math.prod(size))
         return self._rng.standard_exponential(size)
 
+    def multinomial(self, n, pvals):
+        self.multinomials.append((n, len(pvals)))
+        return self._rng.multinomial(n, pvals)
+
 
 @pytest.mark.parametrize("n", [1, 50, 10**4])
 @pytest.mark.parametrize("count", [1, CYCLE_BATCH])
-def test_flat_kernel_draws_one_uniform_per_cycle(n, count):
+def test_flat_kernel_draws_one_multinomial_per_stream(n, count):
     tab = _Tables(NetworkSpec.flat(n, GP.FC_sRC, Rates(1.0, 1000.0, 0.0, 2.0)))
     rng = _CountingGenerator(n)
-    counts = _flat_counts(tab, rng, count)
-    assert rng.requests == [count]
-    assert len(counts) == count and 0 <= counts.min() and counts.max() <= n
+    hist = _flat_counts(tab, rng, count)
+    assert (rng.requests, rng.multinomials) == ([], [(count, n + 1)])
+    assert len(hist) == n + 1 and hist.min() >= 0 and hist.sum() == count
 
 
 @pytest.mark.parametrize("m,k", [(2, 3), (40, 3), (3, 40)])
@@ -232,10 +240,15 @@ def test_clustered_kernel_draws_in_cluster_times_only_for_captured_clusters(
 
 def _race_pmf(tab, tier):
     """P(count = c), c = 0 .. size, of one tier's race from zero captures
-    within a cycle: the differences of the survival row P(count >= c) of
-    the tier's ``(stale, u)`` row."""
-    stale, u = tab.rows[tier]
-    return -np.diff([1.0, *_survival(u, stale, tab.lam_e), 0.0])
+    within a cycle, in product form and plain floats: with ``d[j]`` the
+    tier's total rate to its stale nodes when j are captured, the race
+    passes j with chance ``d[j] / (d[j] + lambda_e)`` and stops there with
+    chance ``lambda_e / (d[j] + lambda_e)``; ``d`` ends in 0.0."""
+    lam_e, pmf, passed = tab.lam_e, [], 1.0
+    for d in tab.dcl if tier else tab.dsrc:
+        pmf.append(passed * lam_e / (d + lam_e))
+        passed *= d / (d + lam_e)
+    return np.array(pmf)
 
 
 def _one_cluster_pmf(tab):
@@ -248,13 +261,13 @@ def _one_cluster_pmf(tab):
     return pmf
 
 
-def _assert_chi_square_fits(counts, pmf):
-    """Pearson chi-square of the count histogram against ``pmf``, with
-    adjacent bins pooled until each expects at least 5, rejected at the
-    Wilson-Hilferty 1 - 1e-6 quantile."""
-    observed = np.bincount(counts, minlength=len(pmf))
-    assert len(observed) == len(pmf), "a count the law gives probability 0"
-    expected = pmf * len(counts)
+def _assert_chi_square_fits(observed, pmf):
+    """Pearson chi-square of the count histogram ``observed`` against
+    ``pmf``, with adjacent bins pooled until each expects at least 5,
+    rejected at the Wilson-Hilferty 1 - 1e-6 quantile."""
+    assert len(observed) == len(pmf)
+    assert not observed[pmf == 0.0].any(), "a count the law gives probability 0"
+    expected = pmf * observed.sum()
     obs_bins, exp_bins = [], []
     o = e = 0.0
     for ob, ex in zip(observed, expected):
@@ -271,10 +284,13 @@ def _assert_chi_square_fits(counts, pmf):
     if df == 0:
         return
     chi2 = float(((obs_bins - exp_bins) ** 2 / exp_bins).sum())
-    z = 4.753424  # standard normal 1 - 1e-6 quantile
+    assert chi2 <= _chi_square_quantile(df, 1.0 - 1e-6), (chi2, df)
+
+
+def _chi_square_quantile(df, q):
+    """The Wilson-Hilferty approximation of the chi-square ``q`` quantile."""
     h = 2.0 / (9.0 * df)
-    critical = df * (1.0 - h + z * math.sqrt(h)) ** 3
-    assert chi2 <= critical, (chi2, critical, df)
+    return df * (1.0 - h + statistics.NormalDist().inv_cdf(q) * math.sqrt(h)) ** 3
 
 
 LAW_CYCLES = 200_000
@@ -285,8 +301,7 @@ LAW_CYCLES = 200_000
 def test_flat_kernel_capture_count_law(policy, n):
     spec = NetworkSpec.flat(n, policy, Rates(0.5, 1.0, 0.0, 2.0))
     tab = _Tables(spec)
-    counts = _cycle_counts(tab, 300 + n, LAW_CYCLES)
-    _assert_chi_square_fits(counts, _race_pmf(tab, 0))
+    _assert_chi_square_fits(_count_hist(tab, 300 + n, LAW_CYCLES), _race_pmf(tab, 0))
 
 
 def _flat_count_sd(spec):
@@ -299,6 +314,25 @@ def _flat_count_sd(spec):
     c = np.arange(1, tab.n + 1)
     mean, square = math.fsum(survive), math.fsum((2 * c - 1) * survive)
     return math.sqrt(square - mean * mean) / tab.n
+
+
+SPREAD_SEEDS = 300
+SPREAD_CYCLES = 10_000  # two child streams
+
+
+@pytest.mark.parametrize("n", [3, 50])
+@pytest.mark.parametrize(
+    "rates", [Rates(1.0, 2.0, 0.0, 0.5), Rates(0.25, 3.0, 0.0, 4.0)], ids=["slow", "fast"]
+)
+def test_cycle_estimator_spread_matches_the_count_law(n, rates):
+    # p_hat is a mean of SPREAD_CYCLES independent count / n, so its sample
+    # variance over seeds, times (seeds - 1) / Var(p_hat), is chi-square
+    spec = NetworkSpec.flat(n, GP.FC_sRC, rates)
+    p_hats = [estimate_freshness_cycles(spec, SPREAD_CYCLES, s).p_hat for s in range(SPREAD_SEEDS)]
+    df = SPREAD_SEEDS - 1
+    ratio = df * statistics.variance(p_hats) / (_flat_count_sd(spec) ** 2 / SPREAD_CYCLES)
+    low, high = (_chi_square_quantile(df, q) for q in (0.5e-6, 1.0 - 0.5e-6))
+    assert low <= ratio <= high, (low, ratio, high)
 
 
 LARGE_N_CYCLES = 20_000
@@ -327,8 +361,7 @@ def test_clustered_kernel_capture_count_law_with_one_cluster(policy, k):
     # after which its cluster runs the flat race from zero holders
     spec = NetworkSpec.clustered(k, k, GP.DC_RC, policy, Rates(0.5, 1.0, 2.0, 1.5))
     tab = _Tables(spec)
-    counts = _cycle_counts(tab, 400 + k, LAW_CYCLES)
-    _assert_chi_square_fits(counts, _one_cluster_pmf(tab))
+    _assert_chi_square_fits(_count_hist(tab, 400 + k, LAW_CYCLES), _one_cluster_pmf(tab))
 
 
 def _clustered_count_pmf(tab):
@@ -384,8 +417,7 @@ def test_clustered_kernel_capture_count_law_with_several_clusters(src, cl, m, k,
     tab = _Tables(spec)
     pmf = _clustered_count_pmf(tab)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-    counts = _cycle_counts(tab, 500 + 10 * m + k, LAW_CYCLES)
-    _assert_chi_square_fits(counts, pmf)
+    _assert_chi_square_fits(_count_hist(tab, 500 + 10 * m + k, LAW_CYCLES), pmf)
 
 
 def test_clustered_count_pmf_with_one_cluster_is_the_flat_race():
