@@ -319,9 +319,11 @@ def criterion_6() -> CriterionResult:
     eq = Rates(1.0, 1.0, 1.0, 1.0)
     peaks = {(src, cl): peak(eq, src, cl) for src, cl in _DC_PAIRS}
     best = peaks[GossipPolicy.DC_RC, GossipPolicy.DC_RC][1]
-    for pair, (_, p) in peaks.items():
-        if pair != (GossipPolicy.DC_RC, GossipPolicy.DC_RC) and not best > p:
-            failures.append(f"(DC_RC,DC_RC) peak {best!r} does not beat {pair} peak {p!r}")
+    for (src, cl), (_, p) in peaks.items():
+        if (src, cl) != (GossipPolicy.DC_RC, GossipPolicy.DC_RC) and not best > p:
+            failures.append(
+                f"(DC_RC,DC_RC) peak {best!r} does not beat ({src.value},{cl.value}) peak {p!r}"
+            )
 
     k_srcside, p_srcside = peaks[GossipPolicy.DC_RC, GossipPolicy.DC_noRC]
     k_clside, p_clside = peaks[GossipPolicy.DC_noRC, GossipPolicy.DC_RC]
@@ -344,9 +346,12 @@ def criterion_6() -> CriterionResult:
 
     fc_peaks = {(src, cl): peak(eq, src, cl)[1] for src, cl in _FC_PAIRS}
     best_fc = fc_peaks[GossipPolicy.DC_RC, GossipPolicy.FC_allRC]
-    for pair, p in fc_peaks.items():
-        if pair != (GossipPolicy.DC_RC, GossipPolicy.FC_allRC) and not best_fc > p:
-            failures.append(f"(DC_RC,FC_allRC) peak {best_fc!r} does not beat {pair} {p!r}")
+    for (src, cl), p in fc_peaks.items():
+        if (src, cl) != (GossipPolicy.DC_RC, GossipPolicy.FC_allRC) and not best_fc > p:
+            failures.append(
+                f"(DC_RC,FC_allRC) peak {best_fc!r} does not beat ({src.value},{cl.value}) "
+                f"peak {p!r}"
+            )
 
     return _result(
         "6",

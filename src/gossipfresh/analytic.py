@@ -59,8 +59,8 @@ from .core import (
     NetworkSpec,
     Rates,
     int_problem,
-    is_finite,
     rate_sum_problem,
+    real_problem,
     require_int,
     require_rates,
     require_valid,
@@ -101,17 +101,13 @@ class ClusteredBreakdown:
 
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
     """The one rate check of the exact routes, for a size ``n`` that is
-    already known to be an integer >= 1: real numbers (int or float, not
-    bool), a finite ``lambda_e > 0``, finite rates >= 0, and no overflow
-    inside
-    (:func:`~gossipfresh.core.rate_sum_problem`)."""
-    if not isinstance(lambda_e, (int, float)) or isinstance(lambda_e, bool):
-        raise ValueError(f"lambda_e must be a real number, got {lambda_e!r}")
-    if not is_finite(lambda_e) or lambda_e <= 0:
-        raise ValueError(f"lambda_e must be finite and > 0, got {lambda_e!r}")
+    already known to be an integer >= 1: :func:`~gossipfresh.core.real_problem`
+    for ``lambda_e > 0`` and for every named rate, then
+    :func:`~gossipfresh.core.rate_sum_problem`."""
+    if problem := real_problem("lambda_e", lambda_e, positive=True):
+        raise ValueError(problem)
     require_rates(**named)
-    problem = rate_sum_problem(n, lambda_e, named)
-    if problem:
+    if problem := rate_sum_problem(n, lambda_e, named):
         raise ValueError(problem)
 
 
@@ -238,7 +234,7 @@ def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
     bad = ~np.isfinite(table) | (table < 0)
     if bad.any():
         j = int(bad.argmax())
-        raise ValueError(f"u({j}) must be finite and >= 0, got {float(table[j])!r}")
+        raise ValueError(real_problem(f"u({j})", float(table[j])))
     _check_rates(n, lambda_e, max_u=float(table.max()))
     return float(_recursion(table, n - np.arange(n, dtype=float), lambda_e)[0])
 
@@ -449,9 +445,11 @@ def closed_clustered(
     of k nodes: the product of :func:`closed_flat` over the two tiers of
     :attr:`~gossipfresh.core.NetworkSpec.tiers` (m clusterheads at total
     rate lambda_s, then k nodes at total rate lambda_c, gossip lambda_g).
-    None when either tier lacks a closed form.  The shape is checked as
+    None when either tier lacks a closed form.  ``m`` must be an integer
+    >= 1; the shape ``n = m * k`` is then checked as
     :func:`clustered_freshness` checks it."""
-    spec = NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates, m=m)
+    require_int("m", m, 1)
+    spec = NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates)
     require_valid(spec)
     f_src, f_cl = [closed_flat(p, s, g, rates.lambda_e, size) for p, s, g, size in spec.tiers]
     if f_src is None or f_cl is None:
@@ -505,22 +503,19 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
     order and equal to it, or None where the closed route has no formula
     for the cluster tier (``FC_sRC``).  Empty ``ks`` or
     ``cases``, or a k that is not an integer >= 1 dividing ``n``, raises
-    ``ValueError``; then each (case, pair) is checked in order at the
-    pair's largest tiers (``k = max(ks)``, ``m = n // min(ks)``), so an
-    invalid one raises the message that a call per combination would raise
-    first.
+    ``ValueError``; then each (case, pair) is checked in order by
+    :func:`~gossipfresh.core.require_valid` at ``k = min(ks)``, the shape
+    with the most clusterheads (the cluster tier's bound is the same for
+    every k), so an invalid one raises the message that a call per
+    combination raises.
     """
     if len(ks) == 0 or any(int_problem("k", k, 1) or n % k for k in ks):
         raise ValueError(f"ks must be integers >= 1 that divide n = {n}, got {ks!r}")
     if len(cases) == 0:
         raise ValueError(f"cases must hold at least one Rates, got {cases!r}")
     for rates in cases:
-        for i, pair in enumerate(pairs):
-            require_valid(NetworkSpec.clustered(n, max(ks), *pair, rates))
-            # the source tier at its largest size comes before the next
-            # combination; a lone one leaves it to the route call
-            if i == 0 and len(cases) * len(pairs) > 1:
-                _check_rates(n // min(ks), rates.lambda_e, lambda_s=rates.lambda_s, lambda_g=0.0)
+        for pair in pairs:
+            require_valid(NetworkSpec.clustered(n, min(ks), *pair, rates))
     rows = [(r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g) for r in cases]
     le, ls, lc, lg = map(list, zip(*rows))
     heads = [n // k for k in ks]

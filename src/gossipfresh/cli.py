@@ -20,12 +20,12 @@ import sys
 from dataclasses import replace
 
 from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem, validate
+from .core import alpha_problem
 from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
     ExperimentConfig,
     SimSettings,
-    alpha_problem,
     emit_plot_data,
     report_optimal_k,
     run_experiment,
@@ -51,14 +51,9 @@ def _rates_from_args(args) -> Rates:
     if args.alpha is not None:
         if args.lambda_e is not None:
             raise ValueError("--alpha and --lambda-e are mutually exclusive")
+        if problem := alpha_problem(args.alpha, args.lambda_s, ("--alpha", "--lambda-s")):
+            raise ValueError(problem)
         lambda_e = args.alpha * args.lambda_s
-        broken = alpha_problem(args.alpha, args.lambda_s)
-        if broken == "lambda_s":
-            raise ValueError("--alpha needs --lambda-s > 0")
-        if broken == "alpha":
-            raise ValueError(f"--alpha must be a finite number > 0, got {args.alpha!r}")
-        if broken:
-            raise ValueError(f"--alpha * --lambda-s = {lambda_e} must be finite and > 0")
     elif args.lambda_e is None:
         raise ValueError("missing --lambda-e (or --alpha)")
     else:

@@ -17,7 +17,6 @@ nodes are currently fresh, for ``j = 0 .. n-1``.  That table,
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -61,26 +60,42 @@ DC_POLICIES = (GossipPolicy.DC_noRC, GossipPolicy.DC_RC)
 FreshnessValue = float
 
 
-def is_finite(value) -> bool:
-    """``math.isfinite``, with an integer too large for a float counted as
-    not finite rather than raising ``OverflowError``."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+#: Largest float: a real is finite iff at most this, an int too big for a float not.
+_FLOAT_MAX = sys.float_info.max
+
+
+def real_problem(name: str, value, positive: bool = False) -> str | None:
+    """The one real-number rule: a message unless ``value`` is an int or a
+    float (not a bool), finite and >= 0 (> 0 if ``positive``), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"{name} must be a real number, got {value!r}"
+    if (0 < value <= _FLOAT_MAX) if positive else (0 <= value <= _FLOAT_MAX):
+        return None
+    return f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}"
 
 
 def require_rates(**named: float) -> None:
-    """Raise ``ValueError`` unless every named value is a finite real >= 0.
+    """Raise ``ValueError`` at the first named value :func:`real_problem`
+    rejects.
 
     This is the one check every rate passes, whether it arrives in a
     :class:`Rates` or as a raw float at a formula's boundary.
     """
     for name, v in named.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"{name} must be a real number, got {v!r}")
-        if not is_finite(v) or v < 0:
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        if problem := real_problem(name, v):
+            raise ValueError(problem)
+
+
+def alpha_problem(alpha, lambda_s, names: tuple[str, str]) -> str | None:
+    """The one rule of ``lambda_e = alpha * lambda_s``: a message unless
+    ``lambda_s``, ``alpha`` and their product are each a finite real > 0,
+    else None.  ``names`` are the caller's names of alpha and lambda_s."""
+    a, s = names
+    return (
+        real_problem(s, lambda_s, positive=True)
+        or real_problem(a, alpha, positive=True)
+        or real_problem(f"{a} * {s}", alpha * lambda_s, positive=True)
+    )
 
 
 def int_problem(name: str, value, minimum: int) -> str | None:
@@ -96,6 +111,12 @@ def require_int(name: str, value, minimum: int) -> None:
     problem = int_problem(name, value, minimum)
     if problem:
         raise ValueError(problem)
+
+
+def divides_problem(n: int, k: int) -> str | None:
+    """The one cluster-shape rule, for integers ``n`` and ``k >= 1``: a
+    message unless ``k`` divides ``n`` into ``n // k`` clusters, else None."""
+    return f"k must divide n, got n={n} k={k}" if n % k else None
 
 
 #: Bound on ``size * (lambda_e + rates)`` for each tier of a network.  Every
@@ -155,19 +176,23 @@ class Flat:
 
 @dataclass(frozen=True)
 class Clustered:
-    """``m`` clusters of ``k`` nodes each, fed through clusterheads.
+    """``n`` nodes in ``m = n // k`` clusters of ``k`` nodes each, fed
+    through clusterheads.
 
     The source updates the m clusterheads (total rate ``lambda_s``,
     ``source_policy``); each clusterhead relays to its k nodes (total rate
     ``lambda_c``, ``cluster_policy``, gossip rate ``lambda_g`` for FC
-    cluster policies).  Requires ``m * k == n``.
+    cluster policies).  :func:`validate` checks the shape.
     """
 
     n: int
     k: int
-    m: int
     source_policy: GossipPolicy
     cluster_policy: GossipPolicy
+
+    @property
+    def m(self) -> int:
+        return self.n // self.k
 
 
 Shape = Union[Flat, Clustered]
@@ -186,16 +211,9 @@ class NetworkSpec:
 
     @staticmethod
     def clustered(
-        n: int,
-        k: int,
-        source_policy: GossipPolicy,
-        cluster_policy: GossipPolicy,
-        rates: Rates,
-        m: int | None = None,
+        n: int, k: int, source_policy: GossipPolicy, cluster_policy: GossipPolicy, rates: Rates
     ) -> "NetworkSpec":
-        if m is None:
-            m = 0 if int_problem("k", k, 1) else n // k
-        return NetworkSpec(Clustered(n, k, m, source_policy, cluster_policy), rates)
+        return NetworkSpec(Clustered(n, k, source_policy, cluster_policy), rates)
 
     @property
     def tiers(self) -> tuple[tuple[GossipPolicy, float, float, int], ...]:
@@ -290,7 +308,8 @@ def validate(spec: NetworkSpec) -> list[str]:
     """Check every structural invariant of ``spec``.
 
     Each rate was already checked when its :class:`Rates` was built; this
-    adds ``lambda_e > 0``, :func:`int_problem` for every size, and the
+    adds :func:`real_problem` for ``lambda_e > 0``, :func:`int_problem` for
+    every size, :func:`divides_problem` for a clustered shape, and the
     :func:`rate_sum_problem` bound per tier:
     ``n * (lambda_e + lambda_s + lambda_g)`` for a flat network, and
     ``m * (lambda_e + lambda_s)`` and ``n * (lambda_e + lambda_c +
@@ -300,10 +319,8 @@ def validate(spec: NetworkSpec) -> list[str]:
     is raised: callers that need hard failure join the messages into an
     exception themselves.
     """
-    problems: list[str | None] = []
     r = spec.rates
-    if r.lambda_e <= 0:
-        problems.append(f"lambda_e must be > 0 so refresh cycles terminate, got {r.lambda_e!r}")
+    problems: list[str | None] = [real_problem("lambda_e", r.lambda_e, positive=True)]
 
     shape = spec.shape
     if isinstance(shape, Flat):
@@ -313,17 +330,11 @@ def validate(spec: NetworkSpec) -> list[str]:
             rates = {"lambda_s": r.lambda_s, "lambda_g": r.lambda_g}
             problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
     elif isinstance(shape, Clustered):
-        size_problems = [
-            int_problem("n", shape.n, 1),
-            int_problem("k", shape.k, 1),
-            int_problem("m", shape.m, 1),
-        ]
+        size_problems = [int_problem("n", shape.n, 1), int_problem("k", shape.k, 1)]
         problems.extend(size_problems)
         sized = not any(size_problems)
-        if sized and shape.m * shape.k != shape.n:
-            problems.append(
-                f"m*k != n: {shape.m}*{shape.k} = {shape.m * shape.k} != {shape.n}"
-            )
+        if sized:
+            problems.append(divides_problem(shape.n, shape.k))
         source = shape.source_policy
         if source not in DC_POLICIES:
             shown = source.value if isinstance(source, GossipPolicy) else repr(source)

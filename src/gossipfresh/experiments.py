@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import groupby
@@ -28,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GossipPolicy, NetworkSpec, Rates, int_problem, is_finite
+from .core import GossipPolicy, NetworkSpec, Rates, int_problem, real_problem
+from .core import alpha_problem, divides_problem
 from .analytic import (
     closed_sizes,
     clustered_profiles,
@@ -134,15 +134,10 @@ _CASE_KEYS = {"label"} | (_RATE_KEYS - {"alpha"})
 _SIM_KEYS = {"cycles", "seed"}
 
 
-def _as_number(value, where, problems, minimum=None, strict_min=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not is_finite(value):
-        problems.append(f"{where} must be a finite number, got {value!r}")
-        return None
-    if minimum is not None and (value <= minimum if strict_min else value < minimum):
-        op = ">" if strict_min else ">="
-        problems.append(f"{where} must be {op} {minimum}, got {value!r}")
-        return None
-    return float(value)
+def _as_rate(value, where, problems, positive=False):
+    if problem := real_problem(where, value, positive):
+        problems.append(problem)
+    return None if problem else float(value)
 
 
 def _as_int(value, where, problems, minimum):
@@ -160,17 +155,6 @@ def _parse_policy(value, where, problems):
         return None
 
 
-def alpha_problem(alpha, lambda_s) -> str | None:
-    """The first part of the rule of ``lambda_e = alpha * lambda_s`` that fails
-    (``"lambda_s"`` unless > 0, ``"alpha"`` unless a finite number > 0,
-    ``"product"`` unless finite and non-zero), else None; callers word it."""
-    if not lambda_s > 0:
-        return "lambda_s"
-    if _as_number(alpha, "alpha", [], 0, strict_min=True) is None:
-        return "alpha"
-    return None if 0 < alpha * lambda_s < math.inf else "product"
-
-
 def _parse_rates_dict(raw, where, problems, allow_alpha):
     unknown = set(raw) - _RATE_KEYS
     if unknown:
@@ -180,9 +164,9 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
     if "alpha" in raw and "lambda_e" in raw:
         problems.append(f"{where}: alpha and lambda_e are mutually exclusive")
         return []
-    lam_s = _as_number(raw.get("lambda_s", 0.0), f"{where}.lambda_s", problems, 0)
-    lam_c = _as_number(raw.get("lambda_c", 0.0), f"{where}.lambda_c", problems, 0)
-    lam_g = _as_number(raw.get("lambda_g", 0.0), f"{where}.lambda_g", problems, 0)
+    lam_s = _as_rate(raw.get("lambda_s", 0.0), f"{where}.lambda_s", problems)
+    lam_c = _as_rate(raw.get("lambda_c", 0.0), f"{where}.lambda_c", problems)
+    lam_g = _as_rate(raw.get("lambda_g", 0.0), f"{where}.lambda_g", problems)
     if None in (lam_s, lam_c, lam_g):
         return []
     if "alpha" in raw and allow_alpha:
@@ -194,22 +178,15 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
             return []
         cases = []
         for a in alphas:
-            broken = alpha_problem(a, lam_s)
-            if broken == "lambda_s":
-                problems.append(f"{where}: alpha needs lambda_s > 0, got {lam_s!r}")
-            elif broken == "alpha":
-                _as_number(a, f"{where}.alpha", problems, 0, strict_min=True)
-            elif broken:
-                lam_e = a * lam_s
-                problems.append(f"{where}.alpha: alpha * lambda_s = {lam_e} must be finite and > 0")
-            if broken:
+            if problem := alpha_problem(a, lam_s, (f"{where}.alpha", f"{where}.lambda_s")):
+                problems.append(problem)
                 return []
             cases.append(RateCase(f"alpha{float(a):g}", Rates(a * lam_s, lam_s, lam_c, lam_g)))
         return cases
     if "lambda_e" not in raw:
         problems.append(f"{where} needs lambda_e (or alpha, for flat sweeps)")
         return []
-    lam_e = _as_number(raw["lambda_e"], f"{where}.lambda_e", problems, 0, strict_min=True)
+    lam_e = _as_rate(raw["lambda_e"], f"{where}.lambda_e", problems, positive=True)
     if lam_e is None:
         return []
     return [RateCase("case1", Rates(lam_e, lam_s, lam_c, lam_g))]
@@ -286,6 +263,9 @@ def _parse_config(raw: dict) -> ExperimentConfig:
                     problems.append(f"{where}: unknown keys {sorted(unknown)}")
                     continue
                 label = entry.get("label", f"case{i + 1}")
+                if not isinstance(label, str) or not label:
+                    problems.append(f"{where}.label must be a nonempty string, got {label!r}")
+                    continue
                 parsed = _parse_rates_dict(
                     {key: v for key, v in entry.items() if key != "label"},
                     where,
@@ -293,7 +273,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
                     allow_alpha=False,
                 )
                 if parsed:
-                    cases.append(RateCase(str(label), parsed[0].rates))
+                    cases.append(RateCase(label, parsed[0].rates))
     elif clustered:
         cases = list(DEFAULT_RATE_CASES)
     else:
@@ -320,8 +300,9 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         if "n_range" in raw:
             problems.append(f"n_range is only valid for flat_sweep_n, not {mode}")
         n = _as_int(raw.get("n"), "n", problems, 1)
-        if mode == "single_point" and k is not None and n is not None and n % k != 0:
-            problems.append(f"k must divide n, got n={n} k={k}")
+        if mode == "single_point" and k is not None and n is not None:
+            if shape := divides_problem(n, k):
+                problems.append(shape)
 
     sim = None
     if "sim" in raw:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Clustered, NetworkSpec, per_stale_rate
-from .core import require_int, require_rates, require_valid
+from .core import real_problem, require_int, require_valid
 from .analytic import BLOCK_CELLS, _recursion, _survival
 from .analytic import clustered_freshness  # noqa: F401 - perfbench/layers.py traces it
 
@@ -501,9 +501,8 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
     :data:`TIME_WINDOWS` equal windows.  Warns when the horizon covers
     fewer than ~100 expected refresh cycles.
     """
-    require_rates(horizon=horizon)  # a finite real >= 0, not a bool
-    if horizon == 0:
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+    if problem := real_problem("horizon", horizon, positive=True):
+        raise ValueError(problem)
     sim = TrajectorySim(spec, random.Random(0))  # the one check of the spec
     sim.rng.seed(*_child_seeds(seed, 1))  # a bad spec is reported before a bad seed
     lam_e = sim.tab.lam_e

@@ -166,10 +166,9 @@ def test_validate_ok_single_node():
 
 def test_validate_divisibility():
     spec = NetworkSpec.clustered(
-        120, 7, GossipPolicy.DC_noRC, GossipPolicy.DC_noRC, Rates(1.0, 1.0), m=17
+        120, 7, GossipPolicy.DC_noRC, GossipPolicy.DC_noRC, Rates(1.0, 1.0)
     )
-    problems = validate(spec)
-    assert any("m*k != n" in p for p in problems)
+    assert validate(spec) == ["k must divide n, got n=120 k=7"]
 
 
 def test_validate_source_tier_must_be_disconnected():
@@ -218,8 +217,7 @@ def test_validate_flat_node_count():
     cl = (GossipPolicy.DC_noRC, GossipPolicy.DC_RC, Rates(1.0, 1.0))
     for k in (2.5, "2"):
         assert any("k must be an integer" in p for p in validate(NetworkSpec.clustered(4, k, *cl)))
-    assert any("m must be an integer" in p for p in validate(NetworkSpec.clustered(2, 2, *cl, m=True)))
-    assert any("n must be an integer" in p for p in validate(NetworkSpec.clustered(4.0, 2, *cl, m=2)))
+    assert any("n must be an integer" in p for p in validate(NetworkSpec.clustered(4.0, 2, *cl)))
     with pytest.raises(ValueError, match="n must be an integer"):
         per_stale_rate(GossipPolicy.DC_RC, 1.0, 0.0, True)
 

@@ -131,7 +131,7 @@ def test_an_alpha_whose_lambda_e_overflows_or_underflows_is_a_config_error(alpha
     rates = {"lambda_s": alpha, "alpha": [1.0, alpha]}
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(dict(FLAT_SMALL, rates=rates))
-    problem = f"rates.alpha: alpha * lambda_s = {lambda_e} must be finite and > 0"
+    problem = f"rates.alpha * rates.lambda_s must be finite and > 0, got {lambda_e}"
     assert err.value.problems == [problem]
 
 
@@ -196,12 +196,23 @@ CONFIG_ERRORS = [
     (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": []}), "rates.alpha must not be empty"),
     (
         dict(FLAT_SMALL, rates={"lambda_s": 0, "alpha": [1]}),
-        "rates: alpha needs lambda_s > 0, got 0.0",
+        "rates.lambda_s must be finite and > 0, got 0.0",
     ),
-    (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": [0]}), "rates.alpha must be > 0, got 0"),
+    (
+        dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": [0]}),
+        "rates.alpha must be finite and > 0, got 0",
+    ),
     (
         dict(CLUSTERED_SMALL, rates={"lambda_e": "x", "lambda_s": 1}),
-        "rates.lambda_e must be a finite number, got 'x'",
+        "rates.lambda_e must be a real number, got 'x'",
+    ),
+    # a label follows the rule of name; str(label) once named a case "None"
+    *(
+        (
+            dict(CLUSTERED_NO_RATES, cases=[{"label": label, "lambda_e": 1}]),
+            f"cases[0].label must be a nonempty string, got {label!r}",
+        )
+        for label in (None, [1, 2], "")
     ),
     ([FLAT_SMALL], "<path>: top level must be an object"),
     (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": 0.5}), None),
@@ -638,8 +649,8 @@ OVERFLOWING_SECOND_CASE = [
     (
         [["DC_RC", "FC_allRC"]],
         [CASE, dict(CASE, lambda_s=1e307)],
-        "rates too large: 12 * (lambda_e + lambda_s + lambda_g) = 1.2e+308 exceeds 4.49e+307; "
-        "only rate ratios matter, so scale all rates down",
+        "invalid network spec: rates too large: 12 * (lambda_e + lambda_s) = 1.2e+308 "
+        "exceeds 4.49e+307; only rate ratios matter, so scale all rates down",
     ),
     (
         [["DC_RC", "FC_allRC"], ["DC_noRC", "DC_RC"]],
@@ -658,8 +669,8 @@ OVERFLOWING_SECOND_CASE = [
         # a case's source tier at m = n comes before its next pair
         [["DC_RC", "FC_allRC"], ["FC_noRC", "DC_RC"]],
         [dict(CASE, lambda_s=1e307)],
-        "rates too large: 12 * (lambda_e + lambda_s + lambda_g) = 1.2e+308 exceeds 4.49e+307; "
-        "only rate ratios matter, so scale all rates down",
+        "invalid network spec: rates too large: 12 * (lambda_e + lambda_s) = 1.2e+308 "
+        "exceeds 4.49e+307; only rate ratios matter, so scale all rates down",
     ),
 ]
 

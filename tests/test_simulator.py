@@ -1007,3 +1007,13 @@ def test_a_monte_carlo_call_validates_once_and_builds_one_row_per_tier(monkeypat
 def test_decomposition_check_requires_clustered_spec():
     with pytest.raises(ValueError):
         decomposition_check(NetworkSpec.flat(2, GP.DC_noRC, ONE), 100, seed=1)
+
+
+def test_decomposition_check_of_a_source_that_never_sends_has_z_zero():
+    # lambda_s = 0: no clusterhead, so no node, is ever fresh; the estimate
+    # has no spread, and an exact match is z = 0 rather than 0 / 0
+    spec = NetworkSpec.clustered(4, 2, GP.DC_RC, GP.FC_allRC, Rates(1.0, 0.0, 1.0, 1.0))
+    rep = decomposition_check(spec, 1000, seed=1)
+    assert rep.estimate.p_hat == rep.p_analytic == 0
+    assert rep.estimate.stderr == 0
+    assert rep.z == 0.0
