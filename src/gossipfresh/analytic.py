@@ -58,6 +58,7 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    divides_problem,
     int_problem,
     rate_sum_problem,
     real_problem,
@@ -501,16 +502,19 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
     array over ``ks`` for case ``c`` and pair ``q``, each entry the
     product in :func:`clustered_freshness`'s (or :func:`closed_clustered`'s)
     order and equal to it, or None where the closed route has no formula
-    for the cluster tier (``FC_sRC``).  Empty ``ks`` or
-    ``cases``, or a k that is not an integer >= 1 dividing ``n``, raises
-    ``ValueError``; then each (case, pair) is checked in order by
-    :func:`~gossipfresh.core.require_valid` at ``k = min(ks)``, the shape
-    with the most clusterheads (the cluster tier's bound is the same for
-    every k), so an invalid one raises the message that a call per
-    combination raises.
+    for the cluster tier (``FC_sRC``).  Empty ``ks`` or ``cases`` raises
+    ``ValueError``, and so does the first k that breaks core's integer or
+    cluster-shape rule, with that rule's message; then each (case, pair)
+    is checked in order by :func:`~gossipfresh.core.require_valid` at
+    ``k = min(ks)``, the shape with the most clusterheads (the cluster
+    tier's bound is the same for every k), so an invalid one raises the
+    message that a call per combination raises.
     """
-    if len(ks) == 0 or any(int_problem("k", k, 1) or n % k for k in ks):
-        raise ValueError(f"ks must be integers >= 1 that divide n = {n}, got {ks!r}")
+    if len(ks) == 0:
+        raise ValueError(f"ks must hold at least one cluster size, got {ks!r}")
+    for k in ks:
+        if problem := int_problem("k", k, 1) or divides_problem(n, k):
+            raise ValueError(problem)
     if len(cases) == 0:
         raise ValueError(f"cases must hold at least one Rates, got {cases!r}")
     for rates in cases:

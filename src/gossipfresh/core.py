@@ -286,8 +286,10 @@ def stale_rate_rows(
     """
     n = sizes.astype(float)
     j_all = np.arange(width, dtype=float)
-    # Padding cells (j >= n) are evaluated at j = n - 1, then u is zeroed.
-    j = np.minimum(j_all, n - 1)
+    # Padding cells (j >= n) are evaluated at j = n - 1, then u is zeroed;
+    # one row as wide as its size, per_stale_rate's block, has none.
+    padded = len(sizes) > 1 or sizes[0, 0] < width
+    j = np.minimum(j_all, n - 1) if padded else j_all
     stale = n - j
     if policy is GossipPolicy.DC_noRC:
         u = total_source / n
@@ -301,7 +303,9 @@ def stale_rate_rows(
         u = total_source / stale + j * total_gossip / stale
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    return stale, np.where(j_all < n, u, 0.0)
+    if padded:
+        return stale, np.where(j_all < n, u, 0.0)
+    return stale, u if u.shape == stale.shape else u.repeat(width, axis=-1)  # DC_noRC's column
 
 
 def validate(spec: NetworkSpec) -> list[str]:

@@ -33,19 +33,18 @@ arrivals of the clusters captured before the cycle ends), so
 :func:`decomposition_check` compares the two-stage analytic product with
 a simulation that never multiplies stage values.
 
-Reproducibility: the cycle estimator gives each batch of
-:data:`CYCLE_BATCH` cycles its own ``numpy.random.Generator(PCG64(s))``
-(one ``multinomial(count, pmf)`` request per flat batch, standard
-exponentials for clustered ones in the order :func:`_clustered_counts`
-documents), and the time estimator gives its trajectory a
-``random.Random``; the seeds ``s`` are child seeds of the user seed.
-Identical ``(spec, count, seed)`` inputs give identical outputs, and
-batches may be run concurrently and merged by index.
+Reproducibility: each cycle-estimator call draws from one
+``numpy.random.Generator(PCG64(seed))``, seeded with the user seed
+itself: one ``multinomial(num_cycles, pmf)`` request for a flat call,
+whatever its cycle count, and standard exponentials for a clustered one
+in the order :func:`_clustered_counts` documents.  The time estimator
+gives its trajectory a ``random.Random`` seeded from a child seed of the
+user seed.  Identical ``(spec, count, seed)`` inputs give identical
+outputs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import warnings
@@ -67,9 +66,6 @@ __all__ = [
     "estimate_freshness_time",
     "decomposition_check",
 ]
-
-#: Cycles per RNG child stream in the cycle estimator.
-CYCLE_BATCH = 8192
 
 #: Equal windows whose batch means give the time-average estimator's stderr.
 TIME_WINDOWS = 50
@@ -131,10 +127,7 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     """Deterministic 128-bit child seeds for independent streams."""
     require_int("seed", seed, 0)
     words = np.random.SeedSequence(seed).generate_state(4 * count, np.uint32)
-    return [
-        int.from_bytes(words[4 * i : 4 * i + 4].tobytes(), "little")
-        for i in range(count)
-    ]
+    return [int.from_bytes(row.tobytes(), "little") for row in words.reshape(count, 4)]
 
 
 def _ci95(p_hat: float, stderr: float) -> tuple[float, float]:
@@ -174,16 +167,6 @@ class _Tables:
         self.n = spec.shape.n
         self.lam_e = spec.rates.lambda_e
 
-    @functools.cached_property
-    def pmf(self) -> np.ndarray:
-        """``pmf[c] = P(count = c)``, c = 0 .. m, of the source tier's race
-        in one cycle: the differences of its survival row
-        (:func:`~gossipfresh.analytic._survival`) between 1 and 0.  The row
-        never increases, so no entry is negative.  Built once per table."""
-        stale, u = self.rows[0]
-        row = np.concatenate(([1.0], _survival(u, stale, self.lam_e), [0.0]))
-        return row[:-1] - row[1:]
-
 
 # ---------------------------------------------------------------------------
 # capture-count kernels
@@ -195,12 +178,16 @@ def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarr
     The estimator reads the cycles only through their histogram, entry c
     the number of cycles that captured c nodes.  The cycles are
     independent, so that histogram is exactly Multinomial(count, pmf),
-    ``pmf[c] = P(count = c)`` (:attr:`_Tables.pmf`).  Draw order: one
-    ``rng.multinomial(count, pmf)`` request, which NumPy draws as n
-    conditional binomials at most (Devroye 1986), so a stream costs O(n),
-    not O(count).
+    ``pmf[c] = P(count = c)``, c = 0 .. m: the differences of the source
+    tier's survival row (:func:`~gossipfresh.analytic._survival`) between
+    1 and 0.  The row never increases, so no entry is negative.  Draw
+    order: one ``rng.multinomial(count, pmf)`` request, which NumPy draws
+    as n conditional binomials at most (Devroye 1986), so a call costs
+    O(n), not O(count).
     """
-    return rng.multinomial(count, tab.pmf)
+    stale, u = tab.rows[0]
+    row = np.concatenate(([1.0], _survival(u, stale, tab.lam_e), [0.0]))
+    return rng.multinomial(count, row[:-1] - row[1:])
 
 
 def _arrival_times(draws: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -263,17 +250,6 @@ def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.
     return hist
 
 
-def _stream_counts(tab, seed: int, num_cycles: int):
-    """Capture-count histograms, entry c the number of cycles that captured
-    c nodes, of ``num_cycles`` cycles, yielded one child stream
-    (:data:`CYCLE_BATCH` cycles) at a time, in stream order."""
-    kernel = _clustered_counts if tab.k else _flat_counts
-    seeds = _child_seeds(seed, (num_cycles + CYCLE_BATCH - 1) // CYCLE_BATCH)
-    for b, child in enumerate(seeds):
-        size = min(CYCLE_BATCH, num_cycles - b * CYCLE_BATCH)
-        yield kernel(tab, np.random.Generator(np.random.PCG64(child)), size)
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -283,16 +259,15 @@ def estimate_freshness_cycles(
 ) -> FreshnessEstimate:
     """Cycle estimator: fraction of (cycle, node) pairs that got updated.
 
-    Runs ``num_cycles`` independent refresh cycles on child RNG streams
-    (one per batch of :data:`CYCLE_BATCH` cycles), adds up their
-    capture-count histograms and divides the total capture count by
-    ``num_cycles * n``.  A flat stream is one multinomial draw, so its cost
-    grows with n, not with its cycles.  The standard error is binomial
-    with ``num_cycles`` samples.  That bar is too wide, not conservative:
-    it was measured at 1.2-5.7 times the true per-cycle spread of count /
-    n, so the 4-sigma gates of selftest criteria 4 and 5 act as
-    4.6-8.7-sigma gates.  The kernels count captures without naming nodes,
-    so ``per_node`` is empty.
+    Runs ``num_cycles`` independent refresh cycles on one
+    ``numpy.random.Generator(PCG64(seed))``, takes their capture-count
+    histogram and divides the total capture count by ``num_cycles * n``.
+    A flat call is one multinomial draw, so its cost grows with n, not
+    with its cycles.  The standard error is binomial with ``num_cycles``
+    samples.  That bar is too wide, not conservative: it was measured at
+    1.2-5.7 times the true per-cycle spread of count / n, so the 4-sigma
+    gates of selftest criteria 4 and 5 act as 4.6-8.7-sigma gates.  The
+    kernels count captures without naming nodes, so ``per_node`` is empty.
     """
     require_int("num_cycles", num_cycles, 1)
     return _cycle_estimate(_Tables(spec), num_cycles, seed)
@@ -300,7 +275,9 @@ def estimate_freshness_cycles(
 
 def _cycle_estimate(tab: _Tables, num_cycles: int, seed: int) -> FreshnessEstimate:
     """:func:`estimate_freshness_cycles` on built tables, ``num_cycles`` checked."""
-    hist = sum(_stream_counts(tab, seed, num_cycles))
+    require_int("seed", seed, 0)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hist = (_clustered_counts if tab.k else _flat_counts)(tab, rng, num_cycles)
     captures = int(hist @ np.arange(tab.n + 1))
     p_hat = captures / (num_cycles * tab.n)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / num_cycles)

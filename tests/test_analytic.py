@@ -655,11 +655,18 @@ def test_clustered_profiles_take_only_cluster_sizes_that_divide_n():
     ((c,),) = clustered_profiles(closed_sizes, 12, [3], [r], [pair])
     assert p.tolist() == [clustered_freshness(NetworkSpec.clustered(12, 3, *pair, r))[0]]
     assert c.tolist() == [closed_clustered(*pair, 4, 3, r)]
-    for ks in ([1, 5], [0], [3.0], [True], []):
+    # the first bad k gets core's integer or cluster-shape message
+    for ks, message in (
+        ([1, 5], "k must divide n, got n=12 k=5"),
+        ([0], "k must be an integer and k >= 1, got 0"),
+        ([3.0], "k must be an integer and k >= 1, got 3.0"),
+        ([True], "k must be an integer and k >= 1, got True"),
+        ([], "ks must hold at least one cluster size, got []"),
+    ):
         for route in (oracle_sizes, closed_sizes):
             with pytest.raises(ValueError) as err:
                 clustered_profiles(route, 12, ks, [r], [pair])
-            assert str(err.value) == f"ks must be integers >= 1 that divide n = 12, got {ks!r}"
+            assert str(err.value) == message
     for route in (oracle_sizes, closed_sizes):
         with pytest.raises(ValueError, match="cases must hold at least one Rates, got"):
             clustered_profiles(route, 12, [3], [], [pair])

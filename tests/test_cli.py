@@ -133,6 +133,35 @@ def test_analytic_point_errors_exit_1_with_their_message(argv, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+#: Each case's flags, past --n, and the one error line it gets.
+_BAD_FLAGS = [
+    ("0 --policy DC_RC --lambda-e 1 --lambda-s 1", "--n must be an integer and --n >= 1, got 0"),
+    (
+        "4 --k 0 --source-policy DC_RC --cluster-policy DC_RC --lambda-e 1 --lambda-s 1",
+        "--k must be an integer and --k >= 1, got 0",
+    ),
+    ("3 --policy DC_RC --lambda-e 0 --lambda-s 1", "--lambda-e must be finite and > 0, got 0.0"),
+    ("3 --policy DC_RC --lambda-e inf --lambda-s 1", "--lambda-e must be finite and > 0, got inf"),
+    ("3 --policy DC_RC --lambda-e 1 --lambda-s -1", "--lambda-s must be finite and >= 0, got -1.0"),
+    (
+        "4 --k 2 --source-policy DC_RC --cluster-policy DC_RC --lambda-e 1 --lambda-s 1"
+        " --lambda-c nan",
+        "--lambda-c must be finite and >= 0, got nan",
+    ),
+    (
+        "3 --policy FC_allRC --lambda-e 1 --lambda-s 1 --lambda-g -2",
+        "--lambda-g must be finite and >= 0, got -2.0",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BAD_FLAGS)
+def test_analytic_flag_errors_name_the_flag(argv, message, capsys):
+    # each flag is checked under its own name before Rates or the spec is built
+    assert main(["analytic", "--n", *argv.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_analytic_rejects_a_flat_policy_beside_the_clustered_flags(capsys):
     argv = "--n 4 --policy FC_allRC --k 2 --source-policy DC_RC --cluster-policy DC_RC"
     argv += " --lambda-e 1 --lambda-s 1 --lambda-c 1"

@@ -246,7 +246,7 @@ POINT_DIGESTS = {
     'flat_point plots/flat_point__FC_noRC__alpha0.5.dat': '15f3056d5697f43e6951983e585e3ea8672de4327d2b90b4966c5af0e34901ba',
     'flat_point plots/flat_point__FC_sRC__alpha0.0833333.dat': '7eac58c010844e5c9a587b73c8880edcbd0ae0b01efdcf238f78e63eefe417b3',
     'flat_point plots/flat_point__FC_sRC__alpha0.5.dat': 'dead93500cc9dd95b257bd4af49a59a8380b5d532cf9c0906523ea11f083ceed',
-    'flat_point point.csv': 'def8a1f60928c261b2e6118d66101d5cfd7b89d50d5da7924000f38136be606e',
+    'flat_point point.csv': '0edadfeca6f5f179c94a62579594f613d6e98f0d6824fd3855f4a7b8849478cd',
     'clustered_point stdout': '38ae6ec27acbf232153db2532d5b03d05ab1cfa06b9f0de8834aceaa20544ae2',
     'clustered_point plots/clustered_point__DC_RC+FC_allRC__case1.dat': '0baa3b21124ef2ee12a3c67458f8a8974a71181e4111b459d63f48a9597187d6',
     'clustered_point plots/clustered_point__DC_RC+FC_allRC__case2.dat': 'd4a8b9c48727ab3b75c9066576331a3ed78282536d4c6d63eb38467a3639a3ea',
@@ -260,7 +260,7 @@ POINT_DIGESTS = {
     'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case2.dat': '03e1353da2e90c673f5c4934984ac7f6afbc630078c6b8594807f3b1d2e015f4',
     'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case3.dat': 'b54abe95e77a25730a0cbe4d8e7e6e7f60f4bc1a1e67c12fedec4f77e2b9b960',
     'clustered_point plots/clustered_point__DC_noRC+FC_sRC__case4.dat': '5b696cc76d64502b3c3f1b2a4f3ecb0a40797680ced565d8cd0a92681b40c7a0',
-    'clustered_point point.csv': 'f8a2b1aed71e0882f0d79536a17ae591720f9354f3affc9d0fc666721ec3e529',
+    'clustered_point point.csv': '31b7a76b55eb99a2cb8faa044afddb04165aa8a8baf70ea7859253bfe2923a87',
 }
 
 CASE = {"lambda_e": 1, "lambda_s": 1, "lambda_c": 1}
@@ -378,13 +378,13 @@ GRIDS = {
 
 GRID_DIGESTS = {
     'flat_grid stdout': '24089f8c765c1ec6a8d9758b3e1f481ee1ba17243cda952dea3f9d06ddcc3f6f',
-    'flat_grid grid.csv': '20915d7015ad4bcca98ca49410c05e2bf6382c5814f73d92626a59e29771fe15',
+    'flat_grid grid.csv': '4540fd28d38e35b6bc0c7f0b3e3af9edc93e935d6a852169c41998b49cb8a35e',
     'flat_grid plots/flat_grid__DC_RC__alpha0.0833333.dat': '74929dbf8643289a10f4fad9e5dd0318343c6462527708f32a9ab4916dc9eb4c',
     'flat_grid plots/flat_grid__DC_RC__alpha0.5.dat': '17cadc2c6229688389c77894750c3abe089ff39bb20f3b03a33c94d318e83fb2',
     'flat_grid plots/flat_grid__FC_allRC__alpha0.0833333.dat': 'a7d46439c0cf739f86562e241092969e4112687d8d3a53edfb6fc96c814a15cb',
     'flat_grid plots/flat_grid__FC_allRC__alpha0.5.dat': '256428534c64a6634e5c90b55e52adfbfcb4e24e733d0731fb74861c07dfe276',
     'clustered_grid stdout': 'c75894a136663163b56f2d28146df3ebe0b8f4d35497bb5c73b2047f38dbb3d5',
-    'clustered_grid grid.csv': 'fd4a5cd8ec434da3eff7f2244fb55e149b35ed2cd0791febb000967779db7895',
+    'clustered_grid grid.csv': '82eb0558a79cd709774261e6a97cd2c51729ef09b4443b99cff9de7113bd8a90',
     'clustered_grid plots/clustered_grid__DC_RC+DC_RC__case1.dat': '98cdcfea5ff0959f1beecffb75a597e4ea9c914d13c45da95891c574679b4e2d',
     'clustered_grid plots/clustered_grid__DC_RC+DC_RC__case2.dat': '08f6393afb0bfe6f5aa04f8dd3c2cca4ad28d71503af5024cb44c8fd3bf003d1',
     'clustered_grid plots/clustered_grid__DC_noRC+FC_sRC__case1.dat': 'a9be3679817b1e0031812762d996daae8ed8f9fb212007ccc39c47283925a337',

@@ -15,13 +15,11 @@ from gossipfresh.acceptance import DECOMP_RATES, DECOMP_SHAPES
 from gossipfresh.analytic import BLOCK_CELLS, _survival, clustered_freshness, oracle_flat
 from gossipfresh import analytic, simulator
 from gossipfresh.simulator import (
-    CYCLE_BATCH,
     SimState,
     TrajectorySim,
     _child_seeds,
     _clustered_counts,
     _flat_counts,
-    _stream_counts,
     _Tables,
     decomposition_check,
     estimate_freshness_cycles,
@@ -154,32 +152,8 @@ def _stream(seed):
 
 
 def _count_hist(tab, seed, num_cycles):
-    return sum(_stream_counts(tab, seed, num_cycles))
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        NetworkSpec.flat(3, GP.FC_sRC, ONE),
-        NetworkSpec.clustered(6, 2, GP.DC_RC, GP.FC_allRC, ONE),
-    ],
-)
-def test_cycle_counts_merge_child_streams_across_the_batch_boundary(spec):
-    tab = _Tables(spec)
-    kernel = _flat_counts if isinstance(spec.shape, Flat) else _clustered_counts
-    first, second = _child_seeds(7, 2)
-    below = _count_hist(tab, 7, CYCLE_BATCH - 1)
-    above = _count_hist(tab, 7, CYCLE_BATCH + 1)
-    assert below.tolist() == kernel(tab, _stream(first), CYCLE_BATCH - 1).tolist()
-    assert above.tolist() == (
-        kernel(tab, _stream(first), CYCLE_BATCH) + kernel(tab, _stream(second), 1)
-    ).tolist()
-    for num, hist in ((CYCLE_BATCH - 1, below), (CYCLE_BATCH + 1, above)):
-        assert len(hist) == spec.shape.n + 1 and hist.sum() == num
-        est = estimate_freshness_cycles(spec, num, seed=7)
-        assert est == estimate_freshness_cycles(spec, num, seed=7)
-        assert est.p_hat == int(hist @ np.arange(len(hist))) / (num * spec.shape.n)
-        assert est.per_node == ()
+    """The capture-count histogram a cycle-estimator call with ``seed`` draws."""
+    return (_clustered_counts if tab.k else _flat_counts)(tab, _stream(seed), num_cycles)
 
 
 class _CountingGenerator:
@@ -207,8 +181,43 @@ class _CountingGenerator:
         return self._rng.multinomial(n, pvals)
 
 
+def _p_hat(hist, num_cycles):
+    """The estimate of the capture-count histogram ``hist`` of ``num_cycles``
+    cycles: its total capture count over ``num_cycles * n``."""
+    return int(hist @ np.arange(len(hist))) / (num_cycles * (len(hist) - 1))
+
+
+@pytest.mark.parametrize("num_cycles", [1, 8193, 10**9])
+def test_a_flat_call_is_one_multinomial_draw_on_the_seeded_generator(monkeypatch, num_cycles):
+    spec = NetworkSpec.flat(3, GP.FC_sRC, ONE)
+    tab = _Tables(spec)
+    hist = _flat_counts(tab, _stream(7), num_cycles)
+    assert len(hist) == spec.shape.n + 1 and hist.sum() == num_cycles
+    made = []
+
+    class Counting(_CountingGenerator):
+        def __init__(self, bits, _generator=np.random.Generator):
+            self._rng, self.requests, self.multinomials = _generator(bits), [], []
+            made.append((bits.seed_seq.entropy, self))
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    est = estimate_freshness_cycles(spec, num_cycles, seed=7)
+    assert [(e, g.requests, g.multinomials) for e, g in made] == [(7, [], [(num_cycles, 4)])]
+    assert (est.p_hat, est.samples, est.per_node) == (_p_hat(hist, num_cycles), num_cycles, ())
+
+
+def test_a_clustered_call_is_one_kernel_run_on_the_seeded_generator():
+    # 8,193 cycles span more than one pass-1 block of the kernel
+    spec = NetworkSpec.clustered(6, 2, GP.DC_RC, GP.FC_allRC, ONE)
+    hist = _clustered_counts(_Tables(spec), _stream(7), 8193)
+    assert len(hist) == spec.shape.n + 1 and hist.sum() == 8193
+    est = estimate_freshness_cycles(spec, 8193, seed=7)
+    assert (est.p_hat, est.samples, est.per_node) == (_p_hat(hist, 8193), 8193, ())
+    assert decomposition_check(spec, 8193, seed=7).estimate == est
+
+
 @pytest.mark.parametrize("n", [1, 50, 10**4])
-@pytest.mark.parametrize("count", [1, CYCLE_BATCH])
+@pytest.mark.parametrize("count", [1, 8192])
 def test_flat_kernel_draws_one_multinomial_per_stream(n, count):
     tab = _Tables(NetworkSpec.flat(n, GP.FC_sRC, Rates(1.0, 1000.0, 0.0, 2.0)))
     rng = _CountingGenerator(n)
@@ -230,8 +239,8 @@ def test_clustered_kernel_draws_in_cluster_times_only_for_captured_clusters(
     # every one before the cycle ends (at these seeds)
     tab = _Tables(NetworkSpec.clustered(m * k, k, GP.DC_RC, GP.FC_allRC, rates))
     rng = _CountingGenerator(m + k)
-    _clustered_counts(tab, rng, CYCLE_BATCH)
-    assert sum(rng.requests) == CYCLE_BATCH * (1 + m + per_cluster * m * k)
+    _clustered_counts(tab, rng, 8192)
+    assert sum(rng.requests) == 8192 * (1 + m + per_cluster * m * k)
     assert max(rng.requests) <= BLOCK_CELLS
 
 
