@@ -189,7 +189,7 @@ def _survival(u: np.ndarray, stale: np.ndarray, lambda_e) -> np.ndarray:
     """
     with np.errstate(divide="ignore", over="ignore"):
         ratio = lambda_e / (stale * u)
-    return np.exp(np.cumsum(-np.log1p(ratio), axis=-1))
+    return np.exp((-np.log1p(ratio)).cumsum(axis=-1))
 
 
 def _count_law(u: np.ndarray, stale: np.ndarray, lambda_e) -> np.ndarray:

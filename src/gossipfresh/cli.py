@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem, validate
-from .core import alpha_problem, real_problem
+from .core import alpha_problem, cycles_problem, real_problem
 from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
@@ -154,6 +154,10 @@ def _cmd_sweep(args) -> int:
     if any(problems):
         raise ConfigError([p for p in problems if p])
     config = _load_config(args)
+    if args.cycles is not None and (
+        problem := cycles_problem("--cycles", args.cycles, config.largest_n)
+    ):
+        raise ConfigError([problem])
     if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
         cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)

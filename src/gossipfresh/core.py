@@ -12,7 +12,8 @@ nodes are currently fresh, for ``j = 0 .. n-1``.  That table,
 :func:`per_stale_rate`, is shared by the exact calculations in
 :mod:`gossipfresh.analytic` and the event-driven engines in
 :mod:`gossipfresh.simulator`; both build one per tier of
-:attr:`NetworkSpec.tiers`.
+:attr:`NetworkSpec.tiers` through :func:`stale_rate_rows`, after their
+one validation of the spec.
 """
 
 from __future__ import annotations
@@ -111,6 +112,20 @@ def require_int(name: str, value, minimum: int) -> None:
     problem = int_problem(name, value, minimum)
     if problem:
         raise ValueError(problem)
+
+
+#: Largest ``num_cycles * n`` a cycle estimator takes: it sums the capture
+#: counts of all its cycles, at most one per (cycle, node) pair, in int64.
+CAPTURE_LIMIT = 2**63 - 1
+
+
+def cycles_problem(name: str, num_cycles: int, n: int) -> str | None:
+    """The one cycle-count bound, for a ``num_cycles`` that passed
+    :func:`int_problem` and a checked network size ``n``: a message if
+    ``num_cycles * n`` exceeds :data:`CAPTURE_LIMIT`, else None."""
+    if int(num_cycles) * int(n) <= CAPTURE_LIMIT:
+        return None
+    return f"{name} * n must be at most 2**63 - 1, got {num_cycles} * {n}"
 
 
 def divides_problem(n: int, k: int) -> str | None:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GossipPolicy, NetworkSpec, Rates, int_problem, real_problem
-from .core import alpha_problem, divides_problem
+from .core import alpha_problem, cycles_problem, divides_problem
 from .analytic import (
     closed_sizes,
     clustered_profiles,
@@ -101,6 +101,11 @@ class ExperimentConfig:
     @property
     def clustered(self) -> bool:
         return _is_clustered(self.mode, self.k is not None)
+
+    @property
+    def largest_n(self) -> int | None:
+        """The most nodes of any grid point: the top of ``n_range``, or n."""
+        return self.n_range[1] if self.n_range else self.n
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -324,7 +329,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         name=name,
         mode=mode,
         policies=tuple(policies),
@@ -335,6 +340,10 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         sim=sim,
         output=output,
     )
+    # the cycle-count bound needs the grid's largest n, so it comes last
+    if sim and (problem := cycles_problem("sim.cycles", sim.cycles, config.largest_n)):
+        raise ConfigError([problem])
+    return config
 
 
 @dataclass(frozen=True)

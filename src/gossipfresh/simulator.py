@@ -33,6 +33,15 @@ arrivals of the clusters captured before the cycle ends), so
 :func:`decomposition_check` compares the two-stage analytic product with
 a simulation that never multiplies stage values.
 
+Where a call checks its input: each Monte Carlo call (both estimators,
+:func:`decomposition_check` and a :class:`TrajectorySim`) builds one
+:class:`_Tables` from its spec.  That is the call's one validation of the
+spec and its one build of each tier's rates, straight from
+:func:`~gossipfresh.core.stale_rate_rows`; the kernels, the trajectory
+engine and the exact product all read those tables.  A cycle count must
+also keep ``num_cycles * n`` within the int64 capture sum
+(:func:`~gossipfresh.core.cycles_problem`).
+
 Reproducibility: each cycle-estimator call draws from one
 ``numpy.random.Generator(PCG64(seed))``, seeded with the user seed
 itself: one ``multinomial(num_cycles, pmf)`` request for a flat call,
@@ -49,11 +58,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Clustered, NetworkSpec, per_stale_rate
-from .core import real_problem, require_int, require_valid
+from .core import Clustered, NetworkSpec, cycles_problem, real_problem, require_int, require_valid
+from .core import stale_rate_rows
+from .core import per_stale_rate  # noqa: F401 - perfbench/layers.py traces it
 from .analytic import BLOCK_CELLS, _recursion, _survival
 from .analytic import clustered_freshness  # noqa: F401 - perfbench/layers.py traces it
 
@@ -142,30 +153,45 @@ class _Tables:
     """Per-state rates of a network, one ``(stale, u)`` row per tier of
     :attr:`~gossipfresh.core.NetworkSpec.tiers`.
 
-    Built once per Monte Carlo call: it validates the spec, the call's one
-    check of it, and takes each row from one :func:`per_stale_rate` call,
-    ``u[j]`` the rate each of the ``stale[j] = size - j`` stale receivers
-    sees with j fresh.  The rows feed both the kernels' totals and
-    :func:`decomposition_check`'s exact product.  ``dsrc[j] = stale[j] *
-    u[j]`` is the source's total rate to its m stale receivers (the end
-    nodes of a flat network, the clusterheads of a clustered one), the
-    fresh nodes' gossip included; ``dcl[h]`` is one cluster's total
-    in-cluster rate with h of its k nodes holding the clusterhead's
-    version.  Both end in 0.0 (all fresh); a flat network has ``k = 0``
-    and an empty ``dcl``.
+    This is where a Monte Carlo call turns its spec into rates.  It
+    validates the spec, the call's one check of it, and takes each tier's
+    row from one :func:`~gossipfresh.core.stale_rate_rows` call, which
+    checks nothing again: ``u[j]`` is the rate each of the ``stale[j] =
+    size - j`` stale receivers sees with j fresh.  The rows feed the
+    kernels and :func:`decomposition_check`'s exact product.
+    ``totals[i] = stale * u`` is tier i's total rate to its stale
+    receivers, the fresh nodes' gossip included: tier 0 is the source's
+    race to its m receivers (the end nodes of a flat network, the
+    clusterheads of a clustered one), tier 1 one cluster's race to its k
+    nodes; a flat network has ``k = 0``.  The trajectory engine reads the
+    same totals as Python lists, :attr:`dsrc` and :attr:`dcl`, built on
+    first use.
     """
 
     def __init__(self, spec: NetworkSpec):
         require_valid(spec)
-        self.rows = [
-            (size - np.arange(size, dtype=float), per_stale_rate(policy, source, gossip, size))
-            for policy, source, gossip, size in spec.tiers
-        ]
-        self.dsrc, *cluster = [(stale * u).tolist() + [0.0] for stale, u in self.rows]
-        self.dcl = cluster[0] if cluster else []
-        self.m, self.k = len(self.dsrc) - 1, len(self.dcl) - 1 if cluster else 0
+        self.rows = []
+        for policy, source, gossip, size in spec.tiers:
+            stale, u = stale_rate_rows(policy, source, gossip, np.array([[size]]), size)
+            self.rows.append((stale[0], u[0]))
+        self.totals = [stale * u for stale, u in self.rows]
+        source, *cluster = self.totals
+        self.m, self.k = len(source), len(cluster[0]) if cluster else 0
         self.n = spec.shape.n
         self.lam_e = spec.rates.lambda_e
+
+    @cached_property
+    def dsrc(self) -> list[float]:
+        """``dsrc[j]``: the source's total rate with j receivers fresh,
+        ending in 0.0 (all fresh)."""
+        return self.totals[0].tolist() + [0.0]
+
+    @cached_property
+    def dcl(self) -> list[float]:
+        """``dcl[h]``: one cluster's total in-cluster rate with h of its k
+        nodes holding the clusterhead's version, ending in 0.0; empty for a
+        flat network."""
+        return self.totals[1].tolist() + [0.0] if self.k else []
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +212,9 @@ def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarr
     O(n), not O(count).
     """
     stale, u = tab.rows[0]
-    row = np.concatenate(([1.0], _survival(u, stale, tab.lam_e), [0.0]))
+    row = np.empty(tab.m + 2)
+    row[0], row[-1] = 1.0, 0.0
+    row[1:-1] = _survival(u, stale, tab.lam_e)
     return rng.multinomial(count, row[:-1] - row[1:])
 
 
@@ -227,7 +255,7 @@ def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.
     clusters, which does not change the numbers drawn.
     """
     m, k, lam_e = tab.m, tab.k, tab.lam_e
-    dsrc, dcl = np.array(tab.dsrc[:m]), np.array(tab.dcl[:k])
+    dsrc, dcl = tab.totals
     rows = max(1, BLOCK_CELLS // (m + 1))
     piece = max(1, BLOCK_CELLS // k)
     hist = np.zeros(tab.n + 1, dtype=np.int64)
@@ -268,13 +296,19 @@ def estimate_freshness_cycles(
     1.2-5.7 times the true per-cycle spread of count / n, so the 4-sigma
     gates of selftest criteria 4 and 5 act as 4.6-8.7-sigma gates.  The
     kernels count captures without naming nodes, so ``per_node`` is empty.
+    ``num_cycles`` is an integer >= 1 with ``num_cycles * n <= 2**63 - 1``.
     """
     require_int("num_cycles", num_cycles, 1)
     return _cycle_estimate(_Tables(spec), num_cycles, seed)
 
 
 def _cycle_estimate(tab: _Tables, num_cycles: int, seed: int) -> FreshnessEstimate:
-    """:func:`estimate_freshness_cycles` on built tables, ``num_cycles`` checked."""
+    """:func:`estimate_freshness_cycles` on built tables, for a
+    ``num_cycles`` that passed :func:`~gossipfresh.core.int_problem`; its
+    :func:`~gossipfresh.core.cycles_problem` bound keeps the capture sum
+    below int64 overflow."""
+    if problem := cycles_problem("num_cycles", num_cycles, tab.n):
+        raise ValueError(problem)
     require_int("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     hist = (_clustered_counts if tab.k else _flat_counts)(tab, rng, num_cycles)

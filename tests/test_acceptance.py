@@ -130,6 +130,22 @@ def test_criterion_4_names_a_run_beyond_4_sigma(monkeypatch):
     assert result.detail == "DC_noRC n=1 le=1.0 ls=1.0 lg=1.0: |z| = 5.00"
 
 
+def test_criterion_4_names_a_trajectory_beyond_4_sigma(monkeypatch):
+    # every trajectory estimate is exact, but the one of seed 1004
+    # (DC_noRC n=2 le=0.1 ls=1.0 lg=0.5) is 5 sigma low; the cycle runs
+    # are real and pass
+    def estimate(spec, horizon, seed):
+        s, r = spec.shape, spec.rates
+        assert horizon == acceptance.MC_REFRESHES / r.lambda_e
+        p = acceptance.oracle_flat(s.policy, r.lambda_s, r.lambda_g, r.lambda_e, s.n)
+        return SimpleNamespace(p_hat=p - (5e-3 if seed == 1004 else 0.0), stderr=1e-3)
+
+    monkeypatch.setattr(acceptance, "estimate_freshness_time", estimate)
+    result = acceptance.criterion_4()
+    assert not result.passed
+    assert result.detail == "DC_noRC n=2 le=0.1 ls=1.0 lg=0.5: trajectory |z| = 5.00"
+
+
 def test_criterion_5_names_a_shape_beyond_4_sigma(monkeypatch):
     def check(spec, cycles, seed):
         return SimpleNamespace(z=-6.0 if seed == 2004 else 0.0)

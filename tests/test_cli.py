@@ -403,6 +403,31 @@ def test_sim_cycles_in_a_config_and_the_cycles_flag_share_one_message(tmp_path, 
     assert capsys.readouterr().err == from_config.replace("sim.cycles", "--cycles")
 
 
+TOO_MANY = 2**63 // 5 + 1  # cycles that pass 2**63 - 1 captures at n = 5
+PAST_INT64 = "must be at most 2**63 - 1, got"
+
+
+@pytest.mark.parametrize(
+    "sim,flags,message",
+    [
+        # 2**63 cycles overflowed NumPy's multinomial in a traceback
+        (None, ["--cycles", str(2**63)], f"--cycles * n {PAST_INT64} {2**63} * 5"),
+        # the largest n of the grid, 5, sets the bound
+        (None, ["--cycles", str(TOO_MANY)], f"--cycles * n {PAST_INT64} {TOO_MANY} * 5"),
+        ({"cycles": TOO_MANY}, [], f"sim.cycles * n {PAST_INT64} {TOO_MANY} * 5"),
+    ],
+)
+@pytest.mark.parametrize("verb", ["sweep", "simulate"])
+def test_cycles_times_the_largest_n_past_int64_is_an_error_line(
+    tmp_path, capsys, verb, sim, flags, message
+):
+    target = tmp_path / "rows.csv"
+    raw = dict(FLAT_CONFIG, output=str(target), **({"sim": sim} if sim else {}))
+    assert main([verb, "--config", str(write_config(tmp_path, raw)), *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not target.exists()  # rejected before any work
+
+
 @pytest.mark.parametrize(
     "error,stderr",
     [

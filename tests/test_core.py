@@ -13,6 +13,7 @@ from gossipfresh.core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    cycles_problem,
     per_stale_rate,
     require_valid,
     stale_rate_rows,
@@ -220,6 +221,20 @@ def test_validate_flat_node_count():
     assert any("n must be an integer" in p for p in validate(NetworkSpec.clustered(4.0, 2, *cl)))
     with pytest.raises(ValueError, match="n must be an integer"):
         per_stale_rate(GossipPolicy.DC_RC, 1.0, 0.0, True)
+
+
+@pytest.mark.parametrize("num_cycles", [2**61 - 1, np.int64(2**61 - 1)])
+def test_the_cycle_count_bound_is_num_cycles_times_n_at_most_int64_max(num_cycles):
+    # 4 * (2**61 - 1) is 2**63 - 4 and 4 * 2**61 is 2**63; an np.int64
+    # count must not wrap
+    assert cycles_problem("num_cycles", num_cycles, 4) is None
+    assert cycles_problem("num_cycles", (2**63 - 1) // 3, 3) is None
+    assert cycles_problem("num_cycles", num_cycles + 1, 4) == (
+        f"num_cycles * n must be at most 2**63 - 1, got {2**61} * 4"
+    )
+    assert cycles_problem("--cycles", 2**63, 1) == (
+        "--cycles * n must be at most 2**63 - 1, got 9223372036854775808 * 1"
+    )
 
 
 def test_validate_collects_every_problem():

@@ -18,7 +18,8 @@ from gossipfresh.analytic import (
     oracle_flat,
     oracle_sizes,
 )
-from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem
+from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, cycles_problem
+from gossipfresh.core import int_problem
 from gossipfresh import experiments
 from gossipfresh.experiments import (
     CSV_HEADER,
@@ -133,6 +134,18 @@ def test_an_alpha_whose_lambda_e_overflows_or_underflows_is_a_config_error(alpha
         ExperimentConfig.from_dict(dict(FLAT_SMALL, rates=rates))
     problem = f"rates.alpha * rates.lambda_s must be finite and > 0, got {lambda_e}"
     assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize(
+    "raw,largest", [(FLAT_SMALL, 10), (CLUSTERED_SMALL, 12), (CLUSTERED_POINT, 12)]
+)
+def test_sim_cycles_times_the_largest_n_is_at_most_int64_max(raw, largest):
+    fits = (2**63 - 1) // largest
+    config = ExperimentConfig.from_dict(dict(raw, sim={"cycles": fits, "seed": 0}))
+    assert (config.largest_n, config.sim.cycles) == (largest, fits)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(dict(raw, sim={"cycles": fits + 1, "seed": 0}))
+    assert err.value.problems == [cycles_problem("sim.cycles", fits + 1, largest)]
 
 
 @pytest.mark.parametrize(

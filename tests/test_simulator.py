@@ -614,6 +614,26 @@ def test_time_estimator_rejects_bad_arguments():
             estimate_freshness_time(NetworkSpec.flat(n, GP.DC_noRC, ONE), 1000.0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # the capture sum of 10**17 cycles of 100 nodes wrapped in int64
+        lambda: estimate_freshness_cycles(
+            NetworkSpec.flat(100, GP.DC_RC, Rates(1e-9, 1e3, 0, 0)), 10**17, seed=1
+        ),
+        # 2**63 cycles overflowed NumPy's multinomial
+        lambda: estimate_freshness_cycles(NetworkSpec.flat(1, GP.DC_RC, ONE), 2**63, seed=1),
+        lambda: decomposition_check(
+            NetworkSpec.clustered(4, 2, GP.DC_RC, GP.DC_RC, ONE), 2**62, seed=-1
+        ),
+    ],
+    ids=["capture-sum", "multinomial", "decomposition"],
+)
+def test_cycle_estimators_reject_num_cycles_times_n_past_int64(call):
+    with pytest.raises(ValueError, match=r"^num_cycles \* n must be at most 2\*\*63 - 1, got "):
+        call()
+
+
 def test_estimators_report_errors_in_argument_order_before_the_warning():
     bad_spec = NetworkSpec.flat(2, GP.DC_noRC, Rates(0.0, 1.0))
     good_flat = NetworkSpec.flat(2, GP.DC_noRC, ONE)
@@ -994,13 +1014,15 @@ CLUSTERED_FC = NetworkSpec.clustered(6, 2, GP.DC_RC, GP.FC_allRC, ONE)
     ids=["cycles-flat", "cycles-clustered", "time-flat", "time-clustered", "decomposition"],
 )
 def test_a_monte_carlo_call_validates_once_and_builds_one_row_per_tier(monkeypatch, call, spec):
-    # the exact product comes from the kernel's rows: no second u(j) build
-    # through the oracle's stale_rate_rows, no second validation
+    # each tier's row comes straight from stale_rate_rows, after the one
+    # validation: no rate check again through per_stale_rate, and the exact
+    # product reuses the kernel's rows, no second build through the oracle
     calls = collections.Counter()
     for owner, name in (
         (simulator, "require_valid"),
         (analytic, "require_valid"),
         (simulator, "per_stale_rate"),
+        (simulator, "stale_rate_rows"),
         (analytic, "stale_rate_rows"),
     ):
 
@@ -1010,7 +1032,7 @@ def test_a_monte_carlo_call_validates_once_and_builds_one_row_per_tier(monkeypat
 
         monkeypatch.setattr(owner, name, counted)
     call(spec, 200, seed=1)
-    assert dict(calls) == {"require_valid": 1, "per_stale_rate": len(spec.tiers)}
+    assert dict(calls) == {"require_valid": 1, "stale_rate_rows": len(spec.tiers)}
 
 
 def test_decomposition_check_requires_clustered_spec():
