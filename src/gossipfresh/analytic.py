@@ -58,13 +58,14 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    SIZE_LIMIT,
     divides_problem,
-    int_problem,
     rate_sum_problem,
     real_problem,
-    require_int,
     require_rates,
+    require_size,
     require_valid,
+    size_problem,
     stale_rate_rows,
 )
 
@@ -101,8 +102,8 @@ class ClusteredBreakdown:
 
 
 def _check_rates(n: int, lambda_e: float, **named: float) -> None:
-    """The one rate check of the exact routes, for a size ``n`` that is
-    already known to be an integer >= 1: :func:`~gossipfresh.core.real_problem`
+    """The one rate check of the exact routes, for a size ``n`` that passed
+    :func:`~gossipfresh.core.size_problem`: :func:`~gossipfresh.core.real_problem`
     for ``lambda_e > 0`` and for every named rate, then
     :func:`~gossipfresh.core.rate_sum_problem`."""
     if problem := real_problem("lambda_e", lambda_e, positive=True):
@@ -113,23 +114,36 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
 
 
 def _check_sizes(sizes, lambda_e, total_source, total_gossip):
-    """The boundary check of both routes: ``sizes`` a nonempty sequence of
-    integers >= 1, then :func:`_check_rates` at the largest size.  Each
-    rate is a number or a sequence (list, tuple or array) of one rate per
-    rate case; every sequence holds the same number of cases, and a number
-    serves every case (or is the one case).  Each case is checked in
-    order, as a call with its rates alone checks it.  Returns the sizes as
-    a list of Python ints, the rates as three lists ``[total_source,
-    total_gossip, lambda_e]`` of one Python value per case, and whether
-    any rate came as a sequence (the result keeps its case axis)."""
-    if type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int and 0 < sizes[0] < 2**63:
+    """The boundary check of every route: ``sizes`` a nonempty sequence
+    whose every entry obeys :func:`~gossipfresh.core.size_problem` under the
+    name ``n`` (the first that breaks it, as given, is named), then
+    :func:`_check_rates` at the largest size.  Each rate is a number or a
+    sequence (list, tuple or array) of one rate per rate case; every
+    sequence holds the same number of cases, and a number serves every
+    case (or is the one case).  Each case is checked in order, as a call
+    with its rates alone checks it.  Returns the sizes as a list of Python
+    ints, the rates as three lists ``[total_source, total_gossip,
+    lambda_e]`` of one Python value per case, and whether any rate came as
+    a sequence (the result keeps its case axis)."""
+    one = type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int
+    if one and 0 < sizes[0] <= SIZE_LIMIT:
         listed = sizes  # one plain int, as oracle_flat and closed_flat pass it
     else:
         array = np.asarray(sizes)
-        if array.ndim != 1 or array.size == 0 or array.dtype.kind not in "iu":
-            raise ValueError(f"sizes must be a nonempty sequence of integers, got {sizes!r}")
-        listed = array.tolist()
-        require_int("n", min(listed), 1)
+        if array.ndim != 1 or array.size == 0:
+            raise ValueError(f"sizes must be a nonempty sequence, got {sizes!r}")
+        if array.dtype.kind in "iu":
+            listed = array.tolist()
+        else:
+            # no integer array (NumPy makes one of int64 and uint64 sizes a
+            # float array): the first size as given that breaks the rule is
+            # named, and sizes that all keep it are ints
+            for n in sizes:
+                require_size("n", n)
+            listed = [int(n) for n in sizes]
+        # integer sizes obey the rule iff the least and the largest do
+        require_size("n", min(listed))
+        require_size("n", max(listed))
     rates = (total_source, total_gossip, lambda_e)
     rates = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
     counts = {len(r) for r in rates if isinstance(r, (list, tuple))}
@@ -227,7 +241,7 @@ def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
             length, a negative, NaN, or infinite rate (the first offending
             ``j`` is named), or rates so large the recursion would overflow.
     """
-    require_int("n", n, 1)
+    require_size("n", n)
     _check_rates(n, lambda_e)
     table = np.asarray(u, dtype=float)
     if table.shape != (n,):
@@ -313,11 +327,11 @@ def oracle_sizes(
     array passes instead of one per size.
 
     Raises:
-        ValueError: if ``sizes`` is empty or holds a non-integer or a size
-            below 1, if the rate sequences do not hold the same number of
-            cases, for invalid rates (the first offending case, in order,
-            is named as a call with it alone names it), or for a policy
-            that is no GossipPolicy.
+        ValueError: if ``sizes`` is empty or holds a size that breaks
+            :func:`~gossipfresh.core.size_problem`, if the rate sequences
+            do not hold the same number of cases, for invalid rates (the
+            first offending case, in order, is named as a call with it
+            alone names it), or for a policy that is no GossipPolicy.
     """
     sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
     p = _blocked(_recursion_p, policy, *rates, sizes)
@@ -446,10 +460,10 @@ def closed_clustered(
     of k nodes: the product of :func:`closed_flat` over the two tiers of
     :attr:`~gossipfresh.core.NetworkSpec.tiers` (m clusterheads at total
     rate lambda_s, then k nodes at total rate lambda_c, gossip lambda_g).
-    None when either tier lacks a closed form.  ``m`` must be an integer
-    >= 1; the shape ``n = m * k`` is then checked as
-    :func:`clustered_freshness` checks it."""
-    require_int("m", m, 1)
+    None when either tier lacks a closed form.  ``m`` obeys
+    :func:`~gossipfresh.core.size_problem`; the shape ``n = m * k`` is then
+    checked as :func:`clustered_freshness` checks it."""
+    require_size("m", m)
     spec = NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates)
     require_valid(spec)
     f_src, f_cl = [closed_flat(p, s, g, rates.lambda_e, size) for p, s, g, size in spec.tiers]
@@ -476,8 +490,9 @@ def clustered_freshness(spec: NetworkSpec) -> tuple[FreshnessValue, ClusteredBre
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of ``n``, ascending."""
-    require_int("n", n, 1)
+    """All positive divisors of ``n``, ascending; ``n`` obeys
+    :func:`~gossipfresh.core.size_problem`."""
+    require_size("n", n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -502,18 +517,20 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
     array over ``ks`` for case ``c`` and pair ``q``, each entry the
     product in :func:`clustered_freshness`'s (or :func:`closed_clustered`'s)
     order and equal to it, or None where the closed route has no formula
-    for the cluster tier (``FC_sRC``).  Empty ``ks`` or ``cases`` raises
-    ``ValueError``, and so does the first k that breaks core's integer or
-    cluster-shape rule, with that rule's message; then each (case, pair)
-    is checked in order by :func:`~gossipfresh.core.require_valid` at
-    ``k = min(ks)``, the shape with the most clusterheads (the cluster
-    tier's bound is the same for every k), so an invalid one raises the
-    message that a call per combination raises.
+    for the cluster tier (``FC_sRC``).  An ``n`` that breaks core's size
+    rule, empty ``ks`` or ``cases`` raise ``ValueError``, and so does the
+    first k that breaks core's size or cluster-shape rule, with that
+    rule's message; then each (case, pair) is checked in order by
+    :func:`~gossipfresh.core.require_valid` at ``k = min(ks)``, the shape
+    with the most clusterheads (the cluster tier's bound is the same for
+    every k), so an invalid one raises the message that a call per
+    combination raises.
     """
+    require_size("n", n)
     if len(ks) == 0:
         raise ValueError(f"ks must hold at least one cluster size, got {ks!r}")
     for k in ks:
-        if problem := int_problem("k", k, 1) or divides_problem(n, k):
+        if problem := size_problem("k", k) or divides_problem(n, k):
             raise ValueError(problem)
     if len(cases) == 0:
         raise ValueError(f"cases must hold at least one Rates, got {cases!r}")

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem, validate
-from .core import alpha_problem, cycles_problem, real_problem
+from .core import alpha_problem, cycles_problem, real_problem, size_problem
 from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
@@ -64,15 +64,15 @@ def _rates_from_args(args) -> Rates:
 def _cmd_analytic(args) -> int:
     # each flag obeys its input rule under its own name before any value is
     # built; --lambda-e, and --lambda-s beside --alpha, must be > 0
-    checks = (
-        (int_problem, "--n", args.n, 1),
-        (int_problem, "--k", args.k, 1),
-        (real_problem, "--lambda-e", args.lambda_e, True),
-        (real_problem, "--lambda-s", args.lambda_s, args.alpha is not None),
-        (real_problem, "--lambda-c", args.lambda_c, False),
-        (real_problem, "--lambda-g", args.lambda_g, False),
+    sizes = (("--n", args.n), ("--k", args.k))
+    reals = (
+        ("--lambda-e", args.lambda_e, True),
+        ("--lambda-s", args.lambda_s, args.alpha is not None),
+        ("--lambda-c", args.lambda_c, False),
+        ("--lambda-g", args.lambda_g, False),
     )
-    problems = [rule(flag, value, arg) for rule, flag, value, arg in checks if value is not None]
+    problems = [size_problem(flag, value) for flag, value in sizes if value is not None]
+    problems += [real_problem(*check) for check in reals if check[1] is not None]
     if any(problems):
         raise ConfigError([p for p in problems if p])
     rates = _rates_from_args(args)

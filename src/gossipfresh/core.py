@@ -114,6 +114,38 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(problem)
 
 
+#: Largest size of a network, a tier or a cluster: float64 holds every
+#: integer up to 2**53 exactly, and :func:`stale_rate_rows` computes
+#: ``stale = n - j`` in float64.
+SIZE_LIMIT = 2**53
+
+
+def size_problem(name: str, value) -> str | None:
+    """The one size rule: a message unless ``value`` passes
+    :func:`int_problem` with minimum 1 and is at most :data:`SIZE_LIMIT`,
+    else None."""
+    if problem := int_problem(name, value, 1):
+        return problem
+    return f"{name} must be at most 2**53, got {value!r}" if value > SIZE_LIMIT else None
+
+
+def require_size(name: str, value) -> None:
+    """Raise ``ValueError`` where :func:`size_problem` finds one."""
+    if problem := size_problem(name, value):
+        raise ValueError(problem)
+
+
+def name_problem(name: str, value) -> str | None:
+    """The one name rule, for a name that files are named after: a message
+    unless ``value`` is a nonempty string with no path separator (``/`` or
+    ``\\``), so that those files stay in their directory, else None."""
+    if not isinstance(value, str) or not value:
+        return f"{name} must be a nonempty string, got {value!r}"
+    if "/" in value or "\\" in value:
+        return f"{name} must not contain / or \\, got {value!r}"
+    return None
+
+
 #: Largest ``num_cycles * n`` a cycle estimator takes: it sums the capture
 #: counts of all its cycles, at most one per (cycle, node) pair, in int64.
 CAPTURE_LIMIT = 2**63 - 1
@@ -273,10 +305,10 @@ def per_stale_rate(
     are no gossip neighbours and every policy gives ``[total_source]``.
 
     Raises:
-        ValueError: if ``n`` is not an integer >= 1 or a rate is negative
-            or not finite.
+        ValueError: if ``n`` breaks :func:`size_problem` or a rate is
+            negative or not finite.
     """
-    require_int("n", n, 1)
+    require_size("n", n)
     require_rates(total_source=total_source, total_gossip=total_gossip)
     return stale_rate_rows(policy, total_source, total_gossip, np.array([[n]]), n)[1][0]
 
@@ -327,7 +359,7 @@ def validate(spec: NetworkSpec) -> list[str]:
     """Check every structural invariant of ``spec``.
 
     Each rate was already checked when its :class:`Rates` was built; this
-    adds :func:`real_problem` for ``lambda_e > 0``, :func:`int_problem` for
+    adds :func:`real_problem` for ``lambda_e > 0``, :func:`size_problem` for
     every size, :func:`divides_problem` for a clustered shape, and the
     :func:`rate_sum_problem` bound per tier:
     ``n * (lambda_e + lambda_s + lambda_g)`` for a flat network, and
@@ -343,13 +375,13 @@ def validate(spec: NetworkSpec) -> list[str]:
 
     shape = spec.shape
     if isinstance(shape, Flat):
-        size_problem = int_problem("n", shape.n, 1)
-        problems.append(size_problem)
-        if not size_problem:
+        n_problem = size_problem("n", shape.n)
+        problems.append(n_problem)
+        if not n_problem:
             rates = {"lambda_s": r.lambda_s, "lambda_g": r.lambda_g}
             problems.append(rate_sum_problem(shape.n, r.lambda_e, rates))
     elif isinstance(shape, Clustered):
-        size_problems = [int_problem("n", shape.n, 1), int_problem("k", shape.k, 1)]
+        size_problems = [size_problem("n", shape.n), size_problem("k", shape.k)]
         problems.extend(size_problems)
         sized = not any(size_problems)
         if sized:

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GossipPolicy, NetworkSpec, Rates, int_problem, real_problem
-from .core import alpha_problem, cycles_problem, divides_problem
+from .core import GossipPolicy, NetworkSpec, Rates, int_problem, real_problem, size_problem
+from .core import alpha_problem, cycles_problem, divides_problem, name_problem
 from .analytic import (
     closed_sizes,
     clustered_profiles,
@@ -151,6 +151,12 @@ def _as_int(value, where, problems, minimum):
     return None if problem else value
 
 
+def _as_size(value, where, problems):
+    if problem := size_problem(where, value):
+        problems.append(problem)
+    return None if problem else value
+
+
 def _parse_policy(value, where, problems):
     try:
         return GossipPolicy(value)
@@ -204,8 +210,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"unknown keys {sorted(unknown)}")
 
     name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        problems.append(f"name must be a nonempty string, got {name!r}")
+    if problem := name_problem("name", name):
+        problems.append(problem)
         name = "experiment"
     mode = raw.get("mode")
     if mode not in MODES:
@@ -217,7 +223,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         if mode != "single_point":
             problems.append("k is only valid for single_point configs")
         else:
-            k = _as_int(raw["k"], "k", problems, 1)
+            k = _as_size(raw["k"], "k", problems)
     # a point that names k is clustered even when k is invalid, so that its
     # [source, cluster] pairs are not also reported as unknown flat policies
     clustered = _is_clustered(mode, "k" in raw)
@@ -289,22 +295,21 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     n_range = None
     if mode == "flat_sweep_n":
         rng = raw.get("n_range")
-        if (
-            not isinstance(rng, list)
-            or len(rng) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in rng)
-        ):
+        if not isinstance(rng, list) or len(rng) != 2:
             problems.append(f"n_range must be [lo, hi] integers, got {rng!r}")
-        elif not 1 <= rng[0] <= rng[1]:
-            problems.append(f"n_range needs 1 <= lo <= hi, got {rng!r}")
         else:
-            n_range = (rng[0], rng[1])
+            lo, hi = (_as_size(v, f"n_range[{i}]", problems) for i, v in enumerate(rng))
+            if lo is not None and hi is not None:
+                if lo > hi:
+                    problems.append(f"n_range needs 1 <= lo <= hi, got {rng!r}")
+                else:
+                    n_range = (lo, hi)
         if "n" in raw:
             problems.append("n is not valid for flat_sweep_n (use n_range)")
     else:
         if "n_range" in raw:
             problems.append(f"n_range is only valid for flat_sweep_n, not {mode}")
-        n = _as_int(raw.get("n"), "n", problems, 1)
+        n = _as_size(raw.get("n"), "n", problems)
         if mode == "single_point" and k is not None and n is not None:
             if shape := divides_problem(n, k):
                 problems.append(shape)
@@ -532,7 +537,9 @@ def _series(rows) -> dict[str, tuple]:
     ``case<i>``; flat ones ``alpha<lambda_e / lambda_s>`` (``alphainf``
     when lambda_s = 0), with ``_case<i>`` added where several series of
     one experiment's policy share it.  A row without a case (read back by
-    :func:`read_csv`), or two series under one name, raise ``ValueError``.
+    :func:`read_csv`), two series under one name, or a name that breaks
+    core's name rule (a config built in code may name its experiment
+    ``../x``) raise ``ValueError``.
     """
     groups: dict[tuple, tuple[int, dict]] = {}  # series key: (number, points)
     for key, stretch in groupby(rows, _stretch_key):  # one group lookup per stretch
@@ -553,6 +560,8 @@ def _series(rows) -> dict[str, tuple]:
         else:
             label = (experiment, f"{source}+{cluster}", case)
         name = "__".join(label) + ".dat"
+        if problem := name_problem("plot series file name", name):
+            raise ValueError(problem)  # it would be written outside out_dir
         if name in series:
             raise ValueError(f"two plot series would write {name}")
         series[name] = label, list(points.values())
@@ -571,8 +580,8 @@ def emit_plot_data(rows, out_dir=".") -> list[Path]:
     ``x p_oracle`` pairs (x is k for clustered rows, n for flat ones)
     behind a ``#`` comment header; :func:`_series` groups and names them,
     and raises ``ValueError`` before any file is written for rows without
-    a case (read back by :func:`read_csv`) and for two series with one
-    name.  Returns the written paths.
+    a case (read back by :func:`read_csv`), for two series with one name
+    and for a name with a path separator.  Returns the written paths.
     """
     if not rows:
         raise ValueError("emit_plot_data needs at least one row")

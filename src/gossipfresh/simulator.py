@@ -492,9 +492,11 @@ class TrajectorySim:
     def run_until(self, t_end: float) -> None:
         """Advance to ``t_end`` and settle the fresh nodes' time there.
 
-        A ``t_end`` at or below the clock does nothing; a NaN one raises
-        ``ValueError``.
+        A ``t_end`` at or below the clock does nothing; a NaN or an infinite
+        one, which the event loop would never reach, raises ``ValueError``.
         """
+        if t_end == math.inf:
+            raise ValueError(f"t_end must be finite, got {t_end!r}")
         if self.state.clock < t_end:
             self._advance(t_end, 0)
         elif t_end != t_end:

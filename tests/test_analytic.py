@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate
+from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate, size_problem
 from gossipfresh.analytic import (
     BLOCK_CELLS,
     closed_clustered,
@@ -195,6 +195,60 @@ def test_rates_that_would_overflow_are_rejected(call):
     # every value passes Rates, but n * (lambda_e + rates) overflows inside
     with pytest.raises(ValueError, match="rates too large"):
         call()
+
+
+#: Sizes that break core's size rule: past float64's exact integers, past
+#: int64 and past uint64, and a float that holds an integer.
+BAD_SIZES = [2**53 + 1, 2**63 - 1, 2**64, 3.0]
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+@pytest.mark.parametrize("policy", list(GP))
+def test_every_exact_route_rejects_a_size_past_the_size_rule_alike(policy, bad):
+    # FC_sRC's closed route returned None at 2**63, where the recursion crashed
+    calls = [(view, 1.0, bad) for view in (oracle_flat, closed_flat)]
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+        for sizes in ([bad], [2, bad], (bad, 2)):
+            calls += [(route, 1.0, sizes), (route, [1.0, 2.0], sizes)]
+    for route, ls, sizes in calls:
+        with pytest.raises(ValueError) as err:
+            route(policy, ls, 1.0, 1.0, sizes)
+        assert str(err.value) == size_problem("n", bad)
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_sizes_of_mixed_integer_types_are_sizes(policy):
+    # NumPy makes [int64, uint64] a float array; FC_allRC's closed form
+    # indexes its running sum with the sizes
+    mixed = [np.int64(3), np.uint64(5)]
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+        p, q = route(policy, 1.0, 1.0, 1.0, mixed), route(policy, 1.0, 1.0, 1.0, [3, 5])
+        assert p is q is None or p.tolist() == q.tolist()
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_every_size_argument_obeys_the_size_rule(bad):
+    one, pair = Rates(1.0, 1.0, 1.0, 1.0), (GP.DC_RC, GP.FC_allRC)
+    for call, name in (
+        (lambda: renewal_freshness([1.0], bad, 1.0), "n"),
+        (lambda: divisors(bad), "n"),
+        (lambda: optimal_cluster_size(bad, one, *pair), "n"),
+        (lambda: closed_clustered(*pair, bad, 1, one), "m"),
+        (lambda: clustered_profiles(oracle_sizes, bad, [1], [one], [pair]), "n"),
+        (lambda: clustered_profiles(oracle_sizes, 4, [bad], [one], [pair]), "k"),
+        (lambda: clustered_profiles(closed_sizes, 4, [1, bad], [one], [pair]), "k"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == size_problem(name, bad)
+
+
+def test_the_scalar_closed_forms_take_the_largest_size():
+    # 2**53 allocates nothing in these two forms; larger sizes are refused
+    n = 2**53
+    assert closed_flat(GP.DC_noRC, 1.0, 0.0, 1.0, n) == 1.0 / (1.0 + n)
+    assert closed_sizes(GP.DC_noRC, 1.0, 0.0, 1.0, [1, n]).tolist() == [0.5, 1.0 / (1.0 + n)]
+    assert closed_flat(GP.DC_RC, 1.0, 0.0, 1.0, n) == 1.0 / n
 
 
 def test_src_rc_has_no_closed_form():

@@ -140,6 +140,17 @@ _BAD_FLAGS = [
         "4 --k 0 --source-policy DC_RC --cluster-policy DC_RC --lambda-e 1 --lambda-s 1",
         "--k must be an integer and --k >= 1, got 0",
     ),
+    # np.arange(n, dtype=float) came out empty at 2**63 - 1: an IndexError traceback
+    (
+        f"{2**63 - 1} --policy DC_RC --lambda-e 1 --lambda-s 1",
+        f"--n must be at most 2**53, got {2**63 - 1}",
+    ),
+    (f"{2**53 + 1} --policy DC_noRC --lambda-e 1", f"--n must be at most 2**53, got {2**53 + 1}"),
+    (f"{2**64} --policy FC_sRC --lambda-e 1", f"--n must be at most 2**53, got {2**64}"),
+    (
+        f"4 --k {2**63 - 1} --source-policy DC_RC --cluster-policy DC_RC --lambda-e 1",
+        f"--k must be at most 2**53, got {2**63 - 1}",
+    ),
     ("3 --policy DC_RC --lambda-e 0 --lambda-s 1", "--lambda-e must be finite and > 0, got 0.0"),
     ("3 --policy DC_RC --lambda-e inf --lambda-s 1", "--lambda-e must be finite and > 0, got inf"),
     ("3 --policy DC_RC --lambda-e 1 --lambda-s -1", "--lambda-s must be finite and >= 0, got -1.0"),
@@ -255,6 +266,28 @@ def test_a_repeated_policy_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--plot-dir", str(tmp_path / "plots")]) == 1
     assert capsys.readouterr().err == "error: policies[1] repeats policies[0]\n"
     assert not (tmp_path / "plots").exists()
+
+
+def test_a_config_size_past_the_size_rule_exits_1(tmp_path, capsys):
+    # n_range [1, 10**19] overflowed in a traceback
+    path = write_config(tmp_path, dict(FLAT_CONFIG, n_range=[1, 10**19]))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: n_range[1] must be at most 2**53, got {10**19}\n")
+
+
+@pytest.mark.parametrize("name", ["../../escape", "a/b"])
+def test_a_config_name_with_a_path_separator_exits_1_before_any_work(
+    name, tmp_path, monkeypatch, capsys
+):
+    def no_work(config):
+        raise AssertionError("run_experiment ran on a bad name")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, dict(FLAT_CONFIG, name=name))
+    assert main(["sweep", "--config", str(path), "--plot-dir", "out/p"]) == 1
+    assert capsys.readouterr() == ("", f"error: name must not contain / or \\, got {name!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_unparseable_config_exits_1(tmp_path, capsys):

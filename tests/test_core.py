@@ -14,8 +14,11 @@ from gossipfresh.core import (
     NetworkSpec,
     Rates,
     cycles_problem,
+    int_problem,
+    name_problem,
     per_stale_rate,
     require_valid,
+    size_problem,
     stale_rate_rows,
     validate,
 )
@@ -221,6 +224,53 @@ def test_validate_flat_node_count():
     assert any("n must be an integer" in p for p in validate(NetworkSpec.clustered(4.0, 2, *cl)))
     with pytest.raises(ValueError, match="n must be an integer"):
         per_stale_rate(GossipPolicy.DC_RC, 1.0, 0.0, True)
+
+
+#: Sizes that break the one size rule: past float64's exact integers, past
+#: int64 and past uint64, and a float that holds an integer.
+BAD_SIZES = [2**53 + 1, 2**63 - 1, 2**64, 3.0]
+
+
+def test_a_size_is_an_integer_from_1_to_2_to_the_53():
+    for good in (1, 2**53, np.int64(2**53)):
+        assert size_problem("n", good) is None
+    assert size_problem("n", 2**53 + 1) == "n must be at most 2**53, got 9007199254740993"
+    assert size_problem("k", np.uint64(2**63)) == (
+        f"k must be at most 2**53, got {np.uint64(2**63)!r}"
+    )
+    # the integer half is the integer rule, word for word
+    for bad in (0, -3, 3.0, True, "3", None):
+        assert size_problem("k", bad) == int_problem("k", bad, 1)
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_validate_holds_n_and_k_to_the_size_rule(bad):
+    rates = Rates(1.0, 1.0, 1.0, 1.0)
+    assert validate(NetworkSpec.flat(bad, GossipPolicy.DC_RC, rates)) == [size_problem("n", bad)]
+    pair = (GossipPolicy.DC_RC, GossipPolicy.FC_allRC)
+    assert validate(NetworkSpec.clustered(2**53, bad, *pair, rates)) == [size_problem("k", bad)]
+    # 2**53 itself passes where nothing is allocated
+    assert validate(NetworkSpec.flat(2**53, GossipPolicy.DC_RC, rates)) == []
+    assert validate(NetworkSpec.clustered(2**53, 2**53, *pair, rates)) == []
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_per_stale_rate_never_returns_an_empty_table(policy):
+    for n in (1, 2, 7):
+        assert len(per_stale_rate(policy, 1.0, 1.0, n)) == n
+    # np.arange(n, dtype=float) came out empty near 2**63, so the table did
+    for bad in BAD_SIZES:
+        with pytest.raises(ValueError) as err:
+            per_stale_rate(policy, 1.0, 1.0, bad)
+        assert str(err.value) == size_problem("n", bad)
+
+
+def test_a_name_keeps_the_files_named_after_it_in_their_directory():
+    assert name_problem("name", "flat..sweep") is None
+    for bad in ("../../escape", "a/b", "a\\b"):
+        assert name_problem("name", bad) == f"name must not contain / or \\, got {bad!r}"
+    for bad in ("", 3, None):
+        assert name_problem("name", bad) == f"name must be a nonempty string, got {bad!r}"
 
 
 @pytest.mark.parametrize("num_cycles", [2**61 - 1, np.int64(2**61 - 1)])

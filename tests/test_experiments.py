@@ -19,7 +19,7 @@ from gossipfresh.analytic import (
     oracle_sizes,
 )
 from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, cycles_problem
-from gossipfresh.core import int_problem
+from gossipfresh.core import int_problem, name_problem, size_problem
 from gossipfresh import experiments
 from gossipfresh.experiments import (
     CSV_HEADER,
@@ -170,6 +170,36 @@ def test_config_integers_follow_the_one_integer_rule(raw, key, minimum, bad):
     # the only problem: a point with a bad k stays clustered, so its pairs
     # are not also reported as unknown flat policies
     assert err.value.problems == [int_problem(key, value, minimum)]
+
+
+@pytest.mark.parametrize(
+    "raw,key",
+    [
+        (CLUSTERED_SMALL, "n"),
+        (CLUSTERED_POINT, "n"),
+        (CLUSTERED_POINT, "k"),
+        (FLAT_SMALL, "n_range[0]"),
+        (FLAT_SMALL, "n_range[1]"),
+    ],
+)
+@pytest.mark.parametrize("bad", [2**53 + 1, 2**63 - 1, 2**64, 3.0])
+def test_config_sizes_follow_the_one_size_rule(raw, key, bad):
+    raw = dict(raw)
+    if key.startswith("n_range"):
+        raw["n_range"] = [bad, 10] if key == "n_range[0]" else [1, bad]
+    else:
+        raw[key] = bad
+    # n = 2**63 spent minutes in divisors and n_range [1, 10**19] overflowed
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.problems == [size_problem(key, bad)]
+
+
+@pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b"])
+def test_a_config_name_with_a_path_separator_is_a_config_error(name):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(dict(FLAT_SMALL, name=name))
+    assert err.value.problems == [name_problem("name", name)]
 
 
 FLAT_NO_RATES = {key: v for key, v in FLAT_SMALL.items() if key != "rates"}
@@ -412,6 +442,19 @@ def test_plot_series_clustered_pairs(tmp_path):
     lines = paths[0].read_text().splitlines()
     xs = [int(line.split()[0]) for line in lines[2:]]
     assert xs == [1, 2, 3, 4, 6, 12]
+
+
+@pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b"])
+def test_plot_series_of_a_name_with_a_path_separator_write_nothing(name, tmp_path):
+    # a config built in code skips the parser's name rule
+    config = replace(ExperimentConfig.from_dict(FLAT_SMALL), name=name)
+    rows = run_experiment(config)
+    out = tmp_path / "out" / "p"
+    with pytest.raises(ValueError) as err:
+        emit_plot_data(rows, out_dir=out)
+    series = f"{name}__DC_noRC__alpha0.1.dat"
+    assert str(err.value) == name_problem("plot series file name", series)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_series_needs_rows():

@@ -755,6 +755,19 @@ def test_an_end_time_behind_the_clock_or_nan_is_rejected():
     assert state.clock == clock
 
 
+def test_an_infinite_end_time_is_rejected_but_an_infinite_cap_is_one_event():
+    sim = TrajectorySim(NetworkSpec.flat(3, GP.DC_RC, Rates(1.0, 5.0)), random.Random(1))
+    sim.step()
+    state = sim.state
+    before = (state.clock, list(state.fresh_time_accum), sim.rng.getstate())
+    # the event loop never reached an infinite end: it ran until killed
+    with pytest.raises(ValueError, match=re.escape("t_end must be finite, got inf")):
+        sim.run_until(math.inf)
+    assert (state.clock, state.fresh_time_accum, sim.rng.getstate()) == before
+    assert sim.step(cap=math.inf) != "capped"
+    assert before[0] < state.clock < math.inf
+
+
 class _PerEventSim:
     """A per-event trajectory engine: one method call, two shape
     dispatches and an accumulate pass over the fresh nodes per event.
