@@ -88,6 +88,9 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep config, valid however it is built (``dataclasses.replace``
+    too): a problem :func:`_config_problems` finds raises ``ConfigError``."""
+
     name: str
     mode: str
     policies: tuple  # policy values, or (source, cluster) pairs in clustered modes
@@ -97,6 +100,12 @@ class ExperimentConfig:
     k: int | None = None
     sim: SimSettings | None = None
     output: str | None = None
+
+    def __post_init__(self):
+        # None is not given, but for policies and cases, which only the parser leaves out
+        given = {f: v for f, v in vars(self).items() if v is not None or f in ("policies", "cases")}
+        if problems := _config_problems(given):
+            raise ConfigError(problems)
 
     @property
     def clustered(self) -> bool:
@@ -145,25 +154,73 @@ def _as_rate(value, where, problems, positive=False):
     return None if problem else float(value)
 
 
-def _as_int(value, where, problems, minimum):
-    if problem := int_problem(where, value, minimum):
-        problems.append(problem)
-    return None if problem else value
-
-
-def _as_size(value, where, problems):
-    if problem := size_problem(where, value):
-        problems.append(problem)
-    return None if problem else value
+def _policy_problem(where, value, pair=False) -> str:
+    """The message of a policies entry that is no policy (no pair of them if ``pair``)."""
+    if pair:
+        return f"{where} must be a [source, cluster] pair, got {value!r}"
+    valid = ", ".join(p.value for p in GossipPolicy)
+    return f"{where}: unknown policy {value!r} (expected one of {valid})"
 
 
 def _parse_policy(value, where, problems):
     try:
         return GossipPolicy(value)
     except (ValueError, TypeError):
-        valid = ", ".join(p.value for p in GossipPolicy)
-        problems.append(f"{where}: unknown policy {value!r} (expected one of {valid})")
+        problems.append(_policy_problem(where, value))
         return None
+
+
+def _config_problems(given: dict) -> list[str]:
+    """Every rule of a config's typed values, each written once: the problems
+    of ``given``, a map of field names to values.  name, mode and the mode's
+    grid (n, or n_range in a flat sweep) are checked also when missing, any
+    other field where given; the parser leaves out what it has reported."""
+    problems = [name_problem("name", given.get("name"))]
+    mode = given.get("mode")
+    if mode not in MODES:
+        return [p for p in problems + [f"mode must be one of {MODES}, got {mode!r}"] if p]
+    largest = None  # the grid's largest n, once the grid is valid
+    if mode == "flat_sweep_n":
+        rng = given.get("n_range")
+        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
+            problems.append(f"n_range must be [lo, hi] integers, got {rng!r}")
+        elif any(sizes := [size_problem(f"n_range[{i}]", v) for i, v in enumerate(rng)]):
+            problems += sizes
+        elif rng[0] > rng[1]:
+            problems.append(f"n_range needs 1 <= lo <= hi, got {list(rng)}")
+        else:
+            largest = rng[1]
+        if "n" in given:
+            problems.append("n is not valid for flat_sweep_n (use n_range)")
+    else:
+        if "n_range" in given:
+            problems.append(f"n_range is only valid for flat_sweep_n, not {mode}")
+        problems.append(size_problem("n", given.get("n")))
+        largest = None if problems[-1] else given["n"]
+    if "k" in given:
+        if mode != "single_point":
+            problems.append("k is only valid for single_point configs")
+        else:
+            problems.append(size_problem("k", given["k"]))
+            if not problems[-1] and largest is not None:
+                problems.append(divides_problem(largest, given["k"]))
+    if sim := given.get("sim"):
+        sims = [int_problem("sim.cycles", sim.cycles, 1), int_problem("sim.seed", sim.seed, 0)]
+        if not any(sims) and largest is not None:
+            sims.append(cycles_problem("sim.cycles", sim.cycles, largest))
+        problems += sims
+    output = given.get("output")
+    if output is not None and not isinstance(output, str):
+        problems.append(f"output must be a string path, got {output!r}")
+    # True stands for a section the parser has reported and left out
+    if not given.get("policies", True) or not given.get("cases", True):
+        problems.append("config has no policies or no rate cases")
+    clustered = _is_clustered(mode, "k" in given)
+    for i, policy in enumerate(given.get("policies") or ()):  # (source, cluster) if clustered
+        parts = policy if clustered and isinstance(policy, tuple) else (policy,)
+        if len(parts) != 1 + clustered or not all(isinstance(q, GossipPolicy) for q in parts):
+            problems.append(_policy_problem(f"policies[{i}]", policy, clustered))
+    return [p for p in problems if p]
 
 
 def _parse_rates_dict(raw, where, problems, allow_alpha):
@@ -204,26 +261,17 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
 
 
 def _parse_config(raw: dict) -> ExperimentConfig:
+    """Check the raw structure (keys, containers, policy names and pairs,
+    rates and cases), and raise its and :func:`_config_problems`' together."""
     problems: list[str] = []
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown keys {sorted(unknown)}")
-
-    name = raw.get("name")
-    if problem := name_problem("name", name):
-        problems.append(problem)
-        name = "experiment"
-    mode = raw.get("mode")
-    if mode not in MODES:
-        problems.append(f"mode must be one of {MODES}, got {mode!r}")
-        raise ConfigError(problems)
-
-    k = None
-    if "k" in raw:
-        if mode != "single_point":
-            problems.append("k is only valid for single_point configs")
-        else:
-            k = _as_size(raw["k"], "k", problems)
+    given = {key: raw[key] for key in ("n", "n_range", "k", "output") if key in raw}
+    given.update(name=raw.get("name"), mode=raw.get("mode"))
+    mode = given["mode"]
+    if mode not in MODES:  # the mode decides how the rest reads
+        raise ConfigError(problems + _config_problems(given))
     # a point that names k is clustered even when k is invalid, so that its
     # [source, cluster] pairs are not also reported as unknown flat policies
     clustered = _is_clustered(mode, "k" in raw)
@@ -243,7 +291,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
                 pair = tuple(_parse_policy(e, where, problems) for e in entry)
                 policy = None if None in pair else pair
             else:
-                problems.append(f"{where} must be a [source, cluster] pair, got {entry!r}")
+                problems.append(_policy_problem(where, entry, pair=True))
                 continue
             if policy in policies:
                 problems.append(f"{where} repeats policies[{policies[policy]}]")
@@ -290,31 +338,6 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     else:
         problems.append("flat configs need a rates (or cases) section")
 
-    # grid
-    n = None
-    n_range = None
-    if mode == "flat_sweep_n":
-        rng = raw.get("n_range")
-        if not isinstance(rng, list) or len(rng) != 2:
-            problems.append(f"n_range must be [lo, hi] integers, got {rng!r}")
-        else:
-            lo, hi = (_as_size(v, f"n_range[{i}]", problems) for i, v in enumerate(rng))
-            if lo is not None and hi is not None:
-                if lo > hi:
-                    problems.append(f"n_range needs 1 <= lo <= hi, got {rng!r}")
-                else:
-                    n_range = (lo, hi)
-        if "n" in raw:
-            problems.append("n is not valid for flat_sweep_n (use n_range)")
-    else:
-        if "n_range" in raw:
-            problems.append(f"n_range is only valid for flat_sweep_n, not {mode}")
-        n = _as_size(raw.get("n"), "n", problems)
-        if mode == "single_point" and k is not None and n is not None:
-            if shape := divides_problem(n, k):
-                problems.append(shape)
-
-    sim = None
     if "sim" in raw:
         if not isinstance(raw["sim"], dict):
             problems.append(f"sim must be an object, got {raw['sim']!r}")
@@ -322,33 +345,14 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             unknown = set(raw["sim"]) - _SIM_KEYS
             if unknown:
                 problems.append(f"sim: unknown keys {sorted(unknown)}")
-            cycles = _as_int(raw["sim"].get("cycles"), "sim.cycles", problems, 1)
-            seed = _as_int(raw["sim"].get("seed", 0), "sim.seed", problems, 0)
-            if cycles is not None and seed is not None:
-                sim = SimSettings(cycles=cycles, seed=seed)
-
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append(f"output must be a string path, got {output!r}")
-        output = None
-
-    if problems:
+            given["sim"] = SimSettings(raw["sim"].get("cycles"), raw["sim"].get("seed", 0))
+    # a section left empty has had its problems reported above
+    given.update((key, tuple(v)) for key, v in (("policies", policies), ("cases", cases)) if v)
+    if problems := problems + _config_problems(given):
         raise ConfigError(problems)
-    config = ExperimentConfig(
-        name=name,
-        mode=mode,
-        policies=tuple(policies),
-        cases=tuple(cases),
-        n=n,
-        n_range=n_range,
-        k=k,
-        sim=sim,
-        output=output,
-    )
-    # the cycle-count bound needs the grid's largest n, so it comes last
-    if sim and (problem := cycles_problem("sim.cycles", sim.cycles, config.largest_n)):
-        raise ConfigError([problem])
-    return config
+    if "n_range" in given:
+        given["n_range"] = tuple(given["n_range"])
+    return ExperimentConfig(**given)
 
 
 @dataclass(frozen=True)
@@ -387,15 +391,7 @@ def _grid(config, route) -> tuple[list, list]:
     the route has no formula.  A clustered grid is the divisors of n (or
     the one k) through :func:`clustered_profiles`; a flat one is n from lo
     to hi (or the one n), with one ``route`` call per distinct policy under
-    every case.  A config built in code with an unknown mode, no policies,
-    no rate cases, or no grid (no n when clustered, neither n_range nor n
-    when flat) raises ``ConfigError``."""
-    if config.mode not in MODES:
-        raise ConfigError([f"mode must be one of {MODES}, got {config.mode!r}"])
-    if not config.policies or not config.cases:
-        raise ConfigError(["config has no policies or no rate cases"])
-    if config.n is None and (config.clustered or config.n_range is None):
-        raise ConfigError([f"config has no {'n' if config.clustered else 'n_range or n'}"])
+    every case."""
     if config.clustered:
         xs = divisors(config.n) if config.k is None else [config.k]
         rates = [case.rates for case in config.cases]
@@ -469,7 +465,10 @@ def write_csv(rows, path) -> None:
     digits so parsing the file back reproduces them exactly, None is an
     empty field and everything else is written as ``str`` gives it.
     ``path`` may also be an open text stream such as ``sys.stdout``; it is
-    left open.  A file is written in one piece by :func:`_write_text`."""
+    left open.  An int is refused: ``open`` would write and close that file
+    descriptor.  A file is written in one piece by :func:`_write_text`."""
+    if isinstance(path, int):  # bool included
+        raise ValueError(f"write_csv needs a file path or a text stream, got {path!r}")
     stream = path if hasattr(path, "write") else io.StringIO()
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)

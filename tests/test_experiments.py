@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from gossipfresh.experiments import (
     ExperimentConfig,
     RateCase,
     ResultRow,
+    SimSettings,
     emit_plot_data,
     read_csv,
     report_optimal_k,
@@ -360,6 +362,17 @@ def test_sim_columns_are_consistent(tmp_path):
 # --- CSV ---------------------------------------------------------------------
 
 
+def test_write_csv_refuses_an_int_path_before_it_writes(tmp_path):
+    rows = run_experiment(ExperimentConfig.from_dict(FLAT_SMALL))
+    with open(tmp_path / "taken.txt", "w") as f:
+        for path in (f.fileno(), True, False):  # True and False are fds 1 and 0
+            with pytest.raises(ValueError) as err:
+                write_csv(rows, path)
+            assert str(err.value) == f"write_csv needs a file path or a text stream, got {path!r}"
+        os.fstat(f.fileno())  # still open
+    assert (tmp_path / "taken.txt").read_text() == ""
+
+
 def test_csv_round_trip_exact(tmp_path):
     raw = dict(
         CLUSTERED_SMALL,
@@ -446,9 +459,9 @@ def test_plot_series_clustered_pairs(tmp_path):
 
 @pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b"])
 def test_plot_series_of_a_name_with_a_path_separator_write_nothing(name, tmp_path):
-    # a config built in code skips the parser's name rule
-    config = replace(ExperimentConfig.from_dict(FLAT_SMALL), name=name)
-    rows = run_experiment(config)
+    # no config carries such a name, but rows built by hand can
+    rows = run_experiment(ExperimentConfig.from_dict(FLAT_SMALL))
+    rows = [replace(row, experiment=name) for row in rows]
     out = tmp_path / "out" / "p"
     with pytest.raises(ValueError) as err:
         emit_plot_data(rows, out_dir=out)
@@ -526,19 +539,22 @@ def test_report_optimal_k_requires_clustered_mode():
 def test_a_config_built_in_code_without_mode_policies_or_cases_is_a_config_error(
     run, raw, change, problem
 ):
-    config = replace(ExperimentConfig.from_dict(raw), **change)
     with pytest.raises(ConfigError) as err:
-        run(config)
+        run(replace(ExperimentConfig.from_dict(raw), **change))
     assert problem in err.value.problems[0]
+
+
+NO_N = "n must be an integer and n >= 1, got None"
+NO_N_RANGE = "n_range must be [lo, hi] integers, got None"
 
 
 @pytest.mark.parametrize(
     "run,raw,change,problem",
     [
-        (run_experiment, FLAT_SMALL, {"n_range": None}, "config has no n_range or n"),
-        (run_experiment, CLUSTERED_SMALL, {"n": None}, "config has no n"),
-        (report_optimal_k, CLUSTERED_SMALL, {"n": None}, "config has no n"),
-        (run_experiment, CLUSTERED_POINT, {"n": None}, "config has no n"),
+        (run_experiment, FLAT_SMALL, {"n_range": None}, NO_N_RANGE),
+        (run_experiment, CLUSTERED_SMALL, {"n": None}, NO_N),
+        (report_optimal_k, CLUSTERED_SMALL, {"n": None}, NO_N),
+        (run_experiment, CLUSTERED_POINT, {"n": None}, NO_N),
     ],
 )
 def test_a_config_built_in_code_without_its_grid_is_a_config_error(
@@ -549,10 +565,88 @@ def test_a_config_built_in_code_without_its_grid_is_a_config_error(
 
     monkeypatch.setattr(experiments, "oracle_sizes", no_route)
     monkeypatch.setattr(experiments, "clustered_profiles", no_route)
-    config = replace(ExperimentConfig.from_dict(raw), **change)
     with pytest.raises(ConfigError) as err:
-        run(config)
+        run(replace(ExperimentConfig.from_dict(raw), **change))
     assert err.value.problems == [problem]
+
+
+DC_RC = GossipPolicy.DC_RC
+FLAT_NAMES = "DC_noRC, DC_RC, FC_noRC, FC_sRC, FC_allRC"
+
+#: One rule per row: a config built in code by ``replace`` that breaks it,
+#: and its problems, which are the parser's messages for the same values.
+#: The mode, empty sections and a missing n_range are in the tests above.
+CODE_BUILT_ERRORS = [
+    (FLAT_SMALL, {"name": "../x"}, ["name must not contain / or \\, got '../x'"]),
+    (FLAT_SMALL, {"n_range": (1, 10**19)}, [f"n_range[1] must be at most 2**53, got {10**19}"]),
+    (
+        FLAT_SMALL,
+        {"n_range": (1.0, 3.0)},
+        [
+            "n_range[0] must be an integer and n_range[0] >= 1, got 1.0",
+            "n_range[1] must be an integer and n_range[1] >= 1, got 3.0",
+        ],
+    ),
+    (FLAT_SMALL, {"n_range": (5, 2)}, ["n_range needs 1 <= lo <= hi, got [5, 2]"]),
+    (FLAT_SMALL, {"n": 5}, ["n is not valid for flat_sweep_n (use n_range)"]),
+    (FLAT_SMALL, {"k": 2}, ["k is only valid for single_point configs"]),
+    (CLUSTERED_SMALL, {"n": None}, [NO_N]),
+    (
+        CLUSTERED_SMALL,
+        {"n_range": (1, 2)},
+        ["n_range is only valid for flat_sweep_n, not clustered_sweep_k"],
+    ),
+    (CLUSTERED_POINT, {"k": 5}, ["k must divide n, got n=12 k=5"]),
+    (
+        FLAT_SMALL,
+        {"sim": SimSettings(10, -1)},
+        ["sim.seed must be an integer and sim.seed >= 0, got -1"],
+    ),
+    (
+        FLAT_SMALL,
+        {"sim": SimSettings(0, 1)},
+        ["sim.cycles must be an integer and sim.cycles >= 1, got 0"],
+    ),
+    (
+        FLAT_SMALL,
+        {"sim": SimSettings(2**62, 1)},
+        [f"sim.cycles * n must be at most 2**63 - 1, got {2**62} * 10"],
+    ),
+    (FLAT_SMALL, {"output": 3}, ["output must be a string path, got 3"]),
+    (
+        CLUSTERED_SMALL,
+        {"policies": (DC_RC,)},
+        [f"policies[0] must be a [source, cluster] pair, got {DC_RC!r}"],
+    ),
+    (
+        FLAT_SMALL,
+        {"policies": ((DC_RC, DC_RC),)},
+        [f"policies[0]: unknown policy {(DC_RC, DC_RC)!r} (expected one of {FLAT_NAMES})"],
+    ),
+]
+
+
+@pytest.mark.parametrize("raw,change,problems", CODE_BUILT_ERRORS)
+def test_a_config_built_in_code_keeps_every_rule_of_the_parser(monkeypatch, raw, change, problems):
+    def no_route(*args):
+        raise AssertionError("a route ran on an invalid config")
+
+    for route in ("oracle_sizes", "closed_sizes", "clustered_profiles"):
+        monkeypatch.setattr(experiments, route, no_route)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(replace(ExperimentConfig.from_dict(raw), **change))
+    assert err.value.problems == problems
+
+
+def test_a_config_cannot_name_a_file_descriptor_as_its_output(tmp_path):
+    # open(fd, "wb") would write the whole sweep there and close fd
+    with open(tmp_path / "taken.txt", "w") as f:
+        fd = f.fileno()
+        with pytest.raises(ConfigError) as err:
+            run_experiment(replace(ExperimentConfig.from_dict(FLAT_SMALL), output=fd))
+        assert err.value.problems == [f"output must be a string path, got {fd}"]
+        os.fstat(fd)  # still open
+    assert (tmp_path / "taken.txt").read_text() == ""
 
 
 def test_full_stale_targeting_peak_wins_in_sweep_rows():

@@ -17,7 +17,7 @@ from gossipfresh import analytic, simulator
 from gossipfresh.simulator import (
     SimState,
     TrajectorySim,
-    _child_seeds,
+    _child_seed,
     _clustered_counts,
     _flat_counts,
     _Tables,
@@ -530,7 +530,7 @@ def test_rates_that_would_overflow_are_rejected_by_every_engine(engine, spec):
         (lambda s: estimate_freshness_cycles(s, 100, seed=True), "seed"),
         (lambda s: estimate_freshness_cycles(s, 100, seed=3.0), "seed"),
         (lambda s: estimate_freshness_time(s, 1000.0, seed=True), "seed"),
-        (lambda s: _child_seeds(True, 1), "seed"),
+        (lambda s: _child_seed(True), "seed"),
     ],
 )
 def test_integer_arguments_reject_bools_and_non_integers(call, name):
