@@ -58,7 +58,6 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
-    SIZE_LIMIT,
     divides_problem,
     rate_sum_problem,
     real_problem,
@@ -114,9 +113,10 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
 
 
 def _check_sizes(sizes, lambda_e, total_source, total_gossip):
-    """The boundary check of every route: ``sizes`` a nonempty sequence
-    whose every entry obeys :func:`~gossipfresh.core.size_problem` under the
-    name ``n`` (the first that breaks it, as given, is named), then
+    """The boundary check of every route: ``sizes`` a nonempty 1-D sequence
+    (a list of one plain int, as :func:`oracle_flat` passes it, skips that
+    test), then :func:`~gossipfresh.core.size_problem` under the name ``n``
+    on each entry in order, so the first bad size is named as given, then
     :func:`_check_rates` at the largest size.  Each rate is a number or a
     sequence (list, tuple or array) of one rate per rate case; every
     sequence holds the same number of cases, and a number serves every
@@ -126,24 +126,11 @@ def _check_sizes(sizes, lambda_e, total_source, total_gossip):
     lambda_e]`` of one Python value per case, and whether any rate came as
     a sequence (the result keeps its case axis)."""
     one = type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int
-    if one and 0 < sizes[0] <= SIZE_LIMIT:
-        listed = sizes  # one plain int, as oracle_flat and closed_flat pass it
-    else:
-        array = np.asarray(sizes)
-        if array.ndim != 1 or array.size == 0:
-            raise ValueError(f"sizes must be a nonempty sequence, got {sizes!r}")
-        if array.dtype.kind in "iu":
-            listed = array.tolist()
-        else:
-            # no integer array (NumPy makes one of int64 and uint64 sizes a
-            # float array): the first size as given that breaks the rule is
-            # named, and sizes that all keep it are ints
-            for n in sizes:
-                require_size("n", n)
-            listed = [int(n) for n in sizes]
-        # integer sizes obey the rule iff the least and the largest do
-        require_size("n", min(listed))
-        require_size("n", max(listed))
+    if not one and (np.ndim(sizes) != 1 or len(sizes) == 0):
+        raise ValueError(f"sizes must be a nonempty sequence, got {sizes!r}")
+    for n in sizes:
+        require_size("n", n)
+    listed = [int(n) for n in sizes]
     rates = (total_source, total_gossip, lambda_e)
     rates = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
     counts = {len(r) for r in rates if isinstance(r, (list, tuple))}

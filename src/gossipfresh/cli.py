@@ -154,13 +154,14 @@ def _cmd_sweep(args) -> int:
     if any(problems):
         raise ConfigError([p for p in problems if p])
     config = _load_config(args)
-    if args.cycles is not None and (
-        problem := cycles_problem("--cycles", args.cycles, config.largest_n)
-    ):
-        raise ConfigError([problem])
     if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
-        cycles = args.cycles if args.cycles is not None else (base.cycles if base else 100_000)
+        if args.cycles is None and base:
+            cycles = base.cycles  # bounded by the config, as sim.cycles
+        else:  # the flag or its default, so --cycles is the lever
+            cycles = 100_000 if args.cycles is None else args.cycles
+            if problem := cycles_problem("--cycles", cycles, config.largest_n):
+                raise ConfigError([problem])
         seed = args.seed if args.seed is not None else (base.seed if base else 0)
         config = replace(config, sim=SimSettings(cycles=cycles, seed=seed))
     with _destinations(config.output, args.plot_dir):

@@ -154,27 +154,30 @@ def _as_rate(value, where, problems, positive=False):
     return None if problem else float(value)
 
 
-def _policy_problem(where, value, pair=False) -> str:
-    """The message of a policies entry that is no policy (no pair of them if ``pair``)."""
-    if pair:
-        return f"{where} must be a [source, cluster] pair, got {value!r}"
-    valid = ", ".join(p.value for p in GossipPolicy)
-    return f"{where}: unknown policy {value!r} (expected one of {valid})"
+#: An entry the parser has reported and left for no rule to judge again; it
+#: keeps the positions of the entries after it.
+_REPORTED = object()
 
 
-def _parse_policy(value, where, problems):
+def _as_policy(value):
+    """The policy ``value`` names, or ``value`` as given."""
     try:
         return GossipPolicy(value)
     except (ValueError, TypeError):
-        problems.append(_policy_problem(where, value))
-        return None
+        return value
 
 
 def _config_problems(given: dict) -> list[str]:
-    """Every rule of a config's typed values, each written once: the problems
-    of ``given``, a map of field names to values.  name, mode and the mode's
-    grid (n, or n_range in a flat sweep) are checked also when missing, any
-    other field where given; the parser leaves out what it has reported."""
+    """Every rule of a config's typed values, each judged here alone: the
+    problems of ``given``, a map of field names to values.  name, mode and
+    the mode's grid (n, or n_range in a flat sweep) are checked also when
+    missing, any other field where given; the parser leaves out what it has
+    reported.  Each policies entry is a policy (a ``(source, cluster)``
+    tuple of two in clustered modes), and a repeat of a valid entry is
+    named; ``sim`` is a :class:`SimSettings`; each case is a
+    :class:`RateCase` holding :class:`Rates` under a nonempty string label.
+    These types keep the parser's wording for the JSON values they stand
+    for."""
     problems = [name_problem("name", given.get("name"))]
     mode = given.get("mode")
     if mode not in MODES:
@@ -204,11 +207,15 @@ def _config_problems(given: dict) -> list[str]:
             problems.append(size_problem("k", given["k"]))
             if not problems[-1] and largest is not None:
                 problems.append(divides_problem(largest, given["k"]))
-    if sim := given.get("sim"):
-        sims = [int_problem("sim.cycles", sim.cycles, 1), int_problem("sim.seed", sim.seed, 0)]
-        if not any(sims) and largest is not None:
-            sims.append(cycles_problem("sim.cycles", sim.cycles, largest))
-        problems += sims
+    if "sim" in given:
+        sim = given["sim"]
+        if not isinstance(sim, SimSettings):
+            problems.append(f"sim must be an object, got {sim!r}")
+        else:
+            sims = [int_problem("sim.cycles", sim.cycles, 1), int_problem("sim.seed", sim.seed, 0)]
+            if not any(sims) and largest is not None:
+                sims.append(cycles_problem("sim.cycles", sim.cycles, largest))
+            problems += sims
     output = given.get("output")
     if output is not None and not isinstance(output, str):
         problems.append(f"output must be a string path, got {output!r}")
@@ -216,10 +223,27 @@ def _config_problems(given: dict) -> list[str]:
     if not given.get("policies", True) or not given.get("cases", True):
         problems.append("config has no policies or no rate cases")
     clustered = _is_clustered(mode, "k" in given)
-    for i, policy in enumerate(given.get("policies") or ()):  # (source, cluster) if clustered
-        parts = policy if clustered and isinstance(policy, tuple) else (policy,)
-        if len(parts) != 1 + clustered or not all(isinstance(q, GossipPolicy) for q in parts):
-            problems.append(_policy_problem(f"policies[{i}]", policy, clustered))
+    valid = ", ".join(p.value for p in GossipPolicy)
+    first: dict = {}  # each valid entry's first position
+    for i, policy in enumerate(given.get("policies") or ()):
+        where = f"policies[{i}]"
+        if clustered and not (isinstance(policy, tuple) and len(policy) == 2):
+            problems.append(f"{where} must be a [source, cluster] pair, got {policy!r}")
+        elif unknown := [
+            f"{where}: unknown policy {q!r} (expected one of {valid})"
+            for q in (policy if clustered else (policy,))
+            if not isinstance(q, GossipPolicy)
+        ]:
+            problems += unknown
+        elif first.setdefault(policy, i) != i:
+            problems.append(f"{where} repeats policies[{first[policy]}]")
+    for i, case in enumerate(given.get("cases") or ()):
+        if case is _REPORTED:
+            continue
+        if not isinstance(case, RateCase) or not isinstance(case.rates, Rates):
+            problems.append(f"cases[{i}] must be an object, got {case!r}")
+        elif not isinstance(case.label, str) or not case.label:
+            problems.append(f"cases[{i}].label must be a nonempty string, got {case.label!r}")
     return [p for p in problems if p]
 
 
@@ -261,13 +285,17 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
 
 
 def _parse_config(raw: dict) -> ExperimentConfig:
-    """Check the raw structure (keys, containers, policy names and pairs,
-    rates and cases), and raise its and :func:`_config_problems`' together."""
+    """Check the raw structure (keys, containers, rates), convert the rest
+    of the JSON to typed values for :func:`_config_problems` to judge, and
+    raise the problems of both in one ``ConfigError``.  A policy name
+    becomes its policy, in clustered modes inside a ``[source, cluster]``
+    list, which becomes a tuple; any other entry, and a ``sim`` or a case
+    that is no object, is given as it stands."""
     problems: list[str] = []
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown keys {sorted(unknown)}")
-    given = {key: raw[key] for key in ("n", "n_range", "k", "output") if key in raw}
+    given = {key: raw[key] for key in ("n", "n_range", "k", "output", "sim") if key in raw}
     given.update(name=raw.get("name"), mode=raw.get("mode"))
     mode = given["mode"]
     if mode not in MODES:  # the mode decides how the rest reads
@@ -276,31 +304,20 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     # [source, cluster] pairs are not also reported as unknown flat policies
     clustered = _is_clustered(mode, "k" in raw)
 
-    # policies: names for flat modes, [source, cluster] pairs for clustered;
-    # each maps to its first position, and a repeat is an error
-    policies: dict = {}
     raw_policies = raw.get("policies")
     if not isinstance(raw_policies, list) or not raw_policies:
         problems.append(f"policies must be a nonempty list, got {raw_policies!r}")
+    elif clustered:
+        given["policies"] = tuple(
+            tuple(map(_as_policy, e)) if isinstance(e, list) and len(e) == 2 else e
+            for e in raw_policies
+        )
     else:
-        for i, entry in enumerate(raw_policies):
-            where = f"policies[{i}]"
-            if not clustered:
-                policy = _parse_policy(entry, where, problems)
-            elif isinstance(entry, list) and len(entry) == 2:
-                pair = tuple(_parse_policy(e, where, problems) for e in entry)
-                policy = None if None in pair else pair
-            else:
-                problems.append(_policy_problem(where, entry, pair=True))
-                continue
-            if policy in policies:
-                problems.append(f"{where} repeats policies[{policies[policy]}]")
-            elif policy is not None:
-                policies[policy] = i
+        given["policies"] = tuple(map(_as_policy, raw_policies))
 
     # rates / cases
     allow_alpha = not clustered
-    cases: list[RateCase] = []
+    cases: list = []
     if "rates" in raw and "cases" in raw:
         problems.append("rates and cases are mutually exclusive")
     elif "rates" in raw:
@@ -314,40 +331,28 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         else:
             for i, entry in enumerate(raw["cases"]):
                 where = f"cases[{i}]"
-                if not isinstance(entry, dict):
-                    problems.append(f"{where} must be an object, got {entry!r}")
-                    continue
-                unknown = set(entry) - _CASE_KEYS
-                if unknown:
-                    problems.append(f"{where}: unknown keys {sorted(unknown)}")
-                    continue
-                label = entry.get("label", f"case{i + 1}")
-                if not isinstance(label, str) or not label:
-                    problems.append(f"{where}.label must be a nonempty string, got {label!r}")
-                    continue
-                parsed = _parse_rates_dict(
-                    {key: v for key, v in entry.items() if key != "label"},
-                    where,
-                    problems,
-                    allow_alpha=False,
-                )
-                if parsed:
-                    cases.append(RateCase(label, parsed[0].rates))
+                case = entry  # no object: judged as it stands
+                if isinstance(entry, dict):
+                    rates = {key: v for key, v in entry.items() if key != "label"}
+                    case = _REPORTED
+                    if unknown := set(entry) - _CASE_KEYS:
+                        problems.append(f"{where}: unknown keys {sorted(unknown)}")
+                    elif parsed := _parse_rates_dict(rates, where, problems, allow_alpha=False):
+                        case = RateCase(entry.get("label", f"case{i + 1}"), parsed[0].rates)
+                cases.append(case)
     elif clustered:
         cases = list(DEFAULT_RATE_CASES)
     else:
         problems.append("flat configs need a rates (or cases) section")
 
-    if "sim" in raw:
-        if not isinstance(raw["sim"], dict):
-            problems.append(f"sim must be an object, got {raw['sim']!r}")
-        else:
-            unknown = set(raw["sim"]) - _SIM_KEYS
-            if unknown:
-                problems.append(f"sim: unknown keys {sorted(unknown)}")
-            given["sim"] = SimSettings(raw["sim"].get("cycles"), raw["sim"].get("seed", 0))
+    if isinstance(raw.get("sim"), dict):
+        unknown = set(raw["sim"]) - _SIM_KEYS
+        if unknown:
+            problems.append(f"sim: unknown keys {sorted(unknown)}")
+        given["sim"] = SimSettings(raw["sim"].get("cycles"), raw["sim"].get("seed", 0))
     # a section left empty has had its problems reported above
-    given.update((key, tuple(v)) for key, v in (("policies", policies), ("cases", cases)) if v)
+    if cases:
+        given["cases"] = tuple(cases)
     if problems := problems + _config_problems(given):
         raise ConfigError(problems)
     if "n_range" in given:

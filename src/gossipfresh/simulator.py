@@ -424,12 +424,10 @@ class TrajectorySim:
                 source_total = lam_e + d
                 label = "source_refresh"
             elif x < d:
-                # a uniform index into the stale receivers, robust to
-                # float spill at the edge; the last one takes its place
+                # a uniform index into the stale receivers (random() is at
+                # most 1 - 2**-53, so i < s); the last one takes its place
                 s = len(stale)
                 i = int(random() * s)
-                if i == s:
-                    i -= 1
                 r = stale[i]
                 stale[i] = stale[-1]
                 stale.pop()
@@ -452,8 +450,6 @@ class TrajectorySim:
                 lst = nonhold[c]
                 s = len(lst)
                 i = int(random() * s)
-                if i == s:
-                    i -= 1
                 gid = c * k + lst[i]
                 lst[i] = lst[-1]
                 lst.pop()

@@ -214,3 +214,13 @@ def test_a_criterion_over_its_budget_fails(monkeypatch):
     assert not result.passed
     assert result.runtime == 6.0
     assert result.detail == "runtime 6.00s exceeded the 5s budget"
+
+
+def test_criterion_2_names_each_spot_value_it_misses(monkeypatch):
+    monkeypatch.setattr(acceptance, "closed_clustered", lambda *args: 0.25)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.detail == (
+        "(DC_RC,DC_RC) m=k=2: got 0.25, want 9/64 (diff 1.094e-01); "
+        "(DC_RC,FC_allRC) m=k=2: got 0.25, want 5/32 (diff 9.375e-02)"
+    )

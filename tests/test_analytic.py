@@ -434,6 +434,17 @@ def test_oracle_sizes_rejects_bad_sizes(sizes):
                 route(policy, 1.0, 0.0, 1.0, sizes)
 
 
+@pytest.mark.parametrize(
+    "sizes,bad", [([5, 0, -1], 0), ((3, 2**60, 0), 2**60), (np.array([4, -2, 0]), np.int64(-2))]
+)
+def test_the_first_bad_size_is_named(sizes, bad):
+    # not the least or the largest size: the first bad one, as given
+    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+        with pytest.raises(ValueError) as err:
+            route(GP.DC_RC, 1.0, 0.0, 1.0, sizes)
+        assert str(err.value) == size_problem("n", bad)
+
+
 
 # --- the capture-count law: an exact check independent of the recursion ----
 #
@@ -597,6 +608,13 @@ def test_clustered_rescaling_invariance():
     scaled = Rates(*(37.0 * v for v in (0.7, 1.3, 2.1, 0.4)))
     p1, _ = clustered_freshness(NetworkSpec.clustered(12, 4, GP.DC_RC, GP.FC_sRC, scaled))
     assert p1 == pytest.approx(p0, abs=1e-12)
+
+
+def test_clustered_freshness_refuses_a_flat_spec():
+    spec = NetworkSpec.flat(4, GP.DC_RC, Rates(1.0, 1.0))
+    with pytest.raises(ValueError) as err:
+        clustered_freshness(spec)
+    assert str(err.value) == "clustered_freshness requires a Clustered shape"
 
 
 @pytest.mark.parametrize("policy", list(GP))

@@ -461,6 +461,17 @@ def test_cycles_times_the_largest_n_past_int64_is_an_error_line(
     assert not target.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--seed", "3"]])
+def test_the_default_cycle_count_past_int64_names_the_cycles_flag(tmp_path, capsys, argv):
+    # a config without sim has no sim.cycles; the lever is --cycles
+    target = tmp_path / "rows.csv"
+    raw = dict(FLAT_CONFIG, n_range=[10**14, 10**14], output=str(target))
+    assert main([*argv, "--config", str(write_config(tmp_path, raw))]) == 1
+    message = f"--cycles * n {PAST_INT64} 100000 * {10**14}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "error,stderr",
     [

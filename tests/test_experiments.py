@@ -129,6 +129,26 @@ def test_a_repeated_policy_is_a_config_error(policies, problem):
     assert err.value.problems == [problem]
 
 
+def test_config_problems_keep_each_case_at_its_position():
+    # a case with bad rates reports only them, and the cases after it keep
+    # their index; policy problems follow the rates problems
+    cases = [
+        {"label": "", "lambda_e": -1},
+        {"label": "", "lambda_e": 1},
+        {"label": "ok", "lambda_e": 1},
+        2,
+    ]
+    raw = dict(CLUSTERED_NO_RATES, policies=[["DC_RC", "XX"]], cases=cases)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.problems == [
+        "cases[0].lambda_e must be finite and > 0, got -1",
+        f"policies[0]: unknown policy 'XX' (expected one of {FLAT_NAMES})",
+        "cases[1].label must be a nonempty string, got ''",
+        "cases[3] must be an object, got 2",
+    ]
+
+
 @pytest.mark.parametrize("alpha,lambda_e", [(1e300, "inf"), (1e-300, "0.0")])
 def test_an_alpha_whose_lambda_e_overflows_or_underflows_is_a_config_error(alpha, lambda_e):
     rates = {"lambda_s": alpha, "alpha": [1.0, alpha]}
@@ -622,6 +642,35 @@ CODE_BUILT_ERRORS = [
         FLAT_SMALL,
         {"policies": ((DC_RC, DC_RC),)},
         [f"policies[0]: unknown policy {(DC_RC, DC_RC)!r} (expected one of {FLAT_NAMES})"],
+    ),
+    (
+        FLAT_SMALL,
+        {"policies": (DC_RC, GossipPolicy.FC_sRC, DC_RC)},
+        ["policies[2] repeats policies[0]"],
+    ),
+    (
+        CLUSTERED_SMALL,
+        {"policies": ((DC_RC, DC_RC), (DC_RC, DC_RC))},
+        ["policies[1] repeats policies[0]"],
+    ),
+    (FLAT_SMALL, {"sim": 5}, ["sim must be an object, got 5"]),
+    (
+        FLAT_SMALL,
+        {"cases": (Rates(1.0, 1.0),)},
+        [f"cases[0] must be an object, got {Rates(1.0, 1.0)!r}"],
+    ),
+    (
+        FLAT_SMALL,
+        {"cases": (RateCase("a", 1.0),)},
+        [f"cases[0] must be an object, got {RateCase('a', 1.0)!r}"],
+    ),
+    *(
+        (
+            CLUSTERED_SMALL,
+            {"cases": (RateCase(label, Rates(1.0, 1.0)),)},
+            [f"cases[0].label must be a nonempty string, got {label!r}"],
+        )
+        for label in (None, "")
     ),
 ]
 

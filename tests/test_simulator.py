@@ -959,6 +959,17 @@ def test_csum_drift_with_no_active_cluster_fires_no_refresh():
     assert sim._csum == sum(sim._crates)
 
 
+def test_a_uniform_pick_never_reaches_the_end_of_its_list():
+    # random.Random.random() is k / 2**53 with k < 2**53, so TrajectorySim's
+    # int(random() * s) stays below s at every list length s up to 2**53
+    top = 1 - 2**-53
+    assert top == math.nextafter(1.0, 0.0)
+    s = np.arange(1, 2 * 10**6 + 1, dtype=float)
+    assert np.array_equal(np.trunc(top * s), s - 1)  # the same IEEE product
+    near_powers = {s for p in range(54) for s in range(2**p - 2, 2**p + 3) if 1 <= s <= 2**53}
+    assert all(int(top * s) == s - 1 for s in near_powers)
+
+
 # --- decomposition -----------------------------------------------------------
 
 
