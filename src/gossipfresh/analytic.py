@@ -480,15 +480,16 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of ``n``, ascending; ``n`` obeys
     :func:`~gossipfresh.core.size_problem`."""
     require_size("n", n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    found, rest, p = [1], n, 2  # the divisors of n // rest; rest has no factor below p
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # a prime
+        block = len(found)
+        while rest % p == 0:  # each power of p times the divisors found before it
+            rest //= p
+            found += [d * p for d in found[-block:]]
+        p += 1
+    return sorted(found)
 
 
 def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:

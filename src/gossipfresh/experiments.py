@@ -102,8 +102,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        # None is not given, but for policies and cases, which only the parser leaves out
-        given = {f: v for f, v in vars(self).items() if v is not None or f in ("policies", "cases")}
+        given = {f: v for f, v in vars(self).items() if v is not None}
         if problems := _config_problems(given):
             raise ConfigError(problems)
 
@@ -117,7 +116,7 @@ class ExperimentConfig:
         return self.n_range[1] if self.n_range else self.n
 
     @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
+    def from_dict(raw) -> "ExperimentConfig":
         return _parse_config(raw)
 
     @staticmethod
@@ -127,9 +126,7 @@ class ExperimentConfig:
                 raw = json.load(f)
         except (ValueError, RecursionError) as e:  # bad syntax, UTF-8 or digits; deep nesting
             raise ConfigError([f"{path}: not valid JSON ({e})"]) from e
-        if not isinstance(raw, dict):
-            raise ConfigError([f"{path}: top level must be an object"])
-        return _parse_config(raw)
+        return _parse_config(raw, f"{path}: ")
 
 
 #: Rate cases used for clustered sweeps when the config names none: equal
@@ -154,8 +151,8 @@ def _as_rate(value, where, problems, positive=False):
     return None if problem else float(value)
 
 
-#: An entry the parser has reported and left for no rule to judge again; it
-#: keeps the positions of the entries after it.
+#: A section or entry the parser has reported and left for no rule to judge
+#: again; an entry keeps the positions of the entries after it.
 _REPORTED = object()
 
 
@@ -169,15 +166,15 @@ def _as_policy(value):
 
 def _config_problems(given: dict) -> list[str]:
     """Every rule of a config's typed values, each judged here alone: the
-    problems of ``given``, a map of field names to values.  name, mode and
-    the mode's grid (n, or n_range in a flat sweep) are checked also when
-    missing, any other field where given; the parser leaves out what it has
-    reported.  Each policies entry is a policy (a ``(source, cluster)``
-    tuple of two in clustered modes), and a repeat of a valid entry is
-    named; ``sim`` is a :class:`SimSettings`; each case is a
-    :class:`RateCase` holding :class:`Rates` under a nonempty string label.
-    These types keep the parser's wording for the JSON values they stand
-    for."""
+    problems of ``given``, a map of field names to values.  name, mode, the
+    mode's grid (n, or n_range in a flat sweep), policies and cases are
+    checked also when missing, any other field where given.  policies and
+    cases are each a nonempty list or tuple (or ``_REPORTED``); each
+    policies entry is a policy (a ``(source, cluster)`` tuple of two in
+    clustered modes), and a repeat of a valid entry is named; ``sim`` is a
+    :class:`SimSettings`; each case is a :class:`RateCase` holding
+    :class:`Rates` under a nonempty string label.  These types keep the
+    parser's wording for the JSON values they stand for."""
     problems = [name_problem("name", given.get("name"))]
     mode = given.get("mode")
     if mode not in MODES:
@@ -219,13 +216,17 @@ def _config_problems(given: dict) -> list[str]:
     output = given.get("output")
     if output is not None and not isinstance(output, str):
         problems.append(f"output must be a string path, got {output!r}")
-    # True stands for a section the parser has reported and left out
-    if not given.get("policies", True) or not given.get("cases", True):
-        problems.append("config has no policies or no rate cases")
+    sections = {}  # each valid section's entries
+    for key in ("policies", "cases"):
+        entries = given.get(key)
+        if isinstance(entries, (list, tuple)) and entries:
+            sections[key] = entries
+        elif entries is not _REPORTED:
+            problems.append(f"{key} must be a nonempty list, got {entries!r}")
     clustered = _is_clustered(mode, "k" in given)
     valid = ", ".join(p.value for p in GossipPolicy)
     first: dict = {}  # each valid entry's first position
-    for i, policy in enumerate(given.get("policies") or ()):
+    for i, policy in enumerate(sections.get("policies", ())):
         where = f"policies[{i}]"
         if clustered and not (isinstance(policy, tuple) and len(policy) == 2):
             problems.append(f"{where} must be a [source, cluster] pair, got {policy!r}")
@@ -237,7 +238,7 @@ def _config_problems(given: dict) -> list[str]:
             problems += unknown
         elif first.setdefault(policy, i) != i:
             problems.append(f"{where} repeats policies[{first[policy]}]")
-    for i, case in enumerate(given.get("cases") or ()):
+    for i, case in enumerate(sections.get("cases", ())):
         if case is _REPORTED:
             continue
         if not isinstance(case, RateCase) or not isinstance(case.rates, Rates):
@@ -250,7 +251,7 @@ def _config_problems(given: dict) -> list[str]:
 def _parse_rates_dict(raw, where, problems, allow_alpha):
     unknown = set(raw) - _RATE_KEYS
     if unknown:
-        problems.append(f"{where}: unknown keys {sorted(unknown)}")
+        problems.append(f"{where}: unknown keys {sorted(unknown, key=str)}")
     if "alpha" in raw and not allow_alpha:
         problems.append(f"{where}: alpha parameterization is only valid for flat sweeps")
     if "alpha" in raw and "lambda_e" in raw:
@@ -284,17 +285,19 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
     return [RateCase("case1", Rates(lam_e, lam_s, lam_c, lam_g))]
 
 
-def _parse_config(raw: dict) -> ExperimentConfig:
-    """Check the raw structure (keys, containers, rates), convert the rest
-    of the JSON to typed values for :func:`_config_problems` to judge, and
-    raise the problems of both in one ``ConfigError``.  A policy name
-    becomes its policy, in clustered modes inside a ``[source, cluster]``
-    list, which becomes a tuple; any other entry, and a ``sim`` or a case
-    that is no object, is given as it stands."""
+def _parse_config(raw, prefix: str = "") -> ExperimentConfig:
+    """Check the raw structure (the top level, keys, rates), convert the
+    rest of the JSON to typed values for :func:`_config_problems` to judge,
+    and raise the problems of both in one ``ConfigError``; ``prefix`` leads
+    the top-level problem.  A nonempty policies or cases list becomes a
+    tuple; a policy name becomes its policy, a clustered ``[source,
+    cluster]`` list a tuple of two.  Any other section, entry or ``sim`` is
+    given as it stands."""
+    if not isinstance(raw, dict):
+        raise ConfigError([f"{prefix}top level must be an object"])
     problems: list[str] = []
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown keys {sorted(unknown)}")
+    if unknown := set(raw) - _TOP_KEYS:
+        problems.append(f"unknown keys {sorted(unknown, key=str)}")
     given = {key: raw[key] for key in ("n", "n_range", "k", "output", "sim") if key in raw}
     given.update(name=raw.get("name"), mode=raw.get("mode"))
     mode = given["mode"]
@@ -304,55 +307,50 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     # [source, cluster] pairs are not also reported as unknown flat policies
     clustered = _is_clustered(mode, "k" in raw)
 
-    raw_policies = raw.get("policies")
-    if not isinstance(raw_policies, list) or not raw_policies:
-        problems.append(f"policies must be a nonempty list, got {raw_policies!r}")
-    elif clustered:
-        given["policies"] = tuple(
-            tuple(map(_as_policy, e)) if isinstance(e, list) and len(e) == 2 else e
-            for e in raw_policies
+    policies = raw.get("policies")  # as it stands unless a nonempty list
+    if isinstance(policies, list) and policies:
+        policies = tuple(
+            (tuple(map(_as_policy, e)) if isinstance(e, list) and len(e) == 2 else e)
+            if clustered else _as_policy(e)
+            for e in policies
         )
-    else:
-        given["policies"] = tuple(map(_as_policy, raw_policies))
+    given["policies"] = policies
 
-    # rates / cases
+    # rates / cases; a section reported here is given as _REPORTED
     allow_alpha = not clustered
-    cases: list = []
+    cases = raw.get("cases", _REPORTED)  # as it stands unless a nonempty list
     if "rates" in raw and "cases" in raw:
         problems.append("rates and cases are mutually exclusive")
+        cases = _REPORTED
     elif "rates" in raw:
         if not isinstance(raw["rates"], dict):
             problems.append(f"rates must be an object, got {raw['rates']!r}")
         else:
-            cases = _parse_rates_dict(raw["rates"], "rates", problems, allow_alpha)
-    elif "cases" in raw:
-        if not isinstance(raw["cases"], list) or not raw["cases"]:
-            problems.append(f"cases must be a nonempty list, got {raw['cases']!r}")
-        else:
-            for i, entry in enumerate(raw["cases"]):
-                where = f"cases[{i}]"
-                case = entry  # no object: judged as it stands
-                if isinstance(entry, dict):
-                    rates = {key: v for key, v in entry.items() if key != "label"}
-                    case = _REPORTED
-                    if unknown := set(entry) - _CASE_KEYS:
-                        problems.append(f"{where}: unknown keys {sorted(unknown)}")
-                    elif parsed := _parse_rates_dict(rates, where, problems, allow_alpha=False):
-                        case = RateCase(entry.get("label", f"case{i + 1}"), parsed[0].rates)
-                cases.append(case)
-    elif clustered:
-        cases = list(DEFAULT_RATE_CASES)
-    else:
+            cases = tuple(_parse_rates_dict(raw["rates"], "rates", problems, allow_alpha)) or cases
+    elif isinstance(cases, list) and cases:
+        entries = []
+        for i, entry in enumerate(cases):
+            where = f"cases[{i}]"
+            case = entry  # no object: judged as it stands
+            if isinstance(entry, dict):
+                rates = {key: v for key, v in entry.items() if key != "label"}
+                case = _REPORTED
+                if unknown := set(entry) - _CASE_KEYS:
+                    problems.append(f"{where}: unknown keys {sorted(unknown, key=str)}")
+                elif parsed := _parse_rates_dict(rates, where, problems, allow_alpha=False):
+                    case = RateCase(entry.get("label", f"case{i + 1}"), parsed[0].rates)
+            entries.append(case)
+        cases = tuple(entries)
+    elif "cases" not in raw and clustered:
+        cases = DEFAULT_RATE_CASES
+    elif "cases" not in raw:
         problems.append("flat configs need a rates (or cases) section")
+    given["cases"] = cases
 
     if isinstance(raw.get("sim"), dict):
-        unknown = set(raw["sim"]) - _SIM_KEYS
-        if unknown:
-            problems.append(f"sim: unknown keys {sorted(unknown)}")
+        if unknown := set(raw["sim"]) - _SIM_KEYS:
+            problems.append(f"sim: unknown keys {sorted(unknown, key=str)}")
         given["sim"] = SimSettings(raw["sim"].get("cycles"), raw["sim"].get("seed", 0))
-    # a section left empty has had its problems reported above
-    if cases:
-        given["cases"] = tuple(cases)
     if problems := problems + _config_problems(given):
         raise ConfigError(problems)
     if "n_range" in given:

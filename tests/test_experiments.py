@@ -3,7 +3,7 @@ import io
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -552,8 +552,8 @@ def test_report_optimal_k_requires_clustered_mode():
     "change,problem",
     [
         ({"mode": "clustered"}, "clustered_sweep_k"),
-        ({"policies": ()}, "config has no policies or no rate cases"),
-        ({"cases": ()}, "config has no policies or no rate cases"),
+        ({"policies": ()}, "policies must be a nonempty list, got ()"),
+        ({"cases": ()}, "cases must be a nonempty list, got ()"),
     ],
 )
 def test_a_config_built_in_code_without_mode_policies_or_cases_is_a_config_error(
@@ -672,6 +672,11 @@ CODE_BUILT_ERRORS = [
         )
         for label in (None, "")
     ),
+    # a section is judged as a whole before its entries
+    (FLAT_SMALL, {"policies": 5}, ["policies must be a nonempty list, got 5"]),
+    (FLAT_SMALL, {"policies": "DC_RC"}, ["policies must be a nonempty list, got 'DC_RC'"]),
+    (FLAT_SMALL, {"policies": None}, ["policies must be a nonempty list, got None"]),
+    (CLUSTERED_SMALL, {"cases": 5}, ["cases must be a nonempty list, got 5"]),
 ]
 
 
@@ -685,6 +690,83 @@ def test_a_config_built_in_code_keeps_every_rule_of_the_parser(monkeypatch, raw,
     with pytest.raises(ConfigError) as err:
         run_experiment(replace(ExperimentConfig.from_dict(raw), **change))
     assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("raw", [[1], [FLAT_SMALL], None, "flat_small", 5])
+def test_a_config_whose_top_level_is_no_object_is_a_config_error(raw):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.problems == ["top level must be an object"]
+
+
+@pytest.mark.parametrize(
+    "raw,problem",
+    [
+        ({**FLAT_SMALL, "zz": 0, 1: 0}, "unknown keys [1, 'zz']"),
+        (
+            dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": 1, 1: 0, "zz": 0}),
+            "rates: unknown keys [1, 'zz']",
+        ),
+        (
+            dict(CLUSTERED_NO_RATES, cases=[{"lambda_e": 1, 1: 0, "zz": 0}]),
+            "cases[0]: unknown keys [1, 'zz']",
+        ),
+        (dict(FLAT_SMALL, sim={"cycles": 10, 1: 0, "zz": 0}), "sim: unknown keys [1, 'zz']"),
+    ],
+)
+def test_a_config_from_code_may_hold_keys_that_are_no_strings(raw, problem):
+    # sorted() of int and str keys together raised TypeError
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.problems == [problem]
+
+
+#: Any JSON value, with leaves and keys that a config's rules read.
+WORDS = [p.value for p in GossipPolicy] + list(experiments.MODES) + ["", "x", "../x"]
+KEYS = sorted(experiments._TOP_KEYS | experiments._RATE_KEYS | experiments._CASE_KEYS)
+
+
+def _nested(inner):
+    keys = st.sampled_from(KEYS)
+    return inner | st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3)
+
+
+# three levels reach a case's rates; st.recursive draws twice as slowly here
+json_values = _nested(_nested(_nested(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(WORDS)
+)))
+VALID_CONFIGS = [FLAT_SMALL, CLUSTERED_SMALL, CLUSTERED_POINT]
+
+
+def _config_or_config_error(build):
+    """Run ``build``: a config or a ``ConfigError`` passes, any other raise fails."""
+    try:
+        assert isinstance(build(), ExperimentConfig)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300)
+@given(raw=st.sampled_from(VALID_CONFIGS), key=st.sampled_from(KEYS), value=json_values)
+def test_a_config_with_any_json_value_at_one_key_is_a_config_or_a_config_error(raw, key, value):
+    _config_or_config_error(lambda: ExperimentConfig.from_dict(dict(raw, **{key: value})))
+
+
+@settings(max_examples=300)
+@given(raw=json_values)
+def test_any_json_value_as_a_whole_config_is_a_config_or_a_config_error(raw):
+    _config_or_config_error(lambda: ExperimentConfig.from_dict(raw))
+
+
+@settings(max_examples=300)
+@given(
+    raw=st.sampled_from(VALID_CONFIGS),
+    field=st.sampled_from([f.name for f in fields(ExperimentConfig)]),
+    value=json_values,
+)
+def test_a_config_replaced_with_any_json_value_is_a_config_or_a_config_error(raw, field, value):
+    config = ExperimentConfig.from_dict(raw)
+    _config_or_config_error(lambda: replace(config, **{field: value}))
 
 
 def test_a_config_cannot_name_a_file_descriptor_as_its_output(tmp_path):
