@@ -169,6 +169,7 @@ def criterion_2() -> CriterionResult:
     one = Rates(1.0, 1.0, 1.0, 1.0)
     cases = [
         ("DC_RC n=3", closed_flat(GossipPolicy.DC_RC, 1.0, 0.0, 1.0, 3), Fraction(7, 24)),
+        ("FC_noRC n=2", closed_flat(GossipPolicy.FC_noRC, 1.0, 1.0, 1.0, 2), Fraction(2, 5)),
         ("FC_allRC n=2", closed_flat(GossipPolicy.FC_allRC, 1.0, 1.0, 1.0, 2), Fraction(5, 12)),
         ("FC_allRC n=3", closed_flat(GossipPolicy.FC_allRC, 1.0, 1.0, 1.0, 3), Fraction(13, 36)),
         (

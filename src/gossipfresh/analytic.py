@@ -61,8 +61,8 @@ from .core import (
     divides_problem,
     rate_sum_problem,
     real_problem,
+    require,
     require_rates,
-    require_size,
     require_valid,
     size_problem,
     stale_rate_rows,
@@ -105,11 +105,9 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
     :func:`~gossipfresh.core.size_problem`: :func:`~gossipfresh.core.real_problem`
     for ``lambda_e > 0`` and for every named rate, then
     :func:`~gossipfresh.core.rate_sum_problem`."""
-    if problem := real_problem("lambda_e", lambda_e, positive=True):
-        raise ValueError(problem)
+    require(real_problem("lambda_e", lambda_e, positive=True))
     require_rates(**named)
-    if problem := rate_sum_problem(n, lambda_e, named):
-        raise ValueError(problem)
+    require(rate_sum_problem(n, lambda_e, named))
 
 
 def _check_sizes(sizes, lambda_e, total_source, total_gossip):
@@ -129,7 +127,7 @@ def _check_sizes(sizes, lambda_e, total_source, total_gossip):
     if not one and (np.ndim(sizes) != 1 or len(sizes) == 0):
         raise ValueError(f"sizes must be a nonempty sequence, got {sizes!r}")
     for n in sizes:
-        require_size("n", n)
+        require(size_problem("n", n))
     listed = [int(n) for n in sizes]
     rates = (total_source, total_gossip, lambda_e)
     rates = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
@@ -228,15 +226,13 @@ def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
             length, a negative, NaN, or infinite rate (the first offending
             ``j`` is named), or rates so large the recursion would overflow.
     """
-    require_size("n", n)
+    require(size_problem("n", n))
     _check_rates(n, lambda_e)
     table = np.asarray(u, dtype=float)
     if table.shape != (n,):
         raise ValueError(f"u must hold n = {n} rates, got shape {table.shape}")
-    bad = ~np.isfinite(table) | (table < 0)
-    if bad.any():
-        j = int(bad.argmax())
-        raise ValueError(real_problem(f"u({j})", float(table[j])))
+    j = int((~np.isfinite(table) | (table < 0)).argmax())  # the first bad u(j), else 0
+    require(real_problem(f"u({j})", float(table[j])))
     _check_rates(n, lambda_e, max_u=float(table.max()))
     return float(_recursion(table, n - np.arange(n, dtype=float), lambda_e)[0])
 
@@ -450,7 +446,7 @@ def closed_clustered(
     None when either tier lacks a closed form.  ``m`` obeys
     :func:`~gossipfresh.core.size_problem`; the shape ``n = m * k`` is then
     checked as :func:`clustered_freshness` checks it."""
-    require_size("m", m)
+    require(size_problem("m", m))
     spec = NetworkSpec.clustered(m * k, k, source_policy, cluster_policy, rates)
     require_valid(spec)
     f_src, f_cl = [closed_flat(p, s, g, rates.lambda_e, size) for p, s, g, size in spec.tiers]
@@ -479,7 +475,7 @@ def clustered_freshness(spec: NetworkSpec) -> tuple[FreshnessValue, ClusteredBre
 def divisors(n: int) -> list[int]:
     """All positive divisors of ``n``, ascending; ``n`` obeys
     :func:`~gossipfresh.core.size_problem`."""
-    require_size("n", n)
+    require(size_problem("n", n))
     found, rest, p = [1], n, 2  # the divisors of n // rest; rest has no factor below p
     while rest > 1:
         if p * p > rest:
@@ -514,12 +510,11 @@ def clustered_profiles(route, n: int, ks, cases, pairs) -> list[list]:
     every k), so an invalid one raises the message that a call per
     combination raises.
     """
-    require_size("n", n)
+    require(size_problem("n", n))
     if len(ks) == 0:
         raise ValueError(f"ks must hold at least one cluster size, got {ks!r}")
     for k in ks:
-        if problem := size_problem("k", k) or divides_problem(n, k):
-            raise ValueError(problem)
+        require(size_problem("k", k) or divides_problem(n, k))
     if len(cases) == 0:
         raise ValueError(f"cases must hold at least one Rates, got {cases!r}")
     for rates in cases:

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem, validate
-from .core import alpha_problem, cycles_problem, real_problem, size_problem
+from .core import alpha_problem, cycles_problem, real_problem, require, size_problem
 from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
@@ -51,8 +51,7 @@ def _rates_from_args(args) -> Rates:
     if args.alpha is not None:
         if args.lambda_e is not None:
             raise ValueError("--alpha and --lambda-e are mutually exclusive")
-        if problem := alpha_problem(args.alpha, args.lambda_s, ("--alpha", "--lambda-s")):
-            raise ValueError(problem)
+        require(alpha_problem(args.alpha, args.lambda_s, ("--alpha", "--lambda-s")))
         lambda_e = args.alpha * args.lambda_s
     elif args.lambda_e is None:
         raise ValueError("missing --lambda-e (or --alpha)")
@@ -92,9 +91,7 @@ def _cmd_analytic(args) -> int:
         raise ValueError("flat point needs --policy (or pass clustered flags)")
     else:
         spec = NetworkSpec.flat(args.n, GossipPolicy(args.policy), rates)
-    problems = validate(spec)
-    if problems:
-        raise ValueError("; ".join(problems))
+    require("; ".join(validate(spec)))
     le = rates.lambda_e
     oracle = [oracle_flat(p, s, g, le, size) for p, s, g, size in spec.tiers]
     closed = [closed_flat(p, s, g, le, size) for p, s, g, size in spec.tiers]
@@ -160,8 +157,7 @@ def _cmd_sweep(args) -> int:
             cycles = base.cycles  # bounded by the config, as sim.cycles
         else:  # the flag or its default, so --cycles is the lever
             cycles = 100_000 if args.cycles is None else args.cycles
-            if problem := cycles_problem("--cycles", cycles, config.largest_n):
-                raise ConfigError([problem])
+            require(cycles_problem("--cycles", cycles, config.largest_n))
         seed = args.seed if args.seed is not None else (base.seed if base else 0)
         config = replace(config, sim=SimSettings(cycles=cycles, seed=seed))
     with _destinations(config.output, args.plot_dir):
@@ -252,12 +248,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        for problem in e.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        for problem in e.problems if isinstance(e, ConfigError) else [e]:
+            print(f"error: {problem}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

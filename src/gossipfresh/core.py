@@ -75,6 +75,13 @@ def real_problem(name: str, value, positive: bool = False) -> str | None:
     return f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}"
 
 
+def require(problem: str | None) -> None:
+    """Raise ``ValueError(problem)`` for the message of a ``*_problem``
+    rule; return for its None.  Each boundary raises a rule this way."""
+    if problem:
+        raise ValueError(problem)
+
+
 def require_rates(**named: float) -> None:
     """Raise ``ValueError`` at the first named value :func:`real_problem`
     rejects.
@@ -83,8 +90,7 @@ def require_rates(**named: float) -> None:
     :class:`Rates` or as a raw float at a formula's boundary.
     """
     for name, v in named.items():
-        if problem := real_problem(name, v):
-            raise ValueError(problem)
+        require(real_problem(name, v))
 
 
 def alpha_problem(alpha, lambda_s, names: tuple[str, str]) -> str | None:
@@ -107,13 +113,6 @@ def int_problem(name: str, value, minimum: int) -> str | None:
     return None
 
 
-def require_int(name: str, value, minimum: int) -> None:
-    """Raise ``ValueError`` where :func:`int_problem` finds one."""
-    problem = int_problem(name, value, minimum)
-    if problem:
-        raise ValueError(problem)
-
-
 #: Largest size of a network, a tier or a cluster: float64 holds every
 #: integer up to 2**53 exactly, and :func:`stale_rate_rows` computes
 #: ``stale = n - j`` in float64.
@@ -129,21 +128,29 @@ def size_problem(name: str, value) -> str | None:
     return f"{name} must be at most 2**53, got {value!r}" if value > SIZE_LIMIT else None
 
 
-def require_size(name: str, value) -> None:
-    """Raise ``ValueError`` where :func:`size_problem` finds one."""
-    if problem := size_problem(name, value):
-        raise ValueError(problem)
-
-
 def name_problem(name: str, value) -> str | None:
     """The one name rule, for a name that files are named after: a message
     unless ``value`` is a nonempty string with no path separator (``/`` or
-    ``\\``), so that those files stay in their directory, else None."""
+    ``\\``), so that those files stay in their directory, and no NUL, which
+    no file name holds, else None."""
     if not isinstance(value, str) or not value:
         return f"{name} must be a nonempty string, got {value!r}"
     if "/" in value or "\\" in value:
         return f"{name} must not contain / or \\, got {value!r}"
+    if "\0" in value:
+        return f"{name} must not contain a NUL character, got {value!r}"
     return None
+
+
+def horizon_problem(horizon, windows: int) -> str | None:
+    """The one horizon rule: a message unless ``horizon`` passes
+    :func:`real_problem` as > 0 and each of its ``windows`` equal windows
+    is a normal float wide, so no width rounds to 0, else None."""
+    if problem := real_problem("horizon", horizon, positive=True):
+        return problem
+    if horizon / windows >= sys.float_info.min:
+        return None
+    return f"horizon / {windows} must be at least {sys.float_info.min!r}, got {horizon!r}"
 
 
 #: Largest ``num_cycles * n`` a cycle estimator takes: it sums the capture
@@ -308,7 +315,7 @@ def per_stale_rate(
         ValueError: if ``n`` breaks :func:`size_problem` or a rate is
             negative or not finite.
     """
-    require_size("n", n)
+    require(size_problem("n", n))
     require_rates(total_source=total_source, total_gossip=total_gossip)
     return stale_rate_rows(policy, total_source, total_gossip, np.array([[n]]), n)[1][0]
 

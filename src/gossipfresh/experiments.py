@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GossipPolicy, NetworkSpec, Rates, int_problem, real_problem, size_problem
-from .core import alpha_problem, cycles_problem, divides_problem, name_problem
+from .core import alpha_problem, cycles_problem, divides_problem, name_problem, require
 from .analytic import (
     closed_sizes,
     clustered_profiles,
@@ -562,8 +562,7 @@ def _series(rows) -> dict[str, tuple]:
         else:
             label = (experiment, f"{source}+{cluster}", case)
         name = "__".join(label) + ".dat"
-        if problem := name_problem("plot series file name", name):
-            raise ValueError(problem)  # it would be written outside out_dir
+        require(name_problem("plot series file name", name))  # a file inside out_dir
         if name in series:
             raise ValueError(f"two plot series would write {name}")
         series[name] = label, list(points.values())

@@ -62,8 +62,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Clustered, NetworkSpec, cycles_problem, real_problem, require_int, require_valid
-from .core import stale_rate_rows
+from .core import Clustered, NetworkSpec, cycles_problem, horizon_problem, int_problem
+from .core import require, require_valid, stale_rate_rows
 from .core import per_stale_rate  # noqa: F401 - perfbench/layers.py traces it
 from .analytic import BLOCK_CELLS, _recursion, _survival
 from .analytic import clustered_freshness  # noqa: F401 - perfbench/layers.py traces it
@@ -136,7 +136,7 @@ class DecompositionReport:
 
 def _child_seed(seed: int) -> int:
     """A deterministic 128-bit child seed of ``seed``."""
-    require_int("seed", seed, 0)
+    require(int_problem("seed", seed, 0))
     words = np.random.SeedSequence(seed).generate_state(4, np.uint32)
     return int.from_bytes(words.tobytes(), "little")
 
@@ -298,7 +298,7 @@ def estimate_freshness_cycles(
     kernels count captures without naming nodes, so ``per_node`` is empty.
     ``num_cycles`` is an integer >= 1 with ``num_cycles * n <= 2**63 - 1``.
     """
-    require_int("num_cycles", num_cycles, 1)
+    require(int_problem("num_cycles", num_cycles, 1))
     return _cycle_estimate(_Tables(spec), num_cycles, seed)
 
 
@@ -307,9 +307,8 @@ def _cycle_estimate(tab: _Tables, num_cycles: int, seed: int) -> FreshnessEstima
     ``num_cycles`` that passed :func:`~gossipfresh.core.int_problem`; its
     :func:`~gossipfresh.core.cycles_problem` bound keeps the capture sum
     below int64 overflow."""
-    if problem := cycles_problem("num_cycles", num_cycles, tab.n):
-        raise ValueError(problem)
-    require_int("seed", seed, 0)
+    require(cycles_problem("num_cycles", num_cycles, tab.n))
+    require(int_problem("seed", seed, 0))
     rng = np.random.Generator(np.random.PCG64(seed))
     hist = (_clustered_counts if tab.k else _flat_counts)(tab, rng, num_cycles)
     captures = int(hist @ np.arange(tab.n + 1))
@@ -510,8 +509,7 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
     :data:`TIME_WINDOWS` equal windows.  Warns when the horizon covers
     fewer than ~100 expected refresh cycles.
     """
-    if problem := real_problem("horizon", horizon, positive=True):
-        raise ValueError(problem)
+    require(horizon_problem(horizon, TIME_WINDOWS))
     sim = TrajectorySim(spec, random.Random(0))  # the one check of the spec
     sim.rng.seed(_child_seed(seed))  # a bad spec is reported before a bad seed
     lam_e = sim.tab.lam_e
@@ -523,16 +521,13 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
         )
     n = sim.tab.n
     accum = sim.state.fresh_time_accum
-    window_means = []
-    prev_sum = 0.0
-    for b in range(1, TIME_WINDOWS + 1):
-        edge = horizon * b / TIME_WINDOWS
+    edges = [horizon * b / TIME_WINDOWS for b in range(TIME_WINDOWS + 1)]
+    sums = [0.0]  # the fresh time accumulated by each edge
+    for edge in edges[1:]:
         sim.run_until(edge)
-        cur = sum(accum)
-        window_means.append((cur - prev_sum) / n / (edge - horizon * (b - 1) / TIME_WINDOWS))
-        prev_sum = cur
-    w = np.asarray(window_means)
-    p_hat = float(sum(accum) / (n * horizon))
+        sums.append(sum(accum))
+    w = np.diff(sums) / n / np.diff(edges)  # the window means
+    p_hat = float(sums[-1] / (n * horizon))
     stderr = float(np.std(w, ddof=1) / math.sqrt(TIME_WINDOWS))
     return FreshnessEstimate(
         p_hat=p_hat,
@@ -563,7 +558,7 @@ def decomposition_check(
     tab = _Tables(spec)
     if not isinstance(spec.shape, Clustered):
         raise ValueError("decomposition_check requires a Clustered shape")
-    require_int("num_cycles", num_cycles, 1)
+    require(int_problem("num_cycles", num_cycles, 1))
     est = _cycle_estimate(tab, num_cycles, seed)
     p_ch, p_node = [float(_recursion(u, stale, tab.lam_e)[0]) for stale, u in tab.rows]
     p = p_ch * p_node

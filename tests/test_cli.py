@@ -290,6 +290,16 @@ def test_a_config_name_with_a_path_separator_exits_1_before_any_work(
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_a_config_name_with_a_nul_exits_1_before_any_file_is_written(tmp_path, capsys):
+    # the CSV was written, then the plot files ended in "embedded null byte"
+    path = write_config(tmp_path, dict(FLAT_CONFIG, name="a\0b"))
+    argv = ["sweep", "--config", str(path), "--output", str(tmp_path / "rows.csv")]
+    assert main(argv + ["--plot-dir", str(tmp_path / "p")]) == 1
+    message = "error: name must not contain a NUL character, got 'a\\x00b'\n"
+    assert capsys.readouterr() == ("", message)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no CSV, no plot directory
+
+
 def test_unparseable_config_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -271,6 +271,7 @@ def test_a_name_keeps_the_files_named_after_it_in_their_directory():
         assert name_problem("name", bad) == f"name must not contain / or \\, got {bad!r}"
     for bad in ("", 3, None):
         assert name_problem("name", bad) == f"name must be a nonempty string, got {bad!r}"
+    assert name_problem("name", "a\0b") == "name must not contain a NUL character, got 'a\\x00b'"
 
 
 @pytest.mark.parametrize("num_cycles", [2**61 - 1, np.int64(2**61 - 1)])

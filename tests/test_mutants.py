@@ -109,7 +109,7 @@ def _clustered_counts(old, new):
 #: id, the mutant as ``(original, replacement)``, the criteria that must
 #: fail, and the ROADMAP item that will catch a defect selftest misses.
 MUTANTS = [
-    ("FC_noRC gossip divisor n - 1 -> n", lambda: _gossip_divisor_n(GP.FC_noRC), "2", 2),
+    ("FC_noRC gossip divisor n - 1 -> n", lambda: _gossip_divisor_n(GP.FC_noRC), "2", None),
     ("FC_sRC gossip divisor n - 1 -> n", lambda: _gossip_divisor_n(GP.FC_sRC), "23", None),
     ("FC_allRC u x (1 + 1e-11)", lambda: _scaled(GP.FC_allRC, 1 + 1e-11), "13", None),
     (

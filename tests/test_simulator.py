@@ -609,6 +609,9 @@ def test_time_estimator_rejects_bad_arguments():
         estimate_freshness_time(spec, True, seed=1)
     with pytest.raises(ValueError, match="horizon"):
         estimate_freshness_time(spec, "5", seed=1)
+    for horizon in (5e-324, 1e-322):  # a window's width rounded to 0
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_freshness_time(spec, horizon, seed=1)
     for n in (2.5, True):
         with pytest.raises(ValueError, match="n must be an integer"):
             estimate_freshness_time(NetworkSpec.flat(n, GP.DC_noRC, ONE), 1000.0, seed=1)
