@@ -8,7 +8,6 @@ deterministic (all Monte Carlo seeds are fixed), so a report written by
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates
+from .core import DC_POLICIES, Clustered, GossipPolicy, NetworkSpec, Rates
 from .analytic import (
     closed_clustered,
     closed_flat,
     closed_sizes,
+    clustered_freshness,
     count_law_sizes,
     divisors,
     optimal_cluster_size,
@@ -163,40 +163,118 @@ def criterion_1() -> CriterionResult:
     )
 
 
+#: Policies whose sender, the source or a clusterhead, targets a uniform
+#: stale node; the others target a uniform node of the tier.
+_STALE_TARGETING = (GossipPolicy.DC_RC, GossipPolicy.FC_sRC, GossipPolicy.FC_allRC)
+
+
+def _chain_freshness(spec: NetworkSpec) -> Fraction:
+    """Exact end-node freshness of ``spec`` from the continuous-time Markov
+    chain over the *sets* of fresh nodes and fresh clusterheads, built from
+    each policy's definition alone, in ``Fraction`` arithmetic of the
+    spec's float rates.
+
+    A state is a bit mask of the fresh members.  The source, always fresh,
+    pushes at lambda_s to a uniform member of its tier, or to a uniform
+    stale one under a stale-targeting policy; each fresh clusterhead
+    relays at lambda_c to its own k nodes the same way; under an FC policy
+    each fresh node gossips at lambda_g to a uniform other node of its tier,
+    or to a uniform stale one under ``FC_allRC``; a refresh at lambda_e
+    empties every set.  Every transition but the refresh adds a member, so
+    a nonempty set's balance equation involves only smaller masks, and one
+    pass in increasing mask order solves for the stationary law, up to its
+    normalisation.  Freshness is E[fresh end nodes] / n.  The chain shares
+    no code with the ``u(j)`` table or the renewal recursion it checks.
+    """
+    r, shape = spec.rates, spec.shape
+    le, ls, lc, lg = (Fraction(x) for x in (r.lambda_e, r.lambda_s, r.lambda_c, r.lambda_g))
+    if isinstance(shape, Clustered):
+        m, k = shape.m, shape.k
+        groups = [range(m + c * k, m + (c + 1) * k) for c in range(m)]
+        senders = [(None, ls, range(m), shape.source_policy in _STALE_TARGETING)]
+        senders += [(c, lc, groups[c], shape.cluster_policy in _STALE_TARGETING) for c in range(m)]
+        policy, ends = shape.cluster_policy, range(m, m + shape.n)
+    else:
+        policy, ends = shape.policy, range(shape.n)
+        groups = [ends]
+        senders = [(None, ls, ends, policy in _STALE_TARGETING)]
+    if policy.gossips:  # a fresh node gossips within its own tier or cluster
+        senders += [
+            (i, lg, [j for j in group if j != i], policy is GossipPolicy.FC_allRC)
+            for group in groups
+            for i in group
+        ]
+    inflow, law = {0: Fraction(1)}, {}  # the empty set's weight is 1; law is unnormalised
+    for mask in range(1 << (max(ends) + 1)):
+        if mask not in inflow:
+            continue  # no transition reaches this set
+        moves = {}
+        for sender, rate, targets, stale_only in senders:
+            if sender is None or mask >> sender & 1:  # only a fresh member sends
+                stale = [t for t in targets if not mask >> t & 1]
+                for t in stale:
+                    share = rate / len(stale if stale_only else targets)
+                    moves[mask | 1 << t] = moves.get(mask | 1 << t, 0) + share
+        law[mask] = inflow[mask] / (sum(moves.values()) + le) if mask else inflow[mask]
+        for to, rate in moves.items():
+            inflow[to] = inflow.get(to, 0) + law[mask] * rate
+    fresh = sum(p * sum(mask >> i & 1 for i in ends) for mask, p in law.items())
+    return fresh / (sum(law.values()) * len(ends))
+
+
+#: Criterion 2's rate points: unit rates and one point where every rate differs.
+EXACT_RATES = (Rates(1.0, 1.0, 1.0, 1.0), Rates(0.5, 2.0, 3.0, 1.25))
+EXACT_NS = (1, 2, 3, 4)
+
+
+def _route_values(spec: NetworkSpec):
+    """``(where, route, value)`` for each exact route of ``spec`` that has
+    a formula: the recursion and the closed form of a flat spec, or of a
+    clustered one."""
+    r, shape = spec.rates, spec.shape
+    if isinstance(shape, Clustered):
+        src, cl = shape.source_policy, shape.cluster_policy
+        where = f"({src.value},{cl.value}) m={shape.m} k={shape.k} le={r.lambda_e} "
+        where += f"ls={r.lambda_s} lc={r.lambda_c} lg={r.lambda_g}"
+        values = {
+            "clustered_freshness": clustered_freshness(spec)[0],
+            "closed_clustered": closed_clustered(src, cl, shape.m, shape.k, r),
+        }
+    else:
+        pol, rates = shape.policy, (r.lambda_s, r.lambda_g, r.lambda_e, shape.n)
+        where = f"{pol.value} n={shape.n} le={r.lambda_e} ls={r.lambda_s} lg={r.lambda_g}"
+        values = {"oracle_flat": oracle_flat(pol, *rates), "closed_flat": closed_flat(pol, *rates)}
+    return [(where, route, v) for route, v in values.items() if v is not None]
+
+
 def criterion_2() -> CriterionResult:
-    """Hand-derived rational spot values, each to 1e-12."""
+    """Every exact route equals the fresh-set Markov chain to 1e-12: each
+    flat policy at n = 1..4 and each DC source with each cluster policy at
+    m = k = 2, at every point of ``EXACT_RATES``."""
     t0 = time.perf_counter()
-    one = Rates(1.0, 1.0, 1.0, 1.0)
-    cases = [
-        ("DC_RC n=3", closed_flat(GossipPolicy.DC_RC, 1.0, 0.0, 1.0, 3), Fraction(7, 24)),
-        ("FC_noRC n=2", closed_flat(GossipPolicy.FC_noRC, 1.0, 1.0, 1.0, 2), Fraction(2, 5)),
-        ("FC_allRC n=2", closed_flat(GossipPolicy.FC_allRC, 1.0, 1.0, 1.0, 2), Fraction(5, 12)),
-        ("FC_allRC n=3", closed_flat(GossipPolicy.FC_allRC, 1.0, 1.0, 1.0, 3), Fraction(13, 36)),
-        (
-            "FC_sRC n=3 (recursion)",
-            oracle_flat(GossipPolicy.FC_sRC, 1.0, 1.0, 1.0, 3),
-            Fraction(19, 54),
-        ),
-        (
-            "(DC_RC,DC_RC) m=k=2",
-            closed_clustered(GossipPolicy.DC_RC, GossipPolicy.DC_RC, 2, 2, one),
-            Fraction(9, 64),
-        ),
-        (
-            "(DC_RC,FC_allRC) m=k=2",
-            closed_clustered(GossipPolicy.DC_RC, GossipPolicy.FC_allRC, 2, 2, one),
-            Fraction(5, 32),
-        ),
-    ]
     failures = []
-    worst = 0.0
-    for label, got, frac in cases:
-        diff = abs(got - float(frac))
-        worst = max(worst, diff)
-        if diff > TOL:
-            failures.append(f"{label}: got {got!r}, want {frac} (diff {diff:.3e})")
+    worst, count = 0.0, 0
+    for rates in EXACT_RATES:
+        specs = [NetworkSpec.flat(n, pol, rates) for pol in GossipPolicy for n in EXACT_NS]
+        specs += [
+            NetworkSpec.clustered(4, 2, src, cl, rates)
+            for src in DC_POLICIES
+            for cl in GossipPolicy
+        ]
+        for spec in specs:
+            want = _chain_freshness(spec)
+            for where, route, got in _route_values(spec):
+                diff = abs(got - float(want))
+                worst, count = max(worst, diff), count + 1
+                if diff > TOL:
+                    failures.append(f"{where}: {route} = {got!r}, want {want} (diff {diff:.3e})")
     return _result(
-        "2", "hand-derived spot values", t0, failures, f"max diff = {worst:.3e}"
+        "2",
+        "exact routes match the fresh-set Markov chain at small sizes",
+        t0,
+        failures,
+        f"{count} route values, max diff = {worst:.3e}",
+        budget=1.0,
     )
 
 

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, int_problem, validate
-from .core import alpha_problem, cycles_problem, real_problem, require, size_problem
+from .core import alpha_problem, cycles_problem, path_problem, real_problem, require, size_problem
 from .analytic import closed_flat, oracle_flat
 from .experiments import (
     ConfigError,
@@ -142,10 +142,16 @@ def _destinations(output: str | None, plot_dir: str | None):
 
 def _cmd_sweep(args) -> int:
     """``sweep`` and ``simulate``; ``simulate`` always adds the Monte Carlo columns."""
-    # the overrides obey the integer rule of the config's sim.cycles and sim.seed
+    # the overrides obey the integer rule of the config's sim.cycles and sim.seed,
+    # and the destinations the path rule of its output, before anything is made
     problems = [
         int_problem(flag, value, minimum)
         for flag, value, minimum in (("--cycles", args.cycles, 1), ("--seed", args.seed, 0))
+        if value is not None
+    ]
+    problems += [
+        path_problem(flag, value)
+        for flag, value in (("--output", args.output), ("--plot-dir", args.plot_dir))
         if value is not None
     ]
     if any(problems):
@@ -195,6 +201,8 @@ def _cmd_selftest(args) -> int:
         if not names:
             raise ValueError(f"--only names no criterion, got {args.only!r}")
         names = acceptance.criterion_names(names)
+    if args.report is not None:
+        require(path_problem("--report", args.report))
     with _destinations(args.report, None):
         results = acceptance.run_criteria(names)
         for res in results:

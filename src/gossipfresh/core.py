@@ -128,18 +128,27 @@ def size_problem(name: str, value) -> str | None:
     return f"{name} must be at most 2**53, got {value!r}" if value > SIZE_LIMIT else None
 
 
+def path_problem(name: str, value) -> str | None:
+    """The one path rule, for a file or directory the program writes: a
+    message unless ``value`` is a string with no NUL, which no path holds,
+    else None."""
+    if not isinstance(value, str):
+        return f"{name} must be a string path, got {value!r}"
+    if "\0" in value:
+        return f"{name} must not contain a NUL character, got {value!r}"
+    return None
+
+
 def name_problem(name: str, value) -> str | None:
     """The one name rule, for a name that files are named after: a message
     unless ``value`` is a nonempty string with no path separator (``/`` or
-    ``\\``), so that those files stay in their directory, and no NUL, which
-    no file name holds, else None."""
+    ``\\``), so that those files stay in their directory, that passes
+    :func:`path_problem`, else None."""
     if not isinstance(value, str) or not value:
         return f"{name} must be a nonempty string, got {value!r}"
     if "/" in value or "\\" in value:
         return f"{name} must not contain / or \\, got {value!r}"
-    if "\0" in value:
-        return f"{name} must not contain a NUL character, got {value!r}"
-    return None
+    return path_problem(name, value)
 
 
 def horizon_problem(horizon, windows: int) -> str | None:
@@ -372,9 +381,13 @@ def validate(spec: NetworkSpec) -> list[str]:
     ``n * (lambda_e + lambda_s + lambda_g)`` for a flat network, and
     ``m * (lambda_e + lambda_s)`` and ``n * (lambda_e + lambda_c +
     lambda_g)`` for a clustered one, whose m clusters together deliver up
-    to ``m * lambda_c + n * lambda_g``.  Returns a list of human-readable
-    violation messages; the spec is usable iff the list is empty.  Nothing
-    is raised: callers that need hard failure join the messages into an
+    to ``m * lambda_c + n * lambda_g``, and that a clustered source policy
+    is ``DC_noRC`` or ``DC_RC``.  Returns a list of human-readable violation
+    messages, empty iff the shape, the sizes and the rates are usable.  A
+    tier's policy is judged where the tier is evaluated: a spec whose flat
+    or cluster policy is no :class:`GossipPolicy` passes here, and every
+    route and engine raises ``unknown policy ...`` for it.  Nothing is
+    raised here: callers that need hard failure join the messages into an
     exception themselves.
     """
     r = spec.rates

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GossipPolicy, NetworkSpec, Rates, int_problem, real_problem, size_problem
-from .core import alpha_problem, cycles_problem, divides_problem, name_problem, require
+from .core import GossipPolicy, NetworkSpec, Rates, alpha_problem, cycles_problem, divides_problem
+from .core import int_problem, name_problem, path_problem, real_problem, require, size_problem
 from .analytic import (
     closed_sizes,
     clustered_profiles,
@@ -213,9 +213,8 @@ def _config_problems(given: dict) -> list[str]:
             if not any(sims) and largest is not None:
                 sims.append(cycles_problem("sim.cycles", sim.cycles, largest))
             problems += sims
-    output = given.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append(f"output must be a string path, got {output!r}")
+    if "output" in given:
+        problems.append(path_problem("output", given["output"]))
     sections = {}  # each valid section's entries
     for key in ("policies", "cases"):
         entries = given.get(key)
@@ -393,8 +392,8 @@ def _grid(config, route) -> tuple[list, list]:
     values for case ``c`` and policy ``q`` over it as a list, or None where
     the route has no formula.  A clustered grid is the divisors of n (or
     the one k) through :func:`clustered_profiles`; a flat one is n from lo
-    to hi (or the one n), with one ``route`` call per distinct policy under
-    every case."""
+    to hi (or the one n), with one ``route`` call per policy under every
+    case."""
     if config.clustered:
         xs = divisors(config.n) if config.k is None else [config.k]
         rates = [case.rates for case in config.cases]
@@ -404,8 +403,7 @@ def _grid(config, route) -> tuple[list, list]:
         xs = list(range(lo, hi + 1))
         rates = [(c.rates.lambda_e, c.rates.lambda_s, c.rates.lambda_g) for c in config.cases]
         le, ls, lg = map(list, zip(*rates))
-        by_policy = {q: route(q, ls, lg, le, xs) for q in dict.fromkeys(config.policies)}
-        values = [by_policy[q] for q in config.policies]
+        values = [route(q, ls, lg, le, xs) for q in config.policies]
         profiles = [[None if v is None else v[c] for v in values] for c in range(len(rates))]
     return xs, [[None if v is None else v.tolist() for v in case] for case in profiles]
 

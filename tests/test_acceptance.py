@@ -5,12 +5,13 @@ failure) and asserts it.  Budgeted criteria include their runtime check.
 """
 
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from gossipfresh import acceptance
-from gossipfresh.core import GossipPolicy
+from gossipfresh import acceptance, analytic, core
+from gossipfresh.core import GossipPolicy, NetworkSpec, Rates
 
 
 def _run(name):
@@ -26,7 +27,8 @@ def test_criterion_1_closed_forms_match_recursion():
 
 
 def test_criterion_2_spot_values():
-    _run("2")
+    result = _run("2")
+    assert result.runtime < 1.0
 
 
 def test_criterion_3_orderings_and_collapse():
@@ -217,10 +219,53 @@ def test_a_criterion_over_its_budget_fails(monkeypatch):
 
 
 def test_criterion_2_names_each_spot_value_it_misses(monkeypatch):
-    monkeypatch.setattr(acceptance, "closed_clustered", lambda *args: 0.25)
+    # two clustered closed values at unit rates drop to 0.25
+    real = acceptance.closed_clustered
+
+    def skewed(src, cl, m, k, rates):
+        missed = src is GossipPolicy.DC_RC and cl in (GossipPolicy.DC_RC, GossipPolicy.FC_allRC)
+        return 0.25 if missed and rates == acceptance.EXACT_RATES[0] else real(src, cl, m, k, rates)
+
+    monkeypatch.setattr(acceptance, "closed_clustered", skewed)
     result = acceptance.criterion_2()
     assert not result.passed
     assert result.detail == (
-        "(DC_RC,DC_RC) m=k=2: got 0.25, want 9/64 (diff 1.094e-01); "
-        "(DC_RC,FC_allRC) m=k=2: got 0.25, want 5/32 (diff 9.375e-02)"
+        "(DC_RC,DC_RC) m=2 k=2 le=1.0 ls=1.0 lc=1.0 lg=1.0: "
+        "closed_clustered = 0.25, want 9/64 (diff 1.094e-01); "
+        "(DC_RC,FC_allRC) m=2 k=2 le=1.0 ls=1.0 lc=1.0 lg=1.0: "
+        "closed_clustered = 0.25, want 5/32 (diff 9.375e-02)"
     )
+
+
+ONE = Rates(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec,value",
+    [
+        (NetworkSpec.flat(3, GossipPolicy.DC_RC, Rates(1.0, 1.0)), Fraction(7, 24)),
+        (NetworkSpec.flat(2, GossipPolicy.FC_noRC, ONE), Fraction(2, 5)),
+        (NetworkSpec.flat(2, GossipPolicy.FC_allRC, ONE), Fraction(5, 12)),
+        (NetworkSpec.flat(3, GossipPolicy.FC_allRC, ONE), Fraction(13, 36)),
+        (NetworkSpec.flat(3, GossipPolicy.FC_sRC, ONE), Fraction(19, 54)),
+        (NetworkSpec.clustered(4, 2, GossipPolicy.DC_RC, GossipPolicy.DC_RC, ONE), Fraction(9, 64)),
+        (
+            NetworkSpec.clustered(4, 2, GossipPolicy.DC_RC, GossipPolicy.FC_allRC, ONE),
+            Fraction(5, 32),
+        ),
+    ],
+)
+def test_the_fresh_set_chain_gives_the_hand_derived_values(monkeypatch, spec, value):
+    # the chain reaches neither the u(j) table nor either sum over it
+    def unused(*args):
+        raise AssertionError("the chain reached the u(j) table or a route over it")
+
+    for module, name in (
+        (core, "per_stale_rate"),
+        (core, "stale_rate_rows"),
+        (analytic, "stale_rate_rows"),
+        (analytic, "_survival"),
+        (analytic, "_recursion"),
+    ):
+        monkeypatch.setattr(module, name, unused)
+    assert acceptance._chain_freshness(spec) == value

@@ -224,6 +224,17 @@ def test_simulate_adds_monte_carlo_columns(tmp_path):
     assert all(row.p_sim is not None for row in rows)
 
 
+def test_simulate_takes_cycles_and_seed_from_the_config_sim(tmp_path, capsys):
+    # without --cycles and --seed, simulate runs the config's sim as sweep does
+    config = write_config(tmp_path, dict(FLAT_CONFIG, sim={"cycles": 700, "seed": 9}))
+    for verb in ("sweep", "simulate"):
+        assert main([verb, "--config", str(config), "--output", str(tmp_path / verb)]) == 0
+    rows = read_csv(tmp_path / "simulate")
+    assert {row.cycles for row in rows} == {700}
+    assert all(row.p_sim is not None for row in rows)
+    assert (tmp_path / "simulate").read_bytes() == (tmp_path / "sweep").read_bytes()
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     config = write_config(tmp_path, dict(FLAT_CONFIG, bogus_key=True))
     assert main(["sweep", "--config", str(config)]) == 1
@@ -298,6 +309,47 @@ def test_a_config_name_with_a_nul_exits_1_before_any_file_is_written(tmp_path, c
     message = "error: name must not contain a NUL character, got 'a\\x00b'\n"
     assert capsys.readouterr() == ("", message)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no CSV, no plot directory
+
+
+def _no_work(*args):
+    raise AssertionError("work ran before the destinations were judged")
+
+
+def test_a_config_output_with_a_nul_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
+    # the whole grid ran, then the CSV ended in "embedded null byte"
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    output = str(tmp_path / "rows\0.csv")
+    path = write_config(tmp_path, dict(FLAT_CONFIG, output=output))
+    assert main(["sweep", "--config", str(path), "--plot-dir", str(tmp_path / "p")]) == 1
+    message = f"error: output must not contain a NUL character, got {output!r}\n"
+    assert capsys.readouterr() == ("", message)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("flag", ["--output", "--plot-dir"])
+@pytest.mark.parametrize("verb", ["sweep", "simulate"])
+def test_a_destination_flag_with_a_nul_exits_1_before_any_work(
+    verb, flag, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    path = write_config(tmp_path, FLAT_CONFIG)
+    value = str(tmp_path / "out\0put")
+    assert main([verb, "--config", str(path), flag, value]) == 1
+    message = f"error: {flag} must not contain a NUL character, got {value!r}\n"
+    assert capsys.readouterr() == ("", message)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_a_selftest_report_with_a_nul_exits_1_before_any_criterion(
+    tmp_path, monkeypatch, capsys
+):
+    # every criterion ran, then the report ended in "embedded null byte"
+    monkeypatch.setattr(acceptance, "run_criteria", _no_work)
+    report = str(tmp_path / "report\0.csv")
+    assert main(["selftest", "--report", report]) == 1
+    message = f"error: --report must not contain a NUL character, got {report!r}\n"
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unparseable_config_exits_1(tmp_path, capsys):

@@ -16,6 +16,7 @@ from gossipfresh.core import (
     cycles_problem,
     int_problem,
     name_problem,
+    path_problem,
     per_stale_rate,
     require_valid,
     size_problem,
@@ -272,6 +273,13 @@ def test_a_name_keeps_the_files_named_after_it_in_their_directory():
     for bad in ("", 3, None):
         assert name_problem("name", bad) == f"name must be a nonempty string, got {bad!r}"
     assert name_problem("name", "a\0b") == "name must not contain a NUL character, got 'a\\x00b'"
+
+
+def test_a_path_is_a_string_without_a_nul():
+    assert path_problem("output", "out/rows.csv") is None
+    assert path_problem("output", 3) == "output must be a string path, got 3"
+    message = "--report must not contain a NUL character, got 'a\\x00b'"
+    assert path_problem("--report", "a\0b") == message
 
 
 @pytest.mark.parametrize("num_cycles", [2**61 - 1, np.int64(2**61 - 1)])

@@ -1,3 +1,4 @@
+import ast
 import re
 import shlex
 import shutil
@@ -28,6 +29,34 @@ def test_source_lines_fit_in_100_characters():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_every_imported_name_is_used():
+    # no linter runs here, so this keeps dead imports out of src/; a name
+    # the module exports through __all__ counts as used, and a line marked
+    # "noqa: F401" keeps a name for a reader outside the module
+    unused = []
+    for path in sorted(ROOT.glob("src/gossipfresh/*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {
+            entry.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+            for entry in node.value.elts
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.relative_to(ROOT)}:{alias.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).split(".")[0] not in used
+                    and "noqa: F401" not in lines[alias.lineno - 1]
+                ]
+    assert unused == []
 
 
 def test_readme_cli_block_runs_from_a_fresh_directory(tmp_path, monkeypatch):

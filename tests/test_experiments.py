@@ -258,6 +258,10 @@ CONFIG_ERRORS = [
     ),
     (dict(FLAT_SMALL, sim=5), "sim must be an object, got 5"),
     (dict(FLAT_SMALL, output=3), "output must be a string path, got 3"),
+    (
+        dict(FLAT_SMALL, output="rows\0.csv"),
+        "output must not contain a NUL character, got 'rows\\x00.csv'",
+    ),
     (dict(FLAT_SMALL, rates={"lambda_s": 1, "alpha": []}), "rates.alpha must not be empty"),
     (
         dict(FLAT_SMALL, rates={"lambda_s": 0, "alpha": [1]}),

@@ -197,7 +197,7 @@ def test_flat_script_passes_its_monte_carlo_flags_to_the_cli(tmp_path, monkeypat
 
 
 #: SHA-256 of ``selftest --only 1,2,3,6 --report <path>``'s report file.
-EXACT_REPORT_DIGEST = "0d20d605812638d5bd315ebe88d183eaadf815b2070a8e3a63dc9208af54c207"
+EXACT_REPORT_DIGEST = "2eb5f10f77108d55577f6bdb97d153e1c4cf40c8fd8495ce006043edb1b8be39"
 
 
 def test_exact_selftest_report_is_byte_identical(tmp_path):

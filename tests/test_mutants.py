@@ -73,9 +73,12 @@ def _rows_mutant(policy, change):
     return real, mutant
 
 
-def _gossip_divisor_n(policy):
-    """``policy``'s gossip term divided by n instead of n - 1."""
-    return _rows_mutant(policy, lambda u, n, unmixed: unmixed + (u - unmixed) * (n - 1) / n)
+def _gossip_divisor_n(policy, where=lambda n: True):
+    """``policy``'s gossip term divided by n instead of n - 1, at the tier
+    sizes ``where`` picks."""
+    return _rows_mutant(
+        policy, lambda u, n, unmixed: np.where(where(n), unmixed + (u - unmixed) * (n - 1) / n, u)
+    )
 
 
 def _scaled(policy, factor, where=lambda n: True):
@@ -110,6 +113,12 @@ def _clustered_counts(old, new):
 #: fail, and the ROADMAP item that will catch a defect selftest misses.
 MUTANTS = [
     ("FC_noRC gossip divisor n - 1 -> n", lambda: _gossip_divisor_n(GP.FC_noRC), "2", None),
+    (
+        "FC_noRC gossip divisor n - 1 -> n at n >= 3",
+        lambda: _gossip_divisor_n(GP.FC_noRC, lambda n: n >= 3),
+        "2",
+        None,
+    ),
     ("FC_sRC gossip divisor n - 1 -> n", lambda: _gossip_divisor_n(GP.FC_sRC), "23", None),
     ("FC_allRC u x (1 + 1e-11)", lambda: _scaled(GP.FC_allRC, 1 + 1e-11), "13", None),
     (
