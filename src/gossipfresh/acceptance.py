@@ -22,7 +22,6 @@ from .analytic import (
     closed_sizes,
     clustered_freshness,
     count_law_sizes,
-    divisors,
     optimal_cluster_size,
     oracle_flat,
     oracle_sizes,
@@ -87,26 +86,9 @@ def _result(criterion, title, t0, failures, detail_ok, budget=None):
     return CriterionResult(criterion, title, True, runtime, detail_ok)
 
 
-def _size_pairs():
-    """All (m, k) with m * k <= MAX_N."""
-    pairs = []
-    for n in range(1, MAX_N + 1):
-        for k in divisors(n):
-            pairs.append((n // k, k))
-    return pairs
-
-
-def _tier_tables(policy, points):
-    """Closed and exact values of one tier, from one grid call each: one
-    row per ``(lambda_e, total rate, gossip rate)`` point of ``points``,
-    one column per size in ``NS``."""
-    le, lam, lg = map(list, zip(*points))
-    return closed_sizes(policy, lam, lg, le, NS), oracle_sizes(policy, lam, lg, le, NS)
-
-
 def criterion_1() -> CriterionResult:
-    """Closed forms, clustered products and the capture-count law match the
-    recursion to 1e-12."""
+    """Every flat closed form and the capture-count law match the recursion
+    to 1e-12."""
     t0 = time.perf_counter()
     failures: list[str] = []
     worst = {"closed": 0.0, "count law": 0.0}
@@ -127,29 +109,13 @@ def criterion_1() -> CriterionResult:
     ]
     les, lss = map(list, zip(*FLAT_RATE_POINTS))
     for pol, lg in flat_cases:
-        points = [(le, ls, lg) for le, ls in FLAT_RATE_POINTS]
-        closed, oracle = _tier_tables(pol, points)
-        where = lambda c, i: "{} n={} le={} ls={} lg={}".format(pol.value, NS[i], *points[c])
+        closed, oracle = (route(pol, lss, lg, les, NS) for route in (closed_sizes, oracle_sizes))
+        where = lambda c, i: "{} n={} le={} ls={} lg={}".format(
+            pol.value, NS[i], *FLAT_RATE_POINTS[c], lg
+        )
         if closed is not None:
             check("closed", closed, oracle, where)
         check("count law", count_law_sizes(pol, lss, lg, les, NS), oracle, where)
-
-    # clustered products over every (m, k) pair, broadcast over the tier
-    # rates: source (ls) x cluster (lc, or lc x lg for FC clusters); column
-    # s - 1 of a tier table holds size s
-    ms, ks = (np.array(sizes) for sizes in zip(*_size_pairs()))
-    for le in RATE_GRID:
-        dc_points = [(le, lam, 0.0) for lam in RATE_GRID]
-        fc_points = [(le, lc, lg) for lc in RATE_GRID for lg in RATE_GRID]
-        tiers = {pol: _tier_tables(pol, dc_points) for pol in DC_POLICIES}
-        for pol in (GossipPolicy.FC_noRC, GossipPolicy.FC_allRC):
-            tiers[pol] = _tier_tables(pol, fc_points)
-        for src, cl in _DC_PAIRS + _FC_PAIRS:
-            check(
-                "closed",
-                *(s[:, None, ms - 1] * c[None, :, ks - 1] for s, c in zip(tiers[src], tiers[cl])),
-                lambda i, j, p: f"({src.value},{cl.value}) m={ms[p]} k={ks[p]}",
-            )
 
     return _result(
         "1",
@@ -222,11 +188,6 @@ def _chain_freshness(spec: NetworkSpec) -> Fraction:
     return fresh / (sum(law.values()) * len(ends))
 
 
-#: Criterion 2's rate points: unit rates and one point where every rate differs.
-EXACT_RATES = (Rates(1.0, 1.0, 1.0, 1.0), Rates(0.5, 2.0, 3.0, 1.25))
-EXACT_NS = (1, 2, 3, 4)
-
-
 def _route_values(spec: NetworkSpec):
     """``(where, route, value)`` for each exact route of ``spec`` that has
     a formula: the recursion and the closed form of a flat spec, or of a
@@ -249,25 +210,34 @@ def _route_values(spec: NetworkSpec):
 
 def criterion_2() -> CriterionResult:
     """Every exact route equals the fresh-set Markov chain to 1e-12: each
-    flat policy at n = 1..4 and each DC source with each cluster policy at
-    m = k = 2, at every point of ``EXACT_RATES``."""
+    flat policy at n = 1..5 at criterion 4's ``MC_RATE_POINTS``, and each DC
+    source with each cluster policy at every shape of at most six members
+    (m + m k <= 6), at unit rates and criterion 5's ``DECOMP_RATES``."""
     t0 = time.perf_counter()
     failures = []
     worst, count = 0.0, 0
-    for rates in EXACT_RATES:
-        specs = [NetworkSpec.flat(n, pol, rates) for pol in GossipPolicy for n in EXACT_NS]
-        specs += [
-            NetworkSpec.clustered(4, 2, src, cl, rates)
-            for src in DC_POLICIES
-            for cl in GossipPolicy
-        ]
-        for spec in specs:
-            want = _chain_freshness(spec)
-            for where, route, got in _route_values(spec):
-                diff = abs(got - float(want))
-                worst, count = max(worst, diff), count + 1
-                if diff > TOL:
-                    failures.append(f"{where}: {route} = {got!r}, want {want} (diff {diff:.3e})")
+    specs = [
+        NetworkSpec.flat(n, pol, Rates(le, ls, 0.0, lg))
+        for le, ls, lg in MC_RATE_POINTS
+        for pol in GossipPolicy
+        for n in range(1, 6)
+    ]
+    specs += [
+        NetworkSpec.clustered(m * k, k, src, cl, rates)
+        for rates in (Rates(1.0, 1.0, 1.0, 1.0), DECOMP_RATES)
+        for m in range(1, 4)
+        for k in range(1, 6)
+        if m + m * k <= 6
+        for src in DC_POLICIES
+        for cl in GossipPolicy
+    ]
+    for spec in specs:
+        want = _chain_freshness(spec)
+        for where, route, got in _route_values(spec):
+            diff = abs(got - float(want))
+            worst, count = max(worst, diff), count + 1
+            if diff > TOL:
+                failures.append(f"{where}: {route} = {got!r}, want {want} (diff {diff:.3e})")
     return _result(
         "2",
         "exact routes match the fresh-set Markov chain at small sizes",

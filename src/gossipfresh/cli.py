@@ -31,7 +31,6 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from . import acceptance
 
 _POLICY_NAMES = [p.value for p in GossipPolicy]
 _DC_NAMES = [p.value for p in DC_POLICIES]
@@ -106,7 +105,7 @@ def _cmd_analytic(args) -> int:
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
-    if getattr(args, "output", None):
+    if getattr(args, "output", None) is not None:
         config = replace(config, output=args.output)
     return config
 
@@ -195,6 +194,8 @@ def _cmd_optimal_k(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance  # only selftest pays for the acceptance module
+
     names = None
     if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]

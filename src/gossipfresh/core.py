@@ -130,10 +130,12 @@ def size_problem(name: str, value) -> str | None:
 
 def path_problem(name: str, value) -> str | None:
     """The one path rule, for a file or directory the program writes: a
-    message unless ``value`` is a string with no NUL, which no path holds,
-    else None."""
+    message unless ``value`` is a nonempty string with no NUL, which no
+    path holds, else None."""
     if not isinstance(value, str):
         return f"{name} must be a string path, got {value!r}"
+    if not value:
+        return f"{name} must not be empty, got ''"
     if "\0" in value:
         return f"{name} must not contain a NUL character, got {value!r}"
     return None

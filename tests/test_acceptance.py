@@ -64,24 +64,21 @@ def test_selftest_aggregator_covers_all_criteria():
 
 def test_criterion_1_names_a_failing_cell(monkeypatch):
     # one closed value off by 1e-9: the flat FC_noRC cell at n = 7, le = 0.5,
-    # ls = 2.0, lg = 0.5, which is also a cluster tier of the clustered pairs
+    # ls = 2.0, lg = 0.5
     real = acceptance.closed_sizes
 
     def skewed(policy, ls, lg, le, sizes):
         p = real(policy, ls, lg, le, sizes)
-        if policy is GossipPolicy.FC_noRC:
-            for c, case in enumerate(zip(le, ls, lg)):
-                if case == (0.5, 2.0, 0.5):
+        if policy is GossipPolicy.FC_noRC and lg == 0.5:
+            for c, case in enumerate(zip(le, ls)):
+                if case == (0.5, 2.0):
                     p[c, 6] += 1e-9
         return p
 
     monkeypatch.setattr(acceptance, "closed_sizes", skewed)
     result = acceptance.criterion_1()
     assert not result.passed
-    assert result.detail.startswith(
-        "FC_noRC n=7 le=0.5 ls=2.0 lg=0.5: |closed - oracle| = 1.000e-09; "
-        "(DC_noRC,FC_noRC) m=1 k=7: |closed - oracle| = "
-    )
+    assert result.detail == "FC_noRC n=7 le=0.5 ls=2.0 lg=0.5: |closed - oracle| = 1.000e-09"
 
 
 def test_criterion_1_names_a_failing_count_law_cell(monkeypatch):
@@ -219,12 +216,13 @@ def test_a_criterion_over_its_budget_fails(monkeypatch):
 
 
 def test_criterion_2_names_each_spot_value_it_misses(monkeypatch):
-    # two clustered closed values at unit rates drop to 0.25
+    # two clustered closed values at m = k = 2 and unit rates drop to 0.25
     real = acceptance.closed_clustered
 
     def skewed(src, cl, m, k, rates):
         missed = src is GossipPolicy.DC_RC and cl in (GossipPolicy.DC_RC, GossipPolicy.FC_allRC)
-        return 0.25 if missed and rates == acceptance.EXACT_RATES[0] else real(src, cl, m, k, rates)
+        missed = missed and (m, k) == (2, 2) and rates == ONE
+        return 0.25 if missed else real(src, cl, m, k, rates)
 
     monkeypatch.setattr(acceptance, "closed_clustered", skewed)
     result = acceptance.criterion_2()

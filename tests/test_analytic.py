@@ -658,6 +658,21 @@ def test_closed_clustered_matches_recursion_composition():
                 assert closed is None
             else:
                 assert closed == pytest.approx(p, abs=1e-12)
+    # the sweeps' calls: every (m, k) with m k <= 64, every pair, three
+    # rate cases; an FC_sRC cluster tier has no closed form
+    cases = [r, Rates(1.0, 1.0, 1.0, 1.0), Rates(0.5, 2.0, 3.0, 1.25)]
+    pairs = [(src, cl) for src in (GP.DC_noRC, GP.DC_RC) for cl in GP]
+    for n in range(1, 65):
+        closed, oracle = (
+            clustered_profiles(route, n, divisors(n), cases, pairs)
+            for route in (closed_sizes, oracle_sizes)
+        )
+        for closed_case, oracle_case in zip(closed, oracle):
+            for (_, cl), c, p in zip(pairs, closed_case, oracle_case):
+                if cl is GP.FC_sRC:
+                    assert c is None
+                else:
+                    np.testing.assert_allclose(c, p, rtol=0, atol=1e-12)
 
 
 def test_clustered_freshness_rejects_invalid_spec():

@@ -316,14 +316,17 @@ def _no_work(*args):
 
 
 def test_a_config_output_with_a_nul_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
-    # the whole grid ran, then the CSV ended in "embedded null byte"
+    # the whole grid ran, then the CSV ended in "embedded null byte"; an
+    # empty output printed the CSV to stdout
     monkeypatch.setattr(cli, "run_experiment", _no_work)
-    output = str(tmp_path / "rows\0.csv")
-    path = write_config(tmp_path, dict(FLAT_CONFIG, output=output))
-    assert main(["sweep", "--config", str(path), "--plot-dir", str(tmp_path / "p")]) == 1
-    message = f"error: output must not contain a NUL character, got {output!r}\n"
-    assert capsys.readouterr() == ("", message)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    for output, problem in (
+        (str(tmp_path / "rows\0.csv"), "must not contain a NUL character"),
+        ("", "must not be empty"),
+    ):
+        path = write_config(tmp_path, dict(FLAT_CONFIG, output=output))
+        assert main(["sweep", "--config", str(path), "--plot-dir", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr() == ("", f"error: output {problem}, got {output!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize("flag", ["--output", "--plot-dir"])
@@ -331,25 +334,33 @@ def test_a_config_output_with_a_nul_exits_1_before_any_work(tmp_path, monkeypatc
 def test_a_destination_flag_with_a_nul_exits_1_before_any_work(
     verb, flag, tmp_path, monkeypatch, capsys
 ):
+    # an empty --output fell back to the config's own output, and an empty
+    # --plot-dir wrote no plot file
     monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, FLAT_CONFIG)
-    value = str(tmp_path / "out\0put")
-    assert main([verb, "--config", str(path), flag, value]) == 1
-    message = f"error: {flag} must not contain a NUL character, got {value!r}\n"
-    assert capsys.readouterr() == ("", message)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    for value, problem in (
+        (str(tmp_path / "out\0put"), "must not contain a NUL character"),
+        ("", "must not be empty"),
+    ):
+        assert main([verb, "--config", str(path), flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {problem}, got {value!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_a_selftest_report_with_a_nul_exits_1_before_any_criterion(
     tmp_path, monkeypatch, capsys
 ):
-    # every criterion ran, then the report ended in "embedded null byte"
+    # every criterion ran, then the report ended in "embedded null byte"; an
+    # empty --report ran them and wrote no report
     monkeypatch.setattr(acceptance, "run_criteria", _no_work)
-    report = str(tmp_path / "report\0.csv")
-    assert main(["selftest", "--report", report]) == 1
-    message = f"error: --report must not contain a NUL character, got {report!r}\n"
-    assert capsys.readouterr() == ("", message)
-    assert list(tmp_path.iterdir()) == []
+    for report, problem in (
+        (str(tmp_path / "report\0.csv"), "must not contain a NUL character"),
+        ("", "must not be empty"),
+    ):
+        assert main(["selftest", "--report", report]) == 1
+        assert capsys.readouterr() == ("", f"error: --report {problem}, got {report!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_unparseable_config_exits_1(tmp_path, capsys):

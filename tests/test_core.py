@@ -280,6 +280,7 @@ def test_a_path_is_a_string_without_a_nul():
     assert path_problem("output", 3) == "output must be a string path, got 3"
     message = "--report must not contain a NUL character, got 'a\\x00b'"
     assert path_problem("--report", "a\0b") == message
+    assert path_problem("--output", "") == "--output must not be empty, got ''"
 
 
 @pytest.mark.parametrize("num_cycles", [2**61 - 1, np.int64(2**61 - 1)])

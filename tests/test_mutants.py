@@ -109,6 +109,14 @@ def _clustered_counts(old, new):
     return real, _rewritten(real, old, new)
 
 
+def _swapped_tiers():
+    """``closed_clustered`` over k clusters of m nodes instead of m clusters
+    of k nodes."""
+    real = analytic.closed_clustered
+    old, new = "NetworkSpec.clustered(m * k, k,", "NetworkSpec.clustered(m * k, m,"
+    return real, _rewritten(real, old, new)
+
+
 #: id, the mutant as ``(original, replacement)``, the criteria that must
 #: fail, and the ROADMAP item that will catch a defect selftest misses.
 MUTANTS = [
@@ -134,6 +142,7 @@ MUTANTS = [
         None,
     ),
     ("_survival ratio x 1.02", _survival_ratio, "14", None),
+    ("closed_clustered swaps its tier sizes", _swapped_tiers, "2", None),
     (
         "clusters share one row of in-cluster draws",
         lambda: _clustered_counts(
