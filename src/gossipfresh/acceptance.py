@@ -21,8 +21,9 @@ from .analytic import (
     closed_flat,
     closed_sizes,
     clustered_freshness,
+    clustered_profiles,
     count_law_sizes,
-    optimal_cluster_size,
+    divisors,
     oracle_flat,
     oracle_sizes,
 )
@@ -88,34 +89,27 @@ def _result(criterion, title, t0, failures, detail_ok, budget=None):
 
 def criterion_1() -> CriterionResult:
     """Every flat closed form and the capture-count law match the recursion
-    to 1e-12."""
+    to 1e-12, one call per route and policy over every rate point."""
     t0 = time.perf_counter()
     failures: list[str] = []
     worst = {"closed": 0.0, "count law": 0.0}
-
-    def check(route, values, oracle, where):
-        """Compare ``route``'s values with the recursion's cell by cell;
-        ``where(*index)`` names a failing cell."""
-        diff = np.abs(values - oracle)
-        worst[route] = max(worst[route], float(diff.max()))
-        for index in zip(*np.nonzero(diff > TOL)):
-            failures.append(f"{where(*index)}: |{route} - oracle| = {diff[index]:.3e}")
-
-    # every flat policy against the count law; FC_sRC has no closed form
-    flat_cases = [(GossipPolicy.DC_noRC, 0.0), (GossipPolicy.DC_RC, 0.0)] + [
-        (pol, lg)
-        for pol in (GossipPolicy.FC_allRC, GossipPolicy.FC_noRC, GossipPolicy.FC_sRC)
-        for lg in RATE_GRID
-    ]
-    les, lss = map(list, zip(*FLAT_RATE_POINTS))
-    for pol, lg in flat_cases:
-        closed, oracle = (route(pol, lss, lg, les, NS) for route in (closed_sizes, oracle_sizes))
-        where = lambda c, i: "{} n={} le={} ls={} lg={}".format(
-            pol.value, NS[i], *FLAT_RATE_POINTS[c], lg
-        )
-        if closed is not None:
-            check("closed", closed, oracle, where)
-        check("count law", count_law_sizes(pol, lss, lg, les, NS), oracle, where)
+    for pol in GossipPolicy:
+        gossip = RATE_GRID if pol.gossips else (0.0,)
+        points = [(le, ls, lg) for lg in gossip for le, ls in FLAT_RATE_POINTS]
+        les, lss, lgs = zip(*points)  # row c of each route is points[c]
+        oracle = oracle_sizes(pol, lss, lgs, les, NS)
+        # every flat policy against the count law; FC_sRC has no closed form
+        for route, values in (
+            ("closed", closed_sizes(pol, lss, lgs, les, NS)),
+            ("count law", count_law_sizes(pol, lss, lgs, les, NS)),
+        ):
+            if values is None:
+                continue
+            diff = np.abs(values - oracle)
+            worst[route] = max(worst[route], float(diff.max()))
+            for c, i in zip(*np.nonzero(diff > TOL)):
+                where = "{} n={} le={} ls={} lg={}".format(pol.value, NS[i], *points[c])
+                failures.append(f"{where}: |{route} - oracle| = {diff[c, i]:.3e}")
 
     return _result(
         "1",
@@ -249,37 +243,39 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    """Stale-targeting dominance, FC policy ordering, zero-gossip collapse."""
+    """Stale-targeting dominance, FC policy ordering, zero-gossip collapse,
+    one route call per policy over every rate point."""
     t0 = time.perf_counter()
     failures = []
     P = GossipPolicy
     fc = (P.FC_allRC, P.FC_sRC, P.FC_noRC)
-    for le in RATE_GRID:
-        for ls in RATE_GRID:
-            at = f"le={le} ls={ls}"
-            for lg in RATE_GRID:
-                p_all, p_src, p_no = (oracle_sizes(pol, ls, lg, le, NS) for pol in fc)
-                for i in np.flatnonzero(~((p_all >= p_src) & (p_src >= p_no))):
-                    failures.append(f"FC ordering broken at n={NS[i]} {at} lg={lg}")
-            # dominance between the closed forms (n = 1 is a tie); zero-gossip
-            # collapse: exact through the recursion, 1e-12 between the
-            # closed forms
-            c_rc, c_norc, c_all, c_no = (
-                closed_sizes(pol, ls, 0.0, le, NS)
-                for pol in (P.DC_RC, P.DC_noRC, P.FC_allRC, P.FC_noRC)
-            )
-            p_rc, p_norc, p_all, p_src, p_no = (
-                oracle_sizes(pol, ls, 0.0, le, NS) for pol in (P.DC_RC, P.DC_noRC, *fc)
-            )
-            for bad, what in (
-                (~(c_rc > c_norc) & (np.array(NS) > 1), "DC_RC <= DC_noRC"),
-                (p_all != p_rc, "FC_allRC(lg=0) != DC_RC"),
-                (p_src != p_rc, "FC_sRC(lg=0) != DC_RC"),
-                (p_no != p_norc, "FC_noRC(lg=0) != DC_noRC"),
-                (np.abs(c_all - c_rc) > TOL, "closed FC_allRC(lg=0) far from DC_RC"),
-                (np.abs(c_no - c_norc) > TOL, "closed FC_noRC(lg=0) far from DC_noRC"),
-            ):
-                failures.extend(f"{what} at n={NS[i]} {at}" for i in np.flatnonzero(bad))
+    points = [(le, ls, lg) for le in RATE_GRID for ls in RATE_GRID for lg in RATE_GRID]
+    les, lss, lgs = zip(*points)  # row c of each route is points[c]
+    p_all, p_src, p_no = (oracle_sizes(pol, lss, lgs, les, NS) for pol in fc)
+    for c, i in zip(*np.nonzero(~((p_all >= p_src) & (p_src >= p_no)))):
+        failures.append("FC ordering broken at n={} le={} ls={} lg={}".format(NS[i], *points[c]))
+    # dominance between the closed forms (n = 1 is a tie); zero-gossip
+    # collapse: exact through the recursion, 1e-12 between the closed forms
+    points = [(le, ls) for le in RATE_GRID for ls in RATE_GRID]
+    les, lss = zip(*points)
+    c_rc, c_norc, c_all, c_no = (
+        closed_sizes(pol, lss, 0.0, les, NS) for pol in (P.DC_RC, P.DC_noRC, P.FC_allRC, P.FC_noRC)
+    )
+    p_rc, p_norc, p_all, p_src, p_no = (
+        oracle_sizes(pol, lss, 0.0, les, NS) for pol in (P.DC_RC, P.DC_noRC, *fc)
+    )
+    for bad, what in (
+        (~(c_rc > c_norc) & (np.array(NS) > 1), "DC_RC <= DC_noRC"),
+        (p_all != p_rc, "FC_allRC(lg=0) != DC_RC"),
+        (p_src != p_rc, "FC_sRC(lg=0) != DC_RC"),
+        (p_no != p_norc, "FC_noRC(lg=0) != DC_noRC"),
+        (np.abs(c_all - c_rc) > TOL, "closed FC_allRC(lg=0) far from DC_RC"),
+        (np.abs(c_no - c_norc) > TOL, "closed FC_noRC(lg=0) far from DC_noRC"),
+    ):
+        failures.extend(
+            "{} at n={} le={} ls={}".format(what, NS[i], *points[c])
+            for c, i in zip(*np.nonzero(bad))
+        )
     return _result(
         "3",
         "policy orderings and zero-gossip collapse",
@@ -309,10 +305,11 @@ def criterion_4() -> CriterionResult:
     failures = []
     worst_z = {"cycle": 0.0, "trajectory": 0.0}
     idx = 0
+    les, lss, lgs = zip(*MC_RATE_POINTS)
     for policy in GossipPolicy:
-        for n in MC_NS:
-            for le, ls, lg in MC_RATE_POINTS:
-                target = oracle_flat(policy, ls, lg, le, n)
+        targets = oracle_sizes(policy, lss, lgs, les, MC_NS).T.tolist()
+        for n, n_targets in zip(MC_NS, targets):
+            for (le, ls, lg), target in zip(MC_RATE_POINTS, n_targets):
                 spec = NetworkSpec.flat(n, policy, Rates(le, ls, 0.0, lg))
                 seed = 1000 + idx
                 idx += 1
@@ -370,26 +367,34 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Optimal-cluster-size claims at n = 120 (analytic only)."""
+    """Optimal-cluster-size claims at n = 120 (analytic only), from one
+    divisor scan of every rate case and policy pair."""
     t0 = time.perf_counter()
     failures = []
-    n = 120
-
-    def peak(rates, src, cl):
-        k_star, _, p_star, _ = optimal_cluster_size(n, rates, src, cl)
-        return k_star, p_star
-
+    P = GossipPolicy
+    ks = divisors(120)
     eq = Rates(1.0, 1.0, 1.0, 1.0)
-    peaks = {(src, cl): peak(eq, src, cl) for src, cl in _DC_PAIRS}
-    best = peaks[GossipPolicy.DC_RC, GossipPolicy.DC_RC][1]
-    for (src, cl), (_, p) in peaks.items():
-        if (src, cl) != (GossipPolicy.DC_RC, GossipPolicy.DC_RC) and not best > p:
-            failures.append(
-                f"(DC_RC,DC_RC) peak {best!r} does not beat ({src.value},{cl.value}) peak {p!r}"
-            )
+    fast_src, fast_cl = Rates(1.0, 2.0, 1.0, 0.0), Rates(1.0, 1.0, 2.0, 0.0)
+    cases, pairs = (eq, fast_src, fast_cl), _DC_PAIRS + _FC_PAIRS
+    peak = {}  # (rates, pair) -> (k*, p*), the first maximum being the smallest k
+    for rates, row in zip(cases, clustered_profiles(oracle_sizes, 120, ks, cases, pairs)):
+        for pair, profile in zip(pairs, row):
+            profile = profile.tolist()
+            peak[rates, pair] = ks[profile.index(max(profile))], max(profile)
 
-    k_srcside, p_srcside = peaks[GossipPolicy.DC_RC, GossipPolicy.DC_noRC]
-    k_clside, p_clside = peaks[GossipPolicy.DC_noRC, GossipPolicy.DC_RC]
+    def beats(winner, others):
+        name = lambda pair: f"({pair[0].value},{pair[1].value})"
+        best = peak[eq, winner][1]
+        for pair in others:
+            p = peak[eq, pair][1]
+            if pair != winner and not best > p:
+                failures.append(
+                    f"{name(winner)} peak {best!r} does not beat {name(pair)} peak {p!r}"
+                )
+
+    beats((P.DC_RC, P.DC_RC), _DC_PAIRS)
+    src_side, cl_side = (P.DC_RC, P.DC_noRC), (P.DC_noRC, P.DC_RC)
+    (k_srcside, p_srcside), (k_clside, p_clside) = peak[eq, src_side], peak[eq, cl_side]
     if abs(p_srcside - p_clside) > TOL:
         failures.append(
             f"single-sided peaks differ at lambda_s == lambda_c: "
@@ -397,24 +402,11 @@ def criterion_6() -> CriterionResult:
         )
     if k_srcside == k_clside:
         failures.append(f"single-sided optima share k* = {k_srcside}")
-
-    _, p_src_hi = peak(Rates(1.0, 2.0, 1.0, 0.0), GossipPolicy.DC_RC, GossipPolicy.DC_noRC)
-    _, p_cl_lo = peak(Rates(1.0, 2.0, 1.0, 0.0), GossipPolicy.DC_noRC, GossipPolicy.DC_RC)
-    if not p_src_hi >= p_cl_lo:
+    if not peak[fast_src, src_side][1] >= peak[fast_src, cl_side][1]:
         failures.append("source-side placement loses despite lambda_s > lambda_c")
-    _, p_src_lo = peak(Rates(1.0, 1.0, 2.0, 0.0), GossipPolicy.DC_RC, GossipPolicy.DC_noRC)
-    _, p_cl_hi = peak(Rates(1.0, 1.0, 2.0, 0.0), GossipPolicy.DC_noRC, GossipPolicy.DC_RC)
-    if not p_cl_hi >= p_src_lo:
+    if not peak[fast_cl, cl_side][1] >= peak[fast_cl, src_side][1]:
         failures.append("cluster-side placement loses despite lambda_s < lambda_c")
-
-    fc_peaks = {(src, cl): peak(eq, src, cl)[1] for src, cl in _FC_PAIRS}
-    best_fc = fc_peaks[GossipPolicy.DC_RC, GossipPolicy.FC_allRC]
-    for (src, cl), p in fc_peaks.items():
-        if (src, cl) != (GossipPolicy.DC_RC, GossipPolicy.FC_allRC) and not best_fc > p:
-            failures.append(
-                f"(DC_RC,FC_allRC) peak {best_fc!r} does not beat ({src.value},{cl.value}) "
-                f"peak {p!r}"
-            )
+    beats((P.DC_RC, P.FC_allRC), _FC_PAIRS)
 
     return _result(
         "6",
@@ -456,9 +448,10 @@ def criterion_7() -> CriterionResult:
             failures.append("sweep CSVs differ between identically seeded runs")
 
         reports = []
-        for name in ("a", "b"):
-            path = td / f"selftest_{name}.csv"
-            write_report([criterion_2(), criterion_6()], path)
+        for runtime in (0.25, 7.5):  # a report holds no wall-clock column
+            path = td / f"selftest_{runtime}.csv"
+            result = CriterionResult("1", "a title", True, runtime, 'a detail, with a "quote"')
+            write_report([result], path)
             reports.append(path.read_bytes())
         if reports[0] != reports[1]:
             failures.append("selftest report CSVs differ between runs")

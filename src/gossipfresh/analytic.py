@@ -151,7 +151,9 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     the k-th capture goes to some other stale node, given the race reached
     step k; ``p`` has the block's leading shape.  A cell with ``u = 0``
     and ``stale = 1`` has ``q = tau = 0`` and adds exactly ``+0.0`` to
-    ``p``, so rows may be padded with such cells.
+    ``p``, so rows may be padded with such cells.  ``p`` is clamped at 1:
+    the running sum of a row's n rounded terms may pass it by up to about
+    ``n * 2**-52`` where the true value is closer to 1 than that.
     """
     denom = stale * u
     denom += lambda_e
@@ -167,7 +169,7 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     np.multiply.accumulate(tau[..., :-1], axis=-1, out=terms[..., 1:])
     terms *= q
     p = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
-    return p, q, tau
+    return np.minimum(p, 1.0), q, tau
 
 
 def _survival(u: np.ndarray, stale: np.ndarray, lambda_e) -> np.ndarray:
@@ -245,8 +247,7 @@ def _block(kernel, policy, total_source, total_gossip, lambda_e, sizes, width) -
     """``kernel``'s value at each of the ``sizes``, in one block padded to
     ``width``; each rate is a column of one rate per row."""
     stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes[:, None], width)
-    # a copy, so that the block's buffers are freed on return
-    return kernel(u, stale, lambda_e).copy()
+    return kernel(u, stale, lambda_e)
 
 
 def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[int]):
@@ -373,8 +374,9 @@ def closed_sizes(
       cancels catastrophically when ls >> le, and ``log1p(-le / (ls +
       le))`` leaves the domain of ``log1p`` once ls is below an ulp of le.
       Once ``n le / ls < 2**-53`` the value is within an ulp of 1 and 1.0
-      is returned, since the prefactor may overflow there.  The ls = 0
-      limit is 0 (no deliveries ever happen).
+      is returned, since the prefactor may overflow there; just past that
+      bound the rounded product may pass 1 by an ulp, and is clamped at 1.
+      The ls = 0 limit is 0 (no deliveries ever happen).
     * ``FC_noRC``: with per-target rate ``w_r = ls/n + (r-1) lg/(n-1)``
       at the r-th capture, ``sum_r w_r / ((n-r+1) w_r + le) prod_{i<r}
       (n-i) w_i / ((n-i+1) w_i + le)``.  ``w_r`` is the ``FC_noRC`` table
@@ -403,7 +405,7 @@ def _closed_case(policy, ls, lg, le, sizes: list[int]) -> np.ndarray:
     if policy is GossipPolicy.DC_noRC:
         return ls / (ls + np.array(sizes, dtype=float) * le)
     if policy is GossipPolicy.DC_RC:
-        return np.array([_dc_rc(n, ls, le) for n in sizes])
+        return np.minimum([_dc_rc(n, ls, le) for n in sizes], 1.0)
     if policy is GossipPolicy.FC_allRC:
         n = np.array(sizes)
         return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n

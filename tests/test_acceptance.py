@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gossipfresh import acceptance, analytic, core
@@ -69,9 +70,9 @@ def test_criterion_1_names_a_failing_cell(monkeypatch):
 
     def skewed(policy, ls, lg, le, sizes):
         p = real(policy, ls, lg, le, sizes)
-        if policy is GossipPolicy.FC_noRC and lg == 0.5:
-            for c, case in enumerate(zip(le, ls)):
-                if case == (0.5, 2.0):
+        if policy is GossipPolicy.FC_noRC:
+            for c, case in enumerate(zip(le, ls, lg)):
+                if case == (0.5, 2.0, 0.5):
                     p[c, 6] += 1e-9
         return p
 
@@ -88,9 +89,9 @@ def test_criterion_1_names_a_failing_count_law_cell(monkeypatch):
 
     def skewed(policy, ls, lg, le, sizes):
         p = real(policy, ls, lg, le, sizes)
-        if policy is GossipPolicy.FC_sRC and lg == 0.5:
-            for c, case in enumerate(zip(le, ls)):
-                if case == (0.5, 2.0):
+        if policy is GossipPolicy.FC_sRC:
+            for c, case in enumerate(zip(le, ls, lg)):
+                if case == (0.5, 2.0, 0.5):
                     p[c, 6] += 1e-9
         return p
 
@@ -106,8 +107,10 @@ def test_criterion_3_names_a_broken_ordering(monkeypatch):
 
     def skewed(policy, ls, lg, le, sizes):
         p = real(policy, ls, lg, le, sizes)
-        if policy is GossipPolicy.FC_sRC and (le, ls, lg) == (0.5, 2.0, 0.5):
-            p[6] = 0.0
+        if policy is GossipPolicy.FC_sRC and lg != 0.0:  # not the zero-gossip call
+            for c, case in enumerate(zip(le, ls, lg)):
+                if case == (0.5, 2.0, 0.5):
+                    p[c, 6] = 0.0
         return p
 
     monkeypatch.setattr(acceptance, "oracle_sizes", skewed)
@@ -156,13 +159,14 @@ def test_criterion_5_names_a_shape_beyond_4_sigma(monkeypatch):
 
 
 def test_criterion_6_names_every_broken_claim(monkeypatch):
-    # every peak at k* = 1; a DC_noRC source peaks at 0.5 and a DC_RC one at
-    # 0.25, the other way round when lambda_c = 2, so no claim holds
-    def profile(n, rates, src, cl):
-        p = 0.5 if (src is GossipPolicy.DC_noRC) != (rates.lambda_c == 2.0) else 0.25
-        return 1, n, p, [(1, p)]
+    # every profile is flat, so every peak is at k* = 1; a DC_noRC source
+    # peaks at 0.5 and a DC_RC one at 0.25, the other way round when
+    # lambda_c = 2, so no claim holds
+    def profiles(route, n, ks, cases, pairs):
+        peak = lambda r, src: 0.5 if (src is GossipPolicy.DC_noRC) != (r.lambda_c == 2.0) else 0.25
+        return [[np.full(len(ks), peak(r, src)) for src, _ in pairs] for r in cases]
 
-    monkeypatch.setattr(acceptance, "optimal_cluster_size", profile)
+    monkeypatch.setattr(acceptance, "clustered_profiles", profiles)
     result = acceptance.criterion_6()
     assert not result.passed
     assert result.detail.split("; ") == [

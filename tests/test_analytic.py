@@ -173,6 +173,24 @@ def test_dc_rc_closed_form_holds_for_all_rates_the_api_accepts(n):
             assert abs(closed - oracle) <= 1e-12, (ls, le, closed, oracle)
 
 
+@pytest.mark.parametrize("ratio", [1e18, 1e36])
+@pytest.mark.parametrize("policy", list(GP))
+def test_every_exact_route_keeps_p_at_most_1_at_huge_rate_ratios(policy, ratio):
+    # the true value lies within n * 2**-52 below 1 here, where the
+    # recursion's running sum of n rounded terms, and DC_RC's rounded
+    # closed form, would pass 1 at about half of these sizes unclamped
+    sizes = list(range(1, 201)) + list(range(201, 3001, 50)) + [287_204]
+    floor = 1 - np.array(sizes) * 2.0**-52
+    for lg in (0.0, ratio):
+        for route in (oracle_sizes, closed_sizes, count_law_sizes):
+            p = route(policy, ratio, lg, 1.0, sizes)
+            if p is not None:
+                assert (floor <= p).all() and (p <= 1.0).all(), route.__name__
+        for n in sizes:
+            p = renewal_freshness(per_stale_rate(policy, ratio, lg, n), n, 1.0)
+            assert 1 - n * 2.0**-52 <= p <= 1.0, n
+
+
 def test_recursion_rejects_a_table_of_the_wrong_length():
     with pytest.raises(ValueError, match="n = 3"):
         renewal_freshness([1.0, 1.0], 3, 1.0)
@@ -343,7 +361,7 @@ def _loop_recursion(table, n, le):
         denom = stale * rate + le
         p += passed * (rate / denom)
         passed *= (stale - 1) * rate / denom
-    return p
+    return min(p, 1.0)
 
 
 def _loop_fc_allrc(ls, lg, le, n):
@@ -365,7 +383,7 @@ def _scalar_closed(policy, ls, lg, le, n):
         x = le / ls
         if n * x < 2.0**-53:
             return 1.0
-        return ls / (n * le) * -math.expm1(-n * math.log1p(x))
+        return min(1.0, ls / (n * le) * -math.expm1(-n * math.log1p(x)))
     if policy is GP.FC_noRC:
         return _loop_recursion(_loop_table(policy, ls, lg, n), n, le)
     if policy is GP.FC_allRC:

@@ -161,6 +161,12 @@ MUTANTS = [
         None,
     ),
     ("cycle stderr x 2", _doubled_stderr, "4", 3),
+    (
+        "FC_noRC gossip divisor n - 1 -> n at n >= 6",
+        lambda: _gossip_divisor_n(GP.FC_noRC, lambda n: n >= 6),
+        "1",
+        11,
+    ),
 ]
 
 
