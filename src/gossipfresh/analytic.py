@@ -48,6 +48,7 @@ differently.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,10 +272,10 @@ def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[i
         bounds = ordered.tolist()
         p = np.empty(len(sizes))
         start = 0
-        while start < len(order):
-            stop = start + 1
-            while stop < len(order) and (stop + 1 - start) * bounds[stop] <= BLOCK_CELLS:
-                stop += 1
+        while start < len(order):  # bisect for each block's end: its padded cells only grow
+            rest = range(start + 1, len(order))
+            fit = bisect_right(rest, BLOCK_CELLS, key=lambda s: (s + 1 - start) * bounds[s])
+            stop = start + 1 + fit
             index = order[start:stop]
             rows = rates[:, index]
             p[index] = _block(kernel, policy, *rows, ordered[start:stop], bounds[stop - 1])

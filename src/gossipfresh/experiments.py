@@ -291,7 +291,7 @@ def _parse_config(raw, prefix: str = "") -> ExperimentConfig:
     the top-level problem.  A nonempty policies or cases list becomes a
     tuple; a policy name becomes its policy, a clustered ``[source,
     cluster]`` list a tuple of two.  Any other section, entry or ``sim`` is
-    given as it stands."""
+    given as it stands.  A config without problems is judged only here."""
     if not isinstance(raw, dict):
         raise ConfigError([f"{prefix}top level must be an object"])
     problems: list[str] = []
@@ -354,7 +354,7 @@ def _parse_config(raw, prefix: str = "") -> ExperimentConfig:
         raise ConfigError(problems)
     if "n_range" in given:
         given["n_range"] = tuple(given["n_range"])
-    return ExperimentConfig(**given)
+    return _build(ExperimentConfig, {f.name: given.get(f.name) for f in fields(ExperimentConfig)})
 
 
 @dataclass(frozen=True)
@@ -387,6 +387,14 @@ class ResultRow:
 CSV_HEADER = tuple(f.name for f in fields(ResultRow) if f.name != "case")
 
 
+def _build(cls, values: dict):
+    """``cls(**values)`` for judged ``values`` of every field in order, without the
+    generated ``__init__``, whose ``object.__setattr__`` per field outcosts a sweep row."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(values)
+    return instance
+
+
 def _grid(config, route) -> tuple[list, list]:
     """The grid ``xs`` of ``config`` and ``profiles[c][q]``, ``route``'s
     values for case ``c`` and policy ``q`` over it as a list, or None where
@@ -415,20 +423,24 @@ def _rows(config, case, policy, xs, exact, closed, index) -> list[ResultRow]:
     r, n, sim = config.cases[case].rates, config.n, config.sim
     src, cl = policy if config.clustered else (policy, None)
     flat = cl is None
-    head = (config.name, src.value, None if flat else cl.value)
-    lambda_g = r.lambda_g if (src if flat else cl).gossips else None
-    lambdas = (r.lambda_e, r.lambda_s, None if flat else r.lambda_c, lambda_g)
+    template = dict(  # the fields the rows share; every field in order, with case last
+        dict.fromkeys(CSV_HEADER), experiment=config.name, policy_source=src.value, case=case,
+        policy_cluster=None if flat else cl.value, n=None if flat else n, lambda_e=r.lambda_e,
+        lambda_s=r.lambda_s, lambda_c=None if flat else r.lambda_c, cycles=sim and sim.cycles,
+        lambda_g=r.lambda_g if (src if flat else cl).gossips else None,
+    )
     rows = []
     for i, (x, p, c) in enumerate(zip(xs, exact, closed or [None] * len(xs)), index):
-        mc = (None,) * 5  # p_sim, sim_ci_lo, sim_ci_hi, cycles, seed
+        values = template.copy()
+        values["n" if flat else "k"], values["m"] = x, None if flat else n // x
+        values["p_analytic"], values["p_oracle"] = c, p
         if sim is not None:
             spec = NetworkSpec.flat(x, src, r) if flat else NetworkSpec.clustered(n, x, src, cl, r)
             # a child seed per row index, independent of evaluation order
             seed = int(np.random.SeedSequence((sim.seed, i)).generate_state(1, np.uint64)[0])
             est = estimate_freshness_cycles(spec, sim.cycles, seed)
-            mc = (est.p_hat, est.ci95[0], est.ci95[1], sim.cycles, seed)
-        size = (x, None, None) if flat else (n, x, n // x)
-        rows.append(ResultRow(*head, *size, *lambdas, c, p, *mc, case))
+            values.update(p_sim=est.p_hat, sim_ci_lo=est.ci95[0], sim_ci_hi=est.ci95[1], seed=seed)
+        rows.append(_build(ResultRow, values))
     return rows
 
 
@@ -457,10 +469,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-#: The CSV fields of a row, in :data:`CSV_HEADER` order.
-_row_values = attrgetter(*CSV_HEADER)
-
-
 def write_csv(rows, path) -> None:
     """Write rows under the fixed header; floats carry 17 significant
     digits so parsing the file back reproduces them exactly, None is an
@@ -473,8 +481,9 @@ def write_csv(rows, path) -> None:
     stream = path if hasattr(path, "write") else io.StringIO()
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    values = attrgetter(*CSV_HEADER)  # a row's CSV fields, in order
     writer.writerows(
-        ["%.17g" % v if isinstance(v, float) else v for v in _row_values(row)] for row in rows
+        ["%.17g" % v if isinstance(v, float) else v for v in values(row)] for row in rows
     )
     if stream is not path:
         _write_text(path, stream.getvalue())
@@ -513,7 +522,7 @@ def read_csv(path) -> list[ResultRow]:
                     kwargs[col] = kind(text) if text else None
                 except ValueError:
                     raise ValueError(f"{where}: {col} is no {kind.__name__}: {text!r}") from None
-            rows.append(ResultRow(**kwargs))
+            rows.append(_build(ResultRow, {**kwargs, "case": None}))
     return rows
 
 

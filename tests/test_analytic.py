@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gossipfresh import analytic
 from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate, size_problem
 from gossipfresh.analytic import (
     BLOCK_CELLS,
@@ -442,6 +443,45 @@ def test_oracle_sizes_equals_one_size_at_a_time(policy):
                 continue
             assert isinstance(got, np.ndarray) and got.shape == (len(sizes),)
             assert got.tolist() == one
+
+
+def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
+    # each block, padded to its last (largest) size, holds at most
+    # BLOCK_CELLS cells or is one wider cell, and one more cell would not fit
+    blocks = []
+
+    def record(kernel, policy, source, gossip, lambda_e, sizes, width):
+        blocks.append((sizes.tolist(), width))
+        return np.zeros(len(sizes))
+
+    monkeypatch.setattr(analytic, "_block", record)
+    rng = random.Random(37)
+    for _ in range(150):
+        top = rng.choice([2, 30, 400, 5_000, 40_000])
+        sizes = sorted(rng.choices(range(1, top + 1), k=rng.randint(1, 5_000)))
+        blocks.clear()
+        got = analytic._blocked(None, GP.DC_RC, [1.0], [0.0], [1.0], sizes)
+        assert got.shape == (1, len(sizes))
+        assert [n for block, _ in blocks for n in block] == sizes  # each cell once, in order
+        for i, (block, width) in enumerate(blocks):
+            assert width == block[-1]
+            assert len(block) * width <= BLOCK_CELLS or len(block) == 1
+            if i + 1 < len(blocks):
+                assert (len(block) + 1) * blocks[i + 1][0][0] > BLOCK_CELLS
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_a_multi_block_call_equals_oracle_flat(policy, monkeypatch):
+    calls = []
+    block = analytic._block
+    monkeypatch.setattr(analytic, "_block", lambda *args: calls.append(args) or block(*args))
+    rng = random.Random(38)
+    sizes = rng.choices(range(1, 2_000), k=40) + [1, BLOCK_CELLS + 3]
+    rng.shuffle(sizes)
+    cases = [(1.7, 0.6, 0.9), (30.0, 0.0, 0.05)]
+    got = oracle_sizes(policy, *map(list, zip(*cases)), sizes)
+    assert len(calls) > 2
+    assert got.tolist() == [[oracle_flat(policy, *case, n) for n in sizes] for case in cases]
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])

@@ -3,7 +3,7 @@ import io
 import json
 import os
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -824,6 +824,56 @@ def test_shipped_configs_parse_and_size_their_grids(name, rows_expected, tmp_pat
     config = replace(config, output=None)
     rows = run_experiment(config)
     assert len(rows) == rows_expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["flat_policies.json", "clustered_dc.json", "clustered_fc.json", "clustered_small_sim"],
+)
+def test_rows_are_values(source, tmp_path):
+    # rows are built from a per-stretch template without the generated
+    # __init__; each must still be the ResultRow its own fields make
+    if source == "clustered_small_sim":
+        config = ExperimentConfig.from_dict(dict(CLUSTERED_SMALL, sim={"cycles": 50, "seed": 4}))
+    else:
+        config = ExperimentConfig.from_json(CONFIG_DIR / source)
+    rows = run_experiment(replace(config, output=str(tmp_path / "rows.csv")))
+    parsed = read_csv(tmp_path / "rows.csv")
+    assert parsed == rows
+    if config.sim is not None:
+        assert all(row.p_sim is not None and row.cycles == 50 for row in rows)
+    names = [f.name for f in fields(ResultRow)]
+    for row in rows + parsed:
+        made = ResultRow(**{name: getattr(row, name) for name in names})
+        assert type(row) is ResultRow
+        assert row == made and hash(row) == hash(made) and repr(row) == repr(made)
+        assert list(vars(row).items()) == list(vars(made).items())  # every field, in order
+        assert replace(row) == row and replace(row, n=row.n + 1) != row
+        assert replace(row, p_oracle=0.25) == replace(made, p_oracle=0.25)
+        assert replace(row, case=7) == row  # equality ignores the case
+        with pytest.raises(FrozenInstanceError):
+            row.p_oracle = 0.25
+        with pytest.raises(FrozenInstanceError):
+            row.case = 7
+
+
+def test_a_parsed_config_is_judged_once_and_is_a_value(monkeypatch):
+    calls = []
+    judge = experiments._config_problems
+    monkeypatch.setattr(experiments, "_config_problems", lambda g: calls.append(g) or judge(g))
+    for name in ("flat_policies.json", "clustered_dc.json"):
+        calls.clear()
+        config = ExperimentConfig.from_json(CONFIG_DIR / name)
+        assert len(calls) == 1
+        made = ExperimentConfig(**{f.name: getattr(config, f.name) for f in fields(config)})
+        assert config == made and hash(config) == hash(made) and repr(config) == repr(made)
+        assert list(vars(config)) == [f.name for f in fields(config)]
+        with pytest.raises(FrozenInstanceError):
+            config.name = "x"
+        with pytest.raises(ConfigError, match="name must"):
+            replace(config, name="")  # a config built in code is still judged
+    flat = ExperimentConfig.from_dict(FLAT_SMALL)
+    assert flat.n_range == (1, 10) and flat.k is None and flat.sim is None
 
 
 def test_fc_sweep_emits_three_series_per_rate_case(tmp_path):
