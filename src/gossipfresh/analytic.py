@@ -475,14 +475,78 @@ def clustered_freshness(spec: NetworkSpec) -> tuple[FreshnessValue, ClusteredBre
     return p, ClusteredBreakdown(p_ch=p_ch, p_node_given_ch=p_node, p=p)
 
 
+#: Trial division runs to here; a larger cofactor is split by Pollard-Brent rho.
+_TRIAL_LIMIT = 1000
+#: Miller-Rabin to these bases decides every n < 3.3 * 10**24 (Sorenson and Webster 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an ``n`` with no factor up to :data:`_TRIAL_LIMIT`."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _WITNESSES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite ``n``: Pollard's rho with Brent's
+    cycle search and a gcd per batch of 128 steps (Brent 1980)."""
+    c = 0
+    while True:  # a walk that closes on n itself is retried with the next c
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch passed a factor: step through it one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """The prime factors of ``n`` > 1, with repeats, where ``n`` has none
+    up to :data:`_TRIAL_LIMIT`."""
+    if _is_prime(n):
+        return [n]
+    d = _rho_factor(n)
+    return _large_prime_factors(d) + _large_prime_factors(n // d)
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of ``n``, ascending; ``n`` obeys
-    :func:`~gossipfresh.core.size_problem`."""
+    :func:`~gossipfresh.core.size_problem`.  Primes up to
+    :data:`_TRIAL_LIMIT` are found by trial division, larger ones by
+    :func:`_large_prime_factors`."""
     require(size_problem("n", n))
     found, rest, p = [1], n, 2  # the divisors of n // rest; rest has no factor below p
     while rest > 1:
         if p * p > rest:
             p = rest  # a prime
+        elif p > _TRIAL_LIMIT:
+            p = min(_large_prime_factors(rest))
         block = len(found)
         while rest % p == 0:  # each power of p times the divisors found before it
             rest //= p

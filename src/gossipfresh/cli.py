@@ -215,11 +215,20 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built per call.  Its help wraps at the
+    terminal's width, looked up once here instead of once per formatter."""
+    import shutil
+    from functools import partial
+
+    # the width argparse's HelpFormatter takes when given none
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="gossipfresh",
         description="Long-term binary freshness of flat and clustered gossip networks.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    verb_parser = partial(argparse.ArgumentParser, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=verb_parser)
 
     p = sub.add_parser("analytic", help="exact freshness of a single network point")
     p.add_argument("--n", type=int, required=True, help="node count (end nodes)")

@@ -469,22 +469,52 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+#: The ``%`` conversion of each number-column type whose text needs no CSV quoting.
+_NUMBER_FORMATS = {float: "%.17g", int: "%s", bool: "%s", type(None): "%.0s"}
+
+
 def write_csv(rows, path) -> None:
     """Write rows under the fixed header; floats carry 17 significant
     digits so parsing the file back reproduces them exactly, None is an
     empty field and everything else is written as ``str`` gives it.
     ``path`` may also be an open text stream such as ``sys.stdout``; it is
     left open.  An int is refused: ``open`` would write and close that file
-    descriptor.  A file is written in one piece by :func:`_write_text`."""
+    descriptor.  A file is written in one piece by :func:`_write_text`.
+
+    A row is its text columns as ``csv`` quotes them, then one ``%`` of the
+    format of its number columns' types, each built once per call; a row
+    with text columns other than ``str`` or None, or with a number column
+    of another type, is written field by field."""
     if isinstance(path, int):  # bool included
         raise ValueError(f"write_csv needs a file path or a text stream, got {path!r}")
     stream = path if hasattr(path, "write") else io.StringIO()
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    values = attrgetter(*CSV_HEADER)  # a row's CSV fields, in order
-    writer.writerows(
-        ["%.17g" % v if isinstance(v, float) else v for v in values(row)] for row in rows
-    )
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")  # one per call: each holds a 128 KiB buffer
+
+    def csv_line(cells) -> str:
+        line.seek(0)
+        line.truncate()
+        writer.writerow(cells)
+        return line.getvalue()
+
+    stream.write(csv_line(CSV_HEADER))
+    texts, numbers = attrgetter(*CSV_HEADER[:3]), attrgetter(*CSV_HEADER[3:])
+    formats, prefixes = {}, {}
+    for row in rows:
+        text, values = texts(row), numbers(row)
+        kinds = (*map(type, values),)  # a resized tuple(map(...)) would stay on a free list
+        if (fmt := formats.get(kinds)) is None:
+            known = all(map(_NUMBER_FORMATS.__contains__, kinds))
+            fmt = formats[kinds] = ",".join(map(_NUMBER_FORMATS.get, kinds)) + "\n" if known else ""
+        if (prefix := prefixes.get(text)) is None:
+            plain = all(type(t) in (str, type(None)) for t in text)
+            # the quoted text cells, each with the comma after it
+            prefix = prefixes[text] = csv_line(text + ("",))[:-1] if plain else ""
+        if fmt and prefix:
+            stream.write(prefix + fmt % values)
+        else:
+            cells = ["%.17g" % v if isinstance(v, float) else v for v in text + values]
+            stream.write(csv_line(cells))
     if stream is not path:
         _write_text(path, stream.getvalue())
 

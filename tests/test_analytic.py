@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -782,6 +783,34 @@ def test_divisors_from_prime_factors_equal_trial_division():
     # trial division to sqrt(n) took 8.8 s at 2**53; never run an exact route this wide
     assert divisors(2**53) == [2**i for i in range(54)]
     assert divisors(3**33) == [3**i for i in range(34)]
+
+
+def test_divisors_of_products_of_large_primes_equal_their_prime_powers_products():
+    small = [p for p in range(2, 2**13) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    rng = random.Random(5)
+    draws = (rng.randrange(2**13, 2**26) for _ in range(2000))
+    primes = [p for p in draws if all(p % d for d in small)]
+    # both sides of the trial bound, and the largest prime below 2**26
+    primes += rng.sample(small, 20) + [997, 1009, 1013, 2**26 - 5]
+    for _ in range(300):
+        factors, n = [], 1
+        while len(factors) < 6 and n * (p := rng.choice(primes)) <= 2**53:
+            factors.append(p)
+            n *= p
+        expected = {1}
+        for p in factors:
+            expected |= {d * p for d in expected}
+        assert divisors(n) == sorted(expected), factors
+    assert divisors(1009**5) == [1009**i for i in range(6)]
+    assert divisors((2**26 - 5) ** 2) == [1, 2**26 - 5, (2**26 - 5) ** 2]
+
+
+@pytest.mark.parametrize("prime", [2**48 - 59, 2**53 - 111])
+def test_divisors_of_a_large_prime_are_quick(prime):
+    # trial division to sqrt(n) took 1.8 s at 2**48 - 59 and about 10 s at 2**53 - 111
+    start = time.perf_counter()
+    assert divisors(prime) == [1, prime]
+    assert time.perf_counter() - start < 0.05
 
 
 def test_optimal_cluster_size_square_grid():

@@ -1,4 +1,6 @@
+import argparse
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -680,3 +682,38 @@ def test_a_sweep_that_fails_after_writing_keeps_what_it_wrote(tmp_path, monkeypa
     assert capsys.readouterr().err == "i/o error: disk full\n"
     assert len(read_csv(tmp_path / "out_dir" / "rows.csv")) == 10
     assert not (tmp_path / "plots").exists()
+
+
+def test_the_parser_looks_up_the_terminal_width_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    cli.build_parser()
+    assert len(calls) == 1
+
+
+def _help_texts(monkeypatch, capsys, columns) -> dict:
+    """The ``--help`` stdout of the top level ("") and of each verb under
+    ``COLUMNS=columns``, and each as a default-formatter build of the same
+    parsers prints it."""
+    monkeypatch.setenv("COLUMNS", str(columns))
+    parser = cli.build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {"": parser, **verbs.choices}
+    assert list(parsers) == ["", "analytic", "sweep", "simulate", "optimal-k", "selftest"]
+    texts = {}
+    for verb, p in parsers.items():
+        with pytest.raises(SystemExit) as done:
+            main([verb, "--help"] if verb else ["--help"])
+        assert done.value.code == 0
+        p.formatter_class = argparse.HelpFormatter
+        texts[verb] = capsys.readouterr().out, p.format_help()
+    return texts
+
+
+def test_help_text_is_the_default_formatters_at_the_terminal_width(monkeypatch, capsys):
+    narrow, wide = (_help_texts(monkeypatch, capsys, columns) for columns in (50, 120))
+    for texts in (narrow, wide):
+        for verb, (printed, default) in texts.items():
+            assert printed == default, verb
+    assert narrow[""][0] != wide[""][0]  # the width follows the terminal

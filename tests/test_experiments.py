@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -1079,6 +1081,47 @@ def test_csv_bytes_equal_the_per_cell_writer(tmp_path):
     assert target.read_bytes() == _reference_csv(rows).encode("utf-8")
     stream = io.StringIO()
     write_csv(rows, stream)
+    assert stream.getvalue() == _reference_csv(rows)
+
+
+#: Text fields holding what csv must quote, spaces and non-ASCII characters.
+csv_texts = st.none() | st.text(
+    st.sampled_from([",", '"', "\n", "\r", " ", "a", "Z", "é", "中", "😀"]), max_size=6
+)
+#: Number fields by type; np.float64, and a number among the text fields,
+#: are no types the writer formats in one ``%``.
+csv_numbers = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-(2**64), 2**64),
+    "float": st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    "np": st.floats().map(np.float64),
+}
+csv_triples = st.tuples(csv_texts, csv_texts, csv_texts) | st.tuples(
+    st.integers() | st.floats(), csv_texts, csv_texts
+)
+csv_patterns = st.lists(st.sampled_from(["none", "bool", "int", "float"]), min_size=14, max_size=14)
+csv_patterns |= st.builds(
+    lambda pattern, i: pattern[:i] + ["np"] + pattern[i + 1 :], csv_patterns, st.integers(0, 13)
+)
+
+
+@given(data=st.data())
+def test_csv_bytes_equal_the_per_cell_writer_on_any_rows(tmp_path_factory, data):
+    # a few text triples and number type patterns, each row one of each
+    triples = data.draw(st.lists(csv_triples, min_size=1, max_size=3))
+    patterns = data.draw(st.lists(csv_patterns, min_size=1, max_size=3))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        pattern = data.draw(st.sampled_from(patterns))
+        numbers = data.draw(st.tuples(*(csv_numbers[kind] for kind in pattern)))
+        values = data.draw(st.sampled_from(triples)) + numbers
+        rows.append(ResultRow(**dict(zip(CSV_HEADER, values))))
+    target = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(rows, target)
+    assert target.read_bytes() == _reference_csv(rows).encode("utf-8")
+    stream = io.StringIO()
+    write_csv((row for row in rows), stream)
     assert stream.getvalue() == _reference_csv(rows)
 
 
