@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DC_POLICIES, Clustered, GossipPolicy, NetworkSpec, Rates
+from .core import DC_POLICIES, STALE_TARGETING, Clustered, GossipPolicy, NetworkSpec, Rates
 from .analytic import (
     closed_clustered,
     closed_flat,
@@ -123,11 +123,6 @@ def criterion_1() -> CriterionResult:
     )
 
 
-#: Policies whose sender, the source or a clusterhead, targets a uniform
-#: stale node; the others target a uniform node of the tier.
-_STALE_TARGETING = (GossipPolicy.DC_RC, GossipPolicy.FC_sRC, GossipPolicy.FC_allRC)
-
-
 def _chain_freshness(spec: NetworkSpec) -> Fraction:
     """Exact end-node freshness of ``spec`` from the continuous-time Markov
     chain over the *sets* of fresh nodes and fresh clusterheads, built from
@@ -151,13 +146,13 @@ def _chain_freshness(spec: NetworkSpec) -> Fraction:
     if isinstance(shape, Clustered):
         m, k = shape.m, shape.k
         groups = [range(m + c * k, m + (c + 1) * k) for c in range(m)]
-        senders = [(None, ls, range(m), shape.source_policy in _STALE_TARGETING)]
-        senders += [(c, lc, groups[c], shape.cluster_policy in _STALE_TARGETING) for c in range(m)]
+        senders = [(None, ls, range(m), shape.source_policy in STALE_TARGETING)]
+        senders += [(c, lc, groups[c], shape.cluster_policy in STALE_TARGETING) for c in range(m)]
         policy, ends = shape.cluster_policy, range(m, m + shape.n)
     else:
         policy, ends = shape.policy, range(shape.n)
         groups = [ends]
-        senders = [(None, ls, ends, policy in _STALE_TARGETING)]
+        senders = [(None, ls, ends, policy in STALE_TARGETING)]
     if policy.gossips:  # a fresh node gossips within its own tier or cluster
         senders += [
             (i, lg, [j for j in group if j != i], policy is GossipPolicy.FC_allRC)

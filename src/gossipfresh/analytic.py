@@ -15,15 +15,13 @@ route, :func:`oracle_sizes` (one size: :func:`oracle_flat`; any table:
 deliveries and the next self-refresh for an arbitrary per-stale update
 table ``u(j)`` and therefore covers every policy, including ``FC_sRC``,
 which has no standalone formula (the closed route returns None for it
-alone, and every route rejects a policy that is no GossipPolicy).  The
-test suite and selftest criterion 1 hold the two routes to within 1e-12
-of each other everywhere both exist.  ``FC_noRC``'s formula is itself a
-sum-product over its own ``u(j)`` table, so its closed form runs the
-recursion's kernel and that comparison is an identity.  A third route,
-:func:`count_law_sizes`, checks every policy, ``FC_sRC`` and ``FC_noRC``
-included: it sums the capture count's survival row (:func:`_survival`),
-which has no tagged node and no q/tau split, and criterion 1 holds the
-recursion to it at 1e-12 for all five policies.
+alone, and every route rejects a policy that is no GossipPolicy).
+``FC_noRC``'s closed form is the recursion over its own table.  A third
+route, :func:`count_law_sizes`, sums the capture count's survival row
+over capture rates written from the senders' definitions, not the
+``u(j)`` table, so it checks table and recursion together for every
+policy; selftest criterion 1 holds the closed forms and the count law to
+the recursion at 1e-12.
 
 The routes take many sizes per call, and each rate either as a number or
 as a sequence of one rate per rate case, and have one path: one call
@@ -59,6 +57,7 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    STALE_TARGETING,
     divides_problem,
     rate_sum_problem,
     real_problem,
@@ -173,37 +172,38 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     return np.minimum(p, 1.0), q, tau
 
 
-def _survival(u: np.ndarray, stale: np.ndarray, lambda_e) -> np.ndarray:
-    """The capture count's survival row over the last axis of a ``(...,
-    width)`` block.
-
-    ``u`` and ``stale`` are as in :func:`_recursion`.  With ``d = stale *
-    u``, the total rate to the stale nodes, the next capture beats the
-    self-refresh with chance ``d / (d + lambda_e)``, so entry ``k - 1`` is
-    ``P(count >= k) = prod_{j<k} d_j / (d_j + lambda_e)``, which never
-    increases along the row.  It is taken in log form, ``exp(cumsum(-log1p(
-    lambda_e / d)))``: summed with ``math.fsum``, that row was within
-    2.3e-15 of 40-digit arithmetic at 60 random points (n = 10^3 .. 5 *
-    10^4, rates 10^-3 .. 10^3), where the plain running product was off by
-    up to 3.6e-13.  A padding cell (``u = 0``) gives 0 from there on;
-    ``d = 0``, or a subnormal ``d`` whose ratio overflows, gives 0 without
-    a warning.
+def _survival(d: np.ndarray, lambda_e) -> np.ndarray:
+    """The capture count's survival row over the last axis of ``d``, with
+    ``d[..., j]`` the total capture rate while j nodes are fresh: entry
+    ``k - 1`` is ``P(count >= k) = prod_{j<k} d_j / (d_j + lambda_e)``,
+    taken as ``exp(cumsum(-log1p(lambda_e / d)))``.  Summed with
+    ``math.fsum``, that row was within 2.3e-15 of 40-digit arithmetic at
+    60 random points (n = 10^3 .. 5 * 10^4, rates 10^-3 .. 10^3), where the
+    plain running product was off by up to 3.6e-13.  ``d = 0``, or a
+    subnormal ``d`` whose ratio overflows, gives 0 from there on quietly.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = lambda_e / (stale * u)
+        ratio = lambda_e / d
     return np.exp((-np.log1p(ratio)).cumsum(axis=-1))
 
 
-def _count_law(u: np.ndarray, stale: np.ndarray, lambda_e) -> np.ndarray:
-    """The :func:`math.fsum` of each row of :func:`_survival` divided by
-    its size, ``stale[..., 0]``."""
-    rows = _survival(u, stale, lambda_e).tolist()
-    return np.array([math.fsum(row) for row in rows]) / stale[..., 0]
-
-
-def _recursion_p(u: np.ndarray, stale: np.ndarray, lambda_e) -> np.ndarray:
-    """:func:`_recursion`'s ``p`` alone."""
-    return _recursion(u, stale, lambda_e)[0]
+def _capture_rates(policy, total_source, total_gossip, n: int) -> np.ndarray:
+    """The ``(cases, n)`` block of total capture rates ``d_j`` with j of
+    ``n`` nodes fresh, from rate columns: the source adds ``total_source *
+    (n - j) / n``, or ``total_source`` under
+    :data:`~gossipfresh.core.STALE_TARGETING`; under an FC policy each
+    fresh node adds ``total_gossip * (n - j) / (n - 1)``, or
+    ``total_gossip`` under ``FC_allRC``."""
+    if not isinstance(policy, GossipPolicy):
+        raise ValueError(f"unknown policy {policy!r}")  # the message of core.stale_rate_rows
+    j = np.arange(n, dtype=float)
+    stale = n - j
+    d = total_source if policy in STALE_TARGETING else total_source * (stale / n)
+    if policy is GossipPolicy.FC_allRC:
+        d = d + j * total_gossip
+    elif policy.gossips:
+        d = d + j * (total_gossip * (stale / max(n - 1, 1)))
+    return np.broadcast_to(d, (len(total_source), n))
 
 
 def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
@@ -244,28 +244,26 @@ def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
 BLOCK_CELLS = 1 << 14
 
 
-def _block(kernel, policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
-    """``kernel``'s value at each of the ``sizes``, in one block padded to
-    ``width``; each rate is a column of one rate per row."""
+def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
+    """:func:`_recursion`'s ``p`` at each of the ``sizes``, in one block
+    padded to ``width``; each rate is a column of one rate per row."""
     stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes[:, None], width)
-    return kernel(u, stale, lambda_e)
+    return _recursion(u, stale, lambda_e)[0]
 
 
-def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[int]):
+def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]):
     """:func:`_block` over every (case, size) cell of checked ``sizes`` and
-    rate lists of one rate per case, as a ``(cases, sizes)`` array.
-    ``kernel(u, stale, lambda_e)`` gives one value per row of a block:
-    :func:`_recursion_p` for the recursion, :func:`_count_law` for the
-    count law.  Cells that fit one block of at most :data:`BLOCK_CELLS`
-    cells (or a single cell) are one block as they stand; otherwise they
-    are sorted and cut into zero-padded blocks."""
+    rate lists of one rate per case, as a ``(cases, sizes)`` array.  Cells
+    that fit one block of at most :data:`BLOCK_CELLS` cells (or a single
+    cell) are one block as they stand; otherwise they are sorted and cut
+    into zero-padded blocks."""
     rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
     rates = rates.repeat(len(sizes), axis=1)[..., None]
     sizes = sizes * len(lambda_e)
     array = np.array(sizes)
     width = max(sizes)
     if len(sizes) * width <= BLOCK_CELLS or len(sizes) == 1:
-        p = _block(kernel, policy, *rates, array, width)
+        p = _block(policy, *rates, array, width)
     else:
         order = array.argsort(kind="stable")
         ordered = array[order]
@@ -278,7 +276,7 @@ def _blocked(kernel, policy, total_source, total_gossip, lambda_e, sizes: list[i
             stop = start + 1 + fit
             index = order[start:stop]
             rows = rates[:, index]
-            p[index] = _block(kernel, policy, *rows, ordered[start:stop], bounds[stop - 1])
+            p[index] = _block(policy, *rows, ordered[start:stop], bounds[stop - 1])
             start = stop
     return p.reshape(len(lambda_e), -1)
 
@@ -319,7 +317,7 @@ def oracle_sizes(
             alone names it), or for a policy that is no GossipPolicy.
     """
     sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    p = _blocked(_recursion_p, policy, *rates, sizes)
+    p = _blocked(policy, *rates, sizes)
     return p if cased else p[0]
 
 
@@ -335,12 +333,15 @@ def count_law_sizes(
     arguments, check, errors and ``(cases, sizes)`` layout.
 
     ``p = E[count] / n = (1/n) sum_k P(count >= k)``, the survival row of
-    :func:`_survival` summed with :func:`math.fsum`.  The law names no
-    tagged node and splits no step into q and tau, so it checks the
-    recursion independently for every policy, ``FC_sRC`` included.
+    :func:`_survival` over :func:`_capture_rates` summed with
+    :func:`math.fsum`, one size at a time under every case.  It reads no
+    ``u(j)`` table, names no tagged node and splits no step into q and
+    tau, so it checks the table and the recursion for every policy.
     """
     sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    p = _blocked(_count_law, policy, *rates, sizes)
+    ls, lg, le = np.array(rates, dtype=float)[..., None]
+    laws = [(n, _survival(_capture_rates(policy, ls, lg, n), le).tolist()) for n in sizes]
+    p = np.array([[math.fsum(row) / n for row in rows] for n, rows in laws]).T
     return p if cased else p[0]
 
 
@@ -394,7 +395,7 @@ def closed_sizes(
     if policy is GossipPolicy.FC_sRC:
         return None
     if policy is GossipPolicy.FC_noRC:
-        p = _blocked(_recursion_p, policy, *rates, sizes)
+        p = _blocked(policy, *rates, sizes)
     else:
         p = np.array([_closed_case(policy, *case, sizes) for case in zip(*rates)])
     return p if cased else p[0]

@@ -57,6 +57,10 @@ class GossipPolicy(Enum):
 #: gossip among themselves).
 DC_POLICIES = (GossipPolicy.DC_noRC, GossipPolicy.DC_RC)
 
+#: Policies whose source or clusterhead targets a uniform stale node, not a
+#: uniform node of the tier; only ``FC_allRC``'s gossip targets stale ones too.
+STALE_TARGETING = (GossipPolicy.DC_RC, GossipPolicy.FC_sRC, GossipPolicy.FC_allRC)
+
 #: Long-term average binary freshness of a node, a probability in [0, 1].
 FreshnessValue = float
 

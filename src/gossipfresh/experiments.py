@@ -471,6 +471,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 #: The ``%`` conversion of each number-column type whose text needs no CSV quoting.
 _NUMBER_FORMATS = {float: "%.17g", int: "%s", bool: "%s", type(None): "%.0s"}
+_TEXT_TYPES = {str, type(None)}  # the text-column types whose quoted cells are cached
 
 
 def write_csv(rows, path) -> None:
@@ -506,11 +507,11 @@ def write_csv(rows, path) -> None:
         if (fmt := formats.get(kinds)) is None:
             known = all(map(_NUMBER_FORMATS.__contains__, kinds))
             fmt = formats[kinds] = ",".join(map(_NUMBER_FORMATS.get, kinds)) + "\n" if known else ""
-        if (prefix := prefixes.get(text)) is None:
-            plain = all(type(t) in (str, type(None)) for t in text)
+        plain = _TEXT_TYPES.issuperset(map(type, text))  # a list is no cache key
+        if plain and (prefix := prefixes.get(text)) is None:
             # the quoted text cells, each with the comma after it
-            prefix = prefixes[text] = csv_line(text + ("",))[:-1] if plain else ""
-        if fmt and prefix:
+            prefix = prefixes[text] = csv_line(text + ("",))[:-1]
+        if fmt and plain:
             stream.write(prefix + fmt % values)
         else:
             cells = ["%.17g" % v if isinstance(v, float) else v for v in text + values]

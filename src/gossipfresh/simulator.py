@@ -205,16 +205,15 @@ def _flat_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.ndarr
     the number of cycles that captured c nodes.  The cycles are
     independent, so that histogram is exactly Multinomial(count, pmf),
     ``pmf[c] = P(count = c)``, c = 0 .. m: the differences of the source
-    tier's survival row (:func:`~gossipfresh.analytic._survival`) between
-    1 and 0.  The row never increases, so no entry is negative.  Draw
-    order: one ``rng.multinomial(count, pmf)`` request, which NumPy draws
-    as n conditional binomials at most (Devroye 1986), so a call costs
-    O(n), not O(count).
+    tier's survival row (:func:`~gossipfresh.analytic._survival` of its
+    totals) between 1 and 0.  The row never increases, so no entry is
+    negative.  Draw order: one ``rng.multinomial(count, pmf)`` request,
+    which NumPy draws as n conditional binomials at most (Devroye 1986), so
+    a call costs O(n), not O(count).
     """
-    stale, u = tab.rows[0]
     row = np.empty(tab.m + 2)
     row[0], row[-1] = 1.0, 0.0
-    row[1:-1] = _survival(u, stale, tab.lam_e)
+    row[1:-1] = _survival(tab.totals[0], tab.lam_e)
     return rng.multinomial(count, row[:-1] - row[1:])
 
 

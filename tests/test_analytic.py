@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gossipfresh import analytic
+from gossipfresh import analytic, core
 from gossipfresh.core import GossipPolicy, NetworkSpec, Rates, per_stale_rate, size_problem
 from gossipfresh.analytic import (
     BLOCK_CELLS,
@@ -451,7 +451,7 @@ def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
     # BLOCK_CELLS cells or is one wider cell, and one more cell would not fit
     blocks = []
 
-    def record(kernel, policy, source, gossip, lambda_e, sizes, width):
+    def record(policy, source, gossip, lambda_e, sizes, width):
         blocks.append((sizes.tolist(), width))
         return np.zeros(len(sizes))
 
@@ -461,7 +461,7 @@ def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
         top = rng.choice([2, 30, 400, 5_000, 40_000])
         sizes = sorted(rng.choices(range(1, top + 1), k=rng.randint(1, 5_000)))
         blocks.clear()
-        got = analytic._blocked(None, GP.DC_RC, [1.0], [0.0], [1.0], sizes)
+        got = analytic._blocked(GP.DC_RC, [1.0], [0.0], [1.0], sizes)
         assert got.shape == (1, len(sizes))
         assert [n for block, _ in blocks for n in block] == sizes  # each cell once, in order
         for i, (block, width) in enumerate(blocks):
@@ -512,7 +512,19 @@ def test_the_first_bad_size_is_named(sizes, bad):
 # recursion over its own table.
 
 
-def test_the_capture_count_law_gives_the_hand_values():
+def test_the_capture_count_law_gives_the_hand_values(monkeypatch):
+    # the law reaches neither the u(j) table nor the recursion it checks
+    def unused(*args):
+        raise AssertionError("the count law reached the u(j) table or the recursion")
+
+    for module, name in (
+        (core, "per_stale_rate"),
+        (core, "stale_rate_rows"),
+        (analytic, "stale_rate_rows"),
+        (analytic, "_recursion"),
+    ):
+        monkeypatch.setattr(module, name, unused)
+
     def law(policy, lg):
         return count_law_sizes(policy, 1.0, lg, 1.0, [3])[0]
 
@@ -521,6 +533,15 @@ def test_the_capture_count_law_gives_the_hand_values():
     assert law(GP.FC_allRC, 1.0) == pytest.approx(13 / 36, abs=1e-15)
     assert law(GP.FC_noRC, 1.0) == pytest.approx(111 / 336, abs=1e-15)
     assert law(GP.FC_sRC, 1.0) == pytest.approx(19 / 54, abs=1e-15)
+    # a policy that is no GossipPolicy is named after the size and rate checks
+    for policy in ("DC_RC", None):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            count_law_sizes(policy, 1.0, 0.0, 1.0, [0])
+        with pytest.raises(ValueError, match=r"^lambda_s must be finite"):
+            count_law_sizes(policy, -1.0, 0.0, 1.0, [3])
+        with pytest.raises(ValueError) as err:
+            count_law_sizes(policy, [1.0, 2.0], 0.0, 1.0, [3, 5])
+        assert str(err.value) == f"unknown policy {policy!r}"
 
 
 def test_the_capture_count_law_takes_a_zero_or_subnormal_total_rate_quietly():

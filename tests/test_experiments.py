@@ -1084,10 +1084,12 @@ def test_csv_bytes_equal_the_per_cell_writer(tmp_path):
     assert stream.getvalue() == _reference_csv(rows)
 
 
-#: Text fields holding what csv must quote, spaces and non-ASCII characters.
+#: Text fields holding what csv must quote, spaces and non-ASCII characters,
+#: and unhashable values, which the writer writes field by field.
 csv_texts = st.none() | st.text(
     st.sampled_from([",", '"', "\n", "\r", " ", "a", "Z", "é", "中", "😀"]), max_size=6
 )
+csv_texts |= st.sampled_from([["x"], {"a": 1}])
 #: Number fields by type; np.float64, and a number among the text fields,
 #: are no types the writer formats in one ``%``.
 csv_numbers = {

@@ -73,12 +73,18 @@ def _rows_mutant(policy, change):
     return real, mutant
 
 
+def _gossip_scaled(policy, factor, where=lambda n: True):
+    """``policy``'s gossip term times ``factor(n)``, at the tier sizes
+    ``where`` picks."""
+    return _rows_mutant(
+        policy, lambda u, n, unmixed: np.where(where(n), unmixed + (u - unmixed) * factor(n), u)
+    )
+
+
 def _gossip_divisor_n(policy, where=lambda n: True):
     """``policy``'s gossip term divided by n instead of n - 1, at the tier
     sizes ``where`` picks."""
-    return _rows_mutant(
-        policy, lambda u, n, unmixed: np.where(where(n), unmixed + (u - unmixed) * (n - 1) / n, u)
-    )
+    return _gossip_scaled(policy, lambda n: (n - 1) / n, where)
 
 
 def _scaled(policy, factor, where=lambda n: True):
@@ -87,9 +93,9 @@ def _scaled(policy, factor, where=lambda n: True):
 
 
 def _survival_ratio():
-    """``_survival``'s ratio ``lambda_e / (stale * u)`` times 1.02."""
+    """``_survival``'s ratio ``lambda_e / d`` times 1.02."""
     real = analytic._survival
-    return real, lambda u, stale, lambda_e: real(u, stale, lambda_e * 1.02)
+    return real, lambda d, lambda_e: real(d, lambda_e * 1.02)
 
 
 def _doubled_stderr():
@@ -165,7 +171,19 @@ MUTANTS = [
         "FC_noRC gossip divisor n - 1 -> n at n >= 6",
         lambda: _gossip_divisor_n(GP.FC_noRC, lambda n: n >= 6),
         "1",
-        11,
+        None,
+    ),
+    (
+        "FC_sRC gossip term x (1 - 1e-9) at n >= 6",
+        lambda: _gossip_scaled(GP.FC_sRC, lambda n: 1 - 1e-9, lambda n: n >= 6),
+        "1",
+        None,
+    ),
+    (
+        "FC_noRC gossip term x (1 + 1e-9) at n >= 6",
+        lambda: _gossip_scaled(GP.FC_noRC, lambda n: 1 + 1e-9, lambda n: n >= 6),
+        "1",
+        None,
     ),
 ]
 

@@ -319,7 +319,7 @@ def _flat_count_sd(spec):
     sum_c (2c - 1) P(count >= c)."""
     tab = _Tables(spec)
     stale, u = tab.rows[0]
-    survive = _survival(u, stale, tab.lam_e)
+    survive = _survival(stale * u, tab.lam_e)
     c = np.arange(1, tab.n + 1)
     mean, square = math.fsum(survive), math.fsum((2 * c - 1) * survive)
     return math.sqrt(square - mean * mean) / tab.n
