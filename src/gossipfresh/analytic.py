@@ -151,7 +151,7 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     the k-th capture goes to some other stale node, given the race reached
     step k; ``p`` has the block's leading shape.  A cell with ``u = 0``
     and ``stale = 1`` has ``q = tau = 0`` and adds exactly ``+0.0`` to
-    ``p``, so rows may be padded with such cells.  ``p`` is clamped at 1:
+    ``p``, so :func:`_block` pads with such cells.  ``p`` is clamped at 1:
     the running sum of a row's n rounded terms may pass it by up to about
     ``n * 2**-52`` where the true value is closer to 1 than that.
     """
@@ -245,24 +245,33 @@ BLOCK_CELLS = 1 << 14
 
 
 def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
-    """:func:`_recursion`'s ``p`` at each of the ``sizes``, in one block
-    padded to ``width``; each rate is a column of one rate per row."""
-    stale, u = stale_rate_rows(policy, total_source, total_gossip, sizes[:, None], width)
+    """:func:`_recursion`'s ``p`` at each of the ``sizes``, the first or the
+    last the narrowest, in one block ``width`` wide; each rate is a column
+    of one rate per row.  A cell past its row's size is evaluated at ``j =
+    size - 1`` and gets ``u = 0``: one stale node, adding exactly ``+0.0``."""
+    n, j = sizes[:, None].astype(float), np.arange(width, dtype=float)
+    if sizes[0] == width == sizes[-1]:
+        stale, u = stale_rate_rows(policy, total_source, total_gossip, n, j)
+    else:
+        stale, u = stale_rate_rows(policy, total_source, total_gossip, n, np.minimum(j, n - 1))
+        u[j >= n] = 0.0
+    del j  # a row-sized array: free it for the recursion's temporaries
     return _recursion(u, stale, lambda_e)[0]
 
 
 def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]):
     """:func:`_block` over every (case, size) cell of checked ``sizes`` and
     rate lists of one rate per case, as a ``(cases, sizes)`` array.  Cells
-    that fit one block of at most :data:`BLOCK_CELLS` cells (or a single
-    cell) are one block as they stand; otherwise they are sorted and cut
-    into zero-padded blocks."""
+    that fit one block of at most :data:`BLOCK_CELLS` cells and start or
+    end with their narrowest (or a single cell) are one block as they
+    stand; otherwise they are sorted and cut into blocks."""
     rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
     rates = rates.repeat(len(sizes), axis=1)[..., None]
+    width = max(sizes)
+    ends = min(sizes) in (sizes[0], sizes[-1])
     sizes = sizes * len(lambda_e)
     array = np.array(sizes)
-    width = max(sizes)
-    if len(sizes) * width <= BLOCK_CELLS or len(sizes) == 1:
+    if len(sizes) == 1 or ends and len(sizes) * width <= BLOCK_CELLS:
         p = _block(policy, *rates, array, width)
     else:
         order = array.argsort(kind="stable")
@@ -304,10 +313,9 @@ def oracle_sizes(
     a number serves every case.  The result is a ``(cases, sizes)`` array
     whose row ``c`` equals a call with case ``c``'s rates alone; a call
     with numbers only is the one-case call and returns its row, each entry
-    bit-identical to :func:`oracle_flat` at that size.  The cells are
-    evaluated in zero-padded blocks of at most :data:`BLOCK_CELLS` cells
-    (sorted first when they do not fit one), so a whole sweep costs a few
-    array passes instead of one per size.
+    bit-identical to :func:`oracle_flat` at that size.  The cells go in
+    blocks of at most :data:`BLOCK_CELLS` cells, or one row where it alone
+    is wider, so a sweep costs a few array passes instead of one per size.
 
     Raises:
         ValueError: if ``sizes`` is empty or holds a size that breaks
@@ -542,7 +550,7 @@ def divisors(n: int) -> list[int]:
     :data:`_TRIAL_LIMIT` are found by trial division, larger ones by
     :func:`_large_prime_factors`."""
     require(size_problem("n", n))
-    found, rest, p = [1], n, 2  # the divisors of n // rest; rest has no factor below p
+    found, rest, p = [1], int(n), 2  # the divisors of n // rest; rest has no factor below p
     while rest > 1:
         if p * p > rest:
             p = rest  # a prime

@@ -11,9 +11,8 @@ update intensity ``u(j)`` delivered to each stale node when exactly ``j``
 nodes are currently fresh, for ``j = 0 .. n-1``.  That table,
 :func:`per_stale_rate`, is shared by the exact calculations in
 :mod:`gossipfresh.analytic` and the event-driven engines in
-:mod:`gossipfresh.simulator`; both build one per tier of
-:attr:`NetworkSpec.tiers` through :func:`stale_rate_rows`, after their
-one validation of the spec.
+:mod:`gossipfresh.simulator`.  Its formulas are written once, in
+:func:`stale_rate_rows`, at the cells ``(n, j)`` each caller names.
 """
 
 from __future__ import annotations
@@ -332,36 +331,30 @@ def per_stale_rate(
     """
     require(size_problem("n", n))
     require_rates(total_source=total_source, total_gossip=total_gossip)
-    return stale_rate_rows(policy, total_source, total_gossip, np.array([[n]]), n)[1][0]
+    j = np.arange(n, dtype=float)
+    return stale_rate_rows(policy, total_source, total_gossip, float(n), j)[1]
 
 
 def stale_rate_rows(
     policy: GossipPolicy,
     total_source: float,
     total_gossip: float,
-    sizes: np.ndarray,
-    width: int,
+    n: np.ndarray,
+    j: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`per_stale_rate` tables of several tier sizes at once.
+    """The :func:`per_stale_rate` formulas at the cells the caller names.
 
-    ``sizes`` is a column (shape ``(rows, 1)``) of tier sizes, each at most
-    ``width``.  Returns ``(stale, u)``, two ``(rows, width)`` blocks:
-    ``stale[i, j] = sizes[i] - j`` stale nodes and ``u[i, j]`` the rate each
-    of them sees.  Cells past a row's size are padding, with ``stale = 1``
-    and ``u = 0``.  This is where each policy's formula is written; it
-    broadcasts over ``j`` and over the column, and every entry is computed
-    with the same IEEE operations, in the same order, as the scalar
-    formula.  The arguments are not checked here.
+    ``n`` holds tier sizes and ``j`` fresh counts ``j < n``, as floats
+    that broadcast together (a column of sizes and a row of counts, say);
+    each rate is a number or broadcasts with them.  Returns ``(stale, u)``
+    of their broadcast shape: ``stale = n - j`` stale nodes and ``u`` the
+    rate each of them sees, a new array.  Each policy's formula is written
+    here, every entry with the scalar formula's IEEE operations in their
+    order; nothing is checked.
     """
-    n = sizes.astype(float)
-    j_all = np.arange(width, dtype=float)
-    # Padding cells (j >= n) are evaluated at j = n - 1, then u is zeroed;
-    # one row as wide as its size, per_stale_rate's block, has none.
-    padded = len(sizes) > 1 or sizes[0, 0] < width
-    j = np.minimum(j_all, n - 1) if padded else j_all
     stale = n - j
     if policy is GossipPolicy.DC_noRC:
-        u = total_source / n
+        u = np.full(stale.shape, total_source / n)
     elif policy is GossipPolicy.DC_RC:
         u = total_source / stale
     elif policy is GossipPolicy.FC_noRC:
@@ -372,9 +365,7 @@ def stale_rate_rows(
         u = total_source / stale + j * total_gossip / stale
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    if padded:
-        return stale, np.where(j_all < n, u, 0.0)
-    return stale, u if u.shape == stale.shape else u.repeat(width, axis=-1)  # DC_noRC's column
+    return stale, u
 
 
 def validate(spec: NetworkSpec) -> list[str]:

@@ -170,10 +170,10 @@ class _Tables:
 
     def __init__(self, spec: NetworkSpec):
         require_valid(spec)
-        self.rows = []
-        for policy, source, gossip, size in spec.tiers:
-            stale, u = stale_rate_rows(policy, source, gossip, np.array([[size]]), size)
-            self.rows.append((stale[0], u[0]))
+        self.rows = [
+            stale_rate_rows(p, s, g, float(n), np.arange(n, dtype=float))
+            for p, s, g, n in spec.tiers
+        ]
         self.totals = [stale * u for stale, u in self.rows]
         source, *cluster = self.totals
         self.m, self.k = len(source), len(cluster[0]) if cluster else 0
@@ -250,8 +250,9 @@ def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.
     times; pass 2 then draws k in-cluster holding times for each captured
     cluster of the block, in (cycle, cluster) row-major order.  Neither
     pass makes a draw request or a temporary of more than
-    :data:`BLOCK_CELLS` cells; pass 2 is split into pieces of whole
-    clusters, which does not change the numbers drawn.
+    :data:`BLOCK_CELLS` cells, or of one cycle's ``1 + m`` or one cluster's
+    k where that alone is wider (binning a block's counts takes ``n + 1``);
+    pass 2 is cut into whole clusters, which does not change the draws.
     """
     m, k, lam_e = tab.m, tab.k, tab.lam_e
     dsrc, dcl = tab.totals

@@ -485,6 +485,31 @@ def test_a_multi_block_call_equals_oracle_flat(policy, monkeypatch):
     assert got.tolist() == [[oracle_flat(policy, *case, n) for n in sizes] for case in cases]
 
 
+@pytest.mark.parametrize("policy", list(GP))
+def test_block_pads_each_narrower_row_with_zero_rates_and_one_stale_node(policy, monkeypatch):
+    # one block each, the narrowest size inside, last and first
+    for sizes in ([5, 3, 5], [5, 4, 3], [3, 5, 4]):
+        one = [oracle_flat(policy, 1.3, 0.7, 0.9, n) for n in sizes]
+        assert oracle_sizes(policy, 1.3, 0.7, 0.9, sizes).tolist() == one
+    seen = []
+    recursion = analytic._recursion
+
+    def record(u, stale, lambda_e):
+        seen.append((u.tolist(), stale.tolist()))
+        return recursion(u, stale, lambda_e)
+
+    monkeypatch.setattr(analytic, "_recursion", record)
+    sizes, column = [1, 2, 5, 7], np.ones((4, 1))
+    p = analytic._block(policy, 1.3 * column, 0.7 * column, 0.9 * column, np.array(sizes), 7)
+    ((rows, stale),) = seen
+    for n, row, counts, value in zip(sizes, rows, stale, p.tolist()):
+        assert len(row) == len(counts) == 7
+        assert row[:n] == per_stale_rate(policy, 1.3, 0.7, n).tolist()
+        assert row[n:] == [0.0] * (7 - n)
+        assert counts == [n - j for j in range(n)] + [1.0] * (7 - n)
+        assert value == oracle_flat(policy, 1.3, 0.7, 0.9, n)
+
+
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])
 def test_oracle_sizes_rejects_bad_sizes(sizes):
     for route in (oracle_sizes, closed_sizes, count_law_sizes):
@@ -824,6 +849,13 @@ def test_divisors_of_products_of_large_primes_equal_their_prime_powers_products(
         assert divisors(n) == sorted(expected), factors
     assert divisors(1009**5) == [1009**i for i in range(6)]
     assert divisors((2**26 - 5) ** 2) == [1, 2**26 - 5, (2**26 - 5) ** 2]
+
+
+def test_divisors_of_a_numpy_integer_are_python_ints():
+    # 1009 * 1013 and 2**48 - 59 leave a cofactor past trial division
+    for n in (1009 * 1013, 2**48 - 59, 120):
+        got = divisors(np.int64(n))
+        assert got == divisors(n) and all(type(d) is int for d in got), n
 
 
 @pytest.mark.parametrize("prime", [2**48 - 59, 2**53 - 111])

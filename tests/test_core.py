@@ -121,14 +121,25 @@ def test_per_stale_rate_returns_the_whole_table():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_stale_rate_rows_pad_each_size_with_zeros(policy):
-    sizes = [1, 2, 5, 7]
-    stale, rows = stale_rate_rows(policy, 1.3, 0.7, np.array(sizes)[:, None], 7)
-    assert rows.shape == stale.shape == (4, 7)
-    for n, row, counts in zip(sizes, rows.tolist(), stale.tolist()):
-        assert row[:n] == per_stale_rate(policy, 1.3, 0.7, n).tolist()
-        assert row[n:] == [0.0] * (7 - n)
-        assert counts == [n - j for j in range(n)] + [1.0] * (7 - n)
+def test_stale_rate_rows_broadcast_a_column_of_sizes_over_a_row_of_counts(policy):
+    sizes, counts = [5, 6, 9, 40], [0, 2, 4]
+    n, j = np.array(sizes, dtype=float)[:, None], np.array(counts, dtype=float)
+    stale, u = stale_rate_rows(policy, 1.3, 0.7, n, j)
+    assert stale.shape == u.shape == (4, 3)
+    for size, row, stale_row in zip(sizes, u.tolist(), stale.tolist()):
+        assert row == per_stale_rate(policy, 1.3, 0.7, size)[counts].tolist()
+        assert stale_row == [size - c for c in counts]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_per_stale_rate_returns_a_fresh_writable_array(policy):
+    for n in (1, 2, 7):
+        table = per_stale_rate(policy, 1.3, 0.7, n)
+        values = table.tolist()
+        assert table.dtype == np.float64 and table.shape == (n,) and table.flags.writeable
+        table[:] = -1.0
+        again = per_stale_rate(policy, 1.3, 0.7, n)
+        assert again.tolist() == values and not np.shares_memory(table, again)
 
 
 @pytest.mark.parametrize(

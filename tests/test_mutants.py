@@ -59,16 +59,16 @@ def _rewritten(func, old, new):
 
 def _rows_mutant(policy, change):
     """A mutant of ``core.stale_rate_rows`` whose ``u`` block, for
-    ``policy`` only, becomes ``change(u, sizes, unmixed)``, where ``sizes``
-    is the column of tier sizes and ``unmixed`` the block at zero gossip."""
+    ``policy`` only, becomes ``change(u, n, unmixed)``, where ``n`` holds
+    the tier sizes and ``unmixed`` is the block at zero gossip."""
     real = core.stale_rate_rows
 
-    def mutant(which, total_source, total_gossip, sizes, width):
-        stale, u = real(which, total_source, total_gossip, sizes, width)
+    def mutant(which, total_source, total_gossip, n, j):
+        stale, u = real(which, total_source, total_gossip, n, j)
         if which is not policy:
             return stale, u
-        unmixed = real(which, total_source, 0.0, sizes, width)[1]
-        return stale, change(u, sizes, unmixed)
+        unmixed = real(which, total_source, 0.0, n, j)[1]
+        return stale, change(u, n, unmixed)
 
     return real, mutant
 
