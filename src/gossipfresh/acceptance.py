@@ -8,6 +8,7 @@ deterministic (all Monte Carlo seeds are fixed), so a report written by
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .analytic import (
     oracle_sizes,
 )
 from .simulator import decomposition_check, estimate_freshness_cycles, estimate_freshness_time
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, _write_text, run_experiment
 
 __all__ = [
     "CriterionResult",
@@ -509,13 +510,15 @@ def format_line(res: CriterionResult) -> str:
 
 
 def write_report(results, path) -> Path:
-    """Deterministic CSV report (no wall-clock columns)."""
+    """Deterministic CSV report (no wall-clock columns), written by
+    :func:`~gossipfresh.experiments._write_text`."""
     import csv
 
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(("criterion", "title", "passed", "detail"))
-        for res in results:
-            writer.writerow((res.criterion, res.title, str(res.passed), res.detail))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("criterion", "title", "passed", "detail"))
+    for res in results:
+        writer.writerow((res.criterion, res.title, str(res.passed), res.detail))
+    _write_text(path, text.getvalue())
     return path

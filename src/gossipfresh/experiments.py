@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import groupby
@@ -521,9 +522,24 @@ def write_csv(rows, path) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    """Write ``text`` to the file ``path`` as UTF-8, in one call."""
-    with open(path, "wb") as f:
-        f.write(text.encode("utf-8"))
+    """Write ``text`` to the file ``path`` as UTF-8, in one call; every
+    file the package writes goes through here.
+
+    An existing file is overwritten in place and truncated only when it
+    was longer than the new bytes: ext4 frees the blocks of a file that
+    is truncated to zero and starts its writeback on close
+    (``auto_da_alloc``), which made up most of the cost of rewriting a
+    small file.  The final bytes, mode, inode and ``OSError`` messages
+    are those of ``open(path, "wb")``.  No write was ever atomic or
+    fsync'd, and none is now: a crash can leave a mix of old and new
+    bytes.  A target that is no regular file, such as ``os.devnull``,
+    reports size 0 and so is never truncated."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        longer = os.fstat(f.fileno()).st_size > len(data)
+        f.write(data)
+        if longer:
+            f.truncate(len(data))
 
 
 _INT_COLS = {"n", "k", "m", "cycles", "seed"}

@@ -251,8 +251,9 @@ def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.
     cluster of the block, in (cycle, cluster) row-major order.  Neither
     pass makes a draw request or a temporary of more than
     :data:`BLOCK_CELLS` cells, or of one cycle's ``1 + m`` or one cluster's
-    k where that alone is wider (binning a block's counts takes ``n + 1``);
-    pass 2 is cut into whole clusters, which does not change the draws.
+    k where that alone is wider (binning a block's counts takes one cell
+    per value up to its largest count); pass 2 is cut into whole clusters,
+    which does not change the draws.
     """
     m, k, lam_e = tab.m, tab.k, tab.lam_e
     dsrc, dcl = tab.totals
@@ -274,7 +275,8 @@ def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.
                 arrive = _arrival_times(rng.standard_exponential((len(within), k)).T, dcl)
                 holders[lo : lo + piece] = (arrive < within).sum(axis=0)
             counts = np.bincount(cycle, holders, minlength=len(first)).astype(np.int64)
-            hist += np.bincount(counts, minlength=len(hist))
+            binned = np.bincount(counts)  # up to the block's largest count, at most n
+            hist[: len(binned)] += binned
     return hist
 
 

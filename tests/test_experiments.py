@@ -23,7 +23,8 @@ from gossipfresh.analytic import (
 )
 from gossipfresh.core import DC_POLICIES, GossipPolicy, NetworkSpec, Rates, cycles_problem
 from gossipfresh.core import int_problem, name_problem, size_problem
-from gossipfresh import experiments
+from gossipfresh import acceptance, experiments
+from gossipfresh.cli import main
 from gossipfresh.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -451,6 +452,71 @@ def test_read_csv_names_the_file_and_line_of_a_malformed_row(tmp_path):
         with pytest.raises(ValueError) as err:
             read_csv(path)
         assert str(err.value).startswith(f"{path}, line {line}: {problem}")
+
+
+# --- the file writer ---------------------------------------------------------
+
+WRITTEN = "policy,λ\nDC_RC,0.5\n".encode()  # 2-byte λ: the truncation counts bytes
+
+
+@pytest.mark.parametrize(
+    "old",
+    [None, WRITTEN + b"junk\n" * 50, WRITTEN[:4], b"#" * len(WRITTEN)],
+    ids=["missing", "longer", "shorter", "equal"],
+)
+def test_write_text_leaves_exactly_the_new_bytes_on_the_same_inode(old, tmp_path):
+    path = tmp_path / "rows.csv"
+    if old is not None:
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+    experiments._write_text(path, WRITTEN.decode())
+    assert path.read_bytes() == WRITTEN
+    if old is not None:
+        assert path.stat().st_ino == inode
+
+
+def test_write_text_to_the_null_device_does_not_raise():
+    # a character device reports size 0, so it is never truncated
+    experiments._write_text(os.devnull, WRITTEN.decode())
+
+
+def test_no_file_the_package_writes_is_opened_with_truncation(monkeypatch, tmp_path):
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    rows = run_experiment(ExperimentConfig.from_dict(FLAT_SMALL))
+    write_csv(rows, tmp_path / "rows.csv")
+    emit_plot_data(rows, out_dir=tmp_path / "plots")  # 10 series
+    result = acceptance.CriterionResult("1", "a title", True, 0.5, "a detail")
+    acceptance.write_report([result], tmp_path / "report.csv")
+    assert len(flags) == 12
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_a_sweep_over_longer_old_files_leaves_the_bytes_of_a_fresh_run(tmp_path, capsys):
+    config = str(CONFIG_DIR / "flat_policies.json")
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+
+    def sweep(out):
+        argv = ["--output", str(out / "rows.csv"), "--plot-dir", str(out / "plots")]
+        assert main(["sweep", "--config", config, *argv]) == 0
+
+    sweep(fresh)
+    planted = ["rows.csv", "plots/flat_policies__DC_RC__alpha1.dat"]
+    (old / "plots").mkdir(parents=True)
+    for name in planted:
+        (old / name).write_bytes((fresh / name).read_bytes() + b"junk\n" * 100)
+    sweep(old)
+    names = sorted(str(p.relative_to(fresh)) for p in fresh.rglob("*") if p.is_file())
+    assert len(names) == 11 and set(planted) <= set(names)
+    assert names == sorted(str(p.relative_to(old)) for p in old.rglob("*") if p.is_file())
+    for name in names:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # --- plot series -------------------------------------------------------------
