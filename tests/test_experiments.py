@@ -498,7 +498,7 @@ def test_no_file_the_package_writes_is_opened_with_truncation(monkeypatch, tmp_p
     assert not any(flag & os.O_TRUNC for flag in flags)
 
 
-def test_a_sweep_over_longer_old_files_leaves_the_bytes_of_a_fresh_run(tmp_path, capsys):
+def test_a_sweep_over_longer_old_files_leaves_the_bytes_of_a_fresh_run(tmp_path):
     config = str(CONFIG_DIR / "flat_policies.json")
     fresh, old = tmp_path / "fresh", tmp_path / "old"
 
