@@ -22,7 +22,6 @@ from .analytic import (
     closed_sizes,
     clustered_freshness,
     clustered_profiles,
-    count_law_sizes,
     divisors,
     optimal_cluster_size,
     oracle_flat,
@@ -74,7 +73,6 @@ __all__ = [
     "closed_sizes",
     "clustered_freshness",
     "clustered_profiles",
-    "count_law_sizes",
     "decomposition_check",
     "divisors",
     "emit_plot_data",

@@ -18,12 +18,13 @@ import numpy as np
 
 from .core import DC_POLICIES, STALE_TARGETING, Clustered, GossipPolicy, NetworkSpec, Rates
 from .analytic import (
+    _blocked,
+    _law_block,
     closed_clustered,
     closed_flat,
     closed_sizes,
     clustered_freshness,
     clustered_profiles,
-    count_law_sizes,
     divisors,
     oracle_flat,
     oracle_sizes,
@@ -90,7 +91,9 @@ def _result(criterion, title, t0, failures, detail_ok, budget=None):
 
 def criterion_1() -> CriterionResult:
     """Every flat closed form and the capture-count law match the recursion
-    to 1e-12, one call per route and policy over every rate point."""
+    to 1e-12, one call per route and policy over every rate point; the
+    count law is :func:`~gossipfresh.analytic._law_block` over the
+    recursion's blocks (:func:`~gossipfresh.analytic._blocked`)."""
     t0 = time.perf_counter()
     failures: list[str] = []
     worst = {"closed": 0.0, "count law": 0.0}
@@ -102,7 +105,7 @@ def criterion_1() -> CriterionResult:
         # every flat policy against the count law; FC_sRC has no closed form
         for route, values in (
             ("closed", closed_sizes(pol, lss, lgs, les, NS)),
-            ("count law", count_law_sizes(pol, lss, lgs, les, NS)),
+            ("count law", _blocked(pol, lss, lgs, les, list(NS), _law_block)),
         ):
             if values is None:
                 continue

@@ -16,12 +16,13 @@ deliveries and the next self-refresh for an arbitrary per-stale update
 table ``u(j)`` and therefore covers every policy, including ``FC_sRC``,
 which has no standalone formula (the closed route returns None for it
 alone, and every route rejects a policy that is no GossipPolicy).
-``FC_noRC``'s closed form is the recursion over its own table.  A third
-route, :func:`count_law_sizes`, sums the capture count's survival row
+``FC_noRC``'s closed form is the recursion over its own table.  The
+capture count's law, :func:`_law_block`, sums the count's survival row
 over capture rates written from the senders' definitions, not the
 ``u(j)`` table, so it checks table and recursion together for every
-policy; selftest criterion 1 holds the closed forms and the count law to
-the recursion at 1e-12.
+policy; selftest criterion 1 evaluates it in blocks as the recursion is
+evaluated, through :func:`_blocked`, and holds the closed forms and the
+count law to the recursion at 1e-12.
 
 The routes take many sizes per call, and each rate either as a number or
 as a sequence of one rate per rate case, and have one path: one call
@@ -73,7 +74,6 @@ __all__ = [
     "renewal_freshness",
     "oracle_sizes",
     "oracle_flat",
-    "count_law_sizes",
     "closed_sizes",
     "closed_flat",
     "closed_clustered",
@@ -176,34 +176,32 @@ def _survival(d: np.ndarray, lambda_e) -> np.ndarray:
     """The capture count's survival row over the last axis of ``d``, with
     ``d[..., j]`` the total capture rate while j nodes are fresh: entry
     ``k - 1`` is ``P(count >= k) = prod_{j<k} d_j / (d_j + lambda_e)``,
-    taken as ``exp(cumsum(-log1p(lambda_e / d)))``.  Summed with
-    ``math.fsum``, that row was within 2.3e-15 of 40-digit arithmetic at
-    60 random points (n = 10^3 .. 5 * 10^4, rates 10^-3 .. 10^3), where the
-    plain running product was off by up to 3.6e-13.  ``d = 0``, or a
-    subnormal ``d`` whose ratio overflows, gives 0 from there on quietly.
+    taken as ``exp(cumsum(-log1p(lambda_e / d)))``.  That row was within
+    2.3e-15 of 40-digit arithmetic at 60 random points (n = 10^3 .. 5 *
+    10^4, rates 10^-3 .. 10^3) when summed exactly, where the plain running
+    product was off by up to 3.6e-13.  ``d = 0``, or a subnormal ``d``
+    whose ratio overflows, gives 0 from there on quietly.
     """
     with np.errstate(divide="ignore", over="ignore"):
         ratio = lambda_e / d
     return np.exp((-np.log1p(ratio)).cumsum(axis=-1))
 
 
-def _capture_rates(policy, total_source, total_gossip, n: int) -> np.ndarray:
-    """The ``(cases, n)`` block of total capture rates ``d_j`` with j of
-    ``n`` nodes fresh, from rate columns: the source adds ``total_source *
-    (n - j) / n``, or ``total_source`` under
-    :data:`~gossipfresh.core.STALE_TARGETING`; under an FC policy each
-    fresh node adds ``total_gossip * (n - j) / (n - 1)``, or
-    ``total_gossip`` under ``FC_allRC``."""
-    if not isinstance(policy, GossipPolicy):
-        raise ValueError(f"unknown policy {policy!r}")  # the message of core.stale_rate_rows
-    j = np.arange(n, dtype=float)
+def _capture_rates(policy, total_source, total_gossip, n, j) -> np.ndarray:
+    """The total capture rates ``d_j`` with j of n nodes fresh, at the
+    cells the caller names as :func:`~gossipfresh.core.stale_rate_rows`
+    names them: the source adds ``total_source * (n - j) / n``, or
+    ``total_source`` under :data:`~gossipfresh.core.STALE_TARGETING`; under
+    an FC policy each fresh node adds ``total_gossip * (n - j) / (n - 1)``,
+    or ``total_gossip`` under ``FC_allRC``.  The result broadcasts to the
+    cells' shape; under ``DC_RC`` it is ``total_source`` itself."""
     stale = n - j
     d = total_source if policy in STALE_TARGETING else total_source * (stale / n)
     if policy is GossipPolicy.FC_allRC:
         d = d + j * total_gossip
     elif policy.gossips:
-        d = d + j * (total_gossip * (stale / max(n - 1, 1)))
-    return np.broadcast_to(d, (len(total_source), n))
+        d = d + j * (total_gossip * (stale / np.maximum(n - 1, 1)))
+    return d
 
 
 def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
@@ -259,12 +257,28 @@ def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.nda
     return _recursion(u, stale, lambda_e)[0]
 
 
-def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]):
-    """:func:`_block` over every (case, size) cell of checked ``sizes`` and
-    rate lists of one rate per case, as a ``(cases, sizes)`` array.  Cells
-    that fit one block of at most :data:`BLOCK_CELLS` cells and start or
-    end with their narrowest (or a single cell) are one block as they
-    stand; otherwise they are sorted and cut into blocks."""
+def _law_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
+    """:func:`_block`'s twin through the capture count's law: ``p =
+    E[count] / n = (1/n) sum_k P(count >= k)`` at each of the ``sizes`` in
+    one block ``width`` wide, the survival row of :func:`_survival` over
+    :func:`_capture_rates` summed left to right as :func:`_recursion` sums.
+    It reads no ``u(j)`` table, names no tagged node and splits no step
+    into q and tau, so it checks the table and the recursion for every
+    policy.  A cell past its row's size gets ``d = 0``, whose survival is
+    0, adding exactly ``+0.0``."""
+    n, j = sizes[:, None].astype(float), np.arange(width, dtype=float)
+    d = np.where(j < n, _capture_rates(policy, total_source, total_gossip, n, j), 0.0)
+    survival = _survival(d, lambda_e)
+    return np.add.accumulate(survival, axis=-1, out=survival)[..., -1] / sizes
+
+
+def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], block=_block):
+    """``block`` (:func:`_block` or :func:`_law_block`) over every (case,
+    size) cell of checked ``sizes`` and rate lists of one rate per case, as
+    a ``(cases, sizes)`` array.  Cells that fit one block of at most
+    :data:`BLOCK_CELLS` cells and start or end with their narrowest (or a
+    single cell) are one block as they stand; otherwise they are sorted and
+    cut into blocks."""
     rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
     rates = rates.repeat(len(sizes), axis=1)[..., None]
     width = max(sizes)
@@ -272,7 +286,7 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]):
     sizes = sizes * len(lambda_e)
     array = np.array(sizes)
     if len(sizes) == 1 or ends and len(sizes) * width <= BLOCK_CELLS:
-        p = _block(policy, *rates, array, width)
+        p = block(policy, *rates, array, width)
     else:
         order = array.argsort(kind="stable")
         ordered = array[order]
@@ -285,7 +299,7 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int]):
             stop = start + 1 + fit
             index = order[start:stop]
             rows = rates[:, index]
-            p[index] = _block(policy, *rows, ordered[start:stop], bounds[stop - 1])
+            p[index] = block(policy, *rows, ordered[start:stop], bounds[stop - 1])
             start = stop
     return p.reshape(len(lambda_e), -1)
 
@@ -326,30 +340,6 @@ def oracle_sizes(
     """
     sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
     p = _blocked(policy, *rates, sizes)
-    return p if cased else p[0]
-
-
-def count_law_sizes(
-    policy: GossipPolicy,
-    total_source,
-    total_gossip,
-    lambda_e,
-    sizes,
-) -> np.ndarray:
-    """Freshness of a flat tier at each of several sizes, via the capture
-    count's law: the twin of :func:`oracle_sizes`, with the same
-    arguments, check, errors and ``(cases, sizes)`` layout.
-
-    ``p = E[count] / n = (1/n) sum_k P(count >= k)``, the survival row of
-    :func:`_survival` over :func:`_capture_rates` summed with
-    :func:`math.fsum`, one size at a time under every case.  It reads no
-    ``u(j)`` table, names no tagged node and splits no step into q and
-    tau, so it checks the table and the recursion for every policy.
-    """
-    sizes, rates, cased = _check_sizes(sizes, lambda_e, total_source, total_gossip)
-    ls, lg, le = np.array(rates, dtype=float)[..., None]
-    laws = [(n, _survival(_capture_rates(policy, ls, lg, n), le).tolist()) for n in sizes]
-    p = np.array([[math.fsum(row) / n for row in rows] for n, rows in laws]).T
     return p if cased else p[0]
 
 

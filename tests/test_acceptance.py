@@ -84,18 +84,17 @@ def test_criterion_1_names_a_failing_cell(monkeypatch):
 
 def test_criterion_1_names_a_failing_count_law_cell(monkeypatch):
     # one count-law value off by 1e-9: the flat FC_sRC cell at n = 7,
-    # le = 0.5, ls = 2.0, lg = 0.5, a policy with no closed form
-    real = acceptance.count_law_sizes
+    # le = 0.5, ls = 2.0, lg = 0.5, a policy with no closed form, planted
+    # in the count law's block kernel
+    real = acceptance._law_block
 
-    def skewed(policy, ls, lg, le, sizes):
-        p = real(policy, ls, lg, le, sizes)
+    def skewed(policy, ls, lg, le, sizes, width):
+        p = real(policy, ls, lg, le, sizes, width)
         if policy is GossipPolicy.FC_sRC:
-            for c, case in enumerate(zip(le, ls, lg)):
-                if case == (0.5, 2.0, 0.5):
-                    p[c, 6] += 1e-9
+            p[(le[:, 0] == 0.5) & (ls[:, 0] == 2.0) & (lg[:, 0] == 0.5) & (sizes == 7)] += 1e-9
         return p
 
-    monkeypatch.setattr(acceptance, "count_law_sizes", skewed)
+    monkeypatch.setattr(acceptance, "_law_block", skewed)
     result = acceptance.criterion_1()
     assert not result.passed
     assert result.detail == "FC_sRC n=7 le=0.5 ls=2.0 lg=0.5: |count law - oracle| = 1.000e-09"

@@ -16,12 +16,13 @@ from gossipfresh.analytic import (
     closed_sizes,
     clustered_freshness,
     clustered_profiles,
-    count_law_sizes,
     divisors,
     optimal_cluster_size,
     oracle_flat,
     oracle_sizes,
     renewal_freshness,
+    _blocked,
+    _law_block,
     _recursion,
 )
 
@@ -184,10 +185,14 @@ def test_every_exact_route_keeps_p_at_most_1_at_huge_rate_ratios(policy, ratio):
     sizes = list(range(1, 201)) + list(range(201, 3001, 50)) + [287_204]
     floor = 1 - np.array(sizes) * 2.0**-52
     for lg in (0.0, ratio):
-        for route in (oracle_sizes, closed_sizes, count_law_sizes):
-            p = route(policy, ratio, lg, 1.0, sizes)
+        law = _blocked(policy, [ratio], [lg], [1.0], sizes, _law_block)[0]
+        for route, p in (
+            ("oracle", oracle_sizes(policy, ratio, lg, 1.0, sizes)),
+            ("closed", closed_sizes(policy, ratio, lg, 1.0, sizes)),
+            ("count law", law),
+        ):
             if p is not None:
-                assert (floor <= p).all() and (p <= 1.0).all(), route.__name__
+                assert (floor <= p).all() and (p <= 1.0).all(), route
         for n in sizes:
             p = renewal_freshness(per_stale_rate(policy, ratio, lg, n), n, 1.0)
             assert 1 - n * 2.0**-52 <= p <= 1.0, n
@@ -227,7 +232,7 @@ BAD_SIZES = [2**53 + 1, 2**63 - 1, 2**64, 3.0]
 def test_every_exact_route_rejects_a_size_past_the_size_rule_alike(policy, bad):
     # FC_sRC's closed route returned None at 2**63, where the recursion crashed
     calls = [(view, 1.0, bad) for view in (oracle_flat, closed_flat)]
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         for sizes in ([bad], [2, bad], (bad, 2)):
             calls += [(route, 1.0, sizes), (route, [1.0, 2.0], sizes)]
     for route, ls, sizes in calls:
@@ -241,7 +246,7 @@ def test_sizes_of_mixed_integer_types_are_sizes(policy):
     # NumPy makes [int64, uint64] a float array; FC_allRC's closed form
     # indexes its running sum with the sizes
     mixed = [np.int64(3), np.uint64(5)]
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         p, q = route(policy, 1.0, 1.0, 1.0, mixed), route(policy, 1.0, 1.0, 1.0, [3, 5])
         assert p is q is None or p.tolist() == q.tolist()
 
@@ -300,7 +305,7 @@ def test_both_routes_reject_an_unknown_policy_with_one_message(policy):
             call()
         assert str(err.value) == message
     # the arguments are checked first, as the recursion checks them
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         with pytest.raises(ValueError, match="lambda_e must be finite and > 0"):
             route(policy, 1.0, 0.0, 0.0, [3])
         with pytest.raises(ValueError, match="sizes must be a nonempty sequence"):
@@ -446,7 +451,7 @@ def test_oracle_sizes_equals_one_size_at_a_time(policy):
             assert got.tolist() == one
 
 
-def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
+def test_blocks_are_cut_greedily_in_size_order():
     # each block, padded to its last (largest) size, holds at most
     # BLOCK_CELLS cells or is one wider cell, and one more cell would not fit
     blocks = []
@@ -455,13 +460,12 @@ def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
         blocks.append((sizes.tolist(), width))
         return np.zeros(len(sizes))
 
-    monkeypatch.setattr(analytic, "_block", record)
     rng = random.Random(37)
     for _ in range(150):
         top = rng.choice([2, 30, 400, 5_000, 40_000])
         sizes = sorted(rng.choices(range(1, top + 1), k=rng.randint(1, 5_000)))
         blocks.clear()
-        got = analytic._blocked(GP.DC_RC, [1.0], [0.0], [1.0], sizes)
+        got = _blocked(GP.DC_RC, [1.0], [0.0], [1.0], sizes, record)
         assert got.shape == (1, len(sizes))
         assert [n for block, _ in blocks for n in block] == sizes  # each cell once, in order
         for i, (block, width) in enumerate(blocks):
@@ -472,17 +476,22 @@ def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", list(GP))
-def test_a_multi_block_call_equals_oracle_flat(policy, monkeypatch):
+def test_a_multi_block_call_equals_oracle_flat(policy):
     calls = []
-    block = analytic._block
-    monkeypatch.setattr(analytic, "_block", lambda *args: calls.append(args) or block(*args))
+
+    def block(*args):
+        calls.append(args)
+        return analytic._block(*args)
+
     rng = random.Random(38)
     sizes = rng.choices(range(1, 2_000), k=40) + [1, BLOCK_CELLS + 3]
     rng.shuffle(sizes)
     cases = [(1.7, 0.6, 0.9), (30.0, 0.0, 0.05)]
-    got = oracle_sizes(policy, *map(list, zip(*cases)), sizes)
+    rates = list(map(list, zip(*cases)))
+    got = _blocked(policy, *rates, sizes, block)
     assert len(calls) > 2
     assert got.tolist() == [[oracle_flat(policy, *case, n) for n in sizes] for case in cases]
+    assert oracle_sizes(policy, *rates, sizes).tolist() == got.tolist()
 
 
 @pytest.mark.parametrize("policy", list(GP))
@@ -512,7 +521,7 @@ def test_block_pads_each_narrower_row_with_zero_rates_and_one_stale_node(policy,
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])
 def test_oracle_sizes_rejects_bad_sizes(sizes):
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         for policy in GP:
             with pytest.raises(ValueError):
                 route(policy, 1.0, 0.0, 1.0, sizes)
@@ -523,7 +532,7 @@ def test_oracle_sizes_rejects_bad_sizes(sizes):
 )
 def test_the_first_bad_size_is_named(sizes, bad):
     # not the least or the largest size: the first bad one, as given
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         with pytest.raises(ValueError) as err:
             route(GP.DC_RC, 1.0, 0.0, 1.0, sizes)
         assert str(err.value) == size_problem("n", bad)
@@ -534,7 +543,13 @@ def test_the_first_bad_size_is_named(sizes, bad):
 #
 # The law has no tagged node and no q/tau split, so it checks FC_sRC,
 # which has no closed form, and FC_noRC, whose closed form is the
-# recursion over its own table.
+# recursion over its own table.  It runs on the recursion's block engine,
+# _blocked, with _law_block as the kernel.
+
+
+def _law(policy, ls, lg, le, sizes):
+    """The count law at ``sizes`` for one rate case."""
+    return _blocked(policy, [ls], [lg], [le], sizes, _law_block)[0]
 
 
 def test_the_capture_count_law_gives_the_hand_values(monkeypatch):
@@ -551,30 +566,21 @@ def test_the_capture_count_law_gives_the_hand_values(monkeypatch):
         monkeypatch.setattr(module, name, unused)
 
     def law(policy, lg):
-        return count_law_sizes(policy, 1.0, lg, 1.0, [3])[0]
+        return _law(policy, 1.0, lg, 1.0, [3])[0]
 
     assert law(GP.DC_noRC, 0.0) == pytest.approx(1 / 4, abs=1e-15)
     assert law(GP.DC_RC, 0.0) == pytest.approx(7 / 24, abs=1e-15)
     assert law(GP.FC_allRC, 1.0) == pytest.approx(13 / 36, abs=1e-15)
     assert law(GP.FC_noRC, 1.0) == pytest.approx(111 / 336, abs=1e-15)
     assert law(GP.FC_sRC, 1.0) == pytest.approx(19 / 54, abs=1e-15)
-    # a policy that is no GossipPolicy is named after the size and rate checks
-    for policy in ("DC_RC", None):
-        with pytest.raises(ValueError, match=r"^n must be an integer"):
-            count_law_sizes(policy, 1.0, 0.0, 1.0, [0])
-        with pytest.raises(ValueError, match=r"^lambda_s must be finite"):
-            count_law_sizes(policy, -1.0, 0.0, 1.0, [3])
-        with pytest.raises(ValueError) as err:
-            count_law_sizes(policy, [1.0, 2.0], 0.0, 1.0, [3, 5])
-        assert str(err.value) == f"unknown policy {policy!r}"
 
 
 def test_the_capture_count_law_takes_a_zero_or_subnormal_total_rate_quietly():
     # d = 0, or a subnormal d whose lambda_e / d overflows, raises no
     # RuntimeWarning (the suite makes one an error); P(count >= 1) is 0
     # there, within 1e-320 of the recursion
-    args = (GP.DC_RC, [0.0, 1e-320], 0.0, 1.0, [1, 2])
-    law = count_law_sizes(*args)
+    args = (GP.DC_RC, [0.0, 1e-320], [0.0, 0.0], [1.0, 1.0], [1, 2])
+    law = _blocked(*args, _law_block)
     assert law.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert np.abs(law - oracle_sizes(*args)).max() <= 1e-320
 
@@ -587,8 +593,24 @@ def test_the_recursion_agrees_with_the_capture_count_law(policy):
         lg = 0.0 if draw % 2 else lg
         sizes = [rng.randint(1, 300) for _ in range(4)] + [1, 300]
         got = oracle_sizes(policy, ls, lg, le, sizes)
-        law = count_law_sizes(policy, ls, lg, le, sizes)
+        law = _law(policy, ls, lg, le, sizes)
         assert np.abs(got - law).max() <= 1e-12, (ls, lg, le, sizes)
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_a_count_law_cell_does_not_depend_on_the_other_cells_of_its_call(policy):
+    # padded cells add exactly +0.0 to a left-to-right sum; a pairwise sum
+    # (np.sum) regroups a row's terms with its block's width, so cells of
+    # one block would differ from the same cells evaluated alone
+    rng = random.Random(f"count-law cells {policy.value}")
+    one_block = [1] + rng.choices(range(2, 60), k=12) * 2  # starts with its narrowest
+    several = rng.choices(range(1, 300), k=30) * 2 + [BLOCK_CELLS + 5]
+    rng.shuffle(several)
+    cases = [(1.7, 0.6, 0.9), (30.0, 0.0, 0.05), (0.01, 5.0, 2.0)]
+    for sizes in (one_block, several):
+        got = _blocked(policy, *map(list, zip(*cases)), sizes, _law_block)
+        alone = [[_law(policy, *case, [n])[0] for n in sizes] for case in cases]
+        assert got.tolist() == alone
 
 
 # --- rate cases: one rate per case, every size under every case ------------
@@ -614,7 +636,7 @@ def test_rate_cases_equal_a_call_per_case(policy, cases, kinds, shared, seed):
         value = cases[0][shared]
         cases = [case[:shared] + (value,) + case[shared + 1 :] for case in cases]
         rates[shared] = value
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         got = route(policy, *rates, sizes)
         alone = [route(policy, *case, sizes) for case in cases]
         if route is closed_sizes and policy is GP.FC_sRC:
@@ -626,7 +648,7 @@ def test_rate_cases_equal_a_call_per_case(policy, cases, kinds, shared, seed):
 
 def test_an_invalid_later_case_raises_the_message_of_a_call_with_it_alone():
     sizes = [3, 10]
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         for ls in ([1.0, 1e307, 2e307], [1.0, 2e307, 1e307]):
             with pytest.raises(ValueError) as alone:
                 route(GP.DC_RC, ls[1], 0.0, 1.0, sizes)
@@ -638,7 +660,7 @@ def test_an_invalid_later_case_raises_the_message_of_a_call_with_it_alone():
 
 def test_rate_cases_are_rejected_as_a_call_per_case_rejects_them():
     sizes = [3, 10]
-    for route in (oracle_sizes, closed_sizes, count_law_sizes):
+    for route in (oracle_sizes, closed_sizes):
         unequal = ([1.0, 2.0], 0.0, [1.0] * 3), ([1.0], [0.0] * 2, 1.0), ([], 0.0, 1.0)
         for ls, lg, le in unequal:
             with pytest.raises(ValueError, match="rate sequences must share one length >= 1"):
@@ -682,7 +704,7 @@ def test_fc_allrc_keeps_the_sign_of_a_zero_rate_per_case():
         assert np.signbit(row).tolist() == np.signbit(alone).tolist()
 
 
-@pytest.mark.parametrize("route", [oracle_sizes, closed_sizes, count_law_sizes])
+@pytest.mark.parametrize("route", [oracle_sizes, closed_sizes])
 def test_an_integer_too_large_for_a_float_is_not_a_finite_rate(route):
     with pytest.raises(ValueError, match="lambda_s must be finite and >= 0"):
         route(GP.DC_RC, 10**400, 0.0, 1.0, [3])
