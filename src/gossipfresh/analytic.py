@@ -42,17 +42,27 @@ plain loop ``p += passed * q; passed *= tau``; ``np.sum``/``np.prod`` sum
 pairwise and would not be.  ``DC_RC``'s formula calls ``math.log1p`` and
 ``math.expm1`` once per size, since NumPy's vectorised versions may round
 differently.
+
+A recursion row, and ``FC_allRC``'s closed running sum, stops at its cut
+width (:func:`_cut_width`): the first cells, counted from the rates alone,
+after which every later term is below half an ulp of the running sum.
+Adding such a term leaves the sum unchanged, so the value is bit-identical
+to the full row's, and a row that decays costs its cut width, not its size,
+in time and memory.  The count law (:func:`_law_block`),
+:func:`renewal_freshness` and the Monte Carlo engines run every row whole.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    DC_POLICIES,
     Clustered,
     FreshnessValue,
     GossipPolicy,
@@ -151,9 +161,13 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     the k-th capture goes to some other stale node, given the race reached
     step k; ``p`` has the block's leading shape.  A cell with ``u = 0``
     and ``stale = 1`` has ``q = tau = 0`` and adds exactly ``+0.0`` to
-    ``p``, so :func:`_block` pads with such cells.  ``p`` is clamped at 1:
-    the running sum of a row's n rounded terms may pass it by up to about
-    ``n * 2**-52`` where the true value is closer to 1 than that.
+    ``p``, so :func:`_block` pads with such cells.  A block may hold only
+    a row's first cells, up to its cut width (:func:`_cut_width`): the
+    later terms cannot move the sum, so ``p`` is the full row's bit for
+    bit.  ``p`` is clamped at 1: the running sum of a row's rounded terms
+    (as many as its evaluated width, at most n) may pass it by up to about
+    that width times ``2**-52`` where the true value is closer to 1 than
+    that.
     """
     denom = stale * u
     denom += lambda_e
@@ -180,10 +194,14 @@ def _survival(d: np.ndarray, lambda_e) -> np.ndarray:
     2.3e-15 of 40-digit arithmetic at 60 random points (n = 10^3 .. 5 *
     10^4, rates 10^-3 .. 10^3) when summed exactly, where the plain running
     product was off by up to 3.6e-13.  ``d = 0``, or a subnormal ``d``
-    whose ratio overflows, gives 0 from there on quietly.
+    whose ratio overflows, gives 0 from there on quietly.  So does ``d =
+    -0.0`` (from a rate of -0.0): its ratio, -inf, is taken as +inf, where
+    ``log1p`` would give NaN; a ratio over ``d >= +0`` is never negative,
+    so no other value changes.
     """
     with np.errstate(divide="ignore", over="ignore"):
         ratio = lambda_e / d
+    np.abs(ratio, out=ratio)
     return np.exp((-np.log1p(ratio)).cumsum(axis=-1))
 
 
@@ -243,12 +261,15 @@ BLOCK_CELLS = 1 << 14
 
 
 def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
-    """:func:`_recursion`'s ``p`` at each of the ``sizes``, the first or the
-    last the narrowest, in one block ``width`` wide; each rate is a column
-    of one rate per row.  A cell past its row's size is evaluated at ``j =
-    size - 1`` and gets ``u = 0``: one stale node, adding exactly ``+0.0``."""
+    """:func:`_recursion`'s ``p`` at each of the ``sizes`` in one block
+    ``width`` wide; each rate is a column of one rate per row.  A row at
+    least ``width`` wide is evaluated at its first ``width`` cells, which
+    :func:`_blocked` chooses so that its later cells cannot move its sum.  A
+    cell past its row's size is evaluated at ``j = size - 1`` and gets ``u
+    = 0``: one stale node, adding exactly ``+0.0``."""
     n, j = sizes[:, None].astype(float), np.arange(width, dtype=float)
-    if sizes[0] == width == sizes[-1]:
+    narrowest = sizes[0] if len(sizes) == 1 else sizes.min()  # one row skips the reduction
+    if narrowest >= width:
         stale, u = stale_rate_rows(policy, total_source, total_gossip, n, j)
     else:
         stale, u = stale_rate_rows(policy, total_source, total_gossip, n, np.minimum(j, n - 1))
@@ -275,23 +296,27 @@ def _law_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np
 def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], block=_block):
     """``block`` (:func:`_block` or :func:`_law_block`) over every (case,
     size) cell of checked ``sizes`` and rate lists of one rate per case, as
-    a ``(cases, sizes)`` array.  Cells that fit one block of at most
-    :data:`BLOCK_CELLS` cells and start or end with their narrowest (or a
-    single cell) are one block as they stand; otherwise they are sorted and
+    a ``(cases, sizes)`` array.  Under :func:`_block` each cell is evaluated
+    at its cut width (:func:`_cut_width`), which changes no bit of its
+    value; any other kernel evaluates each cell at its size.  Cells that
+    fit one block of at most :data:`BLOCK_CELLS` cells (or a single cell)
+    are one block as they stand; otherwise they are sorted by width and
     cut into blocks."""
     rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
     rates = rates.repeat(len(sizes), axis=1)[..., None]
-    width = max(sizes)
-    ends = min(sizes) in (sizes[0], sizes[-1])
-    sizes = sizes * len(lambda_e)
-    array = np.array(sizes)
-    if len(sizes) == 1 or ends and len(sizes) * width <= BLOCK_CELLS:
+    cells = sizes * len(lambda_e)
+    widths = cells
+    if block is _block and max(sizes) >= CUT_MIN_WIDTH:
+        cases = zip(total_source, total_gossip, lambda_e)
+        widths = [_cut_width(policy, *case, n) for case in cases for n in sizes]
+    array = np.array(cells)
+    width = max(widths)
+    if len(cells) == 1 or len(cells) * width <= BLOCK_CELLS:
         p = block(policy, *rates, array, width)
     else:
-        order = array.argsort(kind="stable")
-        ordered = array[order]
-        bounds = ordered.tolist()
-        p = np.empty(len(sizes))
+        order = np.argsort(widths, kind="stable")
+        ordered, bounds = array[order], np.take(widths, order).tolist()
+        p = np.empty(len(cells))
         start = 0
         while start < len(order):  # bisect for each block's end: its padded cells only grow
             rest = range(start + 1, len(order))
@@ -304,9 +329,57 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], blo
     return p.reshape(len(lambda_e), -1)
 
 
+#: Rows narrower than this are evaluated whole.  A one-size call spends
+#: about 1.7 us on its cut width, as much as about 170 cells of a row cost
+#: (about 10 ns a cell past the call's fixed 20 us; timeit on a 2-core
+#: Xeon), and a cut keeps at least nine cells (about 70 at lambda_s =
+#: lambda_e), so a cut pays only past about 200 cells; the sweeps' rows
+#: (n <= 120) never compute one.
+CUT_MIN_WIDTH = 256
+
+#: The smallest normal float.
+_NORMAL = sys.float_info.min
+
+
+def _cut_width(policy, total_source, total_gossip, lambda_e, n: int) -> int:
+    """The number of leading cells of :func:`_recursion`'s row for size
+    ``n`` that fix its sum, found from the rates alone: ``n`` itself where
+    the bound below finds no shorter width, and below
+    :data:`CUT_MIN_WIDTH`.
+
+    Every policy's total capture rate is at most ``d = total_source + (n -
+    1) * total_gossip`` (``total_source`` for a DC policy), so each step's
+    ``tau <= d / (d + lambda_e)`` and the running product after k steps is
+    at most ``(d / (d + lambda_e))**k``.  Every later term is at most that
+    product (``q <= 1``), and the running sum is at least its first term,
+    ``q[0]``, the same for all five policies.  Once the bound is below a
+    quarter of ``q[0]``'s spacing, every later term is below half an ulp
+    of the sum and leaves it unchanged.  The factor of two covers the
+    rounding of the computed taus and their product for any width below
+    10**14, as long as each rounding is relative: so the bound, the first
+    term, ``lambda_e`` and the per-node rates ``total_source / n`` and
+    ``total_gossip / n`` (unless 0) must be normal floats, or the row gets
+    no cut.  A product that falls below the normal range first is below
+    the bound already.  A zero first term (a total source rate of 0 or
+    -0.0) gets no cut either."""
+    if n < CUT_MIN_WIDTH:
+        return n
+    ls, lg, le = float(total_source), float(total_gossip), float(lambda_e)
+    u = ls / n
+    floor = math.ulp(u / (n * u + le)) / 4  # q[0] as _recursion computes it
+    if not min(floor, u, le) >= _NORMAL or 0 < lg / n < _NORMAL:
+        return n
+    d = ls if policy in DC_POLICIES else ls + (n - 1) * lg
+    steps, rate = -math.log(floor), math.log1p(le / d)  # the bound is exp(-k * rate)
+    return n if steps >= (n - 2) * rate else int(steps / rate) + 2
+
+
 def _allrc_running(ls, lg, le, width: int) -> np.ndarray:
     """``FC_allRC``'s running sum ``sum_{k<=n} prod_{j<=k} ...`` at every
-    size n up to ``width``, for one rate case."""
+    size n up to ``width``, for one rate case.  Its first term, ``ls / (ls
+    + le)``, is at least the recursion's at any size, and its factors obey
+    the recursion's bound, so past the recursion's cut width at the
+    largest size (:func:`_cut_width`) the sum no longer moves."""
     rate = ls + np.arange(width, dtype=float) * lg
     return np.add.accumulate(np.multiply.accumulate(rate / (rate + le)))
 
@@ -329,7 +402,9 @@ def oracle_sizes(
     with numbers only is the one-case call and returns its row, each entry
     bit-identical to :func:`oracle_flat` at that size.  The cells go in
     blocks of at most :data:`BLOCK_CELLS` cells, or one row where it alone
-    is wider, so a sweep costs a few array passes instead of one per size.
+    is wider, so a sweep costs a few array passes instead of one per size;
+    each row is evaluated up to its cut width (:func:`_cut_width`), past
+    which its sum cannot move.
 
     Raises:
         ValueError: if ``sizes`` is empty or holds a size that breaks
@@ -383,8 +458,8 @@ def closed_sizes(
       and this is the renewal recursion over it, so it runs the same kernel.
     * ``FC_allRC``: ``(1/n) sum_{k=1}^{n} prod_{j=1}^{k} (ls + (j-1) lg) /
       (ls + (j-1) lg + le)``; one running sum per rate case, at the
-      largest size, serves every size.  With lg = 0 the product
-      telescopes into the ``DC_RC`` geometric sum.
+      largest size up to its cut width, serves every size.  With lg = 0
+      the product telescopes into the ``DC_RC`` geometric sum.
     * ``FC_sRC`` mixes stale-targeting and even splits and has no
       standalone formula: None, once the arguments pass the check.  A
       policy that is no GossipPolicy raises :func:`oracle_sizes`'s error.
@@ -408,7 +483,8 @@ def _closed_case(policy, ls, lg, le, sizes: list[int]) -> np.ndarray:
         return np.minimum([_dc_rc(n, ls, le) for n in sizes], 1.0)
     if policy is GossipPolicy.FC_allRC:
         n = np.array(sizes)
-        return _allrc_running(ls, lg, le, max(sizes))[n - 1] / n
+        width = _cut_width(policy, ls, lg, le, max(sizes))
+        return _allrc_running(ls, lg, le, width)[np.minimum(n, width) - 1] / n
     raise ValueError(f"unknown policy {policy!r}")  # the message of core.stale_rate_rows
 
 

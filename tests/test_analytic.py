@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,28 +455,33 @@ def test_oracle_sizes_equals_one_size_at_a_time(policy):
             assert got.tolist() == one
 
 
-def test_blocks_are_cut_greedily_in_size_order():
-    # each block, padded to its last (largest) size, holds at most
-    # BLOCK_CELLS cells or is one wider cell, and one more cell would not fit
+def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
+    # each block, padded to the width of its last (widest) cell, holds at
+    # most BLOCK_CELLS cells or is one wider cell, and one more cell would
+    # not fit; a cell's width is its cut width, and cells go in width order
     blocks = []
 
     def record(policy, source, gossip, lambda_e, sizes, width):
         blocks.append((sizes.tolist(), width))
         return np.zeros(len(sizes))
 
+    monkeypatch.setattr(analytic, "_block", record)  # the kernel whose rows are cut
     rng = random.Random(37)
     for _ in range(150):
         top = rng.choice([2, 30, 400, 5_000, 40_000])
         sizes = sorted(rng.choices(range(1, top + 1), k=rng.randint(1, 5_000)))
+        ls = rng.choice([1.0, 1e6])  # rows cut short, and rows whole
         blocks.clear()
-        got = _blocked(GP.DC_RC, [1.0], [0.0], [1.0], sizes, record)
+        got = _blocked(GP.DC_RC, [ls], [0.0], [1.0], sizes, record)
         assert got.shape == (1, len(sizes))
-        assert [n for block, _ in blocks for n in block] == sizes  # each cell once, in order
+        cut = {n: analytic._cut_width(GP.DC_RC, ls, 0.0, 1.0, n) for n in sizes}
+        # each cell once, stably sorted by width
+        assert [n for block, _ in blocks for n in block] == sorted(sizes, key=cut.get)
         for i, (block, width) in enumerate(blocks):
-            assert width == block[-1]
+            assert width == cut[block[-1]]
             assert len(block) * width <= BLOCK_CELLS or len(block) == 1
             if i + 1 < len(blocks):
-                assert (len(block) + 1) * blocks[i + 1][0][0] > BLOCK_CELLS
+                assert (len(block) + 1) * cut[blocks[i + 1][0][0]] > BLOCK_CELLS
 
 
 @pytest.mark.parametrize("policy", list(GP))
@@ -517,6 +526,149 @@ def test_block_pads_each_narrower_row_with_zero_rates_and_one_stale_node(policy,
         assert row[n:] == [0.0] * (7 - n)
         assert counts == [n - j for j in range(n)] + [1.0] * (7 - n)
         assert value == oracle_flat(policy, 1.3, 0.7, 0.9, n)
+
+
+# --- the cut width: a row stops where its later terms cannot move its sum ---
+
+
+def _whole_rows(monkeypatch):
+    """Switch the cut off: every row is evaluated at its size."""
+    monkeypatch.setattr(analytic, "_cut_width", lambda policy, ls, lg, le, n: n)
+
+
+def _stop_index(passed, terms):
+    """The first k >= 1 whose running product is below half the spacing of
+    the sum of the terms before it, or the row's length: from there on no
+    term (at most its running product) moves the row's sum."""
+    total = np.add.accumulate(terms)
+    below = passed[1:] < np.spacing(total[:-1]) / 2
+    return 1 + int(below.argmax()) if below.any() else len(passed)
+
+
+def _recursion_stop(policy, ls, lg, le, n):
+    """:func:`_stop_index` of the recursion's whole row for size n."""
+    stale, u = core.stale_rate_rows(policy, ls, lg, float(n), np.arange(n, dtype=float))
+    _, q, tau = _recursion(u, stale, le)
+    passed = np.concatenate([[1.0], np.multiply.accumulate(tau[:-1])])
+    return _stop_index(passed, q * passed)
+
+
+def _allrc_stop(ls, lg, le, n):
+    """:func:`_stop_index` of FC_allRC's closed running sum at size n."""
+    rate = ls + np.arange(n, dtype=float) * lg
+    products = np.multiply.accumulate(rate / (rate + le))
+    return _stop_index(np.concatenate([[1.0], products[:-1]]), products)
+
+
+def _cut_draws(seed, count):
+    """``count`` (ls, lg, le, n) draws: ls/le from 1e-3 to 1e12, lg = 0 or
+    not in turn, n log-uniform from CUT_MIN_WIDTH to 2 * 10**5."""
+    rng = random.Random(seed)
+    for draw in range(count):
+        le = 10.0 ** rng.uniform(-3, 3)
+        ls = le * 10.0 ** rng.uniform(-3, 12)
+        lg = 0.0 if draw % 2 else le * 10.0 ** rng.uniform(-3, 3)
+        n = round(10 ** rng.uniform(math.log10(analytic.CUT_MIN_WIDTH), math.log10(2e5)))
+        yield ls, lg, le, n
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_the_cut_changes_no_bit_of_a_one_size_call(policy, monkeypatch):
+    draws = list(_cut_draws(f"cut {policy.value}", 40))
+    cuts = [analytic._cut_width(policy, *draw) for draw in draws]
+    assert sum(cut < draw[-1] for cut, draw in zip(cuts, draws)) >= 5  # the cut is exercised
+    for cut, draw in zip(cuts, draws):
+        assert cut >= _recursion_stop(policy, *draw), draw
+    values = [(oracle_flat(policy, *draw), closed_flat(policy, *draw)) for draw in draws]
+    _whole_rows(monkeypatch)
+    assert values == [(oracle_flat(policy, *draw), closed_flat(policy, *draw)) for draw in draws]
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_the_cut_changes_no_bit_of_a_multi_block_call(policy, monkeypatch):
+    rng = random.Random(f"cut blocks {policy.value}")
+    blocks = []
+    recursion = analytic._recursion
+
+    def record(u, stale, lambda_e):
+        blocks.append(u.shape)
+        return recursion(u, stale, lambda_e)
+
+    monkeypatch.setattr(analytic, "_recursion", record)
+    for _ in range(3):
+        sizes = [round(10 ** rng.uniform(0, math.log10(2e5))) for _ in range(12)] + [1, 300]
+        rng.shuffle(sizes)
+        cases = [(ls, lg, le) for ls, lg, le, _ in _cut_draws(rng.random(), 3)]
+        rates = list(map(list, zip(*cases)))
+        blocks.clear()
+        got = [route(policy, *rates, sizes) for route in (oracle_sizes, closed_sizes)]
+        assert len(blocks) > 1
+        with monkeypatch.context() as whole:
+            _whole_rows(whole)
+            for route, value in zip((oracle_sizes, closed_sizes), got):
+                if value is None:
+                    assert route(policy, *rates, sizes) is None
+                else:
+                    assert value.tolist() == route(policy, *rates, sizes).tolist()
+
+
+def test_the_allrc_closed_sum_stops_within_the_cut_width():
+    for ls, lg, le, n in _cut_draws("cut FC_allRC closed", 60):
+        assert analytic._cut_width(GP.FC_allRC, ls, lg, le, n) >= _allrc_stop(ls, lg, le, n)
+
+
+def test_a_row_without_a_normal_first_term_or_rates_gets_no_cut():
+    n = 10**6
+    assert analytic._cut_width(GP.DC_RC, 1.0, 0.0, 1.0, n) < 100
+    assert analytic._cut_width(GP.DC_RC, 1.0, -0.0, 1.0, n) < 100
+    for ls, lg, le in ((0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (-0.0, 1.0, 1.0), (1e-300, 0.0, 1.0),
+                       (1.0, 1e-310, 1.0), (1e-320, 0.0, 1e-320)):
+        for policy in GP:
+            assert analytic._cut_width(policy, ls, lg, le, n) == n
+    # below CUT_MIN_WIDTH no row is cut
+    width = analytic.CUT_MIN_WIDTH - 1
+    assert analytic._cut_width(GP.DC_RC, 1.0, 0.0, 1.0, width) == width
+
+
+MEMORY_PROBE = """
+from gossipfresh import analytic
+from gossipfresh.core import GossipPolicy as GP
+n = 10**7
+oracle = {p: analytic.oracle_flat(p, 1.0, 0.0, 1.0, n) for p in GP}
+closed = {p: analytic.closed_flat(p, 1.0, 0.0, 1.0, n) for p in GP}
+# with no gossip each FC policy collapses to the DC policy of its source
+same = {GP.FC_noRC: GP.DC_noRC, GP.FC_sRC: GP.DC_RC, GP.FC_allRC: GP.DC_RC}
+worst = max(abs(oracle[p] - closed[same.get(p, p)]) for p in GP)
+print(max([worst] + [abs(oracle[p] - closed[p]) for p in GP if closed[p] is not None]))
+"""
+
+#: Runs the probe in ``sys.argv[1]`` as its child and prints the probe's
+#: output and the child's peak RSS in KiB.  Linux keeps the high-water mark
+#: of the image a process replaced with exec, so a child forked straight
+#: from the test process would report at least the test process's RSS; a
+#: fresh, small launcher forks it instead.
+LAUNCHER = """
+import resource, subprocess, sys
+run = subprocess.run([sys.executable, "-c", sys.argv[1]], capture_output=True, text=True, check=True)
+print(run.stdout.strip(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+#: Peak RSS bound of :data:`MEMORY_PROBE`, in KiB: the probe's interpreter
+#: with NumPy and the package imported peaks at about 31 MB; evaluated
+#: whole, the rows at n = 10**7 peaked at 412 MB.
+MEMORY_PROBE_KIB = 80 * 1024
+
+
+def test_every_policy_at_ten_million_nodes_stays_in_bounded_memory():
+    env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).parents[1]))
+    command = [sys.executable, "-c", LAUNCHER, MEMORY_PROBE]
+    start = time.perf_counter()
+    out = subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout
+    elapsed = time.perf_counter() - start
+    worst, peak = out.split()
+    assert float(worst) <= 1e-12
+    assert int(peak) < MEMORY_PROBE_KIB
+    assert elapsed < 2.0  # whole rows took 3.2 s; the cut ones take 0.2 s
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])
@@ -579,9 +731,9 @@ def test_the_capture_count_law_takes_a_zero_or_subnormal_total_rate_quietly():
     # d = 0, or a subnormal d whose lambda_e / d overflows, raises no
     # RuntimeWarning (the suite makes one an error); P(count >= 1) is 0
     # there, within 1e-320 of the recursion
-    args = (GP.DC_RC, [0.0, 1e-320], [0.0, 0.0], [1.0, 1.0], [1, 2])
+    args = (GP.DC_RC, [0.0, 1e-320, -0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1, 2])
     law = _blocked(*args, _law_block)
-    assert law.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert law.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     assert np.abs(law - oracle_sizes(*args)).max() <= 1e-320
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from gossipfresh import acceptance, cli
 from gossipfresh.cli import main
+from gossipfresh.core import GossipPolicy
 from gossipfresh.experiments import read_csv
 
 FLAT_CONFIG = {
@@ -235,6 +236,22 @@ def test_simulate_takes_cycles_and_seed_from_the_config_sim(tmp_path, capsys):
     assert {row.cycles for row in rows} == {700}
     assert all(row.p_sim is not None for row in rows)
     assert (tmp_path / "simulate").read_bytes() == (tmp_path / "sweep").read_bytes()
+
+
+def test_a_source_rate_of_minus_zero_is_a_rate_of_zero(tmp_path, capsys):
+    # lambda_e / -0.0 is -inf, where log1p gives NaN: the flat Monte Carlo
+    # pmf then held NaNs and the run exited 1 with NumPy's message
+    raw = dict(FLAT_CONFIG, policies=[p.value for p in GossipPolicy], sim={"cycles": 50, "seed": 3})
+    raw["rates"] = {"lambda_e": 1.0, "lambda_s": -0.0, "lambda_g": 1.0}
+    config = write_config(tmp_path, raw)
+    for verb in ("sweep", "simulate"):
+        assert main([verb, "--config", str(config), "--output", str(tmp_path / verb)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / verb)
+        assert len(rows) == 25
+        for row in rows:
+            assert row.p_oracle == row.p_sim == 0.0
+            assert row.p_analytic in (0.0, None)
 
 
 def test_invalid_config_exits_1(tmp_path, capsys):
