@@ -43,12 +43,11 @@ pairwise and would not be.  ``DC_RC``'s formula calls ``math.log1p`` and
 ``math.expm1`` once per size, since NumPy's vectorised versions may round
 differently.
 
-A recursion row, and ``FC_allRC``'s closed running sum, stops at its cut
-width (:func:`_cut_width`): the first cells, counted from the rates alone,
-after which every later term is below half an ulp of the running sum.
-Adding such a term leaves the sum unchanged, so the value is bit-identical
-to the full row's, and a row that decays costs its cut width, not its size,
-in time and memory.  The count law (:func:`_law_block`),
+A row of the recursion or of the count law, and ``FC_allRC``'s closed
+running sum, stops at its cut width (:func:`_cut_width`), counted from the
+rates alone, past which every term is below half an ulp of the running sum
+and leaves it unchanged: the value is bit-identical to the whole row's, and
+a row that decays costs its cut width, not its size, in time and memory.
 :func:`renewal_freshness` and the Monte Carlo engines run every row whole.
 """
 
@@ -162,12 +161,10 @@ def _recursion(u: np.ndarray, stale: np.ndarray, lambda_e: float):
     step k; ``p`` has the block's leading shape.  A cell with ``u = 0``
     and ``stale = 1`` has ``q = tau = 0`` and adds exactly ``+0.0`` to
     ``p``, so :func:`_block` pads with such cells.  A block may hold only
-    a row's first cells, up to its cut width (:func:`_cut_width`): the
-    later terms cannot move the sum, so ``p`` is the full row's bit for
-    bit.  ``p`` is clamped at 1: the running sum of a row's rounded terms
-    (as many as its evaluated width, at most n) may pass it by up to about
-    that width times ``2**-52`` where the true value is closer to 1 than
-    that.
+    a row's first cells, up to its cut width (:func:`_cut_width`).  ``p``
+    is clamped at 1: the running sum of a row's rounded terms (as many as
+    its evaluated width, at most n) may pass it by up to about that width
+    times ``2**-52`` where the true value is closer to 1 than that.
     """
     denom = stale * u
     denom += lambda_e
@@ -286,7 +283,12 @@ def _law_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np
     It reads no ``u(j)`` table, names no tagged node and splits no step
     into q and tau, so it checks the table and the recursion for every
     policy.  A cell past its row's size gets ``d = 0``, whose survival is
-    0, adding exactly ``+0.0``."""
+    0, adding exactly ``+0.0``.  A row stops at its cut width with no bit
+    changed: each term ``P(count >= k)`` is at most ``(d / (d +
+    lambda_e))**k`` for the ``d`` of :func:`_cut_width`, which bounds every
+    :func:`_capture_rates` rate, and the sum is at least its first term,
+    ``total_source / (total_source + lambda_e) = n q[0]``, so past the cut
+    every term is below a quarter ulp of the sum."""
     n, j = sizes[:, None].astype(float), np.arange(width, dtype=float)
     d = np.where(j < n, _capture_rates(policy, total_source, total_gossip, n, j), 0.0)
     survival = _survival(d, lambda_e)
@@ -296,9 +298,8 @@ def _law_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np
 def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], block=_block):
     """``block`` (:func:`_block` or :func:`_law_block`) over every (case,
     size) cell of checked ``sizes`` and rate lists of one rate per case, as
-    a ``(cases, sizes)`` array.  Under :func:`_block` each cell is evaluated
-    at its cut width (:func:`_cut_width`), which changes no bit of its
-    value; any other kernel evaluates each cell at its size.  Cells that
+    a ``(cases, sizes)`` array, each cell evaluated at its cut width
+    (:func:`_cut_width`), which changes no bit of its value.  Cells that
     fit one block of at most :data:`BLOCK_CELLS` cells (or a single cell)
     are one block as they stand; otherwise they are sorted by width and
     cut into blocks."""
@@ -306,7 +307,7 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], blo
     rates = rates.repeat(len(sizes), axis=1)[..., None]
     cells = sizes * len(lambda_e)
     widths = cells
-    if block is _block and max(sizes) >= CUT_MIN_WIDTH:
+    if max(sizes) >= CUT_MIN_WIDTH:
         cases = zip(total_source, total_gossip, lambda_e)
         widths = [_cut_width(policy, *case, n) for case in cases for n in sizes]
     array = np.array(cells)
@@ -342,10 +343,9 @@ _NORMAL = sys.float_info.min
 
 
 def _cut_width(policy, total_source, total_gossip, lambda_e, n: int) -> int:
-    """The number of leading cells of :func:`_recursion`'s row for size
-    ``n`` that fix its sum, found from the rates alone: ``n`` itself where
-    the bound below finds no shorter width, and below
-    :data:`CUT_MIN_WIDTH`.
+    """How many leading cells of a :func:`_recursion` or :func:`_law_block`
+    row for size ``n`` fix its sum, from the rates alone: ``n`` where the
+    bound below finds no fewer, and below :data:`CUT_MIN_WIDTH`.
 
     Every policy's total capture rate is at most ``d = total_source + (n -
     1) * total_gossip`` (``total_source`` for a DC policy), so each step's

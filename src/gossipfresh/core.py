@@ -213,7 +213,8 @@ class Rates:
     """The four Poisson intensities driving a network, in arbitrary units.
 
     All freshness values are invariant under a common rescaling of the
-    four rates (only ratios matter).
+    four rates (only ratios matter).  A zero rate, -0.0 included, is
+    stored as +0.0, so no value built from it prints ``-0``.
 
     Attributes:
         lambda_e: source self-refresh rate.  Must be positive for any
@@ -231,6 +232,8 @@ class Rates:
 
     def __post_init__(self):
         require_rates(**vars(self))
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, 0.0 if value == 0 else value)
 
 
 @dataclass(frozen=True)

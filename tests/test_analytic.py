@@ -455,7 +455,7 @@ def test_oracle_sizes_equals_one_size_at_a_time(policy):
             assert got.tolist() == one
 
 
-def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
+def test_blocks_are_cut_greedily_in_size_order():
     # each block, padded to the width of its last (widest) cell, holds at
     # most BLOCK_CELLS cells or is one wider cell, and one more cell would
     # not fit; a cell's width is its cut width, and cells go in width order
@@ -465,7 +465,6 @@ def test_blocks_are_cut_greedily_in_size_order(monkeypatch):
         blocks.append((sizes.tolist(), width))
         return np.zeros(len(sizes))
 
-    monkeypatch.setattr(analytic, "_block", record)  # the kernel whose rows are cut
     rng = random.Random(37)
     for _ in range(150):
         top = rng.choice([2, 30, 400, 5_000, 40_000])
@@ -553,6 +552,14 @@ def _recursion_stop(policy, ls, lg, le, n):
     return _stop_index(passed, q * passed)
 
 
+def _law_stop(policy, ls, lg, le, n):
+    """:func:`_stop_index` of the count law's whole row for size n: each
+    survival term bounds every later one."""
+    d = analytic._capture_rates(policy, ls, lg, float(n), np.arange(n, dtype=float))
+    survival = analytic._survival(np.broadcast_to(d, (n,)), le)
+    return _stop_index(survival, survival)
+
+
 def _allrc_stop(ls, lg, le, n):
     """:func:`_stop_index` of FC_allRC's closed running sum at size n."""
     rate = ls + np.arange(n, dtype=float) * lg
@@ -579,9 +586,15 @@ def test_the_cut_changes_no_bit_of_a_one_size_call(policy, monkeypatch):
     assert sum(cut < draw[-1] for cut, draw in zip(cuts, draws)) >= 5  # the cut is exercised
     for cut, draw in zip(cuts, draws):
         assert cut >= _recursion_stop(policy, *draw), draw
-    values = [(oracle_flat(policy, *draw), closed_flat(policy, *draw)) for draw in draws]
+        assert cut >= _law_stop(policy, *draw), draw
+
+    def law(policy, ls, lg, le, n):
+        return _law(policy, ls, lg, le, [n])[0]
+
+    routes = (oracle_flat, closed_flat, law)
+    values = [[route(policy, *draw) for route in routes] for draw in draws]
     _whole_rows(monkeypatch)
-    assert values == [(oracle_flat(policy, *draw), closed_flat(policy, *draw)) for draw in draws]
+    assert values == [[route(policy, *draw) for route in routes] for draw in draws]
 
 
 @pytest.mark.parametrize("policy", list(GP))
@@ -595,17 +608,22 @@ def test_the_cut_changes_no_bit_of_a_multi_block_call(policy, monkeypatch):
         return recursion(u, stale, lambda_e)
 
     monkeypatch.setattr(analytic, "_recursion", record)
+
+    def law(policy, *args):
+        return _blocked(policy, *args, _law_block)
+
+    routes = (oracle_sizes, closed_sizes, law)
     for _ in range(3):
         sizes = [round(10 ** rng.uniform(0, math.log10(2e5))) for _ in range(12)] + [1, 300]
         rng.shuffle(sizes)
         cases = [(ls, lg, le) for ls, lg, le, _ in _cut_draws(rng.random(), 3)]
         rates = list(map(list, zip(*cases)))
         blocks.clear()
-        got = [route(policy, *rates, sizes) for route in (oracle_sizes, closed_sizes)]
+        got = [route(policy, *rates, sizes) for route in routes]
         assert len(blocks) > 1
         with monkeypatch.context() as whole:
             _whole_rows(whole)
-            for route, value in zip((oracle_sizes, closed_sizes), got):
+            for route, value in zip(routes, got):
                 if value is None:
                     assert route(policy, *rates, sizes) is None
                 else:
@@ -639,6 +657,9 @@ closed = {p: analytic.closed_flat(p, 1.0, 0.0, 1.0, n) for p in GP}
 # with no gossip each FC policy collapses to the DC policy of its source
 same = {GP.FC_noRC: GP.DC_noRC, GP.FC_sRC: GP.DC_RC, GP.FC_allRC: GP.DC_RC}
 worst = max(abs(oracle[p] - closed[same.get(p, p)]) for p in GP)
+# the count law, as criterion 1 runs it
+law = {p: analytic._blocked(p, [1.0], [0.0], [1.0], [n], analytic._law_block)[0, 0] for p in GP}
+worst = max([worst] + [abs(oracle[p] - law[p]) for p in GP])
 print(max([worst] + [abs(oracle[p] - closed[p]) for p in GP if closed[p] is not None]))
 """
 
@@ -655,7 +676,8 @@ print(run.stdout.strip(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 
 #: Peak RSS bound of :data:`MEMORY_PROBE`, in KiB: the probe's interpreter
 #: with NumPy and the package imported peaks at about 31 MB; evaluated
-#: whole, the rows at n = 10**7 peaked at 412 MB.
+#: whole, the recursion's rows at n = 10**7 peaked at 412 MB and the count
+#: law's at 421 MB.
 MEMORY_PROBE_KIB = 80 * 1024
 
 
@@ -668,7 +690,7 @@ def test_every_policy_at_ten_million_nodes_stays_in_bounded_memory():
     worst, peak = out.split()
     assert float(worst) <= 1e-12
     assert int(peak) < MEMORY_PROBE_KIB
-    assert elapsed < 2.0  # whole rows took 3.2 s; the cut ones take 0.2 s
+    assert elapsed < 2.0  # whole rows took 3.2 s, the law's 1.5-1.8 s more; the cut ones 0.2 s
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])

@@ -252,6 +252,9 @@ def test_a_source_rate_of_minus_zero_is_a_rate_of_zero(tmp_path, capsys):
         for row in rows:
             assert row.p_oracle == row.p_sim == 0.0
             assert row.p_analytic in (0.0, None)
+        # the rate and every value built from it are +0.0, never printed -0
+        lines = (tmp_path / verb).read_text().splitlines()
+        assert "-0" not in [field for line in lines for field in line.split(",")]
 
 
 def test_invalid_config_exits_1(tmp_path, capsys):

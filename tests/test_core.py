@@ -163,6 +163,12 @@ def test_an_integer_too_large_for_a_float_is_not_a_finite_rate():
         Rates(-(10**400), 1.0)
 
 
+def test_rates_stores_a_zero_rate_as_plus_zero():
+    # a -0.0 rate once printed as -0 in every value built from it
+    rates = vars(Rates(1.0, -0.0, -0.0, -0.0)).values()
+    assert [math.copysign(1.0, v) for v in rates] == [1.0] * 4
+
+
 def test_tiers_split_a_network_into_flat_tiers():
     r = Rates(0.5, 2.0, 3.0, 1.5)
     flat = NetworkSpec.flat(7, GossipPolicy.FC_sRC, r)
