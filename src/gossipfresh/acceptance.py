@@ -24,13 +24,11 @@ from .analytic import (
     closed_flat,
     closed_sizes,
     clustered_freshness,
-    clustered_profiles,
-    divisors,
     oracle_flat,
     oracle_sizes,
 )
 from .simulator import decomposition_check, estimate_freshness_cycles, estimate_freshness_time
-from .experiments import ExperimentConfig, _write_text, run_experiment
+from .experiments import ExperimentConfig, RateCase, _write_text, report_optimal_k, run_experiment
 
 __all__ = [
     "CriterionResult",
@@ -366,20 +364,28 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Optimal-cluster-size claims at n = 120 (analytic only), from one
-    divisor scan of every rate case and policy pair."""
+    """Optimal-cluster-size claims at n = 120 (analytic only), from the
+    report that ``gossipfresh optimal-k`` and the clustered sweep scripts
+    print: :func:`~gossipfresh.experiments.report_optimal_k` of one
+    ``clustered_sweep_k`` config over every rate case and policy pair."""
     t0 = time.perf_counter()
     failures = []
     P = GossipPolicy
-    ks = divisors(120)
     eq = Rates(1.0, 1.0, 1.0, 1.0)
     fast_src, fast_cl = Rates(1.0, 2.0, 1.0, 0.0), Rates(1.0, 1.0, 2.0, 0.0)
     cases, pairs = (eq, fast_src, fast_cl), _DC_PAIRS + _FC_PAIRS
-    peak = {}  # (rates, pair) -> (k*, p*), the first maximum being the smallest k
-    for rates, row in zip(cases, clustered_profiles(oracle_sizes, 120, ks, cases, pairs)):
-        for pair, profile in zip(pairs, row):
-            profile = profile.tolist()
-            peak[rates, pair] = ks[profile.index(max(profile))], max(profile)
+    config = ExperimentConfig(
+        name="criterion_6",
+        mode="clustered_sweep_k",
+        policies=pairs,
+        cases=tuple(RateCase(f"case{i + 1}", rates) for i, rates in enumerate(cases)),
+        n=120,
+    )
+    # (rates, pair) -> (k*, p*), the first maximum being the smallest k;
+    # the report's entries are case-major
+    grid = [(rates, pair) for rates in cases for pair in pairs]
+    entries = report_optimal_k(config).entries
+    peak = {cell: (e.k_star, e.p_star) for cell, e in zip(grid, entries, strict=True)}
 
     def beats(winner, others):
         name = lambda pair: f"({pair[0].value},{pair[1].value})"

@@ -254,7 +254,10 @@ def renewal_freshness(u, n: int, lambda_e: float) -> FreshnessValue:
 
 
 #: Largest block (rows times width) :func:`oracle_sizes` evaluates at once.
-BLOCK_CELLS = 1 << 14
+#: A block's ~9 float temporaries are then at most 64 KiB each, below
+#: glibc's default 128 KiB mmap and trim thresholds, so the blocks of a call
+#: reuse the heap instead of faulting it in again.  No value depends on it.
+BLOCK_CELLS = 1 << 13
 
 
 def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:

@@ -65,7 +65,7 @@ import numpy as np
 from .core import Clustered, NetworkSpec, cycles_problem, horizon_problem, int_problem
 from .core import require, require_valid, stale_rate_rows
 from .core import per_stale_rate  # noqa: F401 - perfbench/layers.py traces it
-from .analytic import BLOCK_CELLS, _recursion, _survival
+from .analytic import _recursion, _survival
 from .analytic import clustered_freshness  # noqa: F401 - perfbench/layers.py traces it
 
 __all__ = [
@@ -80,6 +80,10 @@ __all__ = [
 
 #: Equal windows whose batch means give the time-average estimator's stderr.
 TIME_WINDOWS = 50
+
+#: Largest draw request of the clustered cycle kernel, in cells.  It sets
+#: which cycles share a block, so another value draws other estimates.
+DRAW_CELLS = 1 << 14
 
 _Z95 = 1.959963984540054
 
@@ -250,15 +254,15 @@ def _clustered_counts(tab: _Tables, rng: np.random.Generator, count: int) -> np.
     times; pass 2 then draws k in-cluster holding times for each captured
     cluster of the block, in (cycle, cluster) row-major order.  Neither
     pass makes a draw request or a temporary of more than
-    :data:`BLOCK_CELLS` cells, or of one cycle's ``1 + m`` or one cluster's
+    :data:`DRAW_CELLS` cells, or of one cycle's ``1 + m`` or one cluster's
     k where that alone is wider (binning a block's counts takes one cell
     per value up to its largest count); pass 2 is cut into whole clusters,
     which does not change the draws.
     """
     m, k, lam_e = tab.m, tab.k, tab.lam_e
     dsrc, dcl = tab.totals
-    rows = max(1, BLOCK_CELLS // (m + 1))
-    piece = max(1, BLOCK_CELLS // k)
+    rows = max(1, DRAW_CELLS // (m + 1))
+    piece = max(1, DRAW_CELLS // k)
     hist = np.zeros(tab.n + 1, dtype=np.int64)
     # arrival times are transposed, one row per clusterhead or holder, so
     # that their partial sums add whole rows
@@ -349,13 +353,9 @@ class TrajectorySim:
         self._stale = self._receivers[:]
         self._fresh: list[int] = []
         self._since = [0.0] * n  # capture clock of each fresh node
-        self._holders = [0] * clusters
         self._nonhold = [self._cluster_nodes[:] for _ in range(clusters)]
         self._crates = [dcl0] * clusters
         self._csum = dcl0 * clusters
-
-    def fresh_nodes(self) -> list[int]:
-        return list(self._fresh)
 
     def _advance(self, cap: float, limit: int) -> str:
         """Run events until ``limit`` of them have happened (0: no limit)
@@ -371,8 +371,11 @@ class TrajectorySim:
         holding time and the stage.  The source's delivery rate ``d =
         dsrc[fresh receivers]`` and ``lam_e + d`` change only at the
         source's own events, its refreshes and deliveries, and are updated
-        only there.  On reaching ``cap`` the fresh nodes' time is settled
-        there.
+        only there.  A cluster keeps one list, its nodes that lack its
+        clusterhead's version: a delivery picks from its s of them and
+        leaves ``k - s + 1`` holders, the index into ``dcl``, and a
+        clusterhead update refills it, which leaves none.  On reaching
+        ``cap`` the fresh nodes' time is settled there.
         """
         tab, state = self.tab, self.state
         random, log = self.rng.random, math.log
@@ -380,7 +383,7 @@ class TrajectorySim:
         sv, clock = state.source_version, state.clock
         nodes, chs, accum = state.node_versions, state.ch_versions, state.fresh_time_accum
         stale, fresh, since = self._stale, self._fresh, self._since
-        holders, nonhold, crates, csum = self._holders, self._nonhold, self._crates, self._csum
+        nonhold, crates, csum = self._nonhold, self._crates, self._csum
         every_receiver, every_node = self._receivers, self._cluster_nodes
         receivers, clusters = len(every_receiver), len(crates)
         cluster_ids = range(clusters)  # the scan's range, built once per call
@@ -434,8 +437,7 @@ class TrajectorySim:
                 stale.pop()
                 if k:
                     chs[r] = sv
-                    holders[r] = 0
-                    nonhold[r] = every_node[:]
+                    nonhold[r] = every_node[:]  # no node holds the new version
                     csum += dcl[0] - crates[r]
                     crates[r] = dcl[0]
                     label = "ch_update"
@@ -455,7 +457,7 @@ class TrajectorySim:
                 lst[i] = lst[-1]
                 lst.pop()
                 v = nodes[gid] = chs[c]
-                h = holders[c] = holders[c] + 1
+                h = k - s + 1  # the cluster's holders, this one included
                 csum += dcl[h] - crates[c]
                 crates[c] = dcl[h]
                 if v == sv:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gossipfresh import acceptance, analytic, core
+from gossipfresh import acceptance, analytic, core, experiments
 from gossipfresh.core import GossipPolicy, NetworkSpec, Rates
 
 
@@ -165,7 +165,7 @@ def test_criterion_6_names_every_broken_claim(monkeypatch):
         peak = lambda r, src: 0.5 if (src is GossipPolicy.DC_noRC) != (r.lambda_c == 2.0) else 0.25
         return [[np.full(len(ks), peak(r, src)) for src, _ in pairs] for r in cases]
 
-    monkeypatch.setattr(acceptance, "clustered_profiles", profiles)
+    monkeypatch.setattr(experiments, "clustered_profiles", profiles)
     result = acceptance.criterion_6()
     assert not result.passed
     assert result.detail.split("; ") == [

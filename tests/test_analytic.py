@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -691,6 +692,35 @@ def test_every_policy_at_ten_million_nodes_stays_in_bounded_memory():
     assert float(worst) <= 1e-12
     assert int(peak) < MEMORY_PROBE_KIB
     assert elapsed < 2.0  # whole rows took 3.2 s, the law's 1.5-1.8 s more; the cut ones 0.2 s
+
+
+#: Prints the minor page faults of a second multi-block call (the first
+#: one grows the heap).
+FAULT_PROBE = """
+import resource
+from gossipfresh.analytic import oracle_sizes
+from gossipfresh.core import GossipPolicy as GP
+call = lambda: oracle_sizes(GP.FC_allRC, [1, 2], [0.5, 0.5], [1, 1], range(1, 5001))
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's default malloc",
+)
+def test_a_multi_block_call_reuses_its_heap():
+    # blocks of 2**14 cells made temporaries of 128 KiB, glibc's default
+    # mmap and trim thresholds, so every block faulted its memory in again:
+    # about 190,000 minor faults per call; blocks of 2**13 cells take about 150
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = str(Path(analytic.__file__).parents[1])
+    command = [sys.executable, "-c", FAULT_PROBE]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout
+    assert int(out) < 10_000
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 3], [2.0, 3.0], [[2, 3]]])

@@ -123,6 +123,14 @@ def _swapped_tiers():
     return real, _rewritten(real, old, new)
 
 
+def _reversed_pairs():
+    """The clustered grid's profiles, which the optimal-k report reads,
+    evaluated for its policy pairs in reverse order."""
+    real = experiments._grid
+    old = "clustered_profiles(route, config.n, xs, rates, config.policies)"
+    return real, _rewritten(real, old, old.replace("config.policies", "config.policies[::-1]"))
+
+
 #: id, the mutant as ``(original, replacement)``, the criteria that must
 #: fail, and the ROADMAP item that will catch a defect selftest misses.
 MUTANTS = [
@@ -149,6 +157,7 @@ MUTANTS = [
     ),
     ("_survival ratio x 1.02", _survival_ratio, "14", None),
     ("closed_clustered swaps its tier sizes", _swapped_tiers, "2", None),
+    ("clustered grid profiles its policy pairs in reverse", _reversed_pairs, "6", None),
     (
         "clusters share one row of in-cluster draws",
         lambda: _clustered_counts(

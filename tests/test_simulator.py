@@ -2,17 +2,21 @@ import collections
 import functools
 import hashlib
 import math
+import os
 import random
 import re
 import statistics
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gossipfresh.core import DC_POLICIES, Flat, GossipPolicy, NetworkSpec, Rates, per_stale_rate
 from gossipfresh.acceptance import DECOMP_RATES, DECOMP_SHAPES
-from gossipfresh.analytic import BLOCK_CELLS, _survival, clustered_freshness, oracle_flat
+from gossipfresh.analytic import _survival, clustered_freshness, oracle_flat
 from gossipfresh import analytic, simulator
 from gossipfresh.simulator import (
     SimState,
@@ -241,7 +245,31 @@ def test_clustered_kernel_draws_in_cluster_times_only_for_captured_clusters(
     rng = _CountingGenerator(m + k)
     _clustered_counts(tab, rng, 8192)
     assert sum(rng.requests) == 8192 * (1 + m + per_cluster * m * k)
-    assert max(rng.requests) <= BLOCK_CELLS
+    assert max(rng.requests) <= simulator.DRAW_CELLS
+
+
+#: Prints a clustered cycle estimate, then the same estimate after the
+#: exact route's block size changes and the simulator is imported again.
+BLOCK_PROBE = """
+import importlib
+from gossipfresh import analytic, simulator
+from gossipfresh.core import GossipPolicy as GP, NetworkSpec, Rates
+spec = NetworkSpec.clustered(120, 1, GP.DC_RC, GP.FC_allRC, Rates(1, 10, 10, 10))
+print(repr(simulator.estimate_freshness_cycles(spec, 2000, seed=7).p_hat))
+analytic.BLOCK_CELLS = 1 << 12
+simulator = importlib.reload(simulator)
+print(repr(simulator.estimate_freshness_cycles(spec, 2000, seed=7).p_hat))
+"""
+
+
+def test_clustered_draws_do_not_depend_on_the_exact_block_size():
+    # m = 120 clusterheads make 121-cell rows, so a block holds
+    # DRAW_CELLS // 121 cycles, and the block fixes the draw order
+    env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
+    command = [sys.executable, "-c", BLOCK_PROBE]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout
+    before, after = out.split()
+    assert before == after
 
 
 # --- exact capture-count law -------------------------------------------------
@@ -720,7 +748,7 @@ def test_trajectory_version_flow_flat():
         state = sim.state
         assert all(v <= state.source_version for v in state.node_versions)
         fresh = [i for i, v in enumerate(state.node_versions) if v == state.source_version]
-        assert sorted(sim.fresh_nodes()) == fresh
+        assert sorted(sim._fresh) == fresh
         if label == "source_refresh":
             refreshes += 1
     assert state.source_version == 1 + refreshes
@@ -952,7 +980,6 @@ def test_csum_drift_with_no_active_cluster_fires_no_refresh():
     state.ch_versions = [1, 0]
     state.node_versions = [1, 1, 0, 0]
     sim._stale = [1]
-    sim._holders = [2, 2]
     sim._nonhold = [[], []]
     sim._crates = [0.0, 0.0]
     sim._csum = 1e-17
