@@ -11,7 +11,8 @@ average binary freshness of a node):
   histogram of a block of cycles, without node identities;
 * the time-average estimator (:func:`estimate_freshness_time`) runs one
   long trajectory with explicit version counters and divides accumulated
-  fresh time by the horizon.
+  fresh time by the horizon; one call of the event loop walks all its
+  window edges.
 
 :class:`TrajectorySim`, the trajectory engine, is the event-by-event
 reference in pure Python.  It resamples after every event: each event
@@ -191,6 +192,13 @@ class _Tables:
         return self.totals[0].tolist() + [0.0]
 
     @cached_property
+    def source_totals(self) -> list[float]:
+        """``source_totals[j] = lam_e + dsrc[j]``: the rate of the
+        source's own events, its refresh and its deliveries, with j
+        receivers fresh."""
+        return [self.lam_e + d for d in self.dsrc]
+
+    @cached_property
     def dcl(self) -> list[float]:
         """``dcl[h]``: one cluster's total in-cluster rate with h of its k
         nodes holding the clusterhead's version, ending in 0.0; empty for a
@@ -327,13 +335,14 @@ class TrajectorySim:
     """One long trajectory with explicit version counters.
 
     Drives a :class:`SimState` event by event; versions only ever flow
-    downward from the source.  :meth:`step` and :meth:`run_until` both
-    drive one event loop, :meth:`_advance`.  Per-node fresh time is
-    settled lazily: a node's capture clock is kept while it is fresh, and
-    ``state.fresh_time_accum`` gains the time since then at each source
-    refresh and at each cap, so between uncapped :meth:`step` calls it
-    lags for the nodes that are fresh.  Used by
-    :func:`estimate_freshness_time`, and directly by invariant tests.
+    downward from the source.  One event loop, :meth:`_advance`, walks a
+    list of caps: :func:`estimate_freshness_time` passes all its window
+    edges in one call, and :meth:`run_until` and :meth:`step` are one-cap
+    calls of it.  Per-node fresh time is settled lazily: a node's capture
+    clock is kept while it is fresh, and ``state.fresh_time_accum`` gains
+    the time since then at each source refresh and at each cap, so between
+    uncapped :meth:`step` calls it lags for the nodes that are fresh.  Used
+    by :func:`estimate_freshness_time`, and directly by invariant tests.
     """
 
     def __init__(self, spec: NetworkSpec, rng: random.Random):
@@ -357,9 +366,10 @@ class TrajectorySim:
         self._crates = [dcl0] * clusters
         self._csum = dcl0 * clusters
 
-    def _advance(self, cap: float, limit: int) -> str:
-        """Run events until ``limit`` of them have happened (0: no limit)
-        or the next one would pass ``cap``; return the last label.
+    def _advance(self, caps: list[float], one_event: bool = False) -> list[float]:
+        """Run the events up to each cap of ``caps`` in turn, and return
+        ``sum(state.fresh_time_accum)`` at each; with ``one_event``, an
+        event that comes by the cap ends the call, and no sum is returned.
 
         One pass is one event.  It draws, in this order, the holding time
         ``-log(1 - U) / total`` (what ``random.Random.expovariate(total)``
@@ -367,19 +377,27 @@ class TrajectorySim:
         refresh, a delivery from the source, or one cluster's delivery),
         and, unless the source refreshes, a uniform index that picks the
         receiver; then it branches once on the stage and does that stage's
-        work.  Every event recomputes ``total = (lam_e + d) + csum``, the
-        holding time and the stage.  The source's delivery rate ``d =
-        dsrc[fresh receivers]`` and ``lam_e + d`` change only at the
-        source's own events, its refreshes and deliveries, and are updated
-        only there.  A cluster keeps one list, its nodes that lack its
-        clusterhead's version: a delivery picks from its s of them and
-        leaves ``k - s + 1`` holders, the index into ``dcl``, and a
-        clusterhead update refills it, which leaves none.  On reaching
-        ``cap`` the fresh nodes' time is settled there.
+        work.  Every event recomputes ``total = source_totals[j] + csum``,
+        the holding time and the stage.  The loop counts the fresh
+        receivers j; the source's delivery rate ``d = dsrc[j]`` and its
+        total ``lam_e + d`` (one entry of :attr:`_Tables.source_totals`)
+        change only at the source's own events, its refreshes and
+        deliveries, and are updated only there.  A refresh with no fresh
+        receiver leaves the stale receivers as they are: no pick has
+        reordered them since they were last reset.  A cluster keeps one
+        list, its nodes that lack its clusterhead's version: a delivery
+        picks from its s of them and leaves ``k - s + 1`` holders, the index
+        into ``dcl``, and a clusterhead update refills it, which leaves
+        none.  A pick is ``floor(U * s)``, the same integer as ``int(U *
+        s)``.  The holding draw that passes a cap is discarded, the clock
+        stops at the cap, and the fresh nodes' time is settled there; the
+        next cap's events start from a new draw.  j, d and the totals are
+        read from the lists on entry, so a state set by hand is honoured.
         """
         tab, state = self.tab, self.state
-        random, log = self.rng.random, math.log
+        random, log, floor = self.rng.random, math.log, math.floor
         lam_e, dsrc, dcl, k = tab.lam_e, tab.dsrc, tab.dcl, tab.k
+        source_totals = tab.source_totals
         sv, clock = state.source_version, state.clock
         nodes, chs, accum = state.node_versions, state.ch_versions, state.fresh_time_accum
         stale, fresh, since = self._stale, self._fresh, self._since
@@ -387,109 +405,126 @@ class TrajectorySim:
         every_receiver, every_node = self._receivers, self._cluster_nodes
         receivers, clusters = len(every_receiver), len(crates)
         cluster_ids = range(clusters)  # the scan's range, built once per call
-        d = dsrc[receivers - len(stale)]
-        source_total = lam_e + d
-        while True:
-            total = source_total + csum
-            t = clock - log(1.0 - random()) / total
-            if t > cap:
-                clock = cap
-                label = "capped"
-                break
-            clock = t
-            x = random() * total - lam_e
-            if x >= d:
-                # the cluster whose share of csum holds x - d
-                y = x - d
-                c = clusters - 1  # the last cluster when y passes them all
-                for c in cluster_ids:
-                    if y < crates[c]:
-                        break
-                    y -= crates[c]
-                if c < 0 or crates[c] == 0.0:
-                    # csum drift can park y a few ulps past the active
-                    # clusters: land on the last active one.  With none
-                    # active csum is all drift; reset it and give the event
-                    # to the source's delivery, or to the refresh when that
-                    # is the only stage left with a positive rate.
-                    c = max((cc for cc in cluster_ids if crates[cc] > 0.0), default=-1)
-                    if c < 0:
-                        csum = sum(crates)
-                        x = 0.0 if d > 0.0 else -1.0
-            if x < 0.0:
-                sv += 1
-                for i in fresh:
-                    accum[i] += t - since[i]
-                fresh = []
-                # every receiver is stale again; in-cluster holder sets
-                # persist, they track the clusterheads' unchanged versions
-                stale = every_receiver[:]
-                d = dsrc[0]
-                source_total = lam_e + d
-                label = "source_refresh"
-            elif x < d:
-                # a uniform index into the stale receivers (random() is at
-                # most 1 - 2**-53, so i < s); the last one takes its place
-                s = len(stale)
-                i = int(random() * s)
-                r = stale[i]
-                stale[i] = stale[-1]
-                stale.pop()
-                if k:
-                    chs[r] = sv
-                    nonhold[r] = every_node[:]  # no node holds the new version
-                    csum += dcl[0] - crates[r]
-                    crates[r] = dcl[0]
-                    label = "ch_update"
+        j = receivers - len(stale)
+        d, source_total = dsrc[j], source_totals[j]
+        sums = []
+        for cap in caps:
+            # the event that ends the inner loop: any, or one landing on the cap
+            stop = -math.inf if one_event else cap
+            while True:
+                total = source_total + csum
+                t = clock - log(1.0 - random()) / total
+                if t > cap:
+                    clock = cap
+                    break
+                clock = t
+                x = random() * total - lam_e
+                if x >= d:
+                    # the cluster whose share of csum holds x - d
+                    y = x - d
+                    c = clusters - 1  # the last cluster when y passes them all
+                    for c in cluster_ids:
+                        if y < crates[c]:
+                            break
+                        y -= crates[c]
+                    if c < 0 or crates[c] == 0.0:
+                        # csum drift can park y a few ulps past the active
+                        # clusters: land on the last active one.  With none
+                        # active csum is all drift; reset it and give the
+                        # event to the source's delivery, or to the refresh
+                        # when that is the only stage left with a positive
+                        # rate.
+                        c = max((cc for cc in cluster_ids if crates[cc] > 0.0), default=-1)
+                        if c < 0:
+                            csum = sum(crates)
+                            x = 0.0 if d > 0.0 else -1.0
+                if x < 0.0:
+                    sv += 1
+                    for i in fresh:
+                        accum[i] += t - since[i]
+                    fresh = []
+                    if j:
+                        # every receiver is stale again; in-cluster holder
+                        # sets persist, they track the clusterheads'
+                        # unchanged versions
+                        stale = every_receiver[:]
+                        j = 0
+                        d, source_total = dsrc[0], source_totals[0]
+                elif x < d:
+                    # a uniform index into the receivers - j stale
+                    # receivers (random() is at most 1 - 2**-53, so the
+                    # index stays below their count); the last one takes
+                    # its place
+                    i = floor(random() * (receivers - j))
+                    r = stale[i]
+                    stale[i] = stale[-1]
+                    stale.pop()
+                    if k:
+                        chs[r] = sv
+                        nonhold[r] = every_node[:]  # no node holds the new version
+                        csum += dcl[0] - crates[r]
+                        crates[r] = dcl[0]
+                    else:
+                        nodes[r] = sv
+                        fresh.append(r)
+                        since[r] = t
+                    j += 1
+                    d, source_total = dsrc[j], source_totals[j]
                 else:
-                    nodes[r] = sv
-                    fresh.append(r)
-                    since[r] = t
-                    label = "node_delivery"
-                d = dsrc[receivers - s + 1]
-                source_total = lam_e + d
-            else:
-                # the same pick among cluster c's non-holders
-                lst = nonhold[c]
-                s = len(lst)
-                i = int(random() * s)
-                gid = c * k + lst[i]
-                lst[i] = lst[-1]
-                lst.pop()
-                v = nodes[gid] = chs[c]
-                h = k - s + 1  # the cluster's holders, this one included
-                csum += dcl[h] - crates[c]
-                crates[c] = dcl[h]
-                if v == sv:
-                    fresh.append(gid)
-                    since[gid] = t
-                label = "node_delivery"
-            limit -= 1  # from 0 it never reaches 0 again
-            if not limit or t == cap:
-                break
-        if clock == cap:
-            for i in fresh:
-                accum[i] += cap - since[i]
-                since[i] = cap
+                    # the same pick among cluster c's non-holders
+                    lst = nonhold[c]
+                    s = len(lst)
+                    i = floor(random() * s)
+                    gid = c * k + lst[i]
+                    lst[i] = lst[-1]
+                    lst.pop()
+                    v = nodes[gid] = chs[c]
+                    h = k - s + 1  # the cluster's holders, this one included
+                    csum += dcl[h] - crates[c]
+                    crates[c] = dcl[h]
+                    if v == sv:
+                        fresh.append(gid)
+                        since[gid] = t
+                if t >= stop:
+                    break
+            if clock == cap:
+                for i in fresh:
+                    accum[i] += cap - since[i]
+                    since[i] = cap
+            if one_event and t <= cap:
+                break  # the event ends the call; no sum, even if it landed on the cap
+            sums.append(sum(accum))
         state.source_version, state.clock = sv, clock
         self._stale, self._fresh, self._csum = stale, fresh, csum
-        return label
+        return sums
 
     def step(self, cap: float | None = None) -> str:
         """Advance to the next event (or to ``cap`` if it comes first).
 
-        Returns the label of what happened: ``source_refresh``,
-        ``ch_update``, ``node_delivery``, or ``capped``.  Raises
-        ``ValueError`` when ``cap`` is NaN or below the clock.
+        Returns the label of what happened, read from what the event
+        changed: ``capped`` when the clock stopped at the cap,
+        ``source_refresh`` when the source's version moved, ``ch_update``
+        (clustered) or ``node_delivery`` (flat) when a stale receiver of
+        the source was served, and otherwise ``node_delivery``, a delivery
+        inside a cluster.  Raises ``ValueError`` when ``cap`` is NaN or
+        below the clock.
         """
         if cap is None:
             cap = math.inf
         elif not cap >= self.state.clock:  # NaN fails too
             raise self._end_error("cap", cap)
-        return self._advance(cap, 1)
+        sv, stale_before = self.state.source_version, len(self._stale)
+        if self._advance([cap], one_event=True):
+            return "capped"
+        if self.state.source_version != sv:
+            return "source_refresh"
+        if len(self._stale) < stale_before and self.tab.k:
+            return "ch_update"
+        return "node_delivery"
 
     def run_until(self, t_end: float) -> None:
-        """Advance to ``t_end`` and settle the fresh nodes' time there.
+        """Advance to ``t_end`` and settle the fresh nodes' time there: one
+        cap of :meth:`_advance`.
 
         A ``t_end`` at or below the clock does nothing; a NaN or an infinite
         one, which the event loop would never reach, raises ``ValueError``.
@@ -497,7 +532,7 @@ class TrajectorySim:
         if t_end == math.inf:
             raise ValueError(f"t_end must be finite, got {t_end!r}")
         if self.state.clock < t_end:
-            self._advance(t_end, 0)
+            self._advance([t_end])
         elif t_end != t_end:
             raise self._end_error("t_end", t_end)
 
@@ -510,8 +545,11 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
 
     Accumulated per-node fresh time divided by ``horizon``, averaged over
     nodes; the standard error comes from batch means over
-    :data:`TIME_WINDOWS` equal windows.  Warns when the horizon covers
-    fewer than ~100 expected refresh cycles.
+    :data:`TIME_WINDOWS` equal windows.  One call of the event loop walks
+    every window edge and returns the fresh time accumulated by each, the
+    same values, bit for bit, as a :meth:`TrajectorySim.run_until` per
+    edge.  Warns when the horizon covers fewer than ~100 expected refresh
+    cycles.
     """
     require(horizon_problem(horizon, TIME_WINDOWS))
     sim = TrajectorySim(spec, random.Random(0))  # the one check of the spec
@@ -524,12 +562,8 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
             stacklevel=2,
         )
     n = sim.tab.n
-    accum = sim.state.fresh_time_accum
     edges = [horizon * b / TIME_WINDOWS for b in range(TIME_WINDOWS + 1)]
-    sums = [0.0]  # the fresh time accumulated by each edge
-    for edge in edges[1:]:
-        sim.run_until(edge)
-        sums.append(sum(accum))
+    sums = [0.0] + sim._advance(edges[1:])  # the fresh time accumulated by each edge
     w = np.diff(sums) / n / np.diff(edges)  # the window means
     p_hat = float(sums[-1] / (n * horizon))
     stderr = float(np.std(w, ddof=1) / math.sqrt(TIME_WINDOWS))
@@ -540,7 +574,7 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
         samples=horizon,
         seed=seed,
         estimator="time_average",
-        per_node=tuple(a / horizon for a in accum),
+        per_node=tuple(a / horizon for a in sim.state.fresh_time_accum),
     )
 
 

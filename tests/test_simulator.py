@@ -912,6 +912,14 @@ class _PerEventSim:
         while self.state.clock < t_end:
             self.step(cap=t_end)
 
+    def _advance(self, caps):
+        """The estimator's entry: one run_until per window edge."""
+        sums = []
+        for cap in caps:
+            self.run_until(cap)
+            sums.append(sum(self.state.fresh_time_accum))
+        return sums
+
 
 LOOP_SPECS = [
     NetworkSpec.flat(n, policy, Rates(1.0, 1.0, 0.0, lg))
@@ -941,6 +949,59 @@ def test_trajectory_loop_equals_the_per_event_reference(spec, monkeypatch):
     assert got.p_hat == pytest.approx(want.p_hat, abs=1e-12)
     assert got.stderr == pytest.approx(want.stderr, abs=1e-12)
     assert got.per_node == pytest.approx(want.per_node, abs=1e-12)
+
+
+def _trajectory_state(sim):
+    state = sim.state
+    return (
+        state.clock,
+        state.source_version,
+        state.node_versions,
+        state.ch_versions,
+        state.fresh_time_accum,
+        sim.rng.getstate(),
+    )
+
+
+@pytest.mark.parametrize("spec", LOOP_SPECS)
+def test_one_call_over_the_window_edges_equals_a_run_until_per_edge(spec):
+    # the estimator's one call over its edges against one run_until per
+    # edge, bit for bit: clock, versions, per-node fresh time, the draws
+    # taken and every window total, from a new trajectory and mid-way
+    for seed in (0, 5, 9):
+        for warm_steps in (0, 100):
+            one = TrajectorySim(spec, random.Random(seed))
+            each = TrajectorySim(spec, random.Random(seed))
+            for _ in range(warm_steps):
+                assert one.step() == each.step()
+            start, windows = one.state.clock, simulator.TIME_WINDOWS
+            edges = [start + 200.0 * b / windows for b in range(1, windows + 1)]
+            sums = one._advance(edges)
+            want = []
+            for edge in edges:
+                each.run_until(edge)
+                want.append(sum(each.state.fresh_time_accum))
+            assert sums == want
+            assert _trajectory_state(one) == _trajectory_state(each)
+
+
+def test_an_event_that_lands_on_the_cap_is_that_event():
+    # one node, total rate 2: the holding draw 0.5 lands exactly on a cap
+    # set there, the stage draw 0.9 is the source's delivery
+    sim = TrajectorySim(NetworkSpec.flat(1, GP.DC_noRC, ONE), _StubRandom([0.5, 0.9, 0.0]))
+    cap = 0.0 - math.log(1.0 - 0.5) / 2.0
+    assert sim.step(cap=cap) == "node_delivery"
+    state = sim.state
+    assert (state.clock, state.node_versions, state.fresh_time_accum) == (cap, [1], [0.0])
+
+
+def test_a_floor_pick_is_the_truncated_pick():
+    # the event loop picks floor(U * s); for U in [0, 1) and s up to 2**53
+    # that is the same integer as int(U * s), below s
+    for u in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53):
+        for s in [*range(1, 2**16 + 1), 2**53]:
+            i = math.floor(u * s)
+            assert i == int(u * s) < s
 
 
 #: SHA-256 of ``repr((p_hat, stderr, per_node))`` of the time-average
@@ -991,7 +1052,8 @@ def test_csum_drift_with_no_active_cluster_fires_no_refresh():
 
 def test_a_uniform_pick_never_reaches_the_end_of_its_list():
     # random.Random.random() is k / 2**53 with k < 2**53, so TrajectorySim's
-    # int(random() * s) stays below s at every list length s up to 2**53
+    # pick floor(random() * s), which is int(random() * s), stays below s
+    # at every list length s up to 2**53
     top = 1 - 2**-53
     assert top == math.nextafter(1.0, 0.0)
     s = np.arange(1, 2 * 10**6 + 1, dtype=float)
