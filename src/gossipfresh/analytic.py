@@ -67,6 +67,7 @@ from .core import (
     GossipPolicy,
     NetworkSpec,
     Rates,
+    SIZE_LIMIT,
     STALE_TARGETING,
     divides_problem,
     rate_sum_problem,
@@ -121,30 +122,39 @@ def _check_rates(n: int, lambda_e: float, **named: float) -> None:
 
 def _check_sizes(sizes, lambda_e, total_source, total_gossip):
     """The boundary check of every route: ``sizes`` a nonempty 1-D sequence
-    (a list of one plain int, as :func:`oracle_flat` passes it, skips that
-    test), then :func:`~gossipfresh.core.size_problem` under the name ``n``
-    on each entry in order, so the first bad size is named as given, then
-    :func:`_check_rates` at the largest size.  Each rate is a number or a
-    sequence (list, tuple or array) of one rate per rate case; every
-    sequence holds the same number of cases, and a number serves every
-    case (or is the one case).  Each case is checked in order, as a call
-    with its rates alone checks it.  Returns the sizes as a list of Python
-    ints, the rates as three lists ``[total_source, total_gossip,
-    lambda_e]`` of one Python value per case, and whether any rate came as
-    a sequence (the result keeps its case axis)."""
-    one = type(sizes) is list and len(sizes) == 1 and type(sizes[0]) is int
-    if not one and (np.ndim(sizes) != 1 or len(sizes) == 0):
-        raise ValueError(f"sizes must be a nonempty sequence, got {sizes!r}")
-    for n in sizes:
-        require(size_problem("n", n))
-    listed = [int(n) for n in sizes]
-    rates = (total_source, total_gossip, lambda_e)
-    rates = [r.tolist() if isinstance(r, np.ndarray) and r.ndim else r for r in rates]
-    counts = {len(r) for r in rates if isinstance(r, (list, tuple))}
+    whose entries pass :func:`~gossipfresh.core.size_problem` under the
+    name ``n``, then :func:`_check_rates` at the largest size.  A list or
+    tuple of in-range plain ints passes in one pass; any other ``sizes``
+    is checked entry by entry in order, so the first bad size is named as
+    given.  Each rate is a number or a sequence (list, tuple or array) of
+    one rate per rate case, told apart once; every sequence holds the same
+    number of cases, and a number serves every case (or is the one case).
+    Each case is checked in order, as a call with its rates alone checks
+    it.  Returns the sizes as a list of Python ints, the rates as three
+    lists ``[total_source, total_gossip, lambda_e]`` of one Python value
+    per case, and whether any rate came as a sequence (the result keeps
+    its case axis)."""
+    plain = type(sizes) in (list, tuple) and {*map(type, sizes)} == {int}
+    if plain and 0 < min(sizes) and max(sizes) <= SIZE_LIMIT:
+        listed = list(sizes)
+    else:
+        if np.ndim(sizes) != 1 or len(sizes) == 0:
+            raise ValueError(f"sizes must be a nonempty sequence, got {sizes!r}")
+        for n in sizes:
+            require(size_problem("n", n))
+        listed = [int(n) for n in sizes]
+    rates, counts = [total_source, total_gossip, lambda_e], set()
+    for i, r in enumerate(rates):  # a sequence becomes a list of Python values, a number [r]
+        if isinstance(r, (list, tuple, np.ndarray)) and getattr(r, "ndim", 1):
+            rates[i] = r = r.tolist() if isinstance(r, np.ndarray) else list(r)
+            counts.add(len(r))
+        else:
+            rates[i] = [r]
     if len(counts) > 1 or 0 in counts:
         raise ValueError(f"rate sequences must share one length >= 1, got {sorted(counts)}")
     (count,) = counts or {1}
-    rates = [list(r) if isinstance(r, (list, tuple)) else [r] * count for r in rates]
+    if count > 1:
+        rates = [r if len(r) == count else r * count for r in rates]
     largest = max(listed)
     for s, g, e in zip(*rates):
         _check_rates(largest, e, lambda_s=s, lambda_g=g)
@@ -262,14 +272,17 @@ BLOCK_CELLS = 1 << 13
 
 def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
     """:func:`_recursion`'s ``p`` at each of the ``sizes`` in one block
-    ``width`` wide; each rate is a column of one rate per row.  A row at
-    least ``width`` wide is evaluated at its first ``width`` cells, which
-    :func:`_blocked` chooses so that its later cells cannot move its sum.  A
-    cell past its row's size is evaluated at ``j = size - 1`` and gets ``u
-    = 0``: one stale node, adding exactly ``+0.0``."""
-    n, j = sizes[:, None].astype(float), np.arange(width, dtype=float)
-    narrowest = sizes[0] if len(sizes) == 1 else sizes.min()  # one row skips the reduction
-    if narrowest >= width:
+    ``width`` wide; each rate is a float for every row or a column of one
+    rate per row.  One row with float rates is a 1-D row with a float size,
+    never wider than the row.  A row at least ``width`` wide is evaluated at
+    its first ``width`` cells, which :func:`_blocked` chooses so that its
+    later cells cannot move its sum.  A cell past its row's size is
+    evaluated at ``j = size - 1`` and gets ``u = 0``: one stale node,
+    adding exactly ``+0.0``."""
+    one = len(sizes) == 1 and isinstance(lambda_e, float)
+    n = float(sizes[0]) if one else sizes[:, None].astype(float)
+    j = np.arange(width, dtype=float)
+    if one or sizes.min() >= width:
         stale, u = stale_rate_rows(policy, total_source, total_gossip, n, j)
     else:
         stale, u = stale_rate_rows(policy, total_source, total_gossip, n, np.minimum(j, n - 1))
@@ -279,20 +292,23 @@ def _block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.nda
 
 
 def _law_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np.ndarray:
-    """:func:`_block`'s twin through the capture count's law: ``p =
-    E[count] / n = (1/n) sum_k P(count >= k)`` at each of the ``sizes`` in
-    one block ``width`` wide, the survival row of :func:`_survival` over
-    :func:`_capture_rates` summed left to right as :func:`_recursion` sums.
-    It reads no ``u(j)`` table, names no tagged node and splits no step
-    into q and tau, so it checks the table and the recursion for every
-    policy.  A cell past its row's size gets ``d = 0``, whose survival is
+    """:func:`_block`'s twin through the capture count's law, on the same
+    rates: ``p = E[count] / n = (1/n) sum_k P(count >= k)`` at each of the
+    ``sizes`` in one block ``width`` wide, the survival row of
+    :func:`_survival` over :func:`_capture_rates` summed left to right as
+    :func:`_recursion` sums.  A one-row block is a 1-D row with a float
+    size, which float rates and a one-row column both broadcast with.  It
+    reads no ``u(j)`` table, names no tagged node and splits no step into
+    q and tau, so it checks the table and the recursion for every policy.
+    A cell past its row's size gets ``d = 0``, whose survival is
     0, adding exactly ``+0.0``.  A row stops at its cut width with no bit
     changed: each term ``P(count >= k)`` is at most ``(d / (d +
     lambda_e))**k`` for the ``d`` of :func:`_cut_width`, which bounds every
     :func:`_capture_rates` rate, and the sum is at least its first term,
     ``total_source / (total_source + lambda_e) = n q[0]``, so past the cut
     every term is below a quarter ulp of the sum."""
-    n, j = sizes[:, None].astype(float), np.arange(width, dtype=float)
+    n = float(sizes[0]) if len(sizes) == 1 else sizes[:, None].astype(float)
+    j = np.arange(width, dtype=float)
     d = np.where(j < n, _capture_rates(policy, total_source, total_gossip, n, j), 0.0)
     survival = _survival(d, lambda_e)
     return np.add.accumulate(survival, axis=-1, out=survival)[..., -1] / sizes
@@ -302,12 +318,17 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], blo
     """``block`` (:func:`_block` or :func:`_law_block`) over every (case,
     size) cell of checked ``sizes`` and rate lists of one rate per case, as
     a ``(cases, sizes)`` array, each cell evaluated at its cut width
-    (:func:`_cut_width`), which changes no bit of its value.  Cells that
-    fit one block of at most :data:`BLOCK_CELLS` cells (or a single cell)
-    are one block as they stand; otherwise they are sorted by width and
-    cut into blocks."""
-    rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
-    rates = rates.repeat(len(sizes), axis=1)[..., None]
+    (:func:`_cut_width`), which changes no bit of its value.  One rate case
+    passes ``block`` its rates as floats, more cases a column of one rate
+    per row.  Cells that fit one block of at most :data:`BLOCK_CELLS` cells
+    (or a single cell) are one block as they stand; otherwise they are
+    sorted by width and cut into blocks."""
+    cased = len(lambda_e) > 1
+    if cased:
+        rates = np.array([total_source, total_gossip, lambda_e], dtype=float)
+        rates = rates.repeat(len(sizes), axis=1)[..., None]
+    else:
+        rates = [float(total_source[0]), float(total_gossip[0]), float(lambda_e[0])]
     cells = sizes * len(lambda_e)
     widths = cells
     if max(sizes) >= CUT_MIN_WIDTH:
@@ -327,7 +348,7 @@ def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], blo
             fit = bisect_right(rest, BLOCK_CELLS, key=lambda s: (s + 1 - start) * bounds[s])
             stop = start + 1 + fit
             index = order[start:stop]
-            rows = rates[:, index]
+            rows = rates[:, index] if cased else rates
             p[index] = block(policy, *rows, ordered[start:stop], bounds[stop - 1])
             start = stop
     return p.reshape(len(lambda_e), -1)
@@ -429,7 +450,8 @@ def oracle_flat(
     n: int,
 ) -> FreshnessValue:
     """Freshness of a flat tier via the generic recursion (works for all
-    five policies); the one-size case of :func:`oracle_sizes`."""
+    five policies); the one-size case of :func:`oracle_sizes`, whose rates
+    reach the kernel as floats and whose one cell is a 1-D row."""
     return float(oracle_sizes(policy, total_source, total_gossip, lambda_e, [n])[0])
 
 
@@ -473,8 +495,8 @@ def closed_sizes(
     if policy is GossipPolicy.FC_noRC:
         p = _blocked(policy, *rates, sizes)
     else:
-        p = np.array([_closed_case(policy, *case, sizes) for case in zip(*rates)])
-    return p if cased else p[0]
+        p = [_closed_case(policy, *case, sizes) for case in zip(*rates)]
+    return np.asarray(p) if cased else p[0]
 
 
 def _closed_case(policy, ls, lg, le, sizes: list[int]) -> np.ndarray:
@@ -508,7 +530,8 @@ def closed_flat(
     n: int,
 ) -> FreshnessValue | None:
     """Closed-form freshness of a flat tier, or None where no formula
-    exists; the one-size case of :func:`closed_sizes`."""
+    exists; the one-size case of :func:`closed_sizes`, whose one case is
+    evaluated on its rates as given, with no case axis."""
     p = closed_sizes(policy, total_source, total_gossip, lambda_e, [n])
     return None if p is None else float(p[0])
 

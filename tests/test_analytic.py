@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import platform
@@ -742,6 +743,102 @@ def test_the_first_bad_size_is_named(sizes, bad):
         assert str(err.value) == size_problem("n", bad)
 
 
+#: Bad calls and the message each raises, one rule per row, in the order
+#: the boundary checks them: a size, then each case's lambda_e, lambda_s,
+#: lambda_g and rate sum.  A row of ONE_SIZE_ERRORS is ``(ls, lg, le, n)``
+#: and raises the same message from every route as one size or one case.
+ONE_SIZE_ERRORS = [
+    ((1.0, 0.5, 1.0, 0), "n must be an integer and n >= 1, got 0"),
+    ((1.0, 0.5, 1.0, True), "n must be an integer and n >= 1, got True"),
+    ((1.0, 0.5, 1.0, 2**53 + 1), "n must be at most 2**53, got 9007199254740993"),
+    ((1.0, 0.5, 1.0, 1.0), "n must be an integer and n >= 1, got 1.0"),
+    ((1.0, 0.5, 1.0, -3), "n must be an integer and n >= 1, got -3"),
+    ((1.0, 0.5, 1.0, np.int64(0)), "n must be an integer and n >= 1, got np.int64(0)"),
+    ((1.0, 0.5, 0.0, 3), "lambda_e must be finite and > 0, got 0.0"),
+    ((1.0, 0.5, 0, 3), "lambda_e must be finite and > 0, got 0"),
+    ((1.0, 0.5, -0.0, 3), "lambda_e must be finite and > 0, got -0.0"),
+    ((math.nan, 0.5, 1.0, 3), "lambda_s must be finite and >= 0, got nan"),
+    ((1.0, math.nan, 1.0, 3), "lambda_g must be finite and >= 0, got nan"),
+    ((1.0, 0.5, math.nan, 3), "lambda_e must be finite and > 0, got nan"),
+    ((math.inf, 0.5, 1.0, 3), "lambda_s must be finite and >= 0, got inf"),
+    ((1.0, math.inf, 1.0, 3), "lambda_g must be finite and >= 0, got inf"),
+    ((1.0, 0.5, math.inf, 3), "lambda_e must be finite and > 0, got inf"),
+    ((-1.0, 0.5, 1.0, 3), "lambda_s must be finite and >= 0, got -1.0"),
+    ((1.0, -1, 1.0, 3), "lambda_g must be finite and >= 0, got -1"),
+    ((1.0, 0.5, -1.0, 3), "lambda_e must be finite and > 0, got -1.0"),
+    (("1", 0.5, 1.0, 3), "lambda_s must be a real number, got '1'"),
+    ((1.0, "1", 1.0, 3), "lambda_g must be a real number, got '1'"),
+    ((1.0, 0.5, "1", 3), "lambda_e must be a real number, got '1'"),
+    ((True, 0.5, 1.0, 3), "lambda_s must be a real number, got True"),
+    ((1.0, True, 1.0, 3), "lambda_g must be a real number, got True"),
+    ((1.0, 0.5, True, 3), "lambda_e must be a real number, got True"),
+    ((1e308, 0.5, 1.0, 3), "rates too large: 3 * (lambda_e + lambda_s + lambda_g) = inf"),
+    ((1.0, 1e308, 1.0, 2), "rates too large: 2 * (lambda_e + lambda_s + lambda_g) = inf"),
+    ((1.0, 0.5, 6e307, 2), "rates too large: 2 * (lambda_e + lambda_s + lambda_g) = 1.2e+308"),
+    ((math.nan, math.inf, 0.0, 0), "n must be an integer and n >= 1, got 0"),
+    ((math.nan, math.inf, 0.0, 3), "lambda_e must be finite and > 0, got 0.0"),
+    ((math.nan, -1.0, 1.0, 3), "lambda_s must be finite and >= 0, got nan"),
+]
+
+#: ``(ls, lg, le, sizes)`` rows for the multi-size routes, and the message
+#: each raises: the first bad size as given, wherever it stands, or the
+#: first bad case.
+MANY_SIZE_ERRORS = [
+    ((1.0, 0.5, 1.0, [3, 5, 0, 7, -1]), "n must be an integer and n >= 1, got 0"),
+    ((1.0, 0.5, 1.0, [4, 2**53 + 1, True]), "n must be at most 2**53, got 9007199254740993"),
+    ((1.0, 0.5, 1.0, (2, 3.0, 0)), "n must be an integer and n >= 1, got 3.0"),
+    ((1.0, 0.5, 1.0, np.array([4, 0, -2])), "n must be an integer and n >= 1, got np.int64(0)"),
+    ((1.0, 0.5, 1.0, [1, np.int64(2), True]), "n must be an integer and n >= 1, got True"),
+    ((1.0, 0.5, 1.0, []), "sizes must be a nonempty sequence, got []"),
+    ((1.0, 0.5, 1.0, [[2, 3]]), "sizes must be a nonempty sequence, got [[2, 3]]"),
+    ((1.0, 0.5, 1.0, 5), "sizes must be a nonempty sequence, got 5"),
+    ((1.0, 0.5, 1.0, range(0, 4)), "n must be an integer and n >= 1, got 0"),
+    (([1.0, 2.0], 0.0, [1.0] * 3, [2, 3]), "rate sequences must share one length >= 1, got [2, 3]"),
+    (([1.0], [0.0] * 2, 1.0, [2, 3]), "rate sequences must share one length >= 1, got [1, 2]"),
+    (([], 0.0, 1.0, [2, 3]), "rate sequences must share one length >= 1, got [0]"),
+    (([1.0, math.nan], 0.5, 1.0, [2, 3]), "lambda_s must be finite and >= 0, got nan"),
+    (([1.0, 1.0], 0.5, [1.0, 0.0], [2, 3]), "lambda_e must be finite and > 0, got 0.0"),
+    ((1.0, (0.5, "1"), 1.0, [2, 3]), "lambda_g must be a real number, got '1'"),
+    ((np.array([1.0, -1.0]), 0.5, 1.0, [2, 3]), "lambda_s must be finite and >= 0, got -1.0"),
+    (([1.0, 1e308], 0.5, 1.0, [2, 3]), "rates too large: 3 * (lambda_e + lambda_s + lambda_g)"),
+    ((1.0, [0.5, True], [1.0, 2.0], [2, 3]), "lambda_g must be a real number, got True"),
+    (([1.0, math.nan], 0.5, 1.0, [2, 0]), "n must be an integer and n >= 1, got 0"),
+]
+
+
+def _raised(route, *args) -> str:
+    """The message of the ValueError that ``route(*args)`` raises."""
+    with pytest.raises(ValueError) as err:
+        route(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("args,message", ONE_SIZE_ERRORS)
+def test_a_one_size_call_raises_the_message_of_its_rule(args, message):
+    ls, lg, le, n = args
+    for policy in (GP.DC_RC, GP.FC_allRC):
+        got = [_raised(route, policy, ls, lg, le, n) for route in (oracle_flat, closed_flat)]
+        for route in (oracle_sizes, closed_sizes):
+            got += [_raised(route, policy, ls, lg, le, [n])]
+            got += [_raised(route, policy, [ls], [lg], [le], [n])]  # one case as lists
+        assert all(m.startswith(message) for m in got), got
+        assert len(set(got)) == 1, got
+
+
+@pytest.mark.parametrize("args,message", MANY_SIZE_ERRORS)
+def test_a_multi_size_call_raises_the_message_of_its_first_bad_entry(args, message):
+    for route in (oracle_sizes, closed_sizes):
+        assert _raised(route, GP.FC_noRC, *args).startswith(message)
+
+
+def test_the_boundary_takes_any_int_sizes_and_returns_plain_ints():
+    for sizes in ([2, 3], (2, 3), [np.int64(2), 3], np.array([2, 3]), range(2, 4)):
+        listed, rates, cased = analytic._check_sizes(sizes, 1.0, 1.0, 0.0)
+        assert listed == [2, 3] and all(type(n) is int for n in listed)
+        assert (rates, cased) == ([[1.0], [0.0], [1.0]], False)
+    one = oracle_flat(GP.DC_RC, 1.0, 0.0, 1.0, np.int64(3))
+    assert one == oracle_flat(GP.DC_RC, 1.0, 0.0, 1.0, 3)
+
 
 # --- the capture-count law: an exact check independent of the recursion ----
 #
@@ -916,6 +1013,82 @@ def test_an_integer_too_large_for_a_float_is_not_a_finite_rate(route):
         route(GP.DC_RC, 1.0, 0.0, 10**400, [3])
     with pytest.raises(ValueError, match="lambda_g must be finite and >= 0"):
         route(GP.FC_allRC, [1.0, 1.0], [0.0, -(10**400)], 1.0, [3])
+
+
+# --- one rate case: float rates and a 1-D row change no bit -----------------
+
+
+def _one_case_draws(policy, count=300):
+    """``count`` (ls, lg, le, n) draws: ls/le from 1e-3 to 1e8, lg = 0 or
+    not in turn, n log-uniform from 1 to 10**4, across CUT_MIN_WIDTH; in
+    every eight draws one has int rates (some past 2**53), one
+    ``np.float64`` rates, one a -0.0 gossip rate, one a -0.0 source rate and
+    one a subnormal source rate."""
+    rng = random.Random(f"one case {policy.value}")
+    for draw in range(count):
+        le = 10.0 ** rng.uniform(-3, 3)
+        ls = le * 10.0 ** rng.uniform(-3, 8)
+        lg = 0.0 if draw % 2 else le * 10.0 ** rng.uniform(-3, 3)
+        n = round(10 ** rng.uniform(0, 4))
+        kind = draw % 8
+        if kind == 0:
+            scale = rng.choice([1, 1000, 2**60 + 1])
+            ls, lg, le = (round(r * scale) for r in (ls, lg, le))
+            le = max(le, 1)
+        elif kind == 1:
+            ls, lg, le = map(np.float64, (ls, lg, le))
+        elif kind == 2:
+            lg = -0.0
+        elif kind == 3:
+            ls = -0.0
+        elif kind == 4:
+            ls = 5e-324 * rng.randint(1, 2**40)
+        yield ls, lg, le, n
+
+
+def _law_cell(policy, ls, lg, le, n):
+    """The count law's one-case, one-size cell."""
+    return _blocked(policy, [ls], [lg], [le], [n], _law_block)[0, 0]
+
+
+def one_case_digest(draws_per_policy=300):
+    """sha256 of every one-size value :func:`_one_case_draws` gives through
+    :func:`oracle_flat`, :func:`closed_flat` and the count law, each as
+    ``float.hex`` or None."""
+    digest = hashlib.sha256()
+    for policy in GP:
+        for draw in _one_case_draws(policy, draws_per_policy):
+            for route in (oracle_flat, closed_flat, _law_cell):
+                value = route(policy, *draw)
+                digest.update(f"{None if value is None else float(value).hex()}\n".encode())
+    return digest.hexdigest()
+
+
+#: :func:`one_case_digest` as the multi-size routes, which give every rate
+#: case a column, computed the same values before one-case calls kept their
+#: rates as floats and evaluated a one-size block as a 1-D row.
+ONE_CASE_DIGEST = "f812f01303366f6b27a8f6fa018fc06713427a5ddbf322a0bfaaa8859aa913fa"
+
+
+@pytest.mark.parametrize("policy", list(GP))
+def test_a_one_case_call_equals_its_cell_in_a_multi_case_call(policy):
+    draws = list(_one_case_draws(policy))
+    assert sum(n >= analytic.CUT_MIN_WIDTH for *_, n in draws) >= 50
+    assert sum(n < analytic.CUT_MIN_WIDTH for *_, n in draws) >= 50
+    for start in range(0, len(draws), 5):  # five cases at five sizes per call
+        batch = draws[start : start + 5]
+        rates, sizes = [list(column) for column in zip(*batch)][:3], [d[-1] for d in batch]
+        multi = [route(policy, *rates, sizes) for route in (oracle_sizes, closed_sizes)]
+        multi.append(_blocked(policy, *rates, sizes, _law_block))
+        for i, draw in enumerate(batch):
+            one = [route(policy, *draw) for route in (oracle_flat, closed_flat, _law_cell)]
+            cells = [None if m is None else m[i, i] for m in multi]
+            assert one == cells, draw
+            assert type(one[0]) is float
+
+
+def test_the_one_case_values_are_the_multi_case_values_of_before():
+    assert one_case_digest() == ONE_CASE_DIGEST
 
 
 @given(

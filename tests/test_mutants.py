@@ -123,6 +123,14 @@ def _swapped_tiers():
     return real, _rewritten(real, old, new)
 
 
+def _one_case_lambda_e():
+    """A one-case call's lambda_e times (1 + 1e-10), where the kernel gets
+    its rates as floats; a call with a rate per case keeps its columns."""
+    real = analytic._blocked
+    old = "float(lambda_e[0])]"
+    return real, _rewritten(real, old, "float(lambda_e[0]) * (1 + 1e-10)]")
+
+
 def _reversed_pairs():
     """The clustered grid's profiles, which the optimal-k report reads,
     evaluated for its policy pairs in reverse order."""
@@ -157,6 +165,7 @@ MUTANTS = [
     ),
     ("_survival ratio x 1.02", _survival_ratio, "14", None),
     ("closed_clustered swaps its tier sizes", _swapped_tiers, "2", None),
+    ("one-case kernel lambda_e x (1 + 1e-10)", _one_case_lambda_e, "2", None),
     ("clustered grid profiles its policy pairs in reverse", _reversed_pairs, "6", None),
     (
         "clusters share one row of in-cluster draws",
