@@ -296,22 +296,20 @@ def _law_block(policy, total_source, total_gossip, lambda_e, sizes, width) -> np
     rates: ``p = E[count] / n = (1/n) sum_k P(count >= k)`` at each of the
     ``sizes`` in one block ``width`` wide, the survival row of
     :func:`_survival` over :func:`_capture_rates` summed left to right as
-    :func:`_recursion` sums.  A one-row block is a 1-D row with a float
-    size, which float rates and a one-row column both broadcast with.  It
-    reads no ``u(j)`` table, names no tagged node and splits no step into
-    q and tau, so it checks the table and the recursion for every policy.
-    A cell past its row's size gets ``d = 0``, whose survival is
-    0, adding exactly ``+0.0``.  A row stops at its cut width with no bit
-    changed: each term ``P(count >= k)`` is at most ``(d / (d +
-    lambda_e))**k`` for the ``d`` of :func:`_cut_width`, which bounds every
-    :func:`_capture_rates` rate, and the sum is at least its first term,
-    ``total_source / (total_source + lambda_e) = n q[0]``, so past the cut
-    every term is below a quarter ulp of the sum."""
-    n = float(sizes[0]) if len(sizes) == 1 else sizes[:, None].astype(float)
+    :func:`_recursion` sums.  It reads no ``u(j)`` table, names no tagged
+    node and splits no step into q and tau, so it checks the table and the
+    recursion for every policy.  A cell past its row's size gets ``d =
+    0``, whose survival is 0, adding exactly ``+0.0``.  A row stops at its
+    cut width with no bit changed: each term ``P(count >= k)`` is at most
+    ``(d / (d + lambda_e))**k`` for the ``d`` of :func:`_cut_width`, which
+    bounds every :func:`_capture_rates` rate, and the sum is at least its
+    first term, ``total_source / (total_source + lambda_e) = n q[0]``, so
+    past the cut every term is below a quarter ulp of the sum."""
+    n = sizes[:, None].astype(float)
     j = np.arange(width, dtype=float)
     d = np.where(j < n, _capture_rates(policy, total_source, total_gossip, n, j), 0.0)
     survival = _survival(d, lambda_e)
-    return np.add.accumulate(survival, axis=-1, out=survival)[..., -1] / sizes
+    return np.add.accumulate(survival, axis=1, out=survival)[:, -1] / sizes
 
 
 def _blocked(policy, total_source, total_gossip, lambda_e, sizes: list[int], block=_block):
@@ -716,4 +714,4 @@ def optimal_cluster_size(
     ((p,),) = clustered_profiles(oracle_sizes, n, ks, [rates], [(source_policy, cluster_policy)])
     profile = list(zip(ks, p.tolist()))
     best_k, best_p = max(profile, key=lambda kp: kp[1])
-    return best_k, n // best_k, best_p, profile
+    return best_k, int(n) // best_k, best_p, profile  # n checked by divisors

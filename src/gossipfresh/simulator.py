@@ -182,7 +182,7 @@ class _Tables:
         self.totals = [stale * u for stale, u in self.rows]
         source, *cluster = self.totals
         self.m, self.k = len(source), len(cluster[0]) if cluster else 0
-        self.n = spec.shape.n
+        self.n = int(spec.shape.n)  # a plain int, as m and k are
         self.lam_e = spec.rates.lambda_e
 
     @cached_property
@@ -323,6 +323,7 @@ def _cycle_estimate(tab: _Tables, num_cycles: int, seed: int) -> FreshnessEstima
     below int64 overflow."""
     require(cycles_problem("num_cycles", num_cycles, tab.n))
     require(int_problem("seed", seed, 0))
+    num_cycles, seed = int(num_cycles), int(seed)  # no NumPy integer reaches the result
     rng = np.random.Generator(np.random.PCG64(seed))
     hist = (_clustered_counts if tab.k else _flat_counts)(tab, rng, num_cycles)
     captures = int(hist @ np.arange(tab.n + 1))
@@ -403,8 +404,8 @@ class TrajectorySim:
         stale, fresh, since = self._stale, self._fresh, self._since
         nonhold, crates, csum = self._nonhold, self._crates, self._csum
         every_receiver, every_node = self._receivers, self._cluster_nodes
-        receivers, clusters = len(every_receiver), len(crates)
-        cluster_ids = range(clusters)  # the scan's range, built once per call
+        receivers = len(every_receiver)
+        cluster_ids = range(len(crates))  # the scan's range, built once per call
         j = receivers - len(stale)
         d, source_total = dsrc[j], source_totals[j]
         sums = []
@@ -422,18 +423,18 @@ class TrajectorySim:
                 if x >= d:
                     # the cluster whose share of csum holds x - d
                     y = x - d
-                    c = clusters - 1  # the last cluster when y passes them all
                     for c in cluster_ids:
                         if y < crates[c]:
                             break
                         y -= crates[c]
-                    if c < 0 or crates[c] == 0.0:
-                        # csum drift can park y a few ulps past the active
-                        # clusters: land on the last active one.  With none
-                        # active csum is all drift; reset it and give the
-                        # event to the source's delivery, or to the refresh
-                        # when that is the only stage left with a positive
-                        # rate.
+                    else:
+                        # the scan passed every cluster, which only csum
+                        # drift does (a break leaves crates[c] > y >= 0):
+                        # land on the last active cluster.  With none active
+                        # (or none at all) csum is all drift; reset it and
+                        # give the event to the source's delivery, or to the
+                        # refresh when that is the only stage left with a
+                        # positive rate.
                         c = max((cc for cc in cluster_ids if crates[cc] > 0.0), default=-1)
                         if c < 0:
                             csum = sum(crates)
@@ -572,7 +573,7 @@ def estimate_freshness_time(spec: NetworkSpec, horizon: float, seed: int = 0) ->
         stderr=stderr,
         ci95=_ci95(p_hat, stderr),
         samples=horizon,
-        seed=seed,
+        seed=int(seed),  # checked by _child_seed
         estimator="time_average",
         per_node=tuple(a / horizon for a in sim.state.fresh_time_accum),
     )

@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import functools
 import hashlib
+import json
 import math
 import os
 import random
@@ -566,6 +568,32 @@ def test_integer_arguments_reject_bools_and_non_integers(call, name):
         call(NetworkSpec.flat(2, GP.DC_noRC, ONE))
 
 
+def test_numpy_integer_arguments_give_plain_python_results():
+    def flat(i):
+        return NetworkSpec.flat(i(3), GP.FC_allRC, Rates(1.0, 2.0, 0.0, 0.5))
+
+    def clustered(i):
+        return NetworkSpec.clustered(i(4), i(2), GP.DC_RC, GP.DC_RC, ONE)
+
+    calls = [
+        lambda i: estimate_freshness_cycles(flat(i), i(100), i(3)),
+        lambda i: estimate_freshness_time(flat(i), 400.0, i(3)),
+        lambda i: decomposition_check(clustered(i), i(100), i(3)).estimate,
+    ]
+    for call in calls:
+        est = call(np.int64)
+        assert est == call(int)
+        assert type(est.p_hat) is type(est.stderr) is float
+        assert type(est.seed) is int
+        assert type(est.samples) is (int if est.estimator == "cycle" else float)
+        json.dumps(dataclasses.asdict(est))
+    got = analytic.optimal_cluster_size(np.int64(12), ONE, GP.DC_RC, GP.FC_allRC)
+    assert got == analytic.optimal_cluster_size(12, ONE, GP.DC_RC, GP.FC_allRC)
+    k_star, m_star, p_star, profile = got
+    assert (type(k_star), type(m_star), type(p_star)) == (int, int, float)
+    assert {(type(k), type(p)) for k, p in profile} == {(int, float)}
+
+
 def test_cycle_estimator_rejects_bad_arguments():
     spec = NetworkSpec.flat(2, GP.DC_noRC, ONE)
     with pytest.raises(ValueError):
@@ -1048,6 +1076,48 @@ def test_csum_drift_with_no_active_cluster_fires_no_refresh():
     assert state.source_version == 1
     assert state.ch_versions == [1, 1]
     assert sim._csum == sum(sim._crates)
+
+
+def _drifted_past_every_cluster(spec, crates, drift):
+    # every clusterhead fresh, each cluster at its crates entry (dcl[0]
+    # with all k nodes stale, 0.0 complete), and csum `drift` above the
+    # sum; the largest uniform then parks y past every cluster, and the
+    # pick uniform takes the first non-holder
+    sim = TrajectorySim(spec, _StubRandom([0.5, 1.0 - 2.0**-53, 0.0]))
+    tab, state = sim.tab, sim.state
+    state.ch_versions = [1] * tab.m
+    state.node_versions = [1 if rate == 0.0 else -1 for rate in crates for _ in range(tab.k)]
+    sim._stale = []
+    sim._nonhold = [[] if rate == 0.0 else list(range(tab.k)) for rate in crates]
+    sim._crates = crates[:]
+    sim._csum = sum(crates) + drift
+    y = (1.0 - 2.0**-53) * (tab.source_totals[tab.m] + sim._csum) - tab.source_totals[tab.m]
+    for rate in crates:
+        y -= rate
+    assert y >= 0.0  # the scan passes every cluster
+    return sim
+
+
+def test_csum_drift_past_an_active_last_cluster_delivers_there():
+    spec = NetworkSpec.clustered(4, 2, GP.DC_RC, GP.DC_RC, Rates(1.0, 1.0, 1.0))
+    dcl = _Tables(spec).dcl
+    sim = _drifted_past_every_cluster(spec, [dcl[0], dcl[0]], 1e-9)
+    csum = sim._csum
+    assert sim.step() == "node_delivery"
+    assert sim.state.node_versions == [-1, -1, 1, -1]
+    assert sim._crates == [dcl[0], dcl[1]]
+    assert sim._csum == csum + (dcl[1] - dcl[0])  # no reset: the drift stays
+
+
+def test_csum_drift_past_the_active_clusters_lands_on_the_last_active_one():
+    spec = NetworkSpec.clustered(8, 2, GP.DC_RC, GP.DC_RC, Rates(1.0, 1.0, 1.0))
+    dcl = _Tables(spec).dcl
+    sim = _drifted_past_every_cluster(spec, [0.0, dcl[0], dcl[0], 0.0], 1e-9)
+    csum = sim._csum
+    assert sim.step() == "node_delivery"
+    assert sim.state.node_versions == [1, 1, -1, -1, 1, -1, 1, 1]
+    assert sim._crates == [0.0, dcl[0], dcl[1], 0.0]
+    assert sim._csum == csum + (dcl[1] - dcl[0])
 
 
 def test_a_uniform_pick_never_reaches_the_end_of_its_list():
