@@ -103,13 +103,6 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
-def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(args.config)
-    if getattr(args, "output", None) is not None:
-        config = replace(config, output=args.output)
-    return config
-
-
 @contextlib.contextmanager
 def _destinations(output: str | None, plot_dir: str | None):
     """Make the directory of the file ``output`` and the directory
@@ -155,7 +148,8 @@ def _cmd_sweep(args) -> int:
     ]
     if any(problems):
         raise ConfigError([p for p in problems if p])
-    config = _load_config(args)
+    config = ExperimentConfig.from_json(args.config)
+    overrides = {} if args.output is None else {"output": args.output}
     if args.verb == "simulate" or args.cycles is not None or args.seed is not None:
         base = config.sim
         if args.cycles is None and base:
@@ -164,7 +158,8 @@ def _cmd_sweep(args) -> int:
             cycles = 100_000 if args.cycles is None else args.cycles
             require(cycles_problem("--cycles", cycles, config.largest_n))
         seed = args.seed if args.seed is not None else (base.seed if base else 0)
-        config = replace(config, sim=SimSettings(cycles=cycles, seed=seed))
+        overrides["sim"] = SimSettings(cycles=cycles, seed=seed)
+    config = replace(config, **overrides) if overrides else config  # the flags judged once
     with _destinations(config.output, args.plot_dir):
         rows = run_experiment(config)
         if config.output:
@@ -178,8 +173,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimal_k(args) -> int:
-    config = _load_config(args)
-    report = report_optimal_k(config)
+    report = report_optimal_k(ExperimentConfig.from_json(args.config))
     header = f"{'case':<16} {'source':<9} {'cluster':<9} {'k*':>4} {'m*':>4}  p*"
     print(header)
     print("-" * len(header))

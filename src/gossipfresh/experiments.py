@@ -140,10 +140,12 @@ DEFAULT_RATE_CASES = (
     RateCase("high_refresh", Rates(lambda_e=8.0, lambda_s=10.0, lambda_c=10.0, lambda_g=10.0)),
 )
 
-_TOP_KEYS = {"name", "mode", "policies", "rates", "cases", "n", "n_range", "k", "sim", "output"}
-_RATE_KEYS = {"lambda_e", "lambda_s", "lambda_c", "lambda_g", "alpha"}
+# each JSON section's keys are its dataclass's fields, with the JSON-only "rates" and "alpha"
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)} | {"rates"}
+_RATE_KEYS = {f.name for f in fields(Rates)} | {"alpha"}
 _CASE_KEYS = {"label"} | (_RATE_KEYS - {"alpha"})
-_SIM_KEYS = {"cycles", "seed"}
+_SIM_KEYS = {f.name for f in fields(SimSettings)}
+_OPTIONAL_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is None]  # may be left out
 
 
 def _as_rate(value, where, problems, positive=False):
@@ -298,7 +300,7 @@ def _parse_config(raw, prefix: str = "") -> ExperimentConfig:
     problems: list[str] = []
     if unknown := set(raw) - _TOP_KEYS:
         problems.append(f"unknown keys {sorted(unknown, key=str)}")
-    given = {key: raw[key] for key in ("n", "n_range", "k", "output", "sim") if key in raw}
+    given = {key: raw[key] for key in _OPTIONAL_KEYS if key in raw}
     given.update(name=raw.get("name"), mode=raw.get("mode"))
     mode = given["mode"]
     if mode not in MODES:  # the mode decides how the rest reads

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gossipfresh import acceptance, cli
+from gossipfresh import acceptance, cli, experiments
 from gossipfresh.cli import main
 from gossipfresh.core import GossipPolicy
 from gossipfresh.experiments import read_csv
@@ -17,6 +17,8 @@ FLAT_CONFIG = {
     "rates": {"lambda_s": 1.0, "alpha": [1.0]},
     "n_range": [1, 5],
 }
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -225,6 +227,21 @@ def test_simulate_adds_monte_carlo_columns(tmp_path):
     rows = read_csv(tmp_path / "mc.csv")
     assert all(row.cycles == 500 for row in rows)
     assert all(row.p_sim is not None for row in rows)
+
+
+def test_a_run_judges_its_file_once_and_its_flags_once(tmp_path, monkeypatch, capsys):
+    # simulate --output sets two fields from flags: one replace judges both
+    calls = []
+    judge = experiments._config_problems
+    monkeypatch.setattr(experiments, "_config_problems", lambda g: calls.append(g) or judge(g))
+    flat = str(CONFIG_DIR / "flat_policies.json")
+    argv = ["simulate", "--config", flat, "--output", str(tmp_path / "rows.csv"), "--cycles", "10"]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    assert calls[-1]["output"] == argv[4] and calls[-1]["sim"].cycles == 10
+    calls.clear()
+    assert main(["optimal-k", "--config", str(CONFIG_DIR / "clustered_dc.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_takes_cycles_and_seed_from_the_config_sim(tmp_path, capsys):

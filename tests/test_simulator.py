@@ -1184,6 +1184,25 @@ def test_decomposition_check_reports_clustered_freshness_exactly(spec):
     assert (rep.p_analytic, rep.p_ch, rep.p_node_given_ch) == (p, bd.p_ch, bd.p_node_given_ch)
 
 
+#: The paper's own clustered shapes: each policy pair of the shipped
+#: clustered configs at n = 120, from 120 one-node clusters (k = 1) to one
+#: cluster of 120 (k = 120), at their balanced rates.
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PAPER_CLUSTERED = [
+    NetworkSpec.clustered(120, k, GP(src), GP(cl), Rates(1.0, 10.0, 10.0, 10.0))
+    for name in ("clustered_dc", "clustered_fc")
+    for src, cl in json.loads((CONFIG_DIR / f"{name}.json").read_text())["policies"]
+    for k in (1, 3, 12, 40, 120)
+]
+
+
+@pytest.mark.parametrize("seed,spec", enumerate(PAPER_CLUSTERED))
+def test_the_paper_clustered_shapes_simulate_to_their_stage_product(seed, spec):
+    rep = decomposition_check(spec, 20_000, seed=seed)
+    assert abs(rep.z) <= 4.0
+    assert rep.p_analytic == clustered_freshness(spec)[0]
+
+
 FLAT_FC = NetworkSpec.flat(3, GP.FC_sRC, ONE)
 CLUSTERED_FC = NetworkSpec.clustered(6, 2, GP.DC_RC, GP.FC_allRC, ONE)
 
