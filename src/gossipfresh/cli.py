@@ -36,16 +36,6 @@ _POLICY_NAMES = [p.value for p in GossipPolicy]
 _DC_NAMES = [p.value for p in DC_POLICIES]
 
 
-def _add_rate_flags(parser):
-    parser.add_argument("--lambda-e", type=float, help="source self-refresh rate")
-    parser.add_argument("--lambda-s", type=float, default=0.0, help="total source delivery rate")
-    parser.add_argument("--lambda-c", type=float, default=0.0, help="total per-clusterhead rate")
-    parser.add_argument(
-        "--lambda-g", type=float, default=0.0, help="total per-fresh-node gossip rate"
-    )
-    parser.add_argument("--alpha", type=float, help="lambda_e / lambda_s (instead of --lambda-e)")
-
-
 def _rates_from_args(args) -> Rates:
     if args.alpha is not None:
         if args.lambda_e is not None:
@@ -208,9 +198,45 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built per call.  Its help wraps at the
-    terminal's width, looked up once here instead of once per formatter."""
+#: The arguments of ``sweep`` and ``simulate``.
+_SWEEP_ARGUMENTS = (
+    ("--config", dict(required=True, help="JSON experiment config")),
+    ("--output", dict(help="override the config's CSV output path")),
+    ("--cycles", dict(type=int, help="Monte Carlo cycles per grid point")),
+    ("--seed", dict(type=int, help="Monte Carlo base seed")),
+    ("--plot-dir", dict(help="also write plot series files here")),
+)
+#: Each verb's help line, handler and arguments, in the order help lists them.
+_VERBS = {
+    "analytic": ("exact freshness of a single network point", _cmd_analytic, (
+        ("--n", dict(type=int, required=True, help="node count (end nodes)")),
+        ("--policy", dict(choices=_POLICY_NAMES, help="flat network policy")),
+        ("--k", dict(type=int, help="cluster size (clustered point)")),
+        ("--source-policy", dict(choices=_DC_NAMES, help="source tier policy")),
+        ("--cluster-policy", dict(choices=_POLICY_NAMES, help="cluster tier policy")),
+        ("--lambda-e", dict(type=float, help="source self-refresh rate")),
+        ("--lambda-s", dict(type=float, default=0.0, help="total source delivery rate")),
+        ("--lambda-c", dict(type=float, default=0.0, help="total per-clusterhead rate")),
+        ("--lambda-g", dict(type=float, default=0.0, help="total per-fresh-node gossip rate")),
+        ("--alpha", dict(type=float, help="lambda_e / lambda_s (instead of --lambda-e)")),
+    )),
+    "sweep": ("run a config-driven sweep (exact values)", _cmd_sweep, _SWEEP_ARGUMENTS),
+    "simulate": ("run a sweep with Monte Carlo columns", _cmd_sweep, _SWEEP_ARGUMENTS),
+    "optimal-k": ("optimal cluster size per policy pair", _cmd_optimal_k, (
+        ("--config", dict(required=True, help="JSON clustered_sweep_k config")),
+    )),
+    "selftest": ("run the acceptance checks", _cmd_selftest, (
+        ("--only", dict(help="comma-separated criteria subset, e.g. 1,2,6")),
+        ("--report", dict(help="write a deterministic CSV report here")),
+    )),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone, built per call.  Its
+    help wraps at the terminal's width, looked up once here instead of once
+    per formatter.  A parser of one verb still lists every verb in the
+    usage line it prints for arguments that its verb leaves unparsed."""
     import shutil
     from functools import partial
 
@@ -221,43 +247,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Long-term binary freshness of flat and clustered gossip networks.",
         formatter_class=formatter,
     )
+    # with every verb built, argparse's own metavar, which its errors name "verb"
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
     verb_parser = partial(argparse.ArgumentParser, formatter_class=formatter)
-    sub = parser.add_subparsers(dest="verb", required=True, parser_class=verb_parser)
-
-    p = sub.add_parser("analytic", help="exact freshness of a single network point")
-    p.add_argument("--n", type=int, required=True, help="node count (end nodes)")
-    p.add_argument("--policy", choices=_POLICY_NAMES, help="flat network policy")
-    p.add_argument("--k", type=int, help="cluster size (clustered point)")
-    p.add_argument("--source-policy", choices=_DC_NAMES, help="source tier policy")
-    p.add_argument("--cluster-policy", choices=_POLICY_NAMES, help="cluster tier policy")
-    _add_rate_flags(p)
-    p.set_defaults(func=_cmd_analytic)
-
-    for verb, blurb in (
-        ("sweep", "run a config-driven sweep (exact values)"),
-        ("simulate", "run a sweep with Monte Carlo columns"),
-    ):
-        p = sub.add_parser(verb, help=blurb)
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--output", help="override the config's CSV output path")
-        p.add_argument("--cycles", type=int, help="Monte Carlo cycles per grid point")
-        p.add_argument("--seed", type=int, help="Monte Carlo base seed")
-        p.add_argument("--plot-dir", help="also write plot series files here")
-        p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("optimal-k", help="optimal cluster size per policy pair")
-    p.add_argument("--config", required=True, help="JSON clustered_sweep_k config")
-    p.set_defaults(func=_cmd_optimal_k)
-
-    p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--only", help="comma-separated criteria subset, e.g. 1,2,6")
-    p.add_argument("--report", help="write a deterministic CSV report here")
-    p.set_defaults(func=_cmd_selftest)
+    sub = parser.add_subparsers(
+        dest="verb", required=True, metavar=metavar, parser_class=verb_parser
+    )
+    for name in _VERBS if verb is None else [verb]:
+        blurb, handler, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=blurb)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first argument that names a verb needs the parser of that verb alone
+    args = build_parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as e:

@@ -351,19 +351,23 @@ def stale_rate_rows(
     that broadcast together (a column of sizes and a row of counts, say);
     each rate is a number or broadcasts with them.  Returns ``(stale, u)``
     of their broadcast shape: ``stale = n - j`` stale nodes and ``u`` the
-    rate each of them sees, a new array.  Each policy's formula is written
+    rate each of them sees, a new array.  A float ``n`` (one size) takes
+    numbers for rates.  Each policy's formula is written
     here, every entry with the scalar formula's IEEE operations in their
     order; nothing is checked.
     """
     stale = n - j
-    if policy is GossipPolicy.DC_noRC:
+    one = isinstance(n, float)  # one size: Python's scalar operations outpace NumPy's
+    if policy is GossipPolicy.DC_noRC and one:
+        u = np.empty(stale.shape)
+        u.fill(total_source / n)
+    elif policy is GossipPolicy.DC_noRC:
         u = np.full(stale.shape, total_source / n)
     elif policy is GossipPolicy.DC_RC:
         u = total_source / stale
-    elif policy is GossipPolicy.FC_noRC:
-        u = total_source / n + j * (total_gossip / np.maximum(n - 1, 1))
-    elif policy is GossipPolicy.FC_sRC:
-        u = total_source / stale + j * (total_gossip / np.maximum(n - 1, 1))
+    elif policy in (GossipPolicy.FC_noRC, GossipPolicy.FC_sRC):
+        source = total_source / n if policy is GossipPolicy.FC_noRC else total_source / stale
+        u = source + j * (total_gossip / (max(n - 1, 1) if one else np.maximum(n - 1, 1)))
     elif policy is GossipPolicy.FC_allRC:
         u = total_source / stale + j * total_gossip / stale
     else:

@@ -4,8 +4,9 @@ A sweep is described by a small JSON config (or an
 :class:`ExperimentConfig` built in code): which mode to run, which
 policies, which rates (one case, several named cases, or an
 ``alpha = lambda_e / lambda_s`` list for flat sweeps), the grid, and an
-optional Monte Carlo add-on.  Unknown keys anywhere in the config are
-errors, so typos cannot silently corrupt a sweep.
+optional Monte Carlo add-on.  Unknown keys anywhere in the config, and a
+key given twice in one object, are errors, so typos cannot silently
+corrupt a sweep.
 
 Every grid point is evaluated with the generic recursion (``p_oracle``,
 always present) and with the closed form where one exists
@@ -122,12 +123,23 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
+        # id -> (object, {key: count}) of each object that repeats a key; holding
+        # the object keeps its id from passing to a later one
+        repeats = {}
+
+        def as_object(pairs):
+            obj = dict(pairs)
+            if len(obj) < len(pairs):
+                counts = Counter(key for key, _ in pairs)
+                repeats[id(obj)] = obj, {key: c for key, c in counts.items() if c > 1}
+            return obj
+
         try:
             with open(path, encoding="utf-8") as f:
-                raw = json.load(f)
+                raw = json.load(f, object_pairs_hook=as_object)
         except (ValueError, RecursionError) as e:  # bad syntax, UTF-8 or digits; deep nesting
             raise ConfigError([f"{path}: not valid JSON ({e})"]) from e
-        return _parse_config(raw, f"{path}: ")
+        return _parse_config(raw, f"{path}: ", _repeat_problems(raw, repeats) if repeats else [])
 
 
 #: Rate cases used for clustered sweeps when the config names none: equal
@@ -287,17 +299,38 @@ def _parse_rates_dict(raw, where, problems, allow_alpha):
     return [RateCase("case1", Rates(lam_e, lam_s, lam_c, lam_g))]
 
 
-def _parse_config(raw, prefix: str = "") -> ExperimentConfig:
+def _repeat_problems(raw, repeats: dict) -> list[str]:
+    """A problem for each key that an object of ``raw`` repeats, named by
+    its path (``n_range``, ``rates.lambda_e``, ``cases[1].label``): an
+    object's keys before those of the objects inside it, and otherwise in
+    the file's order.  ``repeats`` maps the ``id`` of each such object to
+    the object and the count of each key it repeats.  An object that a
+    later value of its key replaced is no part of ``raw``: that key is
+    named, and the keys inside the replaced object are not."""
+    problems, stack = [], [("", raw)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            counts = repeats[id(value)][1] if id(value) in repeats else {}
+            problems += [f"{path}{key} is given {count} times" for key, count in counts.items()]
+            stack += reversed([(f"{path}{key}.", v) for key, v in value.items()])
+        elif isinstance(value, list):
+            stack += reversed([(f"{path[:-1]}[{i}].", v) for i, v in enumerate(value)])
+    return problems
+
+
+def _parse_config(raw, prefix: str = "", problems=()) -> ExperimentConfig:
     """Check the raw structure (the top level, keys, rates), convert the
     rest of the JSON to typed values for :func:`_config_problems` to judge,
-    and raise the problems of both in one ``ConfigError``; ``prefix`` leads
-    the top-level problem.  A nonempty policies or cases list becomes a
-    tuple; a policy name becomes its policy, a clustered ``[source,
-    cluster]`` list a tuple of two.  Any other section, entry or ``sim`` is
-    given as it stands.  A config without problems is judged only here."""
+    and raise the problems of both, after ``problems``, in one
+    ``ConfigError``; ``prefix`` leads the top-level problem.  A nonempty
+    policies or cases list becomes a tuple; a policy name becomes its
+    policy, a clustered ``[source, cluster]`` list a tuple of two.  Any
+    other section, entry or ``sim`` is given as it stands.  A config
+    without problems is judged only here."""
     if not isinstance(raw, dict):
         raise ConfigError([f"{prefix}top level must be an object"])
-    problems: list[str] = []
+    problems = list(problems)
     if unknown := set(raw) - _TOP_KEYS:
         problems.append(f"unknown keys {sorted(unknown, key=str)}")
     given = {key: raw[key] for key in _OPTIONAL_KEYS if key in raw}

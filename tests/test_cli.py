@@ -280,6 +280,30 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_a_repeated_config_key_exits_1_naming_the_key_and_its_section(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"name": "twice", "mode": "flat_sweep_n", "policies": ["DC_RC"], "n_range": [1, 3],'
+        ' "rates": {"lambda_e": 1, "lambda_s": 1, "lambda_s": 2}, "n_range": [1, 2],'
+        ' "sim": {"cycles": 10, "seed": 1, "seed": 2, "seed": 3}}'
+    )
+    assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "rows.csv")]) == 1
+    problems = [
+        "n_range is given 2 times", "rates.lambda_s is given 2 times", "sim.seed is given 3 times"
+    ]
+    assert capsys.readouterr() == ("", "".join(f"error: {p}\n" for p in problems))
+    assert list(tmp_path.iterdir()) == [path]
+    # a case entry's repeat is reported beside the config's other problems
+    path.write_text(
+        '{"name": "twice", "mode": "clustered_sweep_k", "policies": [["DC_RC", "DC_RC"]],'
+        ' "n": 4, "bogus": 1, "cases": [{"lambda_e": 1}, {"label": "a", "label": "b",'
+        ' "lambda_e": 1}]}'
+    )
+    assert main(["optimal-k", "--config", str(path)]) == 1
+    problems = ["cases[1].label is given 2 times", "unknown keys ['bogus']"]
+    assert capsys.readouterr() == ("", "".join(f"error: {p}\n" for p in problems))
+
+
 def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(FLAT_CONFIG).replace('"lambda_s": 1.0', '"lambda_s": 1' + "0" * 400))
@@ -754,3 +778,62 @@ def test_help_text_is_the_default_formatters_at_the_terminal_width(monkeypatch, 
         for verb, (printed, default) in texts.items():
             assert printed == default, verb
     assert narrow[""][0] != wide[""][0]  # the width follows the terminal
+
+
+VERBS = ("analytic", "sweep", "simulate", "optimal-k", "selftest")
+
+
+def _outcome(argv, capsys):
+    """``main(argv)``'s exit code, stdout and stderr, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = done.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["bogus"], ["swe"], ["--", "sweep", "--config", "x"], ["-h", "bogus"],
+        *([verb, "-h"] for verb in VERBS),
+        ["sweep"], ["optimal-k"], ["selftest", "--only"],
+        ["sweep", "--cycles", "abc"], ["analytic", "--n", "x"], ["sweep", "analytic"],
+        ["sweep", "--config", "flat_policies.json", "--bogus"],
+        ["optimal-k", "--config", "c", "extra"],
+    ],
+    ids=" ".join,
+)
+def test_a_call_prints_what_the_parser_of_every_verb_prints(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(CONFIG_DIR / "flat_policies.json", tmp_path)
+    outcome = _outcome(argv, capsys)
+    every_verb = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: every_verb())
+    assert outcome == _outcome(argv, capsys)
+    usage = "usage: gossipfresh [-h] {analytic,sweep,simulate,optimal-k,selftest} ...\n"
+    if argv[-1:] in (["--bogus"], ["extra"]):  # the top level's usage, after the verb's parser
+        assert outcome[2] == usage + f"gossipfresh: error: unrecognized arguments: {argv[-1]}\n"
+    if argv in ([], ["swe"]):  # argparse's own metavar: the errors name the argument "verb"
+        error = "required: verb" if not argv else "argument verb: invalid choice: 'swe'"
+        assert outcome[2].startswith(usage + "gossipfresh: error: ") and error in outcome[2]
+
+
+def test_a_call_naming_a_verb_builds_the_top_level_parser_and_that_verbs(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: built.append(kwargs["prog"]) or init(self, *args, **kwargs),
+    )
+    cli.build_parser()
+    assert built == ["gossipfresh", *(f"gossipfresh {verb}" for verb in VERBS)]
+    for argv in ([], ["swe"], *([verb, "-h"] for verb in VERBS)):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(built) == (2 if argv and argv[0] in VERBS else 6), argv
+        assert built[0] == "gossipfresh"
+    assert built[1:] == ["gossipfresh selftest"]
